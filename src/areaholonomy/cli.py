@@ -164,6 +164,7 @@ def verify(field_path, pairs_path, random_pairs, lambda_from_face, perturb, seed
     import numpy as np
 
     import areaholonomy as ah
+    from areaholonomy.surfaces import required_keys
 
     if (pairs_path is None) == (random_pairs is None):
         raise click.UsageError("choose exactly one of --pairs FILE or --random K")
@@ -176,9 +177,9 @@ def verify(field_path, pairs_path, random_pairs, lambda_from_face, perturb, seed
     if perturb > 0:
         field = ah.perturb_field(field, rng, perturb)
     if pairs_path is not None:
-        raw = _read_json(pairs_path)
+        (raw_pairs,) = required_keys(_read_json(pairs_path), "pairs file", "pairs")
         pairs = [
-            (ah.loop_from_json(a), ah.loop_from_json(b)) for a, b in raw["pairs"]
+            (ah.loop_from_json(a), ah.loop_from_json(b)) for a, b in raw_pairs
         ]
     else:
         pairs = [

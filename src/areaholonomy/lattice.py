@@ -37,12 +37,15 @@ from .surfaces import (
     SurfaceMesh,
     TorusGrid,
     UnsupportedMeshError,
+    area_potential,
     clip_steps,
     enclosed_area,
+    integrate_faces,
     loop_concat,
     loop_reverse,
     mesh_from_json,
     mesh_to_json,
+    required_keys,
     validate_loop,
 )
 
@@ -501,9 +504,11 @@ def build_ym_field_from_rep(
     carries A with a row-graded central correction; vertical edges are
     column-graded powers of exp(Lambda/N^2) with B on the seam row.  The
     assignment closes exactly because Lambda commutes with A, B and the
-    commutator [A, B] equals exp(Lambda).  Sphere: the matching abelian
-    flux problem is solved per eigencomponent of Lambda on the face
-    incidence system.
+    commutator [A, B] equals exp(Lambda).  That gives every face
+    exp(Lambda/N^2); each edge is then multiplied by exp(theta_e Lambda),
+    where theta (surfaces.area_potential) carries each face's deviation from
+    the mean area.  Sphere: the matching abelian flux problem is solved per
+    eigencomponent of Lambda with surfaces.integrate_faces.
     """
     diag = validate_rep(rep, policy=policy)
     if not diag.ok:
@@ -534,25 +539,21 @@ def _torus_field(mesh: SurfaceMesh, rep: YangMillsRep) -> GaugeField:
             if y == n_grid - 1:
                 v = v @ b
             values[grid.v_edge(x, y)] = v
-    return GaugeField(mesh, values)
+    theta, _ = area_potential(mesh)
+    return GaugeField(mesh, values @ expm_raw(theta[:, None, None] * lam))
 
 
 def _sphere_field(mesh: SurfaceMesh, rep: YangMillsRep, policy: NumericPolicy) -> GaugeField:
     mu, w = np.linalg.eigh(-1j * rep.Lambda.mat)  # Lambda = w diag(i mu) w*
     if np.max(np.abs(mu) * np.max(mesh.face_areas)) >= np.pi:
         raise UnsupportedMeshError("flux per face exceeds the principal branch; refine the mesh")
-    n_faces, n_edges = len(mesh.faces), len(mesh.edges)
-    incidence = np.zeros((n_faces, n_edges))
-    for f_idx, face in enumerate(mesh.faces):
-        for e, s in face:
-            incidence[f_idx, e] += s
-    thetas = np.zeros((n_edges, rep.n))
+    thetas = np.zeros((len(mesh.edges), rep.n))
     for j, m_j in enumerate(mu):
-        k_j = m_j / (2 * np.pi)
-        target = m_j * np.asarray(mesh.face_areas)
-        target[0] -= 2 * np.pi * np.round(k_j)
-        theta, *_ = np.linalg.lstsq(incidence, target, rcond=None)
-        thetas[:, j] = theta
+        target = m_j * mesh.face_areas
+        target[0] -= 2 * np.pi * np.round(m_j / (2 * np.pi))
+        # least-squares fit: a flux quantized only within rep_tol spreads
+        # its residual over all faces
+        thetas[:, j] = integrate_faces(mesh, target - np.mean(target))
     diag_values = np.exp(1j * thetas)  # (E, n) diagonal phases
     values = np.einsum("ij,ej,kj->eik", w, diag_values, w.conj())
     return GaugeField(mesh, _unitarize(values))
@@ -587,7 +588,7 @@ def field_from_json(
 ) -> GaugeField:
     """Load a field snapshot; "mesh" may be inline JSON or a file path
     (resolved against base_dir when given)."""
-    mesh_obj = obj["mesh"]
+    mesh_obj, n, edges = required_keys(obj, "field", "mesh", "n", "edges")
     if isinstance(mesh_obj, str):
         import json
         import os
@@ -596,8 +597,8 @@ def field_from_json(
         with open(path) as handle:
             mesh_obj = json.load(handle)
     mesh = mesh_from_json(mesh_obj, policy=policy)
-    n = int(obj["n"])
-    values = np.stack([matrix_from_json(m) for m in obj["edges"]])
+    n = int(n)
+    values = np.stack([matrix_from_json(m) for m in edges])
     if values.shape[1] != n:
         raise ValueError("field dimension does not match its edge matrices")
     return GaugeField(mesh, values, policy=policy)

@@ -1,10 +1,12 @@
 """Discrete oriented surfaces with a normalized area form.
 
 Two mesh families are built here: periodic N x N torus grids (genus 1) and
-subdivided-octahedron spheres (genus 0).  Enclosed area of a loop is a
-purely combinatorial winding-number computation: dual spanning-tree
-propagation on the sphere, universal-cover lift on the torus.  No
-floating-point geometry is involved; winding numbers are exact integers.
+subdivided-octahedron spheres (genus 0).  Face-to-edge integration is one
+primitive, integrate_faces: an exact solve of D theta = target along a
+spanning tree of the dual graph.  Enclosed area is the loop integral of one
+cached edge potential of the face areas; on the torus a discrete Green's
+theorem on the loop's lift to the universal cover adds the uniform part.
+No floating-point geometry is involved.
 """
 
 from __future__ import annotations
@@ -126,6 +128,8 @@ class SurfaceMesh:
         self.basepoint = int(basepoint)
         self.grid = grid
         self._adjacency: Optional[list[list[tuple[int, int, int]]]] = None
+        self._dual_tree: Optional[list[tuple[int, int, int, int]]] = None
+        self._area_potential: Optional[tuple[np.ndarray, float]] = None
         self._validate(policy)
 
     # -- derived queries ---------------------------------------------------
@@ -150,6 +154,31 @@ class SurfaceMesh:
                 adj[h].append((e, -1, t))
             self._adjacency = adj
         return self._adjacency
+
+    def dual_tree(self) -> list[tuple[int, int, int, int]]:
+        """BFS spanning tree of the dual graph, rooted at face 0.
+
+        One (face, parent face, edge shared with the parent, sign of that
+        edge in the face's boundary) row per non-root face, in BFS order.
+        """
+        if self._dual_tree is None:
+            across: dict[tuple[int, int], int] = {}  # (edge, sign) -> face
+            for f_idx, face in enumerate(self.faces):
+                for e, s in face:
+                    across[(e, s)] = f_idx
+            tree: list[tuple[int, int, int, int]] = []
+            seen = [False] * len(self.faces)
+            seen[0] = True
+            queue = [0]
+            for f_idx in queue:
+                for e, s in self.faces[f_idx]:
+                    g = across[(e, -s)]
+                    if not seen[g]:
+                        seen[g] = True
+                        tree.append((g, f_idx, e, -s))
+                        queue.append(g)
+            self._dual_tree = tree
+        return self._dual_tree
 
     # -- validation ---------------------------------------------------------
 
@@ -397,147 +426,92 @@ def torus_windings(mesh: SurfaceMesh, loop: MeshLoop) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# enclosed area
+# face integration and enclosed area
 
-def enclosed_area(
-    mesh: SurfaceMesh,
-    loop: MeshLoop,
-    *,
-    tree_seed: Optional[int] = None,
-) -> float:
+def integrate_faces(mesh: SurfaceMesh, target) -> np.ndarray:
+    """Edge values theta with sum over (e, s) in the boundary of f of s * theta_e = target_f.
+
+    Targets must sum to zero, which is the whole image of the face
+    coboundary on a closed surface.  Edges off the dual spanning tree carry
+    0; each face hands the sum of its subtree to the edge it shares with
+    its parent, which leaves the root with exactly the total, zero.
+    """
+    target = np.asarray(target, dtype=np.float64)
+    if target.shape != (len(mesh.faces),):
+        raise ValueError("integrate_faces needs one target per face")
+    roundoff = len(target) * np.finfo(np.float64).eps * float(np.sum(np.abs(target)))
+    if abs(float(np.sum(target))) > roundoff:
+        raise ValueError(f"face targets sum to {np.sum(target):.3e}, not to zero")
+    subtree = target.tolist()
+    theta = np.zeros(len(mesh.edges))
+    for face, parent, edge, sign in reversed(mesh.dual_tree()):
+        theta[edge] = sign * subtree[face]
+        subtree[parent] += subtree[face]
+    return theta
+
+
+def area_potential(mesh: SurfaceMesh) -> tuple[np.ndarray, float]:
+    """Cached edge potential theta of the face areas and the density it leaves out.
+
+    Torus: D theta = areas - density on every face, with density the mean
+    face area, and theta is exactly 0 for uniform areas.  Sphere: D theta =
+    areas - (total area) on face 0, and density is 0.
+    """
+    if mesh._area_potential is None:
+        areas = mesh.face_areas
+        if mesh.genus == 1:
+            deviation = areas - 1.0 / len(areas)
+            # face areas sum to 1 only within area_sum_tol
+            offset = float(np.mean(deviation))
+            target, density = deviation - offset, 1.0 / len(areas) + offset
+        else:
+            target, density = areas.copy(), 0.0
+            target[0] -= np.sum(areas)
+        mesh._area_potential = (integrate_faces(mesh, target), density)
+    return mesh._area_potential
+
+
+def enclosed_area(mesh: SurfaceMesh, loop: MeshLoop) -> float:
     """Area-weighted winding number sum of a closed loop.
 
-    Genus 0: dual-graph spanning-tree integration of the crossing counts;
-    the result is a class mod 1, returned as its canonical representative
-    in (-1/2, 1/2].  Genus 1: winding numbers are computed for the lift of
-    the loop to the universal cover (loop must be null-homotopic).  The
-    spanning tree used for propagation can be varied through tree_seed;
-    the result does not depend on it.
+    The loop integral of area_potential gives every face's area except the
+    reference part.  Genus 0: that part is face 0's winding times the total
+    area, a multiple of 1, so the result is a class mod 1, returned as its
+    canonical representative in (-1/2, 1/2].  Genus 1: the loop must be
+    null-homotopic, and the uniform part is the density times the signed
+    cell count of the loop's lift to the universal cover.
     """
     validate_loop(mesh, loop)
+    theta, density = area_potential(mesh)
+    flux = float(sum(s * theta[e] for e, s in loop.steps))
     if mesh.genus == 0:
-        return _enclosed_area_sphere(mesh, loop, tree_seed)
-    return _enclosed_area_torus(mesh, loop, tree_seed)
+        return wrap_mod1(flux)
+    return density * _lifted_cell_count(mesh, loop) + flux
 
 
-def _neighbor_order(count: int, tree_seed: Optional[int]) -> list[int]:
-    order = list(range(count))
-    if tree_seed is not None:
-        np.random.default_rng(tree_seed).shuffle(order)
-    return order
+def _lifted_cell_count(mesh: SurfaceMesh, loop: MeshLoop) -> int:
+    """Sum of the winding numbers of all cells around the loop's lift.
 
-
-def _enclosed_area_sphere(mesh: SurfaceMesh, loop: MeshLoop, tree_seed: Optional[int]) -> float:
-    crossings = [0] * len(mesh.edges)
-    for e, s in loop.steps:
-        crossings[e] += s
-
-    # dual adjacency: edge -> [(face, boundary sign)]
-    edge_faces: list[list[tuple[int, int]]] = [[] for _ in mesh.edges]
-    for f_idx, face in enumerate(mesh.faces):
-        for e, s in face:
-            edge_faces[e].append((f_idx, s))
-
-    winding = [None] * len(mesh.faces)
-    root = 0 if tree_seed is None else int(np.random.default_rng(tree_seed).integers(len(mesh.faces)))
-    winding[root] = 0
-    queue = [root]
-    dual: list[list[tuple[int, int, int]]] = [[] for _ in mesh.faces]
-    for e, pair in enumerate(edge_faces):
-        (f1, s1), (f2, s2) = pair
-        dual[f1].append((f2, e, s1))
-        dual[f2].append((f1, e, s2))
-    while queue:
-        f = queue.pop()
-        for k in _neighbor_order(len(dual[f]), tree_seed):
-            g, e, sign_f = dual[f][k]
-            # w_f * sign_f + w_g * (-sign_f) = crossings[e]
-            value = winding[f] - sign_f * crossings[e]
-            if winding[g] is None:
-                winding[g] = value
-                queue.append(g)
-            elif winding[g] != value:
-                raise MalformedLoopError("inconsistent winding numbers (loop chain is not closed)")
-    total = float(np.dot(np.array(winding, dtype=np.float64), mesh.face_areas))
-    return wrap_mod1(total)
-
-
-def _enclosed_area_torus(mesh: SurfaceMesh, loop: MeshLoop, tree_seed: Optional[int]) -> float:
+    Discrete Green's theorem: the sum over vertical steps of s * x, with x
+    the lift's column.  Raises NotNullHomotopicError when the lift does not
+    close.
+    """
     grid = _require_torus(mesh)
-    n = grid.N
-    bx, by = grid.vertex_xy(loop.base)
-    x, y = bx, by
-    # net rightward crossings of horizontal segments / upward of vertical ones
-    c_h: dict[tuple[int, int], int] = {}
-    c_v: dict[tuple[int, int], int] = {}
-    for e, s in loop.steps:  # composability was checked by validate_loop
-        kind, _, _ = grid.edge_info(e)
-        if kind == "h":
-            if s == 1:
-                c_h[(x, y)] = c_h.get((x, y), 0) + 1
-                x += 1
-            else:
-                c_h[(x - 1, y)] = c_h.get((x - 1, y), 0) - 1
-                x -= 1
+    bx, _ = grid.vertex_xy(loop.base)
+    x, dy, cells = bx, 0, 0
+    for e, s in loop.steps:
+        if grid.edge_info(e)[0] == "h":
+            x += s
         else:
-            if s == 1:
-                c_v[(x, y)] = c_v.get((x, y), 0) + 1
-                y += 1
-            else:
-                c_v[(x, y - 1)] = c_v.get((x, y - 1), 0) - 1
-                y -= 1
-    if (x, y) != (bx, by):
-        p, q = (x - bx) // n, (y - by) // n
+            dy += s
+            cells += s * x
+    if x != bx or dy:
+        p, q = (x - bx) // grid.N, dy // grid.N
         raise NotNullHomotopicError(
             f"loop has period windings ({p}, {q}); enclosed area needs a null-homotopic loop",
             (p, q),
         )
-
-    cells: set[tuple[int, int]] = set()
-    for (a, b) in c_h:  # horizontal segment (a,b)-(a+1,b): cells below/above
-        cells.add((a, b - 1))
-        cells.add((a, b))
-    for (a, b) in c_v:  # vertical segment (a,b)-(a,b+1): cells left/right
-        cells.add((a - 1, b))
-        cells.add((a, b))
-    if not cells:
-        return 0.0
-    xs = [c[0] for c in cells]
-    ys = [c[1] for c in cells]
-    x0, x1 = min(xs) - 1, max(xs) + 1
-    y0, y1 = min(ys) - 1, max(ys) + 1
-
-    winding: dict[tuple[int, int], int] = {}
-    start = (x0, y0)
-    winding[start] = 0  # margin ring is outside the support of the lift
-    queue = [start]
-    while queue:
-        cx, cy = queue.pop()
-        w = winding[(cx, cy)]
-        neighbors = (
-            # crossing vertical segment at (cx+1, cy): w(left) = w(right) + c_v
-            ((cx + 1, cy), -c_v.get((cx + 1, cy), 0)),
-            ((cx - 1, cy), +c_v.get((cx, cy), 0)),
-            # crossing horizontal segment: w(above) = w(below) + c_h
-            ((cx, cy + 1), +c_h.get((cx, cy + 1), 0)),
-            ((cx, cy - 1), -c_h.get((cx, cy), 0)),
-        )
-        for k in _neighbor_order(4, tree_seed):
-            (nx, ny), delta = neighbors[k]
-            if not (x0 <= nx <= x1 and y0 <= ny <= y1):
-                continue
-            value = w + delta
-            if (nx, ny) not in winding:
-                winding[(nx, ny)] = value
-                queue.append((nx, ny))
-            elif winding[(nx, ny)] != value:
-                raise MalformedLoopError("inconsistent winding numbers in the cover patch")
-
-    per_face = [0] * len(mesh.faces)
-    for (cx, cy), w in winding.items():
-        if w:
-            per_face[grid.face(cx, cy)] += w
-    return float(np.dot(np.array(per_face, dtype=np.float64), mesh.face_areas))
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +617,20 @@ def random_homotopic_pair(
 # ---------------------------------------------------------------------------
 # JSON encoding (mesh and loop schemas used by the CLI files)
 
+def required_keys(obj, what: str, *keys: str) -> list:
+    """Values of the given keys of a JSON object, in order.
+
+    Raises ValueError naming the first missing key, so malformed input
+    files are reported as bad data rather than as a crash.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{what} lacks the key {key!r}")
+    return [obj[key] for key in keys]
+
+
 def mesh_to_json(mesh: SurfaceMesh) -> dict:
     """Faces are encoded as 1-based signed edge indices (sign = traversal)."""
     return {
@@ -656,17 +644,16 @@ def mesh_to_json(mesh: SurfaceMesh) -> dict:
 
 
 def mesh_from_json(obj: dict, *, policy: NumericPolicy = DEFAULT_POLICY) -> SurfaceMesh:
-    faces = [
-        tuple((abs(k) - 1, 1 if k > 0 else -1) for k in face)
-        for face in obj["faces"]
-    ]
+    genus, vertices, edges, faces, face_areas, basepoint = required_keys(
+        obj, "mesh", "genus", "vertices", "edges", "faces", "face_areas", "basepoint"
+    )
     mesh = SurfaceMesh(
-        int(obj["genus"]),
-        int(obj["vertices"]),
-        [(int(t), int(h)) for t, h in obj["edges"]],
-        faces,
-        obj["face_areas"],
-        int(obj["basepoint"]),
+        int(genus),
+        int(vertices),
+        [(int(t), int(h)) for t, h in edges],
+        [tuple((abs(k) - 1, 1 if k > 0 else -1) for k in face) for face in faces],
+        face_areas,
+        int(basepoint),
         grid=None,
         policy=policy,
     )
@@ -700,4 +687,5 @@ def loop_to_json(loop: MeshLoop) -> dict:
 
 
 def loop_from_json(obj: dict) -> MeshLoop:
-    return MeshLoop(int(obj["base"]), tuple((int(e), int(s)) for e, s in obj["steps"]))
+    base, steps = required_keys(obj, "loop", "base", "steps")
+    return MeshLoop(int(base), tuple((int(e), int(s)) for e, s in steps))

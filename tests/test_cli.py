@@ -1,8 +1,10 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,19 @@ def runner():
 
 def run(runner, args, **kwargs):
     return runner.invoke(cli, args, catch_exceptions=False, **kwargs)
+
+
+def entry_point(*args):
+    """Run the real entry point, which owns the exit-code contract, in a
+    child process that imports the same package as this test run."""
+    package_root = str(Path(ah.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "areaholonomy.cli", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 class TestSolve:
@@ -44,36 +59,21 @@ class TestSolve:
         assert json.loads(open(rep).read())["final_action"] < 1e-10
 
     def test_missing_mesh_is_usage_error(self):
-        # through the real entry point, which owns the exit-code contract
-        proc = subprocess.run(
-            [sys.executable, "-m", "areaholonomy.cli", "solve"],
-            capture_output=True,
-            text=True,
-        )
+        proc = entry_point("solve")
         assert proc.returncode == 64
         assert "Usage" in proc.stderr or "Usage" in proc.stdout
 
     def test_flux_on_branch_cut_is_clean_usage_error(self, tmp_path):
         # torus:2 flux 2 puts every plaquette phase exactly at pi
-        proc = subprocess.run(
-            [sys.executable, "-m", "areaholonomy.cli", "solve",
-             "--mesh", "torus:2", "--flux", "2", "--eps", "0", "--seed", "1",
-             "--out", str(tmp_path / "f.json"), "--report", str(tmp_path / "r.json")],
-            capture_output=True,
-            text=True,
-        )
+        proc = entry_point("solve", "--mesh", "torus:2", "--flux", "2", "--eps", "0", "--seed", "1",
+                           "--out", str(tmp_path / "f.json"), "--report", str(tmp_path / "r.json"))
         assert proc.returncode == 64
         assert "Traceback" not in proc.stderr
 
     def test_entry_point_success_path(self, tmp_path):
         out, rep = str(tmp_path / "f.json"), str(tmp_path / "r.json")
-        proc = subprocess.run(
-            [sys.executable, "-m", "areaholonomy.cli", "solve",
-             "--mesh", "torus:4", "--flux", "1", "--seed", "7",
-             "--out", out, "--report", rep],
-            capture_output=True,
-            text=True,
-        )
+        proc = entry_point("solve", "--mesh", "torus:4", "--flux", "1", "--seed", "7",
+                           "--out", out, "--report", rep)
         assert proc.returncode == 0
         assert abs(json.loads(open(rep).read())["final_action"] - FOUR_PI_SQ) < 1e-6
 
@@ -129,14 +129,26 @@ class TestVerify:
         assert result.exit_code == 3
 
     def test_missing_field_file_is_io_error(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "areaholonomy.cli", "verify",
-             "--field", "/nonexistent/field.json", "--random", "3"],
-            capture_output=True,
-            text=True,
-        )
+        proc = entry_point("verify", "--field", "/nonexistent/field.json", "--random", "3")
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("missing", ["faces", "steps"])
+    def test_missing_key_is_usage_error(self, missing, tmp_path):
+        mesh = ah.build_torus_mesh(3)
+        field_json = ah.field_to_json(ah.GaugeField.identity(mesh, 1))
+        loop_json = ah.loop_to_json(ah.face_boundary_loop(mesh, 0))
+        if missing == "faces":
+            del field_json["mesh"]["faces"]
+        else:
+            del loop_json["steps"]
+        field_path, pairs_path = tmp_path / "f.json", tmp_path / "pairs.json"
+        field_path.write_text(json.dumps(field_json))
+        pairs_path.write_text(json.dumps({"pairs": [[loop_json, loop_json]]}))
+        proc = entry_point("verify", "--field", str(field_path), "--pairs", str(pairs_path))
+        assert proc.returncode == 64
+        assert "Traceback" not in proc.stderr
+        assert repr(missing) in proc.stderr
 
     def test_identical_loops_row_zero(self, runner, solved, tmp_path):
         field = ah.field_from_json(json.loads(open(solved).read()))

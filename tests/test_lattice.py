@@ -427,6 +427,25 @@ class TestBuildFromRep:
         assert max(spreads) < 1e-10
         assert total_flux(field) == pytest.approx(2 * np.pi, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "kind, size, rep_name",
+        [("torus", n_grid, name) for n_grid in (3, 4, 6) for name in ("flux", "quaternion")]
+        + [("sphere", subdiv, "monopole") for subdiv in (2, 3)],
+    )
+    def test_critical_on_non_uniform_areas(self, kind, size, rep_name):
+        rep = {
+            "flux": flux_rep(1, 1),
+            "quaternion": quaternion_rep(1),
+            "monopole": ah.sphere_rep([1, 0]),
+        }[rep_name]
+        build = ah.build_torus_mesh if kind == "torus" else ah.build_sphere_mesh
+        faces = size * size if kind == "torus" else 8 * size * size
+        weights = np.random.default_rng(size).uniform(1.0, 2.0, faces)
+        mesh = build(size, face_areas=weights / np.sum(weights))
+        field = build_ym_field_from_rep(mesh, rep)
+        assert gradient_norm(field) <= 1e-10
+        assert ym_action(field) == pytest.approx(ah.ym_action_value(rep), abs=1e-9)
+
     def test_invalid_rep_rejected(self, torus4):
         eye = Unitary(np.eye(2))
         bad = ah.YangMillsRep(1, 2, [eye], [eye], SkewHermitian(1j * np.pi * np.eye(2)))

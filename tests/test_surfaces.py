@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import areaholonomy as ah
 from areaholonomy import (
@@ -13,6 +14,101 @@ from areaholonomy import (
     loop_reverse,
     wrap_mod1,
 )
+from areaholonomy.surfaces import integrate_faces
+
+
+# ---------------------------------------------------------------------------
+# reference: winding numbers by breadth-first propagation across faces
+
+
+def oracle_area_sphere(mesh, loop):
+    """Winding numbers spread over the dual graph from face 0; area mod 1."""
+    crossings = [0] * len(mesh.edges)
+    for e, s in loop.steps:
+        crossings[e] += s
+    edge_faces = [[] for _ in mesh.edges]
+    for f_idx, face in enumerate(mesh.faces):
+        for e, s in face:
+            edge_faces[e].append((f_idx, s))
+    dual = [[] for _ in mesh.faces]
+    for e, ((f1, s1), (f2, s2)) in enumerate(edge_faces):
+        dual[f1].append((f2, e, s1))
+        dual[f2].append((f1, e, s2))
+    winding = [None] * len(mesh.faces)
+    winding[0] = 0
+    queue = [0]
+    while queue:
+        f = queue.pop()
+        for g, e, sign_f in dual[f]:
+            # w_f * sign_f + w_g * (-sign_f) = crossings[e]
+            value = winding[f] - sign_f * crossings[e]
+            if winding[g] is None:
+                winding[g] = value
+                queue.append(g)
+            assert winding[g] == value
+    return wrap_mod1(float(np.dot(np.array(winding, dtype=np.float64), mesh.face_areas)))
+
+
+def oracle_area_torus(mesh, loop):
+    """Winding numbers of the lift's cells in the universal cover, spread
+    from outside the lift's bounding box and folded back onto the torus."""
+    grid = mesh.grid
+    x, y = grid.vertex_xy(loop.base)
+    c_h, c_v = {}, {}  # net rightward / upward crossings of unit segments
+    for e, s in loop.steps:
+        if grid.edge_info(e)[0] == "h":
+            key = (x, y) if s == 1 else (x - 1, y)
+            c_h[key] = c_h.get(key, 0) + s
+            x += s
+        else:
+            key = (x, y) if s == 1 else (x, y - 1)
+            c_v[key] = c_v.get(key, 0) + s
+            y += s
+    assert (x, y) == grid.vertex_xy(loop.base)
+    cells = {(a, b - 1) for a, b in c_h} | {(a, b) for a, b in c_h}
+    cells |= {(a - 1, b) for a, b in c_v} | {(a, b) for a, b in c_v}
+    if not cells:
+        return 0.0
+    x0, x1 = min(c[0] for c in cells) - 1, max(c[0] for c in cells) + 1
+    y0, y1 = min(c[1] for c in cells) - 1, max(c[1] for c in cells) + 1
+    winding = {(x0, y0): 0}
+    queue = [(x0, y0)]
+    while queue:
+        cx, cy = queue.pop()
+        w = winding[(cx, cy)]
+        for cell, delta in (
+            ((cx + 1, cy), -c_v.get((cx + 1, cy), 0)),
+            ((cx - 1, cy), +c_v.get((cx, cy), 0)),
+            ((cx, cy + 1), +c_h.get((cx, cy + 1), 0)),
+            ((cx, cy - 1), -c_h.get((cx, cy), 0)),
+        ):
+            if not (x0 <= cell[0] <= x1 and y0 <= cell[1] <= y1):
+                continue
+            if cell not in winding:
+                winding[cell] = w + delta
+                queue.append(cell)
+            assert winding[cell] == w + delta
+    per_face = [0] * len(mesh.faces)
+    for (cx, cy), w in winding.items():
+        per_face[grid.face(cx, cy)] += w
+    return float(np.dot(np.array(per_face, dtype=np.float64), mesh.face_areas))
+
+
+@st.composite
+def meshes_with_loops(draw, genus):
+    """A builder mesh with random positive face areas and a random
+    null-homotopic loop at its basepoint."""
+    if genus == 1:
+        size = draw(st.integers(2, 8))
+        faces = size * size
+    else:
+        size = draw(st.integers(1, 4))
+        faces = 8 * size * size
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=faces, max_size=faces)))
+    build = ah.build_torus_mesh if genus == 1 else ah.build_sphere_mesh
+    mesh = build(size, face_areas=weights / np.sum(weights))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return mesh, ah.random_loop(mesh, rng, draw(st.integers(0, 40)))
 
 
 class TestTorusMesh:
@@ -135,16 +231,6 @@ class TestEnclosedArea:
                 -enclosed_area(torus4, loop), abs=1e-13
             )
 
-    def test_tree_independence(self, torus4, sphere2):
-        rng = np.random.default_rng(25)
-        loop_t = ah.random_loop(torus4, rng, 20)
-        values = {enclosed_area(torus4, loop_t, tree_seed=s) for s in (None, 1, 2, 3, 4)}
-        assert len(values) == 1
-        loop_s = ah.random_loop(sphere2, rng, 16)
-        base = enclosed_area(sphere2, loop_s)
-        for s in (1, 2, 3, 4):
-            assert abs(wrap_mod1(enclosed_area(sphere2, loop_s, tree_seed=s) - base)) < 1e-12
-
     def test_not_null_homotopic(self, torus4):
         with pytest.raises(NotNullHomotopicError) as err:
             enclosed_area(torus4, ah.alpha_loop(torus4))
@@ -161,6 +247,43 @@ class TestEnclosedArea:
         loop = ah.face_boundary_loop(torus4, 0)
         double = loop_concat(loop, loop)
         assert enclosed_area(torus4, double) == pytest.approx(2 / 16, abs=1e-15)
+
+
+class TestAreaOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(meshes_with_loops(genus=1))
+    def test_torus_matches_lift_winding(self, mesh_loop):
+        mesh, loop = mesh_loop
+        assert abs(enclosed_area(mesh, loop) - oracle_area_torus(mesh, loop)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(meshes_with_loops(genus=0))
+    def test_sphere_matches_dual_winding_mod_one(self, mesh_loop):
+        mesh, loop = mesh_loop
+        assert abs(wrap_mod1(enclosed_area(mesh, loop) - oracle_area_sphere(mesh, loop))) <= 1e-12
+
+
+class TestIntegrateFaces:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([("torus", 2), ("torus", 5), ("sphere", 1), ("sphere", 3)]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_solves_sum_zero_targets(self, spec, seed):
+        kind, size = spec
+        mesh = ah.build_torus_mesh(size) if kind == "torus" else ah.build_sphere_mesh(size)
+        target = np.random.default_rng(seed).normal(size=len(mesh.faces))
+        target -= np.mean(target)
+        theta = integrate_faces(mesh, target)
+        coboundary = [sum(s * theta[e] for e, s in face) for face in mesh.faces]
+        assert np.max(np.abs(np.array(coboundary) - target)) <= 1e-12
+
+    def test_rejects_targets_not_summing_to_zero(self, torus4, sphere1):
+        for mesh in (torus4, sphere1):
+            with pytest.raises(ValueError):
+                integrate_faces(mesh, np.full(len(mesh.faces), 1e-9))
+            with pytest.raises(ValueError):
+                integrate_faces(mesh, np.zeros(len(mesh.faces) + 1))
 
 
 class TestRandomLoops:
