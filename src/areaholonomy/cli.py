@@ -140,8 +140,9 @@ def solve(mesh_spec, n, flux, seed, tol, max_iter, step, eps, out, report_path, 
         report_path,
         {"config": config, "converged": converged, **flow_report.to_json()},
     )
+    status = "converged" if converged else f"NOT converged ({flow_report.stop_reason})"
     click.echo(
-        f"{'converged' if converged else 'NOT converged'}: action={flow_report.final_action:.12g} "
+        f"{status}: action={flow_report.final_action:.12g} "
         f"gradient_norm={flow_report.final_gradient_norm:.3g} "
         f"iterations={flow_report.iterations}"
     )
@@ -164,6 +165,7 @@ def verify(field_path, pairs_path, random_pairs, lambda_from_face, perturb, seed
     import numpy as np
 
     import areaholonomy as ah
+    from areaholonomy.lattice import _area_residual
     from areaholonomy.surfaces import required_keys
 
     if (pairs_path is None) == (random_pairs is None):
@@ -178,9 +180,11 @@ def verify(field_path, pairs_path, random_pairs, lambda_from_face, perturb, seed
         field = ah.perturb_field(field, rng, perturb)
     if pairs_path is not None:
         (raw_pairs,) = required_keys(_read_json(pairs_path), "pairs file", "pairs")
-        pairs = [
-            (ah.loop_from_json(a), ah.loop_from_json(b)) for a, b in raw_pairs
-        ]
+        if not isinstance(raw_pairs, list) or not all(
+            isinstance(p, list) and len(p) == 2 for p in raw_pairs
+        ):
+            raise ValueError("pairs file: 'pairs' must be a list of [loop, loop] pairs")
+        pairs = [(ah.loop_from_json(a), ah.loop_from_json(b)) for a, b in raw_pairs]
     else:
         pairs = [
             ah.random_homotopic_pair(field.mesh, rng, n_steps=12)
@@ -192,7 +196,7 @@ def verify(field_path, pairs_path, random_pairs, lambda_from_face, perturb, seed
     for idx, (l1, l2) in enumerate(pairs):
         try:
             delta = ah.enclosed_area(field.mesh, ah.loop_concat(l1, ah.loop_reverse(l2)))
-            residual = ah.verify_area_property(field, l1, l2, lam)
+            residual = _area_residual(field, l1, l2, delta, lam)
             rows.append({"pair": idx, "delta_area": delta, "residual": residual})
         except ah.NotNullHomotopicError as ex:
             flagged += 1

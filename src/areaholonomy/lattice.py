@@ -51,7 +51,8 @@ from .surfaces import (
 
 
 class NotConvergedError(RuntimeError):
-    """Gradient flow hit its iteration or step-halving budget above tolerance."""
+    """Gradient flow stopped above tolerance: its iteration or step-halving
+    budget ran out, or it stalled at machine precision (report.stop_reason)."""
 
     def __init__(self, message: str, report: "FlowReport", field: "GaugeField"):
         super().__init__(message)
@@ -76,13 +77,16 @@ class StepPolicy:
 class FlowReport:
     """Flow summary: recorded actions are nonincreasing up to a few ulps of
     the action value (the flow keeps contracting the gradient after action
-    differences fall below evaluation precision)."""
+    differences fall below evaluation precision).  stop_reason is
+    "converged", "halving_budget", "iteration_budget" or "stall" (the step
+    underflowed to the identity), and None in report files that predate it."""
 
     iterations: int
     final_action: float
     final_gradient_norm: float
     step_history: Optional[list[tuple[int, float, float]]] = None
     seed: Optional[int] = None
+    stop_reason: Optional[str] = None
 
     def to_json(self) -> dict:
         return {
@@ -95,6 +99,7 @@ class FlowReport:
                 else [[i, a, g] for i, a, g in self.step_history]
             ),
             "seed": self.seed,
+            "stop_reason": self.stop_reason,
         }
 
     @staticmethod
@@ -106,6 +111,7 @@ class FlowReport:
             float(obj["final_gradient_norm"]),
             None if history is None else [(int(i), float(a), float(g)) for i, a, g in history],
             obj.get("seed"),
+            obj.get("stop_reason"),
         )
 
 
@@ -188,10 +194,7 @@ class _Engine:
         n = U.shape[-1]
         if n == 1:
             return (1j * plaquette_angles(p, eps_branch=eps_branch))[:, None, None]
-        x = np.empty_like(p)
-        for i in range(p.shape[0]):
-            x[i] = logm_raw(p[i], eps_branch=eps_branch)
-        return x
+        return logm_raw(p, eps_branch=eps_branch)
 
     def action_from_logs(self, x: np.ndarray) -> float:
         norms = np.sum(np.abs(x) ** 2, axis=(1, 2))
@@ -305,7 +308,8 @@ def gradient_flow(
     switches to requiring a strict gradient-norm decrease, which stays
     resolvable down to the requested tolerance.  The returned action never
     exceeds the input action beyond roundoff.  Raises NotConverged with the
-    partial report when the halving or iteration budget runs out.
+    partial report when the halving or iteration budget runs out, or when
+    the step underflows to the identity; report.stop_reason says which.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -320,7 +324,7 @@ def gradient_flow(
         [(0, action, gnorm)] if record_history else None
     )
     if gnorm <= tol:
-        return field, FlowReport(0, action, gnorm, history, seed)
+        return field, FlowReport(0, action, gnorm, history, seed, "converged")
 
     eye = np.eye(field.n, dtype=np.complex128)
     eta0 = sp.initial_step if sp.initial_step is not None else 0.25 * float(np.min(engine.areas))
@@ -357,10 +361,11 @@ def gradient_flow(
                     break
                 grad_trial = None
             eta *= sp.shrink
-        report = FlowReport(iteration - 1, action, gnorm, history, seed)
         if not accepted:
             raise NotConvergedError(
-                "line search exhausted its halving budget", report, GaugeField(field.mesh, u)
+                "line search exhausted its halving budget",
+                FlowReport(iteration - 1, action, gnorm, history, seed, "halving_budget"),
+                GaugeField(field.mesh, u),
             )
         u, x, action = trial, x_trial, action_trial
         grad = grad_trial if grad_trial is not None else engine.gradient_from_logs(u, x)
@@ -368,14 +373,14 @@ def gradient_flow(
         if record_history:
             history.append((iteration, action, gnorm))
         if gnorm <= tol:
-            return GaugeField(field.mesh, u), FlowReport(iteration, action, gnorm, history, seed)
+            return GaugeField(field.mesh, u), FlowReport(iteration, action, gnorm, history, seed, "converged")
         if not moved:
             # machine-precision stall: no representable step makes progress
             break
-    report = FlowReport(iteration, action, gnorm, history, seed)
+    prefix = "" if moved else "stalled at machine precision: "
     raise NotConvergedError(
-        f"gradient norm {gnorm:.3e} above tol {tol:.3e} after {iteration} iterations",
-        report,
+        f"{prefix}gradient norm {gnorm:.3e} above tol {tol:.3e} after {iteration} iterations",
+        FlowReport(iteration, action, gnorm, history, seed, "iteration_budget" if moved else "stall"),
         GaugeField(field.mesh, u),
     )
 
@@ -430,10 +435,23 @@ def verify_area_property(
     the Frobenius norm of the mismatch is returned.  Lambda defaults to the
     curvature density of face 0.
     """
+    delta = enclosed_area(field.mesh, loop_concat(loop1, loop_reverse(loop2)))
+    return _area_residual(field, loop1, loop2, delta, Lambda, policy=policy)
+
+
+def _area_residual(
+    field: GaugeField,
+    loop1: MeshLoop,
+    loop2: MeshLoop,
+    delta: float,
+    Lambda: Optional[SkewHermitian],
+    *,
+    policy: NumericPolicy = DEFAULT_POLICY,
+) -> float:
+    """verify_area_property for a known oriented area delta between the loops."""
     mesh = field.mesh
     if loop1.base != mesh.basepoint or loop2.base != mesh.basepoint:
         raise ValueError("both loops must be based at the mesh basepoint")
-    delta = enclosed_area(mesh, loop_concat(loop1, loop_reverse(loop2)))
     lam = Lambda.mat if Lambda is not None else face_curvature(field, 0, policy=policy).mat
     h1 = loop_holonomy(field, loop1).mat
     h2 = loop_holonomy(field, loop2).mat

@@ -1,17 +1,20 @@
 """Numerics for the unitary group U(n) and its Lie algebra u(n).
 
-Matrix exponential and principal logarithm are eigendecomposition based:
-unitary and skew-Hermitian matrices are normal, so spectral methods give
-exactly unitary (resp. skew-Hermitian) results up to roundoff and a clean
-principal branch.  Dimensions stay small (n <= 8), robustness beats speed.
+Unitary and skew-Hermitian matrices are normal, so exp and log are spectral:
+exp diagonalizes the Hermitian matrix -iX, and the principal log
+diagonalizes the Cayley transform i(I - U)(I + U)^-1, which is Hermitian
+and shares U's eigenvectors (Higham, Functions of Matrices, 2008, ch. 11).
+Both kernels are batched over leading axes and use numpy only.  The log
+raises BranchCutError instead of picking a branch when an eigenvalue lies
+within eps_branch of -1.  Dimensions stay small (n <= 8).
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .policy import DEFAULT_POLICY, NumericPolicy
+from .surfaces import required_keys
 
 
 class DimensionMismatchError(ValueError):
@@ -91,24 +94,57 @@ def expm_raw(x: np.ndarray) -> np.ndarray:
     return (v * phase[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def logm_raw(u: np.ndarray, *, eps_branch: float = DEFAULT_POLICY.eps_branch) -> np.ndarray:
-    """Principal log of one unitary matrix via complex Schur form.
+# Largest phase logm_raw accepts from its first pass: ||C|| <= tan(3 pi / 8) ~ 2.4.
+_CAYLEY_MAX_PHASE = 0.75 * np.pi
 
-    The Schur form of a normal matrix is diagonal, so this is a spectral
-    decomposition with an orthonormal eigenbasis even for degenerate spectra.
+
+def _cayley_eigh(u: np.ndarray, rotated: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors of the Cayley transform of `rotated` (a scalar phase
+    times u), and the phases of u read from its Rayleigh quotients."""
+    eye = np.eye(u.shape[-1])
+    try:
+        c = 1j * np.linalg.solve(eye + rotated, eye - rotated)
+    except np.linalg.LinAlgError:
+        raise BranchCutError("eigenvalue -1: I + U is singular") from None
+    _, v = np.linalg.eigh((c + c.conj().swapaxes(-1, -2)) / 2.0)
+    theta = np.angle(np.sum(v.conj() * (u @ v), axis=-2))
+    return v, theta
+
+
+def logm_raw(u: np.ndarray, *, eps_branch: float = DEFAULT_POLICY.eps_branch) -> np.ndarray:
+    """Principal log of unitary arrays, batched over leading axes.
+
+    One batched solve forms the Cayley transform C = i(I - U)(I + U)^-1,
+    whose eigenvalues tan(theta/2) are real; one batched eigh of its
+    Hermitian part gives an orthonormal eigenbasis of U even for degenerate
+    spectra, and each phase theta is read from the Rayleigh quotient v* U v.
+    The eigenbasis is only as accurate as eps * ||C||, so matrices with a
+    phase beyond _CAYLEY_MAX_PHASE are transformed again after rotating
+    their spectrum by a scalar phase that puts -1 in the middle of its
+    widest gap, which bounds ||C|| by cot(pi / 2n).
+
+    Raises BranchCutError when any phase of any matrix satisfies
+    pi - |theta| < eps_branch, including an exact eigenvalue -1, and
+    ValueError on non-finite input.
     """
-    n = u.shape[0]
+    n = u.shape[-1]
     if n == 1:
-        theta = float(np.angle(u[0, 0]))
-        if np.pi - abs(theta) < eps_branch:
-            raise BranchCutError("eigenvalue within eps_branch of -1")
-        return np.array([[1j * theta]], dtype=np.complex128)
-    t, q = scipy.linalg.schur(u, output="complex")
-    theta = np.angle(np.diagonal(t))
+        return 1j * plaquette_angles(u, eps_branch=eps_branch)[..., None, None]
+    v, theta = _cayley_eigh(u, u)
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("unitary input has non-finite entries")
+    far = np.max(np.abs(theta), axis=-1) > _CAYLEY_MAX_PHASE
+    if np.any(far):
+        s = np.sort(theta[far], axis=-1)
+        gaps = np.diff(np.concatenate([s, s[..., :1] + 2 * np.pi], axis=-1), axis=-1)
+        widest = np.argmax(gaps, axis=-1)[..., None]
+        shift = np.take_along_axis(s + gaps / 2, widest, axis=-1) - np.pi
+        u_far = u[far]
+        v[far], theta[far] = _cayley_eigh(u_far, np.exp(-1j * shift)[..., None] * u_far)
     if np.min(np.pi - np.abs(theta)) < eps_branch:
         raise BranchCutError("eigenvalue within eps_branch of -1")
-    x = (q * (1j * theta)[None, :]) @ q.conj().T
-    return (x - x.conj().T) / 2.0
+    x = (v * (1j * theta)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return (x - x.conj().swapaxes(-1, -2)) / 2.0
 
 
 def plaquette_angles(u: np.ndarray, *, eps_branch: float = DEFAULT_POLICY.eps_branch) -> np.ndarray:
@@ -215,8 +251,9 @@ def matrix_to_json(mat: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    n = int(obj["n"])
-    mat = np.array(obj["re"], dtype=np.float64) + 1j * np.array(obj["im"], dtype=np.float64)
+    n, re, im = required_keys(obj, "matrix", "n", "re", "im")
+    n = int(n)
+    mat = np.array(re, dtype=np.float64) + 1j * np.array(im, dtype=np.float64)
     if mat.shape != (n, n):
         raise ValueError(f"matrix JSON claims n={n} but arrays have shape {mat.shape}")
     return mat

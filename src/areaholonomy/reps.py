@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .liecore import (
     SkewHermitian,
@@ -29,6 +28,7 @@ from .liecore import (
     matrix_to_json,
 )
 from .policy import DEFAULT_POLICY, NumericPolicy
+from .surfaces import required_keys
 from .words import GammaRElement, GenusMismatchError
 
 
@@ -215,13 +215,21 @@ def sphere_rep(k: WeightVector | Sequence[int]) -> YangMillsRep:
     return YangMillsRep(0, k.n, [], [], lam)
 
 
+def _block_diag(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    n = x.shape[0]
+    out = np.zeros((n + y.shape[0],) * 2, dtype=np.complex128)
+    out[:n, :n] = x
+    out[n:, n:] = y
+    return out
+
+
 def direct_sum(r1: YangMillsRep, r2: YangMillsRep) -> YangMillsRep:
     """Block-diagonal combination; the action values add."""
     if r1.genus != r2.genus:
         raise GenusMismatchError("direct sum needs matching genus")
-    a = [Unitary(scipy.linalg.block_diag(x.mat, y.mat)) for x, y in zip(r1.A, r2.A)]
-    b = [Unitary(scipy.linalg.block_diag(x.mat, y.mat)) for x, y in zip(r1.B, r2.B)]
-    lam = SkewHermitian(scipy.linalg.block_diag(r1.Lambda.mat, r2.Lambda.mat))
+    a = [Unitary(_block_diag(x.mat, y.mat)) for x, y in zip(r1.A, r2.A)]
+    b = [Unitary(_block_diag(x.mat, y.mat)) for x, y in zip(r1.B, r2.B)]
+    lam = SkewHermitian(_block_diag(r1.Lambda.mat, r2.Lambda.mat))
     return YangMillsRep(r1.genus, r1.n + r2.n, a, b, lam)
 
 
@@ -239,10 +247,11 @@ def rep_to_json(rep: YangMillsRep) -> dict:
 
 
 def rep_from_json(obj: dict) -> YangMillsRep:
+    genus, n, a, b, lam = required_keys(obj, "representation", "genus", "n", "A", "B", "Lambda")
     return YangMillsRep(
-        int(obj["genus"]),
-        int(obj["n"]),
-        [Unitary(matrix_from_json(m)) for m in obj["A"]],
-        [Unitary(matrix_from_json(m)) for m in obj["B"]],
-        SkewHermitian(matrix_from_json(obj["Lambda"])),
+        int(genus),
+        int(n),
+        [Unitary(matrix_from_json(m)) for m in a],
+        [Unitary(matrix_from_json(m)) for m in b],
+        SkewHermitian(matrix_from_json(lam)),
     )

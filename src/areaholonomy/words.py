@@ -26,6 +26,7 @@ from .surfaces import (
     enclosed_area,
     loop_concat,
     loop_reverse,
+    required_keys,
     torus_windings,
     wrap_mod1,
 )
@@ -331,4 +332,5 @@ def gamma_to_json(x: GammaRElement) -> dict:
 
 
 def gamma_from_json(obj: dict) -> GammaRElement:
-    return GammaRElement(int(obj["genus"]), str(obj["word"]), float(obj["t"]))
+    genus, word, t = required_keys(obj, "surface-group element", "genus", "word", "t")
+    return GammaRElement(int(genus), str(word), float(t))

@@ -25,17 +25,32 @@ def run(runner, args, **kwargs):
     return runner.invoke(cli, args, catch_exceptions=False, **kwargs)
 
 
-def entry_point(*args):
-    """Run the real entry point, which owns the exit-code contract, in a
-    child process that imports the same package as this test run."""
+def child_python(*args):
+    """Run python in a child process that imports the same package as this
+    test run."""
     package_root = str(Path(ah.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "areaholonomy.cli", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def entry_point(*args):
+    """Run the real entry point, which owns the exit-code contract."""
+    return child_python("-m", "areaholonomy.cli", *args)
+
+
+def test_import_does_not_load_scipy():
+    proc = child_python(
+        "-c",
+        "import sys, areaholonomy, areaholonomy.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestSolve:
@@ -47,6 +62,7 @@ class TestSolve:
         report = json.loads(open(rep).read())
         assert abs(report["final_action"] - FOUR_PI_SQ) < 1e-6
         assert report["converged"] is True
+        assert report["stop_reason"] == "converged"
         assert report["config"]["seed"] == 7
         field = ah.field_from_json(json.loads(open(out).read()))
         assert field.n == 1 and len(field.mesh.edges) == 128
@@ -85,6 +101,8 @@ class TestSolve:
         assert result.exit_code == 2
         report = json.loads(open(rep).read())
         assert report["converged"] is False
+        assert report["stop_reason"] == "iteration_budget"
+        assert "NOT converged (iteration_budget)" in result.output
 
     def test_deterministic_bytes(self, runner, tmp_path):
         paths = []
@@ -149,6 +167,28 @@ class TestVerify:
         assert proc.returncode == 64
         assert "Traceback" not in proc.stderr
         assert repr(missing) in proc.stderr
+
+    def test_edge_matrix_without_re_is_usage_error(self, tmp_path):
+        mesh = ah.build_torus_mesh(3)
+        field_json = ah.field_to_json(ah.GaugeField.identity(mesh, 1))
+        del field_json["edges"][0]["re"]
+        field_path = tmp_path / "f.json"
+        field_path.write_text(json.dumps(field_json))
+        proc = entry_point("verify", "--field", str(field_path), "--random", "3")
+        assert proc.returncode == 64
+        assert "Traceback" not in proc.stderr
+        assert "'re'" in proc.stderr
+
+    @pytest.mark.parametrize("pairs", [5, [5], [[{"base": 0, "steps": []}]]], ids=["number", "entry", "single-loop"])
+    def test_malformed_pairs_is_usage_error(self, pairs, tmp_path):
+        mesh = ah.build_torus_mesh(3)
+        field_path, pairs_path = tmp_path / "f.json", tmp_path / "pairs.json"
+        field_path.write_text(json.dumps(ah.field_to_json(ah.GaugeField.identity(mesh, 1))))
+        pairs_path.write_text(json.dumps({"pairs": pairs}))
+        proc = entry_point("verify", "--field", str(field_path), "--pairs", str(pairs_path))
+        assert proc.returncode == 64
+        assert "Traceback" not in proc.stderr
+        assert "'pairs' must be a list of [loop, loop] pairs" in proc.stderr
 
     def test_identical_loops_row_zero(self, runner, solved, tmp_path):
         field = ah.field_from_json(json.loads(open(solved).read()))

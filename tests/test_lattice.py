@@ -250,6 +250,45 @@ class TestFlow:
         assert err.value.report.iterations == 3
         assert isinstance(err.value.field, GaugeField)
 
+    @pytest.fixture()
+    def perturbed4(self, torus4):
+        rng = np.random.default_rng(10)
+        return ah.perturb_field(build_ym_field_from_rep(torus4, flux_rep(1, 1)), rng, 0.3)
+
+    def test_stop_reason_converged(self, perturbed4):
+        _, report = gradient_flow(perturbed4, tol=1e-9)
+        assert report.stop_reason == "converged"
+        _, report = gradient_flow(build_ym_field_from_rep(perturbed4.mesh, flux_rep(1, 1)), tol=1e-8)
+        assert (report.iterations, report.stop_reason) == (0, "converged")
+
+    def test_stop_reason_iteration_budget(self, perturbed4):
+        with pytest.raises(NotConvergedError) as err:
+            gradient_flow(perturbed4, tol=1e-9, max_iter=3)
+        assert err.value.report.stop_reason == "iteration_budget"
+
+    def test_stop_reason_halving_budget(self, perturbed4):
+        # a huge first trial and no halvings: the line search cannot accept
+        with pytest.raises(NotConvergedError) as err:
+            gradient_flow(perturbed4, StepPolicy(initial_step=1e3, max_halvings=0), tol=1e-9)
+        assert err.value.report.stop_reason == "halving_budget"
+        assert "halving budget" in str(err.value)
+
+    def test_stop_reason_stall(self, perturbed4):
+        # the smallest positive step underflows to the identity after one halving
+        with pytest.raises(NotConvergedError) as err:
+            gradient_flow(perturbed4, StepPolicy(initial_step=5e-324), tol=1e-9)
+        assert err.value.report.stop_reason == "stall"
+        assert err.value.report.iterations == 1
+        assert "stalled at machine precision" in str(err.value)
+
+    def test_stop_reason_json(self, perturbed4):
+        _, report = gradient_flow(perturbed4, tol=1e-9)
+        obj = report.to_json()
+        assert obj["stop_reason"] == "converged"
+        assert ah.FlowReport.from_json(obj) == report
+        del obj["stop_reason"]
+        assert ah.FlowReport.from_json(obj).stop_reason is None
+
     def test_nonabelian_converges_and_verifies(self):
         mesh = ah.build_torus_mesh(6)
         rng = np.random.default_rng(20)

@@ -3,6 +3,8 @@ commutant dimension, conjugacy comparison."""
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 import areaholonomy as ah
 from areaholonomy import (
@@ -16,6 +18,9 @@ from areaholonomy import (
     inner,
     logm_principal,
 )
+from areaholonomy.liecore import expm_raw, logm_raw
+
+EPS_BRANCH = ah.DEFAULT_POLICY.eps_branch
 
 
 def expm_series(x: np.ndarray, terms: int = 30) -> np.ndarray:
@@ -97,6 +102,99 @@ class TestLogm:
         u = Unitary([[np.exp(1j * (np.pi - 1e-9))]])
         with pytest.raises(BranchCutError):
             logm_principal(u)
+
+
+def schur_logm(u: np.ndarray) -> np.ndarray:
+    """Independent oracle: principal log of one unitary from its complex
+    Schur form, which is diagonal because unitaries are normal."""
+    t, q = scipy.linalg.schur(u, output="complex")
+    x = (q * (1j * np.angle(np.diagonal(t)))[None, :]) @ q.conj().T
+    return (x - x.conj().T) / 2.0
+
+
+def with_phases(seed: int, phases) -> np.ndarray:
+    """W diag(exp(i phases)) W* for a random unitary W."""
+    w = ah.random_unitary(np.random.default_rng(seed), len(phases)).mat
+    return (w * np.exp(1j * np.asarray(phases))[None, :]) @ w.conj().T
+
+
+seeds = st.integers(0, 2**32 - 1)
+# every phase the branch-cut rule accepts with room to spare
+phases = st.floats(-(np.pi - 1e-6), np.pi - 1e-6)
+
+
+@st.composite
+def spectra(draw, n):
+    """n phases, drawn as a few distinct values repeated: degenerate spectra."""
+    distinct = draw(st.lists(phases, min_size=1, max_size=n))
+    return [distinct[i % len(distinct)] for i in range(n)]
+
+
+class TestBatchedLogm:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 4), st.lists(seeds, min_size=1, max_size=8), st.data())
+    def test_matches_schur_oracle(self, n, batch_seeds, data):
+        batch = np.stack([
+            ah.random_unitary(np.random.default_rng(s), n).mat if s % 2
+            else with_phases(s, data.draw(st.lists(phases, min_size=n, max_size=n)))
+            for s in batch_seeds
+        ])
+        out = logm_raw(batch)
+        for u, x in zip(batch, out):
+            assert np.max(np.abs(x - schur_logm(u))) <= 1e-11
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 4), seeds, st.data())
+    def test_exp_roundtrip_on_degenerate_spectra(self, n, seed, data):
+        u = with_phases(seed, data.draw(spectra(n)))
+        assert np.linalg.norm(expm_raw(logm_raw(u)) - u) <= 1e-12
+
+    def test_leading_axes_are_batch_axes(self):
+        rng = np.random.default_rng(15)
+        batch = np.stack([ah.random_unitary(rng, 3).mat for _ in range(6)]).reshape(2, 3, 3, 3)
+        out = logm_raw(batch)
+        assert out.shape == batch.shape
+        for u, x in zip(batch.reshape(6, 3, 3), out.reshape(6, 3, 3)):
+            assert np.array_equal(x, logm_raw(u))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_phase_just_inside_branch_passes(self, n, sign):
+        phase = sign * (np.pi - 2 * EPS_BRANCH)
+        u = with_phases(16, [phase] + [0.4] * (n - 1))
+        assert np.linalg.norm(expm_raw(logm_raw(u)) - u) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 4), st.integers(0, 7), seeds, st.sampled_from([1, -1]))
+    def test_phase_on_branch_raises_alone_and_in_batch(self, n, position, seed, sign):
+        bad = with_phases(seed, [sign * (np.pi - EPS_BRANCH / 2)] + [0.3] * (n - 1))
+        with pytest.raises(BranchCutError):
+            logm_raw(bad)
+        rng = np.random.default_rng(seed)
+        batch = np.stack([with_phases(s, rng.uniform(-2, 2, n)) for s in range(8)])
+        logm_raw(batch)  # benign on its own
+        batch[position] = bad
+        with pytest.raises(BranchCutError):
+            logm_raw(batch)
+
+    @pytest.mark.parametrize(
+        "u",
+        [
+            np.diag([-1.0 + 0j, 1.0]),
+            -np.eye(3, dtype=complex),
+            with_phases(17, [np.pi, 0.2, -0.5]),
+            np.stack([np.eye(2, dtype=complex), np.diag([1.0 + 0j, -1.0])]),
+        ],
+        ids=["diagonal", "minus-identity", "conjugated", "in-batch"],
+    )
+    def test_exact_minus_one_raises(self, u):
+        with pytest.raises(BranchCutError):
+            logm_raw(u)
+
+    def test_non_finite_input_raises(self):
+        batch = np.stack([np.eye(2, dtype=complex), np.full((2, 2), np.nan + 0j)])
+        with pytest.raises(ValueError):
+            logm_raw(batch)
 
 
 class TestInner:
