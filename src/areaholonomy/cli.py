@@ -33,17 +33,25 @@ def _canonical(obj):
     return obj
 
 
-def _write_json(path: str, obj) -> None:
-    """Write to a temp file in the target directory, then atomically rename."""
+def _write_atomic(path: str, write) -> None:
+    """Call write(handle) on a temp file in the target directory, then
+    atomically rename it to path."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
-            json.dump(_canonical(obj), handle, sort_keys=True, indent=1)
-            handle.write("\n")
+            write(handle)
         os.replace(tmp, path)
     except OSError as ex:
         raise click.ClickException(f"cannot write {path}: {ex}")
+
+
+def _write_json(path: str, obj) -> None:
+    def write(handle):
+        json.dump(_canonical(obj), handle, sort_keys=True, indent=1)
+        handle.write("\n")
+
+    _write_atomic(path, write)
 
 
 def _read_json(path: str):
@@ -221,7 +229,8 @@ def verify(field_path, pairs_path, random_pairs, lambda_from_face, perturb, seed
             else:
                 click.echo(f"pair {r['pair']:3d}: {r['error']}")
         click.echo(f"max residual: {max_residual:.3e} (tol {tol:g})")
-    if flagged or max_residual >= tol:
+    # fail closed: a NaN residual is not below tol
+    if flagged or not max_residual < tol:
         sys.exit(EXIT_VERIFY_FAILED)
 
 
@@ -319,14 +328,7 @@ def plot_data(input_path, out):
     if out is None:
         click.echo(text, nl=False)
     else:
-        try:
-            directory = os.path.dirname(os.path.abspath(out))
-            fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            os.replace(tmp, out)
-        except OSError as ex:
-            raise click.ClickException(f"cannot write {out}: {ex}")
+        _write_atomic(out, lambda handle: handle.write(text))
 
 
 def main():
@@ -340,13 +342,10 @@ def main():
         sys.exit(EXIT_IO)
     except click.exceptions.Abort:
         sys.exit(130)
-    except ValueError as ex:
-        # invalid input data (bad mesh/field/word files, domain violations)
-        click.echo(f"error: {ex}", err=True)
-        sys.exit(EXIT_USAGE)
-    except ArithmeticError as ex:
-        # BranchCut: the configuration puts a plaquette on the log branch
-        # cut (flux too large for the mesh); refine the mesh or lower it
+    except (ValueError, ArithmeticError) as ex:
+        # ValueError: invalid input data (bad mesh/field/word files, domain
+        # violations); ArithmeticError: BranchCut, a plaquette on the log
+        # branch cut (flux too large for the mesh; refine it or lower the flux)
         click.echo(f"error: {ex}", err=True)
         sys.exit(EXIT_USAGE)
 

@@ -28,7 +28,7 @@ from .liecore import (
     logm_raw,
     matrix_from_json,
     matrix_to_json,
-    plaquette_angles,
+    require_unitary,
 )
 from .policy import DEFAULT_POLICY, NumericPolicy
 from .reps import InvalidRepError, YangMillsRep, validate_rep
@@ -40,6 +40,7 @@ from .surfaces import (
     area_potential,
     clip_steps,
     enclosed_area,
+    face_boundary_loop,
     integrate_faces,
     loop_concat,
     loop_reverse,
@@ -124,10 +125,7 @@ class GaugeField:
         values = np.array(values, dtype=np.complex128)
         if values.ndim != 3 or values.shape != (len(mesh.edges), values.shape[1], values.shape[1]):
             raise ValueError("field values must have shape (E, n, n)")
-        eye = np.eye(values.shape[1])
-        residual = np.linalg.norm(values @ values.conj().swapaxes(-1, -2) - eye, axis=(1, 2))
-        if np.max(residual) > policy.unitary_tol:
-            raise ValueError(f"edge matrices are not unitary (worst residual {np.max(residual):.3e})")
+        require_unitary(values, policy.unitary_tol, "an edge matrix")
         values.setflags(write=False)
         self.mesh = mesh
         self.n = values.shape[1]
@@ -149,10 +147,7 @@ class GaugeTransform:
 
     def __init__(self, values: np.ndarray, *, policy: NumericPolicy = DEFAULT_POLICY):
         values = np.array(values, dtype=np.complex128)
-        eye = np.eye(values.shape[-1])
-        residual = np.linalg.norm(values @ values.conj().swapaxes(-1, -2) - eye, axis=(1, 2))
-        if np.max(residual) > policy.unitary_tol:
-            raise ValueError("gauge transform entries must be unitary")
+        require_unitary(values, policy.unitary_tol, "a gauge transform entry")
         values.setflags(write=False)
         self.g = values
 
@@ -190,11 +185,7 @@ class _Engine:
         return out
 
     def logs(self, U: np.ndarray, eps_branch: float) -> np.ndarray:
-        p = self.plaquettes(U)
-        n = U.shape[-1]
-        if n == 1:
-            return (1j * plaquette_angles(p, eps_branch=eps_branch))[:, None, None]
-        return logm_raw(p, eps_branch=eps_branch)
+        return logm_raw(self.plaquettes(U), eps_branch=eps_branch)
 
     def action_from_logs(self, x: np.ndarray) -> float:
         norms = np.sum(np.abs(x) ** 2, axis=(1, 2))
@@ -233,6 +224,11 @@ def _engine_for(mesh: SurfaceMesh) -> _Engine:
     return engine
 
 
+def _grad_norm(grad: np.ndarray) -> float:
+    """Frobenius norm of a whole gradient stack (the flow's stopping quantity)."""
+    return float(np.sqrt(np.sum(np.abs(grad) ** 2)))
+
+
 def _unitarize(values: np.ndarray) -> np.ndarray:
     if values.shape[-1] == 1:
         return values / np.abs(values)
@@ -247,10 +243,7 @@ def plaquette_holonomy(field: GaugeField, face: int) -> Unitary:
     """Ordered product of edge unitaries around the face boundary."""
     if not (0 <= face < len(field.mesh.faces)):
         raise ValueError(f"face index {face} out of range")
-    out = np.eye(field.n, dtype=np.complex128)
-    for e, s in field.mesh.faces[face]:
-        out = out @ (field.U[e] if s > 0 else field.U[e].conj().T)
-    return Unitary(out)
+    return loop_holonomy(field, face_boundary_loop(field.mesh, face))
 
 
 def face_curvature(field: GaugeField, face: int, *, policy: NumericPolicy = DEFAULT_POLICY) -> SkewHermitian:
@@ -276,8 +269,7 @@ def ym_gradient(field: GaugeField, *, policy: NumericPolicy = DEFAULT_POLICY) ->
 
 def gradient_norm(field: GaugeField, *, policy: NumericPolicy = DEFAULT_POLICY) -> float:
     engine = _engine_for(field.mesh)
-    grad = engine.gradient_from_logs(field.U, engine.logs(field.U, policy.eps_branch))
-    return float(np.sqrt(np.sum(np.abs(grad) ** 2)))
+    return _grad_norm(engine.gradient_from_logs(field.U, engine.logs(field.U, policy.eps_branch)))
 
 
 def total_flux(field: GaugeField, *, policy: NumericPolicy = DEFAULT_POLICY) -> float:
@@ -319,7 +311,7 @@ def gradient_flow(
     x = engine.logs(u, policy.eps_branch)
     action = engine.action_from_logs(x)
     grad = engine.gradient_from_logs(u, x)
-    gnorm = float(np.sqrt(np.sum(np.abs(grad) ** 2)))
+    gnorm = _grad_norm(grad)
     history: Optional[list[tuple[int, float, float]]] = (
         [(0, action, gnorm)] if record_history else None
     )
@@ -355,7 +347,7 @@ def gradient_flow(
                 break
             if action_trial <= action + slack:
                 grad_trial = engine.gradient_from_logs(trial, x_trial)
-                gnorm_trial = float(np.sqrt(np.sum(np.abs(grad_trial) ** 2)))
+                gnorm_trial = _grad_norm(grad_trial)
                 if gnorm_trial < gnorm:
                     accepted = True
                     break
@@ -369,7 +361,7 @@ def gradient_flow(
             )
         u, x, action = trial, x_trial, action_trial
         grad = grad_trial if grad_trial is not None else engine.gradient_from_logs(u, x)
-        gnorm = float(np.sqrt(np.sum(np.abs(grad) ** 2)))
+        gnorm = _grad_norm(grad)
         if record_history:
             history.append((iteration, action, gnorm))
         if gnorm <= tol:

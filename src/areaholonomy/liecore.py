@@ -36,6 +36,17 @@ def _as_complex_matrix(entries) -> np.ndarray:
     return mat
 
 
+def require_unitary(values: np.ndarray, tol: float, what: str) -> None:
+    """Raise ValueError unless ||U U* - I||_F <= tol for every matrix U of
+    a stack (leading axes are batch axes).  Fails closed: a NaN residual
+    is rejected."""
+    eye = np.eye(values.shape[-1])
+    residual = np.linalg.norm(values @ values.conj().swapaxes(-1, -2) - eye, axis=(-2, -1))
+    worst = np.max(residual)
+    if not worst <= tol:
+        raise ValueError(f"{what} is not unitary: worst ||U U* - I|| = {worst:.3e}")
+
+
 class SkewHermitian:
     """An element of u(n): X + X* = 0 (validated at construction)."""
 
@@ -44,7 +55,7 @@ class SkewHermitian:
     def __init__(self, entries, *, policy: NumericPolicy = DEFAULT_POLICY):
         mat = _as_complex_matrix(entries)
         residual = np.linalg.norm(mat + mat.conj().T)
-        if residual > policy.skew_tol:
+        if not residual <= policy.skew_tol:
             raise ValueError(f"matrix is not skew-Hermitian: ||X + X*|| = {residual:.3e}")
         mat.setflags(write=False)
         self.mat = mat
@@ -64,11 +75,8 @@ class Unitary:
 
     def __init__(self, entries, *, policy: NumericPolicy = DEFAULT_POLICY):
         mat = _as_complex_matrix(entries)
-        n = mat.shape[0]
-        residual = np.linalg.norm(mat @ mat.conj().T - np.eye(n))
-        if residual > policy.unitary_tol:
-            raise ValueError(f"matrix is not unitary: ||U U* - I|| = {residual:.3e}")
-        if abs(abs(np.linalg.det(mat)) - 1.0) > policy.unitary_tol:
+        require_unitary(mat, policy.unitary_tol, "matrix")
+        if not abs(abs(np.linalg.det(mat)) - 1.0) <= policy.unitary_tol:
             raise ValueError("matrix determinant does not have modulus 1")
         mat.setflags(write=False)
         self.mat = mat

@@ -29,7 +29,7 @@ from .liecore import (
 )
 from .policy import DEFAULT_POLICY, NumericPolicy
 from .surfaces import required_keys
-from .words import GammaRElement, GenusMismatchError
+from .words import GammaRElement, GenusMismatchError, relator_letters
 
 
 class InvalidRepError(ValueError):
@@ -95,12 +95,21 @@ class YangMillsRep:
         return f"YangMillsRep(genus={self.genus}, n={self.n})"
 
 
+def _word_image(rep: YangMillsRep, letters) -> np.ndarray:
+    """Product of the generator images of a letter sequence, in order."""
+    out = np.eye(rep.n, dtype=np.complex128)
+    for letter in letters:
+        idx = abs(letter)
+        mat = rep.A[idx - 1].mat if idx <= rep.genus else rep.B[idx - rep.genus - 1].mat
+        if letter < 0:
+            mat = mat.conj().T
+        out = out @ mat
+    return out
+
+
 def relator_image(rep: YangMillsRep) -> np.ndarray:
     """Product of commutators [A_i, B_i] in generator order."""
-    out = np.eye(rep.n, dtype=np.complex128)
-    for a, b in zip(rep.A, rep.B):
-        out = out @ a.mat @ b.mat @ a.mat.conj().T @ b.mat.conj().T
-    return out
+    return _word_image(rep, relator_letters(rep.genus))
 
 
 def validate_rep(rep: YangMillsRep, *, policy: NumericPolicy = DEFAULT_POLICY) -> RepDiagnostics:
@@ -148,15 +157,7 @@ def evaluate(
     _require_valid(rep, policy)
     if x.genus != rep.genus:
         raise GenusMismatchError(f"element genus {x.genus} does not match rep genus {rep.genus}")
-    out = expm_raw(x.t * rep.Lambda.mat)
-    word = np.eye(rep.n, dtype=np.complex128)
-    for letter in x.word.letters:
-        idx = abs(letter)
-        mat = rep.A[idx - 1].mat if idx <= rep.genus else rep.B[idx - rep.genus - 1].mat
-        if letter < 0:
-            mat = mat.conj().T
-        word = word @ mat
-    return Unitary(word @ out)
+    return Unitary(_word_image(rep, x.word.letters) @ expm_raw(x.t * rep.Lambda.mat))
 
 
 def irreducible(rep: YangMillsRep, *, policy: NumericPolicy = DEFAULT_POLICY) -> bool:

@@ -1,12 +1,14 @@
 """Discrete oriented surfaces with a normalized area form.
 
 Two mesh families are built here: periodic N x N torus grids (genus 1) and
-subdivided-octahedron spheres (genus 0).  Face-to-edge integration is one
-primitive, integrate_faces: an exact solve of D theta = target along a
-spanning tree of the dual graph.  Enclosed area is the loop integral of one
-cached edge potential of the face areas; on the torus a discrete Green's
-theorem on the loop's lift to the universal cover adds the uniform part.
-No floating-point geometry is involved.
+subdivided-octahedron spheres (genus 0).  Only torus meshes carry a grid
+(TorusGrid), which mesh_from_json re-detects; nothing about a sphere mesh
+needs one.  Face-to-edge integration is one primitive, integrate_faces: an
+exact solve of D theta = target along a spanning tree of the dual graph.
+Enclosed area is the loop integral of one cached edge potential of the face
+areas; on the torus one walk over the loop's lift to the universal cover
+gives both the period windings and, by a discrete Green's theorem, the
+uniform part of the area.  No floating-point geometry is involved.
 """
 
 from __future__ import annotations
@@ -78,11 +80,6 @@ class TorusGrid:
 
 
 @dataclass(frozen=True)
-class SphereGrid:
-    subdiv: int
-
-
-@dataclass(frozen=True)
 class MeshLoop:
     """A closed combinatorial path: (edge index, +-1) steps from a base vertex."""
 
@@ -114,7 +111,7 @@ class SurfaceMesh:
         face_areas,
         basepoint: int,
         *,
-        grid: Optional[TorusGrid | SphereGrid] = None,
+        grid: Optional[TorusGrid] = None,
         policy: NumericPolicy = DEFAULT_POLICY,
     ):
         if genus not in (0, 1):
@@ -137,9 +134,6 @@ class SurfaceMesh:
     def step_endpoints(self, edge: int, sign: int) -> tuple[int, int]:
         tail, head = self.edges[edge]
         return (tail, head) if sign > 0 else (head, tail)
-
-    def face_vertices(self, face: int) -> tuple[int, ...]:
-        return tuple(self.step_endpoints(e, s)[0] for e, s in self.faces[face])
 
     def face_start_vertex(self, face: int) -> int:
         e, s = self.faces[face][0]
@@ -188,9 +182,10 @@ class SurfaceMesh:
             raise ValueError(
                 f"Euler characteristic {v - e + f} does not match genus {self.genus}"
             )
-        if len(self.face_areas) != f or np.any(self.face_areas <= 0):
+        # fail closed: every comparison with NaN is False
+        if len(self.face_areas) != f or not np.all(self.face_areas > 0):
             raise ValueError("face_areas must be positive, one per face")
-        if abs(float(np.sum(self.face_areas)) - 1.0) > policy.area_sum_tol:
+        if not abs(float(np.sum(self.face_areas)) - 1.0) <= policy.area_sum_tol:
             raise ValueError("face areas must sum to 1")
         if not (0 <= self.basepoint < v):
             raise ValueError("basepoint out of range")
@@ -348,9 +343,7 @@ def build_sphere_mesh(
     f = len(faces)
     if face_areas is None:
         face_areas = np.full(f, 1.0 / f)
-    return SurfaceMesh(
-        0, len(vertex_ids), edges, faces, face_areas, 0, grid=SphereGrid(s), policy=policy
-    )
+    return SurfaceMesh(0, len(vertex_ids), edges, faces, face_areas, 0, policy=policy)
 
 
 def _require_torus(mesh: SurfaceMesh) -> TorusGrid:
@@ -415,14 +408,23 @@ def torus_windings(mesh: SurfaceMesh, loop: MeshLoop) -> tuple[int, int]:
     """Period winding numbers (p, q): signed crossings of the two cut cycles."""
     grid = _require_torus(mesh)
     validate_loop(mesh, loop)
-    dx = dy = 0
+    dx, dy, _ = _lifted_walk(grid, loop)
+    return (dx // grid.N, dy // grid.N)
+
+
+def _lifted_walk(grid: TorusGrid, loop: MeshLoop) -> tuple[int, int, int]:
+    """Walk a loop's lift to the universal cover: net displacement (dx, dy)
+    and the discrete Green's cell sum, the sum over vertical steps of s * x
+    with x the lift's column counted from the base.  For a closed lift
+    that sum is the total winding number of all cells around it."""
+    x = dy = cells = 0
     for e, s in loop.steps:
-        kind, _, _ = grid.edge_info(e)
-        if kind == "h":
-            dx += s
+        if grid.edge_info(e)[0] == "h":
+            x += s
         else:
             dy += s
-    return (dx // grid.N, dy // grid.N)
+            cells += s * x
+    return x, dy, cells
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +442,7 @@ def integrate_faces(mesh: SurfaceMesh, target) -> np.ndarray:
     if target.shape != (len(mesh.faces),):
         raise ValueError("integrate_faces needs one target per face")
     roundoff = len(target) * np.finfo(np.float64).eps * float(np.sum(np.abs(target)))
-    if abs(float(np.sum(target))) > roundoff:
+    if not abs(float(np.sum(target))) <= roundoff:
         raise ValueError(f"face targets sum to {np.sum(target):.3e}, not to zero")
     subtree = target.tolist()
     theta = np.zeros(len(mesh.edges))
@@ -478,40 +480,24 @@ def enclosed_area(mesh: SurfaceMesh, loop: MeshLoop) -> float:
     reference part.  Genus 0: that part is face 0's winding times the total
     area, a multiple of 1, so the result is a class mod 1, returned as its
     canonical representative in (-1/2, 1/2].  Genus 1: the loop must be
-    null-homotopic, and the uniform part is the density times the signed
-    cell count of the loop's lift to the universal cover.
+    null-homotopic (else NotNullHomotopicError with its windings), and the
+    uniform part is the density times the signed cell count of the loop's
+    lift, from the same walk (_lifted_walk) that torus_windings uses.
     """
     validate_loop(mesh, loop)
     theta, density = area_potential(mesh)
     flux = float(sum(s * theta[e] for e, s in loop.steps))
     if mesh.genus == 0:
         return wrap_mod1(flux)
-    return density * _lifted_cell_count(mesh, loop) + flux
-
-
-def _lifted_cell_count(mesh: SurfaceMesh, loop: MeshLoop) -> int:
-    """Sum of the winding numbers of all cells around the loop's lift.
-
-    Discrete Green's theorem: the sum over vertical steps of s * x, with x
-    the lift's column.  Raises NotNullHomotopicError when the lift does not
-    close.
-    """
     grid = _require_torus(mesh)
-    bx, _ = grid.vertex_xy(loop.base)
-    x, dy, cells = bx, 0, 0
-    for e, s in loop.steps:
-        if grid.edge_info(e)[0] == "h":
-            x += s
-        else:
-            dy += s
-            cells += s * x
-    if x != bx or dy:
-        p, q = (x - bx) // grid.N, dy // grid.N
+    dx, dy, cells = _lifted_walk(grid, loop)
+    if dx or dy:
+        p, q = dx // grid.N, dy // grid.N
         raise NotNullHomotopicError(
             f"loop has period windings ({p}, {q}); enclosed area needs a null-homotopic loop",
             (p, q),
         )
-    return cells
+    return density * cells + flux
 
 
 # ---------------------------------------------------------------------------
@@ -661,16 +647,13 @@ def mesh_from_json(obj: dict, *, policy: NumericPolicy = DEFAULT_POLICY) -> Surf
     return mesh
 
 
-def _detect_grid(mesh: SurfaceMesh) -> Optional[TorusGrid | SphereGrid]:
-    """Recognize builder meshes by exact topological comparison."""
+def _detect_grid(mesh: SurfaceMesh) -> Optional[TorusGrid]:
+    """Recognize a builder torus mesh by exact topological comparison."""
+    if mesh.genus != 1:
+        return None
     try:
-        if mesh.genus == 1:
-            n = math.isqrt(mesh.vertex_count)
-            reference = build_torus_mesh(n)
-        else:
-            s = math.isqrt(len(mesh.faces) // 8)
-            reference = build_sphere_mesh(max(s, 1))
-    except (ValueError, ZeroDivisionError):
+        reference = build_torus_mesh(math.isqrt(mesh.vertex_count))
+    except ValueError:
         return None
     if (
         reference.vertex_count == mesh.vertex_count

@@ -252,28 +252,20 @@ def gamma_identity(genus: int) -> GammaRElement:
 
 
 def gamma_mul(x: GammaRElement, y: GammaRElement) -> GammaRElement:
-    """Concatenate and renormalize; t picks up one unit per relator extracted."""
+    """Concatenate and renormalize; t picks up one unit per relator extracted.
+
+    The constructor's normalization covers every genus: genus 0 wraps t mod
+    1, and in genus 1 moving y's a-letters past x's b-letters gives the
+    Heisenberg cocycle -q r.
+    """
     if x.genus != y.genus:
         raise GenusMismatchError(f"genus mismatch: {x.genus} vs {y.genus}")
-    g = x.genus
-    if g == 0:
-        return GammaRElement(0, (), x.t + y.t)
-    if g == 1:
-        p, q, _ = _heisenberg_normalize(x.word.letters)
-        r, u, _ = _heisenberg_normalize(y.word.letters)
-        return GammaRElement(1, _heisenberg_letters(p + r, q + u), x.t + y.t - q * r)
-    return GammaRElement(g, x.word.letters + y.word.letters, x.t + y.t)
+    return GammaRElement(x.genus, x.word.letters + y.word.letters, x.t + y.t)
 
 
 def gamma_inv(x: GammaRElement) -> GammaRElement:
-    g = x.genus
-    if g == 0:
-        return GammaRElement(0, (), -x.t)
-    if g == 1:
-        p, q, _ = _heisenberg_normalize(x.word.letters)
-        return GammaRElement(1, _heisenberg_letters(-p, -q), -x.t - p * q)
     inverse = tuple(-l for l in reversed(x.word.letters))
-    return GammaRElement(g, inverse, -x.t)
+    return GammaRElement(x.genus, inverse, -x.t)
 
 
 def word_problem(

@@ -53,6 +53,22 @@ def test_import_does_not_load_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_perfbench_tracer_installs():
+    # install() looks kernels up by name, so a renamed or deleted kernel
+    # would only break the benchmark's traced runs; it rebinds module
+    # attributes, so it runs in a child process
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    proc = child_python(
+        "-c",
+        f"import sys; sys.path.insert(0, {str(perfbench)!r}); import tracer; "
+        "import areaholonomy as ah; t = tracer.Tracer('t'); tracer.install(t); "
+        "ah.ym_action(ah.GaugeField.identity(ah.build_torus_mesh(3), 1)); "
+        "print('lattice.logs' in t.names)",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
+
+
 class TestSolve:
     def test_flux_sector_value(self, runner, tmp_path):
         out, rep = str(tmp_path / "f.json"), str(tmp_path / "r.json")
@@ -179,6 +195,23 @@ class TestVerify:
         assert "Traceback" not in proc.stderr
         assert "'re'" in proc.stderr
 
+    def test_nan_edge_is_usage_error(self, tmp_path):
+        mesh = ah.build_torus_mesh(3)
+        field_json = ah.field_to_json(ah.GaugeField.identity(mesh, 1))
+        field_json["edges"][4]["re"][0][0] = float("nan")
+        field_path = tmp_path / "f.json"
+        field_path.write_text(json.dumps(field_json))  # written as NaN, which json reads back
+        proc = entry_point("verify", "--field", str(field_path), "--random", "3")
+        assert proc.returncode == 64
+        assert "Traceback" not in proc.stderr
+        assert "not unitary" in proc.stderr
+
+    def test_nan_residual_fails(self, runner, solved, monkeypatch):
+        # the gate passes only residuals below tol, and NaN is not below it
+        monkeypatch.setattr(ah.lattice, "_area_residual", lambda *args, **kwargs: float("nan"))
+        result = runner.invoke(cli, ["verify", "--field", solved, "--random", "3"])
+        assert result.exit_code == 3
+
     @pytest.mark.parametrize("pairs", [5, [5], [[{"base": 0, "steps": []}]]], ids=["number", "entry", "single-loop"])
     def test_malformed_pairs_is_usage_error(self, pairs, tmp_path):
         mesh = ah.build_torus_mesh(3)
@@ -277,6 +310,7 @@ class TestPlotData:
         assert lines[0] == "iteration,action,gradient_norm"
         report = json.loads(open(rep).read())
         assert len(lines) == 1 + len(report["step_history"])
+        assert open(csv_path).read() == run(runner, ["plot-data", "--input", rep]).output
 
     def test_header_only_without_trace(self, runner, tmp_path):
         out, rep = str(tmp_path / "f.json"), str(tmp_path / "r.json")

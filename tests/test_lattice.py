@@ -3,6 +3,7 @@ gauge action, holonomy, and the constant-curvature constructions."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import areaholonomy as ah
 from areaholonomy import (
@@ -55,6 +56,20 @@ class TestPlaquette:
         assert len(nonzero) == 2
         assert nonzero[0] == pytest.approx(-theta, abs=1e-12)
         assert nonzero[1] == pytest.approx(theta, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([("torus", 2), ("torus", 3), ("torus", 5), ("sphere", 1), ("sphere", 2)]),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_engine_bit_for_bit(self, spec, n, seed):
+        kind, size = spec
+        mesh = ah.build_torus_mesh(size) if kind == "torus" else ah.build_sphere_mesh(size)
+        field = random_field(mesh, n, np.random.default_rng(seed), scale=1.0)
+        batched = _engine_for(mesh).plaquettes(field.U)
+        for f in range(len(mesh.faces)):
+            assert np.array_equal(plaquette_holonomy(field, f).mat, batched[f])
 
     def test_gauge_covariance_at_start_vertex(self, torus4):
         rng = np.random.default_rng(70)
@@ -311,6 +326,12 @@ class TestFlow:
 
 
 class TestGauge:
+    def test_nan_entry_rejected(self, torus4):
+        values = np.broadcast_to(np.eye(2, dtype=complex), (16, 2, 2)).copy()
+        values[5, 1, 0] = np.nan
+        with pytest.raises(ValueError):
+            ah.GaugeTransform(values)
+
     def test_identity_transform(self, torus4):
         rng = np.random.default_rng(73)
         field = random_field(torus4, 2, rng)
@@ -497,6 +518,16 @@ class TestBuildFromRep:
 
 
 class TestFieldJson:
+    def test_nan_edge_rejected(self, torus4):
+        values = np.ones((len(torus4.edges), 1, 1), dtype=np.complex128)
+        values[3, 0, 0] = np.nan
+        with pytest.raises(ValueError):
+            GaugeField(torus4, values)
+        snapshot = ah.field_to_json(GaugeField.identity(torus4, 2))
+        snapshot["edges"][7]["im"][0][1] = float("nan")
+        with pytest.raises(ValueError):
+            ah.field_from_json(snapshot)
+
     def test_roundtrip(self, torus4):
         rng = np.random.default_rng(90)
         field = random_field(torus4, 2, rng)

@@ -327,6 +327,17 @@ class TestTypesAndJson:
         with pytest.raises(ValueError):
             Unitary([[2.0, 0.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        # a comparison with NaN is False, so each check must fail closed
+        bad_matrices = [[[bad, 0.0], [0.0, 1.0]], np.full((2, 2), bad)]
+        with np.errstate(invalid="ignore"):
+            for entries in bad_matrices:
+                with pytest.raises(ValueError):
+                    Unitary(entries)
+                with pytest.raises(ValueError):
+                    SkewHermitian(1j * np.array(entries))
+
     def test_matrix_json_roundtrip(self):
         rng = np.random.default_rng(14)
         m = ah.random_unitary(rng, 3).mat

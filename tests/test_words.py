@@ -1,6 +1,8 @@
 """Central-extension word algebra: free reduction, the area cocycle,
 normal forms, the word problem, and mesh-loop classes."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -149,6 +151,79 @@ class TestGammaMul:
             padded = GammaRElement(3, w.word.letters + rel + tuple(-l for l in reversed(w.word.letters)), 0.0)
             assert padded.word.letters == ()
             assert padded.t == 1.0
+
+
+def _exponents(letters) -> tuple[int, int]:
+    """Exponent sums (p, q) of a1 and b1 in a genus-1 word."""
+    p = sum(1 if l > 0 else -1 for l in letters if abs(l) == 1)
+    q = sum(1 if l > 0 else -1 for l in letters if abs(l) == 2)
+    return p, q
+
+
+def _normal_letters(p: int, q: int) -> tuple[int, ...]:
+    return (1,) * p + (-1,) * -p + (2,) * q + (-2,) * -q
+
+
+def oracle_mul(x: GammaRElement, y: GammaRElement) -> GammaRElement:
+    """Closed forms of the group law: genus 0 adds t, genus 1 is the
+    Heisenberg product (a^p b^q)(a^r b^u) = a^(p+r) b^(q+u) J^(-q r),
+    genus >= 2 concatenates and Dehn-reduces."""
+    g = x.genus
+    if g == 0:
+        return GammaRElement(0, (), x.t + y.t)
+    if g == 1:
+        (p, q), (r, u) = _exponents(x.word.letters), _exponents(y.word.letters)
+        return GammaRElement(1, _normal_letters(p + r, q + u), x.t + y.t - q * r)
+    return GammaRElement(g, x.word.letters + y.word.letters, x.t + y.t)
+
+
+def oracle_inv(x: GammaRElement) -> GammaRElement:
+    """(a^p b^q)^-1 = a^-p b^-q J^(-p q) in genus 1."""
+    g = x.genus
+    if g == 0:
+        return GammaRElement(0, (), -x.t)
+    if g == 1:
+        p, q = _exponents(x.word.letters)
+        return GammaRElement(1, _normal_letters(-p, -q), -x.t - p * q)
+    return GammaRElement(g, tuple(-l for l in reversed(x.word.letters)), -x.t)
+
+
+def t_bits(el: GammaRElement) -> bytes:
+    return struct.pack("<d", el.t)
+
+
+@st.composite
+def elements(draw, genus):
+    if genus == 0:
+        letters = []
+    else:
+        alphabet = [i for i in range(-2 * genus, 2 * genus + 1) if i != 0]
+        letters = draw(st.lists(st.sampled_from(alphabet), max_size=16))
+    t = draw(st.one_of(
+        st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0]),
+        st.floats(-1e6, 1e6, allow_nan=False),
+    ))
+    return GammaRElement(genus, letters, t)
+
+
+class TestClosedFormOracle:
+    """The group law and inverse match the closed forms, letter for letter
+    and bit for bit in t."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 3).flatmap(lambda g: st.tuples(elements(g), elements(g))))
+    def test_mul(self, pair):
+        x, y = pair
+        got, want = gamma_mul(x, y), oracle_mul(x, y)
+        assert got.word.letters == want.word.letters
+        assert t_bits(got) == t_bits(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 3).flatmap(elements))
+    def test_inv(self, x):
+        got, want = gamma_inv(x), oracle_inv(x)
+        assert got.word.letters == want.word.letters
+        assert t_bits(got) == t_bits(want)
 
 
 class TestGammaInv:
