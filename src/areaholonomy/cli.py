@@ -104,7 +104,12 @@ def cli():
 @click.option("--seed", default=0, show_default=True, help="initialization seed")
 @click.option("--tol", default=1e-9, show_default=True, help="gradient-norm threshold")
 @click.option("--max-iter", default=20000, show_default=True)
-@click.option("--step", default=None, type=float, help="initial line-search step (default: area/4)")
+@click.option(
+    "--step",
+    default=None,
+    type=float,
+    help="initial line-search step (default: 1 along the n = 1 Newton direction, min area/4 along the gradient)",
+)
 @click.option("--eps", default=0.3, show_default=True, help="random start perturbation scale")
 @click.option("--out", default="field.json", show_default=True, help="field snapshot path")
 @click.option("--report", "report_path", default="report.json", show_default=True)

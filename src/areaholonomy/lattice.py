@@ -65,8 +65,10 @@ class NotConvergedError(RuntimeError):
 class StepPolicy:
     """Backtracking line-search parameters; the step resets every iteration.
 
-    initial_step None picks min(face_areas)/4, matching the 1/area scale of
-    the action Hessian so the first trial is already near the stable range.
+    initial_step None picks 1 along the abelian Newton direction (the full
+    step to the sector minimum) and min(face_areas)/4 along the gradient,
+    matching the 1/area scale of the action Hessian so the first trial is
+    already near the stable range.  A given initial_step is used for both.
     """
 
     initial_step: Optional[float] = None
@@ -167,6 +169,14 @@ class _Engine:
             edge_idx = np.array([[e for e, _ in mesh.faces[f]] for f in faces], dtype=np.intp)
             signs = np.array([[s for _, s in mesh.faces[f]] for f in faces], dtype=np.int8)
             self.groups.append((np.array(faces, dtype=np.intp), edge_idx, signs))
+        # each edge lies in one face with sign +1 and one with sign -1
+        # (SurfaceMesh._validate), so D^T psi is psi[plus] - psi[minus]
+        self.plus = np.empty(len(mesh.edges), dtype=np.intp)
+        self.minus = np.empty(len(mesh.edges), dtype=np.intp)
+        for faces, edge_idx, signs in self.groups:
+            owner = np.broadcast_to(faces[:, None], edge_idx.shape)
+            self.plus[edge_idx[signs > 0]] = owner[signs > 0]
+            self.minus[edge_idx[signs < 0]] = owner[signs < 0]
 
     @staticmethod
     def _gather(U: np.ndarray, edges: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -214,6 +224,50 @@ class _Engine:
                 np.add.at(grad, edge_idx[:, j], contrib)
                 prefix = nxt
         return grad
+
+    def _coboundary(self, y: np.ndarray) -> np.ndarray:
+        """D y: the signed sum of edge values around each face."""
+        out = np.empty(len(self.mesh.faces))
+        for faces, edge_idx, signs in self.groups:
+            out[faces] = np.sum(signs * y[edge_idx], axis=1)
+        return out
+
+    def _dual_laplacian_solve(self, r: np.ndarray) -> np.ndarray:
+        """Conjugate gradients for K psi = r, K = D D^T the dual-graph
+        Laplacian (F x F, never formed); r must sum to zero.  Stops at
+        relative residual 1e-14, after F iterations, or when p K p is not
+        positive."""
+        psi = np.zeros_like(r)
+        res = r.copy()
+        p = res.copy()
+        rr = float(res @ res)
+        stop = 1e-28 * rr
+        for _ in range(len(r)):
+            if rr <= stop:
+                break
+            kp = self._coboundary(p[self.plus] - p[self.minus])
+            pkp = float(p @ kp)
+            if not pkp > 0:
+                break
+            alpha = rr / pkp
+            psi += alpha * p
+            res -= alpha * kp
+            rr, rr_old = float(res @ res), rr
+            p = res + (rr / rr_old) * p
+        return psi
+
+    def abelian_newton(self, x: np.ndarray) -> np.ndarray:
+        """Edge angles delta whose removal takes n = 1 face logs x to the
+        sector minimum: D delta = theta - Phi A / sum(A), with theta the
+        face log phases and Phi their sum.  The action is quadratic in the
+        edge angles on the principal branch, so this is the exact Newton
+        step; delta = D^T psi is the minimum-norm (co-exact) solution,
+        the one gradient descent converges to."""
+        theta = x[:, 0, 0].imag
+        r = theta - np.sum(theta) * self.areas / np.sum(self.areas)
+        r -= np.mean(r)
+        psi = self._dual_laplacian_solve(r)
+        return psi[self.plus] - psi[self.minus]
 
 
 def _engine_for(mesh: SurfaceMesh) -> _Engine:
@@ -294,7 +348,12 @@ def gradient_flow(
 ) -> tuple[GaugeField, FlowReport]:
     """Descend U_e <- exp(-eta G_e) U_e until the gradient norm reaches tol.
 
-    Backtracking halves eta (reset each iteration) until the action
+    For n = 1 the action is quadratic in the edge angles on the principal
+    branch, and the flow steps along the exact Newton direction i delta_e
+    (_Engine.abelian_newton: one conjugate-gradient solve on the dual-graph
+    Laplacian) instead of G_e, so eta = 1 lands on the sector minimum; it
+    falls back to G_e when that direction is not finite or does not
+    descend.  Backtracking halves eta (reset each iteration) until the action
     decreases; BranchCut during a trial step is treated like an increase.
     Once action differences fall below evaluation precision the gate
     switches to requiring a strict gradient-norm decrease, which stays
@@ -319,9 +378,15 @@ def gradient_flow(
         return field, FlowReport(0, action, gnorm, history, seed, "converged")
 
     eye = np.eye(field.n, dtype=np.complex128)
-    eta0 = sp.initial_step if sp.initial_step is not None else 0.25 * float(np.min(engine.areas))
+    eta_gradient = sp.initial_step if sp.initial_step is not None else 0.25 * float(np.min(engine.areas))
+    eta_newton = sp.initial_step if sp.initial_step is not None else 1.0
     for iteration in range(1, max_iter + 1):
-        eta = eta0
+        direction, eta = grad, eta_gradient
+        if field.n == 1:
+            newton = 1j * engine.abelian_newton(x)[:, None, None]
+            # Re<G, i delta> > 0: the Newton direction descends
+            if np.all(np.isfinite(newton)) and float(np.sum((grad.conj() * newton).real)) > 0:
+                direction, eta = newton, eta_newton
         accepted = False
         moved = True
         grad_trial = None
@@ -329,7 +394,7 @@ def gradient_flow(
         # regime a step must strictly decrease the gradient norm instead.
         slack = 64 * np.finfo(np.float64).eps * max(1.0, abs(action))
         for _ in range(sp.max_halvings + 1):
-            step = expm_raw(-eta * grad)
+            step = expm_raw(-eta * direction)
             if np.all(step == eye):
                 # step underflowed to the identity: nothing can move
                 trial, x_trial, action_trial = u, x, action

@@ -39,9 +39,10 @@ def _as_complex_matrix(entries) -> np.ndarray:
 def require_unitary(values: np.ndarray, tol: float, what: str) -> None:
     """Raise ValueError unless ||U U* - I||_F <= tol for every matrix U of
     a stack (leading axes are batch axes).  Fails closed: a NaN residual
-    is rejected."""
+    is rejected, and non-finite entries raise no numpy warning."""
     eye = np.eye(values.shape[-1])
-    residual = np.linalg.norm(values @ values.conj().swapaxes(-1, -2) - eye, axis=(-2, -1))
+    with np.errstate(invalid="ignore", over="ignore"):
+        residual = np.linalg.norm(values @ values.conj().swapaxes(-1, -2) - eye, axis=(-2, -1))
     worst = np.max(residual)
     if not worst <= tol:
         raise ValueError(f"{what} is not unitary: worst ||U U* - I|| = {worst:.3e}")
@@ -54,7 +55,8 @@ class SkewHermitian:
 
     def __init__(self, entries, *, policy: NumericPolicy = DEFAULT_POLICY):
         mat = _as_complex_matrix(entries)
-        residual = np.linalg.norm(mat + mat.conj().T)
+        with np.errstate(invalid="ignore", over="ignore"):
+            residual = np.linalg.norm(mat + mat.conj().T)
         if not residual <= policy.skew_tol:
             raise ValueError(f"matrix is not skew-Hermitian: ||X + X*|| = {residual:.3e}")
         mat.setflags(write=False)

@@ -237,13 +237,17 @@ def build_torus_mesh(
     if N < 2:
         raise ValueError("torus grid needs N >= 2")
     grid = TorusGrid(N)
-    edges = []
-    for y in range(N):
-        for x in range(N):
-            edges.append((grid.vertex(x, y), grid.vertex(x + 1, y)))
-    for y in range(N):
-        for x in range(N):
-            edges.append((grid.vertex(x, y), grid.vertex(x, y + 1)))
+    edges, faces = _torus_complex(grid)
+    if face_areas is None:
+        face_areas = np.full(N * N, 1.0 / (N * N))
+    return SurfaceMesh(1, N * N, edges, faces, face_areas, 0, grid=grid, policy=policy)
+
+
+def _torus_complex(grid: TorusGrid) -> tuple[tuple, tuple]:
+    """Edges and faces of the builder torus, in SurfaceMesh's stored form."""
+    N = grid.N
+    edges = tuple((grid.vertex(x, y), grid.vertex(x + 1, y)) for y in range(N) for x in range(N))
+    edges += tuple((grid.vertex(x, y), grid.vertex(x, y + 1)) for y in range(N) for x in range(N))
     faces = []
     for y in range(N):
         for x in range(N):
@@ -254,9 +258,7 @@ def build_torus_mesh(
                 (grid.v_edge(x, y), -1),
             ]
             faces.append(_rotate_to_lowest_vertex(edges, steps))
-    if face_areas is None:
-        face_areas = np.full(N * N, 1.0 / (N * N))
-    return SurfaceMesh(1, N * N, edges, faces, face_areas, 0, grid=grid, policy=policy)
+    return edges, tuple(faces)
 
 
 def alpha_loop(mesh: SurfaceMesh) -> MeshLoop:
@@ -441,7 +443,10 @@ def integrate_faces(mesh: SurfaceMesh, target) -> np.ndarray:
     target = np.asarray(target, dtype=np.float64)
     if target.shape != (len(mesh.faces),):
         raise ValueError("integrate_faces needs one target per face")
-    roundoff = len(target) * np.finfo(np.float64).eps * float(np.sum(np.abs(target)))
+    # roundoff on the scale of the unit total area at least: a target made
+    # zero-sum by subtracting its mean keeps the rounding error of values
+    # larger than what is left of them
+    roundoff = len(target) * np.finfo(np.float64).eps * max(float(np.sum(np.abs(target))), 1.0)
     if not abs(float(np.sum(target))) <= roundoff:
         raise ValueError(f"face targets sum to {np.sum(target):.3e}, not to zero")
     subtree = target.tolist()
@@ -649,19 +654,12 @@ def mesh_from_json(obj: dict, *, policy: NumericPolicy = DEFAULT_POLICY) -> Surf
 
 def _detect_grid(mesh: SurfaceMesh) -> Optional[TorusGrid]:
     """Recognize a builder torus mesh by exact topological comparison."""
-    if mesh.genus != 1:
+    N = math.isqrt(mesh.vertex_count)
+    if mesh.genus != 1 or N < 2 or N * N != mesh.vertex_count or mesh.basepoint != 0:
         return None
-    try:
-        reference = build_torus_mesh(math.isqrt(mesh.vertex_count))
-    except ValueError:
-        return None
-    if (
-        reference.vertex_count == mesh.vertex_count
-        and reference.edges == mesh.edges
-        and reference.faces == mesh.faces
-        and reference.basepoint == mesh.basepoint
-    ):
-        return reference.grid
+    grid = TorusGrid(N)
+    if (mesh.edges, mesh.faces) == _torus_complex(grid):
+        return grid
     return None
 
 

@@ -83,6 +83,16 @@ class TestSolve:
         field = ah.field_from_json(json.loads(open(out).read()))
         assert field.n == 1 and len(field.mesh.edges) == 128
 
+    def test_torus64_abelian_solve(self, runner, tmp_path):
+        out, rep = str(tmp_path / "f.json"), str(tmp_path / "r.json")
+        result = run(runner, ["solve", "--mesh", "torus:64", "--n", "1", "--flux", "1",
+                              "--seed", "7", "--tol", "1e-9", "--out", out, "--report", rep])
+        assert result.exit_code == 0
+        report = json.loads(open(rep).read())
+        assert report["converged"] is True
+        assert report["final_gradient_norm"] <= 1e-9
+        assert abs(report["final_action"] - FOUR_PI_SQ) < 1e-6
+
     def test_flat_sector(self, runner, tmp_path):
         out, rep = str(tmp_path / "f.json"), str(tmp_path / "r.json")
         result = run(runner, ["solve", "--mesh", "torus:4", "--n", "1", "--flux", "0",
@@ -111,7 +121,8 @@ class TestSolve:
 
     def test_non_convergence_exit(self, runner, tmp_path):
         out, rep = str(tmp_path / "f.json"), str(tmp_path / "r.json")
-        result = runner.invoke(cli, ["solve", "--mesh", "torus:4", "--flux", "1",
+        # n = 2: an abelian flow takes the exact Newton step and converges at once
+        result = runner.invoke(cli, ["solve", "--mesh", "torus:4", "--n", "2", "--flux", "1",
                                      "--seed", "7", "--max-iter", "2",
                                      "--out", out, "--report", rep])
         assert result.exit_code == 2
@@ -205,6 +216,18 @@ class TestVerify:
         assert proc.returncode == 64
         assert "Traceback" not in proc.stderr
         assert "not unitary" in proc.stderr
+
+    def test_infinite_edge_is_usage_error(self, tmp_path):
+        mesh = ah.build_torus_mesh(3)
+        field_json = ah.field_to_json(ah.GaugeField.identity(mesh, 1))
+        field_json["edges"][4]["re"][0][0] = float("inf")
+        field_path = tmp_path / "f.json"
+        field_path.write_text(json.dumps(field_json))  # written as Infinity, which json reads back
+        proc = entry_point("verify", "--field", str(field_path), "--random", "3")
+        assert proc.returncode == 64
+        assert "not unitary" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_nan_residual_fails(self, runner, solved, monkeypatch):
         # the gate passes only residuals below tol, and NaN is not below it

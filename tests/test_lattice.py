@@ -3,7 +3,7 @@ gauge action, holonomy, and the constant-curvature constructions."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import areaholonomy as ah
 from areaholonomy import (
@@ -257,18 +257,23 @@ class TestFlow:
         slack = 1e-12 * max(1.0, actions[0])
         assert all(b <= a + slack for a, b in zip(actions, actions[1:]))
 
-    def test_not_converged_carries_report(self, torus4):
-        rng = np.random.default_rng(10)
-        start = ah.perturb_field(build_ym_field_from_rep(torus4, flux_rep(1, 1)), rng, 0.3)
-        with pytest.raises(NotConvergedError) as err:
-            gradient_flow(start, tol=1e-9, max_iter=3)
-        assert err.value.report.iterations == 3
-        assert isinstance(err.value.field, GaugeField)
-
     @pytest.fixture()
     def perturbed4(self, torus4):
         rng = np.random.default_rng(10)
         return ah.perturb_field(build_ym_field_from_rep(torus4, flux_rep(1, 1)), rng, 0.3)
+
+    @pytest.fixture()
+    def perturbed4_u2(self, torus4):
+        # n = 2 flows by steepest descent and needs many iterations; an
+        # abelian flow takes the exact Newton step and converges at once
+        rng = np.random.default_rng(10)
+        return ah.perturb_field(build_ym_field_from_rep(torus4, flux_rep(2, 1)), rng, 0.3)
+
+    def test_not_converged_carries_report(self, perturbed4_u2):
+        with pytest.raises(NotConvergedError) as err:
+            gradient_flow(perturbed4_u2, tol=1e-9, max_iter=3)
+        assert err.value.report.iterations == 3
+        assert isinstance(err.value.field, GaugeField)
 
     def test_stop_reason_converged(self, perturbed4):
         _, report = gradient_flow(perturbed4, tol=1e-9)
@@ -276,9 +281,9 @@ class TestFlow:
         _, report = gradient_flow(build_ym_field_from_rep(perturbed4.mesh, flux_rep(1, 1)), tol=1e-8)
         assert (report.iterations, report.stop_reason) == (0, "converged")
 
-    def test_stop_reason_iteration_budget(self, perturbed4):
+    def test_stop_reason_iteration_budget(self, perturbed4_u2):
         with pytest.raises(NotConvergedError) as err:
-            gradient_flow(perturbed4, tol=1e-9, max_iter=3)
+            gradient_flow(perturbed4_u2, tol=1e-9, max_iter=3)
         assert err.value.report.stop_reason == "iteration_budget"
 
     def test_stop_reason_halving_budget(self, perturbed4):
@@ -323,6 +328,95 @@ class TestFlow:
             for _ in range(20)
         ]
         assert max(residuals) < 1e-6
+
+
+def incidence_matrix(mesh):
+    """Dense face-edge incidence D (F x E): D theta sums a face's boundary."""
+    d = np.zeros((len(mesh.faces), len(mesh.edges)))
+    for f, face in enumerate(mesh.faces):
+        for e, s in face:
+            d[f, e] += s
+    return d
+
+
+@st.composite
+def abelian_starts(draw):
+    """A perturbed n = 1 sector representative on a builder mesh with
+    random positive face areas, whose sector minimum is off the branch cut."""
+    kind = draw(st.sampled_from(["torus", "sphere"]))
+    size = draw(st.integers(2, 8) if kind == "torus" else st.integers(1, 4))
+    faces = size * size if kind == "torus" else 8 * size * size
+    weights = np.array(draw(st.lists(st.floats(0.5, 1.0), min_size=faces, max_size=faces)))
+    flux = draw(st.integers(0, 2))
+    if kind == "torus":
+        mesh = ah.build_torus_mesh(size, face_areas=weights / np.sum(weights))
+        rep = flux_rep(1, flux)
+    else:
+        mesh = ah.build_sphere_mesh(size, face_areas=weights / np.sum(weights))
+        rep = ah.sphere_rep([flux])
+    assume(2 * np.pi * flux * np.max(mesh.face_areas) < 2.5)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    start = ah.perturb_field(build_ym_field_from_rep(mesh, rep), rng, draw(st.floats(0.01, 0.3)))
+    try:
+        theta = _engine_for(mesh).logs(start.U, 1e-8)[:, 0, 0].imag
+    except BranchCutError:
+        assume(False)
+    # the perturbation may wrap a plaquette into the next sector
+    assume(np.max(np.abs(np.sum(theta) * mesh.face_areas)) < 2.5)
+    return start
+
+
+class TestAbelianNewton:
+    @settings(max_examples=60, deadline=None)
+    @given(abelian_starts())
+    def test_direction_is_minimum_norm_solution(self, start):
+        mesh = start.mesh
+        engine = _engine_for(mesh)
+        x = engine.logs(start.U, 1e-8)
+        theta = x[:, 0, 0].imag
+        r = theta - np.sum(theta) * mesh.face_areas / np.sum(mesh.face_areas)
+        expected = np.linalg.lstsq(incidence_matrix(mesh), r - np.mean(r), rcond=None)[0]
+        assert np.max(np.abs(engine.abelian_newton(x) - expected)) <= 1e-12
+        _, report = gradient_flow(start, tol=1e-9)
+        assert report.stop_reason == "converged"
+        assert report.iterations <= 2
+
+    @settings(max_examples=20, deadline=None)
+    @given(abelian_starts(), st.integers(0, 2**32 - 1))
+    def test_final_action_gauge_invariant(self, start, seed):
+        g = ah.random_gauge_transform(start.mesh, 1, np.random.default_rng(seed))
+        _, report = gradient_flow(start, tol=1e-9)
+        _, gauged = gradient_flow(apply_gauge(start, g), tol=1e-9)
+        assert abs(gauged.final_action - report.final_action) <= 1e-9 * max(1.0, report.final_action)
+
+    @pytest.mark.parametrize("value", [0.0, np.nan], ids=["not-descending", "not-finite"])
+    def test_falls_back_to_gradient(self, torus4, monkeypatch, value):
+        # a Newton direction that does not descend, or is not finite, is
+        # replaced by the gradient
+        engine = _engine_for(torus4)
+        monkeypatch.setattr(engine, "abelian_newton", lambda x: np.full(len(torus4.edges), value))
+        start = ah.perturb_field(build_ym_field_from_rep(torus4, flux_rep(1, 1)), np.random.default_rng(3), 0.3)
+        _, report = gradient_flow(start, tol=1e-9)
+        assert report.stop_reason == "converged"
+        assert report.iterations > 2
+
+
+class TestGaugeInvariance:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([("torus", 2), ("torus", 3), ("torus", 5), ("sphere", 1), ("sphere", 2)]),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_observables(self, spec, n, seed):
+        kind, size = spec
+        mesh = ah.build_torus_mesh(size) if kind == "torus" else ah.build_sphere_mesh(size)
+        rng = np.random.default_rng(seed)
+        field = random_field(mesh, n, rng, scale=0.2)
+        gauged = apply_gauge(field, ah.random_gauge_transform(mesh, n, rng))
+        for observable in (ym_action, gradient_norm, total_flux):
+            before = observable(field)
+            assert abs(observable(gauged) - before) <= 1e-9 * max(1.0, abs(before))
 
 
 class TestGauge:

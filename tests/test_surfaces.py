@@ -328,6 +328,39 @@ class TestJson:
         assert back.faces == torus4.faces
         assert back.grid is not None and back.grid.N == 4
 
+    @pytest.mark.parametrize("variant", ["2x8", "2x3", "basepoint", "relabeled"])
+    def test_non_builder_torus_has_no_grid(self, torus4, variant):
+        if variant in ("2x8", "2x3"):
+            # a rectangular periodic grid; 2 x 8 has the vertex, edge and
+            # face counts of torus:4
+            nx, ny = (2, 8) if variant == "2x8" else (2, 3)
+            cell = lambda x, y: (x % nx) + nx * (y % ny)  # noqa: E731
+            obj = {
+                "genus": 1,
+                "vertices": nx * ny,
+                "edges": [[cell(x, y), cell(x + 1, y)] for y in range(ny) for x in range(nx)]
+                + [[cell(x, y), cell(x, y + 1)] for y in range(ny) for x in range(nx)],
+                "faces": [
+                    [cell(x, y) + 1, nx * ny + cell(x + 1, y) + 1, -(cell(x, y + 1) + 1), -(nx * ny + cell(x, y) + 1)]
+                    for y in range(ny)
+                    for x in range(nx)
+                ],
+                "face_areas": [1 / (nx * ny)] * (nx * ny),
+                "basepoint": 0,
+            }
+        else:
+            obj = ah.mesh_to_json(torus4)
+            if variant == "basepoint":
+                obj["basepoint"] = 1
+            else:
+                # swap the indices of edges 0 and 1 everywhere
+                swap = {1: 2, 2: 1}
+                obj["edges"][0], obj["edges"][1] = obj["edges"][1], obj["edges"][0]
+                obj["faces"] = [[swap.get(abs(k), abs(k)) * (1 if k > 0 else -1) for k in f] for f in obj["faces"]]
+        mesh = ah.mesh_from_json(obj)
+        assert mesh.genus == 1
+        assert mesh.grid is None
+
     def test_mesh_roundtrip_sphere(self, sphere2):
         back = ah.mesh_from_json(ah.mesh_to_json(sphere2))
         assert back.faces == sphere2.faces
