@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 I/O error, 2 non-convergence, 3 verification
 failure, 64 usage error.  All outputs embed the seed; JSON files are
-written atomically with sorted keys and floats rounded to 17 significant
-digits, so identical configurations produce byte-identical files.
+written atomically with sorted keys and floats written with repr, which
+round-trips, so identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -22,17 +22,6 @@ EXIT_VERIFY_FAILED = 3
 EXIT_USAGE = 64
 
 
-def _canonical(obj):
-    """Round floats to 17 significant digits for deterministic serialization."""
-    if isinstance(obj, float):
-        return float(f"{obj:.17g}")
-    if isinstance(obj, dict):
-        return {k: _canonical(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(v) for v in obj]
-    return obj
-
-
 def _write_atomic(path: str, write) -> None:
     """Call write(handle) on a temp file in the target directory, then
     atomically rename it to path."""
@@ -48,20 +37,27 @@ def _write_atomic(path: str, write) -> None:
 
 def _write_json(path: str, obj) -> None:
     def write(handle):
-        json.dump(_canonical(obj), handle, sort_keys=True, indent=1)
+        json.dump(obj, handle, sort_keys=True, indent=1)
         handle.write("\n")
 
     _write_atomic(path, write)
 
 
-def _read_json(path: str):
+def _read_json(path: str, decode):
+    """decode(obj) for the JSON value in path.  A value of the wrong JSON
+    type (a number where a list belongs) makes the decoders raise TypeError,
+    which is reported as invalid input naming the file."""
     try:
         with open(path) as handle:
-            return json.load(handle)
+            obj = json.load(handle)
     except OSError as ex:
         raise click.ClickException(f"cannot read {path}: {ex}")
     except json.JSONDecodeError as ex:
         raise click.ClickException(f"{path} is not valid JSON: {ex}")
+    try:
+        return decode(obj)
+    except TypeError as ex:
+        raise ValueError(f"{path} is malformed: {ex}") from None
 
 
 def _parse_mesh(spec: str):
@@ -183,21 +179,26 @@ def verify(field_path, pairs_path, random_pairs, lambda_from_face, perturb, seed
 
     if (pairs_path is None) == (random_pairs is None):
         raise click.UsageError("choose exactly one of --pairs FILE or --random K")
+    if random_pairs is not None and random_pairs < 1:
+        raise click.UsageError("--random K needs K >= 1")
     if tol <= 0:
         raise click.UsageError("tol must be positive")
-    field = ah.field_from_json(
-        _read_json(field_path), base_dir=os.path.dirname(os.path.abspath(field_path))
-    )
+    base_dir = os.path.dirname(os.path.abspath(field_path))
+    field = _read_json(field_path, lambda obj: ah.field_from_json(obj, base_dir=base_dir))
     rng = np.random.default_rng(seed)
     if perturb > 0:
         field = ah.perturb_field(field, rng, perturb)
     if pairs_path is not None:
-        (raw_pairs,) = required_keys(_read_json(pairs_path), "pairs file", "pairs")
-        if not isinstance(raw_pairs, list) or not all(
-            isinstance(p, list) and len(p) == 2 for p in raw_pairs
-        ):
-            raise ValueError("pairs file: 'pairs' must be a list of [loop, loop] pairs")
-        pairs = [(ah.loop_from_json(a), ah.loop_from_json(b)) for a, b in raw_pairs]
+
+        def decode_pairs(obj):
+            (raw_pairs,) = required_keys(obj, "pairs file", "pairs")
+            if not isinstance(raw_pairs, list) or not all(
+                isinstance(p, list) and len(p) == 2 for p in raw_pairs
+            ):
+                raise ValueError("pairs file: 'pairs' must be a list of [loop, loop] pairs")
+            return [(ah.loop_from_json(a), ah.loop_from_json(b)) for a, b in raw_pairs]
+
+        pairs = _read_json(pairs_path, decode_pairs)
     else:
         pairs = [
             ah.random_homotopic_pair(field.mesh, rng, n_steps=12)
@@ -226,7 +227,7 @@ def verify(field_path, pairs_path, random_pairs, lambda_from_face, perturb, seed
     if out:
         _write_json(out, table)
     if as_json:
-        click.echo(json.dumps(_canonical(table), sort_keys=True))
+        click.echo(json.dumps(table, sort_keys=True))
     else:
         for r in rows:
             if "residual" in r:
@@ -262,7 +263,7 @@ def classify(n, kmax, as_json):
             }
         )
     if as_json:
-        click.echo(json.dumps(_canonical({"n": n, "kmax": kmax, "classes": entries}), sort_keys=True))
+        click.echo(json.dumps({"n": n, "kmax": kmax, "classes": entries}, sort_keys=True))
         return
     click.echo(f"{len(entries)} Yang-Mills classes on the sphere (n={n}, kmax={kmax}):")
     for e in entries:
@@ -315,21 +316,24 @@ def word(genus, t_values, check_relator, words):
 @click.option("--out", default=None, type=click.Path(), help="CSV path (default: stdout)")
 def plot_data(input_path, out):
     """Convert a flow report or shrinking-loop table to CSV."""
-    obj = _read_json(input_path)
-    lines = []
-    if "step_history" in obj or "final_action" in obj:
-        lines.append("iteration,action,gradient_norm")
-        for row in obj.get("step_history") or []:
-            it, action, gnorm = row
-            lines.append(f"{int(it)},{action:.17g},{gnorm:.17g}")
-    elif "rows" in obj and all("area" in r or isinstance(r, list) for r in obj["rows"]):
-        lines.append("area,residual")
-        for row in obj["rows"]:
-            area, residual = (row["area"], row["residual"]) if isinstance(row, dict) else row
-            lines.append(f"{area:.17g},{residual:.17g}")
-    else:
-        raise click.ClickException(f"{input_path} is neither a flow report nor a shrinking-loop table")
-    text = "\n".join(lines) + "\n"
+
+    def decode(obj):
+        lines = []
+        if "step_history" in obj or "final_action" in obj:
+            lines.append("iteration,action,gradient_norm")
+            for row in obj.get("step_history") or []:
+                it, action, gnorm = row
+                lines.append(f"{int(it)},{action:.17g},{gnorm:.17g}")
+        elif "rows" in obj and all("area" in r or isinstance(r, list) for r in obj["rows"]):
+            lines.append("area,residual")
+            for row in obj["rows"]:
+                area, residual = (row["area"], row["residual"]) if isinstance(row, dict) else row
+                lines.append(f"{area:.17g},{residual:.17g}")
+        else:
+            raise click.ClickException(f"{input_path} is neither a flow report nor a shrinking-loop table")
+        return lines
+
+    text = "\n".join(_read_json(input_path, decode)) + "\n"
     if out is None:
         click.echo(text, nl=False)
     else:

@@ -4,9 +4,10 @@ Unitary and skew-Hermitian matrices are normal, so exp and log are spectral:
 exp diagonalizes the Hermitian matrix -iX, and the principal log
 diagonalizes the Cayley transform i(I - U)(I + U)^-1, which is Hermitian
 and shares U's eigenvectors (Higham, Functions of Matrices, 2008, ch. 11).
-Both kernels are batched over leading axes and use numpy only.  The log
-raises BranchCutError instead of picking a branch when an eigenvalue lies
-within eps_branch of -1.  Dimensions stay small (n <= 8).
+Both kernels are batched over leading axes, use numpy only and take one
+code path for every n, U(1) included.  The log raises BranchCutError
+instead of picking a branch when an eigenvalue lies within eps_branch of
+-1.  Dimensions stay small (n <= 8).
 """
 
 from __future__ import annotations
@@ -96,12 +97,20 @@ class Unitary:
 
 def expm_raw(x: np.ndarray) -> np.ndarray:
     """exp of skew-Hermitian arrays, batched over leading axes."""
-    if x.shape[-1] == 1:
-        return np.exp(1j * x.imag)
     herm = -1j * x
     w, v = np.linalg.eigh(herm)
     phase = np.exp(1j * w)
     return (v * phase[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def haar_unitary_raw(rng: np.random.Generator, batch: tuple[int, ...], n: int) -> np.ndarray:
+    """Haar-distributed unitaries of shape batch + (n, n): QR of complex
+    Gaussian matrices, with the phases of R's diagonal moved into Q
+    (Mezzadri, Notices AMS 54, 2007)."""
+    shape = (*batch, n, n)
+    q, r = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 # Largest phase logm_raw accepts from its first pass: ||C|| <= tan(3 pi / 8) ~ 2.4.
@@ -137,9 +146,6 @@ def logm_raw(u: np.ndarray, *, eps_branch: float = DEFAULT_POLICY.eps_branch) ->
     pi - |theta| < eps_branch, including an exact eigenvalue -1, and
     ValueError on non-finite input.
     """
-    n = u.shape[-1]
-    if n == 1:
-        return 1j * plaquette_angles(u, eps_branch=eps_branch)[..., None, None]
     v, theta = _cayley_eigh(u, u)
     if not np.all(np.isfinite(theta)):
         raise ValueError("unitary input has non-finite entries")
@@ -155,14 +161,6 @@ def logm_raw(u: np.ndarray, *, eps_branch: float = DEFAULT_POLICY.eps_branch) ->
         raise BranchCutError("eigenvalue within eps_branch of -1")
     x = (v * (1j * theta)[..., None, :]) @ v.conj().swapaxes(-1, -2)
     return (x - x.conj().swapaxes(-1, -2)) / 2.0
-
-
-def plaquette_angles(u: np.ndarray, *, eps_branch: float = DEFAULT_POLICY.eps_branch) -> np.ndarray:
-    """Principal phases of a batch of 1x1 unitaries (fast abelian path)."""
-    theta = np.angle(u[..., 0, 0])
-    if np.min(np.pi - np.abs(theta)) < eps_branch:
-        raise BranchCutError("eigenvalue within eps_branch of -1")
-    return theta
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +246,8 @@ def random_skew_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) 
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> Unitary:
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(a)
-    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))[None, :]
-    return Unitary(q)
+    """One Haar-distributed element of U(n)."""
+    return Unitary(haar_unitary_raw(rng, (), n))
 
 
 def matrix_to_json(mat: np.ndarray) -> dict:

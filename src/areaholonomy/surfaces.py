@@ -99,7 +99,8 @@ class SurfaceMesh:
     rotated so each boundary starts at its lowest-index vertex.  Every
     undirected edge occurs in exactly two face boundaries with opposite
     signs; this is validated at construction together with the Euler
-    characteristic and the area normalization.
+    characteristic and the area normalization, and the two faces are kept
+    as the incidence arrays plus_face and minus_face (one entry per edge).
     """
 
     def __init__(
@@ -156,17 +157,14 @@ class SurfaceMesh:
         edge in the face's boundary) row per non-root face, in BFS order.
         """
         if self._dual_tree is None:
-            across: dict[tuple[int, int], int] = {}  # (edge, sign) -> face
-            for f_idx, face in enumerate(self.faces):
-                for e, s in face:
-                    across[(e, s)] = f_idx
+            plus, minus = self.plus_face.tolist(), self.minus_face.tolist()
             tree: list[tuple[int, int, int, int]] = []
             seen = [False] * len(self.faces)
             seen[0] = True
             queue = [0]
             for f_idx in queue:
                 for e, s in self.faces[f_idx]:
-                    g = across[(e, -s)]
+                    g = minus[e] if s > 0 else plus[e]
                     if not seen[g]:
                         seen[g] = True
                         tree.append((g, f_idx, e, -s))
@@ -189,23 +187,28 @@ class SurfaceMesh:
             raise ValueError("face areas must sum to 1")
         if not (0 <= self.basepoint < v):
             raise ValueError("basepoint out of range")
-        seen: dict[int, list[int]] = {}
-        for face in self.faces:
+        seen: dict[int, list[tuple[int, int]]] = {}  # edge -> [(sign, face)]
+        for f_idx, face in enumerate(self.faces):
             here = self.step_endpoints(*face[0])[0]
             for e_idx, s in face:
                 tail, head = self.step_endpoints(e_idx, s)
                 if tail != here:
                     raise ValueError("face boundary steps are not composable")
                 here = head
-                seen.setdefault(e_idx, []).append(s)
+                seen.setdefault(e_idx, []).append((s, f_idx))
             if here != self.step_endpoints(*face[0])[0]:
                 raise ValueError("face boundary does not close")
+        self.plus_face = np.empty(e, dtype=np.intp)
+        self.minus_face = np.empty(e, dtype=np.intp)
         for e_idx in range(e):
-            signs = seen.get(e_idx, [])
-            if sorted(signs) != [-1, 1]:
+            sides = sorted(seen.get(e_idx, []))
+            if [s for s, _ in sides] != [-1, 1]:
                 raise ValueError(
                     f"edge {e_idx} must appear in exactly two faces with opposite signs"
                 )
+            (_, self.minus_face[e_idx]), (_, self.plus_face[e_idx]) = sides
+        self.plus_face.setflags(write=False)
+        self.minus_face.setflags(write=False)
 
 
 # ---------------------------------------------------------------------------

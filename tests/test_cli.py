@@ -131,11 +131,14 @@ class TestSolve:
         assert report["stop_reason"] == "iteration_budget"
         assert "NOT converged (iteration_budget)" in result.output
 
-    def test_deterministic_bytes(self, runner, tmp_path):
+    # sphere:2 n = 2 re-unitarises every trial step (Newton-Schulz)
+    @pytest.mark.parametrize("config", [["--mesh", "torus:4"], ["--mesh", "sphere:2", "--n", "2"]],
+                             ids=["torus:4", "sphere:2-n2"])
+    def test_deterministic_bytes(self, runner, tmp_path, config):
         paths = []
         for tag in ("a", "b"):
             out, rep = str(tmp_path / f"f{tag}.json"), str(tmp_path / f"r{tag}.json")
-            assert run(runner, ["solve", "--mesh", "torus:4", "--flux", "1", "--seed", "3",
+            assert run(runner, ["solve", *config, "--flux", "1", "--seed", "3",
                                 "--out", out, "--report", rep]).exit_code == 0
             paths.append((out, rep))
         assert open(paths[0][0], "rb").read() == open(paths[1][0], "rb").read()
@@ -228,6 +231,41 @@ class TestVerify:
         assert "not unitary" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
+
+    @pytest.mark.parametrize("k", ["0", "-4"])
+    def test_random_count_below_one_is_usage_error(self, k, tmp_path):
+        field_path = tmp_path / "f.json"
+        field_path.write_text(json.dumps(ah.field_to_json(ah.GaugeField.identity(ah.build_torus_mesh(3), 1))))
+        proc = entry_point("verify", "--field", str(field_path), "--random", k)
+        assert proc.returncode == 64
+        assert "--random K needs K >= 1" in proc.stderr
+
+    @pytest.mark.parametrize("case", ["field-edges", "mesh-edges", "face-entry", "loop-steps", "step-history"])
+    def test_wrongly_typed_value_is_usage_error(self, case, tmp_path):
+        # each value has the wrong JSON type, so its decoder raises TypeError
+        mesh = ah.build_torus_mesh(3)
+        field_json = ah.field_to_json(ah.GaugeField.identity(mesh, 1))
+        good_path, bad_path = tmp_path / "good.json", tmp_path / "bad.json"
+        good_path.write_text(json.dumps(field_json))
+        bad, args = field_json, ["verify", "--field", str(bad_path), "--random", "3"]
+        if case == "field-edges":
+            bad["edges"] = 5
+        elif case == "mesh-edges":
+            bad["mesh"]["edges"] = 7
+        elif case == "face-entry":
+            bad["mesh"]["faces"][0][0] = "a"
+        elif case == "loop-steps":
+            loop = ah.loop_to_json(ah.face_boundary_loop(mesh, 0))
+            bad = {"pairs": [[dict(loop, steps=5), loop]]}
+            args = ["verify", "--field", str(good_path), "--pairs", str(bad_path)]
+        else:
+            bad = {"final_action": 1.0, "step_history": 5}
+            args = ["plot-data", "--input", str(bad_path)]
+        bad_path.write_text(json.dumps(bad))
+        proc = entry_point(*args)
+        assert proc.returncode == 64
+        assert f"{bad_path} is malformed" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_nan_residual_fails(self, runner, solved, monkeypatch):
         # the gate passes only residuals below tol, and NaN is not below it

@@ -2,6 +2,8 @@
 field factors through the area-quotient group via the representation it was
 built from."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -116,3 +118,10 @@ def test_direct_sum_of_sphere_classes():
         ah.evaluate(ah.sphere_rep([1, 0]), x).mat,
         atol=1e-12,
     )
+
+
+def test_readme_library_tour_runs():
+    # the tour is the public API the README promises; its asserts must hold
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(tour, "README.md (library tour)", "exec"), {})

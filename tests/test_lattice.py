@@ -28,8 +28,8 @@ from areaholonomy import (
     ym_action,
     ym_gradient,
 )
-from areaholonomy.lattice import _engine_for
-from areaholonomy.liecore import expm_raw
+from areaholonomy.lattice import _engine_for, _unitarize
+from areaholonomy.liecore import expm_raw, haar_unitary_raw
 from conftest import flux_rep, quaternion_rep, random_field
 
 FOUR_PI_SQ = 4 * np.pi**2
@@ -417,6 +417,22 @@ class TestGaugeInvariance:
         for observable in (ym_action, gradient_norm, total_flux):
             before = observable(field)
             assert abs(observable(gauged) - before) <= 1e-9 * max(1.0, abs(before))
+
+
+class TestUnitarize:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 16), st.floats(0, 1e-10), st.integers(0, 2**32 - 1))
+    def test_matches_svd_polar_factor(self, n, count, noise, seed):
+        # the SVD polar factor that the Newton-Schulz step replaced is the
+        # reference; on near-unitary input the two agree to roundoff
+        rng = np.random.default_rng(seed)
+        shape = (count, n, n)
+        jitter = noise * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        near = haar_unitary_raw(rng, (count,), n) + jitter
+        w, _, vh = np.linalg.svd(near)
+        out = _unitarize(near)
+        assert np.max(np.abs(out - w @ vh)) <= 1e-14
+        assert np.max(np.abs(out.conj().swapaxes(-1, -2) @ out - np.eye(n))) <= 1e-14
 
 
 class TestGauge:

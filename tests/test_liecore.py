@@ -191,10 +191,28 @@ class TestBatchedLogm:
         with pytest.raises(BranchCutError):
             logm_raw(u)
 
-    def test_non_finite_input_raises(self):
-        batch = np.stack([np.eye(2, dtype=complex), np.full((2, 2), np.nan + 0j)])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_non_finite_input_raises(self, n):
+        batch = np.stack([np.eye(n, dtype=complex), np.full((n, n), np.nan + 0j)])
         with pytest.raises(ValueError):
             logm_raw(batch)
+
+
+class TestAbelianKernels:
+    """At n = 1 the general kernels reduce to the scalar formulas, which
+    stay here as the oracle: log u = i angle(u) and exp(i y) = e^{i y}."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(phases, st.floats(1 - 1e-14, 1 + 1e-14)), min_size=1, max_size=64))
+    def test_log_is_i_angle(self, polar):
+        u = np.array([[[r * np.exp(1j * t)]] for t, r in polar])
+        assert np.array_equal(logm_raw(u), 1j * np.angle(u))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=64))
+    def test_exp_is_scalar_exp(self, ys):
+        x = 1j * np.array(ys)[:, None, None]
+        assert np.array_equal(expm_raw(x), np.exp(1j * x.imag))
 
 
 class TestInner:

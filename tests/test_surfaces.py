@@ -128,10 +128,12 @@ class TestTorusMesh:
     def test_each_edge_in_two_faces_opposite_signs(self, n):
         mesh = ah.build_torus_mesh(n)
         seen = {e: [] for e in range(len(mesh.edges))}
-        for face in mesh.faces:
+        for f, face in enumerate(mesh.faces):
             for e, s in face:
-                seen[e].append(s)
-        assert all(sorted(v) == [-1, 1] for v in seen.values())
+                seen[e].append((s, f))
+        assert all(
+            sorted(v) == [(-1, mesh.minus_face[e]), (1, mesh.plus_face[e])] for e, v in seen.items()
+        )
 
     def test_period_cycles(self):
         mesh = ah.build_torus_mesh(3)
@@ -272,6 +274,20 @@ class TestAreaOracle:
 
 
 class TestIntegrateFaces:
+    @pytest.mark.parametrize("mesh", [ah.build_torus_mesh(5), ah.build_sphere_mesh(3)], ids=["torus", "sphere"])
+    def test_dual_tree_is_bfs_from_face_zero(self, mesh):
+        # reference: the breadth-first walk over an (edge, sign) -> face map
+        across = {(e, s): f for f, face in enumerate(mesh.faces) for e, s in face}
+        tree, seen, queue = [], {0}, [0]
+        for f in queue:
+            for e, s in mesh.faces[f]:
+                g = across[(e, -s)]
+                if g not in seen:
+                    seen.add(g)
+                    tree.append((g, f, e, -s))
+                    queue.append(g)
+        assert mesh.dual_tree() == tree
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.sampled_from([("torus", 2), ("torus", 5), ("sphere", 1), ("sphere", 3)]),
