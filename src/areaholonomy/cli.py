@@ -46,7 +46,9 @@ def _write_json(path: str, obj) -> None:
 def _read_json(path: str, decode):
     """decode(obj) for the JSON value in path.  A value of the wrong JSON
     type (a number where a list belongs) makes the decoders raise TypeError,
-    which is reported as invalid input naming the file."""
+    which is reported as invalid input naming the file.  A file the decoder
+    reads in turn (a field's mesh reference) that cannot be read is an I/O
+    error like path itself."""
     try:
         with open(path) as handle:
             obj = json.load(handle)
@@ -58,6 +60,8 @@ def _read_json(path: str, decode):
         return decode(obj)
     except TypeError as ex:
         raise ValueError(f"{path} is malformed: {ex}") from None
+    except OSError as ex:
+        raise click.ClickException(f"cannot read {ex.filename or path}: {ex}")
 
 
 def _parse_mesh(spec: str):
@@ -104,7 +108,8 @@ def cli():
     "--step",
     default=None,
     type=float,
-    help="initial line-search step (default: 1 along the n = 1 Newton direction, min area/4 along the gradient)",
+    help="initial line-search step (default: 1 along the Newton direction, abelian for n = 1 and "
+    "Levenberg-Marquardt for n > 1; min area/4 along the gradient fallback)",
 )
 @click.option("--eps", default=0.3, show_default=True, help="random start perturbation scale")
 @click.option("--out", default="field.json", show_default=True, help="field snapshot path")
@@ -318,6 +323,8 @@ def plot_data(input_path, out):
     """Convert a flow report or shrinking-loop table to CSV."""
 
     def decode(obj):
+        if not isinstance(obj, dict):
+            raise TypeError("expected a JSON object")
         lines = []
         if "step_history" in obj or "final_action" in obj:
             lines.append("iteration,action,gradient_norm")

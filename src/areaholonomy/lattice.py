@@ -66,10 +66,12 @@ class NotConvergedError(RuntimeError):
 class StepPolicy:
     """Backtracking line-search parameters; the step resets every iteration.
 
-    initial_step None picks 1 along the abelian Newton direction (the full
-    step to the sector minimum) and min(face_areas)/4 along the gradient,
-    matching the 1/area scale of the action Hessian so the first trial is
-    already near the stable range.  A given initial_step is used for both.
+    initial_step None picks 1 along a Newton direction (the abelian Newton
+    step for n = 1, the Levenberg-Marquardt step for n > 1: the full step
+    is the minimiser of the local model) and min(face_areas)/4 along the
+    gradient, matching the 1/area scale of the action Hessian so the first
+    trial is already near the stable range.  A given initial_step is used
+    for both.
     """
 
     initial_step: Optional[float] = None
@@ -170,6 +172,16 @@ class _Engine:
             edge_idx = np.array([[e for e, _ in mesh.faces[f]] for f in faces], dtype=np.intp)
             signs = np.array([[s for _, s in mesh.faces[f]] for f in faces], dtype=np.int8)
             self.groups.append((np.array(faces, dtype=np.intp), edge_idx, signs))
+        # Boundary slots are numbered group by group, face by face; every
+        # edge fills exactly two of them, once with each sign.
+        self.slot_plus = np.empty(len(mesh.edges), dtype=np.intp)
+        self.slot_minus = np.empty(len(mesh.edges), dtype=np.intp)
+        offset = 0
+        for _, edge_idx, signs in self.groups:
+            slots = offset + np.arange(edge_idx.size).reshape(edge_idx.shape)
+            self.slot_plus[edge_idx[signs > 0]] = slots[signs > 0]
+            self.slot_minus[edge_idx[signs < 0]] = slots[signs < 0]
+            offset += edge_idx.size
 
     @staticmethod
     def _gather(U: np.ndarray, edges: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -194,6 +206,22 @@ class _Engine:
         norms = np.sum(np.abs(x) ** 2, axis=(1, 2))
         return float(np.sum(norms / self.areas))
 
+    def _transports(self, U: np.ndarray, edge_idx: np.ndarray, signs: np.ndarray) -> np.ndarray:
+        """Boundary-prefix transports q_j of a face group, shape (faces, m, n, n).
+
+        Moving slot j's edge as U_e <- exp(Z) U_e moves the plaquette as
+        H <- exp(s_j q_j Z q_j*) H: q_j is the product of the boundary
+        factors before slot j, and for s_j = -1 also slot j's own factor.
+        """
+        n = U.shape[-1]
+        q = np.empty((*edge_idx.shape, n, n), dtype=np.complex128)
+        prefix = np.broadcast_to(np.eye(n, dtype=np.complex128), (len(edge_idx), n, n))
+        for j in range(edge_idx.shape[1]):
+            nxt = prefix @ self._gather(U, edge_idx[:, j], signs[:, j])
+            q[:, j] = np.where((signs[:, j] > 0)[:, None, None], prefix, nxt)
+            prefix = nxt
+        return q
+
     def gradient_from_logs(self, U: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Riemannian gradient: d/ds S(exp(sZ) U_e) = <G_e, Z>.
 
@@ -203,20 +231,71 @@ class _Engine:
         """
         n = U.shape[-1]
         grad = np.zeros((U.shape[0], n, n), dtype=np.complex128)
-        eye = np.eye(n, dtype=np.complex128)
         for faces, edge_idx, signs in self.groups:
             xg = x[faces]
             coeff = 2.0 / self.areas[faces]
-            prefix = np.broadcast_to(eye, (len(faces), n, n))
+            q = self._transports(U, edge_idx, signs)
             for j in range(edge_idx.shape[1]):
-                w = self._gather(U, edge_idx[:, j], signs[:, j])
-                nxt = prefix @ w
-                q = np.where((signs[:, j] > 0)[:, None, None], prefix, nxt)
-                contrib = q.conj().swapaxes(-1, -2) @ xg @ q
+                contrib = q[:, j].conj().swapaxes(-1, -2) @ xg @ q[:, j]
                 contrib = contrib * (signs[:, j] * coeff)[:, None, None]
                 np.add.at(grad, edge_idx[:, j], contrib)
-                prefix = nxt
         return grad
+
+    def gauss_newton_blocks(self, U: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Linearised face logs: X_f(exp(Z) U) = X_f + J_f Z + O(Z^2).
+
+        With X_f = V_f diag(i theta) V_f*, the first-order plaquette change
+        sum_j s_j q_j Z_{e_j} q_j* goes through dexp^-1, which multiplies
+        entry (a, b) in that eigenbasis by Phi_ab = z / (e^z - 1),
+        z = i (theta_a - theta_b).  So V_f* (J_f Z) V_f is
+        Phi_f o sum_j s_j R_j Z_{e_j} R_j*, with R_j = V_f* q_j.  Returns V
+        (F, n, n) and, per face group, K (faces, n^2, m n^2): the row-major
+        vec of V_f* (J_f Z) V_f is K_f times the face's m row-major edge
+        vecs, in slot order.
+        """
+        n = x.shape[-1]
+        theta, v = np.linalg.eigh(-1j * x)
+        gap = theta[:, :, None] - theta[:, None, :]
+        # z / (e^z - 1) = (gap/2) / sin(gap/2) e^{-i gap/2}; |gap| < 2 pi
+        phi = (np.exp(-0.5j * gap) / np.sinc(gap / (2 * np.pi))).reshape(len(x), n * n, 1)
+        blocks = []
+        for faces, edge_idx, signs in self.groups:
+            r = v[faces, None].conj().swapaxes(-1, -2) @ self._transports(U, edge_idx, signs)
+            # vec(R Z R*) = kron(R, conj R) vec Z for row-major vecs
+            kron = np.einsum("fjac,fjbd->fabjcd", r, r.conj()).reshape(len(faces), n * n, -1)
+            blocks.append(phi[faces] * kron * np.repeat(signs, n * n, axis=1)[:, None, :])
+        return v, blocks
+
+    def normal_operator(self, U: np.ndarray, x: np.ndarray, mu: float):
+        """z -> (J^T W J + mu I) z on edge vecs z (E, n^2), W = diag(1 / A_f).
+
+        Each face's Gram block K_f^H K_f / A_f is formed once, so one
+        application is a batched block product per face group, then each
+        edge sums its two slots.
+        """
+        _, blocks = self.gauss_newton_blocks(U, x)
+        grams = [
+            k.conj().swapaxes(-1, -2) @ k / self.areas[faces, None, None]
+            for (faces, _, _), k in zip(self.groups, blocks)
+        ]
+
+        def apply(z: np.ndarray) -> np.ndarray:
+            out = np.concatenate([
+                (g @ z[edge_idx].reshape(len(edge_idx), -1, 1)).reshape(-1, z.shape[1])
+                for g, (_, edge_idx, _) in zip(grams, self.groups)
+            ])
+            return out[self.slot_plus] + out[self.slot_minus] + mu * z
+
+        return apply
+
+    def levenberg_marquardt(self, U: np.ndarray, x: np.ndarray, rhs: np.ndarray, mu: float) -> np.ndarray:
+        """Levenberg-Marquardt direction: (J^T W J + mu I) Z = rhs by
+        conjugate gradients to relative residual 1e-2.  With rhs = G / 2 =
+        J^T W X, exp(-Z) U_e minimises the damped Gauss-Newton model
+        sum_f ||X_f - J_f Z||^2 / A_f + mu ||Z||^2."""
+        b = rhs.reshape(len(rhs), -1)
+        z = _conjugate_gradients(self.normal_operator(U, x, mu), b, 1e-2, b.size)
+        return z.reshape(rhs.shape)
 
     def _coboundary(self, y: np.ndarray) -> np.ndarray:
         """D y: the signed sum of edge values around each face."""
@@ -226,29 +305,11 @@ class _Engine:
         return out
 
     def _dual_laplacian_solve(self, r: np.ndarray) -> np.ndarray:
-        """Conjugate gradients for K psi = r, K = D D^T the dual-graph
-        Laplacian (F x F, never formed); r must sum to zero.  Stops at
-        relative residual 1e-14, after F iterations, or when p K p is not
-        positive."""
-        psi = np.zeros_like(r)
-        res = r.copy()
-        p = res.copy()
-        rr = float(res @ res)
-        stop = 1e-28 * rr
-        for _ in range(len(r)):
-            if rr <= stop:
-                break
-            # D^T p: each edge lies in one face with sign +1 and one with -1
-            kp = self._coboundary(p[self.mesh.plus_face] - p[self.mesh.minus_face])
-            pkp = float(p @ kp)
-            if not pkp > 0:
-                break
-            alpha = rr / pkp
-            psi += alpha * p
-            res -= alpha * kp
-            rr, rr_old = float(res @ res), rr
-            p = res + (rr / rr_old) * p
-        return psi
+        """K psi = r, K = D D^T the dual-graph Laplacian (F x F, never
+        formed), to relative residual 1e-14; r must sum to zero."""
+        # D^T p: each edge lies in one face with sign +1 and one with -1
+        plus, minus = self.mesh.plus_face, self.mesh.minus_face
+        return _conjugate_gradients(lambda p: self._coboundary(p[plus] - p[minus]), r, 1e-14, len(r))
 
     def abelian_newton(self, x: np.ndarray) -> np.ndarray:
         """Edge angles delta whose removal takes n = 1 face logs x to the
@@ -262,6 +323,31 @@ class _Engine:
         r -= np.mean(r)
         psi = self._dual_laplacian_solve(r)
         return psi[self.mesh.plus_face] - psi[self.mesh.minus_face]
+
+
+def _conjugate_gradients(apply, b: np.ndarray, rtol: float, max_iter: int) -> np.ndarray:
+    """Conjugate gradients for A s = b, with A = apply self-adjoint and
+    positive semidefinite under the real inner product Re<a, b> (real or
+    complex arrays).  Stops at relative residual rtol, after max_iter
+    iterations, or when p A p is not positive."""
+    s = np.zeros_like(b)
+    res = b.copy()
+    p = res.copy()
+    rr = np.vdot(res, res).real
+    stop = rtol * rtol * rr
+    for _ in range(max_iter):
+        if rr <= stop:
+            break
+        ap = apply(p)
+        pap = np.vdot(p, ap).real
+        if not pap > 0:
+            break
+        alpha = rr / pap
+        s += alpha * p
+        res -= alpha * ap
+        rr, rr_old = np.vdot(res, res).real, rr
+        p = res + (rr / rr_old) * p
+    return s
 
 
 def _engine_for(mesh: SurfaceMesh) -> _Engine:
@@ -348,10 +434,15 @@ def gradient_flow(
     For n = 1 the action is quadratic in the edge angles on the principal
     branch, and the flow steps along the exact Newton direction i delta_e
     (_Engine.abelian_newton: one conjugate-gradient solve on the dual-graph
-    Laplacian) instead of G_e, so eta = 1 lands on the sector minimum; it
-    falls back to G_e when that direction is not finite or does not
-    descend.  Backtracking halves eta (reset each iteration) until the action
-    decreases; BranchCut during a trial step is treated like an increase.
+    Laplacian) instead of G_e, so eta = 1 lands on the sector minimum.  For
+    n > 1 it steps along the Levenberg-Marquardt direction Z_e
+    (_Engine.levenberg_marquardt: (J^T W J + mu I) Z = G / 2 by conjugate
+    gradients, J the linearised face logs, W = diag(1 / A_f)), trying
+    eta = 1 first; mu starts at 10 and is divided by 3 after a full step
+    and multiplied by 4 otherwise.  Either direction falls back to G_e
+    when it is not finite or does not descend.  Backtracking halves eta
+    (reset each iteration) until the action decreases; BranchCut during a
+    trial step is treated like an increase.
     Once action differences fall below evaluation precision the gate
     switches to requiring a strict gradient-norm decrease, which stays
     resolvable down to the requested tolerance.  The returned action never
@@ -377,13 +468,16 @@ def gradient_flow(
     eye = np.eye(field.n, dtype=np.complex128)
     eta_gradient = sp.initial_step if sp.initial_step is not None else 0.25 * float(np.min(engine.areas))
     eta_newton = sp.initial_step if sp.initial_step is not None else 1.0
+    mu = 10.0
     for iteration in range(1, max_iter + 1):
         direction, eta = grad, eta_gradient
         if field.n == 1:
             newton = 1j * engine.abelian_newton(x)[:, None, None]
-            # Re<G, i delta> > 0: the Newton direction descends
-            if np.all(np.isfinite(newton)) and float(np.sum((grad.conj() * newton).real)) > 0:
-                direction, eta = newton, eta_newton
+        else:
+            newton = engine.levenberg_marquardt(u, x, grad / 2, mu)
+        # Re<G, newton> > 0: the Newton direction descends
+        if np.all(np.isfinite(newton)) and float(np.sum((grad.conj() * newton).real)) > 0:
+            direction, eta = newton, eta_newton
         accepted = False
         moved = True
         grad_trial = None
@@ -421,6 +515,8 @@ def gradient_flow(
                 FlowReport(iteration - 1, action, gnorm, history, seed, "halving_budget"),
                 GaugeField(field.mesh, u),
             )
+        # Levenberg-Marquardt damping: less after a full Newton step, more otherwise
+        mu = mu / 3 if direction is newton and eta == eta_newton else mu * 4
         u, x, action = trial, x_trial, action_trial
         grad = grad_trial if grad_trial is not None else engine.gradient_from_logs(u, x)
         gnorm = _grad_norm(grad)

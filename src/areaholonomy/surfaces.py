@@ -187,8 +187,12 @@ class SurfaceMesh:
             raise ValueError("face areas must sum to 1")
         if not (0 <= self.basepoint < v):
             raise ValueError("basepoint out of range")
+        if not all(0 <= t < v and 0 <= h < v for t, h in self.edges):
+            raise ValueError(f"edge endpoints must be vertices 0..{v - 1}")
         seen: dict[int, list[tuple[int, int]]] = {}  # edge -> [(sign, face)]
         for f_idx, face in enumerate(self.faces):
+            if not face or not all(0 <= e_idx < e for e_idx, _ in face):
+                raise ValueError(f"face {f_idx} must list edges among 0..{e - 1}")
             here = self.step_endpoints(*face[0])[0]
             for e_idx, s in face:
                 tail, head = self.step_endpoints(e_idx, s)
@@ -641,6 +645,8 @@ def mesh_from_json(obj: dict, *, policy: NumericPolicy = DEFAULT_POLICY) -> Surf
     genus, vertices, edges, faces, face_areas, basepoint = required_keys(
         obj, "mesh", "genus", "vertices", "edges", "faces", "face_areas", "basepoint"
     )
+    if any(k == 0 for face in faces for k in face):
+        raise ValueError("mesh: face entries are signed 1-based edge indices, so 0 names no edge")
     mesh = SurfaceMesh(
         int(genus),
         int(vertices),

@@ -121,7 +121,8 @@ class TestSolve:
 
     def test_non_convergence_exit(self, runner, tmp_path):
         out, rep = str(tmp_path / "f.json"), str(tmp_path / "r.json")
-        # n = 2: an abelian flow takes the exact Newton step and converges at once
+        # n = 2 takes several Levenberg-Marquardt steps; an abelian flow
+        # takes the exact Newton step and converges at once
         result = runner.invoke(cli, ["solve", "--mesh", "torus:4", "--n", "2", "--flux", "1",
                                      "--seed", "7", "--max-iter", "2",
                                      "--out", out, "--report", rep])
@@ -267,6 +268,48 @@ class TestVerify:
         assert f"{bad_path} is malformed" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("face-entry-beyond-edges", "face 0 must list edges among 0..17"),
+            ("face-entry-zero", "0 names no edge"),
+            ("empty-face", "face 0 must list edges among 0..17"),
+            ("edge-endpoint", "edge endpoints must be vertices 0..5"),
+        ],
+        ids=["face-entry-beyond-edges", "face-entry-zero", "empty-face", "edge-endpoint"],
+    )
+    def test_mesh_index_out_of_range_is_usage_error(self, case, message, tmp_path):
+        mesh = ah.build_sphere_mesh(1) if case == "edge-endpoint" else ah.build_torus_mesh(3)
+        field_json = ah.field_to_json(ah.GaugeField.identity(mesh, 1))
+        faces = field_json["mesh"]["faces"]
+        if case == "face-entry-beyond-edges":
+            faces[0][0] = 1000
+        elif case == "face-entry-zero":
+            faces[0][0] = 0
+        elif case == "empty-face":
+            faces[0] = []
+        else:
+            # a vertex renamed beyond the vertex count in every edge keeps
+            # the faces composable and the Euler characteristic right
+            last = mesh.vertex_count - 1
+            field_json["mesh"]["edges"] = [[1000 if v == last else v for v in e] for e in field_json["mesh"]["edges"]]
+        field_path = tmp_path / "f.json"
+        field_path.write_text(json.dumps(field_json))
+        proc = entry_point("verify", "--field", str(field_path), "--random", "3")
+        assert proc.returncode == 64
+        assert "Traceback" not in proc.stderr
+        assert message in proc.stderr
+
+    def test_missing_mesh_reference_is_io_error(self, tmp_path):
+        field_json = ah.field_to_json(ah.GaugeField.identity(ah.build_torus_mesh(3), 1))
+        field_json["mesh"] = "absent-mesh.json"
+        field_path = tmp_path / "f.json"
+        field_path.write_text(json.dumps(field_json))
+        proc = entry_point("verify", "--field", str(field_path), "--random", "3")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert f"cannot read {tmp_path / 'absent-mesh.json'}" in proc.stderr
+
     def test_nan_residual_fails(self, runner, solved, monkeypatch):
         # the gate passes only residuals below tol, and NaN is not below it
         monkeypatch.setattr(ah.lattice, "_area_residual", lambda *args, **kwargs: float("nan"))
@@ -379,6 +422,16 @@ class TestPlotData:
                             "--out", out, "--report", rep]).exit_code == 0
         result = run(runner, ["plot-data", "--input", rep])
         assert result.output == "iteration,action,gradient_norm\n"
+
+    @pytest.mark.parametrize("report", ["final_action", ["final_action"]], ids=["string", "list"])
+    def test_report_not_an_object_is_usage_error(self, report, tmp_path):
+        # "final_action" in a string or list passes the key test
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(report))
+        proc = entry_point("plot-data", "--input", str(path))
+        assert proc.returncode == 64
+        assert f"{path} is malformed" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_shrinking_table(self, runner, tmp_path):
         mesh = ah.build_torus_mesh(8)

@@ -30,7 +30,7 @@ from areaholonomy import (
 )
 from areaholonomy.lattice import _engine_for, _unitarize
 from areaholonomy.liecore import expm_raw, haar_unitary_raw
-from conftest import flux_rep, quaternion_rep, random_field
+from conftest import _skew_basis, flux_rep, quaternion_rep, random_field
 
 FOUR_PI_SQ = 4 * np.pi**2
 
@@ -264,8 +264,9 @@ class TestFlow:
 
     @pytest.fixture()
     def perturbed4_u2(self, torus4):
-        # n = 2 flows by steepest descent and needs many iterations; an
-        # abelian flow takes the exact Newton step and converges at once
+        # n = 2 flows by Levenberg-Marquardt steps and needs several
+        # iterations; an abelian flow takes the exact Newton step and
+        # converges at once
         rng = np.random.default_rng(10)
         return ah.perturb_field(build_ym_field_from_rep(torus4, flux_rep(2, 1)), rng, 0.3)
 
@@ -399,6 +400,153 @@ class TestAbelianNewton:
         _, report = gradient_flow(start, tol=1e-9)
         assert report.stop_reason == "converged"
         assert report.iterations > 2
+
+
+def jacobian(engine, U, x, z):
+    """J Z, the first-order change of the face logs under U_e <- exp(Z_e) U_e,
+    assembled from the engine's Gauss-Newton blocks."""
+    n = U.shape[-1]
+    v, blocks = engine.gauss_newton_blocks(U, x)
+    out = np.empty_like(x)
+    for (faces, edge_idx, _), k in zip(engine.groups, blocks):
+        rotated = (k @ z[edge_idx].reshape(len(faces), -1, 1)).reshape(len(faces), n, n)
+        out[faces] = v[faces] @ rotated @ v[faces].conj().swapaxes(-1, -2)
+    return out
+
+
+def jacobian_adjoint(engine, U, x, y):
+    """J^T Y without the blocks: the adjoint of dexp^-1 (conj z / (e^z - 1)
+    in the eigenbasis of X_f), then the gradient kernel's scatter, whose
+    factor 2 / A_f is cancelled."""
+    theta, v = np.linalg.eigh(-1j * x)
+    z = 1j * (theta[:, :, None] - theta[:, None, :])
+    phi = np.ones_like(z)
+    off = z != 0
+    phi[off] = z[off] / np.expm1(z[off])
+    vh = v.conj().swapaxes(-1, -2)
+    pulled = v @ (phi.conj() * (vh @ y @ v)) @ vh
+    return engine.gradient_from_logs(U, pulled * engine.areas[:, None, None] / 2)
+
+
+def random_skew(rng, shape):
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return (a - a.conj().swapaxes(-1, -2)) / 2
+
+
+def real_inner(a, b):
+    return float(np.sum((a.conj() * b).real))
+
+
+@st.composite
+def nonabelian_fields(draw, specs):
+    """A random n = 2 or 3 field on a builder mesh, its plaquette phases
+    kept off the branch cut."""
+    kind, size = draw(st.sampled_from(specs))
+    mesh = ah.build_torus_mesh(size) if kind == "torus" else ah.build_sphere_mesh(size)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    field = random_field(mesh, draw(st.sampled_from([2, 3])), rng, scale=draw(st.floats(0.05, 0.6)))
+    plaquettes = _engine_for(mesh).plaquettes(field.U)
+    assume(np.max(np.abs(np.angle(np.linalg.eigvals(plaquettes)))) < 2.5)
+    return field, rng
+
+
+class TestLevenbergMarquardt:
+    @settings(max_examples=30, deadline=None)
+    @given(nonabelian_fields([("torus", 2), ("torus", 3), ("sphere", 1), ("sphere", 2)]))
+    def test_jacobian_matches_finite_differences(self, drawn):
+        field, rng = drawn
+        engine = _engine_for(field.mesh)
+        x = engine.logs(field.U, 1e-8)
+        z = random_skew(rng, field.U.shape)
+        closed = jacobian(engine, field.U, x, z)
+        h = 1e-5
+        fd = (engine.logs(expm_raw(h * z) @ field.U, 1e-8) - engine.logs(expm_raw(-h * z) @ field.U, 1e-8)) / (2 * h)
+        assert np.max(np.abs(fd - closed)) <= 1e-7 * max(1.0, np.max(np.abs(closed)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(nonabelian_fields([("torus", 2), ("torus", 3), ("sphere", 1), ("sphere", 2)]))
+    def test_adjoint(self, drawn):
+        field, rng = drawn
+        engine = _engine_for(field.mesh)
+        x = engine.logs(field.U, 1e-8)
+        z = random_skew(rng, field.U.shape)
+        y = random_skew(rng, x.shape)
+        lhs = real_inner(y, jacobian(engine, field.U, x, z))
+        rhs = real_inner(jacobian_adjoint(engine, field.U, x, y), z)
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs)) * y.size
+        # J^T W X is half the gradient
+        grad = engine.gradient_from_logs(field.U, x)
+        assert np.max(np.abs(jacobian_adjoint(engine, field.U, x, x / engine.areas[:, None, None]) - grad / 2)) <= 1e-12 * max(
+            1.0, np.max(np.abs(grad))
+        )
+
+    @settings(max_examples=15, deadline=None)
+    @given(nonabelian_fields([("torus", 2), ("torus", 3), ("sphere", 1)]), st.floats(0.0, 10.0))
+    def test_normal_operator_matches_dense(self, drawn, mu):
+        field, _ = drawn
+        engine = _engine_for(field.mesh)
+        x = engine.logs(field.U, 1e-8)
+        n, edges = field.n, len(field.mesh.edges)
+        # orthonormal basis of u(n)^E under Re tr(A* B)
+        basis = []
+        for b in _skew_basis(n):
+            for e in range(edges):
+                z = np.zeros((edges, n, n), dtype=complex)
+                z[e] = b / np.linalg.norm(b)
+                basis.append(z)
+        basis = np.array(basis)
+        columns = np.array([jacobian(engine, field.U, x, z) for z in basis])
+        weighted = columns / engine.areas[:, None, None]
+        dense = np.einsum("ifab,kfab->ik", columns.conj(), weighted).real + mu * np.eye(len(basis))
+        apply = engine.normal_operator(field.U, x, mu)
+        images = np.array([apply(z.reshape(edges, -1)).reshape(edges, n, n) for z in basis])
+        blocked = np.einsum("iefg,kefg->ik", basis.conj(), images).real
+        scale = np.max(np.abs(dense))
+        assert np.max(np.abs(blocked - dense)) <= 1e-12 * scale
+        # the operator maps u(n)^E into itself
+        assert np.max(np.abs(np.einsum("ik,iefg->kefg", blocked, basis) - images)) <= 1e-12 * scale
+
+    def test_mixed_face_lengths_reach_steepest_descent_action(self, torus4, monkeypatch):
+        # torus:4 with face 5 split into two triangles by a diagonal edge
+        obj = ah.mesh_to_json(torus4)
+        steps = torus4.faces[5]
+        v0 = torus4.step_endpoints(*steps[0])[0]
+        v2 = torus4.step_endpoints(*steps[1])[1]
+        diagonal = len(obj["edges"])
+        obj["edges"].append([v0, v2])
+        square = obj["faces"][5]
+        obj["faces"][5] = square[:2] + [-(diagonal + 1)]
+        obj["faces"].append([diagonal + 1] + square[2:])
+        half = obj["face_areas"][5] / 2
+        obj["face_areas"][5] = half
+        obj["face_areas"].append(half)
+        mesh = ah.mesh_from_json(obj)
+        assert sorted({len(face) for face in mesh.faces}) == [3, 4]
+        u = build_ym_field_from_rep(torus4, flux_rep(2, 1)).U
+        w0, w1 = (u[e] if s > 0 else u[e].conj().T for e, s in steps[:2])
+        start = ah.perturb_field(GaugeField(mesh, np.concatenate([u, [w0 @ w1]])), np.random.default_rng(4), 0.3)
+        _, report = gradient_flow(start, tol=1e-9)
+        assert report.iterations <= 20
+        # a direction that is not finite falls back to the gradient
+        monkeypatch.setattr(_engine_for(mesh), "levenberg_marquardt", lambda *args: np.full(u.shape[1:], np.nan))
+        _, steepest = gradient_flow(start, tol=1e-9, max_iter=5000)
+        assert steepest.iterations > 50
+        assert abs(report.final_action - steepest.final_action) <= 1e-9
+        # the U(2) flux-1 minimum on the torus has central curvature i pi I
+        assert abs(report.final_action - 2 * np.pi**2) <= 1e-9
+
+    @pytest.mark.parametrize("spec, ceiling", [("sphere:4", 40), ("torus:8", 15)])
+    def test_iteration_ceiling(self, spec, ceiling):
+        kind, size = spec.split(":")
+        if kind == "sphere":
+            mesh, rep = ah.build_sphere_mesh(int(size)), ah.sphere_rep([1, 0])
+        else:
+            mesh, rep = ah.build_torus_mesh(int(size)), flux_rep(2, 1)
+        # the start `solve --n 2 --flux 1 --seed 7` flows from
+        start = ah.perturb_field(build_ym_field_from_rep(mesh, rep), np.random.default_rng(7), 0.3)
+        _, report = gradient_flow(start, tol=1e-9)
+        assert report.stop_reason == "converged"
+        assert report.iterations <= ceiling
 
 
 class TestGaugeInvariance:
