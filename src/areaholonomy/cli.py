@@ -321,6 +321,7 @@ def word(genus, t_values, check_relator, words):
 @click.option("--out", default=None, type=click.Path(), help="CSV path (default: stdout)")
 def plot_data(input_path, out):
     """Convert a flow report or shrinking-loop table to CSV."""
+    from areaholonomy.surfaces import json_int, required_keys
 
     def decode(obj):
         if not isinstance(obj, dict):
@@ -330,14 +331,16 @@ def plot_data(input_path, out):
             lines.append("iteration,action,gradient_norm")
             for row in obj.get("step_history") or []:
                 it, action, gnorm = row
-                lines.append(f"{int(it)},{action:.17g},{gnorm:.17g}")
+                lines.append(f"{json_int(it, 'a step_history iteration')},{action:.17g},{gnorm:.17g}")
         elif "rows" in obj and all("area" in r or isinstance(r, list) for r in obj["rows"]):
             lines.append("area,residual")
             for row in obj["rows"]:
-                area, residual = (row["area"], row["residual"]) if isinstance(row, dict) else row
+                if isinstance(row, dict):
+                    row = required_keys(row, "shrinking-loop row", "area", "residual")
+                area, residual = row
                 lines.append(f"{area:.17g},{residual:.17g}")
         else:
-            raise click.ClickException(f"{input_path} is neither a flow report nor a shrinking-loop table")
+            raise ValueError(f"{input_path} is neither a flow report nor a shrinking-loop table")
         return lines
 
     text = "\n".join(_read_json(input_path, decode)) + "\n"

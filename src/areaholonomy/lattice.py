@@ -31,7 +31,7 @@ from .liecore import (
     matrix_to_json,
     require_unitary,
 )
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import DEFAULT_POLICY
 from .reps import InvalidRepError, YangMillsRep, validate_rep
 from .surfaces import (
     MeshLoop,
@@ -43,6 +43,7 @@ from .surfaces import (
     enclosed_area,
     face_boundary_loop,
     integrate_faces,
+    json_int,
     loop_concat,
     loop_reverse,
     mesh_from_json,
@@ -64,7 +65,8 @@ class NotConvergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepPolicy:
-    """Backtracking line-search parameters; the step resets every iteration.
+    """Backtracking line-search parameters: the first trial step, reset
+    every iteration, and how many times it may be halved.
 
     initial_step None picks 1 along a Newton direction (the abelian Newton
     step for n = 1, the Levenberg-Marquardt step for n > 1: the full step
@@ -75,7 +77,6 @@ class StepPolicy:
     """
 
     initial_step: Optional[float] = None
-    shrink: float = 0.5
     max_halvings: int = 40
 
 
@@ -126,11 +127,11 @@ class GaugeField:
 
     __slots__ = ("mesh", "n", "U")
 
-    def __init__(self, mesh: SurfaceMesh, values: np.ndarray, *, policy: NumericPolicy = DEFAULT_POLICY):
+    def __init__(self, mesh: SurfaceMesh, values: np.ndarray):
         values = np.array(values, dtype=np.complex128)
         if values.ndim != 3 or values.shape != (len(mesh.edges), values.shape[1], values.shape[1]):
             raise ValueError("field values must have shape (E, n, n)")
-        require_unitary(values, policy.unitary_tol, "an edge matrix")
+        require_unitary(values, DEFAULT_POLICY.unitary_tol, "an edge matrix")
         values.setflags(write=False)
         self.mesh = mesh
         self.n = values.shape[1]
@@ -150,9 +151,9 @@ class GaugeTransform:
 
     __slots__ = ("g",)
 
-    def __init__(self, values: np.ndarray, *, policy: NumericPolicy = DEFAULT_POLICY):
+    def __init__(self, values: np.ndarray):
         values = np.array(values, dtype=np.complex128)
-        require_unitary(values, policy.unitary_tol, "a gauge transform entry")
+        require_unitary(values, DEFAULT_POLICY.unitary_tol, "a gauge transform entry")
         values.setflags(write=False)
         self.g = values
 
@@ -227,19 +228,17 @@ class _Engine:
 
         Pairing against log H kills the dexp factor (they commute), so each
         occurrence of an edge in a face boundary contributes the face log
-        transported to that edge's frame by the boundary prefix.
+        transported to that edge's frame by the boundary prefix; each edge
+        then sums its two boundary slots.
         """
-        n = U.shape[-1]
-        grad = np.zeros((U.shape[0], n, n), dtype=np.complex128)
+        slots = []
         for faces, edge_idx, signs in self.groups:
-            xg = x[faces]
-            coeff = 2.0 / self.areas[faces]
             q = self._transports(U, edge_idx, signs)
-            for j in range(edge_idx.shape[1]):
-                contrib = q[:, j].conj().swapaxes(-1, -2) @ xg @ q[:, j]
-                contrib = contrib * (signs[:, j] * coeff)[:, None, None]
-                np.add.at(grad, edge_idx[:, j], contrib)
-        return grad
+            coeff = signs * (2.0 / self.areas[faces])[:, None]
+            contrib = q.conj().swapaxes(-1, -2) @ x[faces, None] @ q * coeff[:, :, None, None]
+            slots.append(contrib.reshape(-1, *U.shape[1:]))
+        s = np.concatenate(slots)
+        return s[self.slot_plus] + s[self.slot_minus]
 
     def gauss_newton_blocks(self, U: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Linearised face logs: X_f(exp(Z) U) = X_f + J_f Z + O(Z^2).
@@ -383,36 +382,35 @@ def plaquette_holonomy(field: GaugeField, face: int) -> Unitary:
     return loop_holonomy(field, face_boundary_loop(field.mesh, face))
 
 
-def face_curvature(field: GaugeField, face: int, *, policy: NumericPolicy = DEFAULT_POLICY) -> SkewHermitian:
+def face_curvature(field: GaugeField, face: int) -> SkewHermitian:
     """Curvature density log(plaquette)/area; principal branch required."""
-    p = plaquette_holonomy(field, face)
-    x = logm_raw(p.mat, eps_branch=policy.eps_branch)
+    x = logm_raw(plaquette_holonomy(field, face).mat)
     return SkewHermitian(x / field.mesh.face_areas[face])
 
 
-def ym_action(field: GaugeField, *, policy: NumericPolicy = DEFAULT_POLICY) -> float:
+def ym_action(field: GaugeField) -> float:
     """Sum over faces of area * ||curvature density||^2; zero iff flat."""
     engine = _engine_for(field.mesh)
-    return engine.action_from_logs(engine.logs(field.U, policy.eps_branch))
+    return engine.action_from_logs(engine.logs(field.U, DEFAULT_POLICY.eps_branch))
 
 
-def ym_gradient(field: GaugeField, *, policy: NumericPolicy = DEFAULT_POLICY) -> list[SkewHermitian]:
+def ym_gradient(field: GaugeField) -> list[SkewHermitian]:
     """Per-edge Riemannian gradient of the action (left-invariant frame)."""
     engine = _engine_for(field.mesh)
-    grad = engine.gradient_from_logs(field.U, engine.logs(field.U, policy.eps_branch))
+    grad = engine.gradient_from_logs(field.U, engine.logs(field.U, DEFAULT_POLICY.eps_branch))
     skew = (grad - grad.conj().swapaxes(-1, -2)) / 2.0
     return [SkewHermitian(skew[e]) for e in range(len(field.mesh.edges))]
 
 
-def gradient_norm(field: GaugeField, *, policy: NumericPolicy = DEFAULT_POLICY) -> float:
+def gradient_norm(field: GaugeField) -> float:
     engine = _engine_for(field.mesh)
-    return _grad_norm(engine.gradient_from_logs(field.U, engine.logs(field.U, policy.eps_branch)))
+    return _grad_norm(engine.gradient_from_logs(field.U, engine.logs(field.U, DEFAULT_POLICY.eps_branch)))
 
 
-def total_flux(field: GaugeField, *, policy: NumericPolicy = DEFAULT_POLICY) -> float:
+def total_flux(field: GaugeField) -> float:
     """Sum of plaquette log phases; integer multiple of 2 pi for n = 1."""
     engine = _engine_for(field.mesh)
-    x = engine.logs(field.U, policy.eps_branch)
+    x = engine.logs(field.U, DEFAULT_POLICY.eps_branch)
     return float(np.sum(np.trace(x, axis1=1, axis2=2).imag))
 
 
@@ -427,7 +425,6 @@ def gradient_flow(
     *,
     record_history: bool = False,
     seed: Optional[int] = None,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> tuple[GaugeField, FlowReport]:
     """Descend U_e <- exp(-eta G_e) U_e until the gradient norm reaches tol.
 
@@ -455,7 +452,7 @@ def gradient_flow(
     sp = step_policy or StepPolicy()
     engine = _engine_for(field.mesh)
     u = field.U
-    x = engine.logs(u, policy.eps_branch)
+    x = engine.logs(u, DEFAULT_POLICY.eps_branch)
     action = engine.action_from_logs(x)
     grad = engine.gradient_from_logs(u, x)
     gnorm = _grad_norm(grad)
@@ -493,9 +490,9 @@ def gradient_flow(
                 break
             trial = _unitarize(step @ u)
             try:
-                x_trial = engine.logs(trial, policy.eps_branch)
+                x_trial = engine.logs(trial, DEFAULT_POLICY.eps_branch)
             except BranchCutError:
-                eta *= sp.shrink
+                eta *= 0.5
                 continue
             action_trial = engine.action_from_logs(x_trial)
             if action_trial < action - slack:
@@ -508,7 +505,7 @@ def gradient_flow(
                     accepted = True
                     break
                 grad_trial = None
-            eta *= sp.shrink
+            eta *= 0.5
         if not accepted:
             raise NotConvergedError(
                 "line search exhausted its halving budget",
@@ -575,8 +572,6 @@ def verify_area_property(
     loop1: MeshLoop,
     loop2: MeshLoop,
     Lambda: Optional[SkewHermitian] = None,
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> float:
     """Residual of the defining property of critical connections.
 
@@ -586,7 +581,7 @@ def verify_area_property(
     curvature density of face 0.
     """
     delta = enclosed_area(field.mesh, loop_concat(loop1, loop_reverse(loop2)))
-    return _area_residual(field, loop1, loop2, delta, Lambda, policy=policy)
+    return _area_residual(field, loop1, loop2, delta, Lambda)
 
 
 def _area_residual(
@@ -595,14 +590,12 @@ def _area_residual(
     loop2: MeshLoop,
     delta: float,
     Lambda: Optional[SkewHermitian],
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> float:
     """verify_area_property for a known oriented area delta between the loops."""
     mesh = field.mesh
     if loop1.base != mesh.basepoint or loop2.base != mesh.basepoint:
         raise ValueError("both loops must be based at the mesh basepoint")
-    lam = Lambda.mat if Lambda is not None else face_curvature(field, 0, policy=policy).mat
+    lam = Lambda.mat if Lambda is not None else face_curvature(field, 0).mat
     h1 = loop_holonomy(field, loop1).mat
     h2 = loop_holonomy(field, loop2).mat
     return float(np.linalg.norm(h1 - expm_raw(delta * lam) @ h2))
@@ -611,8 +604,6 @@ def _area_residual(
 def shrinking_loop_curvature(
     field: GaugeField,
     block_sizes: Optional[Sequence[int]] = None,
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> list[tuple[float, float]]:
     """Convergence table for the shrinking-loop curvature limit.
 
@@ -637,7 +628,7 @@ def shrinking_loop_curvature(
         block_sizes, reverse=True
     ):
         raise ValueError("block sizes must be strictly within the grid and descending")
-    lam = face_curvature(field, mesh.grid.face(0, 0), policy=policy).mat
+    lam = face_curvature(field, mesh.grid.face(0, 0)).mat
     eye = np.eye(field.n)
     rows = []
     for k in block_sizes:
@@ -660,12 +651,7 @@ def _block_loop(grid: TorusGrid, base: int, k: int) -> MeshLoop:
 # ---------------------------------------------------------------------------
 # constant-curvature fields from representations
 
-def build_ym_field_from_rep(
-    mesh: SurfaceMesh,
-    rep: YangMillsRep,
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> GaugeField:
+def build_ym_field_from_rep(mesh: SurfaceMesh, rep: YangMillsRep) -> GaugeField:
     """Explicit field with curvature density Lambda on every face.
 
     Torus: horizontal edges are the identity except the seam column, which
@@ -678,7 +664,7 @@ def build_ym_field_from_rep(
     the mean area.  Sphere: the matching abelian flux problem is solved per
     eigencomponent of Lambda with surfaces.integrate_faces.
     """
-    diag = validate_rep(rep, policy=policy)
+    diag = validate_rep(rep)
     if not diag.ok:
         raise InvalidRepError("representation does not satisfy the defining constraints")
     if rep.genus != mesh.genus:
@@ -687,7 +673,7 @@ def build_ym_field_from_rep(
         if not isinstance(mesh.grid, TorusGrid):
             raise UnsupportedMeshError("genus-1 construction needs a torus grid mesh")
         return _torus_field(mesh, rep)
-    return _sphere_field(mesh, rep, policy)
+    return _sphere_field(mesh, rep)
 
 
 def _torus_field(mesh: SurfaceMesh, rep: YangMillsRep) -> GaugeField:
@@ -710,7 +696,7 @@ def _torus_field(mesh: SurfaceMesh, rep: YangMillsRep) -> GaugeField:
     return GaugeField(mesh, values @ expm_raw(theta[:, None, None] * lam))
 
 
-def _sphere_field(mesh: SurfaceMesh, rep: YangMillsRep, policy: NumericPolicy) -> GaugeField:
+def _sphere_field(mesh: SurfaceMesh, rep: YangMillsRep) -> GaugeField:
     mu, w = np.linalg.eigh(-1j * rep.Lambda.mat)  # Lambda = w diag(i mu) w*
     if np.max(np.abs(mu) * np.max(mesh.face_areas)) >= np.pi:
         raise UnsupportedMeshError("flux per face exceeds the principal branch; refine the mesh")
@@ -747,12 +733,7 @@ def field_to_json(field: GaugeField) -> dict:
     }
 
 
-def field_from_json(
-    obj: dict,
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
-    base_dir: Optional[str] = None,
-) -> GaugeField:
+def field_from_json(obj: dict, *, base_dir: Optional[str] = None) -> GaugeField:
     """Load a field snapshot; "mesh" may be inline JSON or a file path
     (resolved against base_dir when given)."""
     mesh_obj, n, edges = required_keys(obj, "field", "mesh", "n", "edges")
@@ -763,9 +744,9 @@ def field_from_json(
         path = mesh_obj if base_dir is None else os.path.join(base_dir, mesh_obj)
         with open(path) as handle:
             mesh_obj = json.load(handle)
-    mesh = mesh_from_json(mesh_obj, policy=policy)
-    n = int(n)
+    mesh = mesh_from_json(mesh_obj)
+    n = json_int(n, "field: n")
     values = np.stack([matrix_from_json(m) for m in edges])
     if values.shape[1] != n:
         raise ValueError("field dimension does not match its edge matrices")
-    return GaugeField(mesh, values, policy=policy)
+    return GaugeField(mesh, values)

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .policy import DEFAULT_POLICY, NumericPolicy
-from .surfaces import required_keys
+from .policy import DEFAULT_POLICY
+from .surfaces import json_int, required_keys
 
 
 class DimensionMismatchError(ValueError):
@@ -54,11 +54,11 @@ class SkewHermitian:
 
     __slots__ = ("mat",)
 
-    def __init__(self, entries, *, policy: NumericPolicy = DEFAULT_POLICY):
+    def __init__(self, entries):
         mat = _as_complex_matrix(entries)
         with np.errstate(invalid="ignore", over="ignore"):
             residual = np.linalg.norm(mat + mat.conj().T)
-        if not residual <= policy.skew_tol:
+        if not residual <= DEFAULT_POLICY.skew_tol:
             raise ValueError(f"matrix is not skew-Hermitian: ||X + X*|| = {residual:.3e}")
         mat.setflags(write=False)
         self.mat = mat
@@ -76,10 +76,10 @@ class Unitary:
 
     __slots__ = ("mat",)
 
-    def __init__(self, entries, *, policy: NumericPolicy = DEFAULT_POLICY):
+    def __init__(self, entries):
         mat = _as_complex_matrix(entries)
-        require_unitary(mat, policy.unitary_tol, "matrix")
-        if not abs(abs(np.linalg.det(mat)) - 1.0) <= policy.unitary_tol:
+        require_unitary(mat, DEFAULT_POLICY.unitary_tol, "matrix")
+        if not abs(abs(np.linalg.det(mat)) - 1.0) <= DEFAULT_POLICY.unitary_tol:
             raise ValueError("matrix determinant does not have modulus 1")
         mat.setflags(write=False)
         self.mat = mat
@@ -171,32 +171,33 @@ def expm(x: SkewHermitian) -> Unitary:
     return Unitary(expm_raw(x.mat))
 
 
-def logm_principal(u: Unitary, *, policy: NumericPolicy = DEFAULT_POLICY) -> SkewHermitian:
+def logm_principal(u: Unitary) -> SkewHermitian:
     """Inverse of expm with all eigenvalue arguments in (-pi, pi).
 
-    Raises BranchCutError when an eigenvalue lies within policy.eps_branch
-    of -1, instead of silently picking a branch.
+    Raises BranchCutError when an eigenvalue lies within
+    DEFAULT_POLICY.eps_branch (1e-8) of -1, instead of silently picking a
+    branch.
     """
-    return SkewHermitian(logm_raw(u.mat, eps_branch=policy.eps_branch))
+    return SkewHermitian(logm_raw(u.mat))
 
 
-def inner(x: SkewHermitian, y: SkewHermitian, *, policy: NumericPolicy = DEFAULT_POLICY) -> float:
+def inner(x: SkewHermitian, y: SkewHermitian) -> float:
     """Invariant inner product tr(X Y*) on u(n); real for skew-Hermitian input."""
     if x.n != y.n:
         raise DimensionMismatchError(f"dimension mismatch: {x.n} vs {y.n}")
     value = np.trace(x.mat @ y.mat.conj().T)
-    if abs(value.imag) > policy.inner_imag_tol * max(1.0, abs(value.real)):
+    if abs(value.imag) > DEFAULT_POLICY.inner_imag_tol * max(1.0, abs(value.real)):
         raise ValueError(f"inner product has imaginary leakage {value.imag:.3e}")
     return float(value.real)
 
 
-def commutant_dimension(mats: list[Unitary], *, policy: NumericPolicy = DEFAULT_POLICY) -> int:
+def commutant_dimension(mats: list[Unitary]) -> int:
     """Real dimension of {X in u(n) : X M = M X for all M}.
 
     The commutant of a set of unitaries is a *-subalgebra, so its
     skew-Hermitian part has real dimension equal to the complex nullity of
     the stacked commutator system; that nullity is counted by singular
-    values below policy.commutant_svd_tol.  Value 1 certifies
+    values below DEFAULT_POLICY.commutant_svd_tol.  Value 1 certifies
     irreducibility (only scalars commute).
     """
     if not mats:
@@ -212,7 +213,7 @@ def commutant_dimension(mats: list[Unitary], *, policy: NumericPolicy = DEFAULT_
     system = np.vstack(rows)
     # system has >= n^2 rows, so svd returns all n^2 singular values
     sigma = np.linalg.svd(system, compute_uv=False)
-    return int(np.sum(sigma <= policy.commutant_svd_tol))
+    return int(np.sum(sigma <= DEFAULT_POLICY.commutant_svd_tol))
 
 
 def conjugacy_residual(u: Unitary, v: Unitary) -> float:
@@ -258,7 +259,7 @@ def matrix_to_json(mat: np.ndarray) -> dict:
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     n, re, im = required_keys(obj, "matrix", "n", "re", "im")
-    n = int(n)
+    n = json_int(n, "matrix: n")
     mat = np.array(re, dtype=np.float64) + 1j * np.array(im, dtype=np.float64)
     if mat.shape != (n, n):
         raise ValueError(f"matrix JSON claims n={n} but arrays have shape {mat.shape}")

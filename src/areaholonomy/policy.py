@@ -1,7 +1,7 @@
 """Central numeric policy: every tolerance used across the package lives here.
 
-Tests construct tightened variants instead of monkeypatching scattered
-constants.
+The values are fixed: every check reads its threshold from DEFAULT_POLICY,
+and no operation takes a tolerance of its own.
 """
 
 from __future__ import annotations

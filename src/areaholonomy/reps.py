@@ -27,8 +27,8 @@ from .liecore import (
     matrix_from_json,
     matrix_to_json,
 )
-from .policy import DEFAULT_POLICY, NumericPolicy
-from .surfaces import required_keys
+from .policy import DEFAULT_POLICY
+from .surfaces import json_int, required_keys
 from .words import GammaRElement, GenusMismatchError, relator_letters
 
 
@@ -112,8 +112,8 @@ def relator_image(rep: YangMillsRep) -> np.ndarray:
     return _word_image(rep, relator_letters(rep.genus))
 
 
-def validate_rep(rep: YangMillsRep, *, policy: NumericPolicy = DEFAULT_POLICY) -> RepDiagnostics:
-    """Residuals of the two defining constraints.
+def validate_rep(rep: YangMillsRep) -> RepDiagnostics:
+    """Residuals of the two defining constraints, cached on rep.
 
     relator_residual is ||prod [A_i, B_i] - exp(Lambda)||_F; for genus 0 it
     also enforces integer quantization of the Lambda spectrum (exp(Lambda)
@@ -128,14 +128,13 @@ def validate_rep(rep: YangMillsRep, *, policy: NumericPolicy = DEFAULT_POLICY) -
     cent = 0.0
     for m in rep.A + rep.B:
         cent = max(cent, float(np.linalg.norm(rep.Lambda.mat @ m.mat - m.mat @ rep.Lambda.mat)))
-    diag = RepDiagnostics(relator_res, cent, relator_res <= policy.rep_tol and cent <= policy.rep_tol)
-    if policy is DEFAULT_POLICY:
-        rep._diag = diag
-    return diag
+    tol = DEFAULT_POLICY.rep_tol
+    rep._diag = RepDiagnostics(relator_res, cent, relator_res <= tol and cent <= tol)
+    return rep._diag
 
 
-def _require_valid(rep: YangMillsRep, policy: NumericPolicy) -> None:
-    diag = rep._diag if (rep._diag is not None and policy is DEFAULT_POLICY) else validate_rep(rep, policy=policy)
+def _require_valid(rep: YangMillsRep) -> None:
+    diag = rep._diag if rep._diag is not None else validate_rep(rep)
     if not diag.ok:
         raise InvalidRepError(
             f"invalid representation: relator residual {diag.relator_residual:.3e}, "
@@ -143,24 +142,19 @@ def _require_valid(rep: YangMillsRep, policy: NumericPolicy) -> None:
         )
 
 
-def evaluate(
-    rep: YangMillsRep,
-    x: GammaRElement,
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> Unitary:
+def evaluate(rep: YangMillsRep, x: GammaRElement) -> Unitary:
     """Apply the holonomy homomorphism to a group element.
 
     Returns the word image times exp(t Lambda); independence of the word
     representative follows from the validated constraints.
     """
-    _require_valid(rep, policy)
+    _require_valid(rep)
     if x.genus != rep.genus:
         raise GenusMismatchError(f"element genus {x.genus} does not match rep genus {rep.genus}")
     return Unitary(_word_image(rep, x.word.letters) @ expm_raw(x.t * rep.Lambda.mat))
 
 
-def irreducible(rep: YangMillsRep, *, policy: NumericPolicy = DEFAULT_POLICY) -> bool:
+def irreducible(rep: YangMillsRep) -> bool:
     """True iff only scalars commute with the image of the representation.
 
     The probe set is the generator images together with the midpoint
@@ -168,25 +162,25 @@ def irreducible(rep: YangMillsRep, *, policy: NumericPolicy = DEFAULT_POLICY) ->
     irreducible representation Lambda is then forced to be a scalar
     i*lambda*I; this is checked defensively.
     """
-    _require_valid(rep, policy)
+    _require_valid(rep)
     mats = list(rep.A + rep.B) + [expm(SkewHermitian(0.5 * rep.Lambda.mat))]
-    if commutant_dimension(mats, policy=policy) != 1:
+    if commutant_dimension(mats) != 1:
         return False
     scalar = np.trace(rep.Lambda.mat) / rep.n
-    if np.linalg.norm(rep.Lambda.mat - scalar * np.eye(rep.n)) > policy.rep_tol:
+    if np.linalg.norm(rep.Lambda.mat - scalar * np.eye(rep.n)) > DEFAULT_POLICY.rep_tol:
         raise AssertionError("irreducible rep with non-scalar Lambda (constraint violation)")
     return True
 
 
-def ym_action_value(rep: YangMillsRep, *, policy: NumericPolicy = DEFAULT_POLICY) -> float:
+def ym_action_value(rep: YangMillsRep) -> float:
     """Yang-Mills action of the constant-curvature connection: ||Lambda||^2.
 
     The curvature density is constant and the total area is normalized to
     1, so the action integral collapses to the inner product of Lambda with
     itself.
     """
-    _require_valid(rep, policy)
-    return inner(rep.Lambda, rep.Lambda, policy=policy)
+    _require_valid(rep)
+    return inner(rep.Lambda, rep.Lambda)
 
 
 def enumerate_sphere_classes(n: int, kmax: int) -> list[WeightVector]:
@@ -250,8 +244,8 @@ def rep_to_json(rep: YangMillsRep) -> dict:
 def rep_from_json(obj: dict) -> YangMillsRep:
     genus, n, a, b, lam = required_keys(obj, "representation", "genus", "n", "A", "B", "Lambda")
     return YangMillsRep(
-        int(genus),
-        int(n),
+        json_int(genus, "representation: genus"),
+        json_int(n, "representation: n"),
         [Unitary(matrix_from_json(m)) for m in a],
         [Unitary(matrix_from_json(m)) for m in b],
         SkewHermitian(matrix_from_json(lam)),

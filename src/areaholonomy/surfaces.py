@@ -14,12 +14,13 @@ uniform part of the area.  No floating-point geometry is involved.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import DEFAULT_POLICY
 
 
 class MalformedLoopError(ValueError):
@@ -113,7 +114,6 @@ class SurfaceMesh:
         basepoint: int,
         *,
         grid: Optional[TorusGrid] = None,
-        policy: NumericPolicy = DEFAULT_POLICY,
     ):
         if genus not in (0, 1):
             raise ValueError("only genus 0 and 1 meshes are supported")
@@ -128,7 +128,7 @@ class SurfaceMesh:
         self._adjacency: Optional[list[list[tuple[int, int, int]]]] = None
         self._dual_tree: Optional[list[tuple[int, int, int, int]]] = None
         self._area_potential: Optional[tuple[np.ndarray, float]] = None
-        self._validate(policy)
+        self._validate()
 
     # -- derived queries ---------------------------------------------------
 
@@ -174,7 +174,7 @@ class SurfaceMesh:
 
     # -- validation ---------------------------------------------------------
 
-    def _validate(self, policy: NumericPolicy) -> None:
+    def _validate(self) -> None:
         v, e, f = self.vertex_count, len(self.edges), len(self.faces)
         if v - e + f != 2 - 2 * self.genus:
             raise ValueError(
@@ -183,7 +183,7 @@ class SurfaceMesh:
         # fail closed: every comparison with NaN is False
         if len(self.face_areas) != f or not np.all(self.face_areas > 0):
             raise ValueError("face_areas must be positive, one per face")
-        if not abs(float(np.sum(self.face_areas)) - 1.0) <= policy.area_sum_tol:
+        if not abs(float(np.sum(self.face_areas)) - 1.0) <= DEFAULT_POLICY.area_sum_tol:
             raise ValueError("face areas must sum to 1")
         if not (0 <= self.basepoint < v):
             raise ValueError("basepoint out of range")
@@ -228,12 +228,7 @@ def _rotate_to_lowest_vertex(mesh_edges, steps: list[tuple[int, int]]) -> tuple[
     return tuple(steps[k:] + steps[:k])
 
 
-def build_torus_mesh(
-    N: int,
-    face_areas=None,
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> SurfaceMesh:
+def build_torus_mesh(N: int, face_areas=None) -> SurfaceMesh:
     """Periodic N x N square grid: N^2 vertices, 2N^2 edges, N^2 faces.
 
     Horizontal edge h(x,y) points in +x, vertical edge v(x,y) in +y; the
@@ -247,7 +242,7 @@ def build_torus_mesh(
     edges, faces = _torus_complex(grid)
     if face_areas is None:
         face_areas = np.full(N * N, 1.0 / (N * N))
-    return SurfaceMesh(1, N * N, edges, faces, face_areas, 0, grid=grid, policy=policy)
+    return SurfaceMesh(1, N * N, edges, faces, face_areas, 0, grid=grid)
 
 
 def _torus_complex(grid: TorusGrid) -> tuple[tuple, tuple]:
@@ -283,12 +278,7 @@ def beta_loop(mesh: SurfaceMesh) -> MeshLoop:
 _OCTAHEDRON_AXES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def build_sphere_mesh(
-    subdiv: int,
-    face_areas=None,
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> SurfaceMesh:
+def build_sphere_mesh(subdiv: int, face_areas=None) -> SurfaceMesh:
     """Octahedron with each triangular face subdivided subdiv^2 times.
 
     Vertices are identified across parent faces through their integer
@@ -352,7 +342,7 @@ def build_sphere_mesh(
     f = len(faces)
     if face_areas is None:
         face_areas = np.full(f, 1.0 / f)
-    return SurfaceMesh(0, len(vertex_ids), edges, faces, face_areas, 0, policy=policy)
+    return SurfaceMesh(0, len(vertex_ids), edges, faces, face_areas, 0)
 
 
 def _require_torus(mesh: SurfaceMesh) -> TorusGrid:
@@ -629,6 +619,21 @@ def required_keys(obj, what: str, *keys: str) -> list:
     return [obj[key] for key in keys]
 
 
+def json_int(value, what: str) -> int:
+    """An integer slot of a JSON object, where int() would read 1.5 and true
+    as 1.  An integral float such as 2.0 is read as 2; a boolean or a float
+    with a fractional part raises ValueError naming the slot, and any other
+    non-integer (a string, a list) raises TypeError, like every wrongly
+    typed value."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if not isinstance(value, (numbers.Integral, float)):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def mesh_to_json(mesh: SurfaceMesh) -> dict:
     """Faces are encoded as 1-based signed edge indices (sign = traversal)."""
     return {
@@ -641,21 +646,20 @@ def mesh_to_json(mesh: SurfaceMesh) -> dict:
     }
 
 
-def mesh_from_json(obj: dict, *, policy: NumericPolicy = DEFAULT_POLICY) -> SurfaceMesh:
+def mesh_from_json(obj: dict) -> SurfaceMesh:
     genus, vertices, edges, faces, face_areas, basepoint = required_keys(
         obj, "mesh", "genus", "vertices", "edges", "faces", "face_areas", "basepoint"
     )
+    faces = [[json_int(k, "mesh: a face entry") for k in face] for face in faces]
     if any(k == 0 for face in faces for k in face):
         raise ValueError("mesh: face entries are signed 1-based edge indices, so 0 names no edge")
     mesh = SurfaceMesh(
-        int(genus),
-        int(vertices),
-        [(int(t), int(h)) for t, h in edges],
+        json_int(genus, "mesh: genus"),
+        json_int(vertices, "mesh: vertices"),
+        [(json_int(t, "mesh: an edge tail"), json_int(h, "mesh: an edge head")) for t, h in edges],
         [tuple((abs(k) - 1, 1 if k > 0 else -1) for k in face) for face in faces],
         face_areas,
-        int(basepoint),
-        grid=None,
-        policy=policy,
+        json_int(basepoint, "mesh: basepoint"),
     )
     mesh.grid = _detect_grid(mesh)
     return mesh
@@ -678,4 +682,7 @@ def loop_to_json(loop: MeshLoop) -> dict:
 
 def loop_from_json(obj: dict) -> MeshLoop:
     base, steps = required_keys(obj, "loop", "base", "steps")
-    return MeshLoop(int(base), tuple((int(e), int(s)) for e, s in steps))
+    return MeshLoop(
+        json_int(base, "loop: base"),
+        tuple((json_int(e, "loop: a step edge"), json_int(s, "loop: a step sign")) for e, s in steps),
+    )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import DEFAULT_POLICY
 from .surfaces import (
     MalformedLoopError,
     MeshLoop,
@@ -24,6 +24,7 @@ from .surfaces import (
     alpha_loop,
     beta_loop,
     enclosed_area,
+    json_int,
     loop_concat,
     loop_reverse,
     required_keys,
@@ -268,12 +269,7 @@ def gamma_inv(x: GammaRElement) -> GammaRElement:
     return GammaRElement(x.genus, inverse, -x.t)
 
 
-def word_problem(
-    x: GammaRElement,
-    y: GammaRElement,
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> bool:
+def word_problem(x: GammaRElement, y: GammaRElement) -> bool:
     """Equality in the group: x y^-1 reduces to the identity.
 
     Genus >= 2 relies on Dehn's algorithm being complete for surface
@@ -283,7 +279,7 @@ def word_problem(
     if z.word.letters:
         return False
     # genus 0 already stores t as the canonical representative mod 1
-    return abs(z.t) <= policy.t_tol
+    return abs(z.t) <= DEFAULT_POLICY.t_tol
 
 
 # ---------------------------------------------------------------------------
@@ -325,4 +321,4 @@ def gamma_to_json(x: GammaRElement) -> dict:
 
 def gamma_from_json(obj: dict) -> GammaRElement:
     genus, word, t = required_keys(obj, "surface-group element", "genus", "word", "t")
-    return GammaRElement(int(genus), str(word), float(t))
+    return GammaRElement(json_int(genus, "surface-group element: genus"), str(word), float(t))

@@ -269,6 +269,48 @@ class TestVerify:
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
+        "case, value",
+        [
+            ("mesh: basepoint", 0.6),
+            ("mesh: genus", True),
+            ("mesh: a face entry", 1.5),
+            ("field: n", 1.4),
+            ("matrix: n", 1.5),
+            ("loop: base", 0.9),
+        ],
+        ids=["mesh-basepoint", "mesh-genus", "face-entry", "field-n", "matrix-n", "loop"],
+    )
+    def test_non_integral_index_is_usage_error(self, case, value, tmp_path):
+        # int() would read each value as an index the file means (0.6 as 0,
+        # true as 1), so the truncated file would verify with exit 0
+        mesh = ah.build_torus_mesh(3)
+        field_json = ah.field_to_json(ah.GaugeField.identity(mesh, 1))
+        loop = ah.loop_to_json(ah.face_boundary_loop(mesh, 0))
+        field_path, pairs_path = tmp_path / "f.json", tmp_path / "pairs.json"
+        args = ["verify", "--field", str(field_path), "--random", "3"]
+        if case == "mesh: basepoint":
+            field_json["mesh"]["basepoint"] = value
+        elif case == "mesh: genus":
+            field_json["mesh"]["genus"] = value
+        elif case == "mesh: a face entry":
+            assert field_json["mesh"]["faces"][0][0] == 1
+            field_json["mesh"]["faces"][0][0] = value
+        elif case == "field: n":
+            field_json["n"] = value
+        elif case == "matrix: n":
+            field_json["edges"][0]["n"] = value
+        else:
+            assert loop["base"] == 0 and loop["steps"][0][0] == 0
+            loop["base"], loop["steps"][0][0] = value, 0.6
+            args = ["verify", "--field", str(field_path), "--pairs", str(pairs_path)]
+        field_path.write_text(json.dumps(field_json))
+        pairs_path.write_text(json.dumps({"pairs": [[loop, loop]]}))
+        proc = entry_point(*args)
+        assert proc.returncode == 64
+        assert "Traceback" not in proc.stderr
+        assert f"{case} must be an integer, got {value!r}" in proc.stderr
+
+    @pytest.mark.parametrize(
         "case, message",
         [
             ("face-entry-beyond-edges", "face 0 must list edges among 0..17"),
@@ -431,6 +473,23 @@ class TestPlotData:
         proc = entry_point("plot-data", "--input", str(path))
         assert proc.returncode == 64
         assert f"{path} is malformed" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ({"rows": [{"area": 0.5}]}, "shrinking-loop row lacks the key 'residual'"),
+            ({"foo": 1}, "is neither a flow report nor a shrinking-loop table"),
+            ({"final_action": 1.0, "step_history": [[1.5, 2.0, 3.0]]}, "iteration must be an integer, got 1.5"),
+        ],
+        ids=["row-without-residual", "neither", "fractional-iteration"],
+    )
+    def test_malformed_table_is_usage_error(self, table, message, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(table))
+        proc = entry_point("plot-data", "--input", str(path))
+        assert proc.returncode == 64
+        assert message in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_shrinking_table(self, runner, tmp_path):

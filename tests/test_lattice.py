@@ -193,6 +193,29 @@ class TestGradient:
         for e, g in enumerate(wrapped):
             assert np.linalg.norm(g.mat - raw[e]) < 1e-12
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from([("torus", 2), ("torus", 3), ("sphere", 1), ("sphere", 2)]),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_slot_gather_matches_scatter_loop(self, spec, n, seed):
+        # reference: each boundary slot added into its edge by np.add.at
+        kind, size = spec
+        mesh = ah.build_torus_mesh(size) if kind == "torus" else ah.build_sphere_mesh(size)
+        rng = np.random.default_rng(seed)
+        field = random_field(mesh, n, rng, scale=1.0)
+        a = rng.normal(size=(len(mesh.faces), n, n)) + 1j * rng.normal(size=(len(mesh.faces), n, n))
+        x = (a - a.conj().swapaxes(-1, -2)) / 2.0
+        engine = _engine_for(mesh)
+        expected = np.zeros_like(field.U)
+        for faces, edge_idx, signs in engine.groups:
+            q = engine._transports(field.U, edge_idx, signs)
+            for j in range(edge_idx.shape[1]):
+                contrib = q[:, j].conj().swapaxes(-1, -2) @ x[faces] @ q[:, j]
+                np.add.at(expected, edge_idx[:, j], contrib * (signs[:, j] * (2.0 / engine.areas[faces]))[:, None, None])
+        assert np.array_equal(engine.gradient_from_logs(field.U, x), expected)
+
     @pytest.mark.parametrize("n,seed", [(1, 80), (2, 81)])
     def test_finite_difference_oracle(self, n, seed):
         mesh = ah.build_torus_mesh(4)

@@ -1,6 +1,9 @@
 """Unitary/skew-Hermitian numerics: exp, principal log, inner product,
 commutant dimension, conjugacy comparison."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -362,13 +365,25 @@ class TestTypesAndJson:
         back = ah.matrix_from_json(ah.matrix_to_json(m))
         assert np.array_equal(m, back)
 
-    def test_policy_can_be_tightened(self):
-        # the centralized policy record parameterizes every tolerance
+    def test_default_tolerances(self):
         loose = np.eye(2) + 1e-10 * np.array([[0, 1], [0, 0]])
-        Unitary(loose, policy=ah.NumericPolicy(unitary_tol=1e-9))
         with pytest.raises(ValueError):
-            Unitary(loose, policy=ah.NumericPolicy(unitary_tol=1e-12))
-        u = Unitary([[np.exp(1j * (np.pi - 1e-4))]])
-        ah.logm_principal(u)  # fine at the default branch tolerance
-        with pytest.raises(BranchCutError):
-            ah.logm_principal(u, policy=ah.NumericPolicy(eps_branch=1e-3))
+            Unitary(loose)
+        ah.logm_principal(Unitary([[np.exp(1j * (np.pi - 1e-4))]]))
+
+    def test_no_callable_takes_a_policy(self):
+        # every check reads its tolerance from DEFAULT_POLICY, so no call
+        # can loosen one
+        taking = []
+        for module in (ah, ah.liecore, ah.surfaces, ah.words, ah.reps, ah.lattice):
+            for name, value in vars(module).items():
+                if not callable(value) or not getattr(value, "__module__", "").startswith("areaholonomy"):
+                    continue
+                try:
+                    params = inspect.signature(value).parameters
+                except (TypeError, ValueError):
+                    continue
+                if "policy" in params:
+                    taking.append(f"{module.__name__}.{name}")
+        assert taking == []
+        assert [f.name for f in dataclasses.fields(ah.StepPolicy)] == ["initial_step", "max_halvings"]

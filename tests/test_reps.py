@@ -254,3 +254,10 @@ def test_rep_json_roundtrip():
     for m1, m2 in zip(back.A + back.B, rep.A + rep.B):
         assert np.array_equal(m1.mat, m2.mat)
     assert np.array_equal(back.Lambda.mat, rep.Lambda.mat)
+
+
+@pytest.mark.parametrize("key, value", [("genus", 2.5), ("n", True)])
+def test_rep_json_rejects_non_integral_slots(key, value):
+    obj = dict(ah.rep_to_json(quaternion_rep(2)), **{key: value})
+    with pytest.raises(ValueError, match=f"representation: {key} must be an integer"):
+        ah.rep_from_json(obj)

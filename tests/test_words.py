@@ -333,3 +333,8 @@ class TestParsing:
     def test_json_roundtrip(self):
         el = GammaRElement(2, "a1 b2", -0.75)
         assert ah.gamma_from_json(ah.gamma_to_json(el)) == el
+
+    def test_json_rejects_fractional_genus(self):
+        obj = dict(ah.gamma_to_json(GammaRElement(2, "a1 b2", -0.75)), genus=2.5)
+        with pytest.raises(ValueError, match="genus must be an integer"):
+            ah.gamma_from_json(obj)
