@@ -92,7 +92,6 @@ from .lattice import (
     GaugeField,
     GaugeTransform,
     NotConvergedError,
-    StepPolicy,
     apply_gauge,
     build_ym_field_from_rep,
     face_curvature,

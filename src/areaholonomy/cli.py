@@ -104,31 +104,24 @@ def cli():
 @click.option("--seed", default=0, show_default=True, help="initialization seed")
 @click.option("--tol", default=1e-9, show_default=True, help="gradient-norm threshold")
 @click.option("--max-iter", default=20000, show_default=True)
-@click.option(
-    "--step",
-    default=None,
-    type=float,
-    help="initial line-search step (default: 1 along the Newton direction, abelian for n = 1 and "
-    "Levenberg-Marquardt for n > 1; min area/4 along the gradient fallback)",
-)
 @click.option("--eps", default=0.3, show_default=True, help="random start perturbation scale")
 @click.option("--out", default="field.json", show_default=True, help="field snapshot path")
 @click.option("--report", "report_path", default="report.json", show_default=True)
 @click.option("--trace", is_flag=True, help="record the full step history")
-def solve(mesh_spec, n, flux, seed, tol, max_iter, step, eps, out, report_path, trace):
+def solve(mesh_spec, n, flux, seed, tol, max_iter, eps, out, report_path, trace):
     """Flow a randomly perturbed sector representative to a critical point."""
     import numpy as np
 
     import areaholonomy as ah
 
-    if n < 1 or tol <= 0 or eps < 0:
-        raise click.UsageError("need n >= 1, tol > 0, eps >= 0")
+    # chained bounds fail closed: NaN is in no range
+    if n < 1 or not 0 < tol < math.inf or not 0 <= eps < math.inf:
+        raise click.UsageError("need n >= 1, finite tol > 0, finite eps >= 0")
     mesh = _parse_mesh(mesh_spec)
     rng = np.random.default_rng(seed)
     start = ah.build_ym_field_from_rep(mesh, _flux_rep(mesh, n, flux))
     if eps > 0:
         start = ah.perturb_field(start, rng, eps)
-    policy = ah.StepPolicy(initial_step=step)
     config = {
         "command": "solve",
         "mesh": mesh_spec,
@@ -141,9 +134,7 @@ def solve(mesh_spec, n, flux, seed, tol, max_iter, step, eps, out, report_path, 
     }
     converged = True
     try:
-        field, flow_report = ah.gradient_flow(
-            start, policy, tol=tol, max_iter=max_iter, record_history=trace, seed=seed
-        )
+        field, flow_report = ah.gradient_flow(start, tol=tol, max_iter=max_iter, record_history=trace)
     except ah.NotConvergedError as ex:
         converged = False
         field, flow_report = ex.field, ex.report
@@ -152,7 +143,7 @@ def solve(mesh_spec, n, flux, seed, tol, max_iter, step, eps, out, report_path, 
     _write_json(out, field_json)
     _write_json(
         report_path,
-        {"config": config, "converged": converged, **flow_report.to_json()},
+        {"config": config, "converged": converged, "seed": seed, **flow_report.to_json()},
     )
     status = "converged" if converged else f"NOT converged ({flow_report.stop_reason})"
     click.echo(
@@ -168,26 +159,28 @@ def solve(mesh_spec, n, flux, seed, tol, max_iter, step, eps, out, report_path, 
 @click.option("--field", "field_path", required=True, type=click.Path(), help="field snapshot")
 @click.option("--pairs", "pairs_path", default=None, type=click.Path(), help="loop-pair JSON file")
 @click.option("--random", "random_pairs", default=None, type=int, help="draw this many random homotopic pairs")
-@click.option("--lambda-from-face", default=0, show_default=True, help="face whose curvature supplies the generator")
 @click.option("--perturb", default=0.0, show_default=True, help="perturb the field before verifying")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--tol", default=1e-6, show_default=True)
 @click.option("--json", "as_json", is_flag=True, help="emit the residual table as JSON")
 @click.option("--out", default=None, type=click.Path(), help="also write the table to this path")
-def verify(field_path, pairs_path, random_pairs, lambda_from_face, perturb, seed, tol, as_json, out):
-    """Check that holonomy depends only on homotopy class and enclosed area."""
+def verify(field_path, pairs_path, random_pairs, perturb, seed, tol, as_json, out):
+    """Check that holonomy depends only on homotopy class and enclosed area.
+
+    The generator Lambda is the curvature density in the basepoint frame.
+    """
     import numpy as np
 
     import areaholonomy as ah
-    from areaholonomy.lattice import _area_residual
+    from areaholonomy.lattice import _area_residual, _basepoint_curvature
     from areaholonomy.surfaces import required_keys
 
     if (pairs_path is None) == (random_pairs is None):
         raise click.UsageError("choose exactly one of --pairs FILE or --random K")
     if random_pairs is not None and random_pairs < 1:
         raise click.UsageError("--random K needs K >= 1")
-    if tol <= 0:
-        raise click.UsageError("tol must be positive")
+    if not 0 < tol < math.inf or not 0 <= perturb < math.inf:
+        raise click.UsageError("need finite tol > 0, finite perturb >= 0")
     base_dir = os.path.dirname(os.path.abspath(field_path))
     field = _read_json(field_path, lambda obj: ah.field_from_json(obj, base_dir=base_dir))
     rng = np.random.default_rng(seed)
@@ -209,7 +202,8 @@ def verify(field_path, pairs_path, random_pairs, lambda_from_face, perturb, seed
             ah.random_homotopic_pair(field.mesh, rng, n_steps=12)
             for _ in range(random_pairs)
         ]
-    lam = ah.face_curvature(field, lambda_from_face)
+    # based holonomies live in the basepoint's frame, and so must Lambda
+    lam = _basepoint_curvature(field)
     rows = []
     flagged = 0
     for idx, (l1, l2) in enumerate(pairs):

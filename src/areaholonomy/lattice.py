@@ -31,7 +31,6 @@ from .liecore import (
     matrix_to_json,
     require_unitary,
 )
-from .policy import DEFAULT_POLICY
 from .reps import InvalidRepError, YangMillsRep, validate_rep
 from .surfaces import (
     MeshLoop,
@@ -63,37 +62,24 @@ class NotConvergedError(RuntimeError):
         self.field = field
 
 
-@dataclass(frozen=True)
-class StepPolicy:
-    """Backtracking line-search parameters: the first trial step, reset
-    every iteration, and how many times it may be halved.
-
-    initial_step None picks 1 along a Newton direction (the abelian Newton
-    step for n = 1, the Levenberg-Marquardt step for n > 1: the full step
-    is the minimiser of the local model) and min(face_areas)/4 along the
-    gradient, matching the 1/area scale of the action Hessian so the first
-    trial is already near the stable range.  A given initial_step is used
-    for both.
-    """
-
-    initial_step: Optional[float] = None
-    max_halvings: int = 40
+# How many times one line search may halve its first trial step.
+_MAX_HALVINGS = 40
 
 
 @dataclass
 class FlowReport:
     """Flow summary: recorded actions are nonincreasing up to a few ulps of
     the action value (the flow keeps contracting the gradient after action
-    differences fall below evaluation precision).  stop_reason is
-    "converged", "halving_budget", "iteration_budget" or "stall" (the step
-    underflowed to the identity), and None in report files that predate it."""
+    differences fall below evaluation precision).  step_history holds
+    (iteration, action, gradient norm) rows when the flow recorded them,
+    else None.  stop_reason is "converged", "halving_budget",
+    "iteration_budget" or "stall" (the step underflowed to the identity)."""
 
     iterations: int
     final_action: float
     final_gradient_norm: float
-    step_history: Optional[list[tuple[int, float, float]]] = None
-    seed: Optional[int] = None
-    stop_reason: Optional[str] = None
+    step_history: Optional[list[tuple[int, float, float]]]
+    stop_reason: str
 
     def to_json(self) -> dict:
         return {
@@ -105,21 +91,8 @@ class FlowReport:
                 if self.step_history is None
                 else [[i, a, g] for i, a, g in self.step_history]
             ),
-            "seed": self.seed,
             "stop_reason": self.stop_reason,
         }
-
-    @staticmethod
-    def from_json(obj: dict) -> "FlowReport":
-        history = obj.get("step_history")
-        return FlowReport(
-            int(obj["iterations"]),
-            float(obj["final_action"]),
-            float(obj["final_gradient_norm"]),
-            None if history is None else [(int(i), float(a), float(g)) for i, a, g in history],
-            obj.get("seed"),
-            obj.get("stop_reason"),
-        )
 
 
 class GaugeField:
@@ -131,7 +104,7 @@ class GaugeField:
         values = np.array(values, dtype=np.complex128)
         if values.ndim != 3 or values.shape != (len(mesh.edges), values.shape[1], values.shape[1]):
             raise ValueError("field values must have shape (E, n, n)")
-        require_unitary(values, DEFAULT_POLICY.unitary_tol, "an edge matrix")
+        require_unitary(values, "an edge matrix")
         values.setflags(write=False)
         self.mesh = mesh
         self.n = values.shape[1]
@@ -153,7 +126,7 @@ class GaugeTransform:
 
     def __init__(self, values: np.ndarray):
         values = np.array(values, dtype=np.complex128)
-        require_unitary(values, DEFAULT_POLICY.unitary_tol, "a gauge transform entry")
+        require_unitary(values, "a gauge transform entry")
         values.setflags(write=False)
         self.g = values
 
@@ -200,8 +173,8 @@ class _Engine:
             out[faces] = acc
         return out
 
-    def logs(self, U: np.ndarray, eps_branch: float) -> np.ndarray:
-        return logm_raw(self.plaquettes(U), eps_branch=eps_branch)
+    def logs(self, U: np.ndarray) -> np.ndarray:
+        return logm_raw(self.plaquettes(U))
 
     def action_from_logs(self, x: np.ndarray) -> float:
         norms = np.sum(np.abs(x) ** 2, axis=(1, 2))
@@ -240,17 +213,17 @@ class _Engine:
         s = np.concatenate(slots)
         return s[self.slot_plus] + s[self.slot_minus]
 
-    def gauss_newton_blocks(self, U: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    def gauss_newton_blocks(self, U: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
         """Linearised face logs: X_f(exp(Z) U) = X_f + J_f Z + O(Z^2).
 
         With X_f = V_f diag(i theta) V_f*, the first-order plaquette change
         sum_j s_j q_j Z_{e_j} q_j* goes through dexp^-1, which multiplies
         entry (a, b) in that eigenbasis by Phi_ab = z / (e^z - 1),
         z = i (theta_a - theta_b).  So V_f* (J_f Z) V_f is
-        Phi_f o sum_j s_j R_j Z_{e_j} R_j*, with R_j = V_f* q_j.  Returns V
-        (F, n, n) and, per face group, K (faces, n^2, m n^2): the row-major
-        vec of V_f* (J_f Z) V_f is K_f times the face's m row-major edge
-        vecs, in slot order.
+        Phi_f o sum_j s_j R_j Z_{e_j} R_j*, with R_j = V_f* q_j.  Returns,
+        per face group, K (faces, n^2, m n^2): the row-major vec of
+        V_f* (J_f Z) V_f is K_f times the face's m row-major edge vecs, in
+        slot order.
         """
         n = x.shape[-1]
         theta, v = np.linalg.eigh(-1j * x)
@@ -263,7 +236,7 @@ class _Engine:
             # vec(R Z R*) = kron(R, conj R) vec Z for row-major vecs
             kron = np.einsum("fjac,fjbd->fabjcd", r, r.conj()).reshape(len(faces), n * n, -1)
             blocks.append(phi[faces] * kron * np.repeat(signs, n * n, axis=1)[:, None, :])
-        return v, blocks
+        return blocks
 
     def normal_operator(self, U: np.ndarray, x: np.ndarray, mu: float):
         """z -> (J^T W J + mu I) z on edge vecs z (E, n^2), W = diag(1 / A_f).
@@ -272,10 +245,9 @@ class _Engine:
         application is a batched block product per face group, then each
         edge sums its two slots.
         """
-        _, blocks = self.gauss_newton_blocks(U, x)
         grams = [
             k.conj().swapaxes(-1, -2) @ k / self.areas[faces, None, None]
-            for (faces, _, _), k in zip(self.groups, blocks)
+            for (faces, _, _), k in zip(self.groups, self.gauss_newton_blocks(U, x))
         ]
 
         def apply(z: np.ndarray) -> np.ndarray:
@@ -391,26 +363,26 @@ def face_curvature(field: GaugeField, face: int) -> SkewHermitian:
 def ym_action(field: GaugeField) -> float:
     """Sum over faces of area * ||curvature density||^2; zero iff flat."""
     engine = _engine_for(field.mesh)
-    return engine.action_from_logs(engine.logs(field.U, DEFAULT_POLICY.eps_branch))
+    return engine.action_from_logs(engine.logs(field.U))
 
 
 def ym_gradient(field: GaugeField) -> list[SkewHermitian]:
     """Per-edge Riemannian gradient of the action (left-invariant frame)."""
     engine = _engine_for(field.mesh)
-    grad = engine.gradient_from_logs(field.U, engine.logs(field.U, DEFAULT_POLICY.eps_branch))
+    grad = engine.gradient_from_logs(field.U, engine.logs(field.U))
     skew = (grad - grad.conj().swapaxes(-1, -2)) / 2.0
     return [SkewHermitian(skew[e]) for e in range(len(field.mesh.edges))]
 
 
 def gradient_norm(field: GaugeField) -> float:
     engine = _engine_for(field.mesh)
-    return _grad_norm(engine.gradient_from_logs(field.U, engine.logs(field.U, DEFAULT_POLICY.eps_branch)))
+    return _grad_norm(engine.gradient_from_logs(field.U, engine.logs(field.U)))
 
 
 def total_flux(field: GaugeField) -> float:
     """Sum of plaquette log phases; integer multiple of 2 pi for n = 1."""
     engine = _engine_for(field.mesh)
-    x = engine.logs(field.U, DEFAULT_POLICY.eps_branch)
+    x = engine.logs(field.U)
     return float(np.sum(np.trace(x, axis1=1, axis2=2).imag))
 
 
@@ -419,12 +391,10 @@ def total_flux(field: GaugeField) -> float:
 
 def gradient_flow(
     field: GaugeField,
-    step_policy: Optional[StepPolicy] = None,
     tol: float = 1e-9,
     max_iter: int = 20000,
     *,
     record_history: bool = False,
-    seed: Optional[int] = None,
 ) -> tuple[GaugeField, FlowReport]:
     """Descend U_e <- exp(-eta G_e) U_e until the gradient norm reaches tol.
 
@@ -437,9 +407,10 @@ def gradient_flow(
     gradients, J the linearised face logs, W = diag(1 / A_f)), trying
     eta = 1 first; mu starts at 10 and is divided by 3 after a full step
     and multiplied by 4 otherwise.  Either direction falls back to G_e
-    when it is not finite or does not descend.  Backtracking halves eta
-    (reset each iteration) until the action decreases; BranchCut during a
-    trial step is treated like an increase.
+    when it is not finite or does not descend; along G_e the first trial
+    is eta = min(face_areas)/4, matching the 1/area scale of the action
+    Hessian.  Backtracking halves eta, at most 40 times, until the action
+    decreases; BranchCut during a trial step is treated like an increase.
     Once action differences fall below evaluation precision the gate
     switches to requiring a strict gradient-norm decrease, which stays
     resolvable down to the requested tolerance.  The returned action never
@@ -449,10 +420,9 @@ def gradient_flow(
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    sp = step_policy or StepPolicy()
     engine = _engine_for(field.mesh)
     u = field.U
-    x = engine.logs(u, DEFAULT_POLICY.eps_branch)
+    x = engine.logs(u)
     action = engine.action_from_logs(x)
     grad = engine.gradient_from_logs(u, x)
     gnorm = _grad_norm(grad)
@@ -460,11 +430,11 @@ def gradient_flow(
         [(0, action, gnorm)] if record_history else None
     )
     if gnorm <= tol:
-        return field, FlowReport(0, action, gnorm, history, seed, "converged")
+        return field, FlowReport(0, action, gnorm, history, "converged")
 
     eye = np.eye(field.n, dtype=np.complex128)
-    eta_gradient = sp.initial_step if sp.initial_step is not None else 0.25 * float(np.min(engine.areas))
-    eta_newton = sp.initial_step if sp.initial_step is not None else 1.0
+    eta_gradient = 0.25 * float(np.min(engine.areas))
+    eta_newton = 1.0
     mu = 10.0
     for iteration in range(1, max_iter + 1):
         direction, eta = grad, eta_gradient
@@ -481,7 +451,7 @@ def gradient_flow(
         # Action differences below this are evaluation noise; in that
         # regime a step must strictly decrease the gradient norm instead.
         slack = 64 * np.finfo(np.float64).eps * max(1.0, abs(action))
-        for _ in range(sp.max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             step = expm_raw(-eta * direction)
             if np.all(step == eye):
                 # step underflowed to the identity: nothing can move
@@ -490,7 +460,7 @@ def gradient_flow(
                 break
             trial = _unitarize(step @ u)
             try:
-                x_trial = engine.logs(trial, DEFAULT_POLICY.eps_branch)
+                x_trial = engine.logs(trial)
             except BranchCutError:
                 eta *= 0.5
                 continue
@@ -509,7 +479,7 @@ def gradient_flow(
         if not accepted:
             raise NotConvergedError(
                 "line search exhausted its halving budget",
-                FlowReport(iteration - 1, action, gnorm, history, seed, "halving_budget"),
+                FlowReport(iteration - 1, action, gnorm, history, "halving_budget"),
                 GaugeField(field.mesh, u),
             )
         # Levenberg-Marquardt damping: less after a full Newton step, more otherwise
@@ -520,14 +490,14 @@ def gradient_flow(
         if record_history:
             history.append((iteration, action, gnorm))
         if gnorm <= tol:
-            return GaugeField(field.mesh, u), FlowReport(iteration, action, gnorm, history, seed, "converged")
+            return GaugeField(field.mesh, u), FlowReport(iteration, action, gnorm, history, "converged")
         if not moved:
             # machine-precision stall: no representable step makes progress
             break
     prefix = "" if moved else "stalled at machine precision: "
     raise NotConvergedError(
         f"{prefix}gradient norm {gnorm:.3e} above tol {tol:.3e} after {iteration} iterations",
-        FlowReport(iteration, action, gnorm, history, seed, "iteration_budget" if moved else "stall"),
+        FlowReport(iteration, action, gnorm, history, "iteration_budget" if moved else "stall"),
         GaugeField(field.mesh, u),
     )
 
@@ -578,10 +548,27 @@ def verify_area_property(
     For homotopic based loops the holonomies must differ exactly by
     exp(DeltaA * Lambda) where DeltaA is the oriented area between them;
     the Frobenius norm of the mismatch is returned.  Lambda defaults to the
-    curvature density of face 0.
+    curvature density in the basepoint frame (_basepoint_curvature), the
+    frame the based holonomies live in.
     """
     delta = enclosed_area(field.mesh, loop_concat(loop1, loop_reverse(loop2)))
-    return _area_residual(field, loop1, loop2, delta, Lambda)
+    lam = _basepoint_curvature(field) if Lambda is None else Lambda.mat
+    return _area_residual(field, loop1, loop2, delta, lam)
+
+
+def _basepoint_curvature(field: GaugeField) -> np.ndarray:
+    """Curvature density log(H)/area of the first face whose boundary
+    passes through the basepoint, with H that boundary's holonomy
+    traversed from the basepoint.  face_curvature(field, f) is expressed in
+    the frame of face f's start vertex, which differs by a gauge-dependent
+    conjugation unless that vertex is the basepoint."""
+    mesh = field.mesh
+    for f, face in enumerate(mesh.faces):
+        for k, (e, s) in enumerate(face):
+            if mesh.step_endpoints(e, s)[0] == mesh.basepoint:
+                h = loop_holonomy(field, MeshLoop(mesh.basepoint, face[k:] + face[:k]))
+                return logm_raw(h.mat) / mesh.face_areas[f]
+    raise ValueError("no face boundary passes through the basepoint")
 
 
 def _area_residual(
@@ -589,13 +576,13 @@ def _area_residual(
     loop1: MeshLoop,
     loop2: MeshLoop,
     delta: float,
-    Lambda: Optional[SkewHermitian],
+    lam: np.ndarray,
 ) -> float:
-    """verify_area_property for a known oriented area delta between the loops."""
+    """verify_area_property for a known oriented area delta between the
+    loops and a known generator lam."""
     mesh = field.mesh
     if loop1.base != mesh.basepoint or loop2.base != mesh.basepoint:
         raise ValueError("both loops must be based at the mesh basepoint")
-    lam = Lambda.mat if Lambda is not None else face_curvature(field, 0).mat
     h1 = loop_holonomy(field, loop1).mat
     h2 = loop_holonomy(field, loop2).mat
     return float(np.linalg.norm(h1 - expm_raw(delta * lam) @ h2))

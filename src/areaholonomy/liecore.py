@@ -6,8 +6,8 @@ diagonalizes the Cayley transform i(I - U)(I + U)^-1, which is Hermitian
 and shares U's eigenvectors (Higham, Functions of Matrices, 2008, ch. 11).
 Both kernels are batched over leading axes, use numpy only and take one
 code path for every n, U(1) included.  The log raises BranchCutError
-instead of picking a branch when an eigenvalue lies within eps_branch of
--1.  Dimensions stay small (n <= 8).
+instead of picking a branch when an eigenvalue lies within
+DEFAULT_POLICY.eps_branch of -1.  Dimensions stay small (n <= 8).
 """
 
 from __future__ import annotations
@@ -37,15 +37,16 @@ def _as_complex_matrix(entries) -> np.ndarray:
     return mat
 
 
-def require_unitary(values: np.ndarray, tol: float, what: str) -> None:
-    """Raise ValueError unless ||U U* - I||_F <= tol for every matrix U of
-    a stack (leading axes are batch axes).  Fails closed: a NaN residual
-    is rejected, and non-finite entries raise no numpy warning."""
+def require_unitary(values: np.ndarray, what: str) -> None:
+    """Raise ValueError unless ||U U* - I||_F <= DEFAULT_POLICY.unitary_tol
+    for every matrix U of a stack (leading axes are batch axes).  Fails
+    closed: a NaN residual is rejected, and non-finite entries raise no
+    numpy warning."""
     eye = np.eye(values.shape[-1])
     with np.errstate(invalid="ignore", over="ignore"):
         residual = np.linalg.norm(values @ values.conj().swapaxes(-1, -2) - eye, axis=(-2, -1))
     worst = np.max(residual)
-    if not worst <= tol:
+    if not worst <= DEFAULT_POLICY.unitary_tol:
         raise ValueError(f"{what} is not unitary: worst ||U U* - I|| = {worst:.3e}")
 
 
@@ -78,7 +79,7 @@ class Unitary:
 
     def __init__(self, entries):
         mat = _as_complex_matrix(entries)
-        require_unitary(mat, DEFAULT_POLICY.unitary_tol, "matrix")
+        require_unitary(mat, "matrix")
         if not abs(abs(np.linalg.det(mat)) - 1.0) <= DEFAULT_POLICY.unitary_tol:
             raise ValueError("matrix determinant does not have modulus 1")
         mat.setflags(write=False)
@@ -130,7 +131,7 @@ def _cayley_eigh(u: np.ndarray, rotated: np.ndarray) -> tuple[np.ndarray, np.nda
     return v, theta
 
 
-def logm_raw(u: np.ndarray, *, eps_branch: float = DEFAULT_POLICY.eps_branch) -> np.ndarray:
+def logm_raw(u: np.ndarray) -> np.ndarray:
     """Principal log of unitary arrays, batched over leading axes.
 
     One batched solve forms the Cayley transform C = i(I - U)(I + U)^-1,
@@ -143,8 +144,8 @@ def logm_raw(u: np.ndarray, *, eps_branch: float = DEFAULT_POLICY.eps_branch) ->
     widest gap, which bounds ||C|| by cot(pi / 2n).
 
     Raises BranchCutError when any phase of any matrix satisfies
-    pi - |theta| < eps_branch, including an exact eigenvalue -1, and
-    ValueError on non-finite input.
+    pi - |theta| < DEFAULT_POLICY.eps_branch (1e-8), including an exact
+    eigenvalue -1, and ValueError on non-finite input.
     """
     v, theta = _cayley_eigh(u, u)
     if not np.all(np.isfinite(theta)):
@@ -157,7 +158,7 @@ def logm_raw(u: np.ndarray, *, eps_branch: float = DEFAULT_POLICY.eps_branch) ->
         shift = np.take_along_axis(s + gaps / 2, widest, axis=-1) - np.pi
         u_far = u[far]
         v[far], theta[far] = _cayley_eigh(u_far, np.exp(-1j * shift)[..., None] * u_far)
-    if np.min(np.pi - np.abs(theta)) < eps_branch:
+    if np.min(np.pi - np.abs(theta)) < DEFAULT_POLICY.eps_branch:
         raise BranchCutError("eigenvalue within eps_branch of -1")
     x = (v * (1j * theta)[..., None, :]) @ v.conj().swapaxes(-1, -2)
     return (x - x.conj().swapaxes(-1, -2)) / 2.0

@@ -82,13 +82,17 @@ class TorusGrid:
 
 @dataclass(frozen=True)
 class MeshLoop:
-    """A closed combinatorial path: (edge index, +-1) steps from a base vertex."""
+    """A closed combinatorial path: (edge index, +-1) steps from a base
+    vertex.  Indices follow the integer rule of json_int: a boolean or a
+    number with a fractional part raises instead of being truncated."""
 
     base: int
     steps: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "steps", tuple((int(e), int(s)) for e, s in self.steps))
+        object.__setattr__(self, "base", json_int(self.base, "loop: base"))
+        steps = tuple((json_int(e, "loop: a step edge"), json_int(s, "loop: a step sign")) for e, s in self.steps)
+        object.__setattr__(self, "steps", steps)
         if any(s not in (-1, 1) for _, s in self.steps):
             raise MalformedLoopError("step signs must be +1 or -1")
 
@@ -102,6 +106,8 @@ class SurfaceMesh:
     signs; this is validated at construction together with the Euler
     characteristic and the area normalization, and the two faces are kept
     as the incidence arrays plus_face and minus_face (one entry per edge).
+    Integer slots follow the rule of json_int: a boolean or a number with a
+    fractional part raises instead of being truncated.
     """
 
     def __init__(
@@ -115,15 +121,19 @@ class SurfaceMesh:
         *,
         grid: Optional[TorusGrid] = None,
     ):
+        genus = json_int(genus, "mesh: genus")
         if genus not in (0, 1):
             raise ValueError("only genus 0 and 1 meshes are supported")
         self.genus = genus
-        self.vertex_count = int(vertex_count)
-        self.edges = tuple((int(t), int(h)) for t, h in edges)
-        self.faces = tuple(tuple((int(e), int(s)) for e, s in f) for f in faces)
+        self.vertex_count = json_int(vertex_count, "mesh: vertices")
+        self.edges = tuple((json_int(t, "mesh: an edge tail"), json_int(h, "mesh: an edge head")) for t, h in edges)
+        self.faces = tuple(
+            tuple((json_int(e, "mesh: a face edge"), json_int(s, "mesh: a face sign")) for e, s in face)
+            for face in faces
+        )
         self.face_areas = np.array(face_areas, dtype=np.float64)
         self.face_areas.setflags(write=False)
-        self.basepoint = int(basepoint)
+        self.basepoint = json_int(basepoint, "mesh: basepoint")
         self.grid = grid
         self._adjacency: Optional[list[list[tuple[int, int, int]]]] = None
         self._dual_tree: Optional[list[tuple[int, int, int, int]]] = None
@@ -620,11 +630,11 @@ def required_keys(obj, what: str, *keys: str) -> list:
 
 
 def json_int(value, what: str) -> int:
-    """An integer slot of a JSON object, where int() would read 1.5 and true
-    as 1.  An integral float such as 2.0 is read as 2; a boolean or a float
-    with a fractional part raises ValueError naming the slot, and any other
-    non-integer (a string, a list) raises TypeError, like every wrongly
-    typed value."""
+    """An integer slot of a JSON object, a SurfaceMesh or a MeshLoop, where
+    int() would read 1.5 and true as 1.  An integral float such as 2.0 is
+    read as 2; a boolean or a float with a fractional part raises
+    ValueError naming the slot, and any other non-integer (a string, a
+    list) raises TypeError, like every wrongly typed value."""
     if type(value) is int:
         return value
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
@@ -653,14 +663,8 @@ def mesh_from_json(obj: dict) -> SurfaceMesh:
     faces = [[json_int(k, "mesh: a face entry") for k in face] for face in faces]
     if any(k == 0 for face in faces for k in face):
         raise ValueError("mesh: face entries are signed 1-based edge indices, so 0 names no edge")
-    mesh = SurfaceMesh(
-        json_int(genus, "mesh: genus"),
-        json_int(vertices, "mesh: vertices"),
-        [(json_int(t, "mesh: an edge tail"), json_int(h, "mesh: an edge head")) for t, h in edges],
-        [tuple((abs(k) - 1, 1 if k > 0 else -1) for k in face) for face in faces],
-        face_areas,
-        json_int(basepoint, "mesh: basepoint"),
-    )
+    faces = [tuple((abs(k) - 1, 1 if k > 0 else -1) for k in face) for face in faces]
+    mesh = SurfaceMesh(genus, vertices, edges, faces, face_areas, basepoint)
     mesh.grid = _detect_grid(mesh)
     return mesh
 
@@ -682,7 +686,4 @@ def loop_to_json(loop: MeshLoop) -> dict:
 
 def loop_from_json(obj: dict) -> MeshLoop:
     base, steps = required_keys(obj, "loop", "base", "steps")
-    return MeshLoop(
-        json_int(base, "loop: base"),
-        tuple((json_int(e, "loop: a step edge"), json_int(s, "loop: a step sign")) for e, s in steps),
-    )
+    return MeshLoop(base, steps)

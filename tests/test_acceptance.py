@@ -185,7 +185,7 @@ def test_criterion_8_gradient_matches_finite_differences():
             n = 1 if case < 10 else 2
             rng = np.random.default_rng(800 + case)
             field = random_field(mesh, n, rng, scale=0.3)
-            grad = engine.gradient_from_logs(field.U, engine.logs(field.U, 1e-8))
+            grad = engine.gradient_from_logs(field.U, engine.logs(field.U))
             basis = []
             for i in range(n):
                 m = np.zeros((n, n), complex)
@@ -206,8 +206,8 @@ def test_criterion_8_gradient_matches_finite_differences():
                     down = field.U.copy()
                     down[e] = expm_raw(-step * z) @ down[e]
                     fd = (
-                        engine.action_from_logs(engine.logs(up, 1e-8))
-                        - engine.action_from_logs(engine.logs(down, 1e-8))
+                        engine.action_from_logs(engine.logs(up))
+                        - engine.action_from_logs(engine.logs(down))
                     ) / (2 * step)
                     closed = np.trace(grad[e] @ z.conj().T).real
                     assert abs(fd - closed) / max(1.0, abs(closed)) < 1e-6

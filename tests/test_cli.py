@@ -391,6 +391,53 @@ class TestVerify:
         assert result.exit_code == 3
         assert "not null-homotopic" in result.output
 
+    def test_lambda_from_basepoint_frame(self, tmp_path):
+        # no face boundary starts at vertex 17, so face 0's curvature is in
+        # another vertex's frame; in a random gauge the two frames differ
+        mesh_json = ah.mesh_to_json(ah.build_sphere_mesh(2))
+        mesh_json["basepoint"] = 17
+        mesh = ah.mesh_from_json(mesh_json)
+        assert all(mesh.face_start_vertex(f) != 17 for f in range(len(mesh.faces)))
+        field = ah.build_ym_field_from_rep(mesh, ah.sphere_rep([1, 0]))
+        field = ah.apply_gauge(field, ah.random_gauge_transform(mesh, 2, np.random.default_rng(1)))
+        assert ah.gradient_norm(field) < 1e-12
+        field_path = tmp_path / "f.json"
+        field_path.write_text(json.dumps(ah.field_to_json(field)))
+        table = tmp_path / "verify.json"
+        proc = entry_point("verify", "--field", str(field_path), "--random", "20", "--seed", "3",
+                           "--out", str(table))
+        assert proc.returncode == 0, proc.stdout
+        assert json.loads(table.read_text())["max_residual"] < 1e-12
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--perturb", "nan"],
+        ["verify", "--perturb", "-1"],
+        ["verify", "--tol", "nan"],
+        ["verify", "--tol", "inf"],
+        ["solve", "--eps", "nan"],
+        ["solve", "--eps", "inf"],
+        ["solve", "--tol", "nan"],
+        ["solve", "--tol", "inf"],
+    ],
+    ids=lambda a: f"{a[0]}{a[1]}={a[2]}",
+)
+def test_numeric_option_out_of_range_is_usage_error(args, tmp_path):
+    # a NaN compares false with every bound, so each option must be
+    # required finite and in range rather than tested for being out of it
+    if args[0] == "verify":
+        field_path = tmp_path / "f.json"
+        field_path.write_text(json.dumps(ah.field_to_json(ah.GaugeField.identity(ah.build_torus_mesh(3), 1))))
+        args = [*args, "--field", str(field_path), "--random", "3"]
+    else:
+        args = [*args, "--mesh", "torus:2", "--out", str(tmp_path / "f.json"), "--report", str(tmp_path / "r.json")]
+    proc = entry_point(*args)
+    assert proc.returncode == 64
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "r.json").exists()
+
 
 class TestClassify:
     def test_row_count(self, runner):

@@ -13,7 +13,6 @@ from areaholonomy import (
     MeshLoop,
     NotConvergedError,
     SkewHermitian,
-    StepPolicy,
     Unitary,
     apply_gauge,
     build_ym_field_from_rep,
@@ -187,7 +186,7 @@ class TestGradient:
         rng = np.random.default_rng(82)
         field = random_field(torus4, 2, rng)
         engine = _engine_for(torus4)
-        raw = engine.gradient_from_logs(field.U, engine.logs(field.U, 1e-8))
+        raw = engine.gradient_from_logs(field.U, engine.logs(field.U))
         wrapped = ym_gradient(field)
         assert len(wrapped) == len(torus4.edges)
         for e, g in enumerate(wrapped):
@@ -222,10 +221,10 @@ class TestGradient:
         rng = np.random.default_rng(seed)
         field = random_field(mesh, n, rng, scale=0.35)
         engine = _engine_for(mesh)
-        grad = engine.gradient_from_logs(field.U, engine.logs(field.U, 1e-8))
+        grad = engine.gradient_from_logs(field.U, engine.logs(field.U))
 
         def action_of(values):
-            return engine.action_from_logs(engine.logs(values, 1e-8))
+            return engine.action_from_logs(engine.logs(values))
 
         basis = [np.zeros((n, n), complex) for _ in range(n * n)]
         idx = 0
@@ -310,17 +309,27 @@ class TestFlow:
             gradient_flow(perturbed4_u2, tol=1e-9, max_iter=3)
         assert err.value.report.stop_reason == "iteration_budget"
 
-    def test_stop_reason_halving_budget(self, perturbed4):
-        # a huge first trial and no halvings: the line search cannot accept
+    def test_stop_reason_halving_budget(self, perturbed4, monkeypatch):
+        # every trial step hits the branch cut: the line search cannot accept
+        engine = _engine_for(perturbed4.mesh)
+        logs = engine.logs
+
+        def logs_of_start_only(values):
+            if values is not perturbed4.U:
+                raise BranchCutError("trial step")
+            return logs(values)
+
+        monkeypatch.setattr(engine, "logs", logs_of_start_only)
         with pytest.raises(NotConvergedError) as err:
-            gradient_flow(perturbed4, StepPolicy(initial_step=1e3, max_halvings=0), tol=1e-9)
+            gradient_flow(perturbed4, tol=1e-9)
         assert err.value.report.stop_reason == "halving_budget"
         assert "halving budget" in str(err.value)
 
-    def test_stop_reason_stall(self, perturbed4):
-        # the smallest positive step underflows to the identity after one halving
+    def test_stop_reason_stall(self, perturbed4, monkeypatch):
+        # every step underflows to the identity
+        monkeypatch.setattr(ah.lattice, "expm_raw", lambda x: np.broadcast_to(np.eye(x.shape[-1]), x.shape))
         with pytest.raises(NotConvergedError) as err:
-            gradient_flow(perturbed4, StepPolicy(initial_step=5e-324), tol=1e-9)
+            gradient_flow(perturbed4, tol=1e-9)
         assert err.value.report.stop_reason == "stall"
         assert err.value.report.iterations == 1
         assert "stalled at machine precision" in str(err.value)
@@ -329,9 +338,6 @@ class TestFlow:
         _, report = gradient_flow(perturbed4, tol=1e-9)
         obj = report.to_json()
         assert obj["stop_reason"] == "converged"
-        assert ah.FlowReport.from_json(obj) == report
-        del obj["stop_reason"]
-        assert ah.FlowReport.from_json(obj).stop_reason is None
 
     def test_nonabelian_converges_and_verifies(self):
         mesh = ah.build_torus_mesh(6)
@@ -382,7 +388,7 @@ def abelian_starts(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     start = ah.perturb_field(build_ym_field_from_rep(mesh, rep), rng, draw(st.floats(0.01, 0.3)))
     try:
-        theta = _engine_for(mesh).logs(start.U, 1e-8)[:, 0, 0].imag
+        theta = _engine_for(mesh).logs(start.U)[:, 0, 0].imag
     except BranchCutError:
         assume(False)
     # the perturbation may wrap a plaquette into the next sector
@@ -396,7 +402,7 @@ class TestAbelianNewton:
     def test_direction_is_minimum_norm_solution(self, start):
         mesh = start.mesh
         engine = _engine_for(mesh)
-        x = engine.logs(start.U, 1e-8)
+        x = engine.logs(start.U)
         theta = x[:, 0, 0].imag
         r = theta - np.sum(theta) * mesh.face_areas / np.sum(mesh.face_areas)
         expected = np.linalg.lstsq(incidence_matrix(mesh), r - np.mean(r), rcond=None)[0]
@@ -429,7 +435,8 @@ def jacobian(engine, U, x, z):
     """J Z, the first-order change of the face logs under U_e <- exp(Z_e) U_e,
     assembled from the engine's Gauss-Newton blocks."""
     n = U.shape[-1]
-    v, blocks = engine.gauss_newton_blocks(U, x)
+    _, v = np.linalg.eigh(-1j * x)
+    blocks = engine.gauss_newton_blocks(U, x)
     out = np.empty_like(x)
     for (faces, edge_idx, _), k in zip(engine.groups, blocks):
         rotated = (k @ z[edge_idx].reshape(len(faces), -1, 1)).reshape(len(faces), n, n)
@@ -479,11 +486,11 @@ class TestLevenbergMarquardt:
     def test_jacobian_matches_finite_differences(self, drawn):
         field, rng = drawn
         engine = _engine_for(field.mesh)
-        x = engine.logs(field.U, 1e-8)
+        x = engine.logs(field.U)
         z = random_skew(rng, field.U.shape)
         closed = jacobian(engine, field.U, x, z)
         h = 1e-5
-        fd = (engine.logs(expm_raw(h * z) @ field.U, 1e-8) - engine.logs(expm_raw(-h * z) @ field.U, 1e-8)) / (2 * h)
+        fd = (engine.logs(expm_raw(h * z) @ field.U) - engine.logs(expm_raw(-h * z) @ field.U)) / (2 * h)
         assert np.max(np.abs(fd - closed)) <= 1e-7 * max(1.0, np.max(np.abs(closed)))
 
     @settings(max_examples=30, deadline=None)
@@ -491,7 +498,7 @@ class TestLevenbergMarquardt:
     def test_adjoint(self, drawn):
         field, rng = drawn
         engine = _engine_for(field.mesh)
-        x = engine.logs(field.U, 1e-8)
+        x = engine.logs(field.U)
         z = random_skew(rng, field.U.shape)
         y = random_skew(rng, x.shape)
         lhs = real_inner(y, jacobian(engine, field.U, x, z))
@@ -508,7 +515,7 @@ class TestLevenbergMarquardt:
     def test_normal_operator_matches_dense(self, drawn, mu):
         field, _ = drawn
         engine = _engine_for(field.mesh)
-        x = engine.logs(field.U, 1e-8)
+        x = engine.logs(field.U)
         n, edges = field.n, len(field.mesh.edges)
         # orthonormal basis of u(n)^E under Re tr(A* B)
         basis = []
@@ -655,6 +662,28 @@ class TestLoopHolonomy:
         assert ah.conjugacy_residual(Unitary(hol), Unitary(plq)) < 1e-12
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([("torus", 2), ("torus", 4), ("sphere", 1), ("sphere", 2)]),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 16),
+        st.integers(0, 16),
+    )
+    def test_concatenation_is_product(self, spec, n, seed, steps1, steps2):
+        kind, size = spec
+        mesh = ah.build_torus_mesh(size) if kind == "torus" else ah.build_sphere_mesh(size)
+        rng = np.random.default_rng(seed)
+        field = random_field(mesh, n, rng, scale=1.0)
+        loops = []
+        for steps in (steps1, steps2):
+            windings = tuple(int(w) for w in rng.integers(-1, 2, size=2)) if kind == "torus" else None
+            loops.append(ah.random_loop(mesh, rng, steps, windings=windings))
+        whole = loop_holonomy(field, ah.loop_concat(*loops)).mat
+        product = loop_holonomy(field, loops[0]).mat @ loop_holonomy(field, loops[1]).mat
+        assert np.max(np.abs(whole - product)) <= 1e-12
+
+
 class TestVerifyAreaProperty:
     def test_equal_loops_zero(self, torus4):
         rng = np.random.default_rng(77)
@@ -683,6 +712,19 @@ class TestVerifyAreaProperty:
             for _ in range(20)
         ]
         assert max(bad) > 1e-2
+
+    def test_default_lambda_in_basepoint_frame(self, torus4):
+        # basepoint 5 lies on face 0 but does not start its boundary, so
+        # face 0's curvature is in vertex 0's frame, which a random gauge
+        # rotates away from vertex 5's
+        mesh = ah.SurfaceMesh(1, 16, torus4.edges, torus4.faces, torus4.face_areas, 5, grid=torus4.grid)
+        assert mesh.face_start_vertex(0) != 5
+        field = build_ym_field_from_rep(mesh, flux_rep(2, 1))
+        field = apply_gauge(field, ah.random_gauge_transform(mesh, 2, np.random.default_rng(3)))
+        assert gradient_norm(field) < 1e-12
+        rng = np.random.default_rng(4)
+        residuals = [verify_area_property(field, *ah.random_homotopic_pair(mesh, rng)) for _ in range(20)]
+        assert max(residuals) < 1e-12
 
     def test_not_null_homotopic_pair(self, torus4):
         field = GaugeField.identity(torus4, 1)

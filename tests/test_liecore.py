@@ -1,7 +1,6 @@
 """Unitary/skew-Hermitian numerics: exp, principal log, inner product,
 commutant dimension, conjugacy comparison."""
 
-import dataclasses
 import inspect
 
 import numpy as np
@@ -372,18 +371,27 @@ class TestTypesAndJson:
         ah.logm_principal(Unitary([[np.exp(1j * (np.pi - 1e-4))]]))
 
     def test_no_callable_takes_a_policy(self):
-        # every check reads its tolerance from DEFAULT_POLICY, so no call
-        # can loosen one
+        # every check reads its tolerance from DEFAULT_POLICY and the line
+        # search's steps are fixed, so no call can loosen or tune either
+        candidates = [
+            (f"{module.__name__}.{name}", value)
+            for module in (ah, ah.liecore, ah.surfaces, ah.words, ah.reps, ah.lattice)
+            for name, value in vars(module).items()
+        ]
+        candidates += [(f"_Engine.{name}", value) for name, value in vars(ah.lattice._Engine).items()]
         taking = []
-        for module in (ah, ah.liecore, ah.surfaces, ah.words, ah.reps, ah.lattice):
-            for name, value in vars(module).items():
-                if not callable(value) or not getattr(value, "__module__", "").startswith("areaholonomy"):
-                    continue
-                try:
-                    params = inspect.signature(value).parameters
-                except (TypeError, ValueError):
-                    continue
-                if "policy" in params:
-                    taking.append(f"{module.__name__}.{name}")
+        for name, value in candidates:
+            # NumericPolicy is the record the tolerances live in
+            if value is ah.NumericPolicy or not callable(value):
+                continue
+            if not getattr(value, "__module__", "").startswith("areaholonomy"):
+                continue
+            try:
+                params = inspect.signature(value).parameters
+            except (TypeError, ValueError):
+                continue
+            if {"policy", "step_policy", "eps_branch"} & set(params):
+                taking.append(name)
         assert taking == []
-        assert [f.name for f in dataclasses.fields(ah.StepPolicy)] == ["initial_step", "max_halvings"]
+        assert list(inspect.signature(ah.liecore.require_unitary).parameters) == ["values", "what"]
+        assert not hasattr(ah, "StepPolicy")

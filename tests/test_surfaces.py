@@ -404,3 +404,45 @@ class TestJson:
         unbalanced["face_areas"][0] *= 2
         with pytest.raises(ValueError):
             ah.mesh_from_json(unbalanced)
+
+
+class TestIntegerSlots:
+    # int() would read each value as an index the caller may not mean:
+    # 0.6 as 0, true as 1
+
+    @pytest.mark.parametrize(
+        "base, steps",
+        [(0, ((0.6, 1), (1.2, 1), (2.9, 1))), (0, ((True, 1),)), (0, ((0, True),)), (0.5, ())],
+        ids=["fractional-edges", "boolean-edge", "boolean-sign", "fractional-base"],
+    )
+    def test_mesh_loop_rejects_non_integral_index(self, base, steps):
+        with pytest.raises(ValueError, match="must be an integer"):
+            MeshLoop(base, steps)
+
+    def test_mesh_loop_reads_integral_floats(self):
+        loop = MeshLoop(0.0, ((2.0, -1.0),))
+        assert loop == MeshLoop(0, ((2, -1),))
+        assert all(type(k) is int for k in (loop.base, *loop.steps[0]))
+
+    @pytest.mark.parametrize("slot", ["genus", "vertices", "edge", "face-edge", "face-sign", "basepoint"])
+    def test_surface_mesh_rejects_non_integral_index(self, slot):
+        mesh = ah.build_torus_mesh(3)
+        genus, vertices, basepoint = 1, mesh.vertex_count, 0
+        edges = list(mesh.edges)
+        faces = [list(face) for face in mesh.faces]
+        e, s = faces[0][0]
+        assert s == 1
+        if slot == "genus":
+            genus = True
+        elif slot == "vertices":
+            vertices += 0.5
+        elif slot == "edge":
+            edges[0] = (edges[0][0] + 0.5, edges[0][1])
+        elif slot == "face-edge":
+            faces[0][0] = (e + 0.5, s)
+        elif slot == "face-sign":
+            faces[0][0] = (e, True)
+        else:
+            basepoint = 0.6
+        with pytest.raises(ValueError, match="must be an integer"):
+            ah.SurfaceMesh(genus, vertices, edges, faces, mesh.face_areas, basepoint)
