@@ -594,10 +594,12 @@ def shrinking_loop_curvature(
 ) -> list[tuple[float, float]]:
     """Convergence table for the shrinking-loop curvature limit.
 
-    For square blocks of k x k faces at the basepoint corner the holonomy
-    H_s of the boundary satisfies (H_s - I)/s -> curvature density as the
-    enclosed area s shrinks; rows are (s, ||(H_s - I)/s - F||) for
-    descending k.  Needs a torus grid with N >= 4.
+    For square blocks of k x k faces with a corner at the basepoint the
+    holonomy H_s of the boundary satisfies (H_s - I)/s -> F as the enclosed
+    area s shrinks, with F the curvature density of the corner face in the
+    basepoint frame, log(H_1)/area for the k = 1 block; rows are
+    (s, ||(H_s - I)/s - F||) for descending k.  Needs a torus grid with
+    N >= 4.
     """
     mesh = field.mesh
     if not isinstance(mesh.grid, TorusGrid):
@@ -615,24 +617,29 @@ def shrinking_loop_curvature(
         block_sizes, reverse=True
     ):
         raise ValueError("block sizes must be strictly within the grid and descending")
-    lam = face_curvature(field, mesh.grid.face(0, 0)).mat
+    corner_face = mesh.grid.face(*mesh.grid.vertex_xy(mesh.basepoint))
+    lam = logm_raw(loop_holonomy(field, _block_loop(mesh, 1)).mat) / mesh.face_areas[corner_face]
     eye = np.eye(field.n)
     rows = []
     for k in block_sizes:
-        loop = _block_loop(mesh.grid, mesh.basepoint, k)
+        loop = _block_loop(mesh, k)
         area = enclosed_area(mesh, loop)
         h = loop_holonomy(field, loop).mat
         rows.append((float(area), float(np.linalg.norm((h - eye) / area - lam))))
     return rows
 
 
-def _block_loop(grid: TorusGrid, base: int, k: int) -> MeshLoop:
+def _block_loop(mesh: SurfaceMesh, k: int) -> MeshLoop:
+    """Counterclockwise boundary of the k x k block of faces whose lower
+    left corner is the basepoint, traversed from the basepoint."""
+    grid = mesh.grid
+    x, y = grid.vertex_xy(mesh.basepoint)
     steps: list[tuple[int, int]] = []
-    steps += [(grid.h_edge(i, 0), 1) for i in range(k)]
-    steps += [(grid.v_edge(k, j), 1) for j in range(k)]
-    steps += [(grid.h_edge(i, k), -1) for i in range(k - 1, -1, -1)]
-    steps += [(grid.v_edge(0, j), -1) for j in range(k - 1, -1, -1)]
-    return MeshLoop(base, tuple(steps))
+    steps += [(grid.h_edge(x + i, y), 1) for i in range(k)]
+    steps += [(grid.v_edge(x + k, y + j), 1) for j in range(k)]
+    steps += [(grid.h_edge(x + i, y + k), -1) for i in range(k - 1, -1, -1)]
+    steps += [(grid.v_edge(x, y + j), -1) for j in range(k - 1, -1, -1)]
+    return MeshLoop(mesh.basepoint, tuple(steps))
 
 
 # ---------------------------------------------------------------------------

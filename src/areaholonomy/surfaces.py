@@ -103,9 +103,10 @@ class SurfaceMesh:
     Faces are stored as cyclic step lists (edge index, traversal sign),
     rotated so each boundary starts at its lowest-index vertex.  Every
     undirected edge occurs in exactly two face boundaries with opposite
-    signs; this is validated at construction together with the Euler
-    characteristic and the area normalization, and the two faces are kept
-    as the incidence arrays plus_face and minus_face (one entry per edge).
+    signs; this is validated at construction together with connectedness,
+    the Euler characteristic and the area normalization, and the two faces
+    are kept as the incidence arrays plus_face and minus_face (one entry
+    per edge).
     Integer slots follow the rule of json_int: a boolean or a number with a
     fractional part raises instead of being truncated.
     """
@@ -223,6 +224,13 @@ class SurfaceMesh:
             (_, self.minus_face[e_idx]), (_, self.plus_face[e_idx]) = sides
         self.plus_face.setflags(write=False)
         self.minus_face.setflags(write=False)
+        # every edge borders a face, so with no isolated vertex a connected
+        # dual graph makes the whole complex connected
+        touched = [False] * v
+        for t, h in self.edges:
+            touched[t] = touched[h] = True
+        if not all(touched) or len(self.dual_tree()) != f - 1:
+            raise ValueError("the complex is not connected")
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +251,10 @@ def build_torus_mesh(N: int, face_areas=None) -> SurfaceMesh:
 
     Horizontal edge h(x,y) points in +x, vertical edge v(x,y) in +y; the
     face at (x,y) is the counterclockwise square with corner (x,y).  The
-    two period cycles through the basepoint (0,0) are available via
-    alpha_loop (horizontal) and beta_loop (vertical).
+    basepoint is vertex (0,0).  The grid does not depend on it: a mesh
+    re-based at another vertex keeps it, and the period cycles alpha_loop
+    (horizontal) and beta_loop (vertical) run through whichever vertex is
+    the basepoint, not through (0,0).
     """
     if N < 2:
         raise ValueError("torus grid needs N >= 2")
@@ -274,15 +284,19 @@ def _torus_complex(grid: TorusGrid) -> tuple[tuple, tuple]:
 
 
 def alpha_loop(mesh: SurfaceMesh) -> MeshLoop:
-    """Horizontal period cycle through the basepoint of a torus grid."""
+    """Horizontal period cycle of a torus grid along the basepoint's row,
+    starting and ending at the basepoint."""
     grid = _require_torus(mesh)
-    return MeshLoop(mesh.basepoint, tuple((grid.h_edge(x, 0), 1) for x in range(grid.N)))
+    bx, by = grid.vertex_xy(mesh.basepoint)
+    return MeshLoop(mesh.basepoint, tuple((grid.h_edge(bx + i, by), 1) for i in range(grid.N)))
 
 
 def beta_loop(mesh: SurfaceMesh) -> MeshLoop:
-    """Vertical period cycle through the basepoint of a torus grid."""
+    """Vertical period cycle of a torus grid along the basepoint's column,
+    starting and ending at the basepoint."""
     grid = _require_torus(mesh)
-    return MeshLoop(mesh.basepoint, tuple((grid.v_edge(0, y), 1) for y in range(grid.N)))
+    bx, by = grid.vertex_xy(mesh.basepoint)
+    return MeshLoop(mesh.basepoint, tuple((grid.v_edge(bx, by + j), 1) for j in range(grid.N)))
 
 
 _OCTAHEDRON_AXES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -670,9 +684,12 @@ def mesh_from_json(obj: dict) -> SurfaceMesh:
 
 
 def _detect_grid(mesh: SurfaceMesh) -> Optional[TorusGrid]:
-    """Recognize a builder torus mesh by exact topological comparison."""
+    """Recognize a builder torus mesh by exact topological comparison.
+
+    The grid is a property of the complex alone, so any basepoint keeps it.
+    """
     N = math.isqrt(mesh.vertex_count)
-    if mesh.genus != 1 or N < 2 or N * N != mesh.vertex_count or mesh.basepoint != 0:
+    if mesh.genus != 1 or N < 2 or N * N != mesh.vertex_count:
         return None
     grid = TorusGrid(N)
     if (mesh.edges, mesh.faces) == _torus_complex(grid):

@@ -5,8 +5,9 @@ Elements multiply by concatenation; every extraction of the surface relator
 R = a1 b1 a1^-1 b1^-1 ... (or its inverse) during normalization shifts the
 central coordinate t by +1 (resp. -1).  Normal forms: genus 0 stores only
 t mod 1, genus 1 uses the Heisenberg form a^p b^q, genus >= 2 keeps
-Dehn-reduced words (not unique: equality always goes through word_problem,
-which is sound for surface groups by small cancellation).
+Dehn-reduced words, found in linear time by one two-stack pass
+(_dehn_reduce).  Those are not unique: equality always goes through
+word_problem, which is sound for surface groups by small cancellation.
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ def clip(letters: Iterable[int]) -> tuple[int, ...]:
     """Free reduction: delete adjacent letter-inverse pairs until none remain.
 
     Deletion order does not matter, so one stack pass is enough.
+    _dehn_reduce clips its whole input once before its own pass: looking
+    up relator windows in a word clipped only on the fly could match
+    letters that the full clip cancels, and change the normal form.
     """
     out: list[int] = []
     for letter in letters:
@@ -135,33 +139,46 @@ def _dehn_table(genus: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], int]
 def _dehn_reduce(letters: tuple[int, ...], genus: int) -> tuple[tuple[int, ...], int]:
     """Shorten until no cyclic-relator subword longer than 2g remains.
 
-    Each replacement swaps a subword u (relator rotation prefix, length
-    > 2g) for the inverse of the complementary piece, shifting t by the
-    relator sign; the word strictly shortens, so this terminates.
+    Each replacement takes the leftmost subword u that begins a rotation r
+    of R or R^-1 with more than 2g of its letters, extended along r as far
+    as the word follows it, up to all of r; it swaps u for the inverse of
+    the rest of r and shifts t by the relator sign.  The word strictly
+    shortens, so this terminates.  Dehn-reduced words are not unique, and
+    this is the normal form of restarting a left-to-right scan after every
+    replacement, found in linear time by one pass over two stacks
+    (Domanski and Anshel 1985).  Letters move from `unread` (the clipped
+    word, reversed) onto `out`, cancelling inverse pairs, and only the
+    2g+1 letters ending at each new top of `out` are looked up: every
+    window lower down was looked up when its last letter arrived.  The
+    replacement is pushed back onto `unread`, cancelling against its top,
+    which is also what extends u; so out + reversed(unread) is always the
+    clipped word.
     """
     table = _dehn_table(genus)
     half = 2 * genus + 1
-    full = 4 * genus
     t_delta = 0
-    word = clip(letters)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(word) - half + 1):
-            hit = table.get(word[i:i + half])
-            if hit is None:
-                continue
-            rotation, sign = hit
-            j = half
-            while j < full and i + j < len(word) and word[i + j] == rotation[j]:
-                j += 1
-            complement = rotation[j:]
-            replacement = tuple(-l for l in reversed(complement))
-            word = clip(word[:i] + replacement + word[i + j:])
-            t_delta += sign
-            changed = True
-            break
-    return word, t_delta
+    unread = list(reversed(clip(letters)))
+    out: list[int] = []
+    while unread:
+        letter = unread.pop()
+        if out and out[-1] == -letter:
+            out.pop()
+            continue
+        out.append(letter)
+        hit = table.get(tuple(out[-half:])) if len(out) >= half else None
+        if hit is None:
+            continue
+        rotation, sign = hit
+        del out[-half:]
+        t_delta += sign
+        # push the inverse of rotation[half:] so that its first letter is
+        # read next; cancelling against the top of unread extends the match
+        for l in rotation[half:]:
+            if unread and unread[-1] == l:
+                unread.pop()
+            else:
+                unread.append(-l)
+    return tuple(out), t_delta
 
 
 def _heisenberg_normalize(letters: Sequence[int]) -> tuple[int, int, float]:

@@ -90,6 +90,26 @@ def random_field(mesh: ah.SurfaceMesh, n: int, rng: np.random.Generator, scale: 
     return ah.GaugeField(mesh, expm_raw(scale * skew))
 
 
+def rebased(mesh: ah.SurfaceMesh, basepoint: int) -> ah.SurfaceMesh:
+    """The same complex, areas and grid with another basepoint."""
+    return ah.SurfaceMesh(mesh.genus, mesh.vertex_count, mesh.edges, mesh.faces, mesh.face_areas, basepoint, grid=mesh.grid)
+
+
+def disjoint_union_json(first: ah.SurfaceMesh, second: ah.SurfaceMesh) -> dict:
+    """Mesh JSON of two meshes side by side, with half the area each and
+    the genus that their summed Euler characteristic gives."""
+    a, b = ah.mesh_to_json(first), ah.mesh_to_json(second)
+    v, e = a["vertices"], len(a["edges"])
+    return {
+        "genus": first.genus + second.genus - 1,
+        "vertices": v + b["vertices"],
+        "edges": a["edges"] + [[t + v, h + v] for t, h in b["edges"]],
+        "faces": a["faces"] + [[k + e if k > 0 else k - e for k in face] for face in b["faces"]],
+        "face_areas": [x / 2 for x in a["face_areas"] + b["face_areas"]],
+        "basepoint": 0,
+    }
+
+
 @pytest.fixture(scope="session")
 def torus4() -> ah.SurfaceMesh:
     return ah.build_torus_mesh(4)

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 
 import areaholonomy as ah
 from areaholonomy.cli import cli
+from conftest import disjoint_union_json, flux_rep, rebased
 
 FOUR_PI_SQ = 4 * np.pi**2
 
@@ -341,6 +342,28 @@ class TestVerify:
         assert proc.returncode == 64
         assert "Traceback" not in proc.stderr
         assert message in proc.stderr
+
+    def test_disconnected_mesh_is_usage_error(self, tmp_path):
+        sphere, torus = ah.build_sphere_mesh(1), ah.build_torus_mesh(2)
+        edges = [m for mesh in (sphere, torus) for m in ah.field_to_json(ah.GaugeField.identity(mesh, 1))["edges"]]
+        field_json = {"mesh": disjoint_union_json(sphere, torus), "n": 1, "edges": edges}
+        field_path = tmp_path / "f.json"
+        field_path.write_text(json.dumps(field_json))
+        proc = entry_point("verify", "--field", str(field_path), "--random", "3")
+        assert proc.returncode == 64
+        assert "Traceback" not in proc.stderr
+        assert "the complex is not connected" in proc.stderr
+
+    def test_rebased_torus_field(self, runner, tmp_path):
+        # the grid survives the JSON round trip at any basepoint, so the
+        # random pairs and their standard cycles start at vertex 5
+        mesh = rebased(ah.build_torus_mesh(4), 5)
+        field = ah.build_ym_field_from_rep(mesh, flux_rep(2, 1))
+        field = ah.apply_gauge(field, ah.random_gauge_transform(mesh, 2, np.random.default_rng(3)))
+        field_path = tmp_path / "f.json"
+        field_path.write_text(json.dumps(ah.field_to_json(field)))
+        result = run(runner, ["verify", "--field", str(field_path), "--random", "20", "--seed", "3"])
+        assert result.exit_code == 0, result.output
 
     def test_missing_mesh_reference_is_io_error(self, tmp_path):
         field_json = ah.field_to_json(ah.GaugeField.identity(ah.build_torus_mesh(3), 1))

@@ -29,7 +29,7 @@ from areaholonomy import (
 )
 from areaholonomy.lattice import _engine_for, _unitarize
 from areaholonomy.liecore import expm_raw, haar_unitary_raw
-from conftest import _skew_basis, flux_rep, quaternion_rep, random_field
+from conftest import _skew_basis, flux_rep, quaternion_rep, random_field, rebased
 
 FOUR_PI_SQ = 4 * np.pi**2
 
@@ -758,6 +758,21 @@ class TestShrinkingLoops:
         rows = shrinking_loop_curvature(field)
         residuals = [r for _, r in rows]
         assert residuals == sorted(residuals, reverse=True)
+
+    def test_blocks_at_the_basepoint(self):
+        # on a re-based mesh in a random gauge the blocks start at the
+        # basepoint and F is read in its frame, so the table is that of the
+        # same field at basepoint 0
+        lam = SkewHermitian(2j * np.pi * np.diag([1.0, 0.0]))
+        eye = Unitary(np.eye(2))
+        rep = ah.YangMillsRep(1, 2, [eye], [eye], lam)
+        want = shrinking_loop_curvature(build_ym_field_from_rep(ah.build_torus_mesh(8), rep))
+        mesh = rebased(ah.build_torus_mesh(8), 27)
+        field = build_ym_field_from_rep(mesh, rep)
+        field = apply_gauge(field, ah.random_gauge_transform(mesh, 2, np.random.default_rng(6)))
+        got = shrinking_loop_curvature(field)
+        assert [a for a, _ in got] == [a for a, _ in want]
+        assert np.allclose([r for _, r in got], [r for _, r in want], rtol=0, atol=1e-10)
 
     def test_too_coarse(self):
         mesh = ah.build_torus_mesh(2)

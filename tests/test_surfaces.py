@@ -15,6 +15,7 @@ from areaholonomy import (
     wrap_mod1,
 )
 from areaholonomy.surfaces import integrate_faces
+from conftest import disjoint_union_json, rebased
 
 
 # ---------------------------------------------------------------------------
@@ -95,9 +96,9 @@ def oracle_area_torus(mesh, loop):
 
 
 @st.composite
-def meshes_with_loops(draw, genus):
-    """A builder mesh with random positive face areas and a random
-    null-homotopic loop at its basepoint."""
+def meshes_with_loops(draw, genus, count=1):
+    """A builder mesh with random positive face areas and `count` random
+    null-homotopic loops at its basepoint: (mesh, loop, ...)."""
     if genus == 1:
         size = draw(st.integers(2, 8))
         faces = size * size
@@ -108,7 +109,7 @@ def meshes_with_loops(draw, genus):
     build = ah.build_torus_mesh if genus == 1 else ah.build_sphere_mesh
     mesh = build(size, face_areas=weights / np.sum(weights))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return mesh, ah.random_loop(mesh, rng, draw(st.integers(0, 40)))
+    return (mesh, *(ah.random_loop(mesh, rng, draw(st.integers(0, 40))) for _ in range(count)))
 
 
 class TestTorusMesh:
@@ -139,6 +140,12 @@ class TestTorusMesh:
         mesh = ah.build_torus_mesh(3)
         assert ah.torus_windings(mesh, ah.alpha_loop(mesh)) == (1, 0)
         assert ah.torus_windings(mesh, ah.beta_loop(mesh)) == (0, 1)
+
+    def test_period_cycles_through_basepoint(self):
+        mesh = rebased(ah.build_torus_mesh(6), 14)
+        for loop, windings in ((ah.alpha_loop(mesh), (1, 0)), (ah.beta_loop(mesh), (0, 1))):
+            assert loop.base == 14 and mesh.step_endpoints(*loop.steps[0])[0] == 14
+            assert ah.torus_windings(mesh, loop) == windings
 
     def test_rejects_n1(self):
         with pytest.raises(ValueError):
@@ -259,6 +266,28 @@ class TestEnclosedArea:
         assert enclosed_area(torus4, double) == pytest.approx(2 / 16, abs=1e-15)
 
 
+class TestAreaProperties:
+    """enclosed_area is additive under loop_concat and changes sign under
+    loop_reverse, on builder meshes with non-uniform face areas: exactly on
+    the torus, mod 1 on the sphere."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(meshes_with_loops(genus=1, count=2))
+    def test_torus(self, mesh_loops):
+        mesh, l1, l2 = mesh_loops
+        a1, a2 = enclosed_area(mesh, l1), enclosed_area(mesh, l2)
+        assert abs(enclosed_area(mesh, loop_concat(l1, l2)) - (a1 + a2)) <= 1e-12
+        assert abs(enclosed_area(mesh, loop_reverse(l1)) + a1) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(meshes_with_loops(genus=0, count=2))
+    def test_sphere_mod_one(self, mesh_loops):
+        mesh, l1, l2 = mesh_loops
+        a1, a2 = enclosed_area(mesh, l1), enclosed_area(mesh, l2)
+        assert abs(wrap_mod1(enclosed_area(mesh, loop_concat(l1, l2)) - (a1 + a2))) <= 1e-12
+        assert abs(wrap_mod1(enclosed_area(mesh, loop_reverse(l1)) + a1)) <= 1e-12
+
+
 class TestAreaOracle:
     @settings(max_examples=60, deadline=None)
     @given(meshes_with_loops(genus=1))
@@ -344,7 +373,13 @@ class TestJson:
         assert back.faces == torus4.faces
         assert back.grid is not None and back.grid.N == 4
 
-    @pytest.mark.parametrize("variant", ["2x8", "2x3", "basepoint", "relabeled"])
+    def test_rebased_torus_keeps_grid(self, torus4):
+        obj = ah.mesh_to_json(torus4)
+        obj["basepoint"] = 1
+        mesh = ah.mesh_from_json(obj)
+        assert mesh.basepoint == 1 and mesh.grid == torus4.grid
+
+    @pytest.mark.parametrize("variant", ["2x8", "2x3", "relabeled"])
     def test_non_builder_torus_has_no_grid(self, torus4, variant):
         if variant in ("2x8", "2x3"):
             # a rectangular periodic grid; 2 x 8 has the vertex, edge and
@@ -366,13 +401,10 @@ class TestJson:
             }
         else:
             obj = ah.mesh_to_json(torus4)
-            if variant == "basepoint":
-                obj["basepoint"] = 1
-            else:
-                # swap the indices of edges 0 and 1 everywhere
-                swap = {1: 2, 2: 1}
-                obj["edges"][0], obj["edges"][1] = obj["edges"][1], obj["edges"][0]
-                obj["faces"] = [[swap.get(abs(k), abs(k)) * (1 if k > 0 else -1) for k in f] for f in obj["faces"]]
+            # swap the indices of edges 0 and 1 everywhere
+            swap = {1: 2, 2: 1}
+            obj["edges"][0], obj["edges"][1] = obj["edges"][1], obj["edges"][0]
+            obj["faces"] = [[swap.get(abs(k), abs(k)) * (1 if k > 0 else -1) for k in f] for f in obj["faces"]]
         mesh = ah.mesh_from_json(obj)
         assert mesh.genus == 1
         assert mesh.grid is None
@@ -404,6 +436,27 @@ class TestJson:
         unbalanced["face_areas"][0] *= 2
         with pytest.raises(ValueError):
             ah.mesh_from_json(unbalanced)
+
+
+class TestConnectedness:
+    def test_isolated_vertex_rejected(self, sphere1):
+        # vertex 6 is on no edge; a loop edge (0, 0), inserted into two
+        # faces with opposite signs, balances the Euler characteristic
+        loop_edge = len(sphere1.edges)
+        faces = list(sphere1.faces)
+        at_zero = [f for f in range(len(faces)) if sphere1.face_start_vertex(f) == 0]
+        for f, s in zip(at_zero[:2], (1, -1)):
+            faces[f] = ((loop_edge, s),) + faces[f]
+        edges = list(sphere1.edges) + [(0, 0)]
+        with pytest.raises(ValueError, match="not connected"):
+            ah.SurfaceMesh(0, 7, edges, faces, sphere1.face_areas, 6)
+
+    def test_disjoint_union_rejected(self, sphere1):
+        # sphere plus torus has the Euler characteristic of one sphere
+        obj = disjoint_union_json(sphere1, ah.build_torus_mesh(2))
+        assert obj["genus"] == 0
+        with pytest.raises(ValueError, match="not connected"):
+            ah.mesh_from_json(obj)
 
 
 class TestIntegerSlots:

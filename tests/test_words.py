@@ -20,6 +20,8 @@ from areaholonomy import (
     word_problem,
     wrap_mod1,
 )
+from areaholonomy.words import _dehn_reduce, _dehn_table
+from conftest import rebased
 
 LETTERS_G2 = [i for i in range(-4, 5) if i != 0]
 
@@ -226,6 +228,99 @@ class TestClosedFormOracle:
         assert t_bits(got) == t_bits(want)
 
 
+def quadratic_dehn_reduce(letters: tuple[int, ...], genus: int) -> tuple[tuple[int, ...], int]:
+    """The earlier quadratic reducer: after every replacement it clips the
+    whole word and restarts its scan at letter 0, so each replacement is
+    at the leftmost window that matches."""
+    table = _dehn_table(genus)
+    half = 2 * genus + 1
+    full = 4 * genus
+    t_delta = 0
+    word = clip(letters)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(word) - half + 1):
+            hit = table.get(word[i:i + half])
+            if hit is None:
+                continue
+            rotation, sign = hit
+            j = half
+            while j < full and i + j < len(word) and word[i + j] == rotation[j]:
+                j += 1
+            complement = rotation[j:]
+            replacement = tuple(-l for l in reversed(complement))
+            word = clip(word[:i] + replacement + word[i + j:])
+            t_delta += sign
+            changed = True
+            break
+    return word, t_delta
+
+
+@st.composite
+def relator_rich_words(draw, genus):
+    """Words made of random letters, rotations of R and R^-1, prefixes and
+    suffixes of those rotations, and powers of R."""
+    relator = relator_letters(genus)
+    inverse = tuple(-l for l in reversed(relator))
+    alphabet = [i for i in range(-2 * genus, 2 * genus + 1) if i != 0]
+    letters: list[int] = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["letters", "rotation", "prefix", "suffix", "power"]))
+        if kind == "letters":
+            letters += clip(draw(st.lists(st.sampled_from(alphabet), max_size=8)))
+            continue
+        if kind == "power":
+            letters += (relator if draw(st.booleans()) else inverse) * draw(st.integers(1, 3))
+            continue
+        base = draw(st.sampled_from([relator, inverse]))
+        k = draw(st.integers(0, 4 * genus - 1))
+        rotation = base[k:] + base[:k]
+        cut = draw(st.integers(0, 4 * genus))
+        letters += {"rotation": rotation, "prefix": rotation[:cut], "suffix": rotation[cut:]}[kind]
+    return letters
+
+
+def trivial_word(genus: int, length: int, seed: int) -> tuple[tuple[int, ...], int]:
+    """A word of at least `length` letters made of pieces u R^a u^-1, and
+    the sum k of the a: it normalizes to (empty, k)."""
+    rng = np.random.default_rng(seed)
+    relator = list(relator_letters(genus))
+    inverse = [-l for l in reversed(relator)]
+    letters: list[int] = []
+    k = 0
+    while len(letters) < length:
+        size = int(rng.integers(10, 120))
+        u = list(clip(rng.integers(1, 2 * genus + 1, size=size) * rng.choice([-1, 1], size=size)))
+        a = int(rng.choice([-3, -2, -1, 1, 2, 3]))
+        letters += u + (relator if a > 0 else inverse) * abs(a) + [-l for l in reversed(u)]
+        k += a
+    return tuple(letters), k
+
+
+class TestDehnOracle:
+    """The linear two-stack reducer returns the quadratic reducer's normal
+    form: the same letters and the same t, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.integers(2, 4).flatmap(lambda g: st.tuples(st.just(g), relator_rich_words(g))),
+        st.floats(-1e6, 1e6, allow_nan=False),
+    )
+    def test_same_normal_form(self, genus_letters, t):
+        genus, letters = genus_letters
+        want_letters, want_dt = quadratic_dehn_reduce(tuple(letters), genus)
+        assert _dehn_reduce(tuple(letters), genus) == (want_letters, want_dt)
+        got = GammaRElement(genus, letters, t)
+        assert got.word.letters == want_letters
+        assert t_bits(got) == struct.pack("<d", t + want_dt)
+
+    def test_long_trivial_word(self):
+        letters, k = trivial_word(2, 16_000, seed=59)
+        assert len(letters) > 16_000
+        assert _dehn_reduce(letters, 2) == quadratic_dehn_reduce(letters, 2) == ((), k)
+
+
 class TestGammaInv:
     def test_central(self):
         assert gamma_inv(GammaRElement(1, (), 0.7)).t == -0.7
@@ -290,6 +385,20 @@ class TestLoopClass:
             l2 = ah.random_loop(torus4, rng, 8, windings=w2)
             combined = loop_class(torus4, ah.loop_concat(l1, l2))
             expected = gamma_mul(loop_class(torus4, l1), loop_class(torus4, l2))
+            assert combined.word.letters == expected.word.letters
+            assert abs(combined.t - expected.t) < 1e-12
+
+    def test_homomorphism_at_another_basepoint(self):
+        # the period cycles of the standard representatives run through
+        # the basepoint, so they close wherever it is
+        mesh = rebased(ah.build_torus_mesh(6), 14)
+        rng = np.random.default_rng(60)
+        for _ in range(200):
+            w1, w2 = ((int(rng.integers(-2, 3)), int(rng.integers(-2, 3))) for _ in range(2))
+            l1 = ah.random_loop(mesh, rng, 8, windings=w1)
+            l2 = ah.random_loop(mesh, rng, 8, windings=w2)
+            combined = loop_class(mesh, ah.loop_concat(l1, l2))
+            expected = gamma_mul(loop_class(mesh, l1), loop_class(mesh, l2))
             assert combined.word.letters == expected.word.letters
             assert abs(combined.t - expected.t) < 1e-12
 
