@@ -1,0 +1,227 @@
+"""Many loops at once: the steps of K loops laid out flat, and the kernels
+over that layout that surfaces and lattice build their loop operations
+from.
+
+A layout (LoopSteps) is one edge array, one sign array and the per-loop
+offsets into them.  loop_faults checks every loop in one pass, reduced
+frees them of retraced steps, lifts walks their lifts to a torus grid's
+universal cover with integer prefix sums, and holonomies multiplies the
+step matrices of every loop, one step position of all loops at a time, in
+the order a loop over the steps would multiply them.  The kernels read a
+mesh's tails, heads and counts and a grid's N and import nothing from the
+package.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_left
+from itertools import chain
+from operator import itemgetter
+from typing import Iterator, NamedTuple, Sequence
+
+import numpy as np
+
+_INTP = np.iinfo(np.intp)
+
+
+def clip_steps(steps) -> tuple[tuple[int, int], ...]:
+    """Delete adjacent (edge, s)(edge, -s) pairs until none remain.
+
+    The result is independent of deletion order (free reduction is
+    confluent), so a single stack pass suffices.
+    """
+    out: list[tuple[int, int]] = []
+    for e, s in steps:
+        if out and out[-1][0] == e and out[-1][1] == -s:
+            out.pop()
+        else:
+            out.append((e, s))
+    return tuple(out)
+
+
+class LoopSteps(NamedTuple):
+    """The steps of K loops laid out flat.
+
+    Loop k is based at bases[k] and takes the steps (edges[i], signs[i])
+    for starts[k] <= i < starts[k] + lengths[k].  wide maps the flat
+    position of an edge index too large for intp to that index, which
+    edges holds as -1: both name no edge.
+    """
+
+    bases: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
+    edges: np.ndarray
+    signs: np.ndarray
+    wide: dict
+
+    def take(self, loops) -> "LoopSteps":
+        """The layout of some of the loops (an index array or a slice),
+        sharing the step arrays."""
+        return self._replace(bases=self.bases[loops], starts=self.starts[loops], lengths=self.lengths[loops])
+
+
+def flat_steps(bases: Sequence[int], step_lists: Sequence[tuple[tuple[int, int], ...]]) -> LoopSteps:
+    """Lay out the loops (bases[k], step_lists[k]) in order, unchecked."""
+    count = len(bases)
+    lengths = np.fromiter(map(len, step_lists), np.intp, count=count)
+    starts = np.zeros(count, np.intp)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    total = int(np.sum(lengths))
+    signs = np.fromiter(map(itemgetter(1), chain.from_iterable(step_lists)), np.intp, count=total)
+    wide = {}
+    try:
+        edges = np.fromiter(map(itemgetter(0), chain.from_iterable(step_lists)), np.intp, count=total)
+        base_array = np.fromiter(bases, np.intp, count=count)
+    except OverflowError:
+        # an index beyond intp names no edge or vertex, and neither does -1
+        edges = [e for e, _ in chain.from_iterable(step_lists)]
+        wide = {i: e for i, e in enumerate(edges) if not _INTP.min <= e <= _INTP.max}
+        edges = np.array([-1 if i in wide else e for i, e in enumerate(edges)], dtype=np.intp)
+        base_array = np.array([b if _INTP.min <= b <= _INTP.max else -1 for b in bases], dtype=np.intp)
+    return LoopSteps(base_array, starts, lengths, edges, signs, wide)
+
+
+def concat_inverse(pairs) -> LoopSteps:
+    """The layout of the loops l1 l2^-1 (surfaces.loop_concat(l1,
+    loop_reverse(l2))) of loop pairs (l1, l2) with equal bases; unchecked,
+    like flat_steps."""
+    # lay out l1 and l2 reversed as loops of their own, then join them
+    parts = flat_steps(
+        [l1.base for l1, _ in pairs for _ in (0, 1)],
+        [steps for l1, l2 in pairs for steps in (l1.steps, l2.steps[::-1])],
+    )
+    backward = np.repeat(np.tile(np.array([False, True]), len(pairs)), parts.lengths)
+    parts.signs[backward] *= -1
+    return parts._replace(
+        bases=parts.bases[0::2], starts=parts.starts[0::2], lengths=parts.lengths[0::2] + parts.lengths[1::2]
+    )
+
+
+def loop_faults(mesh, steps: LoopSteps) -> dict[int, str]:
+    """The first fault of every malformed loop of a flat_steps layout,
+    keyed by loop index, in the words surfaces.validate_loop raises: a base
+    vertex out of range, then the first step whose edge is out of range or
+    that does not start where the last one ended, then a loop that does
+    not end at its base."""
+    edges, signs, bases = steps.edges, steps.signs, steps.bases
+    in_range = (edges >= 0) & (edges < len(mesh.edges))
+    # where each step starts and ends; out-of-range steps read a clipped
+    # edge, and are faults whatever they read
+    tail = np.take(mesh.tails, edges, mode="clip")
+    head = np.take(mesh.heads, edges, mode="clip")
+    backward = signs < 0
+    tail[backward], head[backward] = head[backward], tail[backward]
+    bad = ~in_range
+    bad[1:] |= tail[1:] != head[:-1]
+    ends = steps.starts + steps.lengths
+    walked = steps.lengths > 0
+    firsts = steps.starts[walked]
+    bad[firsts] = ~in_range[firsts] | (tail[firsts] != bases[walked])
+    first_bad: dict[int, int] = {}
+    bad_at = np.flatnonzero(bad)
+    if len(bad_at):
+        for k, i in zip(np.searchsorted(ends, bad_at, side="right").tolist(), bad_at.tolist()):
+            first_bad.setdefault(k, i)
+    closing = bases.copy()
+    closing[walked] = head[ends[walked] - 1]
+    base_out = (bases < 0) | (bases >= mesh.vertex_count)
+    faults = {}
+    for k in sorted(first_bad.keys() | set(np.flatnonzero(base_out | (closing != bases)).tolist())):
+        if base_out[k]:
+            faults[k] = "loop base vertex out of range"
+        elif k in first_bad and in_range[first_bad[k]]:
+            faults[k] = "loop steps are not head-to-tail composable"
+        elif k in first_bad:
+            i = first_bad[k]
+            faults[k] = f"edge index {steps.wide.get(i, int(edges[i]))} out of range"
+        else:
+            faults[k] = "loop does not return to its base vertex"
+    return faults
+
+
+def reduced(steps: LoopSteps) -> LoopSteps:
+    """The layout with every loop freely reduced as clip_steps reduces it.
+    A loop with no adjacent (e, s)(e, -s) pair is reduced already, and
+    those are found without a walk."""
+    edges, signs = steps.edges, steps.signs
+    # flat steps i and i + 1 cancel, for i in these
+    cancelling = np.flatnonzero((edges[1:] == edges[:-1]) & (signs[1:] != signs[:-1])).tolist()
+    spans = list(zip(steps.starts.tolist(), steps.lengths.tolist()))
+
+    def cancels_inside(start, length):
+        at = bisect_left(cancelling, start)
+        return at < len(cancelling) and cancelling[at] < start + length - 1
+
+    if not cancelling or not any(cancels_inside(a, n) for a, n in spans):
+        return steps
+    step_lists = [clip_steps(zip(edges[a:a + n].tolist(), signs[a:a + n].tolist())) for a, n in spans]
+    return flat_steps(steps.bases.tolist(), step_lists)
+
+
+def lifts(n_grid: int, steps: LoopSteps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each loop's lift to the universal cover of an n_grid x n_grid torus
+    grid: its net displacement (dx, dy) and the discrete Green's cell sum,
+    the sum over vertical steps of s * x with x the lift's column counted
+    from the base.  For a closed lift that sum is the total winding number
+    of all cells around it.  All three come from integer prefix sums over
+    the flat steps, so they are exact."""
+    starts, ends = steps.starts, steps.starts + steps.lengths
+    vertical = steps.edges >= n_grid * n_grid
+    # column[i + 1]: the column after flat step i, counted from flat step 0
+    column = np.zeros(len(vertical) + 1, np.intp)
+    column[1:] = steps.signs
+    column[1:][vertical] = 0
+    np.cumsum(column[1:], out=column[1:])
+    dx, base_column = column[ends] - column[starts], column[starts]
+    prefix = np.zeros_like(column)
+    prefix[1:] = steps.signs
+    prefix[1:][~vertical] = 0
+    # a vertical step does not change the column, so its x is
+    # column[i + 1] - column[start]; the products s * x overwrite column
+    np.multiply(column[1:], prefix[1:], out=column[1:])
+    np.cumsum(prefix[1:], out=prefix[1:])
+    dy = prefix[ends] - prefix[starts]
+    np.cumsum(column[1:], out=prefix[1:])
+    cells = prefix[ends] - prefix[starts] - base_column * dy
+    return dx, dy, cells
+
+
+def holonomies(u: np.ndarray, steps: LoopSteps) -> np.ndarray:
+    """Transports (K, n, n) around the loops of a layout of valid loops,
+    for edge unitaries u (E, n, n).
+
+    Each loop is freely reduced first (reduced).  Its step matrices are
+    U_e for sign +1 and U_e^-1 = U_e* for sign -1, taken from one table
+    of both, and each step position is one batched matmul over the loops
+    that long, starting from the identity: every loop's product is formed
+    left to right, as one loop at a time would form it.  Only the steps of
+    the given loops are read.
+    """
+    steps = reduced(steps)
+    table = np.concatenate((u, u.conj().swapaxes(-1, -2)))
+    index = steps.edges.copy()
+    index[steps.signs < 0] += len(u)
+    order, positions = _by_position(steps)
+    n = u.shape[-1]
+    by_length = np.broadcast_to(np.eye(n, dtype=table.dtype), (len(order), n, n)).copy()
+    for at in positions:
+        by_length[: len(at)] = by_length[: len(at)] @ table[index[at]]
+    out = np.empty_like(by_length)
+    out[order] = by_length
+    return out
+
+
+def _by_position(steps: LoopSteps) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """The loops by descending length, and for each step position j in
+    turn the flat indices of step j of the loops longer than j: a prefix
+    of that order."""
+    lengths = steps.lengths.tolist()
+    order = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
+    starts = steps.starts[order]
+    counts, longer = [], len(order)
+    for j in range(lengths[order[0]] if order else 0):
+        while lengths[order[longer - 1]] <= j:
+            longer -= 1
+        counts.append(longer)
+    return np.array(order, dtype=np.intp), (starts[:c] + j for j, c in enumerate(counts))

@@ -172,7 +172,7 @@ def verify(field_path, pairs_path, random_pairs, perturb, seed, tol, as_json, ou
     import numpy as np
 
     import areaholonomy as ah
-    from areaholonomy.lattice import _area_residual, _basepoint_curvature
+    from areaholonomy._verify import basepoint_curvature, verify_pairs
     from areaholonomy.surfaces import required_keys
 
     if (pairs_path is None) == (random_pairs is None):
@@ -203,17 +203,16 @@ def verify(field_path, pairs_path, random_pairs, perturb, seed, tol, as_json, ou
             for _ in range(random_pairs)
         ]
     # based holonomies live in the basepoint's frame, and so must Lambda
-    lam = _basepoint_curvature(field)
+    lam = basepoint_curvature(field)
     rows = []
     flagged = 0
-    for idx, (l1, l2) in enumerate(pairs):
-        try:
-            delta = ah.enclosed_area(field.mesh, ah.loop_concat(l1, ah.loop_reverse(l2)))
-            residual = _area_residual(field, l1, l2, delta, lam)
-            rows.append({"pair": idx, "delta_area": delta, "residual": residual})
-        except ah.NotNullHomotopicError as ex:
+    for idx, row in enumerate(verify_pairs(field, pairs, lam)):
+        if isinstance(row, ah.NotNullHomotopicError):
             flagged += 1
-            rows.append({"pair": idx, "error": f"not null-homotopic: windings {ex.windings}"})
+            rows.append({"pair": idx, "error": f"not null-homotopic: windings {row.windings}"})
+        else:
+            delta, residual = row
+            rows.append({"pair": idx, "delta_area": delta, "residual": residual})
     residuals = [r["residual"] for r in rows if "residual" in r]
     max_residual = max(residuals) if residuals else math.inf
     table = {

@@ -20,6 +20,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._loopsteps import flat_steps, holonomies
+from ._verify import verify_pairs
 from .liecore import (
     BranchCutError,
     SkewHermitian,
@@ -27,28 +29,26 @@ from .liecore import (
     expm_raw,
     haar_unitary_raw,
     logm_raw,
-    matrix_from_json,
     matrix_to_json,
     require_unitary,
 )
 from .reps import InvalidRepError, YangMillsRep, validate_rep
 from .surfaces import (
     MeshLoop,
+    NotNullHomotopicError,
     SurfaceMesh,
     TorusGrid,
     UnsupportedMeshError,
+    _checked_steps,
+    _derived_loop,
+    _loop_areas,
     area_potential,
-    clip_steps,
-    enclosed_area,
     face_boundary_loop,
     integrate_faces,
     json_int,
-    loop_concat,
-    loop_reverse,
     mesh_from_json,
     mesh_to_json,
     required_keys,
-    validate_loop,
 )
 
 
@@ -513,9 +513,8 @@ def apply_gauge(field: GaugeField, transform: GaugeTransform) -> GaugeField:
     """
     if transform.g.shape != (field.mesh.vertex_count, field.n, field.n):
         raise ValueError("gauge transform size does not match the field")
-    tails = np.array([t for t, _ in field.mesh.edges], dtype=np.intp)
-    heads = np.array([h for _, h in field.mesh.edges], dtype=np.intp)
-    values = transform.g[tails] @ field.U @ transform.g[heads].conj().swapaxes(-1, -2)
+    mesh = field.mesh
+    values = transform.g[mesh.tails] @ field.U @ transform.g[mesh.heads].conj().swapaxes(-1, -2)
     return GaugeField(field.mesh, values)
 
 
@@ -529,12 +528,10 @@ def loop_holonomy(field: GaugeField, loop: MeshLoop) -> Unitary:
 
     Steps are freely reduced first, so retraced pieces cancel exactly and
     a loop followed by its reversal gives the identity matrix bit for bit.
+    Checks the loop as validate_loop does; one element of the batched
+    _loopsteps.holonomies, wrapped as a validated Unitary.
     """
-    validate_loop(field.mesh, loop)
-    out = np.eye(field.n, dtype=np.complex128)
-    for e, s in clip_steps(loop.steps):
-        out = out @ (field.U[e] if s > 0 else field.U[e].conj().T)
-    return Unitary(out)
+    return Unitary(holonomies(field.U, _checked_steps(field.mesh, [loop]))[0])
 
 
 def verify_area_property(
@@ -548,44 +545,14 @@ def verify_area_property(
     For homotopic based loops the holonomies must differ exactly by
     exp(DeltaA * Lambda) where DeltaA is the oriented area between them;
     the Frobenius norm of the mismatch is returned.  Lambda defaults to the
-    curvature density in the basepoint frame (_basepoint_curvature), the
-    frame the based holonomies live in.
+    curvature density in the basepoint frame (_verify.basepoint_curvature),
+    the frame the based holonomies live in.  One element of
+    _verify.verify_pairs.
     """
-    delta = enclosed_area(field.mesh, loop_concat(loop1, loop_reverse(loop2)))
-    lam = _basepoint_curvature(field) if Lambda is None else Lambda.mat
-    return _area_residual(field, loop1, loop2, delta, lam)
-
-
-def _basepoint_curvature(field: GaugeField) -> np.ndarray:
-    """Curvature density log(H)/area of the first face whose boundary
-    passes through the basepoint, with H that boundary's holonomy
-    traversed from the basepoint.  face_curvature(field, f) is expressed in
-    the frame of face f's start vertex, which differs by a gauge-dependent
-    conjugation unless that vertex is the basepoint."""
-    mesh = field.mesh
-    for f, face in enumerate(mesh.faces):
-        for k, (e, s) in enumerate(face):
-            if mesh.step_endpoints(e, s)[0] == mesh.basepoint:
-                h = loop_holonomy(field, MeshLoop(mesh.basepoint, face[k:] + face[:k]))
-                return logm_raw(h.mat) / mesh.face_areas[f]
-    raise ValueError("no face boundary passes through the basepoint")
-
-
-def _area_residual(
-    field: GaugeField,
-    loop1: MeshLoop,
-    loop2: MeshLoop,
-    delta: float,
-    lam: np.ndarray,
-) -> float:
-    """verify_area_property for a known oriented area delta between the
-    loops and a known generator lam."""
-    mesh = field.mesh
-    if loop1.base != mesh.basepoint or loop2.base != mesh.basepoint:
-        raise ValueError("both loops must be based at the mesh basepoint")
-    h1 = loop_holonomy(field, loop1).mat
-    h2 = loop_holonomy(field, loop2).mat
-    return float(np.linalg.norm(h1 - expm_raw(delta * lam) @ h2))
+    (row,) = verify_pairs(field, [(loop1, loop2)], None if Lambda is None else Lambda.mat)
+    if isinstance(row, NotNullHomotopicError):
+        raise row
+    return row[1]
 
 
 def shrinking_loop_curvature(
@@ -618,15 +585,13 @@ def shrinking_loop_curvature(
     ):
         raise ValueError("block sizes must be strictly within the grid and descending")
     corner_face = mesh.grid.face(*mesh.grid.vertex_xy(mesh.basepoint))
-    lam = logm_raw(loop_holonomy(field, _block_loop(mesh, 1)).mat) / mesh.face_areas[corner_face]
+    blocks = [_block_loop(mesh, k) for k in (1, *block_sizes)]
+    steps = flat_steps([loop.base for loop in blocks], [loop.steps for loop in blocks])
+    h = holonomies(field.U, steps)
+    lam = logm_raw(h[0]) / mesh.face_areas[corner_face]
     eye = np.eye(field.n)
-    rows = []
-    for k in block_sizes:
-        loop = _block_loop(mesh, k)
-        area = enclosed_area(mesh, loop)
-        h = loop_holonomy(field, loop).mat
-        rows.append((float(area), float(np.linalg.norm((h - eye) / area - lam))))
-    return rows
+    areas = _loop_areas(mesh, steps.take(slice(1, None)))
+    return [(float(area), float(np.linalg.norm((h_k - eye) / area - lam))) for area, h_k in zip(areas, h[1:])]
 
 
 def _block_loop(mesh: SurfaceMesh, k: int) -> MeshLoop:
@@ -639,7 +604,7 @@ def _block_loop(mesh: SurfaceMesh, k: int) -> MeshLoop:
     steps += [(grid.v_edge(x + k, y + j), 1) for j in range(k)]
     steps += [(grid.h_edge(x + i, y + k), -1) for i in range(k - 1, -1, -1)]
     steps += [(grid.v_edge(x, y + j), -1) for j in range(k - 1, -1, -1)]
-    return MeshLoop(mesh.basepoint, tuple(steps))
+    return _derived_loop(mesh.basepoint, tuple(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +705,15 @@ def field_from_json(obj: dict, *, base_dir: Optional[str] = None) -> GaugeField:
             mesh_obj = json.load(handle)
     mesh = mesh_from_json(mesh_obj)
     n = json_int(n, "field: n")
-    values = np.stack([matrix_from_json(m) for m in edges])
-    if values.shape[1] != n:
-        raise ValueError("field dimension does not match its edge matrices")
+    # the edge stack is read with one array conversion per part, as
+    # matrix_from_json reads one matrix
+    matrices = [required_keys(m, "matrix", "n", "re", "im") for m in edges]
+    sizes = {json_int(size, "matrix: n") for size, _, _ in matrices}
+    re = np.array([m[1] for m in matrices], dtype=np.float64)
+    im = np.array([m[2] for m in matrices], dtype=np.float64)
+    if sizes != {n} or re.shape != (len(matrices), n, n) or im.shape != re.shape:
+        raise ValueError(f"field: every edge matrix must be {n} x {n}, as its n says")
+    # an infinite imaginary part makes 1j * im NaN; GaugeField rejects it
+    with np.errstate(invalid="ignore"):
+        values = re + 1j * im
     return GaugeField(mesh, values)

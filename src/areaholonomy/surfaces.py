@@ -6,20 +6,27 @@ subdivided-octahedron spheres (genus 0).  Only torus meshes carry a grid
 needs one.  Face-to-edge integration is one primitive, integrate_faces: an
 exact solve of D theta = target along a spanning tree of the dual graph.
 Enclosed area is the loop integral of one cached edge potential of the face
-areas; on the torus one walk over the loop's lift to the universal cover
-gives both the period windings and, by a discrete Green's theorem, the
-uniform part of the area.  No floating-point geometry is involved.
+areas; on the torus the loop's lift to the universal cover gives both the
+period windings and, by a discrete Green's theorem, the uniform part of the
+area.  No floating-point geometry is involved.
+
+Loops are checked, walked and integrated as arrays: the steps of many
+loops are laid out flat (_loopsteps), and validate_loop, torus_windings
+and enclosed_area are one-element calls of the kernels over that layout.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
-from typing import Optional
+from functools import reduce
+from typing import Optional, Sequence
 
 import numpy as np
 
+from ._loopsteps import LoopSteps, clip_steps, flat_steps, lifts, loop_faults
 from .policy import DEFAULT_POLICY
 
 
@@ -84,7 +91,16 @@ class TorusGrid:
 class MeshLoop:
     """A closed combinatorial path: (edge index, +-1) steps from a base
     vertex.  Indices follow the integer rule of json_int: a boolean or a
-    number with a fractional part raises instead of being truncated."""
+    number with a fractional part raises instead of being truncated.
+
+    That check runs on every loop a caller builds and on every loop
+    loop_from_json reads.  Loops the package derives from integers it
+    already holds (loop_concat, loop_reverse, alpha_loop, beta_loop,
+    face_boundary_loop, the random loops, words.std_loop and the lattice's
+    block and face loops) are made by _derived_loop instead, which skips
+    it: their indices are ints by construction.  Whether the steps fit a
+    mesh is checked where a mesh is at hand (validate_loop).
+    """
 
     base: int
     steps: tuple[tuple[int, int], ...]
@@ -97,6 +113,14 @@ class MeshLoop:
             raise MalformedLoopError("step signs must be +1 or -1")
 
 
+def _derived_loop(base: int, steps: tuple[tuple[int, int], ...]) -> MeshLoop:
+    """A MeshLoop of int indices and +-1 signs, without MeshLoop's check."""
+    loop = object.__new__(MeshLoop)
+    object.__setattr__(loop, "base", base)
+    object.__setattr__(loop, "steps", steps)
+    return loop
+
+
 class SurfaceMesh:
     """Oriented closed 2-complex with face areas summing to 1.
 
@@ -104,9 +128,9 @@ class SurfaceMesh:
     rotated so each boundary starts at its lowest-index vertex.  Every
     undirected edge occurs in exactly two face boundaries with opposite
     signs; this is validated at construction together with connectedness,
-    the Euler characteristic and the area normalization, and the two faces
-    are kept as the incidence arrays plus_face and minus_face (one entry
-    per edge).
+    the Euler characteristic and the area normalization.  The two faces
+    are kept as the incidence arrays plus_face and minus_face, and the
+    edge endpoints as tails and heads (read-only, one entry per edge).
     Integer slots follow the rule of json_int: a boolean or a number with a
     fractional part raises instead of being truncated.
     """
@@ -138,6 +162,7 @@ class SurfaceMesh:
         self.grid = grid
         self._adjacency: Optional[list[list[tuple[int, int, int]]]] = None
         self._dual_tree: Optional[list[tuple[int, int, int, int]]] = None
+        self._basepoint_parents: Optional[list[tuple[int, int, int]]] = None
         self._area_potential: Optional[tuple[np.ndarray, float]] = None
         self._validate()
 
@@ -183,6 +208,25 @@ class SurfaceMesh:
             self._dual_tree = tree
         return self._dual_tree
 
+    def _basepoint_tree(self) -> list[tuple[int, int, int]]:
+        """BFS spanning tree of the 1-skeleton, rooted at the basepoint.
+
+        Per vertex, the (edge, sign, vertex) step taking it one level
+        closer to the basepoint; the basepoint's own row is (-1, 0, -1).
+        """
+        if self._basepoint_parents is None:
+            adj = self.vertex_steps()
+            parent: list[Optional[tuple[int, int, int]]] = [None] * self.vertex_count
+            parent[self.basepoint] = (-1, 0, -1)
+            queue = [self.basepoint]
+            for v in queue:
+                for e, s, w in adj[v]:
+                    if parent[w] is None:
+                        parent[w] = (e, -s, v)
+                        queue.append(w)
+            self._basepoint_parents = parent
+        return self._basepoint_parents
+
     # -- validation ---------------------------------------------------------
 
     def _validate(self) -> None:
@@ -224,6 +268,10 @@ class SurfaceMesh:
             (_, self.minus_face[e_idx]), (_, self.plus_face[e_idx]) = sides
         self.plus_face.setflags(write=False)
         self.minus_face.setflags(write=False)
+        self.tails = np.fromiter((t for t, _ in self.edges), np.intp, count=e)
+        self.heads = np.fromiter((h for _, h in self.edges), np.intp, count=e)
+        self.tails.setflags(write=False)
+        self.heads.setflags(write=False)
         # every edge borders a face, so with no isolated vertex a connected
         # dual graph makes the whole complex connected
         touched = [False] * v
@@ -288,7 +336,7 @@ def alpha_loop(mesh: SurfaceMesh) -> MeshLoop:
     starting and ending at the basepoint."""
     grid = _require_torus(mesh)
     bx, by = grid.vertex_xy(mesh.basepoint)
-    return MeshLoop(mesh.basepoint, tuple((grid.h_edge(bx + i, by), 1) for i in range(grid.N)))
+    return _derived_loop(mesh.basepoint, tuple((grid.h_edge(bx + i, by), 1) for i in range(grid.N)))
 
 
 def beta_loop(mesh: SurfaceMesh) -> MeshLoop:
@@ -296,7 +344,7 @@ def beta_loop(mesh: SurfaceMesh) -> MeshLoop:
     starting and ending at the basepoint."""
     grid = _require_torus(mesh)
     bx, by = grid.vertex_xy(mesh.basepoint)
-    return MeshLoop(mesh.basepoint, tuple((grid.v_edge(bx, by + j), 1) for j in range(grid.N)))
+    return _derived_loop(mesh.basepoint, tuple((grid.v_edge(bx, by + j), 1) for j in range(grid.N)))
 
 
 _OCTAHEDRON_AXES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -378,76 +426,49 @@ def _require_torus(mesh: SurfaceMesh) -> TorusGrid:
 # ---------------------------------------------------------------------------
 # loop utilities
 
-def validate_loop(mesh: SurfaceMesh, loop: MeshLoop) -> list[int]:
-    """Check composability and closure; return the visited vertex path."""
-    if not (0 <= loop.base < mesh.vertex_count):
-        raise MalformedLoopError("loop base vertex out of range")
-    here = loop.base
-    path = [here]
-    for e, s in loop.steps:
-        if not (0 <= e < len(mesh.edges)):
-            raise MalformedLoopError(f"edge index {e} out of range")
-        tail, head = mesh.step_endpoints(e, s)
-        if tail != here:
-            raise MalformedLoopError("loop steps are not head-to-tail composable")
-        here = head
-        path.append(here)
-    if here != loop.base:
-        raise MalformedLoopError("loop does not return to its base vertex")
-    return path
-
-
-def clip_steps(steps) -> tuple[tuple[int, int], ...]:
-    """Delete adjacent (edge, s)(edge, -s) pairs until none remain.
-
-    The result is independent of deletion order (free reduction is
-    confluent), so a single stack pass suffices.
-    """
-    out: list[tuple[int, int]] = []
-    for e, s in steps:
-        if out and out[-1][0] == e and out[-1][1] == -s:
-            out.pop()
-        else:
-            out.append((e, s))
-    return tuple(out)
-
-
 def loop_concat(l1: MeshLoop, l2: MeshLoop) -> MeshLoop:
     """Traverse l1, then l2 (both based at the same vertex)."""
     if l1.base != l2.base:
         raise MalformedLoopError("cannot concatenate loops at different base vertices")
-    return MeshLoop(l1.base, l1.steps + l2.steps)
+    return _derived_loop(l1.base, l1.steps + l2.steps)
 
 
 def loop_reverse(loop: MeshLoop) -> MeshLoop:
-    return MeshLoop(loop.base, tuple((e, -s) for e, s in reversed(loop.steps)))
+    return _derived_loop(loop.base, tuple((e, -s) for e, s in reversed(loop.steps)))
 
 
 def face_boundary_loop(mesh: SurfaceMesh, face: int) -> MeshLoop:
-    return MeshLoop(mesh.face_start_vertex(face), tuple(mesh.faces[face]))
+    return _derived_loop(mesh.face_start_vertex(face), tuple(mesh.faces[face]))
+
+
+def validate_loop(mesh: SurfaceMesh, loop: MeshLoop) -> list[int]:
+    """Check composability and closure; return the visited vertex path.
+
+    Raises MalformedLoopError for a base vertex out of range, then for the
+    first step whose edge is out of range or that does not start where the
+    last one ended, then for a loop that does not end at its base.  One
+    element of the batched check _loopsteps.loop_faults.
+    """
+    steps = _checked_steps(mesh, [loop])
+    heads = np.where(steps.signs > 0, mesh.heads[steps.edges], mesh.tails[steps.edges])
+    return [loop.base, *heads.tolist()]
 
 
 def torus_windings(mesh: SurfaceMesh, loop: MeshLoop) -> tuple[int, int]:
     """Period winding numbers (p, q): signed crossings of the two cut cycles."""
     grid = _require_torus(mesh)
-    validate_loop(mesh, loop)
-    dx, dy, _ = _lifted_walk(grid, loop)
-    return (dx // grid.N, dy // grid.N)
+    dx, dy, _ = lifts(grid.N, _checked_steps(mesh, [loop]))
+    return (int(dx[0]) // grid.N, int(dy[0]) // grid.N)
 
 
-def _lifted_walk(grid: TorusGrid, loop: MeshLoop) -> tuple[int, int, int]:
-    """Walk a loop's lift to the universal cover: net displacement (dx, dy)
-    and the discrete Green's cell sum, the sum over vertical steps of s * x
-    with x the lift's column counted from the base.  For a closed lift
-    that sum is the total winding number of all cells around it."""
-    x = dy = cells = 0
-    for e, s in loop.steps:
-        if grid.edge_info(e)[0] == "h":
-            x += s
-        else:
-            dy += s
-            cells += s * x
-    return x, dy, cells
+def _checked_steps(mesh: SurfaceMesh, loops: Sequence[MeshLoop]) -> LoopSteps:
+    """The layout of the loops; raises MalformedLoopError for the first
+    malformed one."""
+    steps = flat_steps([loop.base for loop in loops], [loop.steps for loop in loops])
+    faults = loop_faults(mesh, steps)
+    if faults:
+        raise MalformedLoopError(faults[min(faults)])
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -508,22 +529,39 @@ def enclosed_area(mesh: SurfaceMesh, loop: MeshLoop) -> float:
     canonical representative in (-1/2, 1/2].  Genus 1: the loop must be
     null-homotopic (else NotNullHomotopicError with its windings), and the
     uniform part is the density times the signed cell count of the loop's
-    lift, from the same walk (_lifted_walk) that torus_windings uses.
+    lift (_loopsteps.lifts, which torus_windings reads too).  One element
+    of the batched _loop_areas, after the checks of validate_loop.
     """
-    validate_loop(mesh, loop)
+    (area,) = _loop_areas(mesh, _checked_steps(mesh, [loop]))
+    if isinstance(area, NotNullHomotopicError):
+        raise area
+    return area
+
+
+def _loop_areas(mesh: SurfaceMesh, steps: LoopSteps) -> list:
+    """enclosed_area of every loop of a layout of valid loops: a float, or
+    for a genus-1 loop that is not null-homotopic its NotNullHomotopicError.
+    Each loop's flux is added up left to right from 0.0, as a walk along
+    its steps adds it."""
     theta, density = area_potential(mesh)
-    flux = float(sum(s * theta[e] for e, s in loop.steps))
+    flux = [
+        reduce(operator.add, (theta[steps.edges[a:a + n]] * steps.signs[a:a + n]).tolist(), 0.0)
+        for a, n in zip(steps.starts.tolist(), steps.lengths.tolist())
+    ]
     if mesh.genus == 0:
-        return wrap_mod1(flux)
+        return [wrap_mod1(f) for f in flux]
     grid = _require_torus(mesh)
-    dx, dy, cells = _lifted_walk(grid, loop)
-    if dx or dy:
-        p, q = dx // grid.N, dy // grid.N
-        raise NotNullHomotopicError(
-            f"loop has period windings ({p}, {q}); enclosed area needs a null-homotopic loop",
-            (p, q),
-        )
-    return density * cells + flux
+    areas = []
+    for dx, dy, cells, f in zip(*(a.tolist() for a in lifts(grid.N, steps)), flux):
+        if dx or dy:
+            p, q = dx // grid.N, dy // grid.N
+            areas.append(NotNullHomotopicError(
+                f"loop has period windings ({p}, {q}); enclosed area needs a null-homotopic loop",
+                (p, q),
+            ))
+        else:
+            areas.append(density * cells + f)
+    return areas
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +586,9 @@ def random_loop(
     return _random_sphere_loop(mesh, rng, n_steps)
 
 
+_TORUS_MOVES = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
 def _random_torus_loop(mesh, rng, n_steps, windings) -> MeshLoop:
     grid = _require_torus(mesh)
     n = grid.N
@@ -555,9 +596,9 @@ def _random_torus_loop(mesh, rng, n_steps, windings) -> MeshLoop:
     bx, by = grid.vertex_xy(mesh.basepoint)
     x, y = bx, by
     steps: list[tuple[int, int]] = []
-    moves = ((1, 0), (-1, 0), (0, 1), (0, -1))
-    for _ in range(n_steps):
-        dx, dy = moves[rng.integers(4)]
+    # one draw of all moves gives the values of n_steps single draws
+    for move in rng.integers(4, size=n_steps).tolist():
+        dx, dy = _TORUS_MOVES[move]
         steps.append(_torus_step(grid, x, y, dx, dy))
         x += dx
         y += dy
@@ -570,7 +611,7 @@ def _random_torus_loop(mesh, rng, n_steps, windings) -> MeshLoop:
         dy = 1 if ty > y else -1
         steps.append(_torus_step(grid, x, y, 0, dy))
         y += dy
-    return MeshLoop(mesh.basepoint, clip_steps(steps))
+    return _derived_loop(mesh.basepoint, clip_steps(steps))
 
 
 def _torus_step(grid: TorusGrid, x: int, y: int, dx: int, dy: int) -> tuple[int, int]:
@@ -585,15 +626,7 @@ def _torus_step(grid: TorusGrid, x: int, y: int, dx: int, dy: int) -> tuple[int,
 
 def _random_sphere_loop(mesh, rng, n_steps) -> MeshLoop:
     adj = mesh.vertex_steps()
-    # spanning tree of the 1-skeleton, parents pointing toward the basepoint
-    parent: dict[int, tuple[int, int, int]] = {mesh.basepoint: (-1, 0, -1)}
-    frontier = [mesh.basepoint]
-    while frontier:
-        v = frontier.pop(0)
-        for e, s, w in adj[v]:
-            if w not in parent:
-                parent[w] = (e, -s, v)  # step taking w back to v
-                frontier.append(w)
+    parent = mesh._basepoint_tree()
     here = mesh.basepoint
     steps: list[tuple[int, int]] = []
     for _ in range(n_steps):
@@ -604,7 +637,7 @@ def _random_sphere_loop(mesh, rng, n_steps) -> MeshLoop:
         e, s, v = parent[here]
         steps.append((e, s))
         here = v
-    return MeshLoop(mesh.basepoint, clip_steps(steps))
+    return _derived_loop(mesh.basepoint, clip_steps(steps))
 
 
 def random_homotopic_pair(

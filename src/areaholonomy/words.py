@@ -17,11 +17,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
+from ._loopsteps import flat_steps
 from .policy import DEFAULT_POLICY
 from .surfaces import (
     MalformedLoopError,
     MeshLoop,
     SurfaceMesh,
+    _derived_loop,
+    _loop_areas,
     alpha_loop,
     beta_loop,
     enclosed_area,
@@ -43,7 +46,8 @@ class GenusMismatchError(ValueError):
 def clip(letters: Iterable[int]) -> tuple[int, ...]:
     """Free reduction: delete adjacent letter-inverse pairs until none remain.
 
-    Deletion order does not matter, so one stack pass is enough.
+    Deletion order does not matter, so one stack pass is enough.  The
+    letters that remain are kept as given, not converted.
     _dehn_reduce clips its whole input once before its own pass: looking
     up relator windows in a word clipped only on the fly could match
     letters that the full clip cancels, and change the normal form.
@@ -53,7 +57,7 @@ def clip(letters: Iterable[int]) -> tuple[int, ...]:
         if out and out[-1] == -letter:
             out.pop()
         else:
-            out.append(int(letter))
+            out.append(letter)
     return tuple(out)
 
 
@@ -83,6 +87,15 @@ class SurfaceWord:
 
     def __str__(self) -> str:
         return format_letters(self.letters, self.genus)
+
+
+def _normal_word(genus: int, letters: tuple[int, ...]) -> SurfaceWord:
+    """A SurfaceWord of int letters in the alphabet, freely reduced, made
+    without SurfaceWord's check: GammaRElement's normal forms are."""
+    word = object.__new__(SurfaceWord)
+    object.__setattr__(word, "genus", genus)
+    object.__setattr__(word, "letters", letters)
+    return word
 
 
 _TOKEN = re.compile(r"^([ab])([0-9]+)(\^-1)?$")
@@ -213,7 +226,9 @@ class GammaRElement:
     """(normal-form word, central area coordinate t).
 
     The central generator is J = (empty word, 1); for genus 0 the word is
-    empty and t lives in R/Z, represented in (-1/2, 1/2].
+    empty and t lives in R/Z, represented in (-1/2, 1/2].  The letters are
+    checked once, on entry: each must be one of +-1 .. +-2g, whether or
+    not normalization would cancel it.
     """
 
     __slots__ = ("genus", "word", "t")
@@ -229,11 +244,13 @@ class GammaRElement:
             letters = parse_letters(word, genus)
         else:
             letters = tuple(int(l) for l in word)
+            bound = 2 * genus
+            if letters and (0 in letters or max(letters) > bound or min(letters) < -bound):
+                bad = next(l for l in letters if l == 0 or abs(l) > bound)
+                raise ValueError(f"letter {bad} outside the genus-{genus} alphabet")
         t = float(t)
 
         if genus == 0:
-            if letters:
-                raise ValueError("genus-0 elements have a trivial word part")
             normal, t = (), wrap_mod1(t)
         elif genus == 1:
             p, q, dt = _heisenberg_normalize(letters)
@@ -242,7 +259,7 @@ class GammaRElement:
             normal, dt = _dehn_reduce(letters, genus)
             t = t + dt
         object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "word", SurfaceWord(genus, normal))
+        object.__setattr__(self, "word", _normal_word(genus, normal))
         object.__setattr__(self, "t", t)
 
     def __setattr__(self, name, value):
@@ -310,7 +327,7 @@ def std_loop(mesh: SurfaceMesh, p: int, q: int) -> MeshLoop:
     steps += block * abs(p)
     block = b.steps if q >= 0 else loop_reverse(b).steps
     steps += block * abs(q)
-    return MeshLoop(mesh.basepoint, steps)
+    return _derived_loop(mesh.basepoint, steps)
 
 
 def loop_class(mesh: SurfaceMesh, loop: MeshLoop) -> GammaRElement:
@@ -325,7 +342,11 @@ def loop_class(mesh: SurfaceMesh, loop: MeshLoop) -> GammaRElement:
     if mesh.genus == 0:
         return GammaRElement(0, (), enclosed_area(mesh, loop))
     p, q = torus_windings(mesh, loop)
-    defect = enclosed_area(mesh, loop_concat(loop, loop_reverse(std_loop(mesh, p, q))))
+    # torus_windings has checked the loop, and its difference to the
+    # standard representative, which has the same windings, is a valid
+    # null-homotopic loop: its area needs no second check
+    between = loop_concat(loop, loop_reverse(std_loop(mesh, p, q)))
+    (defect,) = _loop_areas(mesh, flat_steps([between.base], [between.steps]))
     return GammaRElement(1, _heisenberg_letters(p, q), defect)
 
 

@@ -110,6 +110,65 @@ def disjoint_union_json(first: ah.SurfaceMesh, second: ah.SurfaceMesh) -> dict:
     }
 
 
+# the per-step walks that the loop kernels replaced, kept as oracles
+
+
+def walk_validate(mesh, loop):
+    """validate_loop as one walk over the steps."""
+    if not (0 <= loop.base < mesh.vertex_count):
+        raise ah.MalformedLoopError("loop base vertex out of range")
+    here = loop.base
+    path = [here]
+    for e, s in loop.steps:
+        if not (0 <= e < len(mesh.edges)):
+            raise ah.MalformedLoopError(f"edge index {e} out of range")
+        tail, head = mesh.step_endpoints(e, s)
+        if tail != here:
+            raise ah.MalformedLoopError("loop steps are not head-to-tail composable")
+        here = head
+        path.append(here)
+    if here != loop.base:
+        raise ah.MalformedLoopError("loop does not return to its base vertex")
+    return path
+
+
+def lifted_walk(grid, loop):
+    """Net displacement of the lift and the sum over vertical steps of s * x."""
+    x = dy = cells = 0
+    for e, s in loop.steps:
+        if grid.edge_info(e)[0] == "h":
+            x += s
+        else:
+            dy += s
+            cells += s * x
+    return x, dy, cells
+
+
+def walk_area(mesh, loop):
+    """enclosed_area with the flux summed by the builtin sum."""
+    walk_validate(mesh, loop)
+    theta, density = ah.surfaces.area_potential(mesh)
+    flux = float(sum(s * theta[e] for e, s in loop.steps))
+    if mesh.genus == 0:
+        return ah.wrap_mod1(flux)
+    dx, dy, cells = lifted_walk(mesh.grid, loop)
+    if dx or dy:
+        p, q = dx // mesh.grid.N, dy // mesh.grid.N
+        raise ah.NotNullHomotopicError(
+            f"loop has period windings ({p}, {q}); enclosed area needs a null-homotopic loop", (p, q)
+        )
+    return density * cells + flux
+
+
+def walk_holonomy(field, loop):
+    """loop_holonomy as one left-to-right product over the reduced steps."""
+    walk_validate(field.mesh, loop)
+    out = np.eye(field.n, dtype=np.complex128)
+    for e, s in ah.clip_steps(loop.steps):
+        out = out @ (field.U[e] if s > 0 else field.U[e].conj().T)
+    return out
+
+
 @pytest.fixture(scope="session")
 def torus4() -> ah.SurfaceMesh:
     return ah.build_torus_mesh(4)

@@ -1,17 +1,25 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
+import contextlib
+import copy
+import functools
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import areaholonomy as ah
-from areaholonomy.cli import cli
+from areaholonomy.cli import cli, main
 from conftest import disjoint_union_json, flux_rep, rebased
 
 FOUR_PI_SQ = 4 * np.pi**2
@@ -377,7 +385,7 @@ class TestVerify:
 
     def test_nan_residual_fails(self, runner, solved, monkeypatch):
         # the gate passes only residuals below tol, and NaN is not below it
-        monkeypatch.setattr(ah.lattice, "_area_residual", lambda *args, **kwargs: float("nan"))
+        monkeypatch.setattr(ah._verify, "area_residuals", lambda h1, *args: np.full(len(h1), np.nan))
         result = runner.invoke(cli, ["verify", "--field", solved, "--random", "3"])
         assert result.exit_code == 3
 
@@ -578,3 +586,76 @@ class TestPlotData:
         assert lines[0] == "area,residual"
         values = [tuple(map(float, line.split(","))) for line in lines[1:]]
         assert values == sorted(values, reverse=True)
+
+
+# ---------------------------------------------------------------------------
+# malformed input files: every node of a valid file replaced by a bad value
+
+
+FUZZ_VALUES = [None, True, False, 0, 1, -1, 10**6, 0.5, -0.5, math.nan, math.inf, -math.inf, 1e308,
+               "", "x", [], [1], {}, {"n": 1}]
+
+
+@functools.cache
+def fuzz_documents() -> dict:
+    """A torus:3 field, a sphere:1 n = 2 field and a pairs file for the torus field."""
+    torus, sphere = ah.build_torus_mesh(3), ah.build_sphere_mesh(1)
+    rng = np.random.default_rng(5)
+    pairs = [ah.random_homotopic_pair(torus, rng, 6) for _ in range(2)]
+    return {
+        "torus-field": ah.field_to_json(ah.build_ym_field_from_rep(torus, flux_rep(1, 1))),
+        "sphere-field": ah.field_to_json(ah.build_ym_field_from_rep(sphere, ah.sphere_rep([1, 0]))),
+        "pairs": {"pairs": [[ah.loop_to_json(l1), ah.loop_to_json(l2)] for l1, l2 in pairs]},
+    }
+
+
+def json_paths(value, path=()):
+    """The path of every node of a JSON value, the root's () included."""
+    yield path
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from json_paths(child, path + (key,))
+
+
+def replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def exit_code(args) -> int:
+    """The entry point's exit code, run in this process; anything it lets
+    escape but SystemExit fails the test."""
+    with mock.patch.object(sys, "argv", ["areaholonomy", *args]), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            main()
+        except SystemExit as ex:
+            return ex.code or 0
+    return 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_verify_survives_fuzzed_json(data):
+    docs = fuzz_documents()
+    name = data.draw(st.sampled_from(sorted(docs)))
+    path = data.draw(st.sampled_from(list(json_paths(docs[name]))))
+    value = data.draw(st.sampled_from(FUZZ_VALUES))
+    with tempfile.TemporaryDirectory() as tmp:
+        field_path, pairs_path = os.path.join(tmp, "f.json"), os.path.join(tmp, "pairs.json")
+        field = docs["torus-field"] if name == "pairs" else replaced(docs[name], path, value)
+        with open(field_path, "w") as handle:
+            json.dump(field, handle)
+        with open(pairs_path, "w") as handle:
+            json.dump(replaced(docs["pairs"], path, value) if name == "pairs" else docs["pairs"], handle)
+        source = ["--pairs", pairs_path] if name == "pairs" else ["--random", "3"]
+        code = exit_code(["verify", "--field", field_path, *source])
+    # a string "mesh" is a path to a mesh file, and there is none
+    missing_mesh = name != "pairs" and path == ("mesh",) and isinstance(value, str)
+    assert code in ({1} if missing_mesh else {0, 3, 64})

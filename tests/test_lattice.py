@@ -27,9 +27,11 @@ from areaholonomy import (
     ym_action,
     ym_gradient,
 )
+from areaholonomy._loopsteps import flat_steps, holonomies
+from areaholonomy._verify import basepoint_curvature, verify_pairs
 from areaholonomy.lattice import _engine_for, _unitarize
 from areaholonomy.liecore import expm_raw, haar_unitary_raw
-from conftest import _skew_basis, flux_rep, quaternion_rep, random_field, rebased
+from conftest import _skew_basis, flux_rep, quaternion_rep, random_field, rebased, walk_area, walk_holonomy
 
 FOUR_PI_SQ = 4 * np.pi**2
 
@@ -885,8 +887,125 @@ class TestFieldJson:
         assert np.array_equal(back.U, field.U)
         assert back.mesh.grid is not None
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_edge_stack_matches_matrix_reads(self, torus4, n):
+        snapshot = ah.field_to_json(random_field(torus4, n, np.random.default_rng(n)))
+        stacked = np.stack([ah.matrix_from_json(m) for m in snapshot["edges"]])
+        back = ah.field_from_json(snapshot).U
+        assert back.tobytes() == stacked.tobytes()
+
+    @pytest.mark.parametrize("change", ["n", "shape", "im-shape", "field-n"])
+    def test_mismatched_edge_matrix_rejected(self, torus4, change):
+        snapshot = ah.field_to_json(GaugeField.identity(torus4, 2))
+        matrix = snapshot["edges"][5]
+        if change == "n":
+            matrix["n"] = 3
+        elif change == "shape":
+            matrix["re"] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+            matrix["im"] = [[0.0] * 3] * 3
+        elif change == "im-shape":
+            matrix["im"] = [[0.0, 0.0]]
+        else:
+            snapshot["n"] = 1
+        with pytest.raises(ValueError):
+            ah.field_from_json(snapshot)
+
     def test_sector_quantization(self, torus4):
         rng = np.random.default_rng(91)
         field = random_field(torus4, 1, rng, scale=0.2)
         flux = total_flux(field)
         assert abs(flux / (2 * np.pi) - round(flux / (2 * np.pi))) < 1e-12
+
+
+@st.composite
+def fields_with_pairs(draw):
+    """A random U(n) field (n 1..3) on a small torus or sphere, and up to
+    five loop pairs: homotopic pairs, pairs of different windings, loops
+    with retraced edges, and now and then a malformed loop, a pair based
+    at another vertex or a pair with different bases."""
+    kind, size = draw(st.sampled_from([("torus", 2), ("torus", 4), ("sphere", 1), ("sphere", 2)]))
+    mesh = ah.build_torus_mesh(size) if kind == "torus" else ah.build_sphere_mesh(size)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    field = random_field(mesh, draw(st.integers(1, 3)), rng, scale=1.0)
+    pairs = []
+    elsewhere = rebased(mesh, (mesh.basepoint + 1) % mesh.vertex_count)
+    for _ in range(draw(st.integers(0, 5))):
+        source = elsewhere if draw(st.integers(0, 9)) == 0 else mesh
+        l1, l2 = ah.random_homotopic_pair(source, rng, draw(st.integers(0, 14)))
+        if kind == "torus" and draw(st.booleans()):
+            l2 = ah.random_loop(source, rng, 6, windings=(1, 0))
+        loops = []
+        for loop in (l1, l2):
+            steps, base = list(loop.steps), loop.base
+            change = draw(st.sampled_from(["none"] * 14 + ["retrace"] * 4 + ["flip", "base"]))
+            at = draw(st.integers(0, max(len(steps) - 1, 0)))
+            if change == "retrace" and steps:
+                steps[at:at] = [steps[at], (steps[at][0], -steps[at][1])]
+            elif change == "flip" and steps:
+                steps[at] = (steps[at][0], -steps[at][1])
+            elif change == "base":
+                base = (base + 1) % mesh.vertex_count
+            loops.append(MeshLoop(base, tuple(steps)))
+        pairs.append(tuple(loops))
+    return field, pairs
+
+
+def pairwise_rows(field, pairs, lam):
+    """The verify table as the per-pair walks built it: (delta, residual),
+    ("flagged", windings), or what the first failing pair raised."""
+    rows = []
+    try:
+        for l1, l2 in pairs:
+            try:
+                delta = walk_area(field.mesh, ah.loop_concat(l1, ah.loop_reverse(l2)))
+            except ah.NotNullHomotopicError as ex:
+                rows.append(("flagged", ex.windings))
+                continue
+            if l1.base != field.mesh.basepoint or l2.base != field.mesh.basepoint:
+                raise ValueError("both loops must be based at the mesh basepoint")
+            h1, h2 = walk_holonomy(field, l1), walk_holonomy(field, l2)
+            rows.append((delta, float(np.linalg.norm(h1 - expm_raw(delta * lam) @ h2))))
+    except ValueError as ex:
+        return (type(ex), str(ex))
+    return rows
+
+
+class TestLoopKernelOracles:
+    """The batched holonomy and verify kernels against the per-step and
+    per-pair walks they replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(fields_with_pairs())
+    def test_holonomies(self, drawn):
+        field, pairs = drawn
+        loops = [loop for pair in pairs for loop in pair]
+        valid = []
+        for loop in loops:
+            try:
+                want = walk_holonomy(field, loop)
+            except ah.MalformedLoopError as ex:
+                with pytest.raises(ah.MalformedLoopError, match=f"^{ex}$"):
+                    loop_holonomy(field, loop)
+                continue
+            # equal up to the sign of zero
+            assert np.array_equal(loop_holonomy(field, loop).mat, want)
+            valid.append((loop, want))
+        steps = flat_steps([loop.base for loop, _ in valid], [loop.steps for loop, _ in valid])
+        batched = holonomies(field.U, steps)
+        assert all(np.array_equal(h, want) for h, (_, want) in zip(batched, valid))
+
+    @settings(max_examples=80, deadline=None)
+    @given(fields_with_pairs())
+    def test_verify_pairs(self, drawn):
+        field, pairs = drawn
+        lam = basepoint_curvature(field)
+        try:
+            got = [
+                ("flagged", row.windings) if isinstance(row, ah.NotNullHomotopicError) else row
+                for row in verify_pairs(field, pairs, lam)
+            ]
+        except ValueError as ex:
+            got = (type(ex), str(ex))
+        want = pairwise_rows(field, pairs, lam)
+        # bit for bit: the floats print alike
+        assert repr(got) == repr(want)

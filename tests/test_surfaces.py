@@ -1,5 +1,7 @@
 """Mesh construction, winding numbers, and enclosed area."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +16,9 @@ from areaholonomy import (
     loop_reverse,
     wrap_mod1,
 )
+from areaholonomy._loopsteps import flat_steps, lifts, loop_faults
 from areaholonomy.surfaces import integrate_faces
-from conftest import disjoint_union_json, rebased
+from conftest import disjoint_union_json, lifted_walk, rebased, walk_area, walk_validate
 
 
 # ---------------------------------------------------------------------------
@@ -499,3 +502,173 @@ class TestIntegerSlots:
             basepoint = 0.6
         with pytest.raises(ValueError, match="must be an integer"):
             ah.SurfaceMesh(genus, vertices, edges, faces, mesh.face_areas, basepoint)
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-step walks that the array kernels replaced
+
+
+def walk_random_loop(mesh, rng, n_steps=12, windings=None):
+    """random_loop drawing one move at a time, with the sphere's spanning
+    tree rebuilt on every call."""
+    if mesh.genus == 1:
+        grid, (p, q) = mesh.grid, windings or (0, 0)
+        bx, by = grid.vertex_xy(mesh.basepoint)
+        x, y, steps = bx, by, []
+        for _ in range(n_steps):
+            dx, dy = ((1, 0), (-1, 0), (0, 1), (0, -1))[rng.integers(4)]
+            steps.append(ah.surfaces._torus_step(grid, x, y, dx, dy))
+            x, y = x + dx, y + dy
+        while x != bx + p * grid.N:
+            dx = 1 if bx + p * grid.N > x else -1
+            steps.append(ah.surfaces._torus_step(grid, x, y, dx, 0))
+            x += dx
+        while y != by + q * grid.N:
+            dy = 1 if by + q * grid.N > y else -1
+            steps.append(ah.surfaces._torus_step(grid, x, y, 0, dy))
+            y += dy
+        return MeshLoop(mesh.basepoint, ah.clip_steps(steps))
+    adj = mesh.vertex_steps()
+    parent = {mesh.basepoint: (-1, 0, -1)}
+    frontier = [mesh.basepoint]
+    while frontier:
+        v = frontier.pop(0)
+        for e, s, w in adj[v]:
+            if w not in parent:
+                parent[w] = (e, -s, v)
+                frontier.append(w)
+    here, steps = mesh.basepoint, []
+    for _ in range(n_steps):
+        e, s, w = adj[here][rng.integers(len(adj[here]))]
+        steps.append((e, s))
+        here = w
+    while here != mesh.basepoint:
+        e, s, here = parent[here]
+        steps.append((e, s))
+    return MeshLoop(mesh.basepoint, ah.clip_steps(steps))
+
+
+def outcome(fn, *args):
+    """fn's value, or the class and message of what it raised."""
+    try:
+        return ("value", fn(*args))
+    except ValueError as ex:
+        return (type(ex), str(ex), getattr(ex, "windings", None))
+
+
+def same_bits(a, b):
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+@st.composite
+def meshes_with_any_loops(draw):
+    """A builder torus (N 2..8) or sphere (S 1..4) with random positive
+    face areas, and up to six loops at its basepoint: random loops with
+    random windings, some made malformed by a dropped step, a flipped
+    sign, an out-of-range edge or a wrong base, and the empty loop."""
+    torus = draw(st.booleans())
+    size = draw(st.integers(2, 8) if torus else st.integers(1, 4))
+    faces = size * size if torus else 8 * size * size
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=faces, max_size=faces)))
+    mesh = (ah.build_torus_mesh if torus else ah.build_sphere_mesh)(size, face_areas=weights / np.sum(weights))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    loops = []
+    for _ in range(draw(st.integers(1, 6))):
+        windings = tuple(draw(st.lists(st.integers(-2, 2), min_size=2, max_size=2))) if torus else None
+        loop = ah.random_loop(mesh, rng, draw(st.integers(0, 30)), windings)
+        base, steps = loop.base, list(loop.steps)
+        fault = draw(st.sampled_from(["none", "none", "drop", "flip", "edge", "base", "empty"]))
+        at = draw(st.integers(0, max(len(steps) - 1, 0)))
+        if fault == "drop" and steps:
+            del steps[at]
+        elif fault == "flip" and steps:
+            steps[at] = (steps[at][0], -steps[at][1])
+        elif fault == "edge" and steps:
+            steps[at] = (draw(st.sampled_from([-1, len(mesh.edges), len(mesh.edges) + 7])), steps[at][1])
+        elif fault == "base":
+            base = draw(st.sampled_from([-1, mesh.vertex_count, (base + 1) % mesh.vertex_count]))
+        elif fault == "empty":
+            steps = []
+        loops.append(MeshLoop(base, tuple(steps)))
+    return mesh, loops
+
+
+class TestLoopKernelOracles:
+    """The array kernels against the per-step walks they replaced: the same
+    accept/reject decisions and messages, windings, cell counts and areas
+    bit for bit, and one batched call on K loops against K single calls."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(meshes_with_any_loops())
+    def test_single_loops(self, drawn):
+        mesh, loops = drawn
+        for loop in loops:
+            assert outcome(ah.surfaces.validate_loop, mesh, loop) == outcome(walk_validate, mesh, loop)
+            got, want = outcome(enclosed_area, mesh, loop), outcome(walk_area, mesh, loop)
+            if got[0] == "value" and want[0] == "value":
+                assert same_bits(got[1], want[1])
+            else:
+                assert got == want
+            if mesh.genus == 1:
+                walked = outcome(walk_validate, mesh, loop)
+                lift = walked if walked[0] != "value" else ("value", lifted_walk(mesh.grid, loop))
+                windings = lift if lift[0] != "value" else ("value", (lift[1][0] // mesh.grid.N, lift[1][1] // mesh.grid.N))
+                assert outcome(ah.torus_windings, mesh, loop) == windings
+
+    @settings(max_examples=120, deadline=None)
+    @given(meshes_with_any_loops())
+    def test_batched_equals_single(self, drawn):
+        mesh, loops = drawn
+        steps = flat_steps([loop.base for loop in loops], [loop.steps for loop in loops])
+        faults = loop_faults(mesh, steps)
+        for k, loop in enumerate(loops):
+            single = outcome(walk_validate, mesh, loop)
+            assert (single[0] == "value") == (k not in faults)
+            if k in faults:
+                assert single[:2] == (MalformedLoopError, faults[k])
+        valid = [loop for k, loop in enumerate(loops) if k not in faults]
+        steps = flat_steps([loop.base for loop in valid], [loop.steps for loop in valid])
+        areas = ah.surfaces._loop_areas(mesh, steps)
+        for loop, area in zip(valid, areas):
+            want = outcome(walk_area, mesh, loop)
+            if isinstance(area, NotNullHomotopicError):
+                assert want == (NotNullHomotopicError, str(area), area.windings)
+            else:
+                assert same_bits(area, want[1])
+        if mesh.genus == 1:
+            walked = lifts(mesh.grid.N, steps)
+            assert [tuple(column) for column in zip(*(a.tolist() for a in walked))] == [
+                lifted_walk(mesh.grid, loop) for loop in valid
+            ]
+
+    def test_edge_index_beyond_intp(self, torus4):
+        # json_int reads 1e308 as an integer that no array index can hold
+        loop = ah.loop_from_json({"base": 0, "steps": [[0, 1], [1e308, 1]]})
+        for fn in (walk_validate, ah.surfaces.validate_loop):
+            with pytest.raises(MalformedLoopError, match=f"edge index {int(1e308)} out of range"):
+                fn(torus4, loop)
+        with pytest.raises(MalformedLoopError, match="loop base vertex out of range"):
+            enclosed_area(torus4, ah.loop_from_json({"base": -1e308, "steps": []}))
+
+
+class TestRandomLoopOracle:
+    """random_loop and random_homotopic_pair give the loops, and leave the
+    generator in the state, of drawing one move at a time."""
+
+    @pytest.mark.parametrize("kind", ["torus", "sphere"])
+    def test_fifty_seeds(self, kind):
+        mesh = ah.build_torus_mesh(5) if kind == "torus" else ah.build_sphere_mesh(2)
+        for seed in range(50):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for n_steps in (0, 1, 12, 25):
+                windings = (int(ref.integers(-1, 2)), int(ref.integers(-1, 2))) if kind == "torus" else None
+                if windings is not None:
+                    assert windings == (int(rng.integers(-1, 2)), int(rng.integers(-1, 2)))
+                assert ah.random_loop(mesh, rng, n_steps, windings) == walk_random_loop(mesh, ref, n_steps, windings)
+            pair = ah.random_homotopic_pair(mesh, rng, 12, winding_range=2)
+            if kind == "torus":
+                w = (int(ref.integers(-2, 3)), int(ref.integers(-2, 3)))
+                assert pair == (walk_random_loop(mesh, ref, 12, w), walk_random_loop(mesh, ref, 12, w))
+            else:
+                assert pair == (walk_random_loop(mesh, ref), walk_random_loop(mesh, ref))
+            assert rng.bit_generator.state == ref.bit_generator.state

@@ -447,3 +447,24 @@ class TestParsing:
         obj = dict(ah.gamma_to_json(GammaRElement(2, "a1 b2", -0.75)), genus=2.5)
         with pytest.raises(ValueError, match="genus must be an integer"):
             ah.gamma_from_json(obj)
+
+
+class TestAlphabet:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_letter_outside_alphabet_raises(self, data):
+        # checked on entry: normalization could cancel the letter (with its
+        # inverse beside it) or, in genus 1, read it as b
+        genus = data.draw(st.integers(0, 4))
+        alphabet = [l for l in range(-2 * genus, 2 * genus + 1) if l != 0]
+        bad = data.draw(st.sampled_from([0, 2 * genus + 1, -2 * genus - 1, 7 * genus + 5, -100]))
+        letters = data.draw(st.lists(st.sampled_from(alphabet), max_size=6)) if alphabet else []
+        at = data.draw(st.integers(0, len(letters)))
+        letters[at:at] = data.draw(st.sampled_from([[bad], [bad, -bad], [-bad, bad], [bad, bad]]))
+        with pytest.raises(ValueError, match="outside the genus-"):
+            GammaRElement(genus, letters, 0.0)
+
+    def test_seen_cases(self):
+        for genus, letters in ((2, [5, -5]), (2, [0, 0]), (1, [7]), (1, [0])):
+            with pytest.raises(ValueError, match=f"outside the genus-{genus} alphabet"):
+                GammaRElement(genus, letters)
