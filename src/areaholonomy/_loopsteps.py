@@ -21,8 +21,6 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-_INTP = np.iinfo(np.intp)
-
 
 def clip_steps(steps) -> tuple[tuple[int, int], ...]:
     """Delete adjacent (edge, s)(edge, -s) pairs until none remain.
@@ -43,9 +41,7 @@ class LoopSteps(NamedTuple):
     """The steps of K loops laid out flat.
 
     Loop k is based at bases[k] and takes the steps (edges[i], signs[i])
-    for starts[k] <= i < starts[k] + lengths[k].  wide maps the flat
-    position of an edge index too large for intp to that index, which
-    edges holds as -1: both name no edge.
+    for starts[k] <= i < starts[k] + lengths[k].
     """
 
     bases: np.ndarray
@@ -53,7 +49,6 @@ class LoopSteps(NamedTuple):
     lengths: np.ndarray
     edges: np.ndarray
     signs: np.ndarray
-    wide: dict
 
     def take(self, loops) -> "LoopSteps":
         """The layout of some of the loops (an index array or a slice),
@@ -62,40 +57,32 @@ class LoopSteps(NamedTuple):
 
 
 def flat_steps(bases: Sequence[int], step_lists: Sequence[tuple[tuple[int, int], ...]]) -> LoopSteps:
-    """Lay out the loops (bases[k], step_lists[k]) in order, unchecked."""
+    """Lay out the loops (bases[k], step_lists[k]) in order, unchecked.
+    Every index must fit intp, as MeshLoop's do."""
     count = len(bases)
     lengths = np.fromiter(map(len, step_lists), np.intp, count=count)
     starts = np.zeros(count, np.intp)
     np.cumsum(lengths[:-1], out=starts[1:])
     total = int(np.sum(lengths))
+    edges = np.fromiter(map(itemgetter(0), chain.from_iterable(step_lists)), np.intp, count=total)
     signs = np.fromiter(map(itemgetter(1), chain.from_iterable(step_lists)), np.intp, count=total)
-    wide = {}
-    try:
-        edges = np.fromiter(map(itemgetter(0), chain.from_iterable(step_lists)), np.intp, count=total)
-        base_array = np.fromiter(bases, np.intp, count=count)
-    except OverflowError:
-        # an index beyond intp names no edge or vertex, and neither does -1
-        edges = [e for e, _ in chain.from_iterable(step_lists)]
-        wide = {i: e for i, e in enumerate(edges) if not _INTP.min <= e <= _INTP.max}
-        edges = np.array([-1 if i in wide else e for i, e in enumerate(edges)], dtype=np.intp)
-        base_array = np.array([b if _INTP.min <= b <= _INTP.max else -1 for b in bases], dtype=np.intp)
-    return LoopSteps(base_array, starts, lengths, edges, signs, wide)
+    return LoopSteps(np.fromiter(bases, np.intp, count=count), starts, lengths, edges, signs)
 
 
-def concat_inverse(pairs) -> LoopSteps:
+def concat_inverse(steps: LoopSteps) -> LoopSteps:
     """The layout of the loops l1 l2^-1 (surfaces.loop_concat(l1,
-    loop_reverse(l2))) of loop pairs (l1, l2) with equal bases; unchecked,
-    like flat_steps."""
-    # lay out l1 and l2 reversed as loops of their own, then join them
-    parts = flat_steps(
-        [l1.base for l1, _ in pairs for _ in (0, 1)],
-        [steps for l1, l2 in pairs for steps in (l1.steps, l2.steps[::-1])],
-    )
-    backward = np.repeat(np.tile(np.array([False, True]), len(pairs)), parts.lengths)
-    parts.signs[backward] *= -1
-    return parts._replace(
-        bases=parts.bases[0::2], starts=parts.starts[0::2], lengths=parts.lengths[0::2] + parts.lengths[1::2]
-    )
+    loop_reverse(l2))) from a flat_steps layout of loop pairs l1_0, l2_0,
+    l1_1, l2_1, ... with equal bases."""
+    # each l2 follows its l1 and is read from its last step back, its
+    # signs flipped
+    owner = np.repeat(np.arange(len(steps.lengths)), steps.lengths)
+    at = np.arange(len(owner))
+    backward = owner % 2 == 1
+    at[backward] = (2 * steps.starts + steps.lengths - 1)[owner[backward]] - at[backward]
+    signs = steps.signs[at]
+    signs[backward] *= -1
+    lengths = steps.lengths[0::2] + steps.lengths[1::2]
+    return LoopSteps(steps.bases[0::2], steps.starts[0::2], lengths, steps.edges[at], signs)
 
 
 def loop_faults(mesh, steps: LoopSteps) -> dict[int, str]:
@@ -133,8 +120,7 @@ def loop_faults(mesh, steps: LoopSteps) -> dict[int, str]:
         elif k in first_bad and in_range[first_bad[k]]:
             faults[k] = "loop steps are not head-to-tail composable"
         elif k in first_bad:
-            i = first_bad[k]
-            faults[k] = f"edge index {steps.wide.get(i, int(edges[i]))} out of range"
+            faults[k] = f"edge index {int(edges[first_bad[k]])} out of range"
         else:
             faults[k] = "loop does not return to its base vertex"
     return faults

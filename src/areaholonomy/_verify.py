@@ -1,9 +1,9 @@
 """The area-holonomy check of many loop pairs in a few array passes.
 
 lattice.verify_area_property checks one pair and the CLI's verify checks
-many; both run verify_pairs.  The loops of a pass are checked, lifted and
-transported by the _loopsteps kernels, but what is raised is what checking
-the pairs one at a time raises first, in the same order.
+many; both run verify_pairs.  Every loop is checked before its pair is
+measured, and two loops of the mesh at one base make a valid l1 l2^-1.
+The _loopsteps kernels check, lift and transport the loops of a pass.
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ from typing import Optional
 
 import numpy as np
 
-from ._loopsteps import concat_inverse, flat_steps, holonomies, loop_faults
+from ._loopsteps import concat_inverse, flat_steps, holonomies
 from .liecore import expm_raw, logm_raw
-from .surfaces import MalformedLoopError, NotNullHomotopicError, _loop_areas
+from .surfaces import NotNullHomotopicError, _checked_steps, _loop_areas
 
 # Pairs per array pass.  At about a hundred steps per pair, the flat arrays
 # of one pass stay near 100 KB, which keeps the peak memory near that of
@@ -26,58 +26,32 @@ def verify_pairs(field, pairs, lam: Optional[np.ndarray] = None) -> list:
     """verify_area_property for many loop pairs, _PAIR_BLOCK at a time.
 
     Per pair, (delta, residual) with delta the oriented area between the
-    loops, or the pair's NotNullHomotopicError.  What is raised is what
-    the per-pair sequence raises first: for each pair in turn, different
-    bases, a malformed l1 l2^-1, a mesh with no torus grid, then (unless
-    the pair is not null-homotopic) loops not based at the basepoint or a
-    malformed l1 or l2.  lam None reads basepoint_curvature, once the
+    loops, or the pair's NotNullHomotopicError.  Raises ValueError if
+    some loop is not based at the mesh basepoint, then MalformedLoopError
+    (surfaces.validate_loop's message) for the first malformed loop in the
+    order l1_0, l2_0, l1_1, l2_1, ...: each pass checks its loops before
+    it measures a pair.  lam None reads basepoint_curvature, once the
     first null-homotopic pair needs it.
     """
+    mesh = field.mesh
+    if any(l1.base != mesh.basepoint or l2.base != mesh.basepoint for l1, l2 in pairs):
+        raise ValueError("both loops must be based at the mesh basepoint")
     rows = []
     for first in range(0, len(pairs), _PAIR_BLOCK):
-        block, lam = _verify_block(field, pairs[first:first + _PAIR_BLOCK], lam)
+        steps = _checked_steps(mesh, [loop for pair in pairs[first:first + _PAIR_BLOCK] for loop in pair])
+        block = _loop_areas(mesh, concat_inverse(steps))
+        measured = [i for i, row in enumerate(block) if not isinstance(row, NotNullHomotopicError)]
+        if measured:
+            if lam is None:
+                lam = basepoint_curvature(field)
+            l1s = 2 * np.array(measured, dtype=np.intp)
+            h = holonomies(field.U, steps.take(np.concatenate((l1s, l1s + 1))))
+            deltas = np.array([block[i] for i in measured])
+            residuals = area_residuals(h[: len(l1s)], h[len(l1s):], deltas, lam)
+            for i, residual in zip(measured, residuals.tolist()):
+                block[i] = (block[i], residual)
         rows += block
     return rows
-
-
-def _verify_block(field, pairs, lam: Optional[np.ndarray]) -> tuple[list, Optional[np.ndarray]]:
-    """One array pass of verify_pairs: its rows, and lam once read."""
-    mesh = field.mesh
-    count = len(pairs)
-    between = concat_inverse(pairs)
-    between_faults = loop_faults(mesh, between)
-    stop = next((i for i, (l1, l2) in enumerate(pairs) if l1.base != l2.base or i in between_faults), count)
-    rows = _loop_areas(mesh, between.take(slice(0, stop))) if stop else []
-    del between
-    loops = flat_steps(
-        [l1.base for l1, _ in pairs] + [l2.base for _, l2 in pairs],
-        [l1.steps for l1, _ in pairs] + [l2.steps for _, l2 in pairs],
-    )
-    faulty = loop_faults(mesh, loops)
-    transported = []
-    for i, row in enumerate(rows):
-        if isinstance(row, NotNullHomotopicError):
-            continue
-        if lam is None:
-            lam = basepoint_curvature(field)
-        if pairs[i][0].base != mesh.basepoint:
-            raise ValueError("both loops must be based at the mesh basepoint")
-        for k in (i, count + i):
-            if k in faulty:
-                raise MalformedLoopError(faulty[k])
-        transported.append(i)
-    if stop < count:
-        if pairs[stop][0].base != pairs[stop][1].base:
-            raise MalformedLoopError("cannot concatenate loops at different base vertices")
-        raise MalformedLoopError(between_faults[stop])
-    if transported:
-        first = np.array(transported, dtype=np.intp)
-        h = holonomies(field.U, loops.take(np.concatenate((first, first + count))))
-        deltas = np.array([rows[i] for i in transported])
-        residuals = area_residuals(h[: len(first)], h[len(first):], deltas, lam)
-        for i, residual in zip(transported, residuals.tolist()):
-            rows[i] = (rows[i], residual)
-    return rows, lam
 
 
 def basepoint_curvature(field) -> np.ndarray:

@@ -172,7 +172,7 @@ def verify(field_path, pairs_path, random_pairs, perturb, seed, tol, as_json, ou
     import numpy as np
 
     import areaholonomy as ah
-    from areaholonomy._verify import basepoint_curvature, verify_pairs
+    from areaholonomy._verify import verify_pairs
     from areaholonomy.surfaces import required_keys
 
     if (pairs_path is None) == (random_pairs is None):
@@ -194,6 +194,8 @@ def verify(field_path, pairs_path, random_pairs, perturb, seed, tol, as_json, ou
                 isinstance(p, list) and len(p) == 2 for p in raw_pairs
             ):
                 raise ValueError("pairs file: 'pairs' must be a list of [loop, loop] pairs")
+            if not raw_pairs:
+                raise ValueError("pairs file: 'pairs' is empty")
             return [(ah.loop_from_json(a), ah.loop_from_json(b)) for a, b in raw_pairs]
 
         pairs = _read_json(pairs_path, decode_pairs)
@@ -202,18 +204,15 @@ def verify(field_path, pairs_path, random_pairs, perturb, seed, tol, as_json, ou
             ah.random_homotopic_pair(field.mesh, rng, n_steps=12)
             for _ in range(random_pairs)
         ]
-    # based holonomies live in the basepoint's frame, and so must Lambda
-    lam = basepoint_curvature(field)
     rows = []
-    flagged = 0
-    for idx, row in enumerate(verify_pairs(field, pairs, lam)):
+    for idx, row in enumerate(verify_pairs(field, pairs)):
         if isinstance(row, ah.NotNullHomotopicError):
-            flagged += 1
             rows.append({"pair": idx, "error": f"not null-homotopic: windings {row.windings}"})
         else:
             delta, residual = row
             rows.append({"pair": idx, "delta_area": delta, "residual": residual})
     residuals = [r["residual"] for r in rows if "residual" in r]
+    flagged = len(rows) - len(residuals)
     max_residual = max(residuals) if residuals else math.inf
     table = {
         "seed": seed,

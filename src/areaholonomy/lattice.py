@@ -547,7 +547,8 @@ def verify_area_property(
     the Frobenius norm of the mismatch is returned.  Lambda defaults to the
     curvature density in the basepoint frame (_verify.basepoint_curvature),
     the frame the based holonomies live in.  One element of
-    _verify.verify_pairs.
+    _verify.verify_pairs, which checks both loops first: ValueError unless
+    both are based at the basepoint, then MalformedLoopError.
     """
     (row,) = verify_pairs(field, [(loop1, loop2)], None if Lambda is None else Lambda.mat)
     if isinstance(row, NotNullHomotopicError):

@@ -29,6 +29,8 @@ import numpy as np
 from ._loopsteps import LoopSteps, clip_steps, flat_steps, lifts, loop_faults
 from .policy import DEFAULT_POLICY
 
+_INTP = np.iinfo(np.intp)
+
 
 class MalformedLoopError(ValueError):
     """Loop steps are not head-to-tail composable, or the base is wrong."""
@@ -59,13 +61,6 @@ class TorusGrid:
     """Grid structure of a builder torus mesh: edge index -> (kind, x, y)."""
 
     N: int
-
-    def edge_info(self, edge: int) -> tuple[str, int, int]:
-        n = self.N
-        if edge < n * n:
-            return ("h", edge % n, edge // n)
-        e = edge - n * n
-        return ("v", e % n, e // n)
 
     def h_edge(self, x: int, y: int) -> int:
         n = self.N
@@ -98,8 +93,10 @@ class MeshLoop:
     already holds (loop_concat, loop_reverse, alpha_loop, beta_loop,
     face_boundary_loop, the random loops, words.std_loop and the lattice's
     block and face loops) are made by _derived_loop instead, which skips
-    it: their indices are ints by construction.  Whether the steps fit a
-    mesh is checked where a mesh is at hand (validate_loop).
+    it: their indices are ints by construction.  The signs must be +-1,
+    and a base or edge index beyond intp, which no mesh has, raises
+    validate_loop's MalformedLoopError here, so every index fits the
+    _loopsteps arrays.  The rest of validate_loop needs a mesh.
     """
 
     base: int
@@ -111,6 +108,11 @@ class MeshLoop:
         object.__setattr__(self, "steps", steps)
         if any(s not in (-1, 1) for _, s in self.steps):
             raise MalformedLoopError("step signs must be +1 or -1")
+        if not _INTP.min <= self.base <= _INTP.max:
+            raise MalformedLoopError("loop base vertex out of range")
+        beyond = [e for e, _ in steps if not _INTP.min <= e <= _INTP.max]
+        if beyond:
+            raise MalformedLoopError(f"edge index {beyond[0]} out of range")
 
 
 def _derived_loop(base: int, steps: tuple[tuple[int, int], ...]) -> MeshLoop:

@@ -61,6 +61,14 @@ def clip(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _check_alphabet(letters: tuple[int, ...], genus: int) -> None:
+    """Raise ValueError for the first letter that is not one of +-1 .. +-2g."""
+    bound = 2 * genus
+    if letters and (0 in letters or max(letters) > bound or min(letters) < -bound):
+        bad = next(l for l in letters if l == 0 or abs(l) > bound)
+        raise ValueError(f"letter {bad} outside the genus-{genus} alphabet")
+
+
 def relator_letters(genus: int) -> tuple[int, ...]:
     """The surface relator: product of commutators [a_i, b_i], length 4g."""
     letters: list[int] = []
@@ -78,9 +86,7 @@ class SurfaceWord:
 
     def __post_init__(self):
         letters = tuple(int(l) for l in self.letters)
-        for l in letters:
-            if l == 0 or abs(l) > 2 * self.genus:
-                raise ValueError(f"letter {l} outside the genus-{self.genus} alphabet")
+        _check_alphabet(letters, self.genus)
         if letters != clip(letters):
             raise ValueError("word is not freely reduced")
         object.__setattr__(self, "letters", letters)
@@ -244,10 +250,7 @@ class GammaRElement:
             letters = parse_letters(word, genus)
         else:
             letters = tuple(int(l) for l in word)
-            bound = 2 * genus
-            if letters and (0 in letters or max(letters) > bound or min(letters) < -bound):
-                bad = next(l for l in letters if l == 0 or abs(l) > bound)
-                raise ValueError(f"letter {bad} outside the genus-{genus} alphabet")
+            _check_alphabet(letters, genus)
         t = float(t)
 
         if genus == 0:

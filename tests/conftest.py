@@ -136,7 +136,7 @@ def lifted_walk(grid, loop):
     """Net displacement of the lift and the sum over vertical steps of s * x."""
     x = dy = cells = 0
     for e, s in loop.steps:
-        if grid.edge_info(e)[0] == "h":
+        if e < grid.N * grid.N:
             x += s
         else:
             dy += s

@@ -400,6 +400,28 @@ class TestVerify:
         assert "Traceback" not in proc.stderr
         assert "'pairs' must be a list of [loop, loop] pairs" in proc.stderr
 
+    def test_empty_pairs_is_usage_error(self, tmp_path):
+        field_path, pairs_path = tmp_path / "f.json", tmp_path / "pairs.json"
+        field_path.write_text(json.dumps(ah.field_to_json(ah.GaugeField.identity(ah.build_torus_mesh(3), 1))))
+        pairs_path.write_text(json.dumps({"pairs": []}))
+        proc = entry_point("verify", "--field", str(field_path), "--pairs", str(pairs_path))
+        assert proc.returncode == 64
+        assert "Traceback" not in proc.stderr
+        assert "'pairs' is empty" in proc.stderr
+
+    def test_open_path_pair_is_usage_error(self, tmp_path):
+        # both paths run from vertex 0 to vertex 1 and l1 l2^-1 is the alpha
+        # cycle, but neither is a loop, so there is no pair to flag
+        mesh = ah.build_torus_mesh(4)
+        field_path, pairs_path = tmp_path / "f.json", tmp_path / "pairs.json"
+        field_path.write_text(json.dumps(ah.field_to_json(ah.build_ym_field_from_rep(mesh, flux_rep(1, 1)))))
+        l1, l2 = {"base": 0, "steps": [[0, 1]]}, {"base": 0, "steps": [[3, -1], [2, -1], [1, -1]]}
+        pairs_path.write_text(json.dumps({"pairs": [[l1, l2]]}))
+        proc = entry_point("verify", "--field", str(field_path), "--pairs", str(pairs_path))
+        assert proc.returncode == 64
+        assert "Traceback" not in proc.stderr
+        assert "loop does not return to its base vertex" in proc.stderr
+
     def test_identical_loops_row_zero(self, runner, solved, tmp_path):
         field = ah.field_from_json(json.loads(open(solved).read()))
         loop = ah.random_loop(field.mesh, np.random.default_rng(1), 10)

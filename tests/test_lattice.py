@@ -31,7 +31,16 @@ from areaholonomy._loopsteps import flat_steps, holonomies
 from areaholonomy._verify import basepoint_curvature, verify_pairs
 from areaholonomy.lattice import _engine_for, _unitarize
 from areaholonomy.liecore import expm_raw, haar_unitary_raw
-from conftest import _skew_basis, flux_rep, quaternion_rep, random_field, rebased, walk_area, walk_holonomy
+from conftest import (
+    _skew_basis,
+    flux_rep,
+    quaternion_rep,
+    random_field,
+    rebased,
+    walk_area,
+    walk_holonomy,
+    walk_validate,
+)
 
 FOUR_PI_SQ = 4 * np.pi**2
 
@@ -735,6 +744,24 @@ class TestVerifyAreaProperty:
         with pytest.raises(ah.NotNullHomotopicError):
             verify_area_property(field, l1, l2)
 
+    def test_open_paths_are_not_a_pair(self, torus4):
+        # both paths run from vertex 0 to vertex 1, and l1 l2^-1 is the
+        # alpha cycle: the open l1 is reported, not the winding between them;
+        # an open l2 is reported after a closed l1 too
+        field = build_ym_field_from_rep(torus4, flux_rep(1, 1))
+        l1 = MeshLoop(0, ((0, 1),))
+        l2 = MeshLoop(0, ((3, -1), (2, -1), (1, -1)))
+        for pair in ((l1, l2), (MeshLoop(0, ()), l2)):
+            with pytest.raises(ah.MalformedLoopError, match="^loop does not return to its base vertex$"):
+                verify_area_property(field, *pair)
+
+    def test_loops_off_the_basepoint_are_not_a_pair(self, torus4):
+        # a winding path between two loops at vertex 5 is not what fails
+        field = build_ym_field_from_rep(torus4, flux_rep(1, 1))
+        l1 = MeshLoop(5, ((5, 1), (6, 1), (7, 1), (4, 1)))
+        with pytest.raises(ValueError, match="^both loops must be based at the mesh basepoint$"):
+            verify_area_property(field, l1, MeshLoop(5, ()))
+
 
 class TestShrinkingLoops:
     def test_flat_field_all_zero(self):
@@ -951,22 +978,26 @@ def fields_with_pairs(draw):
 
 
 def pairwise_rows(field, pairs, lam):
-    """The verify table as the per-pair walks built it: (delta, residual),
-    ("flagged", windings), or what the first failing pair raised."""
-    rows = []
+    """The verify table from the per-loop and per-pair walks: every loop
+    checked first, (delta, residual) or ("flagged", windings) per pair,
+    or what the first check that fails raises."""
+    basepoint = field.mesh.basepoint
     try:
-        for l1, l2 in pairs:
-            try:
-                delta = walk_area(field.mesh, ah.loop_concat(l1, ah.loop_reverse(l2)))
-            except ah.NotNullHomotopicError as ex:
-                rows.append(("flagged", ex.windings))
-                continue
-            if l1.base != field.mesh.basepoint or l2.base != field.mesh.basepoint:
-                raise ValueError("both loops must be based at the mesh basepoint")
-            h1, h2 = walk_holonomy(field, l1), walk_holonomy(field, l2)
-            rows.append((delta, float(np.linalg.norm(h1 - expm_raw(delta * lam) @ h2))))
+        if any(l1.base != basepoint or l2.base != basepoint for l1, l2 in pairs):
+            raise ValueError("both loops must be based at the mesh basepoint")
+        for loop in (loop for pair in pairs for loop in pair):
+            walk_validate(field.mesh, loop)
     except ValueError as ex:
         return (type(ex), str(ex))
+    rows = []
+    for l1, l2 in pairs:
+        try:
+            delta = walk_area(field.mesh, ah.loop_concat(l1, ah.loop_reverse(l2)))
+        except ah.NotNullHomotopicError as ex:
+            rows.append(("flagged", ex.windings))
+            continue
+        h1, h2 = walk_holonomy(field, l1), walk_holonomy(field, l2)
+        rows.append((delta, float(np.linalg.norm(h1 - expm_raw(delta * lam) @ h2))))
     return rows
 
 

@@ -120,6 +120,18 @@ def with_phases(seed: int, phases) -> np.ndarray:
     return (w * np.exp(1j * np.asarray(phases))[None, :]) @ w.conj().T
 
 
+def oracle_bound(u: np.ndarray) -> float:
+    """How far logm_raw(u) may be from the oracle: max(1e-11, 16 eps kappa),
+    with kappa the largest divided difference |log a - log b| / |a - b| of
+    the principal log over u's eigenvalues a, b (1 where a = b).  Across
+    the cut, at phases +-(pi - delta), kappa is (pi - delta) / sin(delta),
+    and no double-precision log, the oracle included, is more accurate."""
+    phases = np.angle(np.linalg.eigvals(u))
+    # |a - b| = 2 |sin(d / 2)| for phases d apart
+    kappa = 1.0 / np.min(np.sinc(np.subtract.outer(phases, phases) / (2 * np.pi)))
+    return max(1e-11, 16 * np.finfo(np.float64).eps * kappa)
+
+
 seeds = st.integers(0, 2**32 - 1)
 # every phase the branch-cut rule accepts with room to spare
 phases = st.floats(-(np.pi - 1e-6), np.pi - 1e-6)
@@ -143,7 +155,13 @@ class TestBatchedLogm:
         ])
         out = logm_raw(batch)
         for u, x in zip(batch, out):
-            assert np.max(np.abs(x - schur_logm(u))) <= 1e-11
+            assert np.max(np.abs(x - schur_logm(u))) <= oracle_bound(u)
+
+    def test_phases_straddling_the_cut(self):
+        # kappa is about 3e6 here: the two logs differ by about 3e-10
+        u = with_phases(0, [np.pi - 1e-6, -(np.pi - 1e-6)])
+        assert np.max(np.abs(logm_raw(u) - schur_logm(u))) <= oracle_bound(u)
+        assert np.linalg.norm(expm_raw(logm_raw(u)) - u) <= 1e-14
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 4), seeds, st.data())

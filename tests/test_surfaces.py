@@ -60,7 +60,7 @@ def oracle_area_torus(mesh, loop):
     x, y = grid.vertex_xy(loop.base)
     c_h, c_v = {}, {}  # net rightward / upward crossings of unit segments
     for e, s in loop.steps:
-        if grid.edge_info(e)[0] == "h":
+        if e < grid.N * grid.N:
             key = (x, y) if s == 1 else (x - 1, y)
             c_h[key] = c_h.get(key, 0) + s
             x += s
@@ -641,14 +641,14 @@ class TestLoopKernelOracles:
                 lifted_walk(mesh.grid, loop) for loop in valid
             ]
 
-    def test_edge_index_beyond_intp(self, torus4):
-        # json_int reads 1e308 as an integer that no array index can hold
-        loop = ah.loop_from_json({"base": 0, "steps": [[0, 1], [1e308, 1]]})
-        for fn in (walk_validate, ah.surfaces.validate_loop):
-            with pytest.raises(MalformedLoopError, match=f"edge index {int(1e308)} out of range"):
-                fn(torus4, loop)
+    def test_edge_index_beyond_intp(self):
+        # json_int reads 1e308 as an integer that no array index can hold,
+        # and no mesh has such an edge or vertex, so the loop is refused
+        # before a mesh is at hand
+        with pytest.raises(MalformedLoopError, match=f"edge index {int(1e308)} out of range"):
+            ah.loop_from_json({"base": 0, "steps": [[0, 1], [1e308, 1]]})
         with pytest.raises(MalformedLoopError, match="loop base vertex out of range"):
-            enclosed_area(torus4, ah.loop_from_json({"base": -1e308, "steps": []}))
+            ah.loop_from_json({"base": -1e308, "steps": []})
 
 
 class TestRandomLoopOracle:
