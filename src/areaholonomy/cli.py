@@ -4,10 +4,15 @@ Exit codes: 0 success, 1 I/O error, 2 non-convergence, 3 verification
 failure, 64 usage error.  All outputs embed the seed; JSON files are
 written atomically with sorted keys and floats written with repr, which
 round-trips, so identical configurations produce byte-identical files.
+solve's field file is formed straight from the edge arrays
+(lattice._field_text), byte for byte what json.dump with indent=1 wrote.
+Output files get the mode open() would give them, 0o666 less the umask.
+The verify table's max_residual is null when no pair was measured.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -23,14 +28,23 @@ EXIT_USAGE = 64
 
 
 def _write_atomic(path: str, write) -> None:
-    """Call write(handle) on a temp file in the target directory, then
-    atomically rename it to path."""
+    """Call write(handle) on a temp file in the target directory, give it
+    the mode open() would (0o666 less the umask), then atomically rename
+    it to path.  On any failure the temp file is removed."""
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        with os.fdopen(fd, "w") as handle:
-            write(handle)
-        os.replace(tmp, path)
+        try:
+            with os.fdopen(fd, "w") as handle:
+                write(handle)
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
     except OSError as ex:
         raise click.ClickException(f"cannot write {path}: {ex}")
 
@@ -113,6 +127,7 @@ def solve(mesh_spec, n, flux, seed, tol, max_iter, eps, out, report_path, trace)
     import numpy as np
 
     import areaholonomy as ah
+    from areaholonomy.lattice import _field_text
 
     # chained bounds fail closed: NaN is in no range
     if n < 1 or not 0 < tol < math.inf or not 0 <= eps < math.inf:
@@ -138,9 +153,8 @@ def solve(mesh_spec, n, flux, seed, tol, max_iter, eps, out, report_path, trace)
     except ah.NotConvergedError as ex:
         converged = False
         field, flow_report = ex.field, ex.report
-    field_json = ah.field_to_json(field)
-    field_json["seed"] = seed
-    _write_json(out, field_json)
+    text = _field_text(field, seed) + "\n"
+    _write_atomic(out, lambda handle: handle.write(text))
     _write_json(
         report_path,
         {"config": config, "converged": converged, "seed": seed, **flow_report.to_json()},
@@ -213,12 +227,13 @@ def verify(field_path, pairs_path, random_pairs, perturb, seed, tol, as_json, ou
             rows.append({"pair": idx, "delta_area": delta, "residual": residual})
     residuals = [r["residual"] for r in rows if "residual" in r]
     flagged = len(rows) - len(residuals)
-    max_residual = max(residuals) if residuals else math.inf
+    max_residual = max(residuals, default=math.inf)
     table = {
         "seed": seed,
         "tol": tol,
         "rows": rows,
-        "max_residual": max_residual,
+        # null, not the non-JSON Infinity, when no pair was measured
+        "max_residual": max_residual if residuals else None,
         "flagged": flagged,
     }
     if out:

@@ -29,7 +29,6 @@ from .liecore import (
     expm_raw,
     haar_unitary_raw,
     logm_raw,
-    matrix_to_json,
     require_unitary,
 )
 from .reps import InvalidRepError, YangMillsRep, validate_rep
@@ -686,11 +685,61 @@ def perturb_field(field: GaugeField, rng: np.random.Generator, eps: float) -> Ga
 # JSON
 
 def field_to_json(field: GaugeField) -> dict:
+    """Each edge as matrix_to_json writes it, from one tolist() per part."""
+    n = field.n
     return {
         "mesh": mesh_to_json(field.mesh),
-        "n": field.n,
-        "edges": [matrix_to_json(field.U[e]) for e in range(len(field.mesh.edges))],
+        "n": n,
+        "edges": [
+            {"n": n, "re": re, "im": im}
+            for re, im in zip(field.U.real.tolist(), field.U.imag.tolist())
+        ],
     }
+
+
+def _field_text(field: GaugeField, seed: int) -> str:
+    """json.dumps(field_to_json(field) | {"seed": seed}, sort_keys=True,
+    indent=1), formed from the arrays without the tree of edge dicts.
+
+    json lays out the file with one placeholder per list, and each list's
+    item once per shape with "%s" in every number slot; one % fills all
+    slots.  json writes finite floats and ints with their repr, as %s
+    does, and a GaugeField and its mesh hold only finite numbers, so the
+    bytes are json's.
+    """
+    import json
+    import re
+    from itertools import chain
+
+    def dumps(obj):
+        return json.dumps(obj, sort_keys=True, indent=1)
+
+    def row(k):
+        return ["%s"] * k
+
+    n = field.n
+    mesh = mesh_to_json(field.mesh)
+    # per list, in the file's key order: item shapes, item for a shape, numbers
+    lists = (
+        ([n] * len(field.U), lambda k: {"im": [row(k)] * k, "n": k, "re": [row(k)] * k},
+         np.stack((field.U.imag, field.U.real), 1).ravel().tolist()),
+        (list(map(len, mesh["edges"])), row, chain.from_iterable(mesh["edges"])),
+        ([0] * len(mesh["face_areas"]), lambda _: "%s", mesh["face_areas"]),
+        (list(map(len, mesh["faces"])), row, chain.from_iterable(mesh["faces"])),
+    )
+    mesh.update(edges=["@1"], face_areas=["@2"], faces=["@3"])
+    skeleton = dumps({"edges": ["@0"], "mesh": mesh, "n": n, "seed": seed})
+
+    def items(match):
+        indent, (shapes, item, _) = match[1], lists[int(match[2])]
+        layout = {
+            k: dumps(item(k)).replace('"%s"', "%s").replace("\n", "\n" + indent)
+            for k in set(shapes)
+        }
+        return indent + f",\n{indent}".join(map(layout.__getitem__, shapes))
+
+    text = re.sub(r'( *)"@(\d)"', items, skeleton)
+    return text % tuple(chain.from_iterable(numbers for *_, numbers in lists))
 
 
 def field_from_json(obj: dict, *, base_dir: Optional[str] = None) -> GaugeField:

@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import functools
+import hashlib
 import io
 import json
 import math
@@ -13,13 +14,14 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import areaholonomy as ah
-from areaholonomy.cli import cli, main
+from areaholonomy.cli import _write_json, cli, main
 from conftest import disjoint_union_json, flux_rep, rebased
 
 FOUR_PI_SQ = 4 * np.pi**2
@@ -153,6 +155,32 @@ class TestSolve:
             paths.append((out, rep))
         assert open(paths[0][0], "rb").read() == open(paths[1][0], "rb").read()
         assert open(paths[0][1], "rb").read() == open(paths[1][1], "rb").read()
+
+    # sha256 of the files that json.dump wrote before the field file was
+    # formed from the edge arrays; the writer must not change a byte
+    @pytest.mark.parametrize("mesh, n, field_sha, report_sha", [
+        ("torus:4", "1", "0c4e92760241bc36f74cf2f22822ba206f5a05cdca6ee9d7f713b0daa052ed9a",
+         "74597c1963b97428497bd40d00000d84744d2429744d084fd8cf0fd3b63cc04d"),
+        ("sphere:1", "2", "de6c8b078cb624cadcc8a577720c4e06527f9ced27eda09e2b7ba05c0235305a",
+         "ac94f90e751af80cf33da44cc8cdfb7565d5b66ccd2382101cd05fefa0d4519f"),
+    ], ids=["torus:4", "sphere:1-n2"])
+    def test_pinned_bytes(self, runner, tmp_path, mesh, n, field_sha, report_sha):
+        out, rep = tmp_path / "f.json", tmp_path / "r.json"
+        assert run(runner, ["solve", "--mesh", mesh, "--n", n, "--flux", "1", "--seed", "3",
+                            "--out", str(out), "--report", str(rep)]).exit_code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == field_sha
+        assert hashlib.sha256(rep.read_bytes()).hexdigest() == report_sha
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_output_mode_follows_umask(self, runner, tmp_path, umask, mode):
+        out, rep = tmp_path / "f.json", tmp_path / "r.json"
+        previous = os.umask(umask)
+        try:
+            assert run(runner, ["solve", "--mesh", "torus:3", "--flux", "1",
+                                "--out", str(out), "--report", str(rep)]).exit_code == 0
+        finally:
+            os.umask(previous)
+        assert [p.stat().st_mode & 0o777 for p in (out, rep)] == [mode, mode]
 
     def test_sphere_solve_and_verify(self, runner, tmp_path):
         out, rep = str(tmp_path / "f.json"), str(tmp_path / "r.json")
@@ -444,6 +472,25 @@ class TestVerify:
         assert result.exit_code == 3
         assert "not null-homotopic" in result.output
 
+    def test_nothing_measured_writes_null(self, runner, solved, tmp_path):
+        field = ah.field_from_json(json.loads(open(solved).read()))
+        pairs_path, table = str(tmp_path / "pairs.json"), str(tmp_path / "verify.json")
+        with open(pairs_path, "w") as handle:
+            pair = [ah.alpha_loop(field.mesh), ah.MeshLoop(field.mesh.basepoint, ())]
+            json.dump({"pairs": [[ah.loop_to_json(loop) for loop in pair]]}, handle)
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        result = runner.invoke(cli, ["verify", "--field", solved, "--pairs", pairs_path, "--json", "--out", table])
+        assert result.exit_code == 3
+        for text in (result.output.splitlines()[-1], open(table).read()):
+            data = json.loads(text, parse_constant=refuse)
+            assert data["max_residual"] is None and data["flagged"] == 1
+        result = runner.invoke(cli, ["verify", "--field", solved, "--pairs", pairs_path])
+        assert result.exit_code == 3
+        assert "max residual: inf" in result.output
+
     def test_lambda_from_basepoint_frame(self, tmp_path):
         # no face boundary starts at vertex 17, so face 0's curvature is in
         # another vertex's frame; in a random gauge the two frames differ
@@ -490,6 +537,21 @@ def test_numeric_option_out_of_range_is_usage_error(args, tmp_path):
     assert proc.returncode == 64
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "r.json").exists()
+
+
+class TestWriteAtomic:
+    def test_failing_write_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        with pytest.raises(TypeError):
+            _write_json(str(path), {"x": object()})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failing_rename_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        with mock.patch("os.replace", side_effect=OSError("no rename")), \
+                pytest.raises(click.ClickException, match="cannot write"):
+            _write_json(str(path), {"x": 1})
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestClassify:

@@ -1,6 +1,9 @@
 """Lattice connections: plaquettes, curvature, action, gradient, flow,
 gauge action, holonomy, and the constant-curvature constructions."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -29,7 +32,7 @@ from areaholonomy import (
 )
 from areaholonomy._loopsteps import flat_steps, holonomies
 from areaholonomy._verify import basepoint_curvature, verify_pairs
-from areaholonomy.lattice import _engine_for, _unitarize
+from areaholonomy.lattice import _engine_for, _field_text, _unitarize
 from areaholonomy.liecore import expm_raw, haar_unitary_raw
 from conftest import (
     _skew_basis,
@@ -921,6 +924,18 @@ class TestFieldJson:
         back = ah.field_from_json(snapshot).U
         assert back.tobytes() == stacked.tobytes()
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_edges_match_matrix_to_json(self, torus4, n):
+        field = random_field(torus4, n, np.random.default_rng(n))
+        per_edge = {
+            "mesh": ah.mesh_to_json(torus4),
+            "n": n,
+            "edges": [ah.matrix_to_json(field.U[e]) for e in range(len(torus4.edges))],
+        }
+        snapshot = ah.field_to_json(field)
+        assert snapshot == per_edge
+        assert json.dumps(snapshot) == json.dumps(per_edge)
+
     @pytest.mark.parametrize("change", ["n", "shape", "im-shape", "field-n"])
     def test_mismatched_edge_matrix_rejected(self, torus4, change):
         snapshot = ah.field_to_json(GaugeField.identity(torus4, 2))
@@ -942,6 +957,64 @@ class TestFieldJson:
         field = random_field(torus4, 1, rng, scale=0.2)
         flux = total_flux(field)
         assert abs(flux / (2 * np.pi) - round(flux / (2 * np.pi))) < 1e-12
+
+
+def merged_faces(mesh_json: dict, edge: int) -> dict:
+    """Mesh JSON with the two faces on edge merged into one longer face and
+    the edge deleted; the Euler characteristic is unchanged."""
+    faces, key = [list(face) for face in mesh_json["faces"]], edge + 1
+    (plus,) = [i for i, face in enumerate(faces) if key in face]
+    (minus,) = [i for i, face in enumerate(faces) if -key in face]
+    a, b = faces[plus], faces[minus]
+    a = a[a.index(key) + 1:] + a[:a.index(key)]
+    b = b[b.index(-key) + 1:] + b[:b.index(-key)]
+    areas = list(mesh_json["face_areas"])
+    areas[plus] += areas[minus]
+    faces[plus] = a + b
+    del faces[minus], areas[minus]
+    shift = lambda k: k - (k > key) + (k < -key)  # noqa: E731
+    return {
+        **mesh_json,
+        "edges": mesh_json["edges"][:edge] + mesh_json["edges"][edge + 1:],
+        "faces": [[shift(k) for k in face] for face in faces],
+        "face_areas": areas,
+    }
+
+
+@st.composite
+def snapshot_cases(draw):
+    """A U(n) field (n 1..3) and a seed for the field file: a torus N 2..6
+    at any basepoint or a sphere S 1..3, now and then read back through
+    mesh_from_json with non-uniform areas and, on N >= 3, two faces merged
+    into one longer face; the identity field perturbed by 0 (exact zeros
+    and ones), a tiny scale (exponent floats) or an ordinary one."""
+    kind, size = draw(st.sampled_from([("torus", k) for k in range(2, 7)] + [("sphere", k) for k in (1, 2, 3)]))
+    mesh = ah.build_torus_mesh(size) if kind == "torus" else ah.build_sphere_mesh(size)
+    mesh = rebased(mesh, draw(st.integers(0, mesh.vertex_count - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        mesh_json = ah.mesh_to_json(mesh)
+        areas = rng.uniform(0.5, 2.0, len(mesh.faces))
+        mesh_json["face_areas"] = (areas / areas.sum()).tolist()
+        if (kind, size) != ("torus", 2) and draw(st.booleans()):
+            mesh_json = merged_faces(mesh_json, draw(st.integers(0, len(mesh.edges) - 1)))
+        mesh = ah.mesh_from_json(mesh_json)
+    eps = draw(st.sampled_from([0.0, 1e-9, 0.3, 3.0]))
+    field = ah.perturb_field(GaugeField.identity(mesh, draw(st.integers(1, 3))), rng, eps)
+    seed = draw(st.one_of(st.just(0), st.integers(max_value=-1), st.integers(min_value=2**63), st.integers()))
+    return field, seed
+
+
+@settings(max_examples=80, deadline=None)
+@given(snapshot_cases())
+def test_field_text_is_json_layout(case):
+    # the field file's writer against json's own indented encoder
+    field, seed = case
+    text = _field_text(field, seed)
+    expected = json.dumps(ah.field_to_json(field) | {"seed": seed}, sort_keys=True, indent=1)
+    # compare from the first difference: a full diff of two files is slow
+    at = max(len(os.path.commonprefix([text, expected])) - 40, 0)
+    assert text[at:at + 120] == expected[at:at + 120]
 
 
 @st.composite
