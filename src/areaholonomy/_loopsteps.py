@@ -1,23 +1,24 @@
 """Many loops at once: the steps of K loops laid out flat, and the kernels
-over that layout that surfaces and lattice build their loop operations
-from.
+over that layout that surfaces and lattice build their loop and face
+operations from.
 
 A layout (LoopSteps) is one edge array, one sign array and the per-loop
-offsets into them.  loop_faults checks every loop in one pass, reduced
-frees them of retraced steps, lifts walks their lifts to a torus grid's
-universal cover with integer prefix sums, and holonomies multiplies the
-step matrices of every loop, one step position of all loops at a time, in
-the order a loop over the steps would multiply them.  The kernels read a
-mesh's tails, heads and counts and a grid's N and import nothing from the
-package.
+offsets into them.  Loops a caller names are laid out per call, and every
+SurfaceMesh lays out its face boundaries once (mesh.face_steps), so a
+plaquette is the holonomy of a face's loop.  first_fault checks every loop
+in one pass, reduced frees them of retraced steps, lifts walks their lifts
+to a torus grid's universal cover with integer prefix sums, and holonomies
+multiplies the step matrices of every loop (step_table), one step position
+of all loops at a time, in the order a loop over the steps would multiply
+them.  The kernels read a mesh's tails, heads and counts and a grid's N
+and import nothing from the package.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import chain
 from operator import itemgetter
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -85,12 +86,12 @@ def concat_inverse(steps: LoopSteps) -> LoopSteps:
     return LoopSteps(steps.bases[0::2], steps.starts[0::2], lengths, steps.edges[at], signs)
 
 
-def loop_faults(mesh, steps: LoopSteps) -> dict[int, str]:
-    """The first fault of every malformed loop of a flat_steps layout,
-    keyed by loop index, in the words surfaces.validate_loop raises: a base
-    vertex out of range, then the first step whose edge is out of range or
-    that does not start where the last one ended, then a loop that does
-    not end at its base."""
+def first_fault(mesh, steps: LoopSteps) -> Optional[tuple[int, str]]:
+    """The first malformed loop of a flat_steps layout and its first fault,
+    in the words surfaces.validate_loop raises, or None: a base vertex out
+    of range, then the first step whose edge is out of range or that does
+    not start where the last one ended, then a loop that does not end at
+    its base."""
     edges, signs, bases = steps.edges, steps.signs, steps.bases
     in_range = (edges >= 0) & (edges < len(mesh.edges))
     # where each step starts and ends; out-of-range steps read a clipped
@@ -99,48 +100,48 @@ def loop_faults(mesh, steps: LoopSteps) -> dict[int, str]:
     head = np.take(mesh.heads, edges, mode="clip")
     backward = signs < 0
     tail[backward], head[backward] = head[backward], tail[backward]
-    bad = ~in_range
-    bad[1:] |= tail[1:] != head[:-1]
-    ends = steps.starts + steps.lengths
+    # where each step should start: the last step's end, or its loop's base
     walked = steps.lengths > 0
-    firsts = steps.starts[walked]
-    bad[firsts] = ~in_range[firsts] | (tail[firsts] != bases[walked])
-    first_bad: dict[int, int] = {}
-    bad_at = np.flatnonzero(bad)
-    if len(bad_at):
-        for k, i in zip(np.searchsorted(ends, bad_at, side="right").tolist(), bad_at.tolist()):
-            first_bad.setdefault(k, i)
+    ends = steps.starts + steps.lengths
+    expected = np.concatenate((head[:1], head[:-1]))
+    expected[steps.starts[walked]] = bases[walked]
+    bad = np.flatnonzero(~in_range | (tail != expected))
     closing = bases.copy()
     closing[walked] = head[ends[walked] - 1]
     base_out = (bases < 0) | (bases >= mesh.vertex_count)
-    faults = {}
-    for k in sorted(first_bad.keys() | set(np.flatnonzero(base_out | (closing != bases)).tolist())):
-        if base_out[k]:
-            faults[k] = "loop base vertex out of range"
-        elif k in first_bad and in_range[first_bad[k]]:
-            faults[k] = "loop steps are not head-to-tail composable"
-        elif k in first_bad:
-            faults[k] = f"edge index {int(edges[first_bad[k]])} out of range"
-        else:
-            faults[k] = "loop does not return to its base vertex"
-    return faults
+    faulty = base_out | (closing != bases)
+    if len(bad):
+        # the loop of a flat step comes after every loop that ends before it
+        faulty[np.count_nonzero(ends <= bad[0])] = True
+    if not np.any(faulty):
+        return None
+    k = int(np.flatnonzero(faulty)[0])
+    if base_out[k]:
+        return k, "loop base vertex out of range"
+    if len(bad) and bad[0] < ends[k] and in_range[bad[0]]:
+        return k, "loop steps are not head-to-tail composable"
+    if len(bad) and bad[0] < ends[k]:
+        return k, f"edge index {int(edges[bad[0]])} out of range"
+    return k, "loop does not return to its base vertex"
 
 
 def reduced(steps: LoopSteps) -> LoopSteps:
     """The layout with every loop freely reduced as clip_steps reduces it.
-    A loop with no adjacent (e, s)(e, -s) pair is reduced already, and
-    those are found without a walk."""
+    A layout with no adjacent (e, s)(e, -s) pair inside one of its loops
+    is reduced already, and those pairs are found without a walk."""
     edges, signs = steps.edges, steps.signs
-    # flat steps i and i + 1 cancel, for i in these
-    cancelling = np.flatnonzero((edges[1:] == edges[:-1]) & (signs[1:] != signs[:-1])).tolist()
-    spans = list(zip(steps.starts.tolist(), steps.lengths.tolist()))
-
-    def cancels_inside(start, length):
-        at = bisect_left(cancelling, start)
-        return at < len(cancelling) and cancelling[at] < start + length - 1
-
-    if not cancelling or not any(cancels_inside(a, n) for a, n in spans):
+    # flat steps i and i + 1 cancel, for i in these, and step i + 1 starts
+    # no loop (two of a mesh's faces can share an edge there)
+    cancelling = (edges[1:] == edges[:-1]) & (signs[1:] != signs[:-1])
+    cancelling[steps.starts[(steps.starts > 0) & (steps.starts < len(edges))] - 1] = False
+    if np.any(cancelling):
+        # and both steps lie in one loop, as a take may leave them not:
+        # start <= i < start + length - 1
+        size, lasts = len(edges) + 1, steps.starts + np.maximum(steps.lengths - 1, 0)
+        cancelling &= np.cumsum(np.bincount(steps.starts, minlength=size) - np.bincount(lasts, minlength=size))[:-2] > 0
+    if not np.any(cancelling):
         return steps
+    spans = zip(steps.starts.tolist(), steps.lengths.tolist())
     step_lists = [clip_steps(zip(edges[a:a + n].tolist(), signs[a:a + n].tolist())) for a, n in spans]
     return flat_steps(steps.bases.tolist(), step_lists)
 
@@ -185,9 +186,7 @@ def holonomies(u: np.ndarray, steps: LoopSteps) -> np.ndarray:
     the given loops are read.
     """
     steps = reduced(steps)
-    table = np.concatenate((u, u.conj().swapaxes(-1, -2)))
-    index = steps.edges.copy()
-    index[steps.signs < 0] += len(u)
+    table, index = step_table(u, steps.edges, steps.signs)
     order, positions = _by_position(steps)
     n = u.shape[-1]
     by_length = np.broadcast_to(np.eye(n, dtype=table.dtype), (len(order), n, n)).copy()
@@ -196,6 +195,12 @@ def holonomies(u: np.ndarray, steps: LoopSteps) -> np.ndarray:
     out = np.empty_like(by_length)
     out[order] = by_length
     return out
+
+
+def step_table(u: np.ndarray, edges: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The matrix of every step in one table, U_e in row e for sign +1 and
+    U_e^-1 = U_e* in row E + e for sign -1, and the row of each step."""
+    return np.concatenate((u, u.conj().swapaxes(-1, -2))), np.where(signs < 0, edges + len(u), edges)
 
 
 def _by_position(steps: LoopSteps) -> tuple[np.ndarray, Iterator[np.ndarray]]:

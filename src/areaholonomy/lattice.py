@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._loopsteps import flat_steps, holonomies
+from ._loopsteps import flat_steps, holonomies, step_table
 from ._verify import verify_pairs
 from .liecore import (
     BranchCutError,
@@ -137,40 +137,22 @@ class _Engine:
     def __init__(self, mesh: SurfaceMesh):
         self.mesh = mesh
         self.areas = np.asarray(mesh.face_areas, dtype=np.float64)
-        by_len: dict[int, list[int]] = {}
-        for f_idx, face in enumerate(mesh.faces):
-            by_len.setdefault(len(face), []).append(f_idx)
-        self.groups = []
-        for m, faces in sorted(by_len.items()):
-            edge_idx = np.array([[e for e, _ in mesh.faces[f]] for f in faces], dtype=np.intp)
-            signs = np.array([[s for _, s in mesh.faces[f]] for f in faces], dtype=np.int8)
-            self.groups.append((np.array(faces, dtype=np.intp), edge_idx, signs))
-        # Boundary slots are numbered group by group, face by face; every
-        # edge fills exactly two of them, once with each sign.
-        self.slot_plus = np.empty(len(mesh.edges), dtype=np.intp)
-        self.slot_minus = np.empty(len(mesh.edges), dtype=np.intp)
-        offset = 0
-        for _, edge_idx, signs in self.groups:
-            slots = offset + np.arange(edge_idx.size).reshape(edge_idx.shape)
-            self.slot_plus[edge_idx[signs > 0]] = slots[signs > 0]
-            self.slot_minus[edge_idx[signs < 0]] = slots[signs < 0]
-            offset += edge_idx.size
-
-    @staticmethod
-    def _gather(U: np.ndarray, edges: np.ndarray, signs: np.ndarray) -> np.ndarray:
-        w = U[edges]
-        flipped = w.conj().swapaxes(-1, -2)
-        return np.where((signs < 0)[:, None, None], flipped, w)
+        layout = mesh.face_steps
+        # per face length: its faces, and their boundary slots in order
+        self.groups, order = [], []
+        for m in sorted(set(layout.lengths.tolist())):
+            faces = np.flatnonzero(layout.lengths == m)
+            slots = layout.starts[faces, None] + np.arange(m)
+            self.groups.append((faces, layout.edges[slots], layout.signs[slots]))
+            order.append(slots.ravel())
+        # each edge gathers its two slots from the kernels' stack of groups
+        position = np.empty(len(layout.edges), np.intp)
+        position[np.concatenate(order)] = np.arange(len(layout.edges))
+        self.slot_plus, self.slot_minus = position[mesh.plus_slot], position[mesh.minus_slot]
 
     def plaquettes(self, U: np.ndarray) -> np.ndarray:
-        n = U.shape[-1]
-        out = np.empty((len(self.mesh.faces), n, n), dtype=np.complex128)
-        for faces, edge_idx, signs in self.groups:
-            acc = self._gather(U, edge_idx[:, 0], signs[:, 0])
-            for j in range(1, edge_idx.shape[1]):
-                acc = acc @ self._gather(U, edge_idx[:, j], signs[:, j])
-            out[faces] = acc
-        return out
+        """The holonomy of every face boundary, from its start vertex."""
+        return holonomies(U, self.mesh.face_steps)
 
     def logs(self, U: np.ndarray) -> np.ndarray:
         return logm_raw(self.plaquettes(U))
@@ -187,10 +169,11 @@ class _Engine:
         factors before slot j, and for s_j = -1 also slot j's own factor.
         """
         n = U.shape[-1]
+        table, rows = step_table(U, edge_idx, signs)
         q = np.empty((*edge_idx.shape, n, n), dtype=np.complex128)
         prefix = np.broadcast_to(np.eye(n, dtype=np.complex128), (len(edge_idx), n, n))
         for j in range(edge_idx.shape[1]):
-            nxt = prefix @ self._gather(U, edge_idx[:, j], signs[:, j])
+            nxt = prefix @ table[rows[:, j]]
             q[:, j] = np.where((signs[:, j] > 0)[:, None, None], prefix, nxt)
             prefix = nxt
         return q
@@ -269,7 +252,7 @@ class _Engine:
 
     def _coboundary(self, y: np.ndarray) -> np.ndarray:
         """D y: the signed sum of edge values around each face."""
-        out = np.empty(len(self.mesh.faces))
+        out = np.empty(len(self.areas))
         for faces, edge_idx, signs in self.groups:
             out[faces] = np.sum(signs * y[edge_idx], axis=1)
         return out

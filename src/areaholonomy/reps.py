@@ -45,12 +45,13 @@ class RepDiagnostics:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Weakly decreasing integer tuple: winding weights of U(1) -> U(n)."""
+    """Weakly decreasing integer tuple: winding weights of U(1) -> U(n).
+    Entries follow surfaces.json_int: a fraction or a boolean raises."""
 
     k: tuple[int, ...]
 
     def __post_init__(self):
-        k = tuple(int(v) for v in self.k)
+        k = tuple(json_int(v, "weight vector: an entry") for v in self.k)
         if any(k[i] < k[i + 1] for i in range(len(k) - 1)):
             raise ValueError("weight vector entries must be weakly decreasing")
         object.__setattr__(self, "k", k)

@@ -13,6 +13,8 @@ area.  No floating-point geometry is involved.
 Loops are checked, walked and integrated as arrays: the steps of many
 loops are laid out flat (_loopsteps), and validate_loop, torus_windings
 and enclosed_area are one-element calls of the kernels over that layout.
+A face boundary is a loop too: every mesh lays out its faces once, and
+its construction checks them with array passes over that layout.
 """
 
 from __future__ import annotations
@@ -20,13 +22,15 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate, chain
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ._loopsteps import LoopSteps, clip_steps, flat_steps, lifts, loop_faults
+from ._loopsteps import LoopSteps, clip_steps, first_fault, flat_steps, lifts
 from .policy import DEFAULT_POLICY
 
 _INTP = np.iinfo(np.intp)
@@ -130,9 +134,13 @@ class SurfaceMesh:
     rotated so each boundary starts at its lowest-index vertex.  Every
     undirected edge occurs in exactly two face boundaries with opposite
     signs; this is validated at construction together with connectedness,
-    the Euler characteristic and the area normalization.  The two faces
-    are kept as the incidence arrays plus_face and minus_face, and the
-    edge endpoints as tails and heads (read-only, one entry per edge).
+    the Euler characteristic and the area normalization.  The boundaries
+    are laid out once as the loops of a _loopsteps layout, face_steps,
+    each based at its face's start vertex: face f takes the flat steps
+    (slots) face_steps.starts[f] onwards.  Per edge, plus_slot and
+    minus_slot are its slots of sign +1 and -1, plus_face and minus_face
+    the faces that hold them, and tails and heads its endpoints (all
+    read-only).
     Integer slots follow the rule of json_int: a boolean or a number with a
     fractional part raises instead of being truncated.
     """
@@ -175,8 +183,7 @@ class SurfaceMesh:
         return (tail, head) if sign > 0 else (head, tail)
 
     def face_start_vertex(self, face: int) -> int:
-        e, s = self.faces[face][0]
-        return self.step_endpoints(e, s)[0]
+        return int(self.face_steps.bases[face])
 
     def vertex_steps(self) -> list[list[tuple[int, int, int]]]:
         """Adjacency: per vertex, outgoing (edge, sign, neighbor) steps."""
@@ -238,48 +245,53 @@ class SurfaceMesh:
                 f"Euler characteristic {v - e + f} does not match genus {self.genus}"
             )
         # fail closed: every comparison with NaN is False
-        if len(self.face_areas) != f or not np.all(self.face_areas > 0):
+        if self.face_areas.shape != (f,) or not np.all(self.face_areas > 0):
             raise ValueError("face_areas must be positive, one per face")
         if not abs(float(np.sum(self.face_areas)) - 1.0) <= DEFAULT_POLICY.area_sum_tol:
             raise ValueError("face areas must sum to 1")
         if not (0 <= self.basepoint < v):
             raise ValueError("basepoint out of range")
-        if not all(0 <= t < v and 0 <= h < v for t, h in self.edges):
+        endpoints = list(chain.from_iterable(self.edges))
+        if min(endpoints, default=0) < 0 or max(endpoints, default=0) >= v:
             raise ValueError(f"edge endpoints must be vertices 0..{v - 1}")
-        seen: dict[int, list[tuple[int, int]]] = {}  # edge -> [(sign, face)]
-        for f_idx, face in enumerate(self.faces):
-            if not face or not all(0 <= e_idx < e for e_idx, _ in face):
-                raise ValueError(f"face {f_idx} must list edges among 0..{e - 1}")
-            here = self.step_endpoints(*face[0])[0]
-            for e_idx, s in face:
-                tail, head = self.step_endpoints(e_idx, s)
-                if tail != here:
-                    raise ValueError("face boundary steps are not composable")
-                here = head
-                seen.setdefault(e_idx, []).append((s, f_idx))
-            if here != self.step_endpoints(*face[0])[0]:
-                raise ValueError("face boundary does not close")
-        self.plus_face = np.empty(e, dtype=np.intp)
-        self.minus_face = np.empty(e, dtype=np.intp)
-        for e_idx in range(e):
-            sides = sorted(seen.get(e_idx, []))
-            if [s for s, _ in sides] != [-1, 1]:
-                raise ValueError(
-                    f"edge {e_idx} must appear in exactly two faces with opposite signs"
-                )
-            (_, self.minus_face[e_idx]), (_, self.plus_face[e_idx]) = sides
-        self.plus_face.setflags(write=False)
-        self.minus_face.setflags(write=False)
-        self.tails = np.fromiter((t for t, _ in self.edges), np.intp, count=e)
-        self.heads = np.fromiter((h for _, h in self.edges), np.intp, count=e)
-        self.tails.setflags(write=False)
-        self.heads.setflags(write=False)
+        self.tails, self.heads = np.array(endpoints[0::2], np.intp), np.array(endpoints[1::2], np.intp)
+        # the faces, in one array pass per check; the range check reads the
+        # ints themselves, before any array holds them
+        lengths = list(map(len, self.faces))
+        edges = list(map(operator.itemgetter(0), chain.from_iterable(self.faces)))
+        if 0 in lengths or min(edges) < 0 or max(edges) >= e:
+            ends = list(accumulate(lengths))
+            bad = [lengths.index(0)] if 0 in lengths else []
+            bad += [bisect_right(ends, i) for i, k in enumerate(edges) if not 0 <= k < e][:1]
+            raise ValueError(f"face {min(bad)} must list edges among 0..{e - 1}")
+        signs = list(map(operator.itemgetter(1), chain.from_iterable(self.faces)))
+        if not set(signs) <= {-1, 1}:
+            # another sign steps as step_endpoints reads it and fills no slot
+            signs = [s if s in (-1, 1) else 2 if s > 0 else -2 for s in signs]
+        lengths, edges, signs = (np.array(a, np.intp) for a in (lengths, edges, signs))
+        starts = np.zeros_like(lengths)
+        np.cumsum(lengths[:-1], out=starts[1:])
+        bases = np.where(signs[starts] > 0, self.tails[edges[starts]], self.heads[edges[starts]])
+        self.face_steps = LoopSteps(bases, starts, lengths, edges, signs)
+        fault = first_fault(self, self.face_steps)
+        if fault:
+            raise ValueError(f"face {fault[0]} must list its edges head to tail around a closed boundary")
+        plus, minus = signs == 1, signs == -1
+        uses = [np.bincount(edges[side], minlength=e) for side in (plus, minus, slice(None))]
+        wrong = np.flatnonzero((uses[0] != 1) | (uses[1] != 1) | (uses[2] != 2))
+        if len(wrong):
+            raise ValueError(f"edge {wrong[0]} must appear in exactly two faces with opposite signs")
+        self.plus_slot, self.minus_slot = np.empty(e, np.intp), np.empty(e, np.intp)
+        self.plus_slot[edges[plus]] = np.flatnonzero(plus)
+        self.minus_slot[edges[minus]] = np.flatnonzero(minus)
+        face_of_slot = np.repeat(np.arange(f), lengths)
+        self.plus_face, self.minus_face = face_of_slot[self.plus_slot], face_of_slot[self.minus_slot]
+        for array in (self.tails, self.heads, *self.face_steps, self.plus_slot, self.minus_slot,
+                      self.plus_face, self.minus_face):
+            array.setflags(write=False)
         # every edge borders a face, so with no isolated vertex a connected
         # dual graph makes the whole complex connected
-        touched = [False] * v
-        for t, h in self.edges:
-            touched[t] = touched[h] = True
-        if not all(touched) or len(self.dual_tree()) != f - 1:
+        if len(set(endpoints)) < v or len(self.dual_tree()) != f - 1:
             raise ValueError("the complex is not connected")
 
 
@@ -287,11 +299,7 @@ class SurfaceMesh:
 # builders
 
 def _rotate_to_lowest_vertex(mesh_edges, steps: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    def start(e, s):
-        tail, head = mesh_edges[e]
-        return tail if s > 0 else head
-
-    starts = [start(e, s) for e, s in steps]
+    starts = [mesh_edges[e][0 if s > 0 else 1] for e, s in steps]
     k = starts.index(min(starts))
     return tuple(steps[k:] + steps[:k])
 
@@ -449,7 +457,7 @@ def validate_loop(mesh: SurfaceMesh, loop: MeshLoop) -> list[int]:
     Raises MalformedLoopError for a base vertex out of range, then for the
     first step whose edge is out of range or that does not start where the
     last one ended, then for a loop that does not end at its base.  One
-    element of the batched check _loopsteps.loop_faults.
+    element of the batched check _loopsteps.first_fault.
     """
     steps = _checked_steps(mesh, [loop])
     heads = np.where(steps.signs > 0, mesh.heads[steps.edges], mesh.tails[steps.edges])
@@ -467,9 +475,9 @@ def _checked_steps(mesh: SurfaceMesh, loops: Sequence[MeshLoop]) -> LoopSteps:
     """The layout of the loops; raises MalformedLoopError for the first
     malformed one."""
     steps = flat_steps([loop.base for loop in loops], [loop.steps for loop in loops])
-    faults = loop_faults(mesh, steps)
-    if faults:
-        raise MalformedLoopError(faults[min(faults)])
+    fault = first_fault(mesh, steps)
+    if fault:
+        raise MalformedLoopError(fault[1])
     return steps
 
 

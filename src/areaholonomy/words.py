@@ -79,13 +79,14 @@ def relator_letters(genus: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SurfaceWord:
-    """A freely reduced word in the 2g surface-group generators."""
+    """A freely reduced word in the 2g surface-group generators, of letters
+    read by surfaces.json_int."""
 
     genus: int
     letters: tuple[int, ...]
 
     def __post_init__(self):
-        letters = tuple(int(l) for l in self.letters)
+        letters = tuple(json_int(l, "word: a letter") for l in self.letters)
         _check_alphabet(letters, self.genus)
         if letters != clip(letters):
             raise ValueError("word is not freely reduced")
@@ -234,7 +235,8 @@ class GammaRElement:
     The central generator is J = (empty word, 1); for genus 0 the word is
     empty and t lives in R/Z, represented in (-1/2, 1/2].  The letters are
     checked once, on entry: each must be one of +-1 .. +-2g, whether or
-    not normalization would cancel it.
+    not normalization would cancel it, and a letter given as a number
+    follows the rule of surfaces.json_int.
     """
 
     __slots__ = ("genus", "word", "t")
@@ -249,7 +251,7 @@ class GammaRElement:
         elif isinstance(word, str):
             letters = parse_letters(word, genus)
         else:
-            letters = tuple(int(l) for l in word)
+            letters = tuple(json_int(l, "word: a letter") for l in word)
             _check_alphabet(letters, genus)
         t = float(t)
 

@@ -110,6 +110,40 @@ def disjoint_union_json(first: ah.SurfaceMesh, second: ah.SurfaceMesh) -> dict:
     }
 
 
+MALFORMED_MESHES = ("entry-beyond-edges", "empty-face", "entry-beyond-intp", "open-face", "range-before-walk",
+                    "same-sign", "face-areas-2d")
+
+
+def malformed_mesh_json(case: str) -> tuple[dict, str]:
+    """Mesh JSON with one fault and the message that names it: torus:3
+    with face 4 listing edge 1000 or 10^30, left empty or not closing up
+    (a step reversed), or with both an open face 2 and the out-of-range
+    face 4, of which the range fault is reported; torus:3 with face areas
+    of shape (F, 1); or a sphere of two 2-gons that run the same way round,
+    so edge 0 has two +1 slots."""
+    if case == "same-sign":
+        obj = {"genus": 0, "vertices": 2, "edges": [[0, 1], [1, 0]], "faces": [[1, 2], [1, 2]],
+               "face_areas": [0.5, 0.5], "basepoint": 0}
+        return obj, "edge 0 must appear in exactly two faces with opposite signs"
+    obj = ah.mesh_to_json(ah.build_torus_mesh(3))
+    faces, message = obj["faces"], "face 4 must list edges among 0..17"
+    if case in ("entry-beyond-edges", "range-before-walk"):
+        faces[4][1] = 1000
+        if case == "range-before-walk":
+            faces[2][1] = -faces[2][1]
+    elif case == "entry-beyond-intp":
+        faces[4][1] = 10**30
+    elif case == "empty-face":
+        faces[4] = []
+    elif case == "open-face":
+        faces[4][1] = -faces[4][1]
+        message = "face 4 must list its edges head to tail around a closed boundary"
+    else:
+        obj["face_areas"] = [[a] for a in obj["face_areas"]]
+        message = "face_areas must be positive, one per face"
+    return obj, message
+
+
 # the per-step walks that the loop kernels replaced, kept as oracles
 
 

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 import areaholonomy as ah
 from areaholonomy.cli import _write_json, cli, main
-from conftest import disjoint_union_json, flux_rep, rebased
+from conftest import MALFORMED_MESHES, disjoint_union_json, flux_rep, malformed_mesh_json, rebased
 
 FOUR_PI_SQ = 4 * np.pi**2
 
@@ -372,6 +372,17 @@ class TestVerify:
             # the faces composable and the Euler characteristic right
             last = mesh.vertex_count - 1
             field_json["mesh"]["edges"] = [[1000 if v == last else v for v in e] for e in field_json["mesh"]["edges"]]
+        field_path = tmp_path / "f.json"
+        field_path.write_text(json.dumps(field_json))
+        proc = entry_point("verify", "--field", str(field_path), "--random", "3")
+        assert proc.returncode == 64
+        assert "Traceback" not in proc.stderr
+        assert message in proc.stderr
+
+    @pytest.mark.parametrize("case", MALFORMED_MESHES)
+    def test_malformed_mesh_is_usage_error(self, case, tmp_path):
+        field_json = ah.field_to_json(ah.GaugeField.identity(ah.build_torus_mesh(3), 1))
+        field_json["mesh"], message = malformed_mesh_json(case)
         field_path = tmp_path / "f.json"
         field_path.write_text(json.dumps(field_json))
         proc = entry_point("verify", "--field", str(field_path), "--random", "3")

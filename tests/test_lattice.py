@@ -30,7 +30,7 @@ from areaholonomy import (
     ym_action,
     ym_gradient,
 )
-from areaholonomy._loopsteps import flat_steps, holonomies
+from areaholonomy._loopsteps import flat_steps, holonomies, reduced
 from areaholonomy._verify import basepoint_curvature, verify_pairs
 from areaholonomy.lattice import _engine_for, _field_text, _unitarize
 from areaholonomy.liecore import expm_raw, haar_unitary_raw
@@ -1015,6 +1015,113 @@ def test_field_text_is_json_layout(case):
     # compare from the first difference: a full diff of two files is slow
     at = max(len(os.path.commonprefix([text, expected])) - 40, 0)
     assert text[at:at + 120] == expected[at:at + 120]
+
+
+class GatherEngine:
+    """The engine's plaquette and gradient kernels as they were before the
+    faces were laid out as loops: face groups and boundary slots numbered
+    from mesh.faces, each slot's step matrix gathered on its own, and the
+    face incidence found by a walk over the faces with a per-edge dict."""
+
+    def __init__(self, mesh):
+        by_len, seen = {}, {}
+        for f, face in enumerate(mesh.faces):
+            by_len.setdefault(len(face), []).append(f)
+            for e, s in face:
+                seen.setdefault(e, []).append((s, f))
+        self.plus_face = np.array([max(seen[e])[1] for e in range(len(mesh.edges))])
+        self.minus_face = np.array([min(seen[e])[1] for e in range(len(mesh.edges))])
+        self.areas = mesh.face_areas
+        self.groups = []
+        for faces in (faces for _, faces in sorted(by_len.items())):
+            edge_idx = np.array([[e for e, _ in mesh.faces[f]] for f in faces], dtype=np.intp)
+            signs = np.array([[s for _, s in mesh.faces[f]] for f in faces], dtype=np.int8)
+            self.groups.append((np.array(faces, dtype=np.intp), edge_idx, signs))
+        self.slot_plus = np.empty(len(mesh.edges), dtype=np.intp)
+        self.slot_minus = np.empty(len(mesh.edges), dtype=np.intp)
+        offset = 0
+        for _, edge_idx, signs in self.groups:
+            slots = offset + np.arange(edge_idx.size).reshape(edge_idx.shape)
+            self.slot_plus[edge_idx[signs > 0]] = slots[signs > 0]
+            self.slot_minus[edge_idx[signs < 0]] = slots[signs < 0]
+            offset += edge_idx.size
+
+    @staticmethod
+    def gather(U, edges, signs):
+        w = U[edges]
+        return np.where((signs < 0)[:, None, None], w.conj().swapaxes(-1, -2), w)
+
+    def plaquettes(self, U):
+        n = U.shape[-1]
+        out = np.empty((len(self.areas), n, n), dtype=np.complex128)
+        for faces, edge_idx, signs in self.groups:
+            acc = self.gather(U, edge_idx[:, 0], signs[:, 0])
+            for j in range(1, edge_idx.shape[1]):
+                acc = acc @ self.gather(U, edge_idx[:, j], signs[:, j])
+            out[faces] = acc
+        return out
+
+    def gradient_from_logs(self, U, x):
+        n, slots = U.shape[-1], []
+        for faces, edge_idx, signs in self.groups:
+            q = np.empty((*edge_idx.shape, n, n), dtype=np.complex128)
+            prefix = np.broadcast_to(np.eye(n, dtype=np.complex128), (len(edge_idx), n, n))
+            for j in range(edge_idx.shape[1]):
+                nxt = prefix @ self.gather(U, edge_idx[:, j], signs[:, j])
+                q[:, j] = np.where((signs[:, j] > 0)[:, None, None], prefix, nxt)
+                prefix = nxt
+            coeff = signs * (2.0 / self.areas[faces])[:, None]
+            contrib = q.conj().swapaxes(-1, -2) @ x[faces, None] @ q * coeff[:, :, None, None]
+            slots.append(contrib.reshape(-1, n, n))
+        s = np.concatenate(slots)
+        return s[self.slot_plus] + s[self.slot_minus]
+
+
+def walk_dual_tree(mesh, plus, minus):
+    """The dual graph's BFS tree from face 0, walked over mesh.faces."""
+    tree, seen, queue = [], [True] + [False] * (len(mesh.faces) - 1), [0]
+    for f in queue:
+        for e, s in mesh.faces[f]:
+            g = int(minus[e] if s > 0 else plus[e])
+            if not seen[g]:
+                seen[g] = True
+                tree.append((g, f, e, -s))
+                queue.append(g)
+    return tree
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(snapshot_cases(), st.integers(0, 2**32 - 1))
+def test_face_layout_matches_gather_oracle(case, seed):
+    # the field file's cases: tori at any basepoint, spheres, and meshes
+    # read back with non-uniform areas and two faces merged, n 1..3
+    field, _ = case
+    mesh, n = field.mesh, field.n
+    oracle, engine = GatherEngine(mesh), _engine_for(mesh)
+    assert same_bytes(engine.plaquettes(field.U), oracle.plaquettes(field.U))
+    x = random_skew(np.random.default_rng(seed), (len(mesh.faces), n, n))
+    assert same_bytes(engine.gradient_from_logs(field.U, x), oracle.gradient_from_logs(field.U, x))
+    assert np.array_equal(mesh.plus_face, oracle.plus_face)
+    assert np.array_equal(mesh.minus_face, oracle.minus_face)
+    assert mesh.dual_tree() == walk_dual_tree(mesh, oracle.plus_face, oracle.minus_face)
+
+
+@pytest.mark.parametrize("kind, size", [("torus", 2), ("torus", 5), ("sphere", 1), ("sphere", 3)])
+def test_face_layout_is_reduced(kind, size):
+    # consecutive faces that share an edge give cancelling pairs between
+    # loops (on the spheres), which must not send every plaquette product
+    # through the per-loop reduction
+    mesh = ah.build_torus_mesh(size) if kind == "torus" else ah.build_sphere_mesh(size)
+    layout = mesh.face_steps
+    assert reduced(layout) is layout
+    taken = layout.take(np.arange(len(mesh.faces))[::-2])
+    assert reduced(taken) is taken
+    retraced = flat_steps([0, 0], [mesh.faces[0][:1] + ((mesh.faces[0][0][0], -mesh.faces[0][0][1]),), ()])
+    assert reduced(retraced).lengths.tolist() == [0, 0]
 
 
 @st.composite

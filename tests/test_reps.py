@@ -221,6 +221,15 @@ class TestSphereClasses:
         with pytest.raises(ValueError):
             WeightVector((0, 1))
 
+    @pytest.mark.parametrize("weights", [(1.5, 0), (True, 0), (2, 0.5)], ids=["fraction", "boolean", "late-fraction"])
+    def test_weights_are_integers(self, weights):
+        # int() read (1.5, 0) as (1, 0), whose action is 4 pi^2, not an error
+        value = next(k for k in weights if type(k) is not int)
+        with pytest.raises(ValueError, match=f"^weight vector: an entry must be an integer, got {value!r}$"):
+            sphere_rep(weights)
+        assert sphere_rep((2.0, np.int64(0))).n == 2
+        assert WeightVector((2.0, np.int64(0))).k == (2, 0)
+
 
 class TestSphereRep:
     def test_flat(self):

@@ -16,9 +16,17 @@ from areaholonomy import (
     loop_reverse,
     wrap_mod1,
 )
-from areaholonomy._loopsteps import flat_steps, lifts, loop_faults
+from areaholonomy._loopsteps import first_fault, flat_steps, lifts
 from areaholonomy.surfaces import integrate_faces
-from conftest import disjoint_union_json, lifted_walk, rebased, walk_area, walk_validate
+from conftest import (
+    MALFORMED_MESHES,
+    disjoint_union_json,
+    lifted_walk,
+    malformed_mesh_json,
+    rebased,
+    walk_area,
+    walk_validate,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +449,48 @@ class TestJson:
             ah.mesh_from_json(unbalanced)
 
 
+class TestMalformedMesh:
+    @pytest.mark.parametrize("case", MALFORMED_MESHES)
+    def test_names_the_face_or_edge(self, case):
+        obj, message = malformed_mesh_json(case)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ah.mesh_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "sign, message",
+        [(2, "edge 0 must appear"), (10**30, "edge 0 must appear"), (0, "face 0 must list its edges head to tail"),
+         (-(10**30), "face 0 must list its edges head to tail")],
+    )
+    def test_face_sign_other_than_one(self, sign, message):
+        # a positive sign steps forward and a zero or negative one backward,
+        # as step_endpoints reads them, and neither fills a slot
+        mesh = ah.build_torus_mesh(4)
+        faces = [list(face) for face in mesh.faces]
+        assert faces[0][0] == (0, 1)
+        faces[0][0] = (0, sign)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            ah.SurfaceMesh(1, 16, mesh.edges, faces, mesh.face_areas, 0)
+
+    def test_extra_use_of_an_edge(self):
+        # three 2-gons between two vertices; face 0 also runs edge 0 out and
+        # back with signs +-2, which fill no slot but use the edge
+        edges = [(0, 1), (1, 0), (0, 1)]
+        faces = [[(0, 1), (1, 1)], [(2, 1), (0, -1)], [(1, -1), (2, -1)]]
+        assert ah.SurfaceMesh(0, 2, edges, faces, [1 / 3] * 3, 0).face_start_vertex(2) == 0
+        faces[0] += [(0, 2), (0, -2)]
+        with pytest.raises(ValueError, match="^edge 0 must appear in exactly two faces with opposite signs$"):
+            ah.SurfaceMesh(0, 2, edges, faces, [1 / 3] * 3, 0)
+
+    def test_face_areas_one_per_face(self):
+        # (16, 1) areas broadcast against the (16,) plaquette norms, which
+        # made the action of this field 778.99 instead of 48.69
+        areas = np.full((16, 1), 1 / 16)
+        with pytest.raises(ValueError, match="face_areas must be positive, one per face"):
+            ah.build_torus_mesh(4, face_areas=areas)
+        with pytest.raises(ValueError, match="face_areas must be positive, one per face"):
+            ah.build_sphere_mesh(1, face_areas=np.full((2, 4), 1 / 8))
+
+
 class TestConnectedness:
     def test_isolated_vertex_rejected(self, sphere1):
         # vertex 6 is on no edge; a loop edge (0, 0), inserted into two
@@ -620,13 +670,17 @@ class TestLoopKernelOracles:
     def test_batched_equals_single(self, drawn):
         mesh, loops = drawn
         steps = flat_steps([loop.base for loop in loops], [loop.steps for loop in loops])
-        faults = loop_faults(mesh, steps)
-        for k, loop in enumerate(loops):
-            single = outcome(walk_validate, mesh, loop)
-            assert (single[0] == "value") == (k not in faults)
-            if k in faults:
-                assert single[:2] == (MalformedLoopError, faults[k])
-        valid = [loop for k, loop in enumerate(loops) if k not in faults]
+        singles = [outcome(walk_validate, mesh, loop) for loop in loops]
+        # the batched check meets the malformed loops in the order a walk
+        # over the loops meets them, and reports the first
+        first = next((k for k, single in enumerate(singles) if single[0] != "value"), None)
+        fault = first_fault(mesh, steps)
+        if first is None:
+            assert fault is None
+        else:
+            assert fault == (first, singles[first][1])
+            assert outcome(ah.surfaces._checked_steps, mesh, loops) == singles[first]
+        valid = [loop for loop, single in zip(loops, singles) if single[0] == "value"]
         steps = flat_steps([loop.base for loop in valid], [loop.steps for loop in valid])
         areas = ah.surfaces._loop_areas(mesh, steps)
         for loop, area in zip(valid, areas):

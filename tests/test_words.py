@@ -449,6 +449,24 @@ class TestParsing:
             ah.gamma_from_json(obj)
 
 
+class TestIntegerLetters:
+    # int() read 1.5 as 1 and True as 1, so these words kept letters the
+    # caller never wrote
+
+    @pytest.mark.parametrize("letters", [[1.5, 3], [True, 3], [1, 3.25]], ids=["fraction", "boolean", "late-fraction"])
+    def test_fractional_or_boolean_letter_raises(self, letters):
+        value = next(l for l in letters if type(l) is not int)
+        with pytest.raises(ValueError, match=f"^word: a letter must be an integer, got {value!r}$"):
+            GammaRElement(2, letters)
+        with pytest.raises(ValueError, match=f"^word: a letter must be an integer, got {value!r}$"):
+            ah.SurfaceWord(2, tuple(letters))
+
+    def test_integral_letters_are_read(self):
+        assert ah.SurfaceWord(2, (1.0, np.int64(3))).letters == (1, 3)
+        assert all(type(l) is int for l in ah.SurfaceWord(2, (1.0, np.int64(3))).letters)
+        assert GammaRElement(2, [1.0, 3]) == GammaRElement(2, [1, 3])
+
+
 class TestAlphabet:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
