@@ -10,17 +10,20 @@ in one pass, reduced frees them of retraced steps, lifts walks their lifts
 to a torus grid's universal cover with integer prefix sums, and holonomies
 multiplies the step matrices of every loop (step_table), one step position
 of all loops at a time, in the order a loop over the steps would multiply
-them.  The kernels read a mesh's tails, heads and counts and a grid's N
-and import nothing from the package.
+them (schedule).  The kernels read a mesh's tails, heads and counts and a
+grid's N, and import from the package only liecore's product kernel.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 from operator import itemgetter
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
+
+# liecore imports surfaces, which lays out loops here: read at call time
+from . import liecore
 
 
 def clip_steps(steps) -> tuple[tuple[int, int], ...]:
@@ -174,39 +177,20 @@ def lifts(n_grid: int, steps: LoopSteps) -> tuple[np.ndarray, np.ndarray, np.nda
     return dx, dy, cells
 
 
-def holonomies(u: np.ndarray, steps: LoopSteps) -> np.ndarray:
-    """Transports (K, n, n) around the loops of a layout of valid loops,
-    for edge unitaries u (E, n, n).
+class Schedule(NamedTuple):
+    """The order in which holonomies multiplies a layout's loops, freely
+    reduced (reduced): the loops by descending length, and for each step
+    position j the step table rows (step_rows) of step j of the loops
+    longer than j, which are a prefix of that order."""
 
-    Each loop is freely reduced first (reduced).  Its step matrices are
-    U_e for sign +1 and U_e^-1 = U_e* for sign -1, taken from one table
-    of both, and each step position is one batched matmul over the loops
-    that long, starting from the identity: every loop's product is formed
-    left to right, as one loop at a time would form it.  Only the steps of
-    the given loops are read.
-    """
+    order: np.ndarray
+    rows: tuple[np.ndarray, ...]
+
+
+def schedule(steps: LoopSteps) -> Schedule:
+    """The Schedule of a layout of valid loops.  A layout that many calls
+    multiply along (a mesh's faces) is scheduled once."""
     steps = reduced(steps)
-    table, index = step_table(u, steps.edges, steps.signs)
-    order, positions = _by_position(steps)
-    n = u.shape[-1]
-    by_length = np.broadcast_to(np.eye(n, dtype=table.dtype), (len(order), n, n)).copy()
-    for at in positions:
-        by_length[: len(at)] = by_length[: len(at)] @ table[index[at]]
-    out = np.empty_like(by_length)
-    out[order] = by_length
-    return out
-
-
-def step_table(u: np.ndarray, edges: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The matrix of every step in one table, U_e in row e for sign +1 and
-    U_e^-1 = U_e* in row E + e for sign -1, and the row of each step."""
-    return np.concatenate((u, u.conj().swapaxes(-1, -2))), np.where(signs < 0, edges + len(u), edges)
-
-
-def _by_position(steps: LoopSteps) -> tuple[np.ndarray, Iterator[np.ndarray]]:
-    """The loops by descending length, and for each step position j in
-    turn the flat indices of step j of the loops longer than j: a prefix
-    of that order."""
     lengths = steps.lengths.tolist()
     order = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
     starts = steps.starts[order]
@@ -215,4 +199,40 @@ def _by_position(steps: LoopSteps) -> tuple[np.ndarray, Iterator[np.ndarray]]:
         while lengths[order[longer - 1]] <= j:
             longer -= 1
         counts.append(longer)
-    return np.array(order, dtype=np.intp), (starts[:c] + j for j, c in enumerate(counts))
+    rows = step_rows(steps.edges, steps.signs)
+    return Schedule(np.array(order, dtype=np.intp), tuple(rows[starts[:c] + j] for j, c in enumerate(counts)))
+
+
+def holonomies(u: np.ndarray, steps: Union[LoopSteps, Schedule]) -> np.ndarray:
+    """Transports (K, n, n) around the loops of a layout of valid loops (or
+    of its schedule), for edge unitaries u (E, n, n).
+
+    Each loop is freely reduced first (reduced).  Its step matrices are
+    U_e for sign +1 and U_e^-1 = U_e* for sign -1, taken from one table
+    of both, and each step position is one batched matmul_raw over the
+    loops that long, starting from the identity: every loop's product is
+    formed left to right, as one loop at a time would form it.  Only the
+    steps of the given loops are multiplied.
+    """
+    if not isinstance(steps, Schedule):
+        steps = schedule(steps)
+    table, n = step_table(u), u.shape[-1]
+    by_length = np.broadcast_to(np.eye(n, dtype=np.complex128), (len(steps.order), n, n)).copy()
+    for rows in steps.rows:
+        by_length[: len(rows)] = liecore.matmul_raw(by_length[: len(rows)], table[rows])
+    out = np.empty_like(by_length)
+    out[steps.order] = by_length
+    return out
+
+
+def step_table(u: np.ndarray) -> np.ndarray:
+    """The matrix of every step in one table, as matmul_raw multiplies by
+    it (real_form): U_e in row 2e for sign +1 and U_e^-1 = U_e* in row
+    2e + 1 for sign -1."""
+    table = np.stack((u, u.conj().swapaxes(-1, -2)), axis=1).reshape(-1, *u.shape[1:])
+    return liecore.real_form(table)
+
+
+def step_rows(edges: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """The step table row of each step."""
+    return 2 * edges + (signs < 0)

@@ -294,6 +294,10 @@ def word(genus, t_values, check_relator, words):
 
     if genus < 0:
         raise click.UsageError("genus must be nonnegative")
+    if len(t_values) > len(words):
+        raise click.UsageError(f"{len(t_values)} --t value(s) for {len(words)} word(s): at most one per word")
+    if not all(math.isfinite(t) for t in t_values):
+        raise click.UsageError("--t must be finite")
 
     def render(el):
         if el.genus == 0:
@@ -328,26 +332,36 @@ def word(genus, t_values, check_relator, words):
 @click.option("--out", default=None, type=click.Path(), help="CSV path (default: stdout)")
 def plot_data(input_path, out):
     """Convert a flow report or shrinking-loop table to CSV."""
-    from areaholonomy.surfaces import json_int, required_keys
+    from areaholonomy.surfaces import json_float, json_int, required_keys
 
     def decode(obj):
         if not isinstance(obj, dict):
             raise TypeError("expected a JSON object")
-        lines = []
         if "step_history" in obj or "final_action" in obj:
-            lines.append("iteration,action,gradient_norm")
-            for row in obj.get("step_history") or []:
-                it, action, gnorm = row
-                lines.append(f"{json_int(it, 'a step_history iteration')},{action:.17g},{gnorm:.17g}")
-        elif "rows" in obj and all("area" in r or isinstance(r, list) for r in obj["rows"]):
-            lines.append("area,residual")
-            for row in obj["rows"]:
-                if isinstance(row, dict):
-                    row = required_keys(row, "shrinking-loop row", "area", "residual")
-                area, residual = row
-                lines.append(f"{area:.17g},{residual:.17g}")
+            what, rows = "step_history", obj.get("step_history") or []
+            columns = (("iteration", json_int), ("action", json_float), ("gradient_norm", json_float))
+        elif "rows" in obj and isinstance(obj["rows"], list) and all(
+            isinstance(r, list) or (isinstance(r, dict) and "area" in r) for r in obj["rows"]
+        ):
+            what = "shrinking-loop"
+            rows = [
+                required_keys(r, "shrinking-loop row", "area", "residual") if isinstance(r, dict) else r
+                for r in obj["rows"]
+            ]
+            columns = (("area", json_float), ("residual", json_float))
         else:
             raise ValueError(f"{input_path} is neither a flow report nor a shrinking-loop table")
+        names = [name for name, _ in columns]
+        # a value of the wrong JSON type raises TypeError, as in every decoder
+        if not isinstance(rows, list):
+            raise TypeError(f"{what} must be a list of [{', '.join(names)}] rows")
+        lines = [",".join(names)]
+        for i, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != len(columns):
+                error = ValueError if isinstance(row, list) else TypeError
+                raise error(f"{what} row {i} must be [{', '.join(names)}], got {row!r}")
+            values = [read(value, f"{what} row {i}: {name}") for value, (name, read) in zip(row, columns)]
+            lines.append(",".join(str(v) if isinstance(v, int) else f"{v:.17g}" for v in values))
         return lines
 
     text = "\n".join(_read_json(input_path, decode)) + "\n"

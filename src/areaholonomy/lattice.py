@@ -16,11 +16,12 @@ snapshots and never mutated in place.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ._loopsteps import flat_steps, holonomies, step_table
+from ._loopsteps import flat_steps, holonomies, schedule, step_rows, step_table
 from ._verify import verify_pairs
 from .liecore import (
     BranchCutError,
@@ -29,6 +30,7 @@ from .liecore import (
     expm_raw,
     haar_unitary_raw,
     logm_raw,
+    matmul_raw,
     require_unitary,
 )
 from .reps import InvalidRepError, YangMillsRep, validate_rep
@@ -149,10 +151,13 @@ class _Engine:
         position = np.empty(len(layout.edges), np.intp)
         position[np.concatenate(order)] = np.arange(len(layout.edges))
         self.slot_plus, self.slot_minus = position[mesh.plus_slot], position[mesh.minus_slot]
+        # the order every plaquette product follows, fixed with the faces
+        self.face_schedule = schedule(layout)
+        self._edge_rows_layout = None
 
     def plaquettes(self, U: np.ndarray) -> np.ndarray:
         """The holonomy of every face boundary, from its start vertex."""
-        return holonomies(U, self.mesh.face_steps)
+        return holonomies(U, self.face_schedule)
 
     def logs(self, U: np.ndarray) -> np.ndarray:
         return logm_raw(self.plaquettes(U))
@@ -161,22 +166,27 @@ class _Engine:
         norms = np.sum(np.abs(x) ** 2, axis=(1, 2))
         return float(np.sum(norms / self.areas))
 
-    def _transports(self, U: np.ndarray, edge_idx: np.ndarray, signs: np.ndarray) -> np.ndarray:
-        """Boundary-prefix transports q_j of a face group, shape (faces, m, n, n).
+    def _transports(self, U: np.ndarray) -> list[np.ndarray]:
+        """Boundary-prefix transports q_j of each face group, shape
+        (faces, m, n, n), from one step table.
 
         Moving slot j's edge as U_e <- exp(Z) U_e moves the plaquette as
         H <- exp(s_j q_j Z q_j*) H: q_j is the product of the boundary
         factors before slot j, and for s_j = -1 also slot j's own factor.
         """
         n = U.shape[-1]
-        table, rows = step_table(U, edge_idx, signs)
-        q = np.empty((*edge_idx.shape, n, n), dtype=np.complex128)
-        prefix = np.broadcast_to(np.eye(n, dtype=np.complex128), (len(edge_idx), n, n))
-        for j in range(edge_idx.shape[1]):
-            nxt = prefix @ table[rows[:, j]]
-            q[:, j] = np.where((signs[:, j] > 0)[:, None, None], prefix, nxt)
-            prefix = nxt
-        return q
+        table = step_table(U)
+        out = []
+        for _, edge_idx, signs in self.groups:
+            rows = step_rows(edge_idx, signs)
+            q = np.empty((*edge_idx.shape, n, n), dtype=np.complex128)
+            prefix = np.broadcast_to(np.eye(n, dtype=np.complex128), (len(edge_idx), n, n))
+            for j in range(edge_idx.shape[1]):
+                nxt = matmul_raw(prefix, table[rows[:, j]])
+                q[:, j] = np.where((signs[:, j] > 0)[:, None, None], prefix, nxt)
+                prefix = nxt
+            out.append(q)
+        return out
 
     def gradient_from_logs(self, U: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Riemannian gradient: d/ds S(exp(sZ) U_e) = <G_e, Z>.
@@ -187,68 +197,98 @@ class _Engine:
         then sums its two boundary slots.
         """
         slots = []
-        for faces, edge_idx, signs in self.groups:
-            q = self._transports(U, edge_idx, signs)
+        for (faces, _, signs), q in zip(self.groups, self._transports(U)):
             coeff = signs * (2.0 / self.areas[faces])[:, None]
-            contrib = q.conj().swapaxes(-1, -2) @ x[faces, None] @ q * coeff[:, :, None, None]
+            contrib = matmul_raw(matmul_raw(q.conj().swapaxes(-1, -2), x[faces, None]), q) * coeff[:, :, None, None]
             slots.append(contrib.reshape(-1, *U.shape[1:]))
         s = np.concatenate(slots)
         return s[self.slot_plus] + s[self.slot_minus]
 
     def gauss_newton_blocks(self, U: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
-        """Linearised face logs: X_f(exp(Z) U) = X_f + J_f Z + O(Z^2).
+        """Linearised face logs: X_f(exp(Z) U) = X_f + J_f Z + O(Z^2), in the
+        real coordinates of u(n) (_u_basis).
 
         With X_f = V_f diag(i theta) V_f*, the first-order plaquette change
         sum_j s_j q_j Z_{e_j} q_j* goes through dexp^-1, which multiplies
         entry (a, b) in that eigenbasis by Phi_ab = z / (e^z - 1),
         z = i (theta_a - theta_b).  So V_f* (J_f Z) V_f is
-        Phi_f o sum_j s_j R_j Z_{e_j} R_j*, with R_j = V_f* q_j.  Returns,
-        per face group, K (faces, n^2, m n^2): the row-major vec of
-        V_f* (J_f Z) V_f is K_f times the face's m row-major edge vecs, in
-        slot order.
+        Phi_f o sum_j s_j R_j Z_{e_j} R_j*, with R_j = V_f* q_j, and it is
+        skew-Hermitian again, since Phi_ba = conj Phi_ab.  Returns, per face
+        group, the real K (faces, n^2, m n^2): the coordinates of
+        V_f* (J_f Z) V_f are K_f times the face's m edge coordinate vectors,
+        in slot order.
         """
         n = x.shape[-1]
+        basis = _u_basis(n)
         theta, v = np.linalg.eigh(-1j * x)
         gap = theta[:, :, None] - theta[:, None, :]
         # z / (e^z - 1) = (gap/2) / sin(gap/2) e^{-i gap/2}; |gap| < 2 pi
-        phi = (np.exp(-0.5j * gap) / np.sinc(gap / (2 * np.pi))).reshape(len(x), n * n, 1)
+        phi = (np.exp(-0.5j * gap) / np.sinc(gap / (2 * np.pi))).reshape(len(x), n * n)
         blocks = []
-        for faces, edge_idx, signs in self.groups:
-            r = v[faces, None].conj().swapaxes(-1, -2) @ self._transports(U, edge_idx, signs)
-            # vec(R Z R*) = kron(R, conj R) vec Z for row-major vecs
-            kron = np.einsum("fjac,fjbd->fabjcd", r, r.conj()).reshape(len(faces), n * n, -1)
-            blocks.append(phi[faces] * kron * np.repeat(signs, n * n, axis=1)[:, None, :])
+        for (faces, _, signs), q in zip(self.groups, self._transports(U)):
+            f, m = signs.shape
+            r = matmul_raw(v[faces, None].conj().swapaxes(-1, -2), q)
+            # vec(R Z R*) = kron(R, conj R) vec Z for row-major vecs, and
+            # vec Z = basis^T c for Z's coordinates c
+            kron = np.einsum("fjac,fjbd->fjabcd", r, r.conj()).reshape(-1, n * n)
+            images = (kron @ basis.T).reshape(f, m, n * n, n * n)
+            images *= phi[faces, None, :, None] * signs[:, :, None, None]
+            # coordinate k of an image Y is Re <B_k, Y>
+            coords = (images.swapaxes(-1, -2).reshape(-1, n * n) @ basis.conj().T).real
+            blocks.append(coords.reshape(f, m, n * n, n * n).transpose(0, 3, 1, 2).reshape(f, n * n, -1))
         return blocks
 
     def normal_operator(self, U: np.ndarray, x: np.ndarray, mu: float):
-        """z -> (J^T W J + mu I) z on edge vecs z (E, n^2), W = diag(1 / A_f).
+        """c -> (J^T W J + mu I) c on the edges' u(n) coordinates c (E, n^2),
+        W = diag(1 / A_f).
 
-        Each face's Gram block K_f^H K_f / A_f is formed once, so one
-        application is a batched block product per face group, then each
-        edge sums its two slots.
+        Each edge's rows of the operator are its two faces' Gram rows
+        K_f^T K_f / A_f at its slots, (E, n^2, 2 M n^2) with M the longest
+        face (shorter faces padded with zero columns), and mu is folded
+        into the diagonal.  One application is then one gather of the
+        faces' edge coordinates and one batched real matmul.
         """
-        grams = [
-            k.conj().swapaxes(-1, -2) @ k / self.areas[faces, None, None]
-            for (faces, _, _), k in zip(self.groups, self.gauss_newton_blocks(U, x))
-        ]
+        if self._edge_rows_layout is None:
+            self._edge_rows_layout = self._edge_neighbours()
+        neighbours, own = self._edge_rows_layout
+        width, d = neighbours.shape[1] // 2, x.shape[-1] ** 2
+        grams = []
+        for (faces, _, signs), k in zip(self.groups, self.gauss_newton_blocks(U, x)):
+            f, m = signs.shape
+            gram = np.zeros((f, m, d, width * d))
+            gram[..., : m * d] = (k.swapaxes(-1, -2) @ k / self.areas[faces, None, None]).reshape(f, m, d, -1)
+            grams.append(gram.reshape(f * m, d, -1))
+        slots = np.concatenate(grams)
+        rows = np.concatenate((slots[self.slot_plus], slots[self.slot_minus]), axis=-1)
+        rows.reshape(len(rows), d, 2 * width, d)[np.arange(len(rows)), :, own, :] += mu * np.eye(d)
 
-        def apply(z: np.ndarray) -> np.ndarray:
-            out = np.concatenate([
-                (g @ z[edge_idx].reshape(len(edge_idx), -1, 1)).reshape(-1, z.shape[1])
-                for g, (_, edge_idx, _) in zip(grams, self.groups)
-            ])
-            return out[self.slot_plus] + out[self.slot_minus] + mu * z
+        def apply(c: np.ndarray) -> np.ndarray:
+            return (rows @ np.take(c, neighbours, axis=0).reshape(len(c), -1, 1))[..., 0]
 
         return apply
 
+    def _edge_neighbours(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per edge, the edges of its +1 face and then of its -1 face, each
+        padded with edge 0 to the longest face (E, 2 M), and where the edge
+        itself lies among the first M."""
+        layout, mesh = self.mesh.face_steps, self.mesh
+        width = int(np.max(layout.lengths))
+        at = layout.starts[:, None] + np.arange(width)
+        inside = np.arange(width) < layout.lengths[:, None]
+        face_edges = np.where(inside, layout.edges[np.where(inside, at, 0)], 0)
+        neighbours = np.concatenate((face_edges[mesh.plus_face], face_edges[mesh.minus_face]), axis=1)
+        return neighbours, mesh.plus_slot - layout.starts[mesh.plus_face]
+
     def levenberg_marquardt(self, U: np.ndarray, x: np.ndarray, rhs: np.ndarray, mu: float) -> np.ndarray:
         """Levenberg-Marquardt direction: (J^T W J + mu I) Z = rhs by
-        conjugate gradients to relative residual 1e-2.  With rhs = G / 2 =
-        J^T W X, exp(-Z) U_e minimises the damped Gauss-Newton model
+        conjugate gradients to relative residual 1e-2, on the u(n)
+        coordinates of the edges.  With rhs = G / 2 = J^T W X, exp(-Z) U_e
+        minimises the damped Gauss-Newton model
         sum_f ||X_f - J_f Z||^2 / A_f + mu ||Z||^2."""
-        b = rhs.reshape(len(rhs), -1)
-        z = _conjugate_gradients(self.normal_operator(U, x, mu), b, 1e-2, b.size)
-        return z.reshape(rhs.shape)
+        basis = _u_basis(rhs.shape[-1])
+        b = (rhs.reshape(len(rhs), -1) @ basis.conj().T).real
+        c = _conjugate_gradients(self.normal_operator(U, x, mu), b, 1e-2, b.size)
+        return (c @ basis).reshape(rhs.shape)
 
     def _coboundary(self, y: np.ndarray) -> np.ndarray:
         """D y: the signed sum of edge values around each face."""
@@ -322,8 +362,24 @@ def _unitarize(values: np.ndarray) -> np.ndarray:
     to well below 1 (the flow's trials exp(-eta G) U and the sphere
     builder's w diag(e^{i theta}) w* are within about 3e-15): the step
     squares the error ||U* U - I||, and it diverges far from U(n)."""
-    gram = values.conj().swapaxes(-1, -2) @ values
-    return values @ (3.0 * np.eye(values.shape[-1]) - gram) / 2.0
+    gram = matmul_raw(values.conj().swapaxes(-1, -2), values)
+    return matmul_raw(values, 3.0 * np.eye(values.shape[-1]) - gram) / 2.0
+
+
+@lru_cache
+def _u_basis(n: int) -> np.ndarray:
+    """Orthonormal basis of u(n) under Re tr(A* B), (n^2, n^2): row k is the
+    row-major vec of B_k, which is i E_aa for each a, then for each a < b
+    (E_ab - E_ba) / sqrt 2 and i (E_ab + E_ba) / sqrt 2."""
+    basis = np.zeros((n * n, n, n), dtype=np.complex128)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    basis[np.arange(n), np.arange(n), np.arange(n)] = 1j
+    for k, (a, b) in enumerate(pairs):
+        basis[n + 2 * k, a, b], basis[n + 2 * k, b, a] = np.sqrt(0.5), -np.sqrt(0.5)
+        basis[n + 2 * k + 1, a, b] = basis[n + 2 * k + 1, b, a] = 1j * np.sqrt(0.5)
+    basis = basis.reshape(n * n, n * n)
+    basis.setflags(write=False)
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +496,7 @@ def gradient_flow(
                 trial, x_trial, action_trial = u, x, action
                 accepted, moved = True, False
                 break
-            trial = _unitarize(step @ u)
+            trial = _unitarize(matmul_raw(step, u))
             try:
                 x_trial = engine.logs(trial)
             except BranchCutError:

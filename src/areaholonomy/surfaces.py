@@ -701,6 +701,18 @@ def json_int(value, what: str) -> int:
     return int(value)
 
 
+def json_float(value, what: str) -> float:
+    """A number slot of a JSON object, where float() would read true as 1.0.
+    An int or a float is read as a float, NaN and infinity included; a
+    boolean raises ValueError naming the slot, and any other non-number (a
+    string, a list) raises TypeError, like every wrongly typed value."""
+    if isinstance(value, bool):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    if not isinstance(value, numbers.Real):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def mesh_to_json(mesh: SurfaceMesh) -> dict:
     """Faces are encoded as 1-based signed edge indices (sign = traversal)."""
     return {

@@ -7,7 +7,7 @@ import pytest
 import scipy.optimize
 
 import areaholonomy as ah
-from areaholonomy.liecore import expm_raw
+from areaholonomy.liecore import expm_raw, matmul_raw
 
 
 def flux_rep(n: int, k: int) -> ah.YangMillsRep:
@@ -195,11 +195,12 @@ def walk_area(mesh, loop):
 
 
 def walk_holonomy(field, loop):
-    """loop_holonomy as one left-to-right product over the reduced steps."""
+    """loop_holonomy as one left-to-right product over the reduced steps,
+    each taken by the package's product kernel."""
     walk_validate(field.mesh, loop)
     out = np.eye(field.n, dtype=np.complex128)
     for e, s in ah.clip_steps(loop.steps):
-        out = out @ (field.U[e] if s > 0 else field.U[e].conj().T)
+        out = matmul_raw(out, field.U[e] if s > 0 else field.U[e].conj().T)
     return out
 
 

@@ -20,7 +20,7 @@ from areaholonomy import (
     inner,
     logm_principal,
 )
-from areaholonomy.liecore import expm_raw, logm_raw
+from areaholonomy.liecore import _REAL_FORM_MAX_N, expm_raw, logm_raw, matmul_raw, real_form
 
 EPS_BRANCH = ah.DEFAULT_POLICY.eps_branch
 
@@ -233,6 +233,52 @@ class TestAbelianKernels:
     def test_exp_is_scalar_exp(self, ys):
         x = 1j * np.array(ys)[:, None, None]
         assert np.array_equal(expm_raw(x), np.exp(1j * x.imag))
+
+
+@st.composite
+def product_operands(draw):
+    """Complex stacks a, b of n x n matrices, n 1 .. one past the real-form
+    range, with broadcast leading axes, and each operand now and then a
+    conjugate transpose or a strided view rather than a contiguous array."""
+    n = draw(st.integers(1, _REAL_FORM_MAX_N + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lead = draw(st.sampled_from([((), ()), ((3,), (3,)), ((4, 1), (1, 2)), ((2, 3), (3,)), ((5,), ()), ((), (2,))]))
+    operands = []
+    for shape in lead:
+        scale = draw(st.sampled_from([1.0, 1e-3, 1e3]))
+        base = scale * (rng.normal(size=(*shape, 2 * n, n)) + 1j * rng.normal(size=(*shape, 2 * n, n)))
+        view = draw(st.sampled_from(["contiguous", "adjoint", "strided"]))
+        if view == "contiguous":
+            operands.append(base[..., :n, :].copy())
+        elif view == "adjoint":
+            operands.append(base[..., :n, :].conj().swapaxes(-1, -2))
+        else:
+            operands.append(base[..., ::2, :])
+    return operands
+
+
+class TestMatmulRaw:
+    @settings(max_examples=200, deadline=None)
+    @given(product_operands())
+    def test_matches_matmul(self, operands):
+        a, b = operands
+        n = a.shape[-1]
+        want = a @ b
+        got = matmul_raw(a, b)
+        assert got.shape == want.shape and got.dtype == np.complex128
+        if not 1 < n <= _REAL_FORM_MAX_N:
+            # 1 x 1 and large stacks are numpy's own product
+            assert got.tobytes() == want.tobytes()
+        norms = np.linalg.norm(a, axis=(-2, -1))[..., None, None] * np.linalg.norm(b, axis=(-2, -1))[..., None, None]
+        assert np.all(np.abs(got - want) <= 4 * n * np.finfo(float).eps * norms)
+        # a right factor formed once multiplies as the factor itself does
+        assert matmul_raw(a, real_form(b)).tobytes() == got.tobytes()
+
+    def test_real_form_blocks(self):
+        b = np.array([[1 + 2j, 3 - 4j], [5j, -6]])
+        assert np.array_equal(real_form(b), [[1, 2, 3, -4], [-2, 1, 4, 3], [0, 5, -6, 0], [-5, 0, 0, -6]])
+        one = b[:1, :1]
+        assert real_form(one) is one
 
 
 class TestInner:
