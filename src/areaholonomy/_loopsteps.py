@@ -10,15 +10,16 @@ in one pass, reduced frees them of retraced steps, lifts walks their lifts
 to a torus grid's universal cover with integer prefix sums, and holonomies
 multiplies the step matrices of every loop (step_table), one step position
 of all loops at a time, in the order a loop over the steps would multiply
-them (schedule).  The kernels read a mesh's tails, heads and counts and a
-grid's N, and import from the package only liecore's product kernel.
+them (schedule); prefixes keeps every partial product of short loops.
+The kernels read a mesh's tails, heads and counts and a grid's N, and
+import from the package only liecore's product kernel.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 from operator import itemgetter
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -178,10 +179,10 @@ def lifts(n_grid: int, steps: LoopSteps) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 class Schedule(NamedTuple):
-    """The order in which holonomies multiplies a layout's loops, freely
-    reduced (reduced): the loops by descending length, and for each step
-    position j the step table rows (step_rows) of step j of the loops
-    longer than j, which are a prefix of that order."""
+    """The order in which holonomies and prefixes multiply a layout's loops,
+    freely reduced (reduced): the loops by descending length, and for each
+    step position j the step table rows of step j of the loops longer than
+    j, which are a prefix of that order."""
 
     order: np.ndarray
     rows: tuple[np.ndarray, ...]
@@ -199,23 +200,22 @@ def schedule(steps: LoopSteps) -> Schedule:
         while lengths[order[longer - 1]] <= j:
             longer -= 1
         counts.append(longer)
-    rows = step_rows(steps.edges, steps.signs)
+    rows = 2 * steps.edges + (steps.signs < 0)
     return Schedule(np.array(order, dtype=np.intp), tuple(rows[starts[:c] + j] for j, c in enumerate(counts)))
 
 
-def holonomies(u: np.ndarray, steps: Union[LoopSteps, Schedule]) -> np.ndarray:
-    """Transports (K, n, n) around the loops of a layout of valid loops (or
-    of its schedule), for edge unitaries u (E, n, n).
+def holonomies(u: np.ndarray, steps: LoopSteps) -> np.ndarray:
+    """Transports (K, n, n) around the loops of a layout of valid loops, for
+    edge unitaries u (E, n, n).
 
     Each loop is freely reduced first (reduced).  Its step matrices are
     U_e for sign +1 and U_e^-1 = U_e* for sign -1, taken from one table
     of both, and each step position is one batched matmul_raw over the
     loops that long, starting from the identity: every loop's product is
     formed left to right, as one loop at a time would form it.  Only the
-    steps of the given loops are multiplied.
+    steps of the given loops are multiplied, and only K products are kept.
     """
-    if not isinstance(steps, Schedule):
-        steps = schedule(steps)
+    steps = schedule(steps)
     table, n = step_table(u), u.shape[-1]
     by_length = np.broadcast_to(np.eye(n, dtype=np.complex128), (len(steps.order), n, n)).copy()
     for rows in steps.rows:
@@ -225,14 +225,22 @@ def holonomies(u: np.ndarray, steps: Union[LoopSteps, Schedule]) -> np.ndarray:
     return out
 
 
+def prefixes(u: np.ndarray, steps: Schedule) -> np.ndarray:
+    """Every partial product holonomies forms, for a layout as short as a
+    mesh's faces: flat ((M + 1) K, n, n) for K loops at most M steps long,
+    row j K + k the product of the first j step matrices of the k-th loop
+    of the order (rows past a loop's length are not set)."""
+    table, n = step_table(u), u.shape[-1]
+    out = np.empty((len(steps.rows) + 1, len(steps.order), n, n), dtype=np.complex128)
+    out[0] = np.eye(n)
+    for j, rows in enumerate(steps.rows):
+        out[j + 1, : len(rows)] = liecore.matmul_raw(out[j, : len(rows)], table[rows])
+    return out.reshape(-1, n, n)
+
+
 def step_table(u: np.ndarray) -> np.ndarray:
     """The matrix of every step in one table, as matmul_raw multiplies by
     it (real_form): U_e in row 2e for sign +1 and U_e^-1 = U_e* in row
     2e + 1 for sign -1."""
     table = np.stack((u, u.conj().swapaxes(-1, -2)), axis=1).reshape(-1, *u.shape[1:])
     return liecore.real_form(table)
-
-
-def step_rows(edges: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """The step table row of each step."""
-    return 2 * edges + (signs < 0)

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ._loopsteps import flat_steps, holonomies, schedule, step_rows, step_table
+from ._loopsteps import flat_steps, holonomies, prefixes, schedule
 from ._verify import verify_pairs
 from .liecore import (
     BranchCutError,
@@ -29,6 +29,7 @@ from .liecore import (
     Unitary,
     expm_raw,
     haar_unitary_raw,
+    logm_eig,
     logm_raw,
     matmul_raw,
     require_unitary,
@@ -135,60 +136,59 @@ class GaugeTransform:
 # ---------------------------------------------------------------------------
 # mesh engine: batched plaquette / log / gradient kernels
 
+class FaceLogs(NamedTuple):
+    """One field's face quantities, computed once (_Engine.logs): every
+    plaquette's principal log x = v diag(i theta) v* with its eigenbasis v
+    and phases theta (liecore.logm_eig), and per face group the boundary
+    transports (faces, m, n, n).  Moving slot j's edge as U_e <- exp(Z) U_e
+    moves the plaquette as H <- exp(s_j q_j Z q_j*) H, with q_j the product
+    of the boundary factors before slot j, and for s_j = -1 through it."""
+
+    x: np.ndarray
+    v: np.ndarray
+    theta: np.ndarray
+    transports: list[np.ndarray]
+
+
 class _Engine:
     def __init__(self, mesh: SurfaceMesh):
         self.mesh = mesh
         self.areas = np.asarray(mesh.face_areas, dtype=np.float64)
         layout = mesh.face_steps
-        # per face length: its faces, and their boundary slots in order
-        self.groups, order = [], []
+        # the order every plaquette product follows, fixed with the faces
+        self.face_schedule = schedule(layout)
+        faces_at = np.empty(len(self.areas), np.intp)
+        faces_at[self.face_schedule.order] = np.arange(len(self.areas))
+        self.plaquette_rows = layout.lengths * len(self.areas) + faces_at
+        # rows of the face prefixes: each face's plaquette, and per length
+        # its faces, their boundary slots in order and each slot's transport
+        self.groups, self.transport_rows, order = [], [], []
         for m in sorted(set(layout.lengths.tolist())):
             faces = np.flatnonzero(layout.lengths == m)
             slots = layout.starts[faces, None] + np.arange(m)
             self.groups.append((faces, layout.edges[slots], layout.signs[slots]))
+            self.transport_rows.append((np.arange(m) + (layout.signs[slots] < 0)) * len(self.areas) + faces_at[faces, None])
             order.append(slots.ravel())
         # each edge gathers its two slots from the kernels' stack of groups
         position = np.empty(len(layout.edges), np.intp)
         position[np.concatenate(order)] = np.arange(len(layout.edges))
         self.slot_plus, self.slot_minus = position[mesh.plus_slot], position[mesh.minus_slot]
-        # the order every plaquette product follows, fixed with the faces
-        self.face_schedule = schedule(layout)
         self._edge_rows_layout = None
 
     def plaquettes(self, U: np.ndarray) -> np.ndarray:
         """The holonomy of every face boundary, from its start vertex."""
-        return holonomies(U, self.face_schedule)
+        return prefixes(U, self.face_schedule)[self.plaquette_rows]
 
-    def logs(self, U: np.ndarray) -> np.ndarray:
-        return logm_raw(self.plaquettes(U))
+    def logs(self, U: np.ndarray) -> FaceLogs:
+        products = prefixes(U, self.face_schedule)
+        x, v, theta = logm_eig(products[self.plaquette_rows])
+        return FaceLogs(x, v, theta, [products[rows] for rows in self.transport_rows])
 
-    def action_from_logs(self, x: np.ndarray) -> float:
-        norms = np.sum(np.abs(x) ** 2, axis=(1, 2))
+    def action_from_logs(self, logs: FaceLogs) -> float:
+        norms = np.sum(np.abs(logs.x) ** 2, axis=(1, 2))
         return float(np.sum(norms / self.areas))
 
-    def _transports(self, U: np.ndarray) -> list[np.ndarray]:
-        """Boundary-prefix transports q_j of each face group, shape
-        (faces, m, n, n), from one step table.
-
-        Moving slot j's edge as U_e <- exp(Z) U_e moves the plaquette as
-        H <- exp(s_j q_j Z q_j*) H: q_j is the product of the boundary
-        factors before slot j, and for s_j = -1 also slot j's own factor.
-        """
-        n = U.shape[-1]
-        table = step_table(U)
-        out = []
-        for _, edge_idx, signs in self.groups:
-            rows = step_rows(edge_idx, signs)
-            q = np.empty((*edge_idx.shape, n, n), dtype=np.complex128)
-            prefix = np.broadcast_to(np.eye(n, dtype=np.complex128), (len(edge_idx), n, n))
-            for j in range(edge_idx.shape[1]):
-                nxt = matmul_raw(prefix, table[rows[:, j]])
-                q[:, j] = np.where((signs[:, j] > 0)[:, None, None], prefix, nxt)
-                prefix = nxt
-            out.append(q)
-        return out
-
-    def gradient_from_logs(self, U: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def gradient_from_logs(self, logs: FaceLogs) -> np.ndarray:
         """Riemannian gradient: d/ds S(exp(sZ) U_e) = <G_e, Z>.
 
         Pairing against log H kills the dexp factor (they commute), so each
@@ -197,14 +197,14 @@ class _Engine:
         then sums its two boundary slots.
         """
         slots = []
-        for (faces, _, signs), q in zip(self.groups, self._transports(U)):
+        for (faces, _, signs), q in zip(self.groups, logs.transports):
             coeff = signs * (2.0 / self.areas[faces])[:, None]
-            contrib = matmul_raw(matmul_raw(q.conj().swapaxes(-1, -2), x[faces, None]), q) * coeff[:, :, None, None]
-            slots.append(contrib.reshape(-1, *U.shape[1:]))
+            contrib = matmul_raw(matmul_raw(q.conj().swapaxes(-1, -2), logs.x[faces, None]), q) * coeff[:, :, None, None]
+            slots.append(contrib.reshape(-1, *q.shape[2:]))
         s = np.concatenate(slots)
         return s[self.slot_plus] + s[self.slot_minus]
 
-    def gauss_newton_blocks(self, U: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
+    def gauss_newton_blocks(self, logs: FaceLogs) -> list[np.ndarray]:
         """Linearised face logs: X_f(exp(Z) U) = X_f + J_f Z + O(Z^2), in the
         real coordinates of u(n) (_u_basis).
 
@@ -218,14 +218,13 @@ class _Engine:
         V_f* (J_f Z) V_f are K_f times the face's m edge coordinate vectors,
         in slot order.
         """
-        n = x.shape[-1]
+        n, v = logs.x.shape[-1], logs.v
         basis = _u_basis(n)
-        theta, v = np.linalg.eigh(-1j * x)
-        gap = theta[:, :, None] - theta[:, None, :]
+        gap = logs.theta[:, :, None] - logs.theta[:, None, :]
         # z / (e^z - 1) = (gap/2) / sin(gap/2) e^{-i gap/2}; |gap| < 2 pi
-        phi = (np.exp(-0.5j * gap) / np.sinc(gap / (2 * np.pi))).reshape(len(x), n * n)
+        phi = (np.exp(-0.5j * gap) / np.sinc(gap / (2 * np.pi))).reshape(len(v), n * n)
         blocks = []
-        for (faces, _, signs), q in zip(self.groups, self._transports(U)):
+        for (faces, _, signs), q in zip(self.groups, logs.transports):
             f, m = signs.shape
             r = matmul_raw(v[faces, None].conj().swapaxes(-1, -2), q)
             # vec(R Z R*) = kron(R, conj R) vec Z for row-major vecs, and
@@ -238,7 +237,7 @@ class _Engine:
             blocks.append(coords.reshape(f, m, n * n, n * n).transpose(0, 3, 1, 2).reshape(f, n * n, -1))
         return blocks
 
-    def normal_operator(self, U: np.ndarray, x: np.ndarray, mu: float):
+    def normal_operator(self, logs: FaceLogs, mu: float):
         """c -> (J^T W J + mu I) c on the edges' u(n) coordinates c (E, n^2),
         W = diag(1 / A_f).
 
@@ -251,9 +250,9 @@ class _Engine:
         if self._edge_rows_layout is None:
             self._edge_rows_layout = self._edge_neighbours()
         neighbours, own = self._edge_rows_layout
-        width, d = neighbours.shape[1] // 2, x.shape[-1] ** 2
+        width, d = neighbours.shape[1] // 2, logs.x.shape[-1] ** 2
         grams = []
-        for (faces, _, signs), k in zip(self.groups, self.gauss_newton_blocks(U, x)):
+        for (faces, _, signs), k in zip(self.groups, self.gauss_newton_blocks(logs)):
             f, m = signs.shape
             gram = np.zeros((f, m, d, width * d))
             gram[..., : m * d] = (k.swapaxes(-1, -2) @ k / self.areas[faces, None, None]).reshape(f, m, d, -1)
@@ -279,7 +278,7 @@ class _Engine:
         neighbours = np.concatenate((face_edges[mesh.plus_face], face_edges[mesh.minus_face]), axis=1)
         return neighbours, mesh.plus_slot - layout.starts[mesh.plus_face]
 
-    def levenberg_marquardt(self, U: np.ndarray, x: np.ndarray, rhs: np.ndarray, mu: float) -> np.ndarray:
+    def levenberg_marquardt(self, logs: FaceLogs, rhs: np.ndarray, mu: float) -> np.ndarray:
         """Levenberg-Marquardt direction: (J^T W J + mu I) Z = rhs by
         conjugate gradients to relative residual 1e-2, on the u(n)
         coordinates of the edges.  With rhs = G / 2 = J^T W X, exp(-Z) U_e
@@ -287,7 +286,7 @@ class _Engine:
         sum_f ||X_f - J_f Z||^2 / A_f + mu ||Z||^2."""
         basis = _u_basis(rhs.shape[-1])
         b = (rhs.reshape(len(rhs), -1) @ basis.conj().T).real
-        c = _conjugate_gradients(self.normal_operator(U, x, mu), b, 1e-2, b.size)
+        c = _conjugate_gradients(self.normal_operator(logs, mu), b, 1e-2, b.size)
         return (c @ basis).reshape(rhs.shape)
 
     def _coboundary(self, y: np.ndarray) -> np.ndarray:
@@ -407,20 +406,20 @@ def ym_action(field: GaugeField) -> float:
 def ym_gradient(field: GaugeField) -> list[SkewHermitian]:
     """Per-edge Riemannian gradient of the action (left-invariant frame)."""
     engine = _engine_for(field.mesh)
-    grad = engine.gradient_from_logs(field.U, engine.logs(field.U))
+    grad = engine.gradient_from_logs(engine.logs(field.U))
     skew = (grad - grad.conj().swapaxes(-1, -2)) / 2.0
     return [SkewHermitian(skew[e]) for e in range(len(field.mesh.edges))]
 
 
 def gradient_norm(field: GaugeField) -> float:
     engine = _engine_for(field.mesh)
-    return _grad_norm(engine.gradient_from_logs(field.U, engine.logs(field.U)))
+    return _grad_norm(engine.gradient_from_logs(engine.logs(field.U)))
 
 
 def total_flux(field: GaugeField) -> float:
     """Sum of plaquette log phases; integer multiple of 2 pi for n = 1."""
     engine = _engine_for(field.mesh)
-    x = engine.logs(field.U)
+    x = engine.logs(field.U).x
     return float(np.sum(np.trace(x, axis1=1, axis2=2).imag))
 
 
@@ -460,9 +459,9 @@ def gradient_flow(
         raise ValueError("max_iter must be at least 1")
     engine = _engine_for(field.mesh)
     u = field.U
-    x = engine.logs(u)
-    action = engine.action_from_logs(x)
-    grad = engine.gradient_from_logs(u, x)
+    logs = engine.logs(u)
+    action = engine.action_from_logs(logs)
+    grad = engine.gradient_from_logs(logs)
     gnorm = _grad_norm(grad)
     history: Optional[list[tuple[int, float, float]]] = (
         [(0, action, gnorm)] if record_history else None
@@ -477,9 +476,9 @@ def gradient_flow(
     for iteration in range(1, max_iter + 1):
         direction, eta = grad, eta_gradient
         if field.n == 1:
-            newton = 1j * engine.abelian_newton(x)[:, None, None]
+            newton = 1j * engine.abelian_newton(logs.x)[:, None, None]
         else:
-            newton = engine.levenberg_marquardt(u, x, grad / 2, mu)
+            newton = engine.levenberg_marquardt(logs, grad / 2, mu)
         # Re<G, newton> > 0: the Newton direction descends
         if np.all(np.isfinite(newton)) and float(np.sum((grad.conj() * newton).real)) > 0:
             direction, eta = newton, eta_newton
@@ -493,21 +492,21 @@ def gradient_flow(
             step = expm_raw(-eta * direction)
             if np.all(step == eye):
                 # step underflowed to the identity: nothing can move
-                trial, x_trial, action_trial = u, x, action
+                trial, logs_trial, action_trial = u, logs, action
                 accepted, moved = True, False
                 break
             trial = _unitarize(matmul_raw(step, u))
             try:
-                x_trial = engine.logs(trial)
+                logs_trial = engine.logs(trial)
             except BranchCutError:
                 eta *= 0.5
                 continue
-            action_trial = engine.action_from_logs(x_trial)
+            action_trial = engine.action_from_logs(logs_trial)
             if action_trial < action - slack:
                 accepted = True
                 break
             if action_trial <= action + slack:
-                grad_trial = engine.gradient_from_logs(trial, x_trial)
+                grad_trial = engine.gradient_from_logs(logs_trial)
                 gnorm_trial = _grad_norm(grad_trial)
                 if gnorm_trial < gnorm:
                     accepted = True
@@ -522,8 +521,8 @@ def gradient_flow(
             )
         # Levenberg-Marquardt damping: less after a full Newton step, more otherwise
         mu = mu / 3 if direction is newton and eta == eta_newton else mu * 4
-        u, x, action = trial, x_trial, action_trial
-        grad = grad_trial if grad_trial is not None else engine.gradient_from_logs(u, x)
+        u, logs, action = trial, logs_trial, action_trial
+        grad = grad_trial if grad_trial is not None else engine.gradient_from_logs(logs)
         gnorm = _grad_norm(grad)
         if record_history:
             history.append((iteration, action, gnorm))

@@ -160,14 +160,14 @@ class TestSolve:
     # formed from the edge arrays; the writer must not change a byte.  The
     # n = 2 pin encodes the flow's roundoff: it is the sha256 of
     # json.dump(field_to_json(field) | {"seed": 3}, sort_keys=True, indent=1)
-    # and of the report, for the field gradient_flow returns since n > 1
-    # products take the real form (every number within 1e-14 of the
-    # complex products' files, in the same 29 iterations)
+    # and of the report, for the field gradient_flow returns since n = 2
+    # spectra take closed forms (every number within 1e-14 of the LAPACK
+    # files, in the same 29 iterations)
     @pytest.mark.parametrize("mesh, n, field_sha, report_sha", [
         ("torus:4", "1", "0c4e92760241bc36f74cf2f22822ba206f5a05cdca6ee9d7f713b0daa052ed9a",
          "74597c1963b97428497bd40d00000d84744d2429744d084fd8cf0fd3b63cc04d"),
-        ("sphere:1", "2", "7b98aa21f76eae5d2d1ccbc3ca649b88b34be3d0d0e3583eadd217994c3ebbd4",
-         "b31482f4f49cc87b52304ea2348d072358dc3e42a5d68636b19c5de730485f10"),
+        ("sphere:1", "2", "1ebfffc2f77d191d1eec692fb9547b4f48c581d295d120c676aad7dd72c20688",
+         "df117a701919702912667ae8e6a8d82893b3addf0b1d03c405049d6aa93d4035"),
     ], ids=["torus:4", "sphere:1-n2"])
     def test_pinned_bytes(self, runner, tmp_path, mesh, n, field_sha, report_sha):
         out, rep = tmp_path / "f.json", tmp_path / "r.json"

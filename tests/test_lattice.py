@@ -199,7 +199,7 @@ class TestGradient:
         rng = np.random.default_rng(82)
         field = random_field(torus4, 2, rng)
         engine = _engine_for(torus4)
-        raw = engine.gradient_from_logs(field.U, engine.logs(field.U))
+        raw = engine.gradient_from_logs(engine.logs(field.U))
         wrapped = ym_gradient(field)
         assert len(wrapped) == len(torus4.edges)
         for e, g in enumerate(wrapped):
@@ -220,12 +220,13 @@ class TestGradient:
         a = rng.normal(size=(len(mesh.faces), n, n)) + 1j * rng.normal(size=(len(mesh.faces), n, n))
         x = (a - a.conj().swapaxes(-1, -2)) / 2.0
         engine = _engine_for(mesh)
+        logs = engine.logs(field.U)._replace(x=x)
         expected = np.zeros_like(field.U)
-        for (faces, edge_idx, signs), q in zip(engine.groups, engine._transports(field.U)):
+        for (faces, edge_idx, signs), q in zip(engine.groups, logs.transports):
             for j in range(edge_idx.shape[1]):
                 contrib = matmul_raw(matmul_raw(q[:, j].conj().swapaxes(-1, -2), x[faces]), q[:, j])
                 np.add.at(expected, edge_idx[:, j], contrib * (signs[:, j] * (2.0 / engine.areas[faces]))[:, None, None])
-        assert np.array_equal(engine.gradient_from_logs(field.U, x), expected)
+        assert np.array_equal(engine.gradient_from_logs(logs), expected)
 
     @pytest.mark.parametrize("n,seed", [(1, 80), (2, 81)])
     def test_finite_difference_oracle(self, n, seed):
@@ -233,7 +234,7 @@ class TestGradient:
         rng = np.random.default_rng(seed)
         field = random_field(mesh, n, rng, scale=0.35)
         engine = _engine_for(mesh)
-        grad = engine.gradient_from_logs(field.U, engine.logs(field.U))
+        grad = engine.gradient_from_logs(engine.logs(field.U))
 
         def action_of(values):
             return engine.action_from_logs(engine.logs(values))
@@ -346,6 +347,21 @@ class TestFlow:
         assert err.value.report.iterations == 1
         assert "stalled at machine precision" in str(err.value)
 
+    def test_n2_flow_calls_no_lapack(self, monkeypatch):
+        # at n = 2 every eigendecomposition and Cayley inverse takes a closed
+        # form over the whole stack; numpy's eigh and solve would call
+        # LAPACK once per matrix
+        mesh = ah.build_sphere_mesh(2)
+        start = ah.perturb_field(build_ym_field_from_rep(mesh, ah.sphere_rep([1, 0])), np.random.default_rng(7), 0.3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-matrix LAPACK call in an n = 2 flow")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        _, report = gradient_flow(start, tol=1e-9)
+        assert report.stop_reason == "converged"
+
     def test_stop_reason_json(self, perturbed4):
         _, report = gradient_flow(perturbed4, tol=1e-9)
         obj = report.to_json()
@@ -400,7 +416,7 @@ def abelian_starts(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     start = ah.perturb_field(build_ym_field_from_rep(mesh, rep), rng, draw(st.floats(0.01, 0.3)))
     try:
-        theta = _engine_for(mesh).logs(start.U)[:, 0, 0].imag
+        theta = _engine_for(mesh).logs(start.U).x[:, 0, 0].imag
     except BranchCutError:
         assume(False)
     # the perturbation may wrap a plaquette into the next sector
@@ -414,7 +430,7 @@ class TestAbelianNewton:
     def test_direction_is_minimum_norm_solution(self, start):
         mesh = start.mesh
         engine = _engine_for(mesh)
-        x = engine.logs(start.U)
+        x = engine.logs(start.U).x
         theta = x[:, 0, 0].imag
         r = theta - np.sum(theta) * mesh.face_areas / np.sum(mesh.face_areas)
         expected = np.linalg.lstsq(incidence_matrix(mesh), r - np.mean(r), rcond=None)[0]
@@ -450,33 +466,33 @@ def coordinates(z):
     return np.einsum("kab,eab->ek", basis.reshape(len(basis), *z.shape[1:]).conj(), z).real
 
 
-def jacobian(engine, U, x, z):
+def jacobian(engine, logs, z):
     """J Z, the first-order change of the face logs under U_e <- exp(Z_e) U_e,
-    assembled from the engine's real Gauss-Newton blocks."""
-    n = U.shape[-1]
+    assembled from the engine's real Gauss-Newton blocks, which are taken
+    in the eigenbases of the face logs the engine computed (logs.v)."""
+    n = z.shape[-1]
     basis = _u_basis(n).reshape(n * n, n, n)
-    _, v = np.linalg.eigh(-1j * x)
     c = coordinates(z)
-    blocks = engine.gauss_newton_blocks(U, x)
-    out = np.empty_like(x)
+    blocks = engine.gauss_newton_blocks(logs)
+    out = np.empty_like(logs.x)
     for (faces, edge_idx, _), k in zip(engine.groups, blocks):
         image = np.einsum("fkl,fl,kab->fab", k, c[edge_idx].reshape(len(faces), -1), basis)
-        out[faces] = v[faces] @ image @ v[faces].conj().swapaxes(-1, -2)
+        out[faces] = logs.v[faces] @ image @ logs.v[faces].conj().swapaxes(-1, -2)
     return out
 
 
-def jacobian_adjoint(engine, U, x, y):
+def jacobian_adjoint(engine, logs, y):
     """J^T Y without the blocks: the adjoint of dexp^-1 (conj z / (e^z - 1)
-    in the eigenbasis of X_f), then the gradient kernel's scatter, whose
-    factor 2 / A_f is cancelled."""
-    theta, v = np.linalg.eigh(-1j * x)
+    in the engine's eigenbasis of X_f), then the gradient kernel's scatter,
+    whose factor 2 / A_f is cancelled."""
+    v, theta = logs.v, logs.theta
     z = 1j * (theta[:, :, None] - theta[:, None, :])
     phi = np.ones_like(z)
     off = z != 0
     phi[off] = z[off] / np.expm1(z[off])
     vh = v.conj().swapaxes(-1, -2)
     pulled = v @ (phi.conj() * (vh @ y @ v)) @ vh
-    return engine.gradient_from_logs(U, pulled * engine.areas[:, None, None] / 2)
+    return engine.gradient_from_logs(logs._replace(x=pulled * engine.areas[:, None, None] / 2))
 
 
 def random_skew(rng, shape):
@@ -510,11 +526,11 @@ class TestLevenbergMarquardt:
     def test_jacobian_matches_finite_differences(self, drawn):
         field, rng = drawn
         engine = _engine_for(field.mesh)
-        x = engine.logs(field.U)
+        logs = engine.logs(field.U)
         z = random_skew(rng, field.U.shape)
-        closed = jacobian(engine, field.U, x, z)
+        closed = jacobian(engine, logs, z)
         h = 1e-5
-        fd = (engine.logs(expm_raw(h * z) @ field.U) - engine.logs(expm_raw(-h * z) @ field.U)) / (2 * h)
+        fd = (engine.logs(expm_raw(h * z) @ field.U).x - engine.logs(expm_raw(-h * z) @ field.U).x) / (2 * h)
         assert np.max(np.abs(fd - closed)) <= 1e-7 * max(1.0, np.max(np.abs(closed)))
 
     @settings(max_examples=30, deadline=None)
@@ -522,15 +538,15 @@ class TestLevenbergMarquardt:
     def test_adjoint(self, drawn):
         field, rng = drawn
         engine = _engine_for(field.mesh)
-        x = engine.logs(field.U)
+        logs = engine.logs(field.U)
         z = random_skew(rng, field.U.shape)
-        y = random_skew(rng, x.shape)
-        lhs = real_inner(y, jacobian(engine, field.U, x, z))
-        rhs = real_inner(jacobian_adjoint(engine, field.U, x, y), z)
+        y = random_skew(rng, logs.x.shape)
+        lhs = real_inner(y, jacobian(engine, logs, z))
+        rhs = real_inner(jacobian_adjoint(engine, logs, y), z)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs)) * y.size
         # J^T W X is half the gradient
-        grad = engine.gradient_from_logs(field.U, x)
-        assert np.max(np.abs(jacobian_adjoint(engine, field.U, x, x / engine.areas[:, None, None]) - grad / 2)) <= 1e-12 * max(
+        grad = engine.gradient_from_logs(logs)
+        assert np.max(np.abs(jacobian_adjoint(engine, logs, logs.x / engine.areas[:, None, None]) - grad / 2)) <= 1e-12 * max(
             1.0, np.max(np.abs(grad))
         )
 
@@ -541,16 +557,33 @@ class TestLevenbergMarquardt:
         # orthonormal basis of u(n)^E whose coordinates the rows act on
         field, _ = drawn
         engine = _engine_for(field.mesh)
-        x = engine.logs(field.U)
+        logs = engine.logs(field.U)
         n, edges = field.n, len(field.mesh.edges)
         units = np.eye(edges * n * n).reshape(-1, edges, n * n)
         basis = _u_basis(n).reshape(n * n, n, n)
-        columns = np.array([jacobian(engine, field.U, x, np.einsum("ek,kab->eab", c, basis)) for c in units])
+        columns = np.array([jacobian(engine, logs, np.einsum("ek,kab->eab", c, basis)) for c in units])
         weighted = columns / engine.areas[:, None, None]
         dense = np.einsum("ifab,kfab->ik", columns.conj(), weighted).real + mu * np.eye(len(units))
-        apply = engine.normal_operator(field.U, x, mu)
+        apply = engine.normal_operator(logs, mu)
         blocked = np.array([apply(c).ravel() for c in units]).T
         assert np.max(np.abs(blocked - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("mu", [0.0, 2.0])
+    def test_operator_is_basis_free_on_scalar_logs(self, mu):
+        # every face log of a (1, 1) field is scalar, so any eigenbasis is
+        # valid: the operator built in the engine's bases must be the one
+        # built in the bases eigh(-1j x) gives
+        mesh = ah.build_sphere_mesh(2)
+        rep_field = build_ym_field_from_rep(mesh, ah.sphere_rep([1, 1]))
+        field = apply_gauge(rep_field, ah.random_gauge_transform(mesh, 2, np.random.default_rng(5)))
+        engine = _engine_for(mesh)
+        logs = engine.logs(field.U)
+        theta, v = np.linalg.eigh(-1j * logs.x)
+        assert np.max(np.abs(logs.v - v)) > 0.1
+        units = np.eye(len(mesh.edges) * 4).reshape(-1, len(mesh.edges), 4)
+        new, old = engine.normal_operator(logs, mu), engine.normal_operator(logs._replace(v=v, theta=theta), mu)
+        new, old = (np.array([apply(c).ravel() for c in units]) for apply in (new, old))
+        assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_u_basis_is_orthonormal(self, n):
@@ -1115,7 +1148,7 @@ def test_face_layout_matches_gather_oracle(case, seed):
     oracle, engine = GatherEngine(mesh), _engine_for(mesh)
     assert same_bytes(engine.plaquettes(field.U), oracle.plaquettes(field.U))
     x = random_skew(np.random.default_rng(seed), (len(mesh.faces), n, n))
-    assert same_bytes(engine.gradient_from_logs(field.U, x), oracle.gradient_from_logs(field.U, x))
+    assert same_bytes(engine.gradient_from_logs(engine.logs(field.U)._replace(x=x)), oracle.gradient_from_logs(field.U, x))
     assert np.array_equal(mesh.plus_face, oracle.plus_face)
     assert np.array_equal(mesh.minus_face, oracle.minus_face)
     assert mesh.dual_tree() == walk_dual_tree(mesh, oracle.plus_face, oracle.minus_face)

@@ -2,6 +2,7 @@
 commutant dimension, conjugacy comparison."""
 
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from areaholonomy import (
     inner,
     logm_principal,
 )
-from areaholonomy.liecore import _REAL_FORM_MAX_N, expm_raw, logm_raw, matmul_raw, real_form
+from areaholonomy.lattice import _engine_for
+from areaholonomy.liecore import _REAL_FORM_MAX_N, _eigh, expm_raw, logm_raw, matmul_raw, real_form
 
 EPS_BRANCH = ah.DEFAULT_POLICY.eps_branch
 
@@ -211,11 +213,92 @@ class TestBatchedLogm:
         with pytest.raises(BranchCutError):
             logm_raw(u)
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_non_finite_input_raises(self, n):
-        batch = np.stack([np.eye(n, dtype=complex), np.full((n, n), np.nan + 0j)])
-        with pytest.raises(ValueError):
-            logm_raw(batch)
+        # the input is checked before any arithmetic, so no numpy warning
+        # comes first
+        for bad in (np.nan, np.inf, -np.inf):
+            for entry in (complex(bad, 0), complex(0, bad)):
+                for matrix in (np.full((n, n), entry), np.where(np.eye(n, k=n - 1) > 0, entry, np.eye(n))):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        with pytest.raises(ValueError, match="non-finite"):
+                            logm_raw(np.stack([np.eye(n, dtype=complex), matrix]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seeds, st.lists(st.floats(2 * EPS_BRANCH, 1e-6), min_size=2, max_size=2), st.sampled_from([1, -1]), phases)
+    def test_phases_near_the_cut(self, seed, deltas, sign, other):
+        # n = 2: one phase within 1e-6 of +-pi, the other anywhere or
+        # within 1e-6 of the cut on either side
+        for second in (other, sign * (np.pi - deltas[1]), -sign * (np.pi - deltas[1])):
+            u = with_phases(seed, [sign * (np.pi - deltas[0]), second])
+            assert np.max(np.abs(logm_raw(u) - schur_logm(u))) <= oracle_bound(u)
+            assert np.linalg.norm(expm_raw(logm_raw(u)) - u) <= 1e-12
+
+
+@st.composite
+def hermitian_stacks(draw):
+    """Hermitian 2 x 2 matrices [[a, conj b], [b, d]] at one scale in 1e-3
+    .. 1e3: random ones, scalar ones, diagonal ones (b = 0, a above or below
+    d) and ones whose |b| is 1e-12 of |a - d|."""
+    scale = 10.0 ** draw(st.floats(-3, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    out = []
+    for kind in draw(st.lists(st.sampled_from(["random", "scalar", "diagonal", "tiny"]), min_size=1, max_size=16)):
+        a, d, re, im = rng.normal(size=4)
+        b = {"random": 1, "scalar": 0, "diagonal": 0, "tiny": 1e-12 * abs(a - d)}[kind] * complex(re, im)
+        out.append([[a, b.conjugate()], [b, a if kind == "scalar" else d]])
+    return scale * np.array(out)
+
+
+def check_eigh(h):
+    """_eigh against the exact eigenvalues and np.linalg.eigh, per matrix."""
+    eps = np.finfo(np.float64).eps
+    w, v = _eigh(h)
+    norm = np.linalg.norm(h, axis=(-2, -1))
+    assert np.all(w[..., 0] <= w[..., 1])
+    # the roots of the characteristic polynomial in extended precision
+    a, d, b = (part.astype(np.longdouble) for part in (h[..., 0, 0].real, h[..., 1, 1].real, np.abs(h[..., 1, 0])))
+    r = np.sqrt(((a - d) / 2) ** 2 + b * b)
+    exact = np.stack(((a + d) / 2 - r, (a + d) / 2 + r), -1)
+    assert np.all(np.abs(w - exact).astype(np.float64) <= 4 * eps * norm[..., None])
+    # LAPACK's own eigenvalues are about 4.5 eps ||h|| from the exact ones
+    assert np.all(np.abs(w - np.linalg.eigvalsh(h)) <= 8 * eps * norm[..., None])
+    assert np.all(np.linalg.norm(h @ v - v * w[..., None, :], axis=(-2, -1)) <= 4 * eps * norm)
+    assert np.all(np.linalg.norm(v.conj().swapaxes(-1, -2) @ v - np.eye(2), axis=(-2, -1)) <= 8 * eps)
+
+
+class TestClosedForms:
+    """The n = 2 eigendecomposition takes no LAPACK call; numpy's eigh and
+    scipy's expm are the oracles."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(hermitian_stacks())
+    def test_eigh_matches_lapack(self, h):
+        check_eigh(h)
+
+    @pytest.mark.parametrize("h", [
+        3 * np.eye(2), np.diag([1.0, 2.0]), np.diag([2.0, 1.0]),
+        [[1.0, 1e-13], [1e-13, 3.0]], [[3.0, -1e-13j], [1e-13j, 1.0]],
+    ], ids=["scalar", "a-below-d", "a-above-d", "tiny-b", "tiny-b-a-above-d"])
+    def test_eigh_special_cases(self, h):
+        check_eigh(np.array(h, dtype=complex))
+
+    def test_eigh_on_scalar_face_logs(self):
+        # a (1, 1) sphere field: every face log is scalar up to roundoff
+        mesh = ah.build_sphere_mesh(2)
+        field = ah.apply_gauge(
+            ah.build_ym_field_from_rep(mesh, ah.sphere_rep([1, 1])),
+            ah.random_gauge_transform(mesh, 2, np.random.default_rng(3)),
+        )
+        check_eigh(-1j * _engine_for(mesh).logs(field.U).x)
+
+    @settings(max_examples=100, deadline=None)
+    @given(hermitian_stacks())
+    def test_expm_matches_scipy(self, h):
+        x = 1j * h
+        error = np.max(np.abs(expm_raw(x) - scipy.linalg.expm(x)), axis=(-2, -1))
+        assert np.all(error <= 8 * np.finfo(np.float64).eps * np.maximum(1.0, np.linalg.norm(x, axis=(-2, -1))))
 
 
 class TestAbelianKernels:
