@@ -7,12 +7,11 @@ offsets into them.  Loops a caller names are laid out per call, and every
 SurfaceMesh lays out its face boundaries once (mesh.face_steps), so a
 plaquette is the holonomy of a face's loop.  first_fault checks every loop
 in one pass, reduced frees them of retraced steps, lifts walks their lifts
-to a torus grid's universal cover with integer prefix sums, and holonomies
+to a torus grid's universal cover with integer prefix sums, and prefixes
 multiplies the step matrices of every loop (step_table), one step position
 of all loops at a time, in the order a loop over the steps would multiply
-them (schedule); prefixes keeps every partial product of short loops.
-The kernels read a mesh's tails, heads and counts and a grid's N, and
-import from the package only liecore's product kernel.
+them (schedule).  The kernels read a mesh's tails, heads and counts and a
+grid's N, and import from the package only liecore's product kernel.
 """
 
 from __future__ import annotations
@@ -179,63 +178,46 @@ def lifts(n_grid: int, steps: LoopSteps) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 class Schedule(NamedTuple):
-    """The order in which holonomies and prefixes multiply a layout's loops,
-    freely reduced (reduced): the loops by descending length, and for each
-    step position j the step table rows of step j of the loops longer than
-    j, which are a prefix of that order."""
+    """The order in which prefixes multiplies a layout's loops, by
+    descending length: per step position j the step table rows of the
+    loops longer than j, and the product of loop k's first j steps is row
+    offsets[j] + at[k] of prefixes' stack, at[k] loop k's place."""
 
-    order: np.ndarray
+    at: np.ndarray
     rows: tuple[np.ndarray, ...]
+    offsets: np.ndarray
 
 
 def schedule(steps: LoopSteps) -> Schedule:
-    """The Schedule of a layout of valid loops.  A layout that many calls
-    multiply along (a mesh's faces) is scheduled once."""
-    steps = reduced(steps)
-    lengths = steps.lengths.tolist()
-    order = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
-    starts = steps.starts[order]
-    counts, longer = [], len(order)
-    for j in range(lengths[order[0]] if order else 0):
-        while lengths[order[longer - 1]] <= j:
-            longer -= 1
-        counts.append(longer)
-    rows = 2 * steps.edges + (steps.signs < 0)
-    return Schedule(np.array(order, dtype=np.intp), tuple(rows[starts[:c] + j] for j, c in enumerate(counts)))
-
-
-def holonomies(u: np.ndarray, steps: LoopSteps) -> np.ndarray:
-    """Transports (K, n, n) around the loops of a layout of valid loops, for
-    edge unitaries u (E, n, n).
-
-    Each loop is freely reduced first (reduced).  Its step matrices are
-    U_e for sign +1 and U_e^-1 = U_e* for sign -1, taken from one table
-    of both, and each step position is one batched matmul_raw over the
-    loops that long, starting from the identity: every loop's product is
-    formed left to right, as one loop at a time would form it.  Only the
-    steps of the given loops are multiplied, and only K products are kept.
-    """
-    steps = schedule(steps)
-    table, n = step_table(u), u.shape[-1]
-    by_length = np.broadcast_to(np.eye(n, dtype=np.complex128), (len(steps.order), n, n)).copy()
-    for rows in steps.rows:
-        by_length[: len(rows)] = liecore.matmul_raw(by_length[: len(rows)], table[rows])
-    out = np.empty_like(by_length)
-    out[steps.order] = by_length
-    return out
+    """The Schedule of a layout of valid loops, as laid out.  A layout that
+    many calls multiply along (a mesh's faces) is scheduled once."""
+    order = np.argsort(-steps.lengths, kind="stable")
+    counts = np.searchsorted(-steps.lengths[order], -np.arange(steps.lengths.max(initial=0)))
+    rows, starts = 2 * steps.edges + (steps.signs < 0), steps.starts[order]
+    rows = tuple(rows[starts[:c] + j] for j, c in enumerate(counts.tolist()))
+    return Schedule(np.argsort(order), rows, np.cumsum([0, len(order), *counts], dtype=np.intp))
 
 
 def prefixes(u: np.ndarray, steps: Schedule) -> np.ndarray:
-    """Every partial product holonomies forms, for a layout as short as a
-    mesh's faces: flat ((M + 1) K, n, n) for K loops at most M steps long,
-    row j K + k the product of the first j step matrices of the k-th loop
-    of the order (rows past a loop's length are not set)."""
+    """Every partial product of a layout's loops for edge unitaries u
+    (E, n, n), K identities and then one per step, as the Schedule numbers
+    them.  Each step position is one batched matmul_raw by the loops' step
+    matrices (step_table): every product is formed left to right."""
     table, n = step_table(u), u.shape[-1]
-    out = np.empty((len(steps.rows) + 1, len(steps.order), n, n), dtype=np.complex128)
-    out[0] = np.eye(n)
-    for j, rows in enumerate(steps.rows):
-        out[j + 1, : len(rows)] = liecore.matmul_raw(out[j, : len(rows)], table[rows])
-    return out.reshape(-1, n, n)
+    out = np.empty((steps.offsets[-1], n, n), dtype=np.complex128)
+    out[: steps.offsets[1]] = np.eye(n)
+    for a, b, rows in zip(steps.offsets, steps.offsets[1:], steps.rows):
+        out[b : b + len(rows)] = liecore.matmul_raw(out[a : a + len(rows)], table[rows])
+    return out
+
+
+def holonomies(u: np.ndarray, steps: LoopSteps) -> np.ndarray:
+    """Transports (K, n, n) around the loops of a layout of valid loops for
+    edge unitaries u (E, n, n): each loop's last prefix once it is freely
+    reduced (reduced), from a stack of one matrix per reduced step."""
+    steps = reduced(steps)
+    order = schedule(steps)
+    return prefixes(u, order)[order.offsets[steps.lengths] + order.at]
 
 
 def step_table(u: np.ndarray) -> np.ndarray:

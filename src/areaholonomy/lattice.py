@@ -29,7 +29,6 @@ from .liecore import (
     Unitary,
     expm_raw,
     haar_unitary_raw,
-    logm_eig,
     logm_raw,
     matmul_raw,
     require_unitary,
@@ -137,12 +136,10 @@ class GaugeTransform:
 # mesh engine: batched plaquette / log / gradient kernels
 
 class FaceLogs(NamedTuple):
-    """One field's face quantities, computed once (_Engine.logs): every
-    plaquette's principal log x = v diag(i theta) v* with its eigenbasis v
-    and phases theta (liecore.logm_eig), and per face group the boundary
-    transports (faces, m, n, n).  Moving slot j's edge as U_e <- exp(Z) U_e
-    moves the plaquette as H <- exp(s_j q_j Z q_j*) H, with q_j the product
-    of the boundary factors before slot j, and for s_j = -1 through it."""
+    """One field's face state (_Engine.logs): each plaquette's log x =
+    v diag(i theta) v*, and per face group the transports q (faces, m, n, n):
+    U_e <- exp(Z) U_e at slot j moves the plaquette as H <- exp(s_j q_j Z
+    q_j*) H, q_j the boundary product before slot j, or through it if s_j < 0."""
 
     x: np.ndarray
     v: np.ndarray
@@ -155,23 +152,20 @@ class _Engine:
         self.mesh = mesh
         self.areas = np.asarray(mesh.face_areas, dtype=np.float64)
         layout = mesh.face_steps
-        # the order every plaquette product follows, fixed with the faces
-        self.face_schedule = schedule(layout)
-        faces_at = np.empty(len(self.areas), np.intp)
-        faces_at[self.face_schedule.order] = np.arange(len(self.areas))
-        self.plaquette_rows = layout.lengths * len(self.areas) + faces_at
-        # rows of the face prefixes: each face's plaquette, and per length
-        # its faces, their boundary slots in order and each slot's transport
-        self.groups, self.transport_rows, order = [], [], []
+        # the faces' prefix rows: each plaquette, and per face length its
+        # faces, their boundary slots in order and each slot's transport
+        self.face_schedule = order = schedule(layout)
+        self.plaquette_rows = order.offsets[layout.lengths] + order.at
+        self.groups, self.transport_rows, slot_order = [], [], []
         for m in sorted(set(layout.lengths.tolist())):
             faces = np.flatnonzero(layout.lengths == m)
             slots = layout.starts[faces, None] + np.arange(m)
             self.groups.append((faces, layout.edges[slots], layout.signs[slots]))
-            self.transport_rows.append((np.arange(m) + (layout.signs[slots] < 0)) * len(self.areas) + faces_at[faces, None])
-            order.append(slots.ravel())
+            self.transport_rows.append(order.offsets[np.arange(m) + (layout.signs[slots] < 0)] + order.at[faces, None])
+            slot_order.append(slots.ravel())
         # each edge gathers its two slots from the kernels' stack of groups
         position = np.empty(len(layout.edges), np.intp)
-        position[np.concatenate(order)] = np.arange(len(layout.edges))
+        position[np.concatenate(slot_order)] = np.arange(len(layout.edges))
         self.slot_plus, self.slot_minus = position[mesh.plus_slot], position[mesh.minus_slot]
         self._edge_rows_layout = None
 
@@ -180,9 +174,8 @@ class _Engine:
         return prefixes(U, self.face_schedule)[self.plaquette_rows]
 
     def logs(self, U: np.ndarray) -> FaceLogs:
-        products = prefixes(U, self.face_schedule)
-        x, v, theta = logm_eig(products[self.plaquette_rows])
-        return FaceLogs(x, v, theta, [products[rows] for rows in self.transport_rows])
+        p = prefixes(U, self.face_schedule)
+        return FaceLogs(*logm_raw(p[self.plaquette_rows], eig=True), [p[rows] for rows in self.transport_rows])
 
     def action_from_logs(self, logs: FaceLogs) -> float:
         norms = np.sum(np.abs(logs.x) ** 2, axis=(1, 2))

@@ -5,11 +5,9 @@ exp diagonalizes the Hermitian matrix -iX, and the principal log
 diagonalizes the Cayley transform i(I - U)(I + U)^-1, which is Hermitian
 and shares U's eigenvectors (Higham, Functions of Matrices, 2008, ch. 11).
 Both kernels are batched over leading axes and use numpy only: closed
-forms over the whole stack at n = 2 (_eigh and the adjugate), numpy's
-eigh and solve (LAPACK, once per matrix) for every other n, U(1) included.
-The log raises BranchCutError instead of picking a branch when an
-eigenvalue lies within DEFAULT_POLICY.eps_branch of -1.  Dimensions stay
-small (n <= 8).
+forms at n = 2, numpy's eigh and solve (_kernels) at every other n.  The
+log raises BranchCutError instead of picking a branch when an eigenvalue
+lies within DEFAULT_POLICY.eps_branch of -1.  Dimensions stay small (n <= 8).
 """
 
 from __future__ import annotations
@@ -139,37 +137,44 @@ def matmul_raw(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.view(np.float64) @ b).view(np.complex128)
 
 
-# The one n whose eigh (_eigh) and Cayley inverse (_cayley_eigh) take closed
-# forms over the whole stack, where numpy calls LAPACK once per matrix.
-# 2 048 matrices, best of 41 (2-vCPU host, numpy 2.4.6, one BLAS thread):
-# eigh 2.4 -> 0.27 ms, the Cayley solve 1.0 -> 0.39 ms.  A batched cyclic
-# Jacobi lost to LAPACK at n = 3 (3.4 against 2.3 ms on 1 024 matrices)
-# and n = 4 (27.6 against 3.7 ms), so every other n keeps LAPACK.
+# The n whose eigh and solve take closed forms over the whole stack, where
+# LAPACK takes one matrix at a time.  2 048 matrices, 2-vCPU host, one BLAS
+# thread: eigh 2.4 -> 0.27 ms, solve 1.0 -> 0.39 ms.
 _CLOSED_FORM_N = 2
 
 
-def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.eigh of Hermitian arrays (lower triangle).  At n = 2, for
-    h = [[a, conj b], [b, d]], the eigenvalues are (a + d) / 2 -+ r with
-    r = hypot((a - d) / 2, |b|), and both eigenvectors are formed from
+def _kernels(n: int):  # eigh and solve for stacks of n x n matrices
+    return (_eigh2, _solve2) if n == _CLOSED_FORM_N else (np.linalg.eigh, np.linalg.solve)
+
+
+def _eigh2(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh of 2 x 2 Hermitian h = [[a, conj b], [b, d]]: values
+    (a + d) / 2 -+ r, r = hypot((a - d) / 2, |b|), vectors formed from
     t = |a - d| / 2 + r, which cancels nothing (LAPACK's zlaev2)."""
-    if h.shape[-1] != _CLOSED_FORM_N:
-        return np.linalg.eigh(h)
     a, d, b = h[..., 0, 0].real, h[..., 1, 1].real, h[..., 1, 0]
     half, size = (a - d) / 2, np.abs(b)
     r = np.hypot(half, size)
     t = np.where(r == 0, 1.0, np.abs(half) + r)
-    # columns (-conj b, t), (t, b) when a > d, else (t, -b), (conj b, t);
-    # a scalar matrix gets V = I
+    # columns (-conj b, t), (t, b) if a > d, else (t, -b), (conj b, t): V = I if h is scalar
     right, up = half > 0, b.conj()
     v = np.stack((np.where(right, -up, t), np.where(right, t, up), np.where(right, t, -b), np.where(right, b, t)), -1)
     v = v.reshape(h.shape) / np.hypot(t, size)[..., None, None]
     return np.stack(((a + d) / 2 - r, (a + d) / 2 + r), -1), v
 
 
+def _solve2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve of 2 x 2 arrays, as adj(a) b / det(a)."""
+    adj = np.stack((a[..., 1, 1], -a[..., 0, 1], -a[..., 1, 0], a[..., 0, 0]), -1).reshape(a.shape)
+    with np.errstate(all="ignore"):
+        x = matmul_raw(adj, b) / (a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0])[..., None, None]
+    if not np.all(np.isfinite(x)):
+        raise np.linalg.LinAlgError("Singular matrix")
+    return x
+
+
 def expm_raw(x: np.ndarray) -> np.ndarray:
     """exp of skew-Hermitian arrays, batched over leading axes."""
-    w, v = _eigh(-1j * x)
+    w, v = _kernels(x.shape[-1])[0](-1j * x)
     phase = np.exp(1j * w)
     return matmul_raw(v * phase[..., None, :], v.conj().swapaxes(-1, -2))
 
@@ -191,30 +196,21 @@ _CAYLEY_MAX_PHASE = 0.75 * np.pi
 def _cayley_eigh(u: np.ndarray, rotated: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvectors of the Cayley transform of `rotated` (a scalar phase
     times u), and the phases of u read from its Rayleigh quotients."""
-    n = u.shape[-1]
-    eye = np.eye(n)
-    if n == _CLOSED_FORM_N:
-        # (I + R)^-1 = adj(I + R) / det(I + R)
-        m = eye + rotated
-        det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-        if np.any(det == 0):
-            raise BranchCutError("eigenvalue -1: I + U is singular")
-        adj = np.stack((m[..., 1, 1], -m[..., 0, 1], -m[..., 1, 0], m[..., 0, 0]), -1).reshape(m.shape)
-        c = 1j * matmul_raw(adj, eye - rotated) / det[..., None, None]
-    else:
-        try:
-            c = 1j * np.linalg.solve(eye + rotated, eye - rotated)
-        except np.linalg.LinAlgError:
-            raise BranchCutError("eigenvalue -1: I + U is singular") from None
-    _, v = _eigh((c + c.conj().swapaxes(-1, -2)) / 2.0)
+    eigh, solve = _kernels(u.shape[-1])
+    eye = np.eye(u.shape[-1])
+    try:
+        c = 1j * solve(eye + rotated, eye - rotated)
+    except np.linalg.LinAlgError:
+        raise BranchCutError("eigenvalue -1: I + U is singular") from None
+    _, v = eigh((c + c.conj().swapaxes(-1, -2)) / 2.0)
     theta = np.angle(np.sum(v.conj() * matmul_raw(u, v), axis=-2))
     return v, theta
 
 
-def logm_eig(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Principal log X of unitary arrays, batched over leading axes, with
-    the eigendecomposition it is formed from: X = V diag(i theta) V*, V
-    orthonormal eigenvectors of U and theta its phases in (-pi, pi).
+def logm_raw(u: np.ndarray, eig: bool = False):
+    """Principal log X of unitary arrays, batched over leading axes; with
+    eig, (X, V, theta) for X = V diag(i theta) V*, V orthonormal
+    eigenvectors of U and theta its phases in (-pi, pi).
 
     One batched solve forms the Cayley transform C = i(I - U)(I + U)^-1,
     whose eigenvalues tan(theta/2) are real; one batched eigh of its
@@ -245,15 +241,11 @@ def logm_eig(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         shift = np.take_along_axis(s + gaps / 2, widest, axis=-1) - np.pi
         u_far = u[far]
         v[far], theta[far] = _cayley_eigh(u_far, np.exp(-1j * shift)[..., None] * u_far)
-    if np.min(np.pi - np.abs(theta)) < DEFAULT_POLICY.eps_branch:
+    if not np.all(np.pi - np.abs(theta) >= DEFAULT_POLICY.eps_branch):
         raise BranchCutError("eigenvalue within eps_branch of -1")
     x = matmul_raw(v * (1j * theta)[..., None, :], v.conj().swapaxes(-1, -2))
-    return (x - x.conj().swapaxes(-1, -2)) / 2.0, v, theta
-
-
-def logm_raw(u: np.ndarray) -> np.ndarray:
-    """Principal log of unitary arrays, batched: logm_eig's X."""
-    return logm_eig(u)[0]
+    x = (x - x.conj().swapaxes(-1, -2)) / 2.0
+    return (x, v, theta) if eig else x
 
 
 # ---------------------------------------------------------------------------

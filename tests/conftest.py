@@ -95,6 +95,19 @@ def rebased(mesh: ah.SurfaceMesh, basepoint: int) -> ah.SurfaceMesh:
     return ah.SurfaceMesh(mesh.genus, mesh.vertex_count, mesh.edges, mesh.faces, mesh.face_areas, basepoint, grid=mesh.grid)
 
 
+ONE_EDGE_SPHERE = {"genus": 0, "vertices": 2, "edges": [[0, 1]], "faces": [[1, -1]], "face_areas": [1.0], "basepoint": 0}
+
+
+def slit_face(mesh: ah.SurfaceMesh) -> ah.SurfaceMesh:
+    """The mesh with a dangling edge from face 0's start vertex to a new
+    vertex inside the face, whose boundary now runs out along the edge and
+    straight back first; the Euler characteristic is unchanged."""
+    obj = ah.mesh_to_json(mesh)
+    obj["edges"].append([mesh.face_start_vertex(0), obj["vertices"]])
+    obj["faces"][0] = [len(obj["edges"]), -len(obj["edges"])] + obj["faces"][0]
+    return ah.mesh_from_json({**obj, "vertices": obj["vertices"] + 1})
+
+
 def disjoint_union_json(first: ah.SurfaceMesh, second: ah.SurfaceMesh) -> dict:
     """Mesh JSON of two meshes side by side, with half the area each and
     the genus that their summed Euler characteristic gives."""

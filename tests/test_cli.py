@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 import areaholonomy as ah
 from areaholonomy.cli import _write_json, cli, main
-from conftest import MALFORMED_MESHES, disjoint_union_json, flux_rep, malformed_mesh_json, rebased
+from conftest import MALFORMED_MESHES, disjoint_union_json, flux_rep, malformed_mesh_json, rebased, slit_face
 
 FOUR_PI_SQ = 4 * np.pi**2
 
@@ -412,6 +412,18 @@ class TestVerify:
         mesh = rebased(ah.build_torus_mesh(4), 5)
         field = ah.build_ym_field_from_rep(mesh, flux_rep(2, 1))
         field = ah.apply_gauge(field, ah.random_gauge_transform(mesh, 2, np.random.default_rng(3)))
+        field_path = tmp_path / "f.json"
+        field_path.write_text(json.dumps(ah.field_to_json(field)))
+        result = run(runner, ["verify", "--field", str(field_path), "--random", "20", "--seed", "3"])
+        assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_slit_face_field(self, runner, tmp_path, n):
+        # face 0 runs out along a dangling edge and straight back: the
+        # flux-1 field is still a critical point, and the pairs pass
+        mesh = slit_face(ah.build_sphere_mesh(2))
+        field = ah.build_ym_field_from_rep(mesh, ah.sphere_rep([1] + [0] * (n - 1)))
+        assert ah.gradient_norm(field) < 1e-11
         field_path = tmp_path / "f.json"
         field_path.write_text(json.dumps(ah.field_to_json(field)))
         result = run(runner, ["verify", "--field", str(field_path), "--random", "20", "--seed", "3"])
