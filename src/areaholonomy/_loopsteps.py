@@ -178,10 +178,9 @@ def lifts(n_grid: int, steps: LoopSteps) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 class Schedule(NamedTuple):
-    """The order in which prefixes multiplies a layout's loops, by
-    descending length: per step position j the step table rows of the
-    loops longer than j, and the product of loop k's first j steps is row
-    offsets[j] + at[k] of prefixes' stack, at[k] loop k's place."""
+    """The order prefixes multiplies a layout's loops in, longest first:
+    per step j the step table rows of the loops longer than j; row
+    offsets[j] + at[k] of its stack is loop k's first j steps' product."""
 
     at: np.ndarray
     rows: tuple[np.ndarray, ...]
@@ -191,11 +190,14 @@ class Schedule(NamedTuple):
 def schedule(steps: LoopSteps) -> Schedule:
     """The Schedule of a layout of valid loops, as laid out.  A layout that
     many calls multiply along (a mesh's faces) is scheduled once."""
-    order = np.argsort(-steps.lengths, kind="stable")
-    counts = np.searchsorted(-steps.lengths[order], -np.arange(steps.lengths.max(initial=0)))
+    lengths = steps.lengths.tolist()
+    order = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
+    at = np.empty(len(order), np.intp)
+    at[order] = np.arange(len(order))
+    counts = np.cumsum(np.bincount(steps.lengths)[:0:-1])[::-1].tolist()
     rows, starts = 2 * steps.edges + (steps.signs < 0), steps.starts[order]
-    rows = tuple(rows[starts[:c] + j] for j, c in enumerate(counts.tolist()))
-    return Schedule(np.argsort(order), rows, np.cumsum([0, len(order), *counts], dtype=np.intp))
+    rows = tuple(rows[starts[:c] + j] for j, c in enumerate(counts))
+    return Schedule(at, rows, np.cumsum([0, len(order), *counts], dtype=np.intp))
 
 
 def prefixes(u: np.ndarray, steps: Schedule) -> np.ndarray:

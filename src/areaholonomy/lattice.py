@@ -152,8 +152,7 @@ class _Engine:
         self.mesh = mesh
         self.areas = np.asarray(mesh.face_areas, dtype=np.float64)
         layout = mesh.face_steps
-        # the faces' prefix rows: each plaquette, and per face length its
-        # faces, their boundary slots in order and each slot's transport
+        # per face length its faces, their slots, and each slot's transport row
         self.face_schedule = order = schedule(layout)
         self.plaquette_rows = order.offsets[layout.lengths] + order.at
         self.groups, self.transport_rows, slot_order = [], [], []

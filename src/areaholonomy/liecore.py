@@ -196,13 +196,12 @@ _CAYLEY_MAX_PHASE = 0.75 * np.pi
 def _cayley_eigh(u: np.ndarray, rotated: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvectors of the Cayley transform of `rotated` (a scalar phase
     times u), and the phases of u read from its Rayleigh quotients."""
-    eigh, solve = _kernels(u.shape[-1])
-    eye = np.eye(u.shape[-1])
+    (eigh, solve), eye = _kernels(u.shape[-1]), np.eye(u.shape[-1])
     try:
         c = 1j * solve(eye + rotated, eye - rotated)
+        _, v = eigh((c + c.conj().swapaxes(-1, -2)) / 2.0)
     except np.linalg.LinAlgError:
         raise BranchCutError("eigenvalue -1: I + U is singular") from None
-    _, v = eigh((c + c.conj().swapaxes(-1, -2)) / 2.0)
     theta = np.angle(np.sum(v.conj() * matmul_raw(u, v), axis=-2))
     return v, theta
 

@@ -207,11 +207,12 @@ class TestBatchedLogm:
             with_phases(17, [np.pi, 0.2, -0.5]),
             np.stack([np.eye(2, dtype=complex), np.diag([1.0 + 0j, -1.0])]),
             np.diag([1.0 + 0j, complex(-1.0, 1e-310)]),
+            np.diag([1.0 + 0j, 1.0, complex(-1.0, 1e-310)]),
         ],
-        ids=["diagonal", "minus-identity", "conjugated", "in-batch", "subnormal-det"],
+        ids=["diagonal", "minus-identity", "conjugated", "in-batch", "subnormal-det-n2", "subnormal-det-n3"],
     )
     def test_exact_minus_one_raises(self, u):
-        # det(I + U) of the last case is subnormal: the n = 2 inverse
+        # det(I + U) of the last two cases is subnormal: the inverse
         # overflows, which must raise here, without a numpy warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
