@@ -25,12 +25,14 @@ from ._loopsteps import flat_steps, holonomies, prefixes, schedule
 from ._verify import verify_pairs
 from .liecore import (
     BranchCutError,
+    DimensionMismatchError,
     SkewHermitian,
     Unitary,
     expm_raw,
     haar_unitary_raw,
     logm_raw,
     matmul_raw,
+    real_form,
     require_unitary,
 )
 from .reps import InvalidRepError, YangMillsRep, validate_rep
@@ -103,12 +105,13 @@ class GaugeField:
 
     def __init__(self, mesh: SurfaceMesh, values: np.ndarray):
         values = np.array(values, dtype=np.complex128)
-        if values.ndim != 3 or values.shape != (len(mesh.edges), values.shape[1], values.shape[1]):
-            raise ValueError("field values must have shape (E, n, n)")
+        n = values.shape[1] if values.ndim == 3 else 0
+        if n < 1 or values.shape != (len(mesh.edges), n, n):
+            raise ValueError("field values must have shape (E, n, n), n >= 1")
         require_unitary(values, "an edge matrix")
         values.setflags(write=False)
         self.mesh = mesh
-        self.n = values.shape[1]
+        self.n = n
         self.U = values
 
     @staticmethod
@@ -137,36 +140,33 @@ class GaugeTransform:
 
 class FaceLogs(NamedTuple):
     """One field's face state (_Engine.logs): each plaquette's log x =
-    v diag(i theta) v*, and per face group the transports q (faces, m, n, n):
-    U_e <- exp(Z) U_e at slot j moves the plaquette as H <- exp(s_j q_j Z
-    q_j*) H, q_j the boundary product before slot j, or through it if s_j < 0."""
+    v diag(i theta) v*, and per boundary slot j of mesh.face_steps the
+    transport q_j (S, n, n): U_e <- exp(Z) U_e at slot j moves the plaquette
+    as H <- exp(s_j q_j Z q_j*) H, q_j the boundary product before slot j,
+    or through it if s_j < 0."""
 
     x: np.ndarray
     v: np.ndarray
     theta: np.ndarray
-    transports: list[np.ndarray]
+    transports: np.ndarray
 
 
 class _Engine:
+    """The batched kernels over a mesh's boundary slots, in the one order
+    mesh.face_steps lays them out (mesh.face_of_slot names each slot's
+    face); each edge sums its two slots, mesh.plus_slot and minus_slot."""
+
     def __init__(self, mesh: SurfaceMesh):
         self.mesh = mesh
         self.areas = np.asarray(mesh.face_areas, dtype=np.float64)
-        layout = mesh.face_steps
-        # per face length its faces, their slots, and each slot's transport row
+        layout, face = mesh.face_steps, mesh.face_of_slot
         self.face_schedule = order = schedule(layout)
         self.plaquette_rows = order.offsets[layout.lengths] + order.at
-        self.groups, self.transport_rows, slot_order = [], [], []
-        for m in sorted(set(layout.lengths.tolist())):
-            faces = np.flatnonzero(layout.lengths == m)
-            slots = layout.starts[faces, None] + np.arange(m)
-            self.groups.append((faces, layout.edges[slots], layout.signs[slots]))
-            self.transport_rows.append(order.offsets[np.arange(m) + (layout.signs[slots] < 0)] + order.at[faces, None])
-            slot_order.append(slots.ravel())
-        # each edge gathers its two slots from the kernels' stack of groups
-        position = np.empty(len(layout.edges), np.intp)
-        position[np.concatenate(slot_order)] = np.arange(len(layout.edges))
-        self.slot_plus, self.slot_minus = position[mesh.plus_slot], position[mesh.minus_slot]
-        self._edge_rows_layout = None
+        position = np.arange(len(face)) - layout.starts[face]
+        self.transport_rows = order.offsets[position + (layout.signs < 0)] + order.at[face]
+        # per face its slots, padded with slot S to the longest face (F, M)
+        width = np.arange(np.max(layout.lengths))
+        self.face_slots = np.where(width < layout.lengths[:, None], layout.starts[:, None] + width, len(face))
 
     def plaquettes(self, U: np.ndarray) -> np.ndarray:
         """The holonomy of every face boundary, from its start vertex."""
@@ -174,7 +174,7 @@ class _Engine:
 
     def logs(self, U: np.ndarray) -> FaceLogs:
         p = prefixes(U, self.face_schedule)
-        return FaceLogs(*logm_raw(p[self.plaquette_rows], eig=True), [p[rows] for rows in self.transport_rows])
+        return FaceLogs(*logm_raw(p[self.plaquette_rows], eig=True), p[self.transport_rows])
 
     def action_from_logs(self, logs: FaceLogs) -> float:
         norms = np.sum(np.abs(logs.x) ** 2, axis=(1, 2))
@@ -188,15 +188,13 @@ class _Engine:
         transported to that edge's frame by the boundary prefix; each edge
         then sums its two boundary slots.
         """
-        slots = []
-        for (faces, _, signs), q in zip(self.groups, logs.transports):
-            coeff = signs * (2.0 / self.areas[faces])[:, None]
-            contrib = matmul_raw(matmul_raw(q.conj().swapaxes(-1, -2), logs.x[faces, None]), q) * coeff[:, :, None, None]
-            slots.append(contrib.reshape(-1, *q.shape[2:]))
-        s = np.concatenate(slots)
-        return s[self.slot_plus] + s[self.slot_minus]
+        mesh, q = self.mesh, logs.transports
+        coeff = mesh.face_steps.signs * (2.0 / self.areas)[mesh.face_of_slot]
+        x = real_form(logs.x)[mesh.face_of_slot]
+        s = matmul_raw(matmul_raw(q.conj().swapaxes(-1, -2), x), q) * coeff[:, None, None]
+        return s[mesh.plus_slot] + s[mesh.minus_slot]
 
-    def gauss_newton_blocks(self, logs: FaceLogs) -> list[np.ndarray]:
+    def gauss_newton_blocks(self, logs: FaceLogs) -> np.ndarray:
         """Linearised face logs: X_f(exp(Z) U) = X_f + J_f Z + O(Z^2), in the
         real coordinates of u(n) (_u_basis).
 
@@ -205,70 +203,57 @@ class _Engine:
         entry (a, b) in that eigenbasis by Phi_ab = z / (e^z - 1),
         z = i (theta_a - theta_b).  So V_f* (J_f Z) V_f is
         Phi_f o sum_j s_j R_j Z_{e_j} R_j*, with R_j = V_f* q_j, and it is
-        skew-Hermitian again, since Phi_ba = conj Phi_ab.  Returns, per face
-        group, the real K (faces, n^2, m n^2): the coordinates of
-        V_f* (J_f Z) V_f are K_f times the face's m edge coordinate vectors,
-        in slot order.
+        skew-Hermitian again, since Phi_ba = conj Phi_ab.  Returns the real
+        K (S, n^2, n^2), one block per slot: the coordinates of
+        V_f* (J_f Z) V_f are the sum over face f's slots j of K_j times the
+        coordinates of Z_{e_j}.
         """
-        n, v = logs.x.shape[-1], logs.v
+        n, face, signs = logs.x.shape[-1], self.mesh.face_of_slot, self.mesh.face_steps.signs
         basis = _u_basis(n)
         gap = logs.theta[:, :, None] - logs.theta[:, None, :]
         # z / (e^z - 1) = (gap/2) / sin(gap/2) e^{-i gap/2}; |gap| < 2 pi
-        phi = (np.exp(-0.5j * gap) / np.sinc(gap / (2 * np.pi))).reshape(len(v), n * n)
-        blocks = []
-        for (faces, _, signs), q in zip(self.groups, logs.transports):
-            f, m = signs.shape
-            r = matmul_raw(v[faces, None].conj().swapaxes(-1, -2), q)
-            # vec(R Z R*) = kron(R, conj R) vec Z for row-major vecs, and
-            # vec Z = basis^T c for Z's coordinates c
-            kron = np.einsum("fjac,fjbd->fjabcd", r, r.conj()).reshape(-1, n * n)
-            images = (kron @ basis.T).reshape(f, m, n * n, n * n)
-            images *= phi[faces, None, :, None] * signs[:, :, None, None]
-            # coordinate k of an image Y is Re <B_k, Y>
-            coords = (images.swapaxes(-1, -2).reshape(-1, n * n) @ basis.conj().T).real
-            blocks.append(coords.reshape(f, m, n * n, n * n).transpose(0, 3, 1, 2).reshape(f, n * n, -1))
-        return blocks
+        phi = (np.exp(-0.5j * gap) / np.sinc(gap / (2 * np.pi))).reshape(-1, n * n)
+        r = matmul_raw(logs.v[face].conj().swapaxes(-1, -2), logs.transports)
+        # vec(R Z R*) = kron(R, conj R) vec Z for row-major vecs, and
+        # vec Z = basis^T c for Z's coordinates c
+        kron = np.einsum("jac,jbd->jabcd", r, r.conj()).reshape(-1, n * n)
+        images = (kron @ basis.T).reshape(len(r), n * n, n * n)
+        images *= phi[face, :, None] * signs[:, None, None]
+        # coordinate k of an image Y is Re <B_k, Y>
+        coords = (images.swapaxes(-1, -2).reshape(-1, n * n) @ basis.conj().T).real
+        return coords.reshape(len(r), n * n, n * n).swapaxes(-1, -2)
 
     def normal_operator(self, logs: FaceLogs, mu: float):
         """c -> (J^T W J + mu I) c on the edges' u(n) coordinates c (E, n^2),
         W = diag(1 / A_f).
 
-        Each edge's rows of the operator are its two faces' Gram rows
-        K_f^T K_f / A_f at its slots, (E, n^2, 2 M n^2) with M the longest
-        face (shorter faces padded with zero columns), and mu is folded
+        Each face's Gram matrix K_f^T K_f / A_f (K_f its slots' blocks side
+        by side, padded with zero blocks to the longest face M) gives each
+        edge its rows at its two slots, (E, n^2, 2 M n^2), and mu is folded
         into the diagonal.  One application is then one gather of the
         faces' edge coordinates and one batched real matmul.
         """
-        if self._edge_rows_layout is None:
-            self._edge_rows_layout = self._edge_neighbours()
-        neighbours, own = self._edge_rows_layout
-        width, d = neighbours.shape[1] // 2, logs.x.shape[-1] ** 2
-        grams = []
-        for (faces, _, signs), k in zip(self.groups, self.gauss_newton_blocks(logs)):
-            f, m = signs.shape
-            gram = np.zeros((f, m, d, width * d))
-            gram[..., : m * d] = (k.swapaxes(-1, -2) @ k / self.areas[faces, None, None]).reshape(f, m, d, -1)
-            grams.append(gram.reshape(f * m, d, -1))
-        slots = np.concatenate(grams)
-        rows = np.concatenate((slots[self.slot_plus], slots[self.slot_minus]), axis=-1)
-        rows.reshape(len(rows), d, 2 * width, d)[np.arange(len(rows)), :, own, :] += mu * np.eye(d)
+        mesh, layout, d = self.mesh, self.mesh.face_steps, logs.x.shape[-1] ** 2
+        faces, width = self.face_slots.shape
+        # K_f^T (F, M n^2, n^2); the Gram product reads two buffers, since
+        # numpy sends A^T A of one buffer to syrk, 3x slower on these sizes
+        kt = np.concatenate((self.gauss_newton_blocks(logs).swapaxes(-1, -2), np.zeros((1, d, d))))
+        kt = kt[self.face_slots].reshape(faces, width * d, d)
+        gram = (kt @ (kt.swapaxes(-1, -2) / self.areas[:, None, None])).reshape(faces, width, d, -1)
+        # each edge's place in its +1 face and in its -1 face
+        plus_at = mesh.plus_slot - layout.starts[mesh.plus_face]
+        minus_at = mesh.minus_slot - layout.starts[mesh.minus_face]
+        rows = np.concatenate((gram[mesh.plus_face, plus_at], gram[mesh.minus_face, minus_at]), axis=-1)
+        rows.reshape(len(rows), d, 2 * width, d)[np.arange(len(rows)), :, plus_at, :] += mu * np.eye(d)
+        # per edge the edges of its +1 face and then of its -1 face; pads
+        # read edge 0 against zero columns
+        face_edges = np.append(layout.edges, 0)[self.face_slots]
+        neighbours = np.concatenate((face_edges[mesh.plus_face], face_edges[mesh.minus_face]), axis=1)
 
         def apply(c: np.ndarray) -> np.ndarray:
             return (rows @ np.take(c, neighbours, axis=0).reshape(len(c), -1, 1))[..., 0]
 
         return apply
-
-    def _edge_neighbours(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per edge, the edges of its +1 face and then of its -1 face, each
-        padded with edge 0 to the longest face (E, 2 M), and where the edge
-        itself lies among the first M."""
-        layout, mesh = self.mesh.face_steps, self.mesh
-        width = int(np.max(layout.lengths))
-        at = layout.starts[:, None] + np.arange(width)
-        inside = np.arange(width) < layout.lengths[:, None]
-        face_edges = np.where(inside, layout.edges[np.where(inside, at, 0)], 0)
-        neighbours = np.concatenate((face_edges[mesh.plus_face], face_edges[mesh.minus_face]), axis=1)
-        return neighbours, mesh.plus_slot - layout.starts[mesh.plus_face]
 
     def levenberg_marquardt(self, logs: FaceLogs, rhs: np.ndarray, mu: float) -> np.ndarray:
         """Levenberg-Marquardt direction: (J^T W J + mu I) Z = rhs by
@@ -283,10 +268,8 @@ class _Engine:
 
     def _coboundary(self, y: np.ndarray) -> np.ndarray:
         """D y: the signed sum of edge values around each face."""
-        out = np.empty(len(self.areas))
-        for faces, edge_idx, signs in self.groups:
-            out[faces] = np.sum(signs * y[edge_idx], axis=1)
-        return out
+        layout = self.mesh.face_steps
+        return np.sum(np.append(layout.signs * y[layout.edges], 0.0)[self.face_slots], axis=1)
 
     def _dual_laplacian_solve(self, r: np.ndarray) -> np.ndarray:
         """K psi = r, K = D D^T the dual-graph Laplacian (F x F, never
@@ -446,7 +429,12 @@ def gradient_flow(
     exceeds the input action beyond roundoff.  Raises NotConverged with the
     partial report when the halving or iteration budget runs out, or when
     the step underflows to the identity; report.stop_reason says which.
+    Raises ValueError unless tol > 0 (so 0, negatives and NaN are rejected)
+    and max_iter >= 1.
     """
+    # fail closed: NaN is not positive
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     engine = _engine_for(field.mesh)
@@ -577,8 +565,11 @@ def verify_area_property(
     curvature density in the basepoint frame (_verify.basepoint_curvature),
     the frame the based holonomies live in.  One element of
     _verify.verify_pairs, which checks both loops first: ValueError unless
-    both are based at the basepoint, then MalformedLoopError.
+    both are based at the basepoint, then MalformedLoopError.  A Lambda
+    whose size is not the field's raises DimensionMismatchError.
     """
+    if Lambda is not None and Lambda.n != field.n:
+        raise DimensionMismatchError(f"Lambda is {Lambda.n} x {Lambda.n}, the field's matrices {field.n} x {field.n}")
     (row,) = verify_pairs(field, [(loop1, loop2)], None if Lambda is None else Lambda.mat)
     if isinstance(row, NotNullHomotopicError):
         raise row

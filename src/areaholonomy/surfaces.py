@@ -137,10 +137,10 @@ class SurfaceMesh:
     the Euler characteristic and the area normalization.  The boundaries
     are laid out once as the loops of a _loopsteps layout, face_steps,
     each based at its face's start vertex: face f takes the flat steps
-    (slots) face_steps.starts[f] onwards.  Per edge, plus_slot and
-    minus_slot are its slots of sign +1 and -1, plus_face and minus_face
-    the faces that hold them, and tails and heads its endpoints (all
-    read-only).
+    (slots) face_steps.starts[f] onwards, and face_of_slot names the face
+    of every slot.  Per edge, plus_slot and minus_slot are its slots of
+    sign +1 and -1, plus_face and minus_face the faces that hold them, and
+    tails and heads its endpoints (all read-only).
     Integer slots follow the rule of json_int: a boolean or a number with a
     fractional part raises instead of being truncated.
     """
@@ -284,10 +284,10 @@ class SurfaceMesh:
         self.plus_slot, self.minus_slot = np.empty(e, np.intp), np.empty(e, np.intp)
         self.plus_slot[edges[plus]] = np.flatnonzero(plus)
         self.minus_slot[edges[minus]] = np.flatnonzero(minus)
-        face_of_slot = np.repeat(np.arange(f), lengths)
-        self.plus_face, self.minus_face = face_of_slot[self.plus_slot], face_of_slot[self.minus_slot]
-        for array in (self.tails, self.heads, *self.face_steps, self.plus_slot, self.minus_slot,
-                      self.plus_face, self.minus_face):
+        self.face_of_slot = np.repeat(np.arange(f), lengths)
+        self.plus_face, self.minus_face = self.face_of_slot[self.plus_slot], self.face_of_slot[self.minus_slot]
+        for array in (self.tails, self.heads, *self.face_steps, self.face_of_slot, self.plus_slot,
+                      self.minus_slot, self.plus_face, self.minus_face):
             array.setflags(write=False)
         # every edge borders a face, so with no isolated vertex a connected
         # dual graph makes the whole complex connected

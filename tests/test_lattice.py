@@ -224,10 +224,11 @@ class TestGradient:
         engine = _engine_for(mesh)
         logs = engine.logs(field.U)._replace(x=x)
         expected = np.zeros_like(field.U)
-        for (faces, edge_idx, signs), q in zip(engine.groups, logs.transports):
-            for j in range(edge_idx.shape[1]):
-                contrib = matmul_raw(matmul_raw(q[:, j].conj().swapaxes(-1, -2), x[faces]), q[:, j])
-                np.add.at(expected, edge_idx[:, j], contrib * (signs[:, j] * (2.0 / engine.areas[faces]))[:, None, None])
+        layout, q = mesh.face_steps, logs.transports
+        for f, (start, length) in enumerate(zip(layout.starts, layout.lengths)):
+            slots = np.arange(start, start + length)
+            contrib = matmul_raw(matmul_raw(q[slots].conj().swapaxes(-1, -2), x[f]), q[slots])
+            np.add.at(expected, layout.edges[slots], contrib * (layout.signs[slots] * (2.0 / engine.areas[f]))[:, None, None])
         assert np.array_equal(engine.gradient_from_logs(logs), expected)
 
     @pytest.mark.parametrize("n,seed", [(1, 80), (2, 81)])
@@ -319,6 +320,12 @@ class TestFlow:
         _, report = gradient_flow(build_ym_field_from_rep(perturbed4.mesh, flux_rep(1, 1)), tol=1e-8)
         assert (report.iterations, report.stop_reason) == (0, "converged")
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
+    def test_nonpositive_tol_rejected(self, perturbed4, tol):
+        # a flow cannot meet such a tolerance
+        with pytest.raises(ValueError, match="^tol must be positive$"):
+            gradient_flow(perturbed4, tol=tol)
+
     def test_stop_reason_iteration_budget(self, perturbed4_u2):
         with pytest.raises(NotConvergedError) as err:
             gradient_flow(perturbed4_u2, tol=1e-9, max_iter=3)
@@ -402,7 +409,10 @@ def incidence_matrix(mesh):
 @st.composite
 def abelian_starts(draw):
     """A perturbed n = 1 sector representative on a builder mesh with
-    random positive face areas, whose sector minimum is off the branch cut."""
+    random positive face areas, whose sector minimum is off the branch cut;
+    now and then on the mesh read back with two faces merged into one
+    longer face, whose holonomy is the product of the two at n = 1, so the
+    merged edge's angle is dropped."""
     kind = draw(st.sampled_from(["torus", "sphere"]))
     size = draw(st.integers(2, 8) if kind == "torus" else st.integers(1, 4))
     faces = size * size if kind == "torus" else 8 * size * size
@@ -417,6 +427,10 @@ def abelian_starts(draw):
     assume(2 * np.pi * flux * np.max(mesh.face_areas) < 2.5)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     start = ah.perturb_field(build_ym_field_from_rep(mesh, rep), rng, draw(st.floats(0.01, 0.3)))
+    if (kind, size) != ("torus", 2) and draw(st.booleans()):
+        edge = draw(st.integers(0, len(mesh.edges) - 1))
+        mesh = ah.mesh_from_json(merged_faces(ah.mesh_to_json(mesh), edge))
+        start = GaugeField(mesh, np.delete(start.U, edge, axis=0))
     try:
         theta = _engine_for(mesh).logs(start.U).x[:, 0, 0].imag
     except BranchCutError:
@@ -476,10 +490,12 @@ def jacobian(engine, logs, z):
     basis = _u_basis(n).reshape(n * n, n, n)
     c = coordinates(z)
     blocks = engine.gauss_newton_blocks(logs)
+    layout = engine.mesh.face_steps
     out = np.empty_like(logs.x)
-    for (faces, edge_idx, _), k in zip(engine.groups, blocks):
-        image = np.einsum("fkl,fl,kab->fab", k, c[edge_idx].reshape(len(faces), -1), basis)
-        out[faces] = logs.v[faces] @ image @ logs.v[faces].conj().swapaxes(-1, -2)
+    for f, (start, length) in enumerate(zip(layout.starts, layout.lengths)):
+        slots = np.arange(start, start + length)
+        image = np.einsum("jkl,jl,kab->ab", blocks[slots], c[layout.edges[slots]], basis)
+        out[f] = logs.v[f] @ image @ logs.v[f].conj().T
     return out
 
 
@@ -643,16 +659,26 @@ class TestGaugeInvariance:
         st.sampled_from([("torus", 2), ("torus", 3), ("torus", 5), ("sphere", 1), ("sphere", 2)]),
         st.integers(1, 3),
         st.integers(0, 2**32 - 1),
+        st.booleans(),
     )
-    def test_observables(self, spec, n, seed):
+    def test_observables(self, spec, n, seed, merged):
+        # on builder meshes and, with merged, on mixed face lengths
         kind, size = spec
         mesh = ah.build_torus_mesh(size) if kind == "torus" else ah.build_sphere_mesh(size)
         rng = np.random.default_rng(seed)
+        if merged and spec != ("torus", 2):
+            mesh = ah.mesh_from_json(merged_faces(ah.mesh_to_json(mesh), int(rng.integers(len(mesh.edges)))))
         field = random_field(mesh, n, rng, scale=0.2)
-        gauged = apply_gauge(field, ah.random_gauge_transform(mesh, n, rng))
+        g = ah.random_gauge_transform(mesh, n, rng)
+        gauged = apply_gauge(field, g)
         for observable in (ym_action, gradient_norm, total_flux):
             before = observable(field)
             assert abs(observable(gauged) - before) <= 1e-9 * max(1.0, abs(before))
+        # the gradient lives in each edge's tail frame: G_e -> g_t G_e g_t*
+        tail = g.g[mesh.tails]
+        grad = np.array([x.mat for x in ym_gradient(field)])
+        moved = np.array([x.mat for x in ym_gradient(gauged)])
+        assert np.max(np.abs(moved - tail @ grad @ tail.conj().swapaxes(-1, -2))) <= 1e-9 * max(1.0, np.max(np.abs(grad)))
 
 
 class TestUnitarize:
@@ -809,6 +835,12 @@ class TestVerifyAreaProperty:
         with pytest.raises(ValueError, match="^both loops must be based at the mesh basepoint$"):
             verify_area_property(field, l1, MeshLoop(5, ()))
 
+    def test_lambda_of_another_size(self, torus4):
+        field = GaugeField.identity(torus4, 2)
+        loop = ah.random_loop(torus4, np.random.default_rng(5), 6)
+        with pytest.raises(ah.DimensionMismatchError, match="^Lambda is 3 x 3, the field's matrices 2 x 2$"):
+            verify_area_property(field, loop, loop, SkewHermitian(np.zeros((3, 3))))
+
 
 class TestShrinkingLoops:
     def test_flat_field_all_zero(self):
@@ -941,6 +973,12 @@ class TestFieldJson:
         snapshot["edges"][7]["im"][0][1] = float("nan")
         with pytest.raises(ValueError):
             ah.field_from_json(snapshot)
+
+    @pytest.mark.parametrize("shape", [(16, 0, 0), (16, 2), (16, 2, 3), (15, 2, 2)])
+    def test_bad_shape_rejected(self, torus4, shape):
+        # n = 0 included: it would pass as "square" and fail later in numpy
+        with pytest.raises(ValueError, match=r"^field values must have shape \(E, n, n\), n >= 1$"):
+            GaugeField(torus4, np.zeros(shape, dtype=np.complex128))
 
     def test_roundtrip(self, torus4):
         rng = np.random.default_rng(90)
