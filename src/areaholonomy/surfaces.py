@@ -8,7 +8,9 @@ exact solve of D theta = target along a spanning tree of the dual graph.
 Enclosed area is the loop integral of one cached edge potential of the face
 areas; on the torus the loop's lift to the universal cover gives both the
 period windings and, by a discrete Green's theorem, the uniform part of the
-area.  No floating-point geometry is involved.
+area.  One primitive, _loop_lifts, gives every loop's lift and flux in one
+pass; enclosed_area and words.loop_class both read it.  No floating-point
+geometry is involved.
 
 Loops are checked, walked and integrated as arrays: the steps of many
 loops are laid out flat (_loopsteps), and validate_loop, torus_windings
@@ -174,6 +176,7 @@ class SurfaceMesh:
         self._dual_tree: Optional[list[tuple[int, int, int, int]]] = None
         self._basepoint_parents: Optional[list[tuple[int, int, int]]] = None
         self._area_potential: Optional[tuple[np.ndarray, float]] = None
+        self._period_fluxes: Optional[tuple[list[float], ...]] = None
         self._validate()
 
     # -- derived queries ---------------------------------------------------
@@ -530,6 +533,20 @@ def area_potential(mesh: SurfaceMesh) -> tuple[np.ndarray, float]:
     return mesh._area_potential
 
 
+def _period_fluxes(mesh: SurfaceMesh) -> tuple[list[float], ...]:
+    """Cached flux terms of area_potential, one per step, along alpha_loop,
+    its inverse, beta_loop and its inverse, as a walk along their steps
+    takes them."""
+    if mesh._period_fluxes is None:
+        theta = area_potential(mesh)[0].tolist()
+        fluxes = []
+        for cycle in (alpha_loop(mesh), beta_loop(mesh)):
+            terms = [theta[e] * s for e, s in cycle.steps]
+            fluxes += [terms, [-v for v in reversed(terms)]]
+        mesh._period_fluxes = tuple(fluxes)
+    return mesh._period_fluxes
+
+
 def enclosed_area(mesh: SurfaceMesh, loop: MeshLoop) -> float:
     """Area-weighted winding number sum of a closed loop.
 
@@ -539,8 +556,9 @@ def enclosed_area(mesh: SurfaceMesh, loop: MeshLoop) -> float:
     canonical representative in (-1/2, 1/2].  Genus 1: the loop must be
     null-homotopic (else NotNullHomotopicError with its windings), and the
     uniform part is the density times the signed cell count of the loop's
-    lift (_loopsteps.lifts, which torus_windings reads too).  One element
-    of the batched _loop_areas, after the checks of validate_loop.
+    lift.  Lift and flux come from _loop_lifts, which words.loop_class
+    reads too.  One element of the batched _loop_areas, after the checks
+    of validate_loop.
     """
     (area,) = _loop_areas(mesh, _checked_steps(mesh, [loop]))
     if isinstance(area, NotNullHomotopicError):
@@ -548,23 +566,32 @@ def enclosed_area(mesh: SurfaceMesh, loop: MeshLoop) -> float:
     return area
 
 
-def _loop_areas(mesh: SurfaceMesh, steps: LoopSteps) -> list:
-    """enclosed_area of every loop of a layout of valid loops: a float, or
-    for a genus-1 loop that is not null-homotopic its NotNullHomotopicError.
-    Each loop's flux is added up left to right from 0.0, as a walk along
-    its steps adds it."""
-    theta, density = area_potential(mesh)
+def _loop_lifts(mesh: SurfaceMesh, steps: LoopSteps) -> list[tuple[int, int, int, float]]:
+    """(dx, dy, cells, flux) of every loop of a layout of valid loops: its
+    lift to the universal cover (_loopsteps.lifts on a torus grid; a
+    sphere is its own cover, where every lift is (0, 0, 0)) and its flux of
+    area_potential, added up left to right from 0.0 as a walk along its
+    steps adds it."""
+    theta = area_potential(mesh)[0]
     flux = [
         reduce(operator.add, (theta[steps.edges[a:a + n]] * steps.signs[a:a + n]).tolist(), 0.0)
         for a, n in zip(steps.starts.tolist(), steps.lengths.tolist())
     ]
     if mesh.genus == 0:
-        return [wrap_mod1(f) for f in flux]
-    grid = _require_torus(mesh)
+        return [(0, 0, 0, f) for f in flux]
+    return list(zip(*(a.tolist() for a in lifts(_require_torus(mesh).N, steps)), flux))
+
+
+def _loop_areas(mesh: SurfaceMesh, steps: LoopSteps) -> list:
+    """enclosed_area of every loop of a layout of valid loops: a float, or
+    for a genus-1 loop that is not null-homotopic its NotNullHomotopicError."""
+    loops, density = _loop_lifts(mesh, steps), area_potential(mesh)[1]
+    if mesh.genus == 0:
+        return [wrap_mod1(f) for *_, f in loops]
     areas = []
-    for dx, dy, cells, f in zip(*(a.tolist() for a in lifts(grid.N, steps)), flux):
+    for dx, dy, cells, f in loops:
         if dx or dy:
-            p, q = dx // grid.N, dy // grid.N
+            p, q = dx // mesh.grid.N, dy // mesh.grid.N
             areas.append(NotNullHomotopicError(
                 f"loop has period windings ({p}, {q}); enclosed area needs a null-homotopic loop",
                 (p, q),
@@ -588,7 +615,15 @@ def random_loop(
     On a torus grid the loop is closed in the universal cover so its period
     windings equal exactly the requested pair (default (0, 0)).  On a
     sphere the walk is closed through spanning-tree ancestors of the 1-skeleton.
+    n_steps and the windings follow the rule of json_int, and n_steps must
+    not be negative.
     """
+    n_steps = _count_arg(n_steps, "random_loop: n_steps")
+    if windings is not None:
+        windings = tuple(windings)
+        if len(windings) != 2:
+            raise ValueError(f"random_loop: windings must be a pair, got {windings!r}")
+        windings = tuple(json_int(w, "random_loop: a winding") for w in windings)
     if mesh.genus == 1:
         return _random_torus_loop(mesh, rng, n_steps, windings or (0, 0))
     if windings not in (None, (0, 0)):
@@ -656,7 +691,11 @@ def random_homotopic_pair(
     n_steps: int = 12,
     winding_range: int = 1,
 ) -> tuple[MeshLoop, MeshLoop]:
-    """Two independent random loops in the same homotopy class."""
+    """Two independent random loops in the same homotopy class, with torus
+    windings drawn from -winding_range .. winding_range.  The arguments
+    follow the rule of json_int and must not be negative."""
+    n_steps = _count_arg(n_steps, "random_homotopic_pair: n_steps")
+    winding_range = _count_arg(winding_range, "random_homotopic_pair: winding_range")
     if mesh.genus == 1:
         w = (
             int(rng.integers(-winding_range, winding_range + 1)),
@@ -667,6 +706,14 @@ def random_homotopic_pair(
             random_loop(mesh, rng, n_steps, windings=w),
         )
     return (random_loop(mesh, rng, n_steps), random_loop(mesh, rng, n_steps))
+
+
+def _count_arg(value, what: str) -> int:
+    """A nonnegative integer argument, read by json_int."""
+    value = json_int(value, what)
+    if value < 0:
+        raise ValueError(f"{what} must not be negative, got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------

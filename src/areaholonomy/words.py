@@ -12,27 +12,30 @@ word_problem, which is sound for surface groups by small cancellation.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import chain
 from typing import Iterable, Sequence, Union
 
-from ._loopsteps import flat_steps
 from .policy import DEFAULT_POLICY
 from .surfaces import (
     MalformedLoopError,
     MeshLoop,
     SurfaceMesh,
+    _checked_steps,
     _derived_loop,
-    _loop_areas,
+    _loop_lifts,
+    _period_fluxes,
+    _require_torus,
     alpha_loop,
+    area_potential,
     beta_loop,
     enclosed_area,
     json_int,
-    loop_concat,
     loop_reverse,
     required_keys,
-    torus_windings,
     wrap_mod1,
 )
 
@@ -325,7 +328,9 @@ def word_problem(x: GammaRElement, y: GammaRElement) -> bool:
 # mesh loops -> group elements
 
 def std_loop(mesh: SurfaceMesh, p: int, q: int) -> MeshLoop:
-    """Standard representative: alpha cycle p times, then beta cycle q times."""
+    """Standard representative: alpha cycle p times, then beta cycle q
+    times.  p and q follow the rule of surfaces.json_int."""
+    p, q = json_int(p, "std_loop: p"), json_int(q, "std_loop: q")
     a, b = alpha_loop(mesh), beta_loop(mesh)
     steps: tuple[tuple[int, int], ...] = ()
     block = a.steps if p >= 0 else loop_reverse(a).steps
@@ -340,19 +345,28 @@ def loop_class(mesh: SurfaceMesh, loop: MeshLoop) -> GammaRElement:
 
     Genus 0: (empty, enclosed area mod 1).  Genus 1: period windings give
     the word a^p b^q and t is the area between the loop and the standard
-    representative of (p, q).
+    representative of (p, q), the enclosed area of loop * std_loop^-1.
+    The loop is checked and lifted once (surfaces._loop_lifts: dx, dy,
+    cells and flux), and std_loop is never built.  Its inverse, which runs
+    along the basepoint's column and row, adds its part in closed form: it
+    takes the cell sum to cells - dx * dy, and its flux terms (the mesh's
+    cached surfaces._period_fluxes) continue the loop's left-to-right sum,
+    so t is the enclosed area of the concatenated loop bit for bit.
     """
     if loop.base != mesh.basepoint:
         raise MalformedLoopError("loop must be based at the mesh basepoint")
     if mesh.genus == 0:
         return GammaRElement(0, (), enclosed_area(mesh, loop))
-    p, q = torus_windings(mesh, loop)
-    # torus_windings has checked the loop, and its difference to the
-    # standard representative, which has the same windings, is a valid
-    # null-homotopic loop: its area needs no second check
-    between = loop_concat(loop, loop_reverse(std_loop(mesh, p, q)))
-    (defect,) = _loop_areas(mesh, flat_steps([between.base], [between.steps]))
-    return GammaRElement(1, _heisenberg_letters(p, q), defect)
+    grid = _require_torus(mesh)
+    ((dx, dy, cells, flux),) = _loop_lifts(mesh, _checked_steps(mesh, [loop]))
+    p, q = dx // grid.N, dy // grid.N
+    alpha, alpha_inverse, beta, beta_inverse = _period_fluxes(mesh)
+    # std_loop^-1 = b^-q a^-p, from the lift's end (dx, dy): down or up
+    # the basepoint's column, whose vertical steps add dx * -dy cells, then
+    # along its row; a list repeated a negative number of times is empty
+    terms = chain(beta_inverse * q, beta * -q, alpha_inverse * p, alpha * -p)
+    flux = reduce(operator.add, terms, flux)
+    return GammaRElement(1, _heisenberg_letters(p, q), area_potential(mesh)[1] * (cells - dx * dy) + flux)
 
 
 # ---------------------------------------------------------------------------

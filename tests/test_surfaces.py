@@ -377,6 +377,62 @@ class TestRandomLoops:
             ah.enclosed_area(sphere2, loop)  # validates
 
 
+class TestRandomLoopArguments:
+    # windings (0.5, 0) gave a loop without the requested windings,
+    # (True, 0) was read as (1, 0), and a negative count raised numpy's
+    # errors on a torus but drew an empty loop on a sphere
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"windings": (0.5, 0)}, r"^random_loop: a winding must be an integer, got 0\.5$"),
+            ({"windings": (True, 0)}, r"^random_loop: a winding must be an integer, got True$"),
+            ({"windings": (1, 0, 0)}, r"^random_loop: windings must be a pair, got \(1, 0, 0\)$"),
+            ({"n_steps": -1}, r"^random_loop: n_steps must not be negative, got -1$"),
+            ({"n_steps": 2.5}, r"^random_loop: n_steps must be an integer, got 2\.5$"),
+            ({"n_steps": True}, r"^random_loop: n_steps must be an integer, got True$"),
+        ],
+        ids=["fractional-winding", "boolean-winding", "three-windings", "negative-steps", "fractional-steps", "boolean-steps"],
+    )
+    @pytest.mark.parametrize("kind", ["torus", "sphere"])
+    def test_malformed_random_loop(self, kind, kwargs, message, torus4, sphere2):
+        mesh = torus4 if kind == "torus" else sphere2
+        with pytest.raises(ValueError, match=message):
+            ah.random_loop(mesh, np.random.default_rng(0), **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"winding_range": -1}, r"^random_homotopic_pair: winding_range must not be negative, got -1$"),
+            ({"winding_range": 1.5}, r"^random_homotopic_pair: winding_range must be an integer, got 1\.5$"),
+            ({"n_steps": -1}, r"^random_homotopic_pair: n_steps must not be negative, got -1$"),
+        ],
+        ids=["negative-range", "fractional-range", "negative-steps"],
+    )
+    def test_malformed_homotopic_pair_draws_nothing(self, kwargs, message, torus4):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            ah.random_homotopic_pair(torus4, rng, **kwargs)
+        assert rng.bit_generator.state == state
+
+    def test_pinned_draws(self, torus4):
+        # the loops seed 18 drew before the arguments were checked; integral
+        # floats, which json_int reads as ints, draw the same
+        sphere1 = ah.build_sphere_mesh(1)
+        for args in ((6, (1, -1)), (6.0, (1.0, -1.0))):
+            rng = np.random.default_rng(18)
+            assert ah.random_loop(torus4, rng, *args) == MeshLoop(
+                0, ((28, -1), (12, 1), (13, 1), (14, 1), (15, 1), (24, -1), (20, -1), (16, -1))
+            )
+            assert ah.random_loop(sphere1, rng, 5) == MeshLoop(0, ((2, 1), (1, -1), (9, 1), (11, -1), (7, -1), (3, -1)))
+            assert ah.random_homotopic_pair(torus4, rng, 4, winding_range=2) == (
+                MeshLoop(0, ()),
+                MeshLoop(0, ((3, -1), (31, -1), (15, 1), (28, 1))),
+            )
+            assert int(rng.integers(1000)) == 313
+
+
 class TestJson:
     def test_mesh_roundtrip_torus(self, torus4):
         back = ah.mesh_from_json(ah.mesh_to_json(torus4))

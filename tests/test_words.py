@@ -416,6 +416,103 @@ class TestLoopClass:
         with pytest.raises(ah.MalformedLoopError):
             loop_class(torus4, loop)
 
+    @pytest.mark.parametrize(
+        "steps, message",
+        [
+            (((0, 1), (2, 1)), "loop steps are not head-to-tail composable"),
+            (((0, 1), (99, 1)), "edge index 99 out of range"),
+            (((0, 1), (1, 1)), "loop does not return to its base vertex"),
+        ],
+        ids=["gap", "edge", "open"],
+    )
+    @pytest.mark.parametrize("kind", ["torus", "sphere"])
+    def test_malformed_loop_messages(self, kind, steps, message, torus4, sphere2):
+        mesh = torus4 if kind == "torus" else sphere2
+        loop = ah.MeshLoop(mesh.basepoint, steps)
+        with pytest.raises(ah.MalformedLoopError, match=f"^{message}$"):
+            ah.surfaces.validate_loop(mesh, loop)
+        with pytest.raises(ah.MalformedLoopError, match=f"^{message}$"):
+            loop_class(mesh, loop)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_equals_area_against_standard_representative(self, data):
+        # bit for bit: one lift of the loop with the standard
+        # representative's part added in closed form, against the enclosed
+        # area of the concatenated loop; random areas make theta nonzero
+        n = data.draw(st.integers(2, 8))
+        areas = None
+        if data.draw(st.booleans()):
+            weights = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=n * n, max_size=n * n)))
+            areas = weights / np.sum(weights)
+        mesh = rebased(ah.build_torus_mesh(n, face_areas=areas), data.draw(st.integers(0, n * n - 1)))
+        p, q = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        loop = ah.random_loop(mesh, rng, data.draw(st.integers(0, 30)), windings=(p, q))
+        cls = loop_class(mesh, loop)
+        between = ah.loop_concat(loop, ah.loop_reverse(ah.std_loop(mesh, p, q)))
+        assert cls.word.letters == _normal_letters(p, q)
+        assert t_bits(cls) == struct.pack("<d", ah.enclosed_area(mesh, between))
+
+    def test_homomorphism_with_nonuniform_areas(self):
+        rng = np.random.default_rng(61)
+        weights = rng.uniform(0.1, 1.0, 36)
+        mesh = rebased(ah.build_torus_mesh(6, face_areas=weights / np.sum(weights)), 9)
+        assert np.any(ah.surfaces.area_potential(mesh)[0] != 0.0)
+        for _ in range(200):
+            w1, w2 = ((int(rng.integers(-2, 3)), int(rng.integers(-2, 3))) for _ in range(2))
+            l1 = ah.random_loop(mesh, rng, 8, windings=w1)
+            l2 = ah.random_loop(mesh, rng, 8, windings=w2)
+            combined = loop_class(mesh, ah.loop_concat(l1, l2))
+            expected = gamma_mul(loop_class(mesh, l1), loop_class(mesh, l2))
+            assert combined.word.letters == expected.word.letters
+            assert abs(combined.t - expected.t) < 1e-12
+
+    def test_one_layout_and_one_lift(self, monkeypatch):
+        # the standard representative is never built or walked, not even
+        # on a mesh's first call, which caches the period cycles' flux
+        torus4 = ah.build_torus_mesh(4)
+        calls = {"flat_steps": 0, "lifts": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        def forbidden(*args):
+            raise AssertionError("loop_class built or walked a loop it should add in closed form")
+
+        monkeypatch.setattr(ah.surfaces, "flat_steps", counted("flat_steps", ah.surfaces.flat_steps))
+        monkeypatch.setattr(ah._loopsteps, "flat_steps", counted("flat_steps", ah._loopsteps.flat_steps))
+        monkeypatch.setattr(ah.surfaces, "lifts", counted("lifts", ah.surfaces.lifts))
+        for module in (ah.words, ah.surfaces):
+            for name in ("std_loop", "loop_concat", "loop_reverse", "torus_windings"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        loop = ah.random_loop(torus4, np.random.default_rng(62), 10, windings=(2, -1))
+        assert str(loop_class(torus4, loop).word) == "a1 a1 b1^-1"
+        assert calls == {"flat_steps": 1, "lifts": 1}
+
+
+class TestStdLoop:
+    # std_loop(t, 1.5, 0) raised a TypeError from tuple repetition, and
+    # std_loop(t, True, 0) returned the a-cycle
+
+    @pytest.mark.parametrize(
+        "p, q, message",
+        [(1.5, 0, r"^std_loop: p must be an integer, got 1\.5$"), (True, 0, r"^std_loop: p must be an integer, got True$"),
+         (0, -0.5, r"^std_loop: q must be an integer, got -0\.5$")],
+        ids=["fractional-p", "boolean-p", "fractional-q"],
+    )
+    def test_malformed_windings(self, torus4, p, q, message):
+        with pytest.raises(ValueError, match=message):
+            ah.std_loop(torus4, p, q)
+
+    def test_integral_floats(self, torus4):
+        assert ah.std_loop(torus4, 2.0, -1.0) == ah.std_loop(torus4, 2, -1)
+        assert ah.torus_windings(torus4, ah.std_loop(torus4, 2, -1)) == (2, -1)
+
 
 class TestParsing:
     def test_text_roundtrip(self):
