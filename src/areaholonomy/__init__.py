@@ -26,8 +26,6 @@ from .liecore import (
     expm,
     inner,
     logm_principal,
-    matrix_from_json,
-    matrix_to_json,
     random_skew_hermitian,
     random_unitary,
 )
@@ -81,6 +79,8 @@ from .reps import (
     enumerate_sphere_classes,
     evaluate,
     irreducible,
+    matrix_from_json,
+    matrix_to_json,
     rep_from_json,
     rep_to_json,
     sphere_rep,

@@ -22,8 +22,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-# liecore imports surfaces, which lays out loops here: read at call time
-from . import liecore
+from .liecore import matmul_raw, real_form
 
 
 def clip_steps(steps) -> tuple[tuple[int, int], ...]:
@@ -209,7 +208,7 @@ def prefixes(u: np.ndarray, steps: Schedule) -> np.ndarray:
     out = np.empty((steps.offsets[-1], n, n), dtype=np.complex128)
     out[: steps.offsets[1]] = np.eye(n)
     for a, b, rows in zip(steps.offsets, steps.offsets[1:], steps.rows):
-        out[b : b + len(rows)] = liecore.matmul_raw(out[a : a + len(rows)], table[rows])
+        out[b : b + len(rows)] = matmul_raw(out[a : a + len(rows)], table[rows])
     return out
 
 
@@ -227,4 +226,4 @@ def step_table(u: np.ndarray) -> np.ndarray:
     it (real_form): U_e in row 2e for sign +1 and U_e^-1 = U_e* in row
     2e + 1 for sign -1."""
     table = np.stack((u, u.conj().swapaxes(-1, -2)), axis=1).reshape(-1, *u.shape[1:])
-    return liecore.real_form(table)
+    return real_form(table)

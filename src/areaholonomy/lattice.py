@@ -154,7 +154,9 @@ class FaceLogs(NamedTuple):
 class _Engine:
     """The batched kernels over a mesh's boundary slots, in the one order
     mesh.face_steps lays them out (mesh.face_of_slot names each slot's
-    face); each edge sums its two slots, mesh.plus_slot and minus_slot."""
+    face); each edge sums its two slots, mesh.plus_slot and minus_slot.
+    The index tables of the Gauss-Newton operator, which gives the flow
+    its direction at every n, depend on the mesh only and are built here."""
 
     def __init__(self, mesh: SurfaceMesh):
         self.mesh = mesh
@@ -164,9 +166,17 @@ class _Engine:
         self.plaquette_rows = order.offsets[layout.lengths] + order.at
         position = np.arange(len(face)) - layout.starts[face]
         self.transport_rows = order.offsets[position + (layout.signs < 0)] + order.at[face]
-        # per face its slots, padded with slot S to the longest face (F, M)
+        # per face its slots, padded to the longest face (F, M) with slot S,
+        # where normal_operator puts a zero block
         width = np.arange(np.max(layout.lengths))
         self.face_slots = np.where(width < layout.lengths[:, None], layout.starts[:, None] + width, len(face))
+        # each edge's place in its +1 face and in its -1 face, and the edges
+        # of its +1 face and then of its -1 face; pads read edge 0 against
+        # zero columns
+        self.plus_at = mesh.plus_slot - layout.starts[mesh.plus_face]
+        self.minus_at = mesh.minus_slot - layout.starts[mesh.minus_face]
+        face_edges = np.append(layout.edges, 0)[self.face_slots]
+        self.neighbours = np.concatenate((face_edges[mesh.plus_face], face_edges[mesh.minus_face]), axis=1)
 
     def plaquettes(self, U: np.ndarray) -> np.ndarray:
         """The holonomy of every face boundary, from its start vertex."""
@@ -186,12 +196,18 @@ class _Engine:
         Pairing against log H kills the dexp factor (they commute), so each
         occurrence of an edge in a face boundary contributes the face log
         transported to that edge's frame by the boundary prefix; each edge
-        then sums its two boundary slots.
+        then sums its two boundary slots.  At n = 1 a transport is
+        conjugation by a phase, the identity, and is skipped: every slot of
+        a face then carries the same value, so G = 2 D^T W theta lies in
+        range(D^T) up to the rounding of each edge's sum, as the undamped
+        solve in levenberg_marquardt needs.
         """
         mesh, q = self.mesh, logs.transports
         coeff = mesh.face_steps.signs * (2.0 / self.areas)[mesh.face_of_slot]
         x = real_form(logs.x)[mesh.face_of_slot]
-        s = matmul_raw(matmul_raw(q.conj().swapaxes(-1, -2), x), q) * coeff[:, None, None]
+        if q.shape[-1] > 1:
+            x = matmul_raw(matmul_raw(q.conj().swapaxes(-1, -2), x), q)
+        s = x * coeff[:, None, None]
         return s[mesh.plus_slot] + s[mesh.minus_slot]
 
     def gauss_newton_blocks(self, logs: FaceLogs) -> np.ndarray:
@@ -233,22 +249,15 @@ class _Engine:
         into the diagonal.  One application is then one gather of the
         faces' edge coordinates and one batched real matmul.
         """
-        mesh, layout, d = self.mesh, self.mesh.face_steps, logs.x.shape[-1] ** 2
+        mesh, d, plus_at, neighbours = self.mesh, logs.x.shape[-1] ** 2, self.plus_at, self.neighbours
         faces, width = self.face_slots.shape
         # K_f^T (F, M n^2, n^2); the Gram product reads two buffers, since
         # numpy sends A^T A of one buffer to syrk, 3x slower on these sizes
         kt = np.concatenate((self.gauss_newton_blocks(logs).swapaxes(-1, -2), np.zeros((1, d, d))))
         kt = kt[self.face_slots].reshape(faces, width * d, d)
         gram = (kt @ (kt.swapaxes(-1, -2) / self.areas[:, None, None])).reshape(faces, width, d, -1)
-        # each edge's place in its +1 face and in its -1 face
-        plus_at = mesh.plus_slot - layout.starts[mesh.plus_face]
-        minus_at = mesh.minus_slot - layout.starts[mesh.minus_face]
-        rows = np.concatenate((gram[mesh.plus_face, plus_at], gram[mesh.minus_face, minus_at]), axis=-1)
+        rows = np.concatenate((gram[mesh.plus_face, plus_at], gram[mesh.minus_face, self.minus_at]), axis=-1)
         rows.reshape(len(rows), d, 2 * width, d)[np.arange(len(rows)), :, plus_at, :] += mu * np.eye(d)
-        # per edge the edges of its +1 face and then of its -1 face; pads
-        # read edge 0 against zero columns
-        face_edges = np.append(layout.edges, 0)[self.face_slots]
-        neighbours = np.concatenate((face_edges[mesh.plus_face], face_edges[mesh.minus_face]), axis=1)
 
         def apply(c: np.ndarray) -> np.ndarray:
             return (rows @ np.take(c, neighbours, axis=0).reshape(len(c), -1, 1))[..., 0]
@@ -260,59 +269,44 @@ class _Engine:
         conjugate gradients to relative residual 1e-2, on the u(n)
         coordinates of the edges.  With rhs = G / 2 = J^T W X, exp(-Z) U_e
         minimises the damped Gauss-Newton model
-        sum_f ||X_f - J_f Z||^2 / A_f + mu ||Z||^2."""
-        basis = _u_basis(rhs.shape[-1])
+        sum_f ||X_f - J_f Z||^2 / A_f + mu ||Z||^2.
+
+        At n = 1 every face log is linear in the edge angles on the
+        principal branch (J = D, the signed face-edge incidence), so the
+        model is the action itself: the solve drops mu and runs to 1e-14,
+        and Z is the exact Newton step onto the sector minimum.  The right
+        side G / 2 lies in range(D^T) (gradient_from_logs), where CG from
+        zero stays, so Z is the minimum-norm (co-exact) solution, the one
+        gradient descent converges to."""
+        n = rhs.shape[-1]
+        exact = n == 1
+        basis = _u_basis(n)
         b = (rhs.reshape(len(rhs), -1) @ basis.conj().T).real
-        c = _conjugate_gradients(self.normal_operator(logs, mu), b, 1e-2, b.size)
+        apply = self.normal_operator(logs, 0.0 if exact else mu)
+        c = _conjugate_gradients(apply, b, 1e-14 if exact else 1e-2, b.size)
         return (c @ basis).reshape(rhs.shape)
-
-    def _coboundary(self, y: np.ndarray) -> np.ndarray:
-        """D y: the signed sum of edge values around each face."""
-        layout = self.mesh.face_steps
-        return np.sum(np.append(layout.signs * y[layout.edges], 0.0)[self.face_slots], axis=1)
-
-    def _dual_laplacian_solve(self, r: np.ndarray) -> np.ndarray:
-        """K psi = r, K = D D^T the dual-graph Laplacian (F x F, never
-        formed), to relative residual 1e-14; r must sum to zero."""
-        # D^T p: each edge lies in one face with sign +1 and one with -1
-        plus, minus = self.mesh.plus_face, self.mesh.minus_face
-        return _conjugate_gradients(lambda p: self._coboundary(p[plus] - p[minus]), r, 1e-14, len(r))
-
-    def abelian_newton(self, x: np.ndarray) -> np.ndarray:
-        """Edge angles delta whose removal takes n = 1 face logs x to the
-        sector minimum: D delta = theta - Phi A / sum(A), with theta the
-        face log phases and Phi their sum.  The action is quadratic in the
-        edge angles on the principal branch, so this is the exact Newton
-        step; delta = D^T psi is the minimum-norm (co-exact) solution,
-        the one gradient descent converges to."""
-        theta = x[:, 0, 0].imag
-        r = theta - np.sum(theta) * self.areas / np.sum(self.areas)
-        r -= np.mean(r)
-        psi = self._dual_laplacian_solve(r)
-        return psi[self.mesh.plus_face] - psi[self.mesh.minus_face]
 
 
 def _conjugate_gradients(apply, b: np.ndarray, rtol: float, max_iter: int) -> np.ndarray:
-    """Conjugate gradients for A s = b, with A = apply self-adjoint and
-    positive semidefinite under the real inner product Re<a, b> (real or
-    complex arrays).  Stops at relative residual rtol, after max_iter
-    iterations, or when p A p is not positive."""
+    """Conjugate gradients for A s = b, with A = apply symmetric positive
+    semidefinite on real arrays.  Stops at relative residual rtol, after
+    max_iter iterations, or when p A p is not positive."""
     s = np.zeros_like(b)
     res = b.copy()
     p = res.copy()
-    rr = np.vdot(res, res).real
+    rr = np.vdot(res, res)
     stop = rtol * rtol * rr
     for _ in range(max_iter):
         if rr <= stop:
             break
         ap = apply(p)
-        pap = np.vdot(p, ap).real
+        pap = np.vdot(p, ap)
         if not pap > 0:
             break
         alpha = rr / pap
         s += alpha * p
         res -= alpha * ap
-        rr, rr_old = np.vdot(res, res).real, rr
+        rr, rr_old = np.vdot(res, res), rr
         p = res + (rr / rr_old) * p
     return s
 
@@ -410,19 +404,17 @@ def gradient_flow(
 ) -> tuple[GaugeField, FlowReport]:
     """Descend U_e <- exp(-eta G_e) U_e until the gradient norm reaches tol.
 
-    For n = 1 the action is quadratic in the edge angles on the principal
-    branch, and the flow steps along the exact Newton direction i delta_e
-    (_Engine.abelian_newton: one conjugate-gradient solve on the dual-graph
-    Laplacian) instead of G_e, so eta = 1 lands on the sector minimum.  For
-    n > 1 it steps along the Levenberg-Marquardt direction Z_e
+    The flow steps along the Levenberg-Marquardt direction Z_e
     (_Engine.levenberg_marquardt: (J^T W J + mu I) Z = G / 2 by conjugate
     gradients, J the linearised face logs, W = diag(1 / A_f)), trying
     eta = 1 first; mu starts at 10 and is divided by 3 after a full step
-    and multiplied by 4 otherwise.  Either direction falls back to G_e
-    when it is not finite or does not descend; along G_e the first trial
-    is eta = min(face_areas)/4, matching the 1/area scale of the action
-    Hessian.  Backtracking halves eta, at most 40 times, until the action
-    decreases; BranchCut during a trial step is treated like an increase.
+    and multiplied by 4 otherwise.  For n = 1 the Gauss-Newton model is
+    exact, the solve is undamped, and eta = 1 lands on the sector minimum.
+    The direction falls back to G_e when it is not finite or does not
+    descend; along G_e the first trial is eta = min(face_areas)/4,
+    matching the 1/area scale of the action Hessian.  Backtracking halves
+    eta, at most 40 times, until the action decreases; BranchCut during a
+    trial step is treated like an increase.
     Once action differences fall below evaluation precision the gate
     switches to requiring a strict gradient-norm decrease, which stays
     resolvable down to the requested tolerance.  The returned action never
@@ -455,10 +447,7 @@ def gradient_flow(
     mu = 10.0
     for iteration in range(1, max_iter + 1):
         direction, eta = grad, eta_gradient
-        if field.n == 1:
-            newton = 1j * engine.abelian_newton(logs.x)[:, None, None]
-        else:
-            newton = engine.levenberg_marquardt(logs, grad / 2, mu)
+        newton = engine.levenberg_marquardt(logs, grad / 2, mu)
         # Re<G, newton> > 0: the Newton direction descends
         if np.all(np.isfinite(newton)) and float(np.sum((grad.conj() * newton).real)) > 0:
             direction, eta = newton, eta_newton
@@ -642,13 +631,18 @@ def build_ym_field_from_rep(mesh: SurfaceMesh, rep: YangMillsRep) -> GaugeField:
     exp(Lambda/N^2); each edge is then multiplied by exp(theta_e Lambda),
     where theta (surfaces.area_potential) carries each face's deviation from
     the mean area.  Sphere: the matching abelian flux problem is solved per
-    eigencomponent of Lambda with surfaces.integrate_faces.
+    eigencomponent of Lambda with surfaces.integrate_faces.  Raises
+    UnsupportedMeshError when the flux |mu| A_f of an eigenvalue i mu of
+    Lambda on the largest face reaches pi: the plaquette's principal log
+    would then lie in another flux sector.
     """
     diag = validate_rep(rep)
     if not diag.ok:
         raise InvalidRepError("representation does not satisfy the defining constraints")
     if rep.genus != mesh.genus:
         raise UnsupportedMeshError("mesh genus does not match representation genus")
+    if np.max(np.abs(np.linalg.eigvalsh(-1j * rep.Lambda.mat))) * np.max(mesh.face_areas) >= np.pi:
+        raise UnsupportedMeshError("flux per face exceeds the principal branch; refine the mesh")
     if mesh.genus == 1:
         if not isinstance(mesh.grid, TorusGrid):
             raise UnsupportedMeshError("genus-1 construction needs a torus grid mesh")
@@ -678,8 +672,6 @@ def _torus_field(mesh: SurfaceMesh, rep: YangMillsRep) -> GaugeField:
 
 def _sphere_field(mesh: SurfaceMesh, rep: YangMillsRep) -> GaugeField:
     mu, w = np.linalg.eigh(-1j * rep.Lambda.mat)  # Lambda = w diag(i mu) w*
-    if np.max(np.abs(mu) * np.max(mesh.face_areas)) >= np.pi:
-        raise UnsupportedMeshError("flux per face exceeds the principal branch; refine the mesh")
     thetas = np.zeros((len(mesh.edges), rep.n))
     for j, m_j in enumerate(mu):
         target = m_j * mesh.face_areas

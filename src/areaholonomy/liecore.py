@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from .policy import DEFAULT_POLICY
-from .surfaces import json_int, required_keys
 
 
 class DimensionMismatchError(ValueError):
@@ -334,17 +333,3 @@ def random_unitary(rng: np.random.Generator, n: int) -> Unitary:
     """One Haar-distributed element of U(n)."""
     return Unitary(haar_unitary_raw(rng, (), n))
 
-
-def matrix_to_json(mat: np.ndarray) -> dict:
-    """Matrix JSON encoding used across the repo: n plus real/imag row-major arrays."""
-    m = np.asarray(mat, dtype=np.complex128)
-    return {"n": int(m.shape[0]), "re": m.real.tolist(), "im": m.imag.tolist()}
-
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    n, re, im = required_keys(obj, "matrix", "n", "re", "im")
-    n = json_int(n, "matrix: n")
-    mat = np.array(re, dtype=np.float64) + 1j * np.array(im, dtype=np.float64)
-    if mat.shape != (n, n):
-        raise ValueError(f"matrix JSON claims n={n} but arrays have shape {mat.shape}")
-    return mat

@@ -24,8 +24,6 @@ from .liecore import (
     expm,
     expm_raw,
     inner,
-    matrix_from_json,
-    matrix_to_json,
 )
 from .policy import DEFAULT_POLICY
 from .surfaces import json_int, required_keys
@@ -231,6 +229,21 @@ def direct_sum(r1: YangMillsRep, r2: YangMillsRep) -> YangMillsRep:
 
 # ---------------------------------------------------------------------------
 # JSON
+
+def matrix_to_json(mat: np.ndarray) -> dict:
+    """Matrix JSON encoding used across the repo: n plus real/imag row-major arrays."""
+    m = np.asarray(mat, dtype=np.complex128)
+    return {"n": int(m.shape[0]), "re": m.real.tolist(), "im": m.imag.tolist()}
+
+
+def matrix_from_json(obj: dict) -> np.ndarray:
+    n, re, im = required_keys(obj, "matrix", "n", "re", "im")
+    n = json_int(n, "matrix: n")
+    mat = np.array(re, dtype=np.float64) + 1j * np.array(im, dtype=np.float64)
+    if mat.shape != (n, n):
+        raise ValueError(f"matrix JSON claims n={n} but arrays have shape {mat.shape}")
+    return mat
+
 
 def rep_to_json(rep: YangMillsRep) -> dict:
     return {

@@ -227,7 +227,9 @@ class TestGradient:
         layout, q = mesh.face_steps, logs.transports
         for f, (start, length) in enumerate(zip(layout.starts, layout.lengths)):
             slots = np.arange(start, start + length)
-            contrib = matmul_raw(matmul_raw(q[slots].conj().swapaxes(-1, -2), x[f]), q[slots])
+            # at n = 1 a transport is conjugation by a phase, which the
+            # engine skips
+            contrib = x[f] if n == 1 else matmul_raw(matmul_raw(q[slots].conj().swapaxes(-1, -2), x[f]), q[slots])
             np.add.at(expected, layout.edges[slots], contrib * (layout.signs[slots] * (2.0 / engine.areas[f]))[:, None, None])
         assert np.array_equal(engine.gradient_from_logs(logs), expected)
 
@@ -444,13 +446,16 @@ class TestAbelianNewton:
     @settings(max_examples=60, deadline=None)
     @given(abelian_starts())
     def test_direction_is_minimum_norm_solution(self, start):
+        # at n = 1 the shared Gauss-Newton solve is the exact Newton step:
+        # the edge angles delta, minimum-norm, with D delta = theta - Phi A / sum(A)
         mesh = start.mesh
         engine = _engine_for(mesh)
-        x = engine.logs(start.U).x
-        theta = x[:, 0, 0].imag
+        logs = engine.logs(start.U)
+        theta = logs.x[:, 0, 0].imag
         r = theta - np.sum(theta) * mesh.face_areas / np.sum(mesh.face_areas)
         expected = np.linalg.lstsq(incidence_matrix(mesh), r - np.mean(r), rcond=None)[0]
-        assert np.max(np.abs(engine.abelian_newton(x) - expected)) <= 1e-12
+        direction = engine.levenberg_marquardt(logs, engine.gradient_from_logs(logs) / 2, 10.0)
+        assert np.max(np.abs(direction[:, 0, 0] - 1j * expected)) <= 1e-12
         _, report = gradient_flow(start, tol=1e-9)
         assert report.stop_reason == "converged"
         assert report.iterations <= 2
@@ -468,7 +473,7 @@ class TestAbelianNewton:
         # a Newton direction that does not descend, or is not finite, is
         # replaced by the gradient
         engine = _engine_for(torus4)
-        monkeypatch.setattr(engine, "abelian_newton", lambda x: np.full(len(torus4.edges), value))
+        monkeypatch.setattr(engine, "levenberg_marquardt", lambda *args: np.full((len(torus4.edges), 1, 1), value))
         start = ah.perturb_field(build_ym_field_from_rep(torus4, flux_rep(1, 1)), np.random.default_rng(3), 0.3)
         _, report = gradient_flow(start, tol=1e-9)
         assert report.stop_reason == "converged"
@@ -962,6 +967,23 @@ class TestBuildFromRep:
         with pytest.raises(ah.UnsupportedMeshError):
             build_ym_field_from_rep(sphere2, flux_rep(1, 1))
 
+    @pytest.mark.parametrize("size, flux", [(2, 3), (3, 5), (4, 9)])
+    def test_torus_flux_past_the_branch_refused(self, size, flux):
+        # 2 pi flux / size^2 >= pi: each plaquette's principal log would
+        # fall into another sector (total flux -4 2 pi on torus:3 at flux 5)
+        with pytest.raises(ah.UnsupportedMeshError, match="principal branch"):
+            build_ym_field_from_rep(ah.build_torus_mesh(size), flux_rep(1, flux))
+
+    def test_sphere_flux_past_the_branch_refused(self):
+        # sphere:1 has eight faces of area 1/8, so flux 4 puts pi on each
+        with pytest.raises(ah.UnsupportedMeshError, match="principal branch"):
+            build_ym_field_from_rep(ah.build_sphere_mesh(1), ah.sphere_rep([4]))
+
+    def test_largest_flux_within_the_branch_kept(self):
+        # flux 7 on torus:4 puts 7 pi / 8 on each face
+        field = build_ym_field_from_rep(ah.build_torus_mesh(4), flux_rep(1, 7))
+        assert total_flux(field) == pytest.approx(14 * np.pi, abs=1e-12)
+
 
 class TestFieldJson:
     def test_nan_edge_rejected(self, torus4):
@@ -1155,8 +1177,10 @@ class GatherEngine:
                 q[:, j] = np.where((signs[:, j] > 0)[:, None, None], prefix, nxt)
                 prefix = nxt
             coeff = signs * (2.0 / self.areas[faces])[:, None]
-            contrib = matmul_raw(matmul_raw(q.conj().swapaxes(-1, -2), x[faces, None]), q) * coeff[:, :, None, None]
-            slots.append(contrib.reshape(-1, n, n))
+            # at n = 1 a transport is conjugation by a phase, which the
+            # engine skips
+            contrib = x[faces, None] if n == 1 else matmul_raw(matmul_raw(q.conj().swapaxes(-1, -2), x[faces, None]), q)
+            slots.append((contrib * coeff[:, :, None, None]).reshape(-1, n, n))
         s = np.concatenate(slots)
         return s[self.slot_plus] + s[self.slot_minus]
 
