@@ -155,8 +155,8 @@ class _Engine:
     """The batched kernels over a mesh's boundary slots, in the one order
     mesh.face_steps lays them out (mesh.face_of_slot names each slot's
     face); each edge sums its two slots, mesh.plus_slot and minus_slot.
-    The index tables of the Gauss-Newton operator, which gives the flow
-    its direction at every n, depend on the mesh only and are built here."""
+    The index tables of the Newton operator, which gives the flow its
+    direction at every n, depend on the mesh only and are built here."""
 
     def __init__(self, mesh: SurfaceMesh):
         self.mesh = mesh
@@ -210,52 +210,68 @@ class _Engine:
         s = x * coeff[:, None, None]
         return s[mesh.plus_slot] + s[mesh.minus_slot]
 
-    def gauss_newton_blocks(self, logs: FaceLogs) -> np.ndarray:
-        """Linearised face logs: X_f(exp(Z) U) = X_f + J_f Z + O(Z^2), in the
-        real coordinates of u(n) (_u_basis).
+    def slot_blocks(self, logs: FaceLogs) -> np.ndarray:
+        """Each slot's share of the plaquette's change, in the eigenbasis of
+        the face log and the real coordinates of u(n) (_u_basis).
 
-        With X_f = V_f diag(i theta) V_f*, the first-order plaquette change
-        sum_j s_j q_j Z_{e_j} q_j* goes through dexp^-1, which multiplies
-        entry (a, b) in that eigenbasis by Phi_ab = z / (e^z - 1),
-        z = i (theta_a - theta_b).  So V_f* (J_f Z) V_f is
-        Phi_f o sum_j s_j R_j Z_{e_j} R_j*, with R_j = V_f* q_j, and it is
-        skew-Hermitian again, since Phi_ba = conj Phi_ab.  Returns the real
-        K (S, n^2, n^2), one block per slot: the coordinates of
-        V_f* (J_f Z) V_f are the sum over face f's slots j of K_j times the
-        coordinates of Z_{e_j}.
+        U_e <- exp(Z) U_e at every edge moves each plaquette as
+        P_f <- prod_j exp(Y_j) P_f, slots j in boundary order, with
+        Y_j = s_j q_j Z_{e_j} q_j*.  Returns the real K (S, n^2, n^2): the
+        coordinates of V_f* Y_j V_f are K_j times those of Z_{e_j}, K_j the
+        adjoint action of s_j R_j, R_j = V_f* q_j.  At n = 1 that is s_j.
         """
         n, face, signs = logs.x.shape[-1], self.mesh.face_of_slot, self.mesh.face_steps.signs
+        if n == 1:
+            return signs.astype(np.float64)[:, None, None]
         basis = _u_basis(n)
-        gap = logs.theta[:, :, None] - logs.theta[:, None, :]
-        # z / (e^z - 1) = (gap/2) / sin(gap/2) e^{-i gap/2}; |gap| < 2 pi
-        phi = (np.exp(-0.5j * gap) / np.sinc(gap / (2 * np.pi))).reshape(-1, n * n)
         r = matmul_raw(logs.v[face].conj().swapaxes(-1, -2), logs.transports)
         # vec(R Z R*) = kron(R, conj R) vec Z for row-major vecs, and
-        # vec Z = basis^T c for Z's coordinates c
+        # vec Z = basis^T c for Z's coordinates c; coordinate k of an image
+        # Y is Re <B_k, Y>
         kron = np.einsum("jac,jbd->jabcd", r, r.conj()).reshape(-1, n * n)
         images = (kron @ basis.T).reshape(len(r), n * n, n * n)
-        images *= phi[face, :, None] * signs[:, None, None]
-        # coordinate k of an image Y is Re <B_k, Y>
         coords = (images.swapaxes(-1, -2).reshape(-1, n * n) @ basis.conj().T).real
-        return coords.reshape(len(r), n * n, n * n).swapaxes(-1, -2)
+        return coords.reshape(len(r), n * n, n * n).swapaxes(-1, -2) * signs[:, None, None]
 
-    def normal_operator(self, logs: FaceLogs, mu: float):
-        """c -> (J^T W J + mu I) c on the edges' u(n) coordinates c (E, n^2),
-        W = diag(1 / A_f).
+    def normal_operator(self, logs: FaceLogs, mu: float, curvature: bool):
+        """c -> (H / 2 + mu I) c on the edges' u(n) coordinates c (E, n^2):
+        H is the Hessian of Z -> S(exp(Z) U), or with curvature False its
+        Gauss-Newton part 2 J^T W J, W = diag(1 / A_f).
 
-        Each face's Gram matrix K_f^T K_f / A_f (K_f its slots' blocks side
-        by side, padded with zero blocks to the longest face M) gives each
-        edge its rows at its two slots, (E, n^2, 2 M n^2), and mu is folded
-        into the diagonal.  One application is then one gather of the
-        faces' edge coordinates and one batched real matmul.
+        With the slot changes Y_j (slot_blocks) and C = sum_j Y_j in the
+        eigenbasis of X_f = V diag(i theta) V*, ||log(prod_j exp(Y_j) P_f)||^2
+        is to second order ||X_f||^2 + 2 <X_f, C> + sum_ab w_ab |C_ab|^2 plus
+        the Baker-Campbell-Hausdorff terms sum_{j<k} <X_f, [Y_j, Y_k]>, with
+        w_ab = (d/2) cot(d/2), d = theta_a - theta_b.  Gauss-Newton keeps
+        ||J_f Z||^2: w_ab = |z / (e^z - 1)|^2 = (d/2)^2 / sin^2(d/2), z = i d,
+        and no brackets.  The two agree where the curvature is central, and
+        at n = 1 (D^T W D).  On a pair's two coordinates w is one weight and
+        <X_f, [A, B]> = a^T Omega b, Omega = [[0, d], [-d, 0]].  So face f's
+        Gram block (j, k) is K_j^T (w + sign(k - j) Omega / 2) K_k / A_f,
+        K_f padded with zero blocks to the longest face M; each edge gets
+        its rows at its two slots, (E, n^2, 2 M n^2), and mu is folded into
+        the diagonal.  One application is then one gather of the faces'
+        edge coordinates and one batched real matmul.
         """
-        mesh, d, plus_at, neighbours = self.mesh, logs.x.shape[-1] ** 2, self.plus_at, self.neighbours
+        mesh, n, plus_at, neighbours = self.mesh, logs.x.shape[-1], self.plus_at, self.neighbours
         faces, width = self.face_slots.shape
-        # K_f^T (F, M n^2, n^2); the Gram product reads two buffers, since
-        # numpy sends A^T A of one buffer to syrk, 3x slower on these sizes
-        kt = np.concatenate((self.gauss_newton_blocks(logs).swapaxes(-1, -2), np.zeros((1, d, d))))
+        d = n * n
+        kt = np.concatenate((self.slot_blocks(logs).swapaxes(-1, -2), np.zeros((1, d, d))))
         kt = kt[self.face_slots].reshape(faces, width * d, d)
-        gram = (kt @ (kt.swapaxes(-1, -2) / self.areas[:, None, None])).reshape(faces, width, d, -1)
+        k = kt.swapaxes(-1, -2) / self.areas[:, None, None]
+        a, b = np.triu_indices(n, 1)
+        gap = logs.theta[:, a] - logs.theta[:, b]
+        scale = 1 / np.sinc(gap / (2 * np.pi))
+        w = np.ones((faces, d))
+        w[:, n:] = np.repeat(scale * (np.cos(gap / 2) if curvature else scale), 2, axis=1)
+        gram = kt @ (w[:, :, None] * k)
+        if curvature and n > 1:
+            pair = np.arange(n, d, 2)
+            omega = np.zeros((faces, d, d))
+            omega[:, pair, pair + 1], omega[:, pair + 1, pair] = gap, -gap
+            slot = np.repeat(np.arange(width), d)
+            gram += 0.5 * np.sign(slot - slot[:, None]) * (kt @ (omega @ k))
+        gram = gram.reshape(faces, width, d, -1)
         rows = np.concatenate((gram[mesh.plus_face, plus_at], gram[mesh.minus_face, self.minus_at]), axis=-1)
         rows.reshape(len(rows), d, 2 * width, d)[np.arange(len(rows)), :, plus_at, :] += mu * np.eye(d)
 
@@ -265,32 +281,39 @@ class _Engine:
         return apply
 
     def levenberg_marquardt(self, logs: FaceLogs, rhs: np.ndarray, mu: float) -> np.ndarray:
-        """Levenberg-Marquardt direction: (J^T W J + mu I) Z = rhs by
-        conjugate gradients to relative residual 1e-2, on the u(n)
-        coordinates of the edges.  With rhs = G / 2 = J^T W X, exp(-Z) U_e
-        minimises the damped Gauss-Newton model
-        sum_f ||X_f - J_f Z||^2 / A_f + mu ||Z||^2.
+        """Damped Newton direction: (H / 2 + mu I) Z = rhs by conjugate
+        gradients to relative residual 1e-2, on the u(n) coordinates of the
+        edges (normal_operator).  With rhs = G / 2, exp(-Z) U_e minimises
+        the damped second-order model of the action about U.  Where CG
+        meets non-positive curvature the model is not convex, and the
+        solve is redone on the Gauss-Newton operator J^T W J + mu I, whose
+        exp(-Z) U_e minimises sum_f ||X_f - J_f Z||^2 / A_f + mu ||Z||^2.
 
         At n = 1 every face log is linear in the edge angles on the
         principal branch (J = D, the signed face-edge incidence), so the
-        model is the action itself: the solve drops mu and runs to 1e-14,
-        and Z is the exact Newton step onto the sector minimum.  The right
-        side G / 2 lies in range(D^T) (gradient_from_logs), where CG from
-        zero stays, so Z is the minimum-norm (co-exact) solution, the one
-        gradient descent converges to."""
+        Hessian is 2 D^T W D and the model is the action itself: the solve
+        drops mu and runs to 1e-14, and Z is the exact Newton step onto the
+        sector minimum.  The right side G / 2 lies in range(D^T)
+        (gradient_from_logs), where CG from zero stays, so Z is the
+        minimum-norm (co-exact) solution, the one gradient descent
+        converges to."""
         n = rhs.shape[-1]
         exact = n == 1
         basis = _u_basis(n)
         b = (rhs.reshape(len(rhs), -1) @ basis.conj().T).real
-        apply = self.normal_operator(logs, 0.0 if exact else mu)
-        c = _conjugate_gradients(apply, b, 1e-14 if exact else 1e-2, b.size)
+        apply = self.normal_operator(logs, 0.0 if exact else mu, True)
+        c, indefinite = _conjugate_gradients(apply, b, 1e-14 if exact else 1e-2, b.size)
+        if indefinite and not exact:
+            c, _ = _conjugate_gradients(self.normal_operator(logs, mu, False), b, 1e-2, b.size)
         return (c @ basis).reshape(rhs.shape)
 
 
-def _conjugate_gradients(apply, b: np.ndarray, rtol: float, max_iter: int) -> np.ndarray:
-    """Conjugate gradients for A s = b, with A = apply symmetric positive
-    semidefinite on real arrays.  Stops at relative residual rtol, after
-    max_iter iterations, or when p A p is not positive."""
+def _conjugate_gradients(apply, b: np.ndarray, rtol: float, max_iter: int) -> tuple[np.ndarray, bool]:
+    """Conjugate gradients for A s = b, with A = apply symmetric on real
+    arrays.  Stops at relative residual rtol or after max_iter iterations,
+    and returns s with False; stops when p A p is not positive, and
+    returns the iterate so far with True: A is then not positive definite
+    on the Krylov space."""
     s = np.zeros_like(b)
     res = b.copy()
     p = res.copy()
@@ -302,13 +325,13 @@ def _conjugate_gradients(apply, b: np.ndarray, rtol: float, max_iter: int) -> np
         ap = apply(p)
         pap = np.vdot(p, ap)
         if not pap > 0:
-            break
+            return s, True
         alpha = rr / pap
         s += alpha * p
         res -= alpha * ap
         rr, rr_old = np.vdot(res, res), rr
         p = res + (rr / rr_old) * p
-    return s
+    return s, False
 
 
 def _engine_for(mesh: SurfaceMesh) -> _Engine:
@@ -404,12 +427,14 @@ def gradient_flow(
 ) -> tuple[GaugeField, FlowReport]:
     """Descend U_e <- exp(-eta G_e) U_e until the gradient norm reaches tol.
 
-    The flow steps along the Levenberg-Marquardt direction Z_e
-    (_Engine.levenberg_marquardt: (J^T W J + mu I) Z = G / 2 by conjugate
-    gradients, J the linearised face logs, W = diag(1 / A_f)), trying
-    eta = 1 first; mu starts at 10 and is divided by 3 after a full step
-    and multiplied by 4 otherwise.  For n = 1 the Gauss-Newton model is
-    exact, the solve is undamped, and eta = 1 lands on the sector minimum.
+    The flow steps along the damped Newton direction Z_e
+    (_Engine.levenberg_marquardt: (H / 2 + mu I) Z = G / 2 by conjugate
+    gradients, H the Hessian of the action in the chart Z -> exp(Z) U, or
+    its Gauss-Newton part 2 J^T W J in an iteration where CG meets
+    non-positive curvature), trying eta = 1 first; mu starts at 10 and is
+    divided by 3 after a full step and multiplied by 4 otherwise.  For
+    n = 1 the two operators agree, the solve is undamped, and eta = 1 lands
+    on the sector minimum.
     The direction falls back to G_e when it is not finite or does not
     descend; along G_e the first trial is eta = min(face_areas)/4,
     matching the 1/area scale of the action Hessian.  Backtracking halves
@@ -422,11 +447,13 @@ def gradient_flow(
     partial report when the halving or iteration budget runs out, or when
     the step underflows to the identity; report.stop_reason says which.
     Raises ValueError unless tol > 0 (so 0, negatives and NaN are rejected)
-    and max_iter >= 1.
+    and max_iter, read by the json_int rule (no boolean, no fractional
+    float), is at least 1.
     """
     # fail closed: NaN is not positive
     if not tol > 0:
         raise ValueError("tol must be positive")
+    max_iter = json_int(max_iter, "max_iter")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     engine = _engine_for(field.mesh)
@@ -685,7 +712,10 @@ def _sphere_field(mesh: SurfaceMesh, rep: YangMillsRep) -> GaugeField:
 
 
 def perturb_field(field: GaugeField, rng: np.random.Generator, eps: float) -> GaugeField:
-    """Left-multiply every edge by exp(eps X) with X standard Gaussian skew."""
+    """Left-multiply every edge by exp(eps X) with X standard Gaussian skew.
+    Raises ValueError, before drawing, unless eps is finite."""
+    if not np.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps!r}")
     n = field.n
     a = rng.normal(size=(len(field.mesh.edges), n, n)) + 1j * rng.normal(
         size=(len(field.mesh.edges), n, n)

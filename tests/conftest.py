@@ -7,6 +7,7 @@ import pytest
 import scipy.optimize
 
 import areaholonomy as ah
+from areaholonomy.lattice import _engine_for, _u_basis
 from areaholonomy.liecore import expm_raw, matmul_raw
 
 
@@ -93,6 +94,40 @@ def random_field(mesh: ah.SurfaceMesh, n: int, rng: np.random.Generator, scale: 
 def rebased(mesh: ah.SurfaceMesh, basepoint: int) -> ah.SurfaceMesh:
     """The same complex, areas and grid with another basepoint."""
     return ah.SurfaceMesh(mesh.genus, mesh.vertex_count, mesh.edges, mesh.faces, mesh.face_areas, basepoint, grid=mesh.grid)
+
+
+def finite_difference_hessian(field, h=1e-5):
+    """The action's Hessian from central differences of the exact gradient,
+    in the real u(n) coordinates (_u_basis) of every edge: column (e, k)
+    moves U_e to exp(+-h B_k) U_e.  Symmetrised."""
+    engine = _engine_for(field.mesh)
+    n, edges = field.n, len(field.U)
+    basis = _u_basis(n)
+    up, down = (expm_raw(sign * h * basis.reshape(n * n, n, n)) for sign in (1, -1))
+
+    def coordinates(u):
+        grad = engine.gradient_from_logs(engine.logs(u))
+        return (grad.reshape(edges, -1) @ basis.conj().T).real.ravel()
+
+    columns = []
+    for e in range(edges):
+        for k in range(n * n):
+            plus, minus = field.U.copy(), field.U.copy()
+            plus[e] = up[k] @ plus[e]
+            minus[e] = down[k] @ minus[e]
+            columns.append((coordinates(plus) - coordinates(minus)) / (2 * h))
+    hessian = np.array(columns)
+    return (hessian + hessian.T) / 2
+
+
+def dense_operator(field, mu, curvature):
+    """_Engine.normal_operator as a dense matrix: column (e, k) is its image
+    of the unit vector on coordinate k of edge e."""
+    engine = _engine_for(field.mesh)
+    apply = engine.normal_operator(engine.logs(field.U), mu, curvature)
+    d = field.n * field.n
+    units = np.eye(len(field.U) * d).reshape(-1, len(field.U), d)
+    return np.array([apply(c).ravel() for c in units]).T
 
 
 ONE_EDGE_SPHERE = {"genus": 0, "vertices": 2, "edges": [[0, 1]], "faces": [[1, -1]], "face_areas": [1.0], "basepoint": 0}

@@ -14,9 +14,9 @@ from click.testing import CliRunner
 
 import areaholonomy as ah
 from areaholonomy.cli import cli
-from areaholonomy.lattice import _engine_for, _u_basis
+from areaholonomy.lattice import _engine_for
 from areaholonomy.liecore import expm_raw
-from conftest import flux_rep, random_field
+from conftest import dense_operator, finite_difference_hessian, flux_rep, random_field
 
 FOUR_PI_SQ = 4 * np.pi**2
 
@@ -233,30 +233,6 @@ def test_criterion_9_gauge_invariance():
             assert ah.conjugacy_residual(h1, h2) < 1e-10
 
 
-def finite_difference_hessian(field, h=1e-5):
-    """The action's Hessian from central differences of the exact gradient,
-    in the real u(n) coordinates (_u_basis) of every edge: column (e, k)
-    moves U_e to exp(+-h B_k) U_e.  Symmetrised."""
-    engine = _engine_for(field.mesh)
-    n, edges = field.n, len(field.U)
-    basis = _u_basis(n)
-    up, down = (expm_raw(sign * h * basis.reshape(n * n, n, n)) for sign in (1, -1))
-
-    def coordinates(u):
-        grad = engine.gradient_from_logs(engine.logs(u))
-        return (grad.reshape(edges, -1) @ basis.conj().T).real.ravel()
-
-    columns = []
-    for e in range(edges):
-        for k in range(n * n):
-            plus, minus = field.U.copy(), field.U.copy()
-            plus[e] = up[k] @ plus[e]
-            minus[e] = down[k] @ minus[e]
-            columns.append((coordinates(plus) - coordinates(minus)) / (2 * h))
-    hessian = np.array(columns)
-    return (hessian + hessian.T) / 2
-
-
 SPHERE_WEIGHTS = [c.k for c in ah.enumerate_sphere_classes(2, 2)] + [(3, 0), (1, 0, 0), (1, 0, -1), (2, 1, 0), (1, 1, 0)]
 
 
@@ -272,6 +248,22 @@ def test_sphere_critical_points_isolated_with_atiyah_bott_index(k):
     field = ah.build_ym_field_from_rep(mesh, ah.sphere_rep(k))
     assert ah.gradient_norm(field) < 1e-11
     eig = np.linalg.eigvalsh(finite_difference_hessian(field))
+    null = np.abs(eig) <= 1e-6 * np.max(np.abs(eig))
+    n = len(k)
+    assert np.count_nonzero(null) == mesh.vertex_count * n * n - sum(m * m for m in Counter(k).values())
+    assert np.count_nonzero(eig[~null] < 0) == 2 * sum(ki - kj - 1 for ki in k for kj in k if ki > kj)
+    assert np.min(np.abs(eig[~null])) >= 1e6 * np.max(np.abs(eig[null]))
+
+
+@pytest.mark.parametrize("k", [(1, 0), (2, 0), (1, -1), (2, -1)], ids=str)
+def test_sphere4_isolation_from_assembled_operator(k):
+    # the same isolation on a mesh 4x finer (sphere:4, 768 dimensions at
+    # n = 2), from the assembled operator H / 2 in place of differences;
+    # null eigenvalues by the same relative 1e-6 rule
+    mesh = ah.build_sphere_mesh(4)
+    field = ah.build_ym_field_from_rep(mesh, ah.sphere_rep(k))
+    assert ah.gradient_norm(field) < 1e-11
+    eig = np.linalg.eigvalsh(dense_operator(field, 0.0, True))
     null = np.abs(eig) <= 1e-6 * np.max(np.abs(eig))
     n = len(k)
     assert np.count_nonzero(null) == mesh.vertex_count * n * n - sum(m * m for m in Counter(k).values())

@@ -167,20 +167,23 @@ class TestSolve:
         assert open(paths[0][1], "rb").read() == open(paths[1][1], "rb").read()
 
     # sha256 of the files that json.dump wrote before the field file was
-    # formed from the edge arrays; the writer must not change a byte.  The
-    # n = 2 pin encodes the flow's roundoff: it is the sha256 of
+    # formed from the edge arrays; the writer must not change a byte.  Both
+    # pins encode the flow's roundoff: each is the sha256 of
     # json.dump(field_to_json(field) | {"seed": 3}, sort_keys=True, indent=1)
-    # and of the report, for the field gradient_flow returns since n = 2
-    # spectra take closed forms (every number within 1e-14 of the LAPACK
-    # files, in the same 29 iterations).  The n = 1 pin is that of the
-    # Newton step taken by the shared Gauss-Newton solve: against the
-    # dual-Laplacian solve's file, max |dU| = 2.0e-16, the same 1 iteration
-    # and final action 39.47841760435744, final gradient norm 3.6e-14 -> 6.7e-14
+    # and of the report.  The n = 2 pin is that of the exact-Hessian Newton
+    # flow, which takes another path to the minimum, so its field differs
+    # from the Gauss-Newton flow's by a gauge motion: 7 iterations against
+    # 29, final actions 39.47841760435743 and ...744 (7.1e-15 apart), every
+    # face's curvature eigenvalues within 8.9e-12.  The n = 1 pin is that of
+    # the Newton step with each slot block its sign: max |dU| = 3.2e-16
+    # against the file of blocks computed from the eigenbases (which was
+    # 2.0e-16 from the dual-Laplacian solve's), the same 1 iteration and
+    # final action 39.47841760435744, final gradient norm 6.7e-14 -> 5.3e-14
     @pytest.mark.parametrize("mesh, n, field_sha, report_sha", [
-        ("torus:4", "1", "f5f1e30665ff37049bd0710e9fe484c65eb9fe6b563ebc9b5d5512f72cd39f47",
-         "5371b7867ccf343f31eaff0999061370fb665f2d7b200890325c9908eeb7ff74"),
-        ("sphere:1", "2", "1ebfffc2f77d191d1eec692fb9547b4f48c581d295d120c676aad7dd72c20688",
-         "df117a701919702912667ae8e6a8d82893b3addf0b1d03c405049d6aa93d4035"),
+        ("torus:4", "1", "33f4c55c91e1c2c195c938d45c0da06cb62a954987d936cde92601adf92fbfce",
+         "9262b848cbcca1bf2609903d7211de6d8b5f94c3c3a26ef94167fc200554da50"),
+        ("sphere:1", "2", "fc232effd772d7ff95b89da9aa08f12a6fe9157643d94cf7139a7d7a059d31de",
+         "37700dafca2fe03fb79b7cc72f45162b49e3c557eecb0dbf4c62affe5c40df88"),
     ], ids=["torus:4", "sphere:1-n2"])
     def test_pinned_bytes(self, runner, tmp_path, mesh, n, field_sha, report_sha):
         out, rep = tmp_path / "f.json", tmp_path / "r.json"

@@ -32,10 +32,12 @@ from areaholonomy import (
 )
 from areaholonomy._loopsteps import flat_steps, holonomies, reduced
 from areaholonomy._verify import basepoint_curvature, verify_pairs
-from areaholonomy.lattice import _engine_for, _field_text, _u_basis, _unitarize
+from areaholonomy.lattice import _conjugate_gradients, _engine_for, _field_text, _u_basis, _unitarize
 from areaholonomy.liecore import expm_raw, haar_unitary_raw, matmul_raw
 from conftest import (
     ONE_EDGE_SPHERE,
+    dense_operator,
+    finite_difference_hessian,
     flux_rep,
     quaternion_rep,
     random_field,
@@ -328,6 +330,24 @@ class TestFlow:
         with pytest.raises(ValueError, match="^tol must be positive$"):
             gradient_flow(perturbed4, tol=tol)
 
+    @pytest.mark.parametrize("max_iter, error", [(True, ValueError), (2.5, ValueError), ("3", TypeError)])
+    def test_max_iter_read_as_json_int(self, perturbed4_u2, max_iter, error):
+        # a boolean or a fractional float is no iteration count
+        with pytest.raises(error, match=f"^max_iter must be an integer, got {max_iter!r}$"):
+            gradient_flow(perturbed4_u2, tol=1e-9, max_iter=max_iter)
+        with pytest.raises(NotConvergedError) as err:
+            gradient_flow(perturbed4_u2, tol=1e-9, max_iter=2.0)
+        assert err.value.report.iterations == 2
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf])
+    def test_perturb_refuses_non_finite_eps(self, torus4, eps):
+        # refused before anything is drawn: the generator is left as it was
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="^eps must be finite, got"):
+            ah.perturb_field(GaugeField.identity(torus4, 2), rng, eps)
+        assert rng.bit_generator.state == state
+
     def test_stop_reason_iteration_budget(self, perturbed4_u2):
         with pytest.raises(NotConvergedError) as err:
             gradient_flow(perturbed4_u2, tol=1e-9, max_iter=3)
@@ -487,20 +507,32 @@ def coordinates(z):
     return np.einsum("kab,eab->ek", basis.reshape(len(basis), *z.shape[1:]).conj(), z).real
 
 
+def dexp_inverse(theta):
+    """Phi_ab = z / (e^z - 1), z = i (theta_a - theta_b), 1 where z = 0: the
+    factor dexp^-1 puts on entry (a, b) of a plaquette change in the
+    eigenbasis of its log."""
+    z = 1j * (theta[:, :, None] - theta[:, None, :])
+    phi = np.ones_like(z)
+    off = z != 0
+    phi[off] = z[off] / np.expm1(z[off])
+    return phi
+
+
 def jacobian(engine, logs, z):
     """J Z, the first-order change of the face logs under U_e <- exp(Z_e) U_e,
-    assembled from the engine's real Gauss-Newton blocks, which are taken
-    in the eigenbases of the face logs the engine computed (logs.v)."""
+    assembled from the engine's real slot blocks, which are taken in the
+    eigenbases of the face logs the engine computed (logs.v), times Phi."""
     n = z.shape[-1]
     basis = _u_basis(n).reshape(n * n, n, n)
     c = coordinates(z)
-    blocks = engine.gauss_newton_blocks(logs)
+    blocks = engine.slot_blocks(logs)
+    phi = dexp_inverse(logs.theta)
     layout = engine.mesh.face_steps
     out = np.empty_like(logs.x)
     for f, (start, length) in enumerate(zip(layout.starts, layout.lengths)):
         slots = np.arange(start, start + length)
         image = np.einsum("jkl,jl,kab->ab", blocks[slots], c[layout.edges[slots]], basis)
-        out[f] = logs.v[f] @ image @ logs.v[f].conj().T
+        out[f] = logs.v[f] @ (phi[f] * image) @ logs.v[f].conj().T
     return out
 
 
@@ -508,13 +540,9 @@ def jacobian_adjoint(engine, logs, y):
     """J^T Y without the blocks: the adjoint of dexp^-1 (conj z / (e^z - 1)
     in the engine's eigenbasis of X_f), then the gradient kernel's scatter,
     whose factor 2 / A_f is cancelled."""
-    v, theta = logs.v, logs.theta
-    z = 1j * (theta[:, :, None] - theta[:, None, :])
-    phi = np.ones_like(z)
-    off = z != 0
-    phi[off] = z[off] / np.expm1(z[off])
+    v = logs.v
     vh = v.conj().swapaxes(-1, -2)
-    pulled = v @ (phi.conj() * (vh @ y @ v)) @ vh
+    pulled = v @ (dexp_inverse(logs.theta).conj() * (vh @ y @ v)) @ vh
     return engine.gradient_from_logs(logs._replace(x=pulled * engine.areas[:, None, None] / 2))
 
 
@@ -576,8 +604,8 @@ class TestLevenbergMarquardt:
     @settings(max_examples=15, deadline=None)
     @given(nonabelian_fields([("torus", 2), ("torus", 3), ("sphere", 1)], merged=True), st.floats(0.0, 10.0))
     def test_normal_operator_matches_dense(self, drawn, mu):
-        # the per-edge rows against dense B^T (J^H W J) B + mu I, with B the
-        # orthonormal basis of u(n)^E whose coordinates the rows act on
+        # the Gauss-Newton rows against dense B^T (J^H W J) B + mu I, with B
+        # the orthonormal basis of u(n)^E whose coordinates the rows act on
         field, _ = drawn
         engine = _engine_for(field.mesh)
         logs = engine.logs(field.U)
@@ -587,7 +615,7 @@ class TestLevenbergMarquardt:
         columns = np.array([jacobian(engine, logs, np.einsum("ek,kab->eab", c, basis)) for c in units])
         weighted = columns / engine.areas[:, None, None]
         dense = np.einsum("ifab,kfab->ik", columns.conj(), weighted).real + mu * np.eye(len(units))
-        apply = engine.normal_operator(logs, mu)
+        apply = engine.normal_operator(logs, mu, False)
         blocked = np.array([apply(c).ravel() for c in units]).T
         assert np.max(np.abs(blocked - dense)) <= 1e-12 * np.max(np.abs(dense))
 
@@ -595,7 +623,7 @@ class TestLevenbergMarquardt:
     def test_operator_is_basis_free_on_scalar_logs(self, mu):
         # every face log of a (1, 1) field is scalar, so any eigenbasis is
         # valid: the operator built in the engine's bases must be the one
-        # built in the bases eigh(-1j x) gives
+        # built in the bases eigh(-1j x) gives, with and without curvature
         mesh = ah.build_sphere_mesh(2)
         rep_field = build_ym_field_from_rep(mesh, ah.sphere_rep([1, 1]))
         field = apply_gauge(rep_field, ah.random_gauge_transform(mesh, 2, np.random.default_rng(5)))
@@ -604,9 +632,10 @@ class TestLevenbergMarquardt:
         theta, v = np.linalg.eigh(-1j * logs.x)
         assert np.max(np.abs(logs.v - v)) > 0.1
         units = np.eye(len(mesh.edges) * 4).reshape(-1, len(mesh.edges), 4)
-        new, old = engine.normal_operator(logs, mu), engine.normal_operator(logs._replace(v=v, theta=theta), mu)
-        new, old = (np.array([apply(c).ravel() for c in units]) for apply in (new, old))
-        assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
+        for curvature in (True, False):
+            new, old = (engine.normal_operator(state, mu, curvature) for state in (logs, logs._replace(v=v, theta=theta)))
+            new, old = (np.array([apply(c).ravel() for c in units]) for apply in (new, old))
+            assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_u_basis_is_orthonormal(self, n):
@@ -644,7 +673,7 @@ class TestLevenbergMarquardt:
         # the U(2) flux-1 minimum on the torus has central curvature i pi I
         assert abs(report.final_action - 2 * np.pi**2) <= 1e-9
 
-    @pytest.mark.parametrize("spec, ceiling", [("sphere:4", 40), ("torus:8", 15)])
+    @pytest.mark.parametrize("spec, ceiling", [("sphere:4", 12), ("sphere:8", 12), ("torus:8", 15)])
     def test_iteration_ceiling(self, spec, ceiling):
         kind, size = spec.split(":")
         if kind == "sphere":
@@ -656,6 +685,77 @@ class TestLevenbergMarquardt:
         _, report = gradient_flow(start, tol=1e-9)
         assert report.stop_reason == "converged"
         assert report.iterations <= ceiling
+
+
+
+def operator_case(case, n):
+    """A perturbed sector representative (sphere:2, torus:3) or a random
+    field (slit faces, random face areas): none is critical."""
+    rng = np.random.default_rng(n)
+    if case == "sphere:2":
+        return ah.perturb_field(build_ym_field_from_rep(ah.build_sphere_mesh(2), ah.sphere_rep([1] + [0] * (n - 1))), rng, 0.3)
+    if case == "torus:3":
+        return ah.perturb_field(build_ym_field_from_rep(ah.build_torus_mesh(3), flux_rep(n, 1)), rng, 0.3)
+    if case == "random-areas":
+        obj = ah.mesh_to_json(ah.build_sphere_mesh(2))
+        areas = rng.uniform(0.5, 2.0, len(obj["faces"]))
+        mesh = ah.mesh_from_json({**obj, "face_areas": (areas / np.sum(areas)).tolist()})
+    else:
+        mesh = slit_face(ah.build_torus_mesh(2) if case == "slit-torus" else ah.build_sphere_mesh(2))
+    return random_field(mesh, n, rng, scale=0.3)
+
+
+class TestNewtonOperator:
+    @pytest.mark.parametrize("case, n", [("sphere:2", 2), ("sphere:2", 3), ("torus:3", 2), ("slit-sphere", 2),
+                                         ("slit-torus", 2), ("random-areas", 2)])
+    def test_matches_finite_difference_hessian(self, case, n):
+        # the assembled operator is H / 2, H the Hessian of Z -> S(exp(Z) U);
+        # Gauss-Newton alone is far from it off the critical points
+        field = operator_case(case, n)
+        assert gradient_norm(field) > 1.0
+        hessian = finite_difference_hessian(field) / 2
+        bound = 1e-6 * np.max(np.abs(hessian))
+        assert np.max(np.abs(dense_operator(field, 0.0, True) - hessian)) <= bound
+        assert np.max(np.abs(dense_operator(field, 0.0, False) - hessian)) > 1e4 * bound
+
+    @pytest.mark.parametrize("case", ["sphere:2", "torus:3", "slit-sphere", "random-areas"])
+    def test_abelian_operator_is_incidence_laplacian(self, case):
+        # at n = 1 each slot block is its sign and the operator is D^T W D
+        field = operator_case(case, 1)
+        mesh = field.mesh
+        engine = _engine_for(mesh)
+        assert same_bytes(engine.slot_blocks(engine.logs(field.U)), mesh.face_steps.signs.astype(np.float64)[:, None, None])
+        d = incidence_matrix(mesh)
+        laplacian = d.T @ (d / np.asarray(mesh.face_areas)[:, None])
+        for curvature in (True, False):
+            assert np.array_equal(dense_operator(field, 0.0, curvature), laplacian)
+
+    def test_conjugate_gradients_reports_indefinite(self):
+        diagonal = np.array([[2.0, 1.0], [1.0, 3.0]])
+        s, indefinite = _conjugate_gradients(lambda p: diagonal * p, np.ones((2, 2)), 1e-14, 4)
+        assert not indefinite and np.max(np.abs(diagonal * s - 1.0)) <= 1e-14
+        _, indefinite = _conjugate_gradients(lambda p: np.array([[1.0, -1.0]]) * p, np.ones((1, 2)), 1e-14, 4)
+        assert indefinite
+
+    def test_falls_back_to_gauss_newton(self, torus8, monkeypatch):
+        # on the `solve --mesh torus:8 --n 2 --flux 1 --seed 7` start the
+        # Newton operator is indefinite in some iterations; those take the
+        # Gauss-Newton direction, and the flow still reaches the U(2)
+        # flux-1 minimum, curvature i pi I, action 2 pi^2
+        engine = _engine_for(torus8)
+        built, normal_operator = [], engine.normal_operator
+
+        def recording(logs, mu, curvature):
+            built.append(curvature)
+            return normal_operator(logs, mu, curvature)
+
+        monkeypatch.setattr(engine, "normal_operator", recording)
+        start = ah.perturb_field(build_ym_field_from_rep(torus8, flux_rep(2, 1)), np.random.default_rng(7), 0.3)
+        _, report = gradient_flow(start, tol=1e-9)
+        assert report.stop_reason == "converged"
+        assert built.count(True) == report.iterations
+        assert 1 <= built.count(False) < report.iterations
+        assert abs(report.final_action - 2 * np.pi**2) <= 1e-9
 
 
 class TestGaugeInvariance:
