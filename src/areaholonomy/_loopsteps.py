@@ -2,22 +2,28 @@
 over that layout that surfaces and lattice build their loop and face
 operations from.
 
-A layout (LoopSteps) is one edge array, one sign array and the per-loop
-offsets into them.  Loops a caller names are laid out per call, and every
-SurfaceMesh lays out its face boundaries once (mesh.face_steps), so a
-plaquette is the holonomy of a face's loop.  first_fault checks every loop
-in one pass, reduced frees them of retraced steps, lifts walks their lifts
-to a torus grid's universal cover with integer prefix sums, and prefixes
-multiplies the step matrices of every loop (step_table), one step position
-of all loops at a time, in the order a loop over the steps would multiply
-them (schedule).  The kernels read a mesh's tails, heads and counts and a
-grid's N, and import from the package only liecore's product kernel.
+A layout (LoopSteps) is one edge array, one sign array, each step's row
+and the per-loop offsets into them.  A step (e, s) has row 2e for s = +1
+and 2e + 1 for s = -1 in every per-step table: a mesh's step_ends (where
+the step starts and ends), grid_moves (its move on a torus grid), the
+surfaces module's fluxes of the area potential and the matrices of
+step_table, so the kernels gather a step's data by its row instead of
+swapping or negating by its sign.  Loops a caller names are laid out per
+call, and every SurfaceMesh lays out its face boundaries once
+(mesh.face_steps), so a plaquette is the holonomy of a face's loop.
+first_fault checks every loop in one pass, reduced frees them of
+retraced steps, lifts walks their lifts to a torus grid's universal
+cover with integer prefix sums, and prefixes multiplies the step
+matrices of every loop, one step position of all loops at a time, in the
+order a loop over the steps would multiply them (schedule).  The kernels
+read a mesh's step_ends and counts and a grid's N, and import from the
+package only liecore's product kernel.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
-from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -44,7 +50,9 @@ class LoopSteps(NamedTuple):
     """The steps of K loops laid out flat.
 
     Loop k is based at bases[k] and takes the steps (edges[i], signs[i])
-    for starts[k] <= i < starts[k] + lengths[k].
+    for starts[k] <= i < starts[k] + lengths[k]; rows[i] is step i's row,
+    2 edges[i] + (signs[i] < 0).  The row of an edge beyond the mesh names
+    no table row, and only first_fault, which reports it, may read it.
     """
 
     bases: np.ndarray
@@ -52,6 +60,7 @@ class LoopSteps(NamedTuple):
     lengths: np.ndarray
     edges: np.ndarray
     signs: np.ndarray
+    rows: np.ndarray
 
     def take(self, loops) -> "LoopSteps":
         """The layout of some of the loops (an index array or a slice),
@@ -65,11 +74,16 @@ def flat_steps(bases: Sequence[int], step_lists: Sequence[tuple[tuple[int, int],
     count = len(bases)
     lengths = np.fromiter(map(len, step_lists), np.intp, count=count)
     starts = np.zeros(count, np.intp)
-    np.cumsum(lengths[:-1], out=starts[1:])
-    total = int(np.sum(lengths))
-    edges = np.fromiter(map(itemgetter(0), chain.from_iterable(step_lists)), np.intp, count=total)
-    signs = np.fromiter(map(itemgetter(1), chain.from_iterable(step_lists)), np.intp, count=total)
-    return LoopSteps(np.fromiter(bases, np.intp, count=count), starts, lengths, edges, signs)
+    lengths[:-1].cumsum(out=starts[1:])
+    pairs = chain.from_iterable(chain.from_iterable(step_lists))
+    edges, signs = np.fromiter(pairs, np.intp, count=2 * int(lengths.sum())).reshape(-1, 2).T
+    return LoopSteps(np.fromiter(bases, np.intp, count=count), starts, lengths, edges, signs, step_rows(edges, signs))
+
+
+def step_rows(edges: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """The row of every step (edges[i], signs[i]): 2e, or 2e + 1 for a
+    negative sign."""
+    return 2 * edges + (signs < 0)
 
 
 def concat_inverse(steps: LoopSteps) -> LoopSteps:
@@ -82,10 +96,12 @@ def concat_inverse(steps: LoopSteps) -> LoopSteps:
     at = np.arange(len(owner))
     backward = owner % 2 == 1
     at[backward] = (2 * steps.starts + steps.lengths - 1)[owner[backward]] - at[backward]
-    signs = steps.signs[at]
+    signs, rows = steps.signs[at], steps.rows[at]
     signs[backward] *= -1
+    # a flipped sign is the other row of the same edge
+    rows[backward] ^= 1
     lengths = steps.lengths[0::2] + steps.lengths[1::2]
-    return LoopSteps(steps.bases[0::2], steps.starts[0::2], lengths, steps.edges[at], signs)
+    return LoopSteps(steps.bases[0::2], steps.starts[0::2], lengths, steps.edges[at], signs, rows)
 
 
 def first_fault(mesh, steps: LoopSteps) -> Optional[tuple[int, str]]:
@@ -93,31 +109,30 @@ def first_fault(mesh, steps: LoopSteps) -> Optional[tuple[int, str]]:
     in the words surfaces.validate_loop raises, or None: a base vertex out
     of range, then the first step whose edge is out of range or that does
     not start where the last one ended, then a loop that does not end at
-    its base."""
-    edges, signs, bases = steps.edges, steps.signs, steps.bases
-    in_range = (edges >= 0) & (edges < len(mesh.edges))
-    # where each step starts and ends; out-of-range steps read a clipped
-    # edge, and are faults whatever they read
-    tail = np.take(mesh.tails, edges, mode="clip")
-    head = np.take(mesh.heads, edges, mode="clip")
-    backward = signs < 0
-    tail[backward], head[backward] = head[backward], tail[backward]
+    its base.  Where every step starts and ends is one gather from the
+    mesh's step_ends."""
+    edges, bases, starts, lengths = steps.edges, steps.bases, steps.starts, steps.lengths
+    # a negative index reads as a huge unsigned one
+    in_range = edges.view(np.uintp) < len(mesh.edges)
+    # out-of-range steps read a clipped row, and are faults whatever they read
+    tail, head = mesh.step_ends.take(steps.rows, axis=0, mode="clip").T
     # where each step should start: the last step's end, or its loop's base
-    walked = steps.lengths > 0
-    ends = steps.starts + steps.lengths
-    expected = np.concatenate((head[:1], head[:-1]))
-    expected[steps.starts[walked]] = bases[walked]
-    bad = np.flatnonzero(~in_range | (tail != expected))
+    walked = lengths > 0
+    ends = starts + lengths
+    expected = np.empty_like(head)
+    expected[1:] = head[:-1]
+    expected[starts[walked]] = bases[walked]
+    bad = (~in_range | (tail != expected)).nonzero()[0]
     closing = bases.copy()
     closing[walked] = head[ends[walked] - 1]
-    base_out = (bases < 0) | (bases >= mesh.vertex_count)
+    base_out = bases.view(np.uintp) >= mesh.vertex_count
     faulty = base_out | (closing != bases)
     if len(bad):
         # the loop of a flat step comes after every loop that ends before it
         faulty[np.count_nonzero(ends <= bad[0])] = True
-    if not np.any(faulty):
+    elif not faulty.any():
         return None
-    k = int(np.flatnonzero(faulty)[0])
+    k = int(faulty.argmax())
     if base_out[k]:
         return k, "loop base vertex out of range"
     if len(bad) and bad[0] < ends[k] and in_range[bad[0]]:
@@ -132,9 +147,10 @@ def reduced(steps: LoopSteps) -> LoopSteps:
     A layout with no adjacent (e, s)(e, -s) pair inside one of its loops
     is reduced already, and those pairs are found without a walk."""
     edges, signs = steps.edges, steps.signs
-    # flat steps i and i + 1 cancel, for i in these, and step i + 1 starts
-    # no loop (two of a mesh's faces can share an edge there)
-    cancelling = (edges[1:] == edges[:-1]) & (signs[1:] != signs[:-1])
+    # flat steps i and i + 1 cancel (rows 2e and 2e + 1), for i in these,
+    # and step i + 1 starts no loop (two of a mesh's faces can share an
+    # edge there)
+    cancelling = steps.rows[1:] == steps.rows[:-1] ^ 1
     cancelling[steps.starts[(steps.starts > 0) & (steps.starts < len(edges))] - 1] = False
     if np.any(cancelling):
         # and both steps lie in one loop, as a take may leave them not:
@@ -148,31 +164,44 @@ def reduced(steps: LoopSteps) -> LoopSteps:
     return flat_steps(steps.bases.tolist(), step_lists)
 
 
+@lru_cache(maxsize=8)
+def grid_moves(n_grid: int) -> np.ndarray:
+    """The moves dx (row 0) and dy (row 1) of every step row on an n_grid x
+    n_grid torus grid, whose edges below n_grid^2 point in +x and the
+    others in +y (read-only, cached per grid size)."""
+    half = 2 * n_grid * n_grid
+    moves = np.zeros((2, 2 * half), np.intp)
+    moves[0, :half] = moves[1, half:] = np.tile((1, -1), n_grid * n_grid)
+    moves.setflags(write=False)
+    return moves
+
+
 def lifts(n_grid: int, steps: LoopSteps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each loop's lift to the universal cover of an n_grid x n_grid torus
     grid: its net displacement (dx, dy) and the discrete Green's cell sum,
     the sum over vertical steps of s * x with x the lift's column counted
     from the base.  For a closed lift that sum is the total winding number
     of all cells around it.  All three come from integer prefix sums over
-    the flat steps, so they are exact."""
+    the flat steps' moves (grid_moves), so they are exact."""
     starts, ends = steps.starts, steps.starts + steps.lengths
-    vertical = steps.edges >= n_grid * n_grid
-    # column[i + 1]: the column after flat step i, counted from flat step 0
-    column = np.zeros(len(vertical) + 1, np.intp)
-    column[1:] = steps.signs
-    column[1:][vertical] = 0
-    np.cumsum(column[1:], out=column[1:])
+    # every step's move, gathered in place after a leading 0 (numpy
+    # buffers a gather into out unless its mode is clip, which leaves the
+    # rows of valid loops as they are)
+    column, row = np.zeros((2, len(steps.rows) + 1), np.intp)
+    for moves, out in zip(grid_moves(n_grid), (column, row)):
+        moves.take(steps.rows, out=out[1:], mode="clip")
+    # column[i + 1]: the lift's column after flat step i, counted from flat
+    # step 0
+    column.cumsum(out=column)
     dx, base_column = column[ends] - column[starts], column[starts]
-    prefix = np.zeros_like(column)
-    prefix[1:] = steps.signs
-    prefix[1:][~vertical] = 0
     # a vertical step does not change the column, so its x is
-    # column[i + 1] - column[start]; the products s * x overwrite column
-    np.multiply(column[1:], prefix[1:], out=column[1:])
-    np.cumsum(prefix[1:], out=prefix[1:])
-    dy = prefix[ends] - prefix[starts]
-    np.cumsum(column[1:], out=prefix[1:])
-    cells = prefix[ends] - prefix[starts] - base_column * dy
+    # column[i + 1] - column[start], and s * x is 0 on a horizontal step;
+    # the products s * x overwrite column once row holds the rows
+    np.multiply(column, row, out=column)
+    row.cumsum(out=row)
+    dy = row[ends] - row[starts]
+    column.cumsum(out=row)
+    cells = row[ends] - row[starts] - base_column * dy
     return dx, dy, cells
 
 
@@ -194,8 +223,8 @@ def schedule(steps: LoopSteps) -> Schedule:
     at = np.empty(len(order), np.intp)
     at[order] = np.arange(len(order))
     counts = np.cumsum(np.bincount(steps.lengths)[:0:-1])[::-1].tolist()
-    rows, starts = 2 * steps.edges + (steps.signs < 0), steps.starts[order]
-    rows = tuple(rows[starts[:c] + j] for j, c in enumerate(counts))
+    starts = steps.starts[order]
+    rows = tuple(steps.rows[starts[:c] + j] for j, c in enumerate(counts))
     return Schedule(at, rows, np.cumsum([0, len(order), *counts], dtype=np.intp))
 
 
@@ -222,8 +251,8 @@ def holonomies(u: np.ndarray, steps: LoopSteps) -> np.ndarray:
 
 
 def step_table(u: np.ndarray) -> np.ndarray:
-    """The matrix of every step in one table, as matmul_raw multiplies by
-    it (real_form): U_e in row 2e for sign +1 and U_e^-1 = U_e* in row
+    """The matrix of every step row in one table, as matmul_raw multiplies
+    by it (real_form): U_e in row 2e for sign +1 and U_e^-1 = U_e* in row
     2e + 1 for sign -1."""
     table = np.stack((u, u.conj().swapaxes(-1, -2)), axis=1).reshape(-1, *u.shape[1:])
     return real_form(table)

@@ -177,6 +177,7 @@ class _Engine:
         self.minus_at = mesh.minus_slot - layout.starts[mesh.minus_face]
         face_edges = np.append(layout.edges, 0)[self.face_slots]
         self.neighbours = np.concatenate((face_edges[mesh.plus_face], face_edges[mesh.minus_face]), axis=1)
+        self._blocks: Optional[tuple[FaceLogs, np.ndarray, np.ndarray]] = None
 
     def plaquettes(self, U: np.ndarray) -> np.ndarray:
         """The holonomy of every face boundary, from its start vertex."""
@@ -233,6 +234,20 @@ class _Engine:
         coords = (images.swapaxes(-1, -2).reshape(-1, n * n) @ basis.conj().T).real
         return coords.reshape(len(r), n * n, n * n).swapaxes(-1, -2) * signs[:, None, None]
 
+    def _face_blocks(self, logs: FaceLogs) -> tuple[np.ndarray, np.ndarray]:
+        """K_f^T (F, M n^2, n^2) and K_f / A_f (F, n^2, M n^2) of every
+        face, its slot_blocks padded with zero blocks to the longest face M.
+        They depend on the logs only, not on mu or curvature, so the pair of
+        the last logs is kept until levenberg_marquardt's solve ends, and
+        its Gauss-Newton rebuild does not build them again."""
+        if self._blocks is None or self._blocks[0] is not logs:
+            faces, width = self.face_slots.shape
+            d = logs.x.shape[-1] ** 2
+            kt = np.concatenate((self.slot_blocks(logs).swapaxes(-1, -2), np.zeros((1, d, d))))
+            kt = kt[self.face_slots].reshape(faces, width * d, d)
+            self._blocks = (logs, kt, kt.swapaxes(-1, -2) / self.areas[:, None, None])
+        return self._blocks[1:]
+
     def normal_operator(self, logs: FaceLogs, mu: float, curvature: bool):
         """c -> (H / 2 + mu I) c on the edges' u(n) coordinates c (E, n^2):
         H is the Hessian of Z -> S(exp(Z) U), or with curvature False its
@@ -256,9 +271,7 @@ class _Engine:
         mesh, n, plus_at, neighbours = self.mesh, logs.x.shape[-1], self.plus_at, self.neighbours
         faces, width = self.face_slots.shape
         d = n * n
-        kt = np.concatenate((self.slot_blocks(logs).swapaxes(-1, -2), np.zeros((1, d, d))))
-        kt = kt[self.face_slots].reshape(faces, width * d, d)
-        k = kt.swapaxes(-1, -2) / self.areas[:, None, None]
+        kt, k = self._face_blocks(logs)
         a, b = np.triu_indices(n, 1)
         gap = logs.theta[:, a] - logs.theta[:, b]
         scale = 1 / np.sinc(gap / (2 * np.pi))
@@ -305,6 +318,7 @@ class _Engine:
         c, indefinite = _conjugate_gradients(apply, b, 1e-14 if exact else 1e-2, b.size)
         if indefinite and not exact:
             c, _ = _conjugate_gradients(self.normal_operator(logs, mu, False), b, 1e-2, b.size)
+        self._blocks = None
         return (c @ basis).reshape(rhs.shape)
 
 

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._loopsteps import LoopSteps, clip_steps, first_fault, flat_steps, lifts
+from ._loopsteps import LoopSteps, clip_steps, first_fault, flat_steps, lifts, step_rows
 from .policy import DEFAULT_POLICY
 
 _INTP = np.iinfo(np.intp)
@@ -110,7 +110,7 @@ class MeshLoop:
 
     def __post_init__(self):
         object.__setattr__(self, "base", json_int(self.base, "loop: base"))
-        steps = tuple((json_int(e, "loop: a step edge"), json_int(s, "loop: a step sign")) for e, s in self.steps)
+        steps = json_int_pairs(self.steps, "loop: a step edge", "loop: a step sign")
         object.__setattr__(self, "steps", steps)
         if any(s not in (-1, 1) for _, s in self.steps):
             raise MalformedLoopError("step signs must be +1 or -1")
@@ -142,9 +142,11 @@ class SurfaceMesh:
     (slots) face_steps.starts[f] onwards, and face_of_slot names the face
     of every slot.  Per edge, plus_slot and minus_slot are its slots of
     sign +1 and -1, plus_face and minus_face the faces that hold them, and
-    tails and heads its endpoints (all read-only).
-    Integer slots follow the rule of json_int: a boolean or a number with a
-    fractional part raises instead of being truncated.
+    tails and heads its endpoints.  step_ends is the (tail, head) of every
+    step row (_loopsteps): (tails[e], heads[e]) in row 2e and (heads[e],
+    tails[e]) in row 2e + 1.  All of these are read-only.
+    Integer slots follow the rule of json_int (json_ints): a boolean or a
+    number with a fractional part raises instead of being truncated.
     """
 
     def __init__(
@@ -163,11 +165,8 @@ class SurfaceMesh:
             raise ValueError("only genus 0 and 1 meshes are supported")
         self.genus = genus
         self.vertex_count = json_int(vertex_count, "mesh: vertices")
-        self.edges = tuple((json_int(t, "mesh: an edge tail"), json_int(h, "mesh: an edge head")) for t, h in edges)
-        self.faces = tuple(
-            tuple((json_int(e, "mesh: a face edge"), json_int(s, "mesh: a face sign")) for e, s in face)
-            for face in faces
-        )
+        self.edges = json_int_pairs(edges, "mesh: an edge tail", "mesh: an edge head")
+        self.faces = _json_int_faces(faces)
         self.face_areas = np.array(face_areas, dtype=np.float64)
         self.face_areas.setflags(write=False)
         self.basepoint = json_int(basepoint, "mesh: basepoint")
@@ -176,6 +175,7 @@ class SurfaceMesh:
         self._dual_tree: Optional[list[tuple[int, int, int, int]]] = None
         self._basepoint_parents: Optional[list[tuple[int, int, int]]] = None
         self._area_potential: Optional[tuple[np.ndarray, float]] = None
+        self._step_fluxes: Optional[np.ndarray] = None
         self._period_fluxes: Optional[tuple[list[float], ...]] = None
         self._validate()
 
@@ -258,6 +258,7 @@ class SurfaceMesh:
         if min(endpoints, default=0) < 0 or max(endpoints, default=0) >= v:
             raise ValueError(f"edge endpoints must be vertices 0..{v - 1}")
         self.tails, self.heads = np.array(endpoints[0::2], np.intp), np.array(endpoints[1::2], np.intp)
+        self.step_ends = np.stack((self.tails, self.heads, self.heads, self.tails), axis=1).reshape(-1, 2)
         # the faces, in one array pass per check; the range check reads the
         # ints themselves, before any array holds them
         lengths = list(map(len, self.faces))
@@ -275,7 +276,7 @@ class SurfaceMesh:
         starts = np.zeros_like(lengths)
         np.cumsum(lengths[:-1], out=starts[1:])
         bases = np.where(signs[starts] > 0, self.tails[edges[starts]], self.heads[edges[starts]])
-        self.face_steps = LoopSteps(bases, starts, lengths, edges, signs)
+        self.face_steps = LoopSteps(bases, starts, lengths, edges, signs, step_rows(edges, signs))
         fault = first_fault(self, self.face_steps)
         if fault:
             raise ValueError(f"face {fault[0]} must list its edges head to tail around a closed boundary")
@@ -289,8 +290,8 @@ class SurfaceMesh:
         self.minus_slot[edges[minus]] = np.flatnonzero(minus)
         self.face_of_slot = np.repeat(np.arange(f), lengths)
         self.plus_face, self.minus_face = self.face_of_slot[self.plus_slot], self.face_of_slot[self.minus_slot]
-        for array in (self.tails, self.heads, *self.face_steps, self.face_of_slot, self.plus_slot,
-                      self.minus_slot, self.plus_face, self.minus_face):
+        for array in (self.tails, self.heads, self.step_ends, *self.face_steps, self.face_of_slot,
+                      self.plus_slot, self.minus_slot, self.plus_face, self.minus_face):
             array.setflags(write=False)
         # every edge borders a face, so with no isolated vertex a connected
         # dual graph makes the whole complex connected
@@ -327,21 +328,22 @@ def build_torus_mesh(N: int, face_areas=None) -> SurfaceMesh:
 
 
 def _torus_complex(grid: TorusGrid) -> tuple[tuple, tuple]:
-    """Edges and faces of the builder torus, in SurfaceMesh's stored form."""
+    """Edges and faces of the builder torus, in SurfaceMesh's stored form,
+    built in array passes: face (x, y) is h(x, y), v(x + 1, y),
+    h(x, y + 1)^-1, v(x, y)^-1, rotated to start at its lowest vertex."""
     N = grid.N
-    edges = tuple((grid.vertex(x, y), grid.vertex(x + 1, y)) for y in range(N) for x in range(N))
-    edges += tuple((grid.vertex(x, y), grid.vertex(x, y + 1)) for y in range(N) for x in range(N))
-    faces = []
-    for y in range(N):
-        for x in range(N):
-            steps = [
-                (grid.h_edge(x, y), 1),
-                (grid.v_edge(x + 1, y), 1),
-                (grid.h_edge(x, y + 1), -1),
-                (grid.v_edge(x, y), -1),
-            ]
-            faces.append(_rotate_to_lowest_vertex(edges, steps))
-    return edges, tuple(faces)
+    x, y = np.tile(np.arange(N), N), np.repeat(np.arange(N), N)
+    corner = x + N * y
+    right, up = (x + 1) % N + N * y, x + N * ((y + 1) % N)
+    edges = tuple(zip(np.tile(corner, 2).tolist(), np.concatenate((right, up)).tolist()))
+    # per face its four steps and the vertex each starts at; corner is
+    # also the index of h(x, y) and of v(x, y) - N^2
+    steps = np.stack((corner, N * N + right, up, N * N + corner), axis=1)
+    starts = np.stack((corner, right, (x + 1) % N + N * ((y + 1) % N), up), axis=1)
+    turn = (starts.argmin(axis=1)[:, None] + np.arange(4)) % 4
+    signs = np.array((1, 1, -1, -1))[turn]
+    pairs = zip(np.take_along_axis(steps, turn, axis=1).ravel().tolist(), signs.ravel().tolist())
+    return edges, tuple(zip(*[pairs] * 4))
 
 
 def alpha_loop(mesh: SurfaceMesh) -> MeshLoop:
@@ -463,8 +465,7 @@ def validate_loop(mesh: SurfaceMesh, loop: MeshLoop) -> list[int]:
     element of the batched check _loopsteps.first_fault.
     """
     steps = _checked_steps(mesh, [loop])
-    heads = np.where(steps.signs > 0, mesh.heads[steps.edges], mesh.tails[steps.edges])
-    return [loop.base, *heads.tolist()]
+    return [loop.base, *mesh.step_ends[steps.rows, 1].tolist()]
 
 
 def torus_windings(mesh: SurfaceMesh, loop: MeshLoop) -> tuple[int, int]:
@@ -533,6 +534,17 @@ def area_potential(mesh: SurfaceMesh) -> tuple[np.ndarray, float]:
     return mesh._area_potential
 
 
+def _step_fluxes(mesh: SurfaceMesh) -> np.ndarray:
+    """Cached flux of area_potential across every step row (_loopsteps):
+    theta[e] in row 2e and -theta[e] in row 2e + 1, theta[e] * s exactly
+    (read-only)."""
+    if mesh._step_fluxes is None:
+        theta = area_potential(mesh)[0]
+        mesh._step_fluxes = np.stack((theta, -theta), axis=1).reshape(-1)
+        mesh._step_fluxes.setflags(write=False)
+    return mesh._step_fluxes
+
+
 def _period_fluxes(mesh: SurfaceMesh) -> tuple[list[float], ...]:
     """Cached flux terms of area_potential, one per step, along alpha_loop,
     its inverse, beta_loop and its inverse, as a walk along their steps
@@ -570,13 +582,11 @@ def _loop_lifts(mesh: SurfaceMesh, steps: LoopSteps) -> list[tuple[int, int, int
     """(dx, dy, cells, flux) of every loop of a layout of valid loops: its
     lift to the universal cover (_loopsteps.lifts on a torus grid; a
     sphere is its own cover, where every lift is (0, 0, 0)) and its flux of
-    area_potential, added up left to right from 0.0 as a walk along its
-    steps adds it."""
-    theta = area_potential(mesh)[0]
-    flux = [
-        reduce(operator.add, (theta[steps.edges[a:a + n]] * steps.signs[a:a + n]).tolist(), 0.0)
-        for a, n in zip(steps.starts.tolist(), steps.lengths.tolist())
-    ]
+    area_potential, one gather from _step_fluxes added up left to right
+    from 0.0 as a walk along its steps adds it."""
+    terms = _step_fluxes(mesh).take(steps.rows)
+    spans = zip(steps.starts.tolist(), steps.lengths.tolist())
+    flux = [reduce(operator.add, terms[a:a + n].tolist(), 0.0) for a, n in spans]
     if mesh.genus == 0:
         return [(0, 0, 0, f) for f in flux]
     return list(zip(*(a.tolist() for a in lifts(_require_torus(mesh).N, steps)), flux))
@@ -746,6 +756,45 @@ def json_int(value, what: str) -> int:
     if not isinstance(value, (numbers.Integral, float)):
         raise TypeError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def json_ints(values, what: str) -> tuple[int, ...]:
+    """json_int of every element of a sequence, as a tuple.  A sequence of
+    exact ints passes in one type pass, as it is; any other is read element
+    by element, with json_int's conversions and errors."""
+    values = tuple(values)
+    if set(map(type, values)) <= {int}:
+        return values
+    return tuple(json_int(value, what) for value in values)
+
+
+def json_int_pairs(pairs, first: str, second: str) -> tuple[tuple[int, int], ...]:
+    """The pairs (json_int(a, first), json_int(b, second)) of a sequence of
+    pairs.  Tuples of two exact ints, as the package builds them, pass in
+    type passes, as they are; any other sequence is read pair by pair,
+    with json_int's conversions and errors."""
+    pairs = tuple(pairs)
+    if _exact_int_pairs(pairs):
+        return pairs
+    return tuple((json_int(a, first), json_int(b, second)) for a, b in pairs)
+
+
+def _json_int_faces(faces) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """A mesh's faces, each a sequence of (edge, sign) pairs read by
+    json_int_pairs, with all faces' pairs passing one set of type passes."""
+    faces = tuple(map(tuple, faces))
+    if _exact_int_pairs(tuple(chain.from_iterable(faces))):
+        return faces
+    return tuple(json_int_pairs(face, "mesh: a face edge", "mesh: a face sign") for face in faces)
+
+
+def _exact_int_pairs(pairs: tuple) -> bool:
+    """Whether every element is a tuple of two exact ints."""
+    return (
+        set(map(type, pairs)) <= {tuple}
+        and set(map(len, pairs)) <= {2}
+        and set(map(type, chain.from_iterable(pairs))) <= {int}
+    )
 
 
 def json_float(value, what: str) -> float:

@@ -34,6 +34,7 @@ from .surfaces import (
     beta_loop,
     enclosed_area,
     json_int,
+    json_ints,
     loop_reverse,
     required_keys,
     wrap_mod1,
@@ -83,13 +84,13 @@ def relator_letters(genus: int) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class SurfaceWord:
     """A freely reduced word in the 2g surface-group generators, of letters
-    read by surfaces.json_int."""
+    read by surfaces.json_ints."""
 
     genus: int
     letters: tuple[int, ...]
 
     def __post_init__(self):
-        letters = tuple(json_int(l, "word: a letter") for l in self.letters)
+        letters = json_ints(self.letters, "word: a letter")
         _check_alphabet(letters, self.genus)
         if letters != clip(letters):
             raise ValueError("word is not freely reduced")
@@ -238,8 +239,8 @@ class GammaRElement:
     The central generator is J = (empty word, 1); for genus 0 the word is
     empty and t lives in R/Z, represented in (-1/2, 1/2].  The letters are
     checked once, on entry: each must be one of +-1 .. +-2g, whether or
-    not normalization would cancel it, and a letter given as a number
-    follows the rule of surfaces.json_int.
+    not normalization would cancel it, and letters given as numbers
+    follow the rule of surfaces.json_ints.
     """
 
     __slots__ = ("genus", "word", "t")
@@ -254,7 +255,7 @@ class GammaRElement:
         elif isinstance(word, str):
             letters = parse_letters(word, genus)
         else:
-            letters = tuple(json_int(l, "word: a letter") for l in word)
+            letters = json_ints(word, "word: a letter")
             _check_alphabet(letters, genus)
         t = float(t)
 

@@ -64,6 +64,69 @@ def test_import_does_not_load_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+EAGER_EXPORTS = (
+    "BranchCutError DEFAULT_POLICY DimensionMismatchError FlowReport GammaRElement GaugeField GaugeTransform "
+    "GenusMismatchError InvalidRepError MalformedLoopError MeshLoop NotConvergedError NotNullHomotopicError "
+    "NumericPolicy RepDiagnostics SkewHermitian SurfaceMesh SurfaceWord Unitary UnsupportedMeshError WeightVector "
+    "YangMillsRep alpha_loop apply_gauge beta_loop build_sphere_mesh build_torus_mesh build_ym_field_from_rep clip "
+    "clip_steps commutant_dimension conjugacy_residual direct_sum enclosed_area enumerate_sphere_classes evaluate "
+    "expm face_boundary_loop face_curvature field_from_json field_to_json format_letters gamma_from_json "
+    "gamma_identity gamma_inv gamma_mul gamma_to_json gradient_flow gradient_norm inner irreducible lattice liecore "
+    "logm_principal loop_class loop_concat loop_from_json loop_holonomy loop_reverse loop_to_json matrix_from_json "
+    "matrix_to_json mesh_from_json mesh_to_json parse_letters perturb_field plaquette_holonomy policy "
+    "random_gauge_transform random_homotopic_pair random_loop random_skew_hermitian random_unitary relator_letters "
+    "rep_from_json rep_to_json reps shrinking_loop_curvature sphere_rep std_loop surfaces torus_windings total_flux "
+    "validate_rep verify_area_property word_problem words wrap_mod1 ym_action ym_action_value ym_gradient"
+).split()
+
+
+def test_library_calls_load_only_their_modules():
+    # the namespace binds a name from its module when it is first reached,
+    # so building a mesh, classing a loop and normalizing a word leave the
+    # lattice, the representations and the verifier unloaded
+    proc = child_python(
+        "-c",
+        "import sys, areaholonomy as ah; mesh = ah.build_torus_mesh(4); "
+        "ah.loop_class(mesh, ah.alpha_loop(mesh)); ah.GammaRElement(2, [1, 2, -1]); "
+        "print([m for m in ('areaholonomy.lattice', 'areaholonomy.reps', 'areaholonomy._verify') if m in sys.modules])",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_lazy_namespace_keeps_the_eager_names():
+    # every name the eager namespace bound resolves, a star import yields
+    # all of them, dir lists them, and the private modules are attributes
+    proc = child_python(
+        "-c",
+        "import json, sys, areaholonomy as ah; star = {}; exec('from areaholonomy import *', star); "
+        f"names = {EAGER_EXPORTS!r}; "
+        "print(json.dumps({'missing': [n for n in names if not hasattr(ah, n)], "
+        "'star': sorted(set(names) - set(star)), 'dir': sorted(set(names) - set(dir(ah))), "
+        "'private': [ah.lattice is sys.modules['areaholonomy.lattice'], "
+        "ah._verify is sys.modules['areaholonomy._verify']], "
+        "'unknown': hasattr(ah, 'StepPolicy')}))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"missing": [], "star": [], "dir": [], "private": [True, True], "unknown": False}
+    # a fresh interpreter's dir lists them before any is reached
+    proc = child_python("-c", f"import areaholonomy as ah; print(sorted(set({EAGER_EXPORTS!r}) - set(dir(ah))))")
+    assert proc.stdout.strip() == "[]"
+
+
+def test_thread_cap_is_set_before_numpy_loads():
+    caps = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in caps}
+    with mock.patch.dict(os.environ, {**env, "AH_NUM_THREADS": "3"}, clear=True):
+        proc = child_python(
+            "-c",
+            "import os, sys, areaholonomy; "
+            "print('numpy' in sys.modules, [os.environ.get(v) for v in ('OMP_NUM_THREADS', 'OPENBLAS_NUM_THREADS')])",
+        )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False ['3', '3']"
+
+
 def test_perfbench_tracer_installs():
     # install() looks kernels up by name, so a renamed or deleted kernel
     # would only break the benchmark's traced runs; it rebinds module

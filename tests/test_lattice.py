@@ -757,6 +757,23 @@ class TestNewtonOperator:
         assert 1 <= built.count(False) < report.iterations
         assert abs(report.final_action - 2 * np.pi**2) <= 1e-9
 
+    def test_gauss_newton_rebuild_reuses_the_slot_blocks(self, torus8, monkeypatch):
+        # the slot blocks depend on the logs only: an iteration builds them
+        # once, for its Newton operator and its Gauss-Newton rebuild alike
+        engine = _engine_for(torus8)
+        calls, slot_blocks = [], engine.slot_blocks
+
+        def counted(logs):
+            calls.append(logs)
+            return slot_blocks(logs)
+
+        monkeypatch.setattr(engine, "slot_blocks", counted)
+        start = ah.perturb_field(build_ym_field_from_rep(torus8, flux_rep(2, 1)), np.random.default_rng(7), 0.3)
+        _, report = gradient_flow(start, tol=1e-9)
+        assert report.stop_reason == "converged"
+        assert len(calls) == report.iterations
+        assert engine._blocks is None
+
 
 class TestGaugeInvariance:
     @settings(max_examples=40, deadline=None)

@@ -1,6 +1,7 @@
 """Mesh construction, winding numbers, and enclosed area."""
 
 import struct
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -782,3 +783,154 @@ class TestRandomLoopOracle:
             else:
                 assert pair == (walk_random_loop(mesh, ref), walk_random_loop(mesh, ref))
             assert rng.bit_generator.state == ref.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# the step-row kernels: one gather per step from the mesh's step_ends, the
+# grid's moves and the area potential's step fluxes
+
+INTP = np.iinfo(np.intp)
+
+
+@st.composite
+def meshes_with_single_faults(draw):
+    """A builder torus (N 2..6) or sphere (S 1..3) with random positive face
+    areas, and up to five random loops at its basepoint, each valid or
+    corrupted in one way: one edge out of range (any intp, the extremes
+    included), one step that starts at another vertex, a loop that does not
+    close, or a base out of range."""
+    torus = draw(st.booleans())
+    size = draw(st.integers(2, 6) if torus else st.integers(1, 3))
+    faces = size * size if torus else 8 * size * size
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=faces, max_size=faces)))
+    mesh = (ah.build_torus_mesh if torus else ah.build_sphere_mesh)(size, face_areas=weights / np.sum(weights))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    beyond = st.one_of(
+        st.sampled_from([INTP.min, INTP.min + 1, -1, INTP.max]),
+        st.integers(INTP.min, -1),
+        st.integers(len(mesh.edges), INTP.max),
+    )
+    loops = []
+    for _ in range(draw(st.integers(1, 5))):
+        windings = tuple(draw(st.lists(st.integers(-2, 2), min_size=2, max_size=2))) if torus else None
+        loop = ah.random_loop(mesh, rng, draw(st.integers(0, 24)), windings)
+        base, steps = loop.base, list(loop.steps)
+        fault = draw(st.sampled_from(["none", "none", "edge", "composability", "open", "base"]))
+        at = draw(st.integers(0, max(len(steps) - 1, 0)))
+        if fault == "edge" and steps:
+            steps[at] = (draw(beyond), steps[at][1])
+        elif fault == "composability" and steps:
+            steps[at] = (draw(st.integers(0, len(mesh.edges) - 1)), draw(st.sampled_from([-1, 1])))
+        elif fault == "open":
+            # one more step, out of the base where the loop ends
+            e, s, _ = mesh.vertex_steps()[base][draw(st.integers(0, len(mesh.vertex_steps()[base]) - 1))]
+            steps.append((e, s))
+        elif fault == "base":
+            base = draw(st.one_of(st.integers(INTP.min, -1), st.integers(mesh.vertex_count, INTP.max)))
+        loops.append(MeshLoop(base, tuple(steps)))
+    return mesh, loops
+
+
+def walked_lift(mesh, loop):
+    """(dx, dy, cells, flux) by one walk along the steps: the lift as
+    lifted_walk takes it (none on a sphere) and the flux of area_potential
+    added up left to right from 0.0."""
+    theta = ah.surfaces.area_potential(mesh)[0].tolist()
+    flux = 0.0
+    for e, s in loop.steps:
+        flux = flux + theta[e] * s
+    return (*(lifted_walk(mesh.grid, loop) if mesh.genus == 1 else (0, 0, 0)), flux)
+
+
+def same_lifts(got, want):
+    return [row[:3] for row in got] == [row[:3] for row in want] and all(
+        same_bits(g[3], w[3]) for g, w in zip(got, want)
+    )
+
+
+class TestStepRowKernels:
+    @settings(max_examples=150, deadline=None)
+    @given(meshes_with_single_faults())
+    def test_checks_and_lifts_against_walks(self, drawn):
+        mesh, loops = drawn
+        walks = [outcome(walk_validate, mesh, loop) for loop in loops]
+        for loop, walked in zip(loops, walks):
+            checked = outcome(ah.surfaces._checked_steps, mesh, [loop])
+            if walked[0] != "value":
+                assert checked == walked
+                continue
+            got = ah.surfaces._loop_lifts(mesh, checked[1])
+            assert same_lifts(got, [walked_lift(mesh, loop)])
+        # the batched check raises the first fault a walk over the loops meets
+        first = next((walked for walked in walks if walked[0] != "value"), None)
+        checked = outcome(ah.surfaces._checked_steps, mesh, loops)
+        assert checked[0] == "value" if first is None else checked == first
+
+    @settings(max_examples=100, deadline=None)
+    @given(meshes_with_single_faults(), st.randoms(use_true_random=False))
+    def test_batched_equals_single(self, drawn, random):
+        mesh, loops = drawn
+        valid = [loop for loop in loops if outcome(walk_validate, mesh, loop)[0] == "value"]
+        singles = [ah.surfaces._loop_lifts(mesh, ah.surfaces._checked_steps(mesh, [loop]))[0] for loop in valid]
+        steps = ah.surfaces._checked_steps(mesh, valid)
+        assert same_lifts(ah.surfaces._loop_lifts(mesh, steps), singles)
+        # a layout that takes some of the loops, in another order, shares
+        # the step arrays of all of them
+        picked = random.sample(range(len(valid)), random.randint(0, len(valid)))
+        taken = steps.take(np.array(picked, dtype=np.intp))
+        assert same_lifts(ah.surfaces._loop_lifts(mesh, taken), [singles[k] for k in picked])
+
+    def test_step_rows_name_the_step_tables(self, torus4):
+        # row 2e is the step along edge e, row 2e + 1 the step against it
+        steps = flat_steps([0], [((5, 1), (5, -1), (17, -1))])
+        assert steps.rows.tolist() == [10, 11, 35]
+        assert torus4.step_ends[steps.rows].tolist() == [list(torus4.edges[5]), list(torus4.edges[5])[::-1],
+                                                          list(torus4.edges[17])[::-1]]
+        assert not torus4.step_ends.flags.writeable
+
+
+class TestBulkIntegerRule:
+    """json_int's rule applied to whole sequences: exact ints pass in one
+    type pass, and any other sequence is read element by element."""
+
+    def test_numpy_ints_and_integral_floats_normalise(self, torus4):
+        edges = np.array(torus4.edges, dtype=np.int32)
+        faces = [[(np.int64(e), float(s)) for e, s in face] for face in torus4.faces]
+        mesh = ah.SurfaceMesh(np.int64(1), 16.0, edges, faces, torus4.face_areas, np.int16(0))
+        assert (mesh.edges, mesh.faces) == (torus4.edges, torus4.faces)
+        values = [mesh.genus, mesh.vertex_count, mesh.basepoint, *chain(*mesh.edges), *chain(*chain(*mesh.faces))]
+        assert {type(v) for v in values} == {int}
+        loop = MeshLoop(np.int64(0), [[np.int32(0), 1.0], (np.uint8(1), np.int64(1))])
+        assert loop == MeshLoop(0, ((0, 1), (1, 1)))
+        assert {type(v) for v in chain(*loop.steps)} == {int}
+        assert ah.GammaRElement(2, np.array([1, 2, -1])) == ah.GammaRElement(2, (1, 2, -1))
+        assert ah.SurfaceWord(2, [1.0, np.int8(2)]).letters == (1, 2)
+        assert {type(v) for v in ah.SurfaceWord(2, (3.0, np.int64(4))).letters} == {int}
+
+    @pytest.mark.parametrize("bad", [True, 1.5])
+    @pytest.mark.parametrize("at", [0, 2, -1])
+    def test_bool_or_fraction_anywhere_raises(self, torus4, bad, at):
+        def replaced(pairs, slot):
+            pairs = [list(pair) for pair in pairs]
+            pairs[at][slot] = bad
+            return [tuple(pair) for pair in pairs]
+
+        def raises(what, build):
+            with pytest.raises(ValueError, match=rf"^{what} must be an integer, got {bad!r}$"):
+                build()
+
+        mesh = torus4
+        raises("mesh: an edge tail", lambda: ah.SurfaceMesh(
+            1, 16, replaced(mesh.edges, 0), mesh.faces, mesh.face_areas, 0))
+        raises("mesh: an edge head", lambda: ah.SurfaceMesh(
+            1, 16, replaced(mesh.edges, 1), mesh.faces, mesh.face_areas, 0))
+        faces = [list(face) for face in mesh.faces]
+        faces[at] = replaced(faces[at], 1)
+        raises("mesh: a face sign", lambda: ah.SurfaceMesh(1, 16, mesh.edges, faces, mesh.face_areas, 0))
+        steps = ah.alpha_loop(mesh).steps
+        raises("loop: a step edge", lambda: MeshLoop(0, replaced(steps, 0)))
+        raises("loop: a step sign", lambda: MeshLoop(0, replaced(steps, 1)))
+        letters = [1, 2, -1, -2, 3, 4, 1, 2]
+        letters[at] = bad
+        raises("word: a letter", lambda: ah.GammaRElement(2, letters))
+        raises("word: a letter", lambda: ah.SurfaceWord(2, letters))
