@@ -32,6 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+# clip_steps is public through this module
 from ._loopsteps import LoopSteps, clip_steps, first_fault, flat_steps, lifts, step_rows
 from .policy import DEFAULT_POLICY
 
@@ -176,6 +177,7 @@ class SurfaceMesh:
         self._basepoint_parents: Optional[list[tuple[int, int, int]]] = None
         self._area_potential: Optional[tuple[np.ndarray, float]] = None
         self._step_fluxes: Optional[np.ndarray] = None
+        self._step_tuples: Optional[tuple[tuple[int, int], ...]] = None
         self._period_fluxes: Optional[tuple[list[float], ...]] = None
         self._validate()
 
@@ -302,12 +304,6 @@ class SurfaceMesh:
 # ---------------------------------------------------------------------------
 # builders
 
-def _rotate_to_lowest_vertex(mesh_edges, steps: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    starts = [mesh_edges[e][0 if s > 0 else 1] for e, s in steps]
-    k = starts.index(min(starts))
-    return tuple(steps[k:] + steps[:k])
-
-
 def build_torus_mesh(N: int, face_areas=None) -> SurfaceMesh:
     """Periodic N x N square grid: N^2 vertices, 2N^2 edges, N^2 faces.
 
@@ -362,9 +358,6 @@ def beta_loop(mesh: SurfaceMesh) -> MeshLoop:
     return _derived_loop(mesh.basepoint, tuple((grid.v_edge(bx, by + j), 1) for j in range(grid.N)))
 
 
-_OCTAHEDRON_AXES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-
 def build_sphere_mesh(subdiv: int, face_areas=None) -> SurfaceMesh:
     """Octahedron with each triangular face subdivided subdiv^2 times.
 
@@ -375,61 +368,60 @@ def build_sphere_mesh(subdiv: int, face_areas=None) -> SurfaceMesh:
     """
     if subdiv < 1:
         raise ValueError("sphere mesh needs subdiv >= 1")
-    s = subdiv
-    vertex_ids: dict[tuple[int, int, int], int] = {}
-    triangles: list[tuple[int, int, int]] = []
-
-    def vid(key: tuple[int, int, int]) -> int:
-        if key not in vertex_ids:
-            vertex_ids[key] = len(vertex_ids)
-        return vertex_ids[key]
-
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            for s3 in (1, -1):
-                corners = [
-                    tuple(s1 * c for c in _OCTAHEDRON_AXES[0]),
-                    tuple(s2 * c for c in _OCTAHEDRON_AXES[1]),
-                    tuple(s3 * c for c in _OCTAHEDRON_AXES[2]),
-                ]
-                if s1 * s2 * s3 < 0:
-                    corners = [corners[0], corners[2], corners[1]]
-                a, b, c = corners
-
-                def point(i: int, j: int) -> int:
-                    w0 = s - i - j
-                    key = tuple(w0 * a[m] + i * b[m] + j * c[m] for m in range(3))
-                    return vid(key)  # type: ignore[arg-type]
-
-                for i in range(s):
-                    for j in range(s - i):
-                        triangles.append((point(i, j), point(i + 1, j), point(i, j + 1)))
-                        if i + j <= s - 2:
-                            triangles.append(
-                                (point(i + 1, j), point(i + 1, j + 1), point(i, j + 1))
-                            )
-
-    edge_ids: dict[tuple[int, int], int] = {}
-    edges: list[tuple[int, int]] = []
-
-    def eid(u: int, v: int) -> int:
-        key = (min(u, v), max(u, v))
-        if key not in edge_ids:
-            edge_ids[key] = len(edges)
-            edges.append(key)
-        return edge_ids[key]
-
-    faces = []
-    for u, v, w in triangles:
-        steps = []
-        for a_, b_ in ((u, v), (v, w), (w, u)):
-            steps.append((eid(a_, b_), 1 if a_ < b_ else -1))
-        faces.append(_rotate_to_lowest_vertex(edges, steps))
-
-    f = len(faces)
+    edges, faces, vertex_count = _sphere_complex(subdiv)
     if face_areas is None:
-        face_areas = np.full(f, 1.0 / f)
-    return SurfaceMesh(0, len(vertex_ids), edges, faces, face_areas, 0)
+        face_areas = np.full(len(faces), 1.0 / len(faces))
+    return SurfaceMesh(0, vertex_count, edges, faces, face_areas, 0)
+
+
+def _sphere_complex(s: int) -> tuple[tuple, tuple, int]:
+    """Edges, faces and vertex count of the builder sphere, in SurfaceMesh's
+    stored form, built in whole-array and dict passes.  The octants' triangles are
+    emitted in a fixed order: octant (s1, s2, s3) of corners A = s1 x,
+    B = s2 y, C = s3 z (B and C swapped where s1 s2 s3 < 0 keeps the
+    orientation outward), and in it, for i < s and j < s - i, the triangle
+    (i, j), (i + 1, j), (i, j + 1), then, where i + j <= s - 2, (i + 1, j),
+    (i + 1, j + 1), (i, j + 1).  Vertices and edges are numbered in the
+    order they first appear, each face's edges from corner to corner, an
+    edge pointing to its higher vertex, and every face starts at its lowest
+    vertex."""
+    i, j = np.nonzero(np.add.outer(np.arange(s), np.arange(s)) < s)
+    # per (i, j) its two triangles' corners (i', j'), the second only
+    # where i + j <= s - 2
+    up = np.stack((i, j, i + 1, j, i, j + 1), axis=1)
+    down = np.stack((i + 1, j, i + 1, j + 1, i, j + 1), axis=1)
+    emitted = np.stack((np.ones_like(i, bool), i + j <= s - 2), axis=1)
+    ci, cj = np.stack((up, down), axis=1)[emitted].reshape(-1, 3, 2).transpose(2, 0, 1)
+    # the integer coordinates (s - i - j) A + i B + j C of every corner,
+    # octant by octant, and one code per coordinate triple
+    signs = np.array([(s1, s2, s3) for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)])[:, :, None, None]
+    flipped = signs.prod(axis=1) < 0
+    x = signs[:, 0] * (s - ci - cj)
+    y = signs[:, 1] * np.where(flipped, cj, ci)
+    z = signs[:, 2] * np.where(flipped, ci, cj)
+    codes = ((x + s) * (2 * s + 1) + y + s) * (2 * s + 1) + z + s
+    vertices, distinct = _first_appearance(codes.ravel().tolist())
+    # each face's edges from corner to corner: (u, v), (v, w), (w, u)
+    tails = np.array(vertices).reshape(-1, 3)
+    heads = np.roll(tails, -1, axis=1)
+    low, high = np.minimum(tails, heads).ravel().tolist(), np.maximum(tails, heads).ravel().tolist()
+    edge_ids, edges = _first_appearance(list(zip(low, high)))
+    turn = (tails.argmin(axis=1)[:, None] + np.arange(3)) % 3
+    steps = zip(
+        np.take_along_axis(np.array(edge_ids).reshape(-1, 3), turn, axis=1).ravel().tolist(),
+        np.take_along_axis(np.where(tails < heads, 1, -1), turn, axis=1).ravel().tolist(),
+    )
+    return tuple(edges), tuple(zip(*[steps] * 3)), len(distinct)
+
+
+def _first_appearance(keys: list) -> tuple[list[int], list]:
+    """Each key's number among the distinct keys, numbered 0, 1, ... in
+    the order they first appear, and the distinct keys in that order.
+    (A dict keeps that order; numpy's unique would sort, and the first
+    sort of a process pages in about 0.5 MB of numpy's sorting code.)"""
+    distinct = list(dict.fromkeys(keys))
+    numbers = dict(zip(distinct, range(len(distinct))))
+    return list(map(numbers.__getitem__, keys)), distinct
 
 
 def _require_torus(mesh: SurfaceMesh) -> TorusGrid:
@@ -620,13 +612,17 @@ def random_loop(
     n_steps: int = 12,
     windings: Optional[tuple[int, int]] = None,
 ) -> MeshLoop:
-    """Random closed walk from the basepoint.
+    """Random closed walk from the basepoint, freely reduced.
 
     On a torus grid the loop is closed in the universal cover so its period
-    windings equal exactly the requested pair (default (0, 0)).  On a
-    sphere the walk is closed through spanning-tree ancestors of the 1-skeleton.
-    n_steps and the windings follow the rule of json_int, and n_steps must
-    not be negative.
+    windings equal exactly the requested pair (default (0, 0)); its n_steps
+    moves are one call of rng.integers.  On a sphere the walk is closed
+    through spanning-tree ancestors of the 1-skeleton, and each move is a
+    scalar draw among its vertex's edges.  Both walks cancel each backtrack
+    as they meet it, and their loops are bit for bit those of drawing one
+    move at a time and then reducing the steps with clip_steps.  Every step
+    is one of the mesh's own face tuples (_step_tuples).  n_steps and the
+    windings follow the rule of json_int, and n_steps must not be negative.
     """
     n_steps = _count_arg(n_steps, "random_loop: n_steps")
     if windings is not None:
@@ -641,58 +637,81 @@ def random_loop(
     return _random_sphere_loop(mesh, rng, n_steps)
 
 
-_TORUS_MOVES = ((1, 0), (-1, 0), (0, 1), (0, -1))
+def _step_tuples(mesh: SurfaceMesh) -> tuple[tuple[int, int], ...]:
+    """Cached (edge, sign) step of every step row (_loopsteps): the tuples
+    mesh.faces holds, edge e's in its plus_slot in row 2e and in its
+    minus_slot in row 2e + 1, so a walk built from them makes no tuple."""
+    if mesh._step_tuples is None:
+        slots = np.stack((mesh.plus_slot, mesh.minus_slot), axis=1).ravel().tolist()
+        mesh._step_tuples = tuple(map(tuple(chain.from_iterable(mesh.faces)).__getitem__, slots))
+    return mesh._step_tuples
 
 
 def _random_torus_loop(mesh, rng, n_steps, windings) -> MeshLoop:
+    """Moves 0, 1, 2, 3 step +x, -x, +y, -y, and move m ^ 1 undoes move m:
+    on a grid of N >= 2 these are the step pairs clip_steps deletes."""
     grid = _require_torus(mesh)
     n = grid.N
     p, q = windings
     bx, by = grid.vertex_xy(mesh.basepoint)
-    x, y = bx, by
-    steps: list[tuple[int, int]] = []
     # one draw of all moves gives the values of n_steps single draws
-    for move in rng.integers(4, size=n_steps).tolist():
-        dx, dy = _TORUS_MOVES[move]
-        steps.append(_torus_step(grid, x, y, dx, dy))
-        x += dx
-        y += dy
+    drawn = rng.integers(4, size=n_steps).tolist()
+    moves: list[int] = []
+    for move in drawn:
+        if moves and moves[-1] == move ^ 1:
+            moves.pop()
+        else:
+            moves.append(move)
+    # the closing runs to (bx + pN, by + qN), each first cancelling what it
+    # undoes at the top of the stack
+    x = bx + drawn.count(0) - drawn.count(1)
+    y = by + drawn.count(2) - drawn.count(3)
     tx, ty = bx + p * n, by + q * n
-    while x != tx:
-        dx = 1 if tx > x else -1
-        steps.append(_torus_step(grid, x, y, dx, 0))
-        x += dx
-    while y != ty:
-        dy = 1 if ty > y else -1
-        steps.append(_torus_step(grid, x, y, 0, dy))
-        y += dy
-    return _derived_loop(mesh.basepoint, clip_steps(steps))
-
-
-def _torus_step(grid: TorusGrid, x: int, y: int, dx: int, dy: int) -> tuple[int, int]:
-    if dx == 1:
-        return (grid.h_edge(x, y), 1)
-    if dx == -1:
-        return (grid.h_edge(x - 1, y), -1)
-    if dy == 1:
-        return (grid.v_edge(x, y), 1)
-    return (grid.v_edge(x, y - 1), -1)
+    for move, run in ((0 if tx > x else 1, abs(tx - x)), (2 if ty > y else 3, abs(ty - y))):
+        while run and moves and moves[-1] == move ^ 1:
+            moves.pop()
+            run -= 1
+        moves += [move] * run
+    # each move's step row: h(x, y), h(x - 1, y), v(x, y) or v(x, y - 1)
+    rows: list[int] = []
+    x, y, nn = bx, by, n * n
+    for move in moves:
+        if move == 0:
+            rows.append(2 * (x + n * y))
+            x = (x + 1) % n
+        elif move == 1:
+            x = (x - 1) % n
+            rows.append(2 * (x + n * y) + 1)
+        elif move == 2:
+            rows.append(2 * (nn + x + n * y))
+            y = (y + 1) % n
+        else:
+            y = (y - 1) % n
+            rows.append(2 * (nn + x + n * y) + 1)
+    return _derived_loop(mesh.basepoint, tuple(map(_step_tuples(mesh).__getitem__, rows)))
 
 
 def _random_sphere_loop(mesh, rng, n_steps) -> MeshLoop:
     adj = mesh.vertex_steps()
     parent = mesh._basepoint_tree()
     here = mesh.basepoint
-    steps: list[tuple[int, int]] = []
+    # step rows, rows r and r ^ 1 cancelling as clip_steps cancels their steps
+    rows: list[int] = []
+
+    def take(e, s):
+        row = 2 * e + (s < 0)
+        if rows and rows[-1] == row ^ 1:
+            rows.pop()
+        else:
+            rows.append(row)
+
     for _ in range(n_steps):
-        e, s, w = adj[here][rng.integers(len(adj[here]))]
-        steps.append((e, s))
-        here = w
+        e, s, here = adj[here][rng.integers(len(adj[here]))]
+        take(e, s)
     while here != mesh.basepoint:
-        e, s, v = parent[here]
-        steps.append((e, s))
-        here = v
-    return _derived_loop(mesh.basepoint, clip_steps(steps))
+        e, s, here = parent[here]
+        take(e, s)
+    return _derived_loop(mesh.basepoint, tuple(map(_step_tuples(mesh).__getitem__, rows)))
 
 
 def random_homotopic_pair(
@@ -702,8 +721,9 @@ def random_homotopic_pair(
     winding_range: int = 1,
 ) -> tuple[MeshLoop, MeshLoop]:
     """Two independent random loops in the same homotopy class, with torus
-    windings drawn from -winding_range .. winding_range.  The arguments
-    follow the rule of json_int and must not be negative."""
+    windings drawn from -winding_range .. winding_range, the loops of two
+    random_loop calls.  The arguments follow the rule of json_int and must
+    not be negative; they are checked before anything is drawn."""
     n_steps = _count_arg(n_steps, "random_homotopic_pair: n_steps")
     winding_range = _count_arg(winding_range, "random_homotopic_pair: winding_range")
     if mesh.genus == 1:
@@ -711,11 +731,8 @@ def random_homotopic_pair(
             int(rng.integers(-winding_range, winding_range + 1)),
             int(rng.integers(-winding_range, winding_range + 1)),
         )
-        return (
-            random_loop(mesh, rng, n_steps, windings=w),
-            random_loop(mesh, rng, n_steps, windings=w),
-        )
-    return (random_loop(mesh, rng, n_steps), random_loop(mesh, rng, n_steps))
+        return (_random_torus_loop(mesh, rng, n_steps, w), _random_torus_loop(mesh, rng, n_steps, w))
+    return (_random_sphere_loop(mesh, rng, n_steps), _random_sphere_loop(mesh, rng, n_steps))
 
 
 def _count_arg(value, what: str) -> int:

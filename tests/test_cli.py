@@ -293,6 +293,22 @@ class TestVerify:
         assert data["max_residual"] < 1e-6
         assert len(data["rows"]) == 20
 
+    # sha256 of the --json table of 20 random pairs, whose areas and
+    # residuals follow every drawn loop: a change to how the pairs are
+    # drawn must leave them as they are
+    @pytest.mark.parametrize("mesh, solve_args, table_sha", [
+        ("torus:8", ["--seed", "7"], "44512f7317b68ce607c59d94578c4710710c4743aa08d31ddd43a425f4cfa339"),
+        ("sphere:2", ["--seed", "2", "--eps", "0.1"],
+         "94998917a540849bcf3cfc22c0d52a9751a7067117639b61080d5326e040432c"),
+    ], ids=["torus:8", "sphere:2"])
+    def test_pinned_random_pairs(self, runner, tmp_path, mesh, solve_args, table_sha):
+        out, rep = str(tmp_path / "f.json"), str(tmp_path / "r.json")
+        assert run(runner, ["solve", "--mesh", mesh, "--flux", "1", *solve_args,
+                            "--out", out, "--report", rep]).exit_code == 0
+        result = run(runner, ["verify", "--field", out, "--random", "20", "--seed", "5", "--json"])
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == table_sha
+
     def test_perturbed_fails(self, runner, solved):
         result = runner.invoke(cli, ["verify", "--field", solved, "--random", "10",
                                      "--seed", "5", "--perturb", "0.1"])

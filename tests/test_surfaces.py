@@ -200,6 +200,45 @@ class TestSphereMesh:
         assert len(mesh.edges) == 12 * s * s
         assert len(mesh.faces) == 8 * s * s
 
+    @pytest.mark.parametrize("s", range(1, 9))
+    def test_array_build_equals_the_per_vertex_build(self, s):
+        mesh = ah.build_sphere_mesh(s)
+        assert (mesh.vertex_count, mesh.edges, mesh.faces) == walk_sphere_complex(s)
+
+
+def walk_sphere_complex(s):
+    """The builder sphere's vertex count, edges and faces, built vertex by
+    vertex and edge by edge as they are first met."""
+    vertex_ids, triangles = {}, []
+    for s1 in (1, -1):
+        for s2 in (1, -1):
+            for s3 in (1, -1):
+                a, b, c = (s1, 0, 0), (0, s2, 0), (0, 0, s3)
+                if s1 * s2 * s3 < 0:
+                    b, c = c, b
+
+                def point(i, j):
+                    key = tuple((s - i - j) * a[m] + i * b[m] + j * c[m] for m in range(3))
+                    return vertex_ids.setdefault(key, len(vertex_ids))
+
+                for i in range(s):
+                    for j in range(s - i):
+                        triangles.append((point(i, j), point(i + 1, j), point(i, j + 1)))
+                        if i + j <= s - 2:
+                            triangles.append((point(i + 1, j), point(i + 1, j + 1), point(i, j + 1)))
+    edge_ids, edges, faces = {}, [], []
+    for u, v, w in triangles:
+        steps = []
+        for tail, head in ((u, v), (v, w), (w, u)):
+            key = (min(tail, head), max(tail, head))
+            if key not in edge_ids:
+                edge_ids[key] = len(edges)
+                edges.append(key)
+            steps.append((edge_ids[key], 1 if tail < head else -1))
+        k = [u, v, w].index(min(u, v, w))
+        faces.append(tuple(steps[k:] + steps[:k]))
+    return len(vertex_ids), tuple(edges), tuple(faces)
+
 
 class TestEnclosedArea:
     def test_constant_loop(self, torus4, sphere1):
@@ -615,6 +654,17 @@ class TestIntegerSlots:
 # reference: the per-step walks that the array kernels replaced
 
 
+def torus_step(grid, x, y, dx, dy):
+    """The (edge, sign) step of the unit move (dx, dy) from (x, y)."""
+    if dx == 1:
+        return (grid.h_edge(x, y), 1)
+    if dx == -1:
+        return (grid.h_edge(x - 1, y), -1)
+    if dy == 1:
+        return (grid.v_edge(x, y), 1)
+    return (grid.v_edge(x, y - 1), -1)
+
+
 def walk_random_loop(mesh, rng, n_steps=12, windings=None):
     """random_loop drawing one move at a time, with the sphere's spanning
     tree rebuilt on every call."""
@@ -624,15 +674,15 @@ def walk_random_loop(mesh, rng, n_steps=12, windings=None):
         x, y, steps = bx, by, []
         for _ in range(n_steps):
             dx, dy = ((1, 0), (-1, 0), (0, 1), (0, -1))[rng.integers(4)]
-            steps.append(ah.surfaces._torus_step(grid, x, y, dx, dy))
+            steps.append(torus_step(grid, x, y, dx, dy))
             x, y = x + dx, y + dy
         while x != bx + p * grid.N:
             dx = 1 if bx + p * grid.N > x else -1
-            steps.append(ah.surfaces._torus_step(grid, x, y, dx, 0))
+            steps.append(torus_step(grid, x, y, dx, 0))
             x += dx
         while y != by + q * grid.N:
             dy = 1 if by + q * grid.N > y else -1
-            steps.append(ah.surfaces._torus_step(grid, x, y, 0, dy))
+            steps.append(torus_step(grid, x, y, 0, dy))
             y += dy
         return MeshLoop(mesh.basepoint, ah.clip_steps(steps))
     adj = mesh.vertex_steps()
@@ -762,6 +812,21 @@ class TestLoopKernelOracles:
             ah.loop_from_json({"base": -1e308, "steps": []})
 
 
+@st.composite
+def meshes_for_walks(draw):
+    """A builder torus (N 2..8 or 32) or sphere (S 1..3) at any basepoint,
+    as built or as mesh_from_json reads it back, with its own face tuples."""
+    torus = draw(st.booleans())
+    size = draw(st.sampled_from([*range(2, 9), 32]) if torus else st.integers(1, 3))
+    mesh = (ah.build_torus_mesh if torus else ah.build_sphere_mesh)(size)
+    basepoint = draw(st.integers(0, mesh.vertex_count - 1))
+    if draw(st.booleans()):
+        return rebased(mesh, basepoint)
+    obj = ah.mesh_to_json(mesh)
+    obj["basepoint"] = basepoint
+    return ah.mesh_from_json(obj)
+
+
 class TestRandomLoopOracle:
     """random_loop and random_homotopic_pair give the loops, and leave the
     generator in the state, of drawing one move at a time."""
@@ -783,6 +848,27 @@ class TestRandomLoopOracle:
             else:
                 assert pair == (walk_random_loop(mesh, ref), walk_random_loop(mesh, ref))
             assert rng.bit_generator.state == ref.bit_generator.state
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        meshes_for_walks(),
+        st.integers(0, 40),
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_any_mesh_basepoint_and_windings(self, mesh, n_steps, windings, seed):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        windings = windings if mesh.genus == 1 else None
+        loop = ah.random_loop(mesh, rng, n_steps, windings)
+        assert loop == walk_random_loop(mesh, ref, n_steps, windings)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        pair = ah.random_homotopic_pair(mesh, rng, n_steps, winding_range=3)
+        w = (int(ref.integers(-3, 4)), int(ref.integers(-3, 4))) if mesh.genus == 1 else None
+        assert pair == (walk_random_loop(mesh, ref, n_steps, w), walk_random_loop(mesh, ref, n_steps, w))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        # every step is one of the mesh's own face tuples
+        face_steps = {id(step) for face in mesh.faces for step in face}
+        assert all(id(step) in face_steps for step in chain(loop.steps, *(l.steps for l in pair)))
 
 
 # ---------------------------------------------------------------------------
