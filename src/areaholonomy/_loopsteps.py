@@ -5,8 +5,8 @@ operations from.
 A layout (LoopSteps) is one edge array, one sign array, each step's row
 and the per-loop offsets into them.  A step (e, s) has row 2e for s = +1
 and 2e + 1 for s = -1 in every per-step table: a mesh's step_ends (where
-the step starts and ends), grid_moves (its move on a torus grid), the
-surfaces module's fluxes of the area potential and the matrices of
+the step starts and ends), a torus grid's step_moves (its move on the
+grid), a mesh's fluxes of its area potential and the matrices of
 step_table, so the kernels gather a step's data by its row instead of
 swapping or negating by its sign.  Loops a caller names are laid out per
 call, and every SurfaceMesh lays out its face boundaries once
@@ -16,13 +16,12 @@ retraced steps, lifts walks their lifts to a torus grid's universal
 cover with integer prefix sums, and prefixes multiplies the step
 matrices of every loop, one step position of all loops at a time, in the
 order a loop over the steps would multiply them (schedule).  The kernels
-read a mesh's step_ends and counts and a grid's N, and import from the
-package only liecore's product kernel.
+read a mesh's step_ends and counts and the step tables they are handed,
+and import from the package only liecore's product kernel.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import chain
 from typing import NamedTuple, Optional, Sequence
 
@@ -50,9 +49,10 @@ class LoopSteps(NamedTuple):
     """The steps of K loops laid out flat.
 
     Loop k is based at bases[k] and takes the steps (edges[i], signs[i])
-    for starts[k] <= i < starts[k] + lengths[k]; rows[i] is step i's row,
-    2 edges[i] + (signs[i] < 0).  The row of an edge beyond the mesh names
-    no table row, and only first_fault, which reports it, may read it.
+    for starts[k] <= i < starts[k] + lengths[k], the loops one after
+    another in order; rows[i] is step i's row, 2 edges[i] + (signs[i] < 0).
+    The row of an edge beyond the mesh names no table row, and only
+    first_fault, which reports it, may read it.
     """
 
     bases: np.ndarray
@@ -61,11 +61,6 @@ class LoopSteps(NamedTuple):
     edges: np.ndarray
     signs: np.ndarray
     rows: np.ndarray
-
-    def take(self, loops) -> "LoopSteps":
-        """The layout of some of the loops (an index array or a slice),
-        sharing the step arrays."""
-        return self._replace(bases=self.bases[loops], starts=self.starts[loops], lengths=self.lengths[loops])
 
 
 def flat_steps(bases: Sequence[int], step_lists: Sequence[tuple[tuple[int, int], ...]]) -> LoopSteps:
@@ -148,15 +143,10 @@ def reduced(steps: LoopSteps) -> LoopSteps:
     is reduced already, and those pairs are found without a walk."""
     edges, signs = steps.edges, steps.signs
     # flat steps i and i + 1 cancel (rows 2e and 2e + 1), for i in these,
-    # and step i + 1 starts no loop (two of a mesh's faces can share an
-    # edge there)
+    # and step i + 1 starts no loop, so both lie in one loop (two of a
+    # mesh's faces can share an edge there)
     cancelling = steps.rows[1:] == steps.rows[:-1] ^ 1
     cancelling[steps.starts[(steps.starts > 0) & (steps.starts < len(edges))] - 1] = False
-    if np.any(cancelling):
-        # and both steps lie in one loop, as a take may leave them not:
-        # start <= i < start + length - 1
-        size, lasts = len(edges) + 1, steps.starts + np.maximum(steps.lengths - 1, 0)
-        cancelling &= np.cumsum(np.bincount(steps.starts, minlength=size) - np.bincount(lasts, minlength=size))[:-2] > 0
     if not np.any(cancelling):
         return steps
     spans = zip(steps.starts.tolist(), steps.lengths.tolist())
@@ -164,32 +154,21 @@ def reduced(steps: LoopSteps) -> LoopSteps:
     return flat_steps(steps.bases.tolist(), step_lists)
 
 
-@lru_cache(maxsize=8)
-def grid_moves(n_grid: int) -> np.ndarray:
-    """The moves dx (row 0) and dy (row 1) of every step row on an n_grid x
-    n_grid torus grid, whose edges below n_grid^2 point in +x and the
-    others in +y (read-only, cached per grid size)."""
-    half = 2 * n_grid * n_grid
-    moves = np.zeros((2, 2 * half), np.intp)
-    moves[0, :half] = moves[1, half:] = np.tile((1, -1), n_grid * n_grid)
-    moves.setflags(write=False)
-    return moves
-
-
-def lifts(n_grid: int, steps: LoopSteps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each loop's lift to the universal cover of an n_grid x n_grid torus
-    grid: its net displacement (dx, dy) and the discrete Green's cell sum,
-    the sum over vertical steps of s * x with x the lift's column counted
-    from the base.  For a closed lift that sum is the total winding number
-    of all cells around it.  All three come from integer prefix sums over
-    the flat steps' moves (grid_moves), so they are exact."""
+def lifts(moves: np.ndarray, steps: LoopSteps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each loop's lift to the universal cover of a torus grid whose step
+    rows move by moves (TorusGrid.step_moves: dx in row 0, dy in row 1):
+    its net displacement (dx, dy) and the discrete Green's cell sum, the
+    sum over vertical steps of s * x with x the lift's column counted from
+    the base.  For a closed lift that sum is the total winding number of
+    all cells around it.  All three come from integer prefix sums over the
+    flat steps' moves, so they are exact."""
     starts, ends = steps.starts, steps.starts + steps.lengths
     # every step's move, gathered in place after a leading 0 (numpy
     # buffers a gather into out unless its mode is clip, which leaves the
     # rows of valid loops as they are)
     column, row = np.zeros((2, len(steps.rows) + 1), np.intp)
-    for moves, out in zip(grid_moves(n_grid), (column, row)):
-        moves.take(steps.rows, out=out[1:], mode="clip")
+    for axis_moves, out in zip(moves, (column, row)):
+        axis_moves.take(steps.rows, out=out[1:], mode="clip")
     # column[i + 1]: the lift's column after flat step i, counted from flat
     # step 0
     column.cumsum(out=column)

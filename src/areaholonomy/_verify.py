@@ -45,9 +45,9 @@ def verify_pairs(field, pairs, lam: Optional[np.ndarray] = None) -> list:
             if lam is None:
                 lam = basepoint_curvature(field)
             l1s = 2 * np.array(measured, dtype=np.intp)
-            h = holonomies(field.U, steps.take(np.concatenate((l1s, l1s + 1))))
+            h = holonomies(field.U, steps)
             deltas = np.array([block[i] for i in measured])
-            residuals = area_residuals(h[: len(l1s)], h[len(l1s):], deltas, lam)
+            residuals = area_residuals(h[l1s], h[l1s + 1], deltas, lam)
             for i, residual in zip(measured, residuals.tolist()):
                 block[i] = (block[i], residual)
         rows += block

@@ -45,7 +45,6 @@ from .surfaces import (
     _checked_steps,
     _derived_loop,
     _loop_areas,
-    area_potential,
     face_boundary_loop,
     integrate_faces,
     json_int,
@@ -177,7 +176,6 @@ class _Engine:
         self.minus_at = mesh.minus_slot - layout.starts[mesh.minus_face]
         face_edges = np.append(layout.edges, 0)[self.face_slots]
         self.neighbours = np.concatenate((face_edges[mesh.plus_face], face_edges[mesh.minus_face]), axis=1)
-        self._blocks: Optional[tuple[FaceLogs, np.ndarray, np.ndarray]] = None
 
     def plaquettes(self, U: np.ndarray) -> np.ndarray:
         """The holonomy of every face boundary, from its start vertex."""
@@ -234,21 +232,17 @@ class _Engine:
         coords = (images.swapaxes(-1, -2).reshape(-1, n * n) @ basis.conj().T).real
         return coords.reshape(len(r), n * n, n * n).swapaxes(-1, -2) * signs[:, None, None]
 
-    def _face_blocks(self, logs: FaceLogs) -> tuple[np.ndarray, np.ndarray]:
+    def face_blocks(self, logs: FaceLogs) -> tuple[np.ndarray, np.ndarray]:
         """K_f^T (F, M n^2, n^2) and K_f / A_f (F, n^2, M n^2) of every
         face, its slot_blocks padded with zero blocks to the longest face M.
-        They depend on the logs only, not on mu or curvature, so the pair of
-        the last logs is kept until levenberg_marquardt's solve ends, and
-        its Gauss-Newton rebuild does not build them again."""
-        if self._blocks is None or self._blocks[0] is not logs:
-            faces, width = self.face_slots.shape
-            d = logs.x.shape[-1] ** 2
-            kt = np.concatenate((self.slot_blocks(logs).swapaxes(-1, -2), np.zeros((1, d, d))))
-            kt = kt[self.face_slots].reshape(faces, width * d, d)
-            self._blocks = (logs, kt, kt.swapaxes(-1, -2) / self.areas[:, None, None])
-        return self._blocks[1:]
+        They depend on the logs only, not on mu or curvature."""
+        faces, width = self.face_slots.shape
+        d = logs.x.shape[-1] ** 2
+        kt = np.concatenate((self.slot_blocks(logs).swapaxes(-1, -2), np.zeros((1, d, d))))
+        kt = kt[self.face_slots].reshape(faces, width * d, d)
+        return kt, kt.swapaxes(-1, -2) / self.areas[:, None, None]
 
-    def normal_operator(self, logs: FaceLogs, mu: float, curvature: bool):
+    def normal_operator(self, logs: FaceLogs, blocks: tuple[np.ndarray, np.ndarray], mu: float, curvature: bool):
         """c -> (H / 2 + mu I) c on the edges' u(n) coordinates c (E, n^2):
         H is the Hessian of Z -> S(exp(Z) U), or with curvature False its
         Gauss-Newton part 2 J^T W J, W = diag(1 / A_f).
@@ -263,15 +257,16 @@ class _Engine:
         at n = 1 (D^T W D).  On a pair's two coordinates w is one weight and
         <X_f, [A, B]> = a^T Omega b, Omega = [[0, d], [-d, 0]].  So face f's
         Gram block (j, k) is K_j^T (w + sign(k - j) Omega / 2) K_k / A_f,
-        K_f padded with zero blocks to the longest face M; each edge gets
-        its rows at its two slots, (E, n^2, 2 M n^2), and mu is folded into
-        the diagonal.  One application is then one gather of the faces'
-        edge coordinates and one batched real matmul.
+        with K_f padded with zero blocks to the longest face M, as blocks,
+        face_blocks(logs), holds it; each edge gets its rows at its two
+        slots, (E, n^2, 2 M n^2), and mu is folded into the diagonal.  One
+        application is then one gather of the faces' edge coordinates and
+        one batched real matmul.
         """
         mesh, n, plus_at, neighbours = self.mesh, logs.x.shape[-1], self.plus_at, self.neighbours
         faces, width = self.face_slots.shape
         d = n * n
-        kt, k = self._face_blocks(logs)
+        kt, k = blocks
         a, b = np.triu_indices(n, 1)
         gap = logs.theta[:, a] - logs.theta[:, b]
         scale = 1 / np.sinc(gap / (2 * np.pi))
@@ -301,6 +296,8 @@ class _Engine:
         meets non-positive curvature the model is not convex, and the
         solve is redone on the Gauss-Newton operator J^T W J + mu I, whose
         exp(-Z) U_e minimises sum_f ||X_f - J_f Z||^2 / A_f + mu ||Z||^2.
+        Both operators are built from one face_blocks(logs).  CG stops
+        after as many iterations as there are coordinates.
 
         At n = 1 every face log is linear in the edge angles on the
         principal branch (J = D, the signed face-edge incidence), so the
@@ -314,17 +311,17 @@ class _Engine:
         exact = n == 1
         basis = _u_basis(n)
         b = (rhs.reshape(len(rhs), -1) @ basis.conj().T).real
-        apply = self.normal_operator(logs, 0.0 if exact else mu, True)
-        c, indefinite = _conjugate_gradients(apply, b, 1e-14 if exact else 1e-2, b.size)
+        blocks = self.face_blocks(logs)
+        apply = self.normal_operator(logs, blocks, 0.0 if exact else mu, True)
+        c, indefinite = _conjugate_gradients(apply, b, 1e-14 if exact else 1e-2)
         if indefinite and not exact:
-            c, _ = _conjugate_gradients(self.normal_operator(logs, mu, False), b, 1e-2, b.size)
-        self._blocks = None
+            c, _ = _conjugate_gradients(self.normal_operator(logs, blocks, mu, False), b, 1e-2)
         return (c @ basis).reshape(rhs.shape)
 
 
-def _conjugate_gradients(apply, b: np.ndarray, rtol: float, max_iter: int) -> tuple[np.ndarray, bool]:
+def _conjugate_gradients(apply, b: np.ndarray, rtol: float) -> tuple[np.ndarray, bool]:
     """Conjugate gradients for A s = b, with A = apply symmetric on real
-    arrays.  Stops at relative residual rtol or after max_iter iterations,
+    arrays.  Stops at relative residual rtol or after b.size iterations,
     and returns s with False; stops when p A p is not positive, and
     returns the iterate so far with True: A is then not positive definite
     on the Krylov space."""
@@ -333,7 +330,7 @@ def _conjugate_gradients(apply, b: np.ndarray, rtol: float, max_iter: int) -> tu
     p = res.copy()
     rr = np.vdot(res, res)
     stop = rtol * rtol * rr
-    for _ in range(max_iter):
+    for _ in range(b.size):
         if rr <= stop:
             break
         ap = apply(p)
@@ -641,7 +638,7 @@ def shrinking_loop_curvature(
     h = holonomies(field.U, steps)
     lam = logm_raw(h[0]) / mesh.face_areas[corner_face]
     eye = np.eye(field.n)
-    areas = _loop_areas(mesh, steps.take(slice(1, None)))
+    areas = _loop_areas(mesh, steps)[1:]
     return [(float(area), float(np.linalg.norm((h_k - eye) / area - lam))) for area, h_k in zip(areas, h[1:])]
 
 
@@ -707,7 +704,7 @@ def _torus_field(mesh: SurfaceMesh, rep: YangMillsRep) -> GaugeField:
     vertical = values[n_grid * n_grid:].reshape(n_grid, n_grid, rep.n, rep.n)
     vertical[:] = columns
     vertical[-1] = columns @ b
-    theta, _ = area_potential(mesh)
+    theta, _ = mesh.area_potential
     return GaugeField(mesh, values @ expm_raw(theta[:, None, None] * lam))
 
 

@@ -5,12 +5,16 @@ subdivided-octahedron spheres (genus 0).  Only torus meshes carry a grid
 (TorusGrid), which mesh_from_json re-detects; nothing about a sphere mesh
 needs one.  Face-to-edge integration is one primitive, integrate_faces: an
 exact solve of D theta = target along a spanning tree of the dual graph.
-Enclosed area is the loop integral of one cached edge potential of the face
-areas; on the torus the loop's lift to the universal cover gives both the
-period windings and, by a discrete Green's theorem, the uniform part of the
-area.  One primitive, _loop_lifts, gives every loop's lift and flux in one
-pass; enclosed_area and words.loop_class both read it.  No floating-point
-geometry is involved.
+Enclosed area is the loop integral of one edge potential of the face
+areas (SurfaceMesh.area_potential); on the torus the loop's lift to the
+universal cover gives both the period windings and, by a discrete Green's
+theorem, the uniform part of the area.  One primitive, _loop_lifts, gives
+every loop's lift and flux in one pass; enclosed_area and words.loop_class
+both read it.  No floating-point geometry is involved.
+
+Every table a mesh derives from its own data (the potential, its per-step
+fluxes, the spanning trees, a grid's step moves) is a cached_property of
+the mesh or its TorusGrid: computed once, on first use, and kept with it.
 
 Loops are checked, walked and integrated as arrays: the steps of many
 loops are laid out flat (_loopsteps), and validate_loop, torus_windings
@@ -26,7 +30,7 @@ import numbers
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import accumulate, chain
 from typing import Optional, Sequence
 
@@ -87,6 +91,17 @@ class TorusGrid:
     def face(self, x: int, y: int) -> int:
         n = self.N
         return (x % n) + n * (y % n)
+
+    @cached_property
+    def step_moves(self) -> np.ndarray:
+        """The moves dx (row 0) and dy (row 1) of every step row
+        (_loopsteps): +-1 in dx for the horizontal edges h, below N^2, and
+        in dy for the vertical ones (read-only)."""
+        half = 2 * self.N * self.N
+        moves = np.zeros((2, 2 * half), np.intp)
+        moves[0, :half] = moves[1, half:] = np.tile((1, -1), self.N * self.N)
+        moves.setflags(write=False)
+        return moves
 
 
 @dataclass(frozen=True)
@@ -172,13 +187,6 @@ class SurfaceMesh:
         self.face_areas.setflags(write=False)
         self.basepoint = json_int(basepoint, "mesh: basepoint")
         self.grid = grid
-        self._adjacency: Optional[list[list[tuple[int, int, int]]]] = None
-        self._dual_tree: Optional[list[tuple[int, int, int, int]]] = None
-        self._basepoint_parents: Optional[list[tuple[int, int, int]]] = None
-        self._area_potential: Optional[tuple[np.ndarray, float]] = None
-        self._step_fluxes: Optional[np.ndarray] = None
-        self._step_tuples: Optional[tuple[tuple[int, int], ...]] = None
-        self._period_fluxes: Optional[tuple[list[float], ...]] = None
         self._validate()
 
     # -- derived queries ---------------------------------------------------
@@ -190,56 +198,105 @@ class SurfaceMesh:
     def face_start_vertex(self, face: int) -> int:
         return int(self.face_steps.bases[face])
 
+    @cached_property
     def vertex_steps(self) -> list[list[tuple[int, int, int]]]:
         """Adjacency: per vertex, outgoing (edge, sign, neighbor) steps."""
-        if self._adjacency is None:
-            adj: list[list[tuple[int, int, int]]] = [[] for _ in range(self.vertex_count)]
-            for e, (t, h) in enumerate(self.edges):
-                adj[t].append((e, 1, h))
-                adj[h].append((e, -1, t))
-            self._adjacency = adj
-        return self._adjacency
+        adj: list[list[tuple[int, int, int]]] = [[] for _ in range(self.vertex_count)]
+        for e, (t, h) in enumerate(self.edges):
+            adj[t].append((e, 1, h))
+            adj[h].append((e, -1, t))
+        return adj
 
+    @cached_property
     def dual_tree(self) -> list[tuple[int, int, int, int]]:
         """BFS spanning tree of the dual graph, rooted at face 0.
 
         One (face, parent face, edge shared with the parent, sign of that
         edge in the face's boundary) row per non-root face, in BFS order.
         """
-        if self._dual_tree is None:
-            plus, minus = self.plus_face.tolist(), self.minus_face.tolist()
-            tree: list[tuple[int, int, int, int]] = []
-            seen = [False] * len(self.faces)
-            seen[0] = True
-            queue = [0]
-            for f_idx in queue:
-                for e, s in self.faces[f_idx]:
-                    g = minus[e] if s > 0 else plus[e]
-                    if not seen[g]:
-                        seen[g] = True
-                        tree.append((g, f_idx, e, -s))
-                        queue.append(g)
-            self._dual_tree = tree
-        return self._dual_tree
+        plus, minus = self.plus_face.tolist(), self.minus_face.tolist()
+        tree: list[tuple[int, int, int, int]] = []
+        seen = [False] * len(self.faces)
+        seen[0] = True
+        queue = [0]
+        for f_idx in queue:
+            for e, s in self.faces[f_idx]:
+                g = minus[e] if s > 0 else plus[e]
+                if not seen[g]:
+                    seen[g] = True
+                    tree.append((g, f_idx, e, -s))
+                    queue.append(g)
+        return tree
 
+    @cached_property
     def _basepoint_tree(self) -> list[tuple[int, int, int]]:
         """BFS spanning tree of the 1-skeleton, rooted at the basepoint.
 
         Per vertex, the (edge, sign, vertex) step taking it one level
         closer to the basepoint; the basepoint's own row is (-1, 0, -1).
         """
-        if self._basepoint_parents is None:
-            adj = self.vertex_steps()
-            parent: list[Optional[tuple[int, int, int]]] = [None] * self.vertex_count
-            parent[self.basepoint] = (-1, 0, -1)
-            queue = [self.basepoint]
-            for v in queue:
-                for e, s, w in adj[v]:
-                    if parent[w] is None:
-                        parent[w] = (e, -s, v)
-                        queue.append(w)
-            self._basepoint_parents = parent
-        return self._basepoint_parents
+        adj = self.vertex_steps
+        parent: list[Optional[tuple[int, int, int]]] = [None] * self.vertex_count
+        parent[self.basepoint] = (-1, 0, -1)
+        queue = [self.basepoint]
+        for v in queue:
+            for e, s, w in adj[v]:
+                if parent[w] is None:
+                    parent[w] = (e, -s, v)
+                    queue.append(w)
+        return parent
+
+    @cached_property
+    def area_potential(self) -> tuple[np.ndarray, float]:
+        """Edge potential theta of the face areas (read-only) and the
+        density it leaves out.
+
+        Torus: D theta = areas - density on every face, with density the mean
+        face area, and theta is exactly 0 for uniform areas.  Sphere: D theta =
+        areas - (total area) on face 0, and density is 0.
+        """
+        areas = self.face_areas
+        if self.genus == 1:
+            deviation = areas - 1.0 / len(areas)
+            # face areas sum to 1 only within area_sum_tol
+            offset = float(np.mean(deviation))
+            target, density = deviation - offset, 1.0 / len(areas) + offset
+        else:
+            target, density = areas.copy(), 0.0
+            target[0] -= np.sum(areas)
+        theta = integrate_faces(self, target)
+        theta.setflags(write=False)
+        return theta, density
+
+    @cached_property
+    def _step_fluxes(self) -> np.ndarray:
+        """Flux of area_potential across every step row (_loopsteps):
+        theta[e] in row 2e and -theta[e] in row 2e + 1, theta[e] * s exactly
+        (read-only)."""
+        theta = self.area_potential[0]
+        fluxes = np.stack((theta, -theta), axis=1).reshape(-1)
+        fluxes.setflags(write=False)
+        return fluxes
+
+    @cached_property
+    def _step_tuples(self) -> tuple[tuple[int, int], ...]:
+        """The (edge, sign) step of every step row (_loopsteps): the tuples
+        faces holds, edge e's in its plus_slot in row 2e and in its
+        minus_slot in row 2e + 1, so a walk built from them makes no tuple."""
+        slots = np.stack((self.plus_slot, self.minus_slot), axis=1).ravel().tolist()
+        return tuple(map(tuple(chain.from_iterable(self.faces)).__getitem__, slots))
+
+    @cached_property
+    def _period_fluxes(self) -> tuple[list[float], ...]:
+        """Flux terms of area_potential, one per step, along alpha_loop, its
+        inverse, beta_loop and its inverse, as a walk along their steps takes
+        them.  Torus grid meshes only."""
+        theta = self.area_potential[0].tolist()
+        fluxes = []
+        for cycle in (alpha_loop(self), beta_loop(self)):
+            terms = [theta[e] * s for e, s in cycle.steps]
+            fluxes += [terms, [-v for v in reversed(terms)]]
+        return tuple(fluxes)
 
     # -- validation ---------------------------------------------------------
 
@@ -297,7 +354,7 @@ class SurfaceMesh:
             array.setflags(write=False)
         # every edge borders a face, so with no isolated vertex a connected
         # dual graph makes the whole complex connected
-        if len(set(endpoints)) < v or len(self.dual_tree()) != f - 1:
+        if len(set(endpoints)) < v or len(self.dual_tree) != f - 1:
             raise ValueError("the complex is not connected")
 
 
@@ -463,7 +520,7 @@ def validate_loop(mesh: SurfaceMesh, loop: MeshLoop) -> list[int]:
 def torus_windings(mesh: SurfaceMesh, loop: MeshLoop) -> tuple[int, int]:
     """Period winding numbers (p, q): signed crossings of the two cut cycles."""
     grid = _require_torus(mesh)
-    dx, dy, _ = lifts(grid.N, _checked_steps(mesh, [loop]))
+    dx, dy, _ = lifts(grid.step_moves, _checked_steps(mesh, [loop]))
     return (int(dx[0]) // grid.N, int(dy[0]) // grid.N)
 
 
@@ -499,56 +556,10 @@ def integrate_faces(mesh: SurfaceMesh, target) -> np.ndarray:
         raise ValueError(f"face targets sum to {np.sum(target):.3e}, not to zero")
     subtree = target.tolist()
     theta = np.zeros(len(mesh.edges))
-    for face, parent, edge, sign in reversed(mesh.dual_tree()):
+    for face, parent, edge, sign in reversed(mesh.dual_tree):
         theta[edge] = sign * subtree[face]
         subtree[parent] += subtree[face]
     return theta
-
-
-def area_potential(mesh: SurfaceMesh) -> tuple[np.ndarray, float]:
-    """Cached edge potential theta of the face areas and the density it leaves out.
-
-    Torus: D theta = areas - density on every face, with density the mean
-    face area, and theta is exactly 0 for uniform areas.  Sphere: D theta =
-    areas - (total area) on face 0, and density is 0.
-    """
-    if mesh._area_potential is None:
-        areas = mesh.face_areas
-        if mesh.genus == 1:
-            deviation = areas - 1.0 / len(areas)
-            # face areas sum to 1 only within area_sum_tol
-            offset = float(np.mean(deviation))
-            target, density = deviation - offset, 1.0 / len(areas) + offset
-        else:
-            target, density = areas.copy(), 0.0
-            target[0] -= np.sum(areas)
-        mesh._area_potential = (integrate_faces(mesh, target), density)
-    return mesh._area_potential
-
-
-def _step_fluxes(mesh: SurfaceMesh) -> np.ndarray:
-    """Cached flux of area_potential across every step row (_loopsteps):
-    theta[e] in row 2e and -theta[e] in row 2e + 1, theta[e] * s exactly
-    (read-only)."""
-    if mesh._step_fluxes is None:
-        theta = area_potential(mesh)[0]
-        mesh._step_fluxes = np.stack((theta, -theta), axis=1).reshape(-1)
-        mesh._step_fluxes.setflags(write=False)
-    return mesh._step_fluxes
-
-
-def _period_fluxes(mesh: SurfaceMesh) -> tuple[list[float], ...]:
-    """Cached flux terms of area_potential, one per step, along alpha_loop,
-    its inverse, beta_loop and its inverse, as a walk along their steps
-    takes them."""
-    if mesh._period_fluxes is None:
-        theta = area_potential(mesh)[0].tolist()
-        fluxes = []
-        for cycle in (alpha_loop(mesh), beta_loop(mesh)):
-            terms = [theta[e] * s for e, s in cycle.steps]
-            fluxes += [terms, [-v for v in reversed(terms)]]
-        mesh._period_fluxes = tuple(fluxes)
-    return mesh._period_fluxes
 
 
 def enclosed_area(mesh: SurfaceMesh, loop: MeshLoop) -> float:
@@ -576,18 +587,18 @@ def _loop_lifts(mesh: SurfaceMesh, steps: LoopSteps) -> list[tuple[int, int, int
     sphere is its own cover, where every lift is (0, 0, 0)) and its flux of
     area_potential, one gather from _step_fluxes added up left to right
     from 0.0 as a walk along its steps adds it."""
-    terms = _step_fluxes(mesh).take(steps.rows)
+    terms = mesh._step_fluxes.take(steps.rows)
     spans = zip(steps.starts.tolist(), steps.lengths.tolist())
     flux = [reduce(operator.add, terms[a:a + n].tolist(), 0.0) for a, n in spans]
     if mesh.genus == 0:
         return [(0, 0, 0, f) for f in flux]
-    return list(zip(*(a.tolist() for a in lifts(_require_torus(mesh).N, steps)), flux))
+    return list(zip(*(a.tolist() for a in lifts(_require_torus(mesh).step_moves, steps)), flux))
 
 
 def _loop_areas(mesh: SurfaceMesh, steps: LoopSteps) -> list:
     """enclosed_area of every loop of a layout of valid loops: a float, or
     for a genus-1 loop that is not null-homotopic its NotNullHomotopicError."""
-    loops, density = _loop_lifts(mesh, steps), area_potential(mesh)[1]
+    loops, density = _loop_lifts(mesh, steps), mesh.area_potential[1]
     if mesh.genus == 0:
         return [wrap_mod1(f) for *_, f in loops]
     areas = []
@@ -637,16 +648,6 @@ def random_loop(
     return _random_sphere_loop(mesh, rng, n_steps)
 
 
-def _step_tuples(mesh: SurfaceMesh) -> tuple[tuple[int, int], ...]:
-    """Cached (edge, sign) step of every step row (_loopsteps): the tuples
-    mesh.faces holds, edge e's in its plus_slot in row 2e and in its
-    minus_slot in row 2e + 1, so a walk built from them makes no tuple."""
-    if mesh._step_tuples is None:
-        slots = np.stack((mesh.plus_slot, mesh.minus_slot), axis=1).ravel().tolist()
-        mesh._step_tuples = tuple(map(tuple(chain.from_iterable(mesh.faces)).__getitem__, slots))
-    return mesh._step_tuples
-
-
 def _random_torus_loop(mesh, rng, n_steps, windings) -> MeshLoop:
     """Moves 0, 1, 2, 3 step +x, -x, +y, -y, and move m ^ 1 undoes move m:
     on a grid of N >= 2 these are the step pairs clip_steps deletes."""
@@ -688,17 +689,17 @@ def _random_torus_loop(mesh, rng, n_steps, windings) -> MeshLoop:
         else:
             y = (y - 1) % n
             rows.append(2 * (nn + x + n * y) + 1)
-    return _derived_loop(mesh.basepoint, tuple(map(_step_tuples(mesh).__getitem__, rows)))
+    return _derived_loop(mesh.basepoint, tuple(map(mesh._step_tuples.__getitem__, rows)))
 
 
 def _random_sphere_loop(mesh, rng, n_steps) -> MeshLoop:
-    adj = mesh.vertex_steps()
-    parent = mesh._basepoint_tree()
+    adj = mesh.vertex_steps
+    parent = mesh._basepoint_tree
     here = mesh.basepoint
     # step rows, rows r and r ^ 1 cancelling as clip_steps cancels their steps
     rows: list[int] = []
 
-    def take(e, s):
+    def step(e, s):
         row = 2 * e + (s < 0)
         if rows and rows[-1] == row ^ 1:
             rows.pop()
@@ -707,11 +708,11 @@ def _random_sphere_loop(mesh, rng, n_steps) -> MeshLoop:
 
     for _ in range(n_steps):
         e, s, here = adj[here][rng.integers(len(adj[here]))]
-        take(e, s)
+        step(e, s)
     while here != mesh.basepoint:
         e, s, here = parent[here]
-        take(e, s)
-    return _derived_loop(mesh.basepoint, tuple(map(_step_tuples(mesh).__getitem__, rows)))
+        step(e, s)
+    return _derived_loop(mesh.basepoint, tuple(map(mesh._step_tuples.__getitem__, rows)))
 
 
 def random_homotopic_pair(

@@ -27,10 +27,8 @@ from .surfaces import (
     _checked_steps,
     _derived_loop,
     _loop_lifts,
-    _period_fluxes,
     _require_torus,
     alpha_loop,
-    area_potential,
     beta_loop,
     enclosed_area,
     json_int,
@@ -351,7 +349,7 @@ def loop_class(mesh: SurfaceMesh, loop: MeshLoop) -> GammaRElement:
     cells and flux), and std_loop is never built.  Its inverse, which runs
     along the basepoint's column and row, adds its part in closed form: it
     takes the cell sum to cells - dx * dy, and its flux terms (the mesh's
-    cached surfaces._period_fluxes) continue the loop's left-to-right sum,
+    _period_fluxes table) continue the loop's left-to-right sum,
     so t is the enclosed area of the concatenated loop bit for bit.
     """
     if loop.base != mesh.basepoint:
@@ -361,13 +359,13 @@ def loop_class(mesh: SurfaceMesh, loop: MeshLoop) -> GammaRElement:
     grid = _require_torus(mesh)
     ((dx, dy, cells, flux),) = _loop_lifts(mesh, _checked_steps(mesh, [loop]))
     p, q = dx // grid.N, dy // grid.N
-    alpha, alpha_inverse, beta, beta_inverse = _period_fluxes(mesh)
+    alpha, alpha_inverse, beta, beta_inverse = mesh._period_fluxes
     # std_loop^-1 = b^-q a^-p, from the lift's end (dx, dy): down or up
     # the basepoint's column, whose vertical steps add dx * -dy cells, then
     # along its row; a list repeated a negative number of times is empty
     terms = chain(beta_inverse * q, beta * -q, alpha_inverse * p, alpha * -p)
     flux = reduce(operator.add, terms, flux)
-    return GammaRElement(1, _heisenberg_letters(p, q), area_potential(mesh)[1] * (cells - dx * dy) + flux)
+    return GammaRElement(1, _heisenberg_letters(p, q), mesh.area_potential[1] * (cells - dx * dy) + flux)
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,8 @@ def dense_operator(field, mu, curvature):
     """_Engine.normal_operator as a dense matrix: column (e, k) is its image
     of the unit vector on coordinate k of edge e."""
     engine = _engine_for(field.mesh)
-    apply = engine.normal_operator(engine.logs(field.U), mu, curvature)
+    logs = engine.logs(field.U)
+    apply = engine.normal_operator(logs, engine.face_blocks(logs), mu, curvature)
     d = field.n * field.n
     units = np.eye(len(field.U) * d).reshape(-1, len(field.U), d)
     return np.array([apply(c).ravel() for c in units]).T
@@ -229,7 +230,7 @@ def lifted_walk(grid, loop):
 def walk_area(mesh, loop):
     """enclosed_area with the flux summed by the builtin sum."""
     walk_validate(mesh, loop)
-    theta, density = ah.surfaces.area_potential(mesh)
+    theta, density = mesh.area_potential
     flux = float(sum(s * theta[e] for e, s in loop.steps))
     if mesh.genus == 0:
         return ah.wrap_mod1(flux)

@@ -2,6 +2,10 @@
 field factors through the area-quotient group via the representation it was
 built from."""
 
+import ast
+import functools
+import importlib
+import pkgutil
 from pathlib import Path
 
 import numpy as np
@@ -125,3 +129,26 @@ def test_readme_library_tour_runs():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(tour, "README.md (library tour)", "exec"), {})
+
+
+def test_function_caches_are_int_keyed():
+    # tables derived from a mesh live on the mesh; the only process-wide
+    # caches are the u(n) basis, by n, and the Dehn table, by genus
+    names = [info.name for info in pkgutil.iter_modules(ah.__path__)]
+    modules = [ah, *(importlib.import_module(f"areaholonomy.{name}") for name in names)]
+    caches = {
+        f"{value.__module__}.{value.__qualname__}"
+        for module in modules
+        for value in vars(module).values()
+        if isinstance(value, functools._lru_cache_wrapper)
+    }
+    assert caches == {"areaholonomy.lattice._u_basis", "areaholonomy.words._dehn_table"}
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml promises Python >= 3.10
+    root = Path(__file__).resolve().parents[1]
+    sources = sorted((*root.glob("src/**/*.py"), *root.glob("tests/**/*.py")))
+    assert len(sources) > 10
+    for path in sources:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

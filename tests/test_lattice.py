@@ -615,7 +615,7 @@ class TestLevenbergMarquardt:
         columns = np.array([jacobian(engine, logs, np.einsum("ek,kab->eab", c, basis)) for c in units])
         weighted = columns / engine.areas[:, None, None]
         dense = np.einsum("ifab,kfab->ik", columns.conj(), weighted).real + mu * np.eye(len(units))
-        apply = engine.normal_operator(logs, mu, False)
+        apply = engine.normal_operator(logs, engine.face_blocks(logs), mu, False)
         blocked = np.array([apply(c).ravel() for c in units]).T
         assert np.max(np.abs(blocked - dense)) <= 1e-12 * np.max(np.abs(dense))
 
@@ -633,7 +633,8 @@ class TestLevenbergMarquardt:
         assert np.max(np.abs(logs.v - v)) > 0.1
         units = np.eye(len(mesh.edges) * 4).reshape(-1, len(mesh.edges), 4)
         for curvature in (True, False):
-            new, old = (engine.normal_operator(state, mu, curvature) for state in (logs, logs._replace(v=v, theta=theta)))
+            states = (logs, logs._replace(v=v, theta=theta))
+            new, old = (engine.normal_operator(state, engine.face_blocks(state), mu, curvature) for state in states)
             new, old = (np.array([apply(c).ravel() for c in units]) for apply in (new, old))
             assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
 
@@ -732,9 +733,9 @@ class TestNewtonOperator:
 
     def test_conjugate_gradients_reports_indefinite(self):
         diagonal = np.array([[2.0, 1.0], [1.0, 3.0]])
-        s, indefinite = _conjugate_gradients(lambda p: diagonal * p, np.ones((2, 2)), 1e-14, 4)
+        s, indefinite = _conjugate_gradients(lambda p: diagonal * p, np.ones((2, 2)), 1e-14)
         assert not indefinite and np.max(np.abs(diagonal * s - 1.0)) <= 1e-14
-        _, indefinite = _conjugate_gradients(lambda p: np.array([[1.0, -1.0]]) * p, np.ones((1, 2)), 1e-14, 4)
+        _, indefinite = _conjugate_gradients(lambda p: np.array([[1.0, -1.0]]) * p, np.ones((1, 2)), 1e-14)
         assert indefinite
 
     def test_falls_back_to_gauss_newton(self, torus8, monkeypatch):
@@ -745,9 +746,9 @@ class TestNewtonOperator:
         engine = _engine_for(torus8)
         built, normal_operator = [], engine.normal_operator
 
-        def recording(logs, mu, curvature):
+        def recording(logs, blocks, mu, curvature):
             built.append(curvature)
-            return normal_operator(logs, mu, curvature)
+            return normal_operator(logs, blocks, mu, curvature)
 
         monkeypatch.setattr(engine, "normal_operator", recording)
         start = ah.perturb_field(build_ym_field_from_rep(torus8, flux_rep(2, 1)), np.random.default_rng(7), 0.3)
@@ -772,7 +773,24 @@ class TestNewtonOperator:
         _, report = gradient_flow(start, tol=1e-9)
         assert report.stop_reason == "converged"
         assert len(calls) == report.iterations
-        assert engine._blocks is None
+
+    def test_engine_keeps_no_per_call_state(self):
+        # a mesh's engine holds the mesh's index tables only: a flow that
+        # takes both Newton operators, a verify_pairs pass and loop_class
+        # calls leave it with the attributes it was built with
+        mesh = ah.build_torus_mesh(8)
+        engine = _engine_for(mesh)
+        built = set(vars(engine))
+        rng = np.random.default_rng(7)
+        start = ah.perturb_field(build_ym_field_from_rep(mesh, flux_rep(2, 1)), rng, 0.3)
+        field, report = gradient_flow(start, tol=1e-9)
+        assert report.stop_reason == "converged"
+        pairs = [ah.random_homotopic_pair(mesh, rng, 12) for _ in range(8)]
+        assert all(not isinstance(row, Exception) for row in verify_pairs(field, pairs))
+        for l1, _ in pairs:
+            ah.loop_class(mesh, l1)
+        assert _engine_for(mesh) is engine
+        assert set(vars(engine)) == built
 
 
 class TestGaugeInvariance:
@@ -1332,7 +1350,7 @@ def test_face_layout_matches_gather_oracle(case, seed):
     assert same_bytes(engine.gradient_from_logs(engine.logs(field.U)._replace(x=x)), oracle.gradient_from_logs(field.U, x))
     assert np.array_equal(mesh.plus_face, oracle.plus_face)
     assert np.array_equal(mesh.minus_face, oracle.minus_face)
-    assert mesh.dual_tree() == walk_dual_tree(mesh, oracle.plus_face, oracle.minus_face)
+    assert mesh.dual_tree == walk_dual_tree(mesh, oracle.plus_face, oracle.minus_face)
 
 
 @pytest.mark.parametrize("kind, size", [("torus", 2), ("torus", 5), ("sphere", 1), ("sphere", 3)])
@@ -1343,8 +1361,6 @@ def test_face_layout_is_reduced(kind, size):
     mesh = ah.build_torus_mesh(size) if kind == "torus" else ah.build_sphere_mesh(size)
     layout = mesh.face_steps
     assert reduced(layout) is layout
-    taken = layout.take(np.arange(len(mesh.faces))[::-2])
-    assert reduced(taken) is taken
     retraced = flat_steps([0, 0], [mesh.faces[0][:1] + ((mesh.faces[0][0][0], -mesh.faces[0][0][1]),), ()])
     assert reduced(retraced).lengths.tolist() == [0, 0]
 

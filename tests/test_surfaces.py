@@ -366,7 +366,7 @@ class TestIntegrateFaces:
                     seen.add(g)
                     tree.append((g, f, e, -s))
                     queue.append(g)
-        assert mesh.dual_tree() == tree
+        assert mesh.dual_tree == tree
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -685,7 +685,7 @@ def walk_random_loop(mesh, rng, n_steps=12, windings=None):
             steps.append(torus_step(grid, x, y, 0, dy))
             y += dy
         return MeshLoop(mesh.basepoint, ah.clip_steps(steps))
-    adj = mesh.vertex_steps()
+    adj = mesh.vertex_steps
     parent = {mesh.basepoint: (-1, 0, -1)}
     frontier = [mesh.basepoint]
     while frontier:
@@ -797,7 +797,7 @@ class TestLoopKernelOracles:
             else:
                 assert same_bits(area, want[1])
         if mesh.genus == 1:
-            walked = lifts(mesh.grid.N, steps)
+            walked = lifts(mesh.grid.step_moves, steps)
             assert [tuple(column) for column in zip(*(a.tolist() for a in walked))] == [
                 lifted_walk(mesh.grid, loop) for loop in valid
             ]
@@ -909,7 +909,7 @@ def meshes_with_single_faults(draw):
             steps[at] = (draw(st.integers(0, len(mesh.edges) - 1)), draw(st.sampled_from([-1, 1])))
         elif fault == "open":
             # one more step, out of the base where the loop ends
-            e, s, _ = mesh.vertex_steps()[base][draw(st.integers(0, len(mesh.vertex_steps()[base]) - 1))]
+            e, s, _ = mesh.vertex_steps[base][draw(st.integers(0, len(mesh.vertex_steps[base]) - 1))]
             steps.append((e, s))
         elif fault == "base":
             base = draw(st.one_of(st.integers(INTP.min, -1), st.integers(mesh.vertex_count, INTP.max)))
@@ -921,7 +921,7 @@ def walked_lift(mesh, loop):
     """(dx, dy, cells, flux) by one walk along the steps: the lift as
     lifted_walk takes it (none on a sphere) and the flux of area_potential
     added up left to right from 0.0."""
-    theta = ah.surfaces.area_potential(mesh)[0].tolist()
+    theta = mesh.area_potential[0].tolist()
     flux = 0.0
     for e, s in loop.steps:
         flux = flux + theta[e] * s
@@ -953,18 +953,13 @@ class TestStepRowKernels:
         assert checked[0] == "value" if first is None else checked == first
 
     @settings(max_examples=100, deadline=None)
-    @given(meshes_with_single_faults(), st.randoms(use_true_random=False))
-    def test_batched_equals_single(self, drawn, random):
+    @given(meshes_with_single_faults())
+    def test_batched_equals_single(self, drawn):
         mesh, loops = drawn
         valid = [loop for loop in loops if outcome(walk_validate, mesh, loop)[0] == "value"]
         singles = [ah.surfaces._loop_lifts(mesh, ah.surfaces._checked_steps(mesh, [loop]))[0] for loop in valid]
         steps = ah.surfaces._checked_steps(mesh, valid)
         assert same_lifts(ah.surfaces._loop_lifts(mesh, steps), singles)
-        # a layout that takes some of the loops, in another order, shares
-        # the step arrays of all of them
-        picked = random.sample(range(len(valid)), random.randint(0, len(valid)))
-        taken = steps.take(np.array(picked, dtype=np.intp))
-        assert same_lifts(ah.surfaces._loop_lifts(mesh, taken), [singles[k] for k in picked])
 
     def test_step_rows_name_the_step_tables(self, torus4):
         # row 2e is the step along edge e, row 2e + 1 the step against it
@@ -973,6 +968,80 @@ class TestStepRowKernels:
         assert torus4.step_ends[steps.rows].tolist() == [list(torus4.edges[5]), list(torus4.edges[5])[::-1],
                                                           list(torus4.edges[17])[::-1]]
         assert not torus4.step_ends.flags.writeable
+
+
+@st.composite
+def meshes_with_random_areas(draw):
+    """A builder torus (N 2..8) or sphere (S 1..3) with random positive face
+    areas that sum to 1, as built, re-based at any vertex, or read back by
+    mesh_from_json with any basepoint."""
+    torus = draw(st.booleans())
+    size = draw(st.integers(2, 8) if torus else st.integers(1, 3))
+    faces = size * size if torus else 8 * size * size
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=faces, max_size=faces)))
+    mesh = (ah.build_torus_mesh if torus else ah.build_sphere_mesh)(size, face_areas=weights / np.sum(weights))
+    basepoint = draw(st.integers(0, mesh.vertex_count - 1))
+    form = draw(st.sampled_from(["built", "rebased", "json"]))
+    if form == "rebased":
+        return rebased(mesh, basepoint)
+    if form == "json":
+        obj = ah.mesh_to_json(mesh)
+        obj["basepoint"] = basepoint
+        return ah.mesh_from_json(obj)
+    return mesh
+
+
+class TestMeshTables:
+    """The tables a mesh derives from its own data, read from their cached
+    properties."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(meshes_with_random_areas())
+    def test_face_loops_enclose_their_areas(self, mesh):
+        """Each face boundary encloses the face's area (mod 1 on the sphere).
+
+        theta comes from subtree sums over the dual tree (integrate_faces):
+        each edge value is a sum of at most F targets, so it is off by at
+        most F eps sum|target|, and a face loop adds L of them (L its
+        length).  The target's own roundings and the torus's density term
+        are on the unit scale of the areas, which max(., 1) covers, so the
+        area is within L F eps max(sum|target|, 1) of the face's.
+        """
+        _, density = mesh.area_potential
+        areas = np.asarray(mesh.face_areas)
+        # the targets area_potential integrates: each area less the density
+        # on the torus, face 0 less the total area on the sphere
+        target = areas - density
+        if mesh.genus == 0:
+            target[0] -= np.sum(areas)
+        scale = len(mesh.faces) * np.finfo(np.float64).eps * max(float(np.sum(np.abs(target))), 1.0)
+        for f, face in enumerate(mesh.faces):
+            area = enclosed_area(mesh, ah.face_boundary_loop(mesh, f))
+            error = wrap_mod1(area - areas[f]) if mesh.genus == 0 else area - areas[f]
+            assert abs(error) <= len(face) * scale
+
+    @settings(max_examples=120, deadline=None)
+    @given(meshes_with_random_areas())
+    def test_step_rows_and_reads(self, mesh):
+        theta, _ = mesh.area_potential
+        fluxes = mesh._step_fluxes
+        assert fluxes[0::2].tobytes() == theta.tobytes() and fluxes[1::2].tobytes() == (-theta).tobytes()
+        assert not fluxes.flags.writeable and not theta.flags.writeable
+        tables = ["vertex_steps", "dual_tree", "_basepoint_tree", "area_potential", "_step_fluxes", "_step_tuples"]
+        if mesh.genus == 1:
+            grid = mesh.grid
+            moves = grid.step_moves
+            assert moves.shape == (2, 2 * len(mesh.edges)) and not moves.flags.writeable
+            # each row's move is its step's (head - tail), wrapped: one of
+            # dx, dy is +-1 and the other 0, congruent mod N to the walk
+            # between the step's ends (on N = 2, +1 and -1 are congruent)
+            tail, head = (np.array([grid.vertex_xy(v) for v in ends]) for ends in mesh.step_ends.T)
+            assert np.array_equal(np.sum(np.abs(moves), axis=0), np.ones(moves.shape[1]))
+            assert not np.any((moves.T - (head - tail)) % grid.N)
+            assert grid.step_moves is moves
+            tables.append("_period_fluxes")
+        for name in tables:
+            assert getattr(mesh, name) is getattr(mesh, name)
 
 
 class TestBulkIntegerRule:

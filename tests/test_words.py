@@ -458,7 +458,7 @@ class TestLoopClass:
         rng = np.random.default_rng(61)
         weights = rng.uniform(0.1, 1.0, 36)
         mesh = rebased(ah.build_torus_mesh(6, face_areas=weights / np.sum(weights)), 9)
-        assert np.any(ah.surfaces.area_potential(mesh)[0] != 0.0)
+        assert np.any(mesh.area_potential[0] != 0.0)
         for _ in range(200):
             w1, w2 = ((int(rng.integers(-2, 3)), int(rng.integers(-2, 3))) for _ in range(2))
             l1 = ah.random_loop(mesh, rng, 8, windings=w1)
