@@ -187,16 +187,18 @@ def lifts(moves: np.ndarray, steps: LoopSteps) -> tuple[np.ndarray, np.ndarray, 
 class Schedule(NamedTuple):
     """The order prefixes multiplies a layout's loops in, longest first:
     per step j the step table rows of the loops longer than j; row
-    offsets[j] + at[k] of its stack is loop k's first j steps' product."""
+    offsets[j] + at[k] of its stack is loop k's first j steps' product,
+    and row ends[k] its whole product."""
 
     at: np.ndarray
     rows: tuple[np.ndarray, ...]
     offsets: np.ndarray
+    ends: np.ndarray
 
 
 def schedule(steps: LoopSteps) -> Schedule:
     """The Schedule of a layout of valid loops, as laid out.  A layout that
-    many calls multiply along (a mesh's faces) is scheduled once."""
+    many calls multiply along is scheduled once (SurfaceMesh.face_schedule)."""
     lengths = steps.lengths.tolist()
     order = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
     at = np.empty(len(order), np.intp)
@@ -204,7 +206,8 @@ def schedule(steps: LoopSteps) -> Schedule:
     counts = np.cumsum(np.bincount(steps.lengths)[:0:-1])[::-1].tolist()
     starts = steps.starts[order]
     rows = tuple(steps.rows[starts[:c] + j] for j, c in enumerate(counts))
-    return Schedule(at, rows, np.cumsum([0, len(order), *counts], dtype=np.intp))
+    offsets = np.cumsum([0, len(order), *counts], dtype=np.intp)
+    return Schedule(at, rows, offsets, offsets[steps.lengths] + at)
 
 
 def prefixes(u: np.ndarray, steps: Schedule) -> np.ndarray:
@@ -226,7 +229,7 @@ def holonomies(u: np.ndarray, steps: LoopSteps) -> np.ndarray:
     reduced (reduced), from a stack of one matrix per reduced step."""
     steps = reduced(steps)
     order = schedule(steps)
-    return prefixes(u, order)[order.offsets[steps.lengths] + order.at]
+    return prefixes(u, order)[order.ends]
 
 
 def step_table(u: np.ndarray) -> np.ndarray:

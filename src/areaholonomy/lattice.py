@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ._loopsteps import flat_steps, holonomies, prefixes, schedule
+from ._loopsteps import flat_steps, holonomies, prefixes
 from ._verify import verify_pairs
 from .liecore import (
     BranchCutError,
@@ -35,12 +35,11 @@ from .liecore import (
     real_form,
     require_unitary,
 )
-from .reps import InvalidRepError, YangMillsRep, validate_rep
+from .reps import InvalidRepError, YangMillsRep, _matrices_from_json, validate_rep
 from .surfaces import (
     MeshLoop,
     NotNullHomotopicError,
     SurfaceMesh,
-    TorusGrid,
     UnsupportedMeshError,
     _checked_steps,
     _derived_loop,
@@ -154,40 +153,27 @@ class _Engine:
     """The batched kernels over a mesh's boundary slots, in the one order
     mesh.face_steps lays them out (mesh.face_of_slot names each slot's
     face); each edge sums its two slots, mesh.plus_slot and minus_slot.
-    The index tables of the Newton operator, which gives the flow its
-    direction at every n, depend on the mesh only and are built here."""
+    The engine holds its mesh only: the index tables it reads, the Newton
+    operator's among them, are the mesh's cached properties, so an engine
+    is made per call."""
+
+    __slots__ = ("mesh",)
 
     def __init__(self, mesh: SurfaceMesh):
         self.mesh = mesh
-        self.areas = np.asarray(mesh.face_areas, dtype=np.float64)
-        layout, face = mesh.face_steps, mesh.face_of_slot
-        self.face_schedule = order = schedule(layout)
-        self.plaquette_rows = order.offsets[layout.lengths] + order.at
-        position = np.arange(len(face)) - layout.starts[face]
-        self.transport_rows = order.offsets[position + (layout.signs < 0)] + order.at[face]
-        # per face its slots, padded to the longest face (F, M) with slot S,
-        # where normal_operator puts a zero block
-        width = np.arange(np.max(layout.lengths))
-        self.face_slots = np.where(width < layout.lengths[:, None], layout.starts[:, None] + width, len(face))
-        # each edge's place in its +1 face and in its -1 face, and the edges
-        # of its +1 face and then of its -1 face; pads read edge 0 against
-        # zero columns
-        self.plus_at = mesh.plus_slot - layout.starts[mesh.plus_face]
-        self.minus_at = mesh.minus_slot - layout.starts[mesh.minus_face]
-        face_edges = np.append(layout.edges, 0)[self.face_slots]
-        self.neighbours = np.concatenate((face_edges[mesh.plus_face], face_edges[mesh.minus_face]), axis=1)
 
     def plaquettes(self, U: np.ndarray) -> np.ndarray:
         """The holonomy of every face boundary, from its start vertex."""
-        return prefixes(U, self.face_schedule)[self.plaquette_rows]
+        return prefixes(U, self.mesh.face_schedule)[self.mesh.face_schedule.ends]
 
     def logs(self, U: np.ndarray) -> FaceLogs:
-        p = prefixes(U, self.face_schedule)
-        return FaceLogs(*logm_raw(p[self.plaquette_rows], eig=True), p[self.transport_rows])
+        order = self.mesh.face_schedule
+        p = prefixes(U, order)
+        return FaceLogs(*logm_raw(p[order.ends], eig=True), p[self.mesh.transport_rows])
 
     def action_from_logs(self, logs: FaceLogs) -> float:
         norms = np.sum(np.abs(logs.x) ** 2, axis=(1, 2))
-        return float(np.sum(norms / self.areas))
+        return float(np.sum(norms / self.mesh.face_areas))
 
     def gradient_from_logs(self, logs: FaceLogs) -> np.ndarray:
         """Riemannian gradient: d/ds S(exp(sZ) U_e) = <G_e, Z>.
@@ -202,7 +188,7 @@ class _Engine:
         solve in levenberg_marquardt needs.
         """
         mesh, q = self.mesh, logs.transports
-        coeff = mesh.face_steps.signs * (2.0 / self.areas)[mesh.face_of_slot]
+        coeff = mesh.face_steps.signs * (2.0 / mesh.face_areas)[mesh.face_of_slot]
         x = real_form(logs.x)[mesh.face_of_slot]
         if q.shape[-1] > 1:
             x = matmul_raw(matmul_raw(q.conj().swapaxes(-1, -2), x), q)
@@ -236,11 +222,11 @@ class _Engine:
         """K_f^T (F, M n^2, n^2) and K_f / A_f (F, n^2, M n^2) of every
         face, its slot_blocks padded with zero blocks to the longest face M.
         They depend on the logs only, not on mu or curvature."""
-        faces, width = self.face_slots.shape
+        slots = self.mesh.face_slots
         d = logs.x.shape[-1] ** 2
         kt = np.concatenate((self.slot_blocks(logs).swapaxes(-1, -2), np.zeros((1, d, d))))
-        kt = kt[self.face_slots].reshape(faces, width * d, d)
-        return kt, kt.swapaxes(-1, -2) / self.areas[:, None, None]
+        kt = kt[slots].reshape(len(slots), -1, d)
+        return kt, kt.swapaxes(-1, -2) / self.mesh.face_areas[:, None, None]
 
     def normal_operator(self, logs: FaceLogs, blocks: tuple[np.ndarray, np.ndarray], mu: float, curvature: bool):
         """c -> (H / 2 + mu I) c on the edges' u(n) coordinates c (E, n^2):
@@ -263,8 +249,9 @@ class _Engine:
         application is then one gather of the faces' edge coordinates and
         one batched real matmul.
         """
-        mesh, n, plus_at, neighbours = self.mesh, logs.x.shape[-1], self.plus_at, self.neighbours
-        faces, width = self.face_slots.shape
+        mesh, n = self.mesh, logs.x.shape[-1]
+        (plus_at, minus_at), neighbours = mesh.face_places, mesh.neighbours
+        faces, width = mesh.face_slots.shape
         d = n * n
         kt, k = blocks
         a, b = np.triu_indices(n, 1)
@@ -280,7 +267,7 @@ class _Engine:
             slot = np.repeat(np.arange(width), d)
             gram += 0.5 * np.sign(slot - slot[:, None]) * (kt @ (omega @ k))
         gram = gram.reshape(faces, width, d, -1)
-        rows = np.concatenate((gram[mesh.plus_face, plus_at], gram[mesh.minus_face, self.minus_at]), axis=-1)
+        rows = np.concatenate((gram[mesh.plus_face, plus_at], gram[mesh.minus_face, minus_at]), axis=-1)
         rows.reshape(len(rows), d, 2 * width, d)[np.arange(len(rows)), :, plus_at, :] += mu * np.eye(d)
 
         def apply(c: np.ndarray) -> np.ndarray:
@@ -345,14 +332,6 @@ def _conjugate_gradients(apply, b: np.ndarray, rtol: float) -> tuple[np.ndarray,
     return s, False
 
 
-def _engine_for(mesh: SurfaceMesh) -> _Engine:
-    engine = getattr(mesh, "_lattice_engine", None)
-    if engine is None:
-        engine = _Engine(mesh)
-        mesh._lattice_engine = engine
-    return engine
-
-
 def _grad_norm(grad: np.ndarray) -> float:
     """Frobenius norm of a whole gradient stack (the flow's stopping quantity)."""
     return float(np.sqrt(np.sum(np.abs(grad) ** 2)))
@@ -402,26 +381,26 @@ def face_curvature(field: GaugeField, face: int) -> SkewHermitian:
 
 def ym_action(field: GaugeField) -> float:
     """Sum over faces of area * ||curvature density||^2; zero iff flat."""
-    engine = _engine_for(field.mesh)
+    engine = _Engine(field.mesh)
     return engine.action_from_logs(engine.logs(field.U))
 
 
 def ym_gradient(field: GaugeField) -> list[SkewHermitian]:
     """Per-edge Riemannian gradient of the action (left-invariant frame)."""
-    engine = _engine_for(field.mesh)
+    engine = _Engine(field.mesh)
     grad = engine.gradient_from_logs(engine.logs(field.U))
     skew = (grad - grad.conj().swapaxes(-1, -2)) / 2.0
     return [SkewHermitian(skew[e]) for e in range(len(field.mesh.edges))]
 
 
 def gradient_norm(field: GaugeField) -> float:
-    engine = _engine_for(field.mesh)
+    engine = _Engine(field.mesh)
     return _grad_norm(engine.gradient_from_logs(engine.logs(field.U)))
 
 
 def total_flux(field: GaugeField) -> float:
     """Sum of plaquette log phases; integer multiple of 2 pi for n = 1."""
-    engine = _engine_for(field.mesh)
+    engine = _Engine(field.mesh)
     x = engine.logs(field.U).x
     return float(np.sum(np.trace(x, axis1=1, axis2=2).imag))
 
@@ -467,7 +446,7 @@ def gradient_flow(
     max_iter = json_int(max_iter, "max_iter")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    engine = _engine_for(field.mesh)
+    engine = _Engine(field.mesh)
     u = field.U
     logs = engine.logs(u)
     action = engine.action_from_logs(logs)
@@ -480,7 +459,7 @@ def gradient_flow(
         return field, FlowReport(0, action, gnorm, history, "converged")
 
     eye = np.eye(field.n, dtype=np.complex128)
-    eta_gradient = 0.25 * float(np.min(engine.areas))
+    eta_gradient = 0.25 * float(np.min(field.mesh.face_areas))
     eta_newton = 1.0
     mu = 10.0
     for iteration in range(1, max_iter + 1):
@@ -617,7 +596,7 @@ def shrinking_loop_curvature(
     N >= 4.
     """
     mesh = field.mesh
-    if not isinstance(mesh.grid, TorusGrid):
+    if mesh.grid is None:
         raise UnsupportedMeshError("shrinking loops need a torus grid mesh")
     n_grid = mesh.grid.N
     if n_grid < 4:
@@ -682,14 +661,14 @@ def build_ym_field_from_rep(mesh: SurfaceMesh, rep: YangMillsRep) -> GaugeField:
     if np.max(np.abs(np.linalg.eigvalsh(-1j * rep.Lambda.mat))) * np.max(mesh.face_areas) >= np.pi:
         raise UnsupportedMeshError("flux per face exceeds the principal branch; refine the mesh")
     if mesh.genus == 1:
-        if not isinstance(mesh.grid, TorusGrid):
+        if mesh.grid is None:
             raise UnsupportedMeshError("genus-1 construction needs a torus grid mesh")
         return _torus_field(mesh, rep)
     return _sphere_field(mesh, rep)
 
 
 def _torus_field(mesh: SurfaceMesh, rep: YangMillsRep) -> GaugeField:
-    grid: TorusGrid = mesh.grid
+    grid = mesh.grid
     n_grid = grid.N
     lam = rep.Lambda.mat
     a = rep.A[0].mat
@@ -808,16 +787,4 @@ def field_from_json(obj: dict, *, base_dir: Optional[str] = None) -> GaugeField:
         with open(path) as handle:
             mesh_obj = json.load(handle)
     mesh = mesh_from_json(mesh_obj)
-    n = json_int(n, "field: n")
-    # the edge stack is read with one array conversion per part, as
-    # matrix_from_json reads one matrix
-    matrices = [required_keys(m, "matrix", "n", "re", "im") for m in edges]
-    sizes = {json_int(size, "matrix: n") for size, _, _ in matrices}
-    re = np.array([m[1] for m in matrices], dtype=np.float64)
-    im = np.array([m[2] for m in matrices], dtype=np.float64)
-    if sizes != {n} or re.shape != (len(matrices), n, n) or im.shape != re.shape:
-        raise ValueError(f"field: every edge matrix must be {n} x {n}, as its n says")
-    # an infinite imaginary part makes 1j * im NaN; GaugeField rejects it
-    with np.errstate(invalid="ignore"):
-        values = re + 1j * im
-    return GaugeField(mesh, values)
+    return GaugeField(mesh, _matrices_from_json(edges, json_int(n, "field: n")))

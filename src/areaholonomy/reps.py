@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -64,10 +64,10 @@ class YangMillsRep:
 
     Construction checks shapes and entrywise invariants only; the value
     constraints (relator, centrality, genus-0 quantization) are computed by
-    validate_rep and cached.
+    validate_rep, anew on every call that needs them.
     """
 
-    __slots__ = ("genus", "n", "A", "B", "Lambda", "_diag")
+    __slots__ = ("genus", "n", "A", "B", "Lambda")
 
     def __init__(
         self,
@@ -88,7 +88,6 @@ class YangMillsRep:
         self.A = tuple(A)
         self.B = tuple(B)
         self.Lambda = Lambda
-        self._diag: Optional[RepDiagnostics] = None
 
     def __repr__(self) -> str:
         return f"YangMillsRep(genus={self.genus}, n={self.n})"
@@ -112,7 +111,7 @@ def relator_image(rep: YangMillsRep) -> np.ndarray:
 
 
 def validate_rep(rep: YangMillsRep) -> RepDiagnostics:
-    """Residuals of the two defining constraints, cached on rep.
+    """Residuals of the two defining constraints.
 
     relator_residual is ||prod [A_i, B_i] - exp(Lambda)||_F; for genus 0 it
     also enforces integer quantization of the Lambda spectrum (exp(Lambda)
@@ -128,12 +127,11 @@ def validate_rep(rep: YangMillsRep) -> RepDiagnostics:
     for m in rep.A + rep.B:
         cent = max(cent, float(np.linalg.norm(rep.Lambda.mat @ m.mat - m.mat @ rep.Lambda.mat)))
     tol = DEFAULT_POLICY.rep_tol
-    rep._diag = RepDiagnostics(relator_res, cent, relator_res <= tol and cent <= tol)
-    return rep._diag
+    return RepDiagnostics(relator_res, cent, relator_res <= tol and cent <= tol)
 
 
 def _require_valid(rep: YangMillsRep) -> None:
-    diag = rep._diag if rep._diag is not None else validate_rep(rep)
+    diag = validate_rep(rep)
     if not diag.ok:
         raise InvalidRepError(
             f"invalid representation: relator residual {diag.relator_residual:.3e}, "
@@ -237,12 +235,22 @@ def matrix_to_json(mat: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    n, re, im = required_keys(obj, "matrix", "n", "re", "im")
-    n = json_int(n, "matrix: n")
-    mat = np.array(re, dtype=np.float64) + 1j * np.array(im, dtype=np.float64)
-    if mat.shape != (n, n):
-        raise ValueError(f"matrix JSON claims n={n} but arrays have shape {mat.shape}")
-    return mat
+    (n,) = required_keys(obj, "matrix", "n")
+    return _matrices_from_json([obj], json_int(n, "matrix: n"))[0]
+
+
+def _matrices_from_json(objs, n: int) -> np.ndarray:
+    """The stack (K, n, n) of K matrices in matrix_to_json's form, one array
+    conversion per part; ValueError unless each says n and is n x n."""
+    matrices = [required_keys(m, "matrix", "n", "re", "im") for m in objs]
+    sizes = {json_int(size, "matrix: n") for size, _, _ in matrices}
+    re = np.array([m[1] for m in matrices], dtype=np.float64)
+    im = np.array([m[2] for m in matrices], dtype=np.float64)
+    if sizes != {n} or re.shape != (len(matrices), n, n) or im.shape != re.shape:
+        raise ValueError(f"every matrix must be {n} x {n}, as its n says")
+    # an infinite imaginary part makes 1j * im NaN, which callers reject
+    with np.errstate(invalid="ignore"):
+        return re + 1j * im
 
 
 def rep_to_json(rep: YangMillsRep) -> dict:

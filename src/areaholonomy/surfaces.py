@@ -1,9 +1,10 @@
 """Discrete oriented surfaces with a normalized area form.
 
 Two mesh families are built here: periodic N x N torus grids (genus 1) and
-subdivided-octahedron spheres (genus 0).  Only torus meshes carry a grid
-(TorusGrid), which mesh_from_json re-detects; nothing about a sphere mesh
-needs one.  Face-to-edge integration is one primitive, integrate_faces: an
+subdivided-octahedron spheres (genus 0).  Every mesh, built or loaded,
+finds its grid (TorusGrid) from its own complex: a mesh whose complex is
+exactly the builder torus's has one, and every other mesh has None.
+Face-to-edge integration is one primitive, integrate_faces: an
 exact solve of D theta = target along a spanning tree of the dual graph.
 Enclosed area is the loop integral of one edge potential of the face
 areas (SurfaceMesh.area_potential); on the torus the loop's lift to the
@@ -12,9 +13,10 @@ theorem, the uniform part of the area.  One primitive, _loop_lifts, gives
 every loop's lift and flux in one pass; enclosed_area and words.loop_class
 both read it.  No floating-point geometry is involved.
 
-Every table a mesh derives from its own data (the potential, its per-step
-fluxes, the spanning trees, a grid's step moves) is a cached_property of
-the mesh or its TorusGrid: computed once, on first use, and kept with it.
+Every table a mesh derives from its own data (its grid, the potential,
+its per-step fluxes, the spanning trees, a grid's step moves, the face
+tables of lattice._Engine) is a cached_property of the mesh or its
+TorusGrid: computed once, on first use.  Nothing else writes to a mesh.
 
 Loops are checked, walked and integrated as arrays: the steps of many
 loops are laid out flat (_loopsteps), and validate_loop, torus_windings
@@ -37,7 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 # clip_steps is public through this module
-from ._loopsteps import LoopSteps, clip_steps, first_fault, flat_steps, lifts, step_rows
+from ._loopsteps import LoopSteps, Schedule, clip_steps, first_fault, flat_steps, lifts, schedule, step_rows
 from .policy import DEFAULT_POLICY
 
 _INTP = np.iinfo(np.intp)
@@ -100,8 +102,7 @@ class TorusGrid:
         half = 2 * self.N * self.N
         moves = np.zeros((2, 2 * half), np.intp)
         moves[0, :half] = moves[1, half:] = np.tile((1, -1), self.N * self.N)
-        moves.setflags(write=False)
-        return moves
+        return _read_only(moves)
 
 
 @dataclass(frozen=True)
@@ -160,7 +161,8 @@ class SurfaceMesh:
     sign +1 and -1, plus_face and minus_face the faces that hold them, and
     tails and heads its endpoints.  step_ends is the (tail, head) of every
     step row (_loopsteps): (tails[e], heads[e]) in row 2e and (heads[e],
-    tails[e]) in row 2e + 1.  All of these are read-only.
+    tails[e]) in row 2e + 1.  All of these are read-only.  The rest of what
+    the mesh derives, its grid included, is a cached_property.
     Integer slots follow the rule of json_int (json_ints): a boolean or a
     number with a fractional part raises instead of being truncated.
     """
@@ -173,8 +175,6 @@ class SurfaceMesh:
         faces: list[tuple[tuple[int, int], ...]],
         face_areas,
         basepoint: int,
-        *,
-        grid: Optional[TorusGrid] = None,
     ):
         genus = json_int(genus, "mesh: genus")
         if genus not in (0, 1):
@@ -186,7 +186,6 @@ class SurfaceMesh:
         self.face_areas = np.array(face_areas, dtype=np.float64)
         self.face_areas.setflags(write=False)
         self.basepoint = json_int(basepoint, "mesh: basepoint")
-        self.grid = grid
         self._validate()
 
     # -- derived queries ---------------------------------------------------
@@ -197,6 +196,16 @@ class SurfaceMesh:
 
     def face_start_vertex(self, face: int) -> int:
         return int(self.face_steps.bases[face])
+
+    @cached_property
+    def grid(self) -> Optional[TorusGrid]:
+        """TorusGrid(N) when the complex is exactly build_torus_mesh(N)'s,
+        face lengths included, at any basepoint; else None."""
+        N, layout = math.isqrt(self.vertex_count), self.face_steps
+        if self.genus != 1 or N < 2 or not np.array_equal(layout.lengths, np.full(N * N, 4)):
+            return None
+        ours = (self.tails, self.heads, layout.edges, layout.signs)
+        return TorusGrid(N) if all(map(np.array_equal, ours, _torus_arrays(N))) else None
 
     @cached_property
     def vertex_steps(self) -> list[list[tuple[int, int, int]]]:
@@ -264,9 +273,7 @@ class SurfaceMesh:
         else:
             target, density = areas.copy(), 0.0
             target[0] -= np.sum(areas)
-        theta = integrate_faces(self, target)
-        theta.setflags(write=False)
-        return theta, density
+        return _read_only(integrate_faces(self, target)), density
 
     @cached_property
     def _step_fluxes(self) -> np.ndarray:
@@ -274,9 +281,7 @@ class SurfaceMesh:
         theta[e] in row 2e and -theta[e] in row 2e + 1, theta[e] * s exactly
         (read-only)."""
         theta = self.area_potential[0]
-        fluxes = np.stack((theta, -theta), axis=1).reshape(-1)
-        fluxes.setflags(write=False)
-        return fluxes
+        return _read_only(np.stack((theta, -theta), axis=1).reshape(-1))
 
     @cached_property
     def _step_tuples(self) -> tuple[tuple[int, int], ...]:
@@ -297,6 +302,45 @@ class SurfaceMesh:
             terms = [theta[e] * s for e, s in cycle.steps]
             fluxes += [terms, [-v for v in reversed(terms)]]
         return tuple(fluxes)
+
+    @cached_property
+    def face_schedule(self) -> Schedule:
+        """The order _loopsteps.prefixes multiplies the face boundaries in:
+        row ends[f] of the product stack is face f's plaquette (read-only)."""
+        order = schedule(self.face_steps)
+        for array in (order.at, order.offsets, order.ends, *order.rows):
+            array.setflags(write=False)
+        return order
+
+    @cached_property
+    def transport_rows(self) -> np.ndarray:
+        """Per slot, the face_schedule row of its face's boundary product
+        before the slot, or through it where its sign is -1 (read-only)."""
+        order, layout, face = self.face_schedule, self.face_steps, self.face_of_slot
+        position = np.arange(len(face)) - layout.starts[face]
+        return _read_only(order.offsets[position + (layout.signs < 0)] + order.at[face])
+
+    @cached_property
+    def face_slots(self) -> np.ndarray:
+        """Per face its slots, padded to the longest face M (F, M) with the
+        slot count S, which names no slot (read-only)."""
+        layout = self.face_steps
+        width = np.arange(np.max(layout.lengths))
+        return _read_only(np.where(width < layout.lengths[:, None], layout.starts[:, None] + width, len(self.face_of_slot)))
+
+    @cached_property
+    def face_places(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each edge's place in the boundary of its +1 face and of its -1
+        face: plus_slot and minus_slot less their face's start (read-only)."""
+        starts = self.face_steps.starts
+        return _read_only(self.plus_slot - starts[self.plus_face]), _read_only(self.minus_slot - starts[self.minus_face])
+
+    @cached_property
+    def neighbours(self) -> np.ndarray:
+        """Per edge the edges of its +1 face and then of its -1 face, each
+        padded as face_slots pads it, the pads reading edge 0 (read-only)."""
+        face_edges = np.append(self.face_steps.edges, 0)[self.face_slots]
+        return _read_only(np.concatenate((face_edges[self.plus_face], face_edges[self.minus_face]), axis=1))
 
     # -- validation ---------------------------------------------------------
 
@@ -373,30 +417,27 @@ def build_torus_mesh(N: int, face_areas=None) -> SurfaceMesh:
     """
     if N < 2:
         raise ValueError("torus grid needs N >= 2")
-    grid = TorusGrid(N)
-    edges, faces = _torus_complex(grid)
+    tails, heads, edges, signs = _torus_arrays(N)
     if face_areas is None:
         face_areas = np.full(N * N, 1.0 / (N * N))
-    return SurfaceMesh(1, N * N, edges, faces, face_areas, 0, grid=grid)
+    faces = tuple(zip(*[zip(edges.tolist(), signs.tolist())] * 4))
+    return SurfaceMesh(1, N * N, tuple(zip(tails.tolist(), heads.tolist())), faces, face_areas, 0)
 
 
-def _torus_complex(grid: TorusGrid) -> tuple[tuple, tuple]:
-    """Edges and faces of the builder torus, in SurfaceMesh's stored form,
-    built in array passes: face (x, y) is h(x, y), v(x + 1, y),
+def _torus_arrays(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Edge tails and heads and the flat face edges and signs of the builder
+    torus, as SurfaceMesh stores them: face (x, y) is h(x, y), v(x + 1, y),
     h(x, y + 1)^-1, v(x, y)^-1, rotated to start at its lowest vertex."""
-    N = grid.N
     x, y = np.tile(np.arange(N), N), np.repeat(np.arange(N), N)
     corner = x + N * y
     right, up = (x + 1) % N + N * y, x + N * ((y + 1) % N)
-    edges = tuple(zip(np.tile(corner, 2).tolist(), np.concatenate((right, up)).tolist()))
     # per face its four steps and the vertex each starts at; corner is
     # also the index of h(x, y) and of v(x, y) - N^2
     steps = np.stack((corner, N * N + right, up, N * N + corner), axis=1)
     starts = np.stack((corner, right, (x + 1) % N + N * ((y + 1) % N), up), axis=1)
     turn = (starts.argmin(axis=1)[:, None] + np.arange(4)) % 4
     signs = np.array((1, 1, -1, -1))[turn]
-    pairs = zip(np.take_along_axis(steps, turn, axis=1).ravel().tolist(), signs.ravel().tolist())
-    return edges, tuple(zip(*[pairs] * 4))
+    return np.tile(corner, 2), np.concatenate((right, up)), np.take_along_axis(steps, turn, axis=1).ravel(), signs.ravel()
 
 
 def alpha_loop(mesh: SurfaceMesh) -> MeshLoop:
@@ -481,8 +522,13 @@ def _first_appearance(keys: list) -> tuple[list[int], list]:
     return list(map(numbers.__getitem__, keys)), distinct
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 def _require_torus(mesh: SurfaceMesh) -> TorusGrid:
-    if mesh.genus != 1 or not isinstance(mesh.grid, TorusGrid):
+    if mesh.grid is None:
         raise UnsupportedMeshError("operation needs a torus grid mesh")
     return mesh.grid
 
@@ -847,23 +893,7 @@ def mesh_from_json(obj: dict) -> SurfaceMesh:
     if any(k == 0 for face in faces for k in face):
         raise ValueError("mesh: face entries are signed 1-based edge indices, so 0 names no edge")
     faces = [tuple((abs(k) - 1, 1 if k > 0 else -1) for k in face) for face in faces]
-    mesh = SurfaceMesh(genus, vertices, edges, faces, face_areas, basepoint)
-    mesh.grid = _detect_grid(mesh)
-    return mesh
-
-
-def _detect_grid(mesh: SurfaceMesh) -> Optional[TorusGrid]:
-    """Recognize a builder torus mesh by exact topological comparison.
-
-    The grid is a property of the complex alone, so any basepoint keeps it.
-    """
-    N = math.isqrt(mesh.vertex_count)
-    if mesh.genus != 1 or N < 2 or N * N != mesh.vertex_count:
-        return None
-    grid = TorusGrid(N)
-    if (mesh.edges, mesh.faces) == _torus_complex(grid):
-        return grid
-    return None
+    return SurfaceMesh(genus, vertices, edges, faces, face_areas, basepoint)
 
 
 def loop_to_json(loop: MeshLoop) -> dict:

@@ -7,7 +7,7 @@ import pytest
 import scipy.optimize
 
 import areaholonomy as ah
-from areaholonomy.lattice import _engine_for, _u_basis
+from areaholonomy.lattice import _Engine, _u_basis
 from areaholonomy.liecore import expm_raw, matmul_raw
 
 
@@ -93,14 +93,14 @@ def random_field(mesh: ah.SurfaceMesh, n: int, rng: np.random.Generator, scale: 
 
 def rebased(mesh: ah.SurfaceMesh, basepoint: int) -> ah.SurfaceMesh:
     """The same complex, areas and grid with another basepoint."""
-    return ah.SurfaceMesh(mesh.genus, mesh.vertex_count, mesh.edges, mesh.faces, mesh.face_areas, basepoint, grid=mesh.grid)
+    return ah.SurfaceMesh(mesh.genus, mesh.vertex_count, mesh.edges, mesh.faces, mesh.face_areas, basepoint)
 
 
 def finite_difference_hessian(field, h=1e-5):
     """The action's Hessian from central differences of the exact gradient,
     in the real u(n) coordinates (_u_basis) of every edge: column (e, k)
     moves U_e to exp(+-h B_k) U_e.  Symmetrised."""
-    engine = _engine_for(field.mesh)
+    engine = _Engine(field.mesh)
     n, edges = field.n, len(field.U)
     basis = _u_basis(n)
     up, down = (expm_raw(sign * h * basis.reshape(n * n, n, n)) for sign in (1, -1))
@@ -123,7 +123,7 @@ def finite_difference_hessian(field, h=1e-5):
 def dense_operator(field, mu, curvature):
     """_Engine.normal_operator as a dense matrix: column (e, k) is its image
     of the unit vector on coordinate k of edge e."""
-    engine = _engine_for(field.mesh)
+    engine = _Engine(field.mesh)
     logs = engine.logs(field.U)
     apply = engine.normal_operator(logs, engine.face_blocks(logs), mu, curvature)
     d = field.n * field.n

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 
 import areaholonomy as ah
 from areaholonomy.cli import cli
-from areaholonomy.lattice import _engine_for
+from areaholonomy.lattice import _Engine
 from areaholonomy.liecore import expm_raw
 from conftest import dense_operator, finite_difference_hessian, flux_rep, random_field
 
@@ -180,7 +180,7 @@ def test_criterion_7_sphere_isolation():
 def test_criterion_8_gradient_matches_finite_differences():
     with criterion(8, "closed-form gradient matches central differences"):
         mesh = ah.build_torus_mesh(4)
-        engine = _engine_for(mesh)
+        engine = _Engine(mesh)
         step = 1e-5
         for case in range(20):
             n = 1 if case < 10 else 2

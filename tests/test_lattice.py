@@ -1,8 +1,11 @@
 """Lattice connections: plaquettes, curvature, action, gradient, flow,
 gauge action, holonomy, and the constant-curvature constructions."""
 
+import gc
 import json
 import os
+import weakref
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -32,7 +35,7 @@ from areaholonomy import (
 )
 from areaholonomy._loopsteps import flat_steps, holonomies, reduced
 from areaholonomy._verify import basepoint_curvature, verify_pairs
-from areaholonomy.lattice import _conjugate_gradients, _engine_for, _field_text, _u_basis, _unitarize
+from areaholonomy.lattice import _Engine, _conjugate_gradients, _field_text, _u_basis, _unitarize
 from areaholonomy.liecore import expm_raw, haar_unitary_raw, matmul_raw
 from conftest import (
     ONE_EDGE_SPHERE,
@@ -83,7 +86,7 @@ class TestPlaquette:
         kind, size = spec
         mesh = ah.build_torus_mesh(size) if kind == "torus" else ah.build_sphere_mesh(size)
         field = random_field(mesh, n, np.random.default_rng(seed), scale=1.0)
-        batched = _engine_for(mesh).plaquettes(field.U)
+        batched = _Engine(mesh).plaquettes(field.U)
         for f in range(len(mesh.faces)):
             assert np.array_equal(plaquette_holonomy(field, f).mat, batched[f])
 
@@ -202,7 +205,7 @@ class TestGradient:
     def test_public_wrapper_matches_engine(self, torus4):
         rng = np.random.default_rng(82)
         field = random_field(torus4, 2, rng)
-        engine = _engine_for(torus4)
+        engine = _Engine(torus4)
         raw = engine.gradient_from_logs(engine.logs(field.U))
         wrapped = ym_gradient(field)
         assert len(wrapped) == len(torus4.edges)
@@ -223,7 +226,7 @@ class TestGradient:
         field = random_field(mesh, n, rng, scale=1.0)
         a = rng.normal(size=(len(mesh.faces), n, n)) + 1j * rng.normal(size=(len(mesh.faces), n, n))
         x = (a - a.conj().swapaxes(-1, -2)) / 2.0
-        engine = _engine_for(mesh)
+        engine = _Engine(mesh)
         logs = engine.logs(field.U)._replace(x=x)
         expected = np.zeros_like(field.U)
         layout, q = mesh.face_steps, logs.transports
@@ -232,7 +235,7 @@ class TestGradient:
             # at n = 1 a transport is conjugation by a phase, which the
             # engine skips
             contrib = x[f] if n == 1 else matmul_raw(matmul_raw(q[slots].conj().swapaxes(-1, -2), x[f]), q[slots])
-            np.add.at(expected, layout.edges[slots], contrib * (layout.signs[slots] * (2.0 / engine.areas[f]))[:, None, None])
+            np.add.at(expected, layout.edges[slots], contrib * (layout.signs[slots] * (2.0 / engine.mesh.face_areas[f]))[:, None, None])
         assert np.array_equal(engine.gradient_from_logs(logs), expected)
 
     @pytest.mark.parametrize("n,seed", [(1, 80), (2, 81)])
@@ -240,7 +243,7 @@ class TestGradient:
         mesh = ah.build_torus_mesh(4)
         rng = np.random.default_rng(seed)
         field = random_field(mesh, n, rng, scale=0.35)
-        engine = _engine_for(mesh)
+        engine = _Engine(mesh)
         grad = engine.gradient_from_logs(engine.logs(field.U))
 
         def action_of(values):
@@ -355,15 +358,14 @@ class TestFlow:
 
     def test_stop_reason_halving_budget(self, perturbed4, monkeypatch):
         # every trial step hits the branch cut: the line search cannot accept
-        engine = _engine_for(perturbed4.mesh)
-        logs = engine.logs
+        logs = _Engine.logs
 
-        def logs_of_start_only(values):
+        def logs_of_start_only(self, values):
             if values is not perturbed4.U:
                 raise BranchCutError("trial step")
-            return logs(values)
+            return logs(self, values)
 
-        monkeypatch.setattr(engine, "logs", logs_of_start_only)
+        monkeypatch.setattr(_Engine, "logs", logs_of_start_only)
         with pytest.raises(NotConvergedError) as err:
             gradient_flow(perturbed4, tol=1e-9)
         assert err.value.report.stop_reason == "halving_budget"
@@ -454,7 +456,7 @@ def abelian_starts(draw):
         mesh = ah.mesh_from_json(merged_faces(ah.mesh_to_json(mesh), edge))
         start = GaugeField(mesh, np.delete(start.U, edge, axis=0))
     try:
-        theta = _engine_for(mesh).logs(start.U).x[:, 0, 0].imag
+        theta = _Engine(mesh).logs(start.U).x[:, 0, 0].imag
     except BranchCutError:
         assume(False)
     # the perturbation may wrap a plaquette into the next sector
@@ -469,7 +471,7 @@ class TestAbelianNewton:
         # at n = 1 the shared Gauss-Newton solve is the exact Newton step:
         # the edge angles delta, minimum-norm, with D delta = theta - Phi A / sum(A)
         mesh = start.mesh
-        engine = _engine_for(mesh)
+        engine = _Engine(mesh)
         logs = engine.logs(start.U)
         theta = logs.x[:, 0, 0].imag
         r = theta - np.sum(theta) * mesh.face_areas / np.sum(mesh.face_areas)
@@ -492,8 +494,7 @@ class TestAbelianNewton:
     def test_falls_back_to_gradient(self, torus4, monkeypatch, value):
         # a Newton direction that does not descend, or is not finite, is
         # replaced by the gradient
-        engine = _engine_for(torus4)
-        monkeypatch.setattr(engine, "levenberg_marquardt", lambda *args: np.full((len(torus4.edges), 1, 1), value))
+        monkeypatch.setattr(_Engine, "levenberg_marquardt", lambda *args: np.full((len(torus4.edges), 1, 1), value))
         start = ah.perturb_field(build_ym_field_from_rep(torus4, flux_rep(1, 1)), np.random.default_rng(3), 0.3)
         _, report = gradient_flow(start, tol=1e-9)
         assert report.stop_reason == "converged"
@@ -543,7 +544,7 @@ def jacobian_adjoint(engine, logs, y):
     v = logs.v
     vh = v.conj().swapaxes(-1, -2)
     pulled = v @ (dexp_inverse(logs.theta).conj() * (vh @ y @ v)) @ vh
-    return engine.gradient_from_logs(logs._replace(x=pulled * engine.areas[:, None, None] / 2))
+    return engine.gradient_from_logs(logs._replace(x=pulled * engine.mesh.face_areas[:, None, None] / 2))
 
 
 def random_skew(rng, shape):
@@ -566,7 +567,7 @@ def nonabelian_fields(draw, specs, merged=False):
         mesh = ah.mesh_from_json(merged_faces(ah.mesh_to_json(mesh), draw(st.integers(0, len(mesh.edges) - 1))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     field = random_field(mesh, draw(st.sampled_from([2, 3])), rng, scale=draw(st.floats(0.05, 0.6)))
-    plaquettes = _engine_for(mesh).plaquettes(field.U)
+    plaquettes = _Engine(mesh).plaquettes(field.U)
     assume(np.max(np.abs(np.angle(np.linalg.eigvals(plaquettes)))) < 2.5)
     return field, rng
 
@@ -576,7 +577,7 @@ class TestLevenbergMarquardt:
     @given(nonabelian_fields([("torus", 2), ("torus", 3), ("sphere", 1), ("sphere", 2)]))
     def test_jacobian_matches_finite_differences(self, drawn):
         field, rng = drawn
-        engine = _engine_for(field.mesh)
+        engine = _Engine(field.mesh)
         logs = engine.logs(field.U)
         z = random_skew(rng, field.U.shape)
         closed = jacobian(engine, logs, z)
@@ -588,7 +589,7 @@ class TestLevenbergMarquardt:
     @given(nonabelian_fields([("torus", 2), ("torus", 3), ("sphere", 1), ("sphere", 2)]))
     def test_adjoint(self, drawn):
         field, rng = drawn
-        engine = _engine_for(field.mesh)
+        engine = _Engine(field.mesh)
         logs = engine.logs(field.U)
         z = random_skew(rng, field.U.shape)
         y = random_skew(rng, logs.x.shape)
@@ -597,7 +598,7 @@ class TestLevenbergMarquardt:
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs)) * y.size
         # J^T W X is half the gradient
         grad = engine.gradient_from_logs(logs)
-        assert np.max(np.abs(jacobian_adjoint(engine, logs, logs.x / engine.areas[:, None, None]) - grad / 2)) <= 1e-12 * max(
+        assert np.max(np.abs(jacobian_adjoint(engine, logs, logs.x / engine.mesh.face_areas[:, None, None]) - grad / 2)) <= 1e-12 * max(
             1.0, np.max(np.abs(grad))
         )
 
@@ -607,13 +608,13 @@ class TestLevenbergMarquardt:
         # the Gauss-Newton rows against dense B^T (J^H W J) B + mu I, with B
         # the orthonormal basis of u(n)^E whose coordinates the rows act on
         field, _ = drawn
-        engine = _engine_for(field.mesh)
+        engine = _Engine(field.mesh)
         logs = engine.logs(field.U)
         n, edges = field.n, len(field.mesh.edges)
         units = np.eye(edges * n * n).reshape(-1, edges, n * n)
         basis = _u_basis(n).reshape(n * n, n, n)
         columns = np.array([jacobian(engine, logs, np.einsum("ek,kab->eab", c, basis)) for c in units])
-        weighted = columns / engine.areas[:, None, None]
+        weighted = columns / engine.mesh.face_areas[:, None, None]
         dense = np.einsum("ifab,kfab->ik", columns.conj(), weighted).real + mu * np.eye(len(units))
         apply = engine.normal_operator(logs, engine.face_blocks(logs), mu, False)
         blocked = np.array([apply(c).ravel() for c in units]).T
@@ -627,7 +628,7 @@ class TestLevenbergMarquardt:
         mesh = ah.build_sphere_mesh(2)
         rep_field = build_ym_field_from_rep(mesh, ah.sphere_rep([1, 1]))
         field = apply_gauge(rep_field, ah.random_gauge_transform(mesh, 2, np.random.default_rng(5)))
-        engine = _engine_for(mesh)
+        engine = _Engine(mesh)
         logs = engine.logs(field.U)
         theta, v = np.linalg.eigh(-1j * logs.x)
         assert np.max(np.abs(logs.v - v)) > 0.1
@@ -667,7 +668,7 @@ class TestLevenbergMarquardt:
         _, report = gradient_flow(start, tol=1e-9)
         assert report.iterations <= 20
         # a direction that is not finite falls back to the gradient
-        monkeypatch.setattr(_engine_for(mesh), "levenberg_marquardt", lambda *args: np.full(u.shape[1:], np.nan))
+        monkeypatch.setattr(_Engine, "levenberg_marquardt", lambda *args: np.full(u.shape[1:], np.nan))
         _, steepest = gradient_flow(start, tol=1e-9, max_iter=5000)
         assert steepest.iterations > 50
         assert abs(report.final_action - steepest.final_action) <= 1e-9
@@ -724,7 +725,7 @@ class TestNewtonOperator:
         # at n = 1 each slot block is its sign and the operator is D^T W D
         field = operator_case(case, 1)
         mesh = field.mesh
-        engine = _engine_for(mesh)
+        engine = _Engine(mesh)
         assert same_bytes(engine.slot_blocks(engine.logs(field.U)), mesh.face_steps.signs.astype(np.float64)[:, None, None])
         d = incidence_matrix(mesh)
         laplacian = d.T @ (d / np.asarray(mesh.face_areas)[:, None])
@@ -743,14 +744,13 @@ class TestNewtonOperator:
         # Newton operator is indefinite in some iterations; those take the
         # Gauss-Newton direction, and the flow still reaches the U(2)
         # flux-1 minimum, curvature i pi I, action 2 pi^2
-        engine = _engine_for(torus8)
-        built, normal_operator = [], engine.normal_operator
+        built, normal_operator = [], _Engine.normal_operator
 
-        def recording(logs, blocks, mu, curvature):
+        def recording(self, logs, blocks, mu, curvature):
             built.append(curvature)
-            return normal_operator(logs, blocks, mu, curvature)
+            return normal_operator(self, logs, blocks, mu, curvature)
 
-        monkeypatch.setattr(engine, "normal_operator", recording)
+        monkeypatch.setattr(_Engine, "normal_operator", recording)
         start = ah.perturb_field(build_ym_field_from_rep(torus8, flux_rep(2, 1)), np.random.default_rng(7), 0.3)
         _, report = gradient_flow(start, tol=1e-9)
         assert report.stop_reason == "converged"
@@ -761,36 +761,51 @@ class TestNewtonOperator:
     def test_gauss_newton_rebuild_reuses_the_slot_blocks(self, torus8, monkeypatch):
         # the slot blocks depend on the logs only: an iteration builds them
         # once, for its Newton operator and its Gauss-Newton rebuild alike
-        engine = _engine_for(torus8)
-        calls, slot_blocks = [], engine.slot_blocks
+        calls, slot_blocks = [], _Engine.slot_blocks
 
-        def counted(logs):
+        def counted(self, logs):
             calls.append(logs)
-            return slot_blocks(logs)
+            return slot_blocks(self, logs)
 
-        monkeypatch.setattr(engine, "slot_blocks", counted)
+        monkeypatch.setattr(_Engine, "slot_blocks", counted)
         start = ah.perturb_field(build_ym_field_from_rep(torus8, flux_rep(2, 1)), np.random.default_rng(7), 0.3)
         _, report = gradient_flow(start, tol=1e-9)
         assert report.stop_reason == "converged"
         assert len(calls) == report.iterations
 
-    def test_engine_keeps_no_per_call_state(self):
-        # a mesh's engine holds the mesh's index tables only: a flow that
-        # takes both Newton operators, a verify_pairs pass and loop_class
-        # calls leave it with the attributes it was built with
-        mesh = ah.build_torus_mesh(8)
-        engine = _engine_for(mesh)
-        built = set(vars(engine))
-        rng = np.random.default_rng(7)
-        start = ah.perturb_field(build_ym_field_from_rep(mesh, flux_rep(2, 1)), rng, 0.3)
-        field, report = gradient_flow(start, tol=1e-9)
-        assert report.stop_reason == "converged"
-        pairs = [ah.random_homotopic_pair(mesh, rng, 12) for _ in range(8)]
-        assert all(not isinstance(row, Exception) for row in verify_pairs(field, pairs))
-        for l1, _ in pairs:
-            ah.loop_class(mesh, l1)
-        assert _engine_for(mesh) is engine
-        assert set(vars(engine)) == built
+    def test_engine_keeps_no_per_call_state(self, monkeypatch):
+        # an engine holds its mesh only, and nothing but the mesh's cached
+        # properties writes to the mesh: a flow that takes both Newton
+        # operators, a verify_pairs pass and loop_class calls leave it with
+        # its construction attributes and cached tables, in no reference
+        # cycle, so it is freed on del without the cyclic collector
+        assert _Engine.__slots__ == ("mesh",)
+        cached = {name for name, value in vars(ah.SurfaceMesh).items() if isinstance(value, cached_property)}
+        built, operators = [], _Engine.normal_operator
+
+        def recording(self, logs, blocks, mu, curvature):
+            built.append(curvature)
+            return operators(self, logs, blocks, mu, curvature)
+
+        monkeypatch.setattr(_Engine, "normal_operator", recording)
+        gc.disable()
+        try:
+            mesh = ah.build_torus_mesh(8)
+            constructed = set(vars(mesh))
+            rng = np.random.default_rng(7)
+            start = ah.perturb_field(build_ym_field_from_rep(mesh, flux_rep(2, 1)), rng, 0.3)
+            field, report = gradient_flow(start, tol=1e-9)
+            assert report.stop_reason == "converged" and set(built) == {True, False}
+            pairs = [ah.random_homotopic_pair(mesh, rng, 12) for _ in range(8)]
+            assert all(not isinstance(row, Exception) for row in verify_pairs(field, pairs))
+            for l1, _ in pairs:
+                ah.loop_class(mesh, l1)
+            assert set(vars(mesh)) <= constructed | cached
+            freed = weakref.ref(mesh)
+            del mesh, start, field
+            assert freed() is None
+        finally:
+            gc.enable()
 
 
 class TestGaugeInvariance:
@@ -941,7 +956,7 @@ class TestVerifyAreaProperty:
         # basepoint 5 lies on face 0 but does not start its boundary, so
         # face 0's curvature is in vertex 0's frame, which a random gauge
         # rotates away from vertex 5's
-        mesh = ah.SurfaceMesh(1, 16, torus4.edges, torus4.faces, torus4.face_areas, 5, grid=torus4.grid)
+        mesh = ah.SurfaceMesh(1, 16, torus4.edges, torus4.faces, torus4.face_areas, 5)
         assert mesh.face_start_vertex(0) != 5
         field = build_ym_field_from_rep(mesh, flux_rep(2, 1))
         field = apply_gauge(field, ah.random_gauge_transform(mesh, 2, np.random.default_rng(3)))
@@ -1344,7 +1359,7 @@ def test_face_layout_matches_gather_oracle(case, seed):
     # read back with non-uniform areas and two faces merged, n 1..3
     field, _ = case
     mesh, n = field.mesh, field.n
-    oracle, engine = GatherEngine(mesh), _engine_for(mesh)
+    oracle, engine = GatherEngine(mesh), _Engine(mesh)
     assert same_bytes(engine.plaquettes(field.U), oracle.plaquettes(field.U))
     x = random_skew(np.random.default_rng(seed), (len(mesh.faces), n, n))
     assert same_bytes(engine.gradient_from_logs(engine.logs(field.U)._replace(x=x)), oracle.gradient_from_logs(field.U, x))
@@ -1378,7 +1393,7 @@ def test_slit_faces_match_gather_oracle(kind, n):
     assert reduced(mesh.face_steps).lengths[0] == mesh.face_steps.lengths[0] - 2
     rng = np.random.default_rng(n)
     field = random_field(mesh, n, rng, scale=0.2)
-    oracle, engine = GatherEngine(mesh), _engine_for(mesh)
+    oracle, engine = GatherEngine(mesh), _Engine(mesh)
     assert same_bytes(engine.plaquettes(field.U), oracle.plaquettes(field.U))
     logs = engine.logs(field.U)
     x = random_skew(rng, logs.x.shape)

@@ -21,7 +21,7 @@ from areaholonomy import (
     inner,
     logm_principal,
 )
-from areaholonomy.lattice import _engine_for
+from areaholonomy.lattice import _Engine
 from areaholonomy.liecore import _REAL_FORM_MAX_N, _eigh2, expm_raw, logm_raw, matmul_raw, real_form
 
 EPS_BRANCH = ah.DEFAULT_POLICY.eps_branch
@@ -297,7 +297,7 @@ class TestClosedForms:
             ah.build_ym_field_from_rep(mesh, ah.sphere_rep([1, 1])),
             ah.random_gauge_transform(mesh, 2, np.random.default_rng(3)),
         )
-        check_eigh(-1j * _engine_for(mesh).logs(field.U).x)
+        check_eigh(-1j * _Engine(mesh).logs(field.U).x)
 
     @settings(max_examples=100, deadline=None)
     @given(hermitian_stacks())

@@ -186,6 +186,17 @@ class TestActionValue:
             ym_action_value(r1) + ym_action_value(r2), rel=1e-12
         )
 
+    def test_reassigned_lambda_is_validated_again(self):
+        # validity is that of the rep as it is now: a Lambda whose spectrum
+        # is not quantized makes the genus-0 rep invalid, even after an
+        # earlier call found the rep valid
+        rep = sphere_rep([1, 0])
+        assert ym_action_value(rep) == pytest.approx(FOUR_PI_SQ, rel=1e-13)
+        rep.Lambda = SkewHermitian(np.diag([0.5j, 0]))
+        with pytest.raises(InvalidRepError):
+            ym_action_value(rep)
+        assert not validate_rep(rep).ok
+
 
 class TestSphereClasses:
     def test_n1_kmax1(self):
@@ -270,3 +281,28 @@ def test_rep_json_rejects_non_integral_slots(key, value):
     obj = dict(ah.rep_to_json(quaternion_rep(2)), **{key: value})
     with pytest.raises(ValueError, match=f"representation: {key} must be an integer"):
         ah.rep_from_json(obj)
+
+
+@pytest.mark.parametrize("im", [[[0.5]], 0, [[0, 0]], [[0, 0], [0, 0], [0, 0]]])
+def test_matrix_json_rejects_im_of_another_shape(im):
+    # numpy would broadcast im against re; the reader does not
+    with pytest.raises(ValueError, match="must be 2 x 2"):
+        ah.matrix_from_json({"n": 2, "re": [[1, 0], [0, 1]], "im": im})
+    obj = ah.rep_to_json(sphere_rep([1, 0]))
+    obj["Lambda"]["im"] = im
+    with pytest.raises(ValueError, match="must be 2 x 2"):
+        ah.rep_from_json(obj)
+
+
+@pytest.mark.parametrize("part", ["re", "im"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_matrix_json_non_finite_entry(part, value):
+    # read without a numpy warning (which the test settings make an error);
+    # the rep's Unitary check then rejects it
+    obj = ah.matrix_to_json(np.eye(2))
+    obj[part][0][1] = value
+    assert not np.all(np.isfinite(ah.matrix_from_json(obj)))
+    rep = ah.rep_to_json(quaternion_rep(1))
+    rep["A"][0][part][0][1] = value
+    with pytest.raises(ValueError, match="not unitary"):
+        ah.rep_from_json(rep)

@@ -1,5 +1,6 @@
 """Mesh construction, winding numbers, and enclosed area."""
 
+import math
 import struct
 from itertools import chain
 
@@ -18,7 +19,7 @@ from areaholonomy import (
     wrap_mod1,
 )
 from areaholonomy._loopsteps import first_fault, flat_steps, lifts
-from areaholonomy.surfaces import integrate_faces
+from areaholonomy.surfaces import TorusGrid, integrate_faces
 from conftest import (
     MALFORMED_MESHES,
     disjoint_union_json,
@@ -1027,7 +1028,12 @@ class TestMeshTables:
         fluxes = mesh._step_fluxes
         assert fluxes[0::2].tobytes() == theta.tobytes() and fluxes[1::2].tobytes() == (-theta).tobytes()
         assert not fluxes.flags.writeable and not theta.flags.writeable
-        tables = ["vertex_steps", "dual_tree", "_basepoint_tree", "area_potential", "_step_fluxes", "_step_tuples"]
+        order = mesh.face_schedule
+        face_tables = (order.at, *order.rows, order.offsets, order.ends, mesh.transport_rows, mesh.face_slots,
+                       *mesh.face_places, mesh.neighbours)
+        assert not any(table.flags.writeable for table in face_tables)
+        tables = ["grid", "vertex_steps", "dual_tree", "_basepoint_tree", "area_potential", "_step_fluxes", "_step_tuples",
+                  "face_schedule", "transport_rows", "face_slots", "face_places", "neighbours"]
         if mesh.genus == 1:
             grid = mesh.grid
             moves = grid.step_moves
@@ -1042,6 +1048,79 @@ class TestMeshTables:
             tables.append("_period_fluxes")
         for name in tables:
             assert getattr(mesh, name) is getattr(mesh, name)
+
+
+def oracle_grid(mesh):
+    """The grid by comparing the mesh's edge and face tuples with those of
+    build_torus_mesh(N), N^2 the vertex count."""
+    N = math.isqrt(mesh.vertex_count)
+    if mesh.genus != 1 or N < 2 or N * N != mesh.vertex_count:
+        return None
+    built = ah.build_torus_mesh(N)
+    return TorusGrid(N) if (mesh.edges, mesh.faces) == (built.edges, built.faces) else None
+
+
+@st.composite
+def meshes_with_one_relabeling(draw):
+    """A mesh of meshes_with_random_areas, built again by SurfaceMesh from
+    its data, as it is or with one change that still makes a valid mesh:
+    one face rotated to start at another vertex, two faces swapped with
+    their areas, an edge reversed with its face signs flipped, two edge
+    indices exchanged, or two vertex labels exchanged.  Returns the mesh
+    and the change."""
+    mesh = draw(meshes_with_random_areas())
+    edges, faces, areas = list(mesh.edges), [list(face) for face in mesh.faces], mesh.face_areas.tolist()
+
+    def two(count):
+        i, j = draw(st.integers(0, count - 1)), draw(st.integers(0, count - 2))
+        return i, j + (j >= i)
+
+    change = draw(st.sampled_from(["none", "rotate face", "swap faces", "reverse edge", "swap edges", "swap vertices"]))
+    if change == "rotate face":
+        f = draw(st.integers(0, len(faces) - 1))
+        k = draw(st.integers(1, len(faces[f]) - 1))
+        faces[f] = faces[f][k:] + faces[f][:k]
+    elif change == "swap faces":
+        i, j = two(len(faces))
+        faces[i], faces[j], areas[i], areas[j] = faces[j], faces[i], areas[j], areas[i]
+    elif change == "reverse edge":
+        e = draw(st.integers(0, len(edges) - 1))
+        edges[e] = edges[e][::-1]
+        faces = [[(k, -s if k == e else s) for k, s in face] for face in faces]
+    elif change == "swap edges":
+        a, b = two(len(edges))
+        edges[a], edges[b] = edges[b], edges[a]
+        faces = [[({a: b, b: a}.get(k, k), s) for k, s in face] for face in faces]
+    elif change == "swap vertices":
+        a, b = two(mesh.vertex_count)
+        edges = [tuple({a: b, b: a}.get(v, v) for v in edge) for edge in edges]
+    return ah.SurfaceMesh(mesh.genus, mesh.vertex_count, edges, faces, areas, mesh.basepoint), change
+
+
+class TestGridDetection:
+    """Every mesh finds its grid from its own complex."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(meshes_with_one_relabeling())
+    def test_grid_is_that_of_the_builder_complex(self, case):
+        mesh, change = case
+        assert mesh.grid == oracle_grid(mesh)
+        if mesh.genus == 0:
+            assert mesh.grid is None
+        elif change == "none":
+            assert mesh.grid == TorusGrid(math.isqrt(mesh.vertex_count))
+
+    def test_grid_is_no_constructor_argument(self, torus4, sphere2):
+        # a grid passed in could disagree with the complex: TorusGrid(3) on
+        # torus:4's complex misread every lift
+        with pytest.raises(TypeError):
+            ah.SurfaceMesh(1, 16, torus4.edges, torus4.faces, torus4.face_areas, 0, grid=TorusGrid(3))
+        with pytest.raises(TypeError):
+            ah.SurfaceMesh(0, sphere2.vertex_count, sphere2.edges, sphere2.faces, sphere2.face_areas, 0,
+                           grid=TorusGrid(2))
+        mesh = ah.SurfaceMesh(1, 16, torus4.edges, torus4.faces, torus4.face_areas, 0)
+        assert mesh.grid == TorusGrid(4)
+        assert enclosed_area(mesh, ah.face_boundary_loop(mesh, 5)) == 1 / 16
 
 
 class TestBulkIntegerRule:
