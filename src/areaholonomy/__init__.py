@@ -10,7 +10,12 @@ The namespace is lazy (PEP 562): each public name is bound from its
 submodule the first time it is reached, so a call pays only for the
 modules it uses.  Whenever a name or a submodule is reached, the public
 names of every submodule loaded by then are bound together, so vars()
-of the package lists every function of every module in use.
+of the package lists every function of every module in use.  The
+submodules keep the promise: each imports at load only what all of its
+callers need, and a function that alone needs another module imports it
+when called.  So solve loads neither words nor _verify, verify does not
+load words, and meshes, loops, loop_class and words load neither
+liecore nor lattice, reps or _verify.
 """
 
 import importlib as _importlib

@@ -16,8 +16,10 @@ retraced steps, lifts walks their lifts to a torus grid's universal
 cover with integer prefix sums, and prefixes multiplies the step
 matrices of every loop, one step position of all loops at a time, in the
 order a loop over the steps would multiply them (schedule).  The kernels
-read a mesh's step_ends and counts and the step tables they are handed,
-and import from the package only liecore's product kernel.
+read a mesh's step_ends and counts and the step tables they are handed.
+From the package they import only liecore's product kernel, inside the
+two kernels that multiply (step_table and prefixes), so checking,
+reducing and lifting loops never loads liecore.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from itertools import chain
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-
-from .liecore import matmul_raw, real_form
 
 
 def clip_steps(steps) -> tuple[tuple[int, int], ...]:
@@ -215,6 +215,8 @@ def prefixes(u: np.ndarray, steps: Schedule) -> np.ndarray:
     (E, n, n), K identities and then one per step, as the Schedule numbers
     them.  Each step position is one batched matmul_raw by the loops' step
     matrices (step_table): every product is formed left to right."""
+    from .liecore import matmul_raw
+
     table, n = step_table(u), u.shape[-1]
     out = np.empty((steps.offsets[-1], n, n), dtype=np.complex128)
     out[: steps.offsets[1]] = np.eye(n)
@@ -236,5 +238,7 @@ def step_table(u: np.ndarray) -> np.ndarray:
     """The matrix of every step row in one table, as matmul_raw multiplies
     by it (real_form): U_e in row 2e for sign +1 and U_e^-1 = U_e* in row
     2e + 1 for sign -1."""
+    from .liecore import real_form
+
     table = np.stack((u, u.conj().swapaxes(-1, -2)), axis=1).reshape(-1, *u.shape[1:])
     return real_form(table)

@@ -12,10 +12,11 @@ The verify table's max_residual is null when no pair was measured.
 
 from __future__ import annotations
 
-# the package's modules, numpy with them, load first: a solve child that
-# loads them after click and the modules below peaks about 0.5 MB higher
-# in resident memory (sphere:4, n = 2), from the heap's layout, not from
-# more live data
+# lattice and the modules it imports (numpy, liecore, surfaces, reps)
+# load first, before click: a solve child that loads them after click and
+# the modules below peaks about 0.5 MB higher in resident memory
+# (sphere:4, n = 2), from the heap's layout, not from more live data.
+# words and _verify load only in the commands that call them.
 from . import lattice  # noqa: F401, I001
 
 import contextlib

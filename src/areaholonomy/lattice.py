@@ -15,14 +15,12 @@ snapshots and never mutated in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from ._loopsteps import flat_steps, holonomies, prefixes
-from ._verify import verify_pairs
 from .liecore import (
     BranchCutError,
     DimensionMismatchError,
@@ -67,8 +65,7 @@ class NotConvergedError(RuntimeError):
 _MAX_HALVINGS = 40
 
 
-@dataclass
-class FlowReport:
+class FlowReport(NamedTuple):
     """Flow summary: recorded actions are nonincreasing up to a few ulps of
     the action value (the flow keeps contracting the gradient after action
     differences fall below evaluation precision).  step_history holds
@@ -576,6 +573,8 @@ def verify_area_property(
     """
     if Lambda is not None and Lambda.n != field.n:
         raise DimensionMismatchError(f"Lambda is {Lambda.n} x {Lambda.n}, the field's matrices {field.n} x {field.n}")
+    from ._verify import verify_pairs
+
     (row,) = verify_pairs(field, [(loop1, loop2)], None if Lambda is None else Lambda.mat)
     if isinstance(row, NotNullHomotopicError):
         raise row

@@ -6,11 +6,10 @@ and no operation takes a tolerance of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class NumericPolicy:
+class NumericPolicy(NamedTuple):
     # matrix invariants
     skew_tol: float = 1e-12          # ||X + X*||_F for skew-Hermitian inputs
     unitary_tol: float = 1e-12       # ||U U* - I||_F and |det| - 1

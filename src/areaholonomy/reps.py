@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,15 +27,16 @@ from .liecore import (
 )
 from .policy import DEFAULT_POLICY
 from .surfaces import json_int, required_keys
-from .words import GammaRElement, GenusMismatchError, relator_letters
+
+if TYPE_CHECKING:
+    from .words import GammaRElement
 
 
 class InvalidRepError(ValueError):
     """The representation violates the relator or centrality constraint."""
 
 
-@dataclass(frozen=True)
-class RepDiagnostics:
+class RepDiagnostics(NamedTuple):
     relator_residual: float
     centrality_residual: float
     ok: bool
@@ -106,8 +107,12 @@ def _word_image(rep: YangMillsRep, letters) -> np.ndarray:
 
 
 def relator_image(rep: YangMillsRep) -> np.ndarray:
-    """Product of commutators [A_i, B_i] in generator order."""
-    return _word_image(rep, relator_letters(rep.genus))
+    """Product of commutators [A_i, B_i] in generator order: the image of
+    words.relator_letters, multiplied left to right as _word_image does."""
+    out = np.eye(rep.n, dtype=np.complex128)
+    for a, b in zip(rep.A, rep.B):
+        out = out @ a.mat @ b.mat @ a.mat.conj().T @ b.mat.conj().T
+    return out
 
 
 def validate_rep(rep: YangMillsRep) -> RepDiagnostics:
@@ -147,6 +152,8 @@ def evaluate(rep: YangMillsRep, x: GammaRElement) -> Unitary:
     """
     _require_valid(rep)
     if x.genus != rep.genus:
+        from .words import GenusMismatchError
+
         raise GenusMismatchError(f"element genus {x.genus} does not match rep genus {rep.genus}")
     return Unitary(_word_image(rep, x.word.letters) @ expm_raw(x.t * rep.Lambda.mat))
 
@@ -218,6 +225,8 @@ def _block_diag(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def direct_sum(r1: YangMillsRep, r2: YangMillsRep) -> YangMillsRep:
     """Block-diagonal combination; the action values add."""
     if r1.genus != r2.genus:
+        from .words import GenusMismatchError
+
         raise GenusMismatchError("direct sum needs matching genus")
     a = [Unitary(_block_diag(x.mat, y.mat)) for x, y in zip(r1.A, r2.A)]
     b = [Unitary(_block_diag(x.mat, y.mat)) for x, y in zip(r1.B, r2.B)]

@@ -16,7 +16,10 @@ both read it.  No floating-point geometry is involved.
 Every table a mesh derives from its own data (its grid, the potential,
 its per-step fluxes, the spanning trees, a grid's step moves, the face
 tables of lattice._Engine) is a cached_property of the mesh or its
-TorusGrid: computed once, on first use.  Nothing else writes to a mesh.
+TorusGrid: computed once, on first use.  A builder torus finds its grid
+as it is built, against the arrays it was built from.  A built mesh
+refuses every other write (AttributeError), so no table can go stale or
+disagree with the complex.
 
 Loops are checked, walked and integrated as arrays: the steps of many
 loops are laid out flat (_loopsteps), and validate_loop, torus_windings
@@ -30,6 +33,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -162,10 +166,14 @@ class SurfaceMesh:
     tails and heads its endpoints.  step_ends is the (tail, head) of every
     step row (_loopsteps): (tails[e], heads[e]) in row 2e and (heads[e],
     tails[e]) in row 2e + 1.  All of these are read-only.  The rest of what
-    the mesh derives, its grid included, is a cached_property.
+    the mesh derives, its grid included, is a cached_property, and no
+    attribute of a built mesh can be set or deleted.
     Integer slots follow the rule of json_int (json_ints): a boolean or a
     number with a fractional part raises instead of being truncated.
     """
+
+    # True once __init__ has validated the mesh; __setattr__ then refuses
+    _built = False
 
     def __init__(
         self,
@@ -187,6 +195,17 @@ class SurfaceMesh:
         self.face_areas.setflags(write=False)
         self.basepoint = json_int(basepoint, "mesh: basepoint")
         self._validate()
+        self._built = True
+
+    def __setattr__(self, name: str, value) -> None:
+        # a cached_property stores its table in __dict__ without calling
+        # this, so only __init__ and _validate write through here
+        if self._built:
+            raise AttributeError(f"a built SurfaceMesh is read-only: cannot set {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"a built SurfaceMesh is read-only: cannot delete {name!r}")
 
     # -- derived queries ---------------------------------------------------
 
@@ -417,17 +436,36 @@ def build_torus_mesh(N: int, face_areas=None) -> SurfaceMesh:
     """
     if N < 2:
         raise ValueError("torus grid needs N >= 2")
-    tails, heads, edges, signs = _torus_arrays(N)
+    arrays = _torus_arrays(N)
+    tails, heads, edges, signs = arrays
     if face_areas is None:
         face_areas = np.full(N * N, 1.0 / (N * N))
     faces = tuple(zip(*[zip(edges.tolist(), signs.tolist())] * 4))
-    return SurfaceMesh(1, N * N, tuple(zip(tails.tolist(), heads.tolist())), faces, face_areas, 0)
+    mesh = SurfaceMesh(1, N * N, tuple(zip(tails.tolist(), heads.tolist())), faces, face_areas, 0)
+    # found while arrays holds the layout, so the grid check compares the
+    # mesh with it instead of laying it out again
+    mesh.grid
+    return mesh
 
 
-def _torus_arrays(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+class _TorusLayout(list):
+    """The four arrays of _torus_arrays, in a list so that a weak
+    reference can name them."""
+
+
+# each N's layout while some caller holds it, and no longer
+_LAID_OUT: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _torus_arrays(N: int) -> _TorusLayout:
     """Edge tails and heads and the flat face edges and signs of the builder
     torus, as SurfaceMesh stores them: face (x, y) is h(x, y), v(x + 1, y),
-    h(x, y + 1)^-1, v(x, y)^-1, rotated to start at its lowest vertex."""
+    h(x, y + 1)^-1, v(x, y)^-1, rotated to start at its lowest vertex.
+    The arrays are read-only, and every call made while a caller still
+    holds them returns the same ones."""
+    layout = _LAID_OUT.get(N)
+    if layout is not None:
+        return layout
     x, y = np.tile(np.arange(N), N), np.repeat(np.arange(N), N)
     corner = x + N * y
     right, up = (x + 1) % N + N * y, x + N * ((y + 1) % N)
@@ -437,7 +475,9 @@ def _torus_arrays(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     starts = np.stack((corner, right, (x + 1) % N + N * ((y + 1) % N), up), axis=1)
     turn = (starts.argmin(axis=1)[:, None] + np.arange(4)) % 4
     signs = np.array((1, 1, -1, -1))[turn]
-    return np.tile(corner, 2), np.concatenate((right, up)), np.take_along_axis(steps, turn, axis=1).ravel(), signs.ravel()
+    arrays = np.tile(corner, 2), np.concatenate((right, up)), np.take_along_axis(steps, turn, axis=1).ravel(), signs.ravel()
+    layout = _LAID_OUT[N] = _TorusLayout(map(_read_only, arrays))
+    return layout
 
 
 def alpha_loop(mesh: SurfaceMesh) -> MeshLoop:

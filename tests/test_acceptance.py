@@ -7,6 +7,7 @@ import math
 import time
 from collections import Counter
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,7 +78,7 @@ def test_criterion_2_sector_minimum_values(tmp_path):
                     catch_exceptions=False,
                 )
                 assert result.exit_code == 0
-                report = json.loads(open(rep).read())
+                report = json.loads(Path(rep).read_text())
                 assert abs(report["final_action"] - FOUR_PI_SQ * k * k) < 1e-6
         assert time.monotonic() - started < 60.0
 

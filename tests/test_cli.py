@@ -80,18 +80,53 @@ EAGER_EXPORTS = (
 ).split()
 
 
-def test_library_calls_load_only_their_modules():
-    # the namespace binds a name from its module when it is first reached,
-    # so building a mesh, classing a loop and normalizing a word leave the
-    # lattice, the representations and the verifier unloaded
+def loaded_modules(script):
+    """The package modules loaded in a child process that ran script."""
     proc = child_python(
         "-c",
-        "import sys, areaholonomy as ah; mesh = ah.build_torus_mesh(4); "
-        "ah.loop_class(mesh, ah.alpha_loop(mesh)); ah.GammaRElement(2, [1, 2, -1]); "
-        "print([m for m in ('areaholonomy.lattice', 'areaholonomy.reps', 'areaholonomy._verify') if m in sys.modules])",
+        f"import json, sys\n{script}\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('areaholonomy.'))))",
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_library_calls_load_only_their_modules():
+    # the namespace binds a name from its module when it is first reached,
+    # and a module imports at load only what its callers always need, so
+    # building meshes, drawing and classing loops and normalizing a word
+    # leave the Lie kernels, the lattice, the representations and the
+    # verifier unloaded
+    loaded = loaded_modules(
+        "import numpy as np, areaholonomy as ah; rng = np.random.default_rng(3)\n"
+        "for mesh in (ah.build_torus_mesh(8), ah.build_sphere_mesh(2)):\n"
+        "    ah.loop_class(mesh, ah.random_loop(mesh, rng, 12))\n"
+        "ah.GammaRElement(2, [1, 2, -1])",
+    )
+    assert "areaholonomy.words" in loaded
+    assert loaded.isdisjoint({"areaholonomy.liecore", "areaholonomy.lattice", "areaholonomy.reps", "areaholonomy._verify"})
+
+
+@pytest.mark.parametrize("mesh, n", [("torus:8", 1), ("sphere:2", 2)])
+def test_solve_loads_neither_words_nor_the_verifier(tmp_path, mesh, n):
+    loaded = loaded_modules(
+        "from areaholonomy.cli import cli\n"
+        f"cli.main(['solve', '--mesh', {mesh!r}, '--n', '{n}', '--flux', '1', '--out', {str(tmp_path / 'f.json')!r}, "
+        f"'--report', {str(tmp_path / 'r.json')!r}], standalone_mode=False)",
+    )
+    assert "areaholonomy.lattice" in loaded
+    assert loaded.isdisjoint({"areaholonomy.words", "areaholonomy._verify"})
+
+
+def test_verify_does_not_load_words(tmp_path):
+    field = tmp_path / "field.json"
+    field.write_text(json.dumps(ah.field_to_json(ah.GaugeField.identity(ah.build_torus_mesh(4), 1))))
+    loaded = loaded_modules(
+        "from areaholonomy.cli import cli\n"
+        f"cli.main(['verify', '--field', {str(field)!r}, '--random', '5', '--json'], standalone_mode=False)",
+    )
+    assert "areaholonomy._verify" in loaded
+    assert "areaholonomy.words" not in loaded
 
 
 def test_lazy_namespace_keeps_the_eager_names():
@@ -149,12 +184,12 @@ class TestSolve:
         result = run(runner, ["solve", "--mesh", "torus:8", "--n", "1", "--flux", "1",
                               "--seed", "7", "--out", out, "--report", rep])
         assert result.exit_code == 0
-        report = json.loads(open(rep).read())
+        report = json.loads(Path(rep).read_text())
         assert abs(report["final_action"] - FOUR_PI_SQ) < 1e-6
         assert report["converged"] is True
         assert report["stop_reason"] == "converged"
         assert report["config"]["seed"] == 7
-        field = ah.field_from_json(json.loads(open(out).read()))
+        field = ah.field_from_json(json.loads(Path(out).read_text()))
         assert field.n == 1 and len(field.mesh.edges) == 128
 
     def test_torus64_abelian_solve(self, runner, tmp_path):
@@ -162,7 +197,7 @@ class TestSolve:
         result = run(runner, ["solve", "--mesh", "torus:64", "--n", "1", "--flux", "1",
                               "--seed", "7", "--tol", "1e-9", "--out", out, "--report", rep])
         assert result.exit_code == 0
-        report = json.loads(open(rep).read())
+        report = json.loads(Path(rep).read_text())
         assert report["converged"] is True
         assert report["final_gradient_norm"] <= 1e-9
         assert abs(report["final_action"] - FOUR_PI_SQ) < 1e-6
@@ -172,7 +207,7 @@ class TestSolve:
         result = run(runner, ["solve", "--mesh", "torus:4", "--n", "1", "--flux", "0",
                               "--seed", "1", "--out", out, "--report", rep])
         assert result.exit_code == 0
-        assert json.loads(open(rep).read())["final_action"] < 1e-10
+        assert json.loads(Path(rep).read_text())["final_action"] < 1e-10
 
     def test_missing_mesh_is_usage_error(self):
         proc = entry_point("solve")
@@ -201,7 +236,7 @@ class TestSolve:
         proc = entry_point("solve", "--mesh", "torus:4", "--flux", "1", "--seed", "7",
                            "--out", out, "--report", rep)
         assert proc.returncode == 0
-        assert abs(json.loads(open(rep).read())["final_action"] - FOUR_PI_SQ) < 1e-6
+        assert abs(json.loads(Path(rep).read_text())["final_action"] - FOUR_PI_SQ) < 1e-6
 
     def test_non_convergence_exit(self, runner, tmp_path):
         out, rep = str(tmp_path / "f.json"), str(tmp_path / "r.json")
@@ -211,7 +246,7 @@ class TestSolve:
                                      "--seed", "7", "--max-iter", "2",
                                      "--out", out, "--report", rep])
         assert result.exit_code == 2
-        report = json.loads(open(rep).read())
+        report = json.loads(Path(rep).read_text())
         assert report["converged"] is False
         assert report["stop_reason"] == "iteration_budget"
         assert "NOT converged (iteration_budget)" in result.output
@@ -226,8 +261,8 @@ class TestSolve:
             assert run(runner, ["solve", *config, "--flux", "1", "--seed", "3",
                                 "--out", out, "--report", rep]).exit_code == 0
             paths.append((out, rep))
-        assert open(paths[0][0], "rb").read() == open(paths[1][0], "rb").read()
-        assert open(paths[0][1], "rb").read() == open(paths[1][1], "rb").read()
+        assert Path(paths[0][0]).read_bytes() == Path(paths[1][0]).read_bytes()
+        assert Path(paths[0][1]).read_bytes() == Path(paths[1][1]).read_bytes()
 
     # sha256 of the files that json.dump wrote before the field file was
     # formed from the edge arrays; the writer must not change a byte.  Both
@@ -271,7 +306,7 @@ class TestSolve:
         result = run(runner, ["solve", "--mesh", "sphere:2", "--flux", "1", "--seed", "2",
                               "--eps", "0.1", "--out", out, "--report", rep])
         assert result.exit_code == 0
-        assert abs(json.loads(open(rep).read())["final_action"] - FOUR_PI_SQ) < 1e-6
+        assert abs(json.loads(Path(rep).read_text())["final_action"] - FOUR_PI_SQ) < 1e-6
         result = run(runner, ["verify", "--field", out, "--random", "15", "--seed", "4"])
         assert result.exit_code == 0
 
@@ -289,7 +324,7 @@ class TestVerify:
         result = run(runner, ["verify", "--field", solved, "--random", "20",
                               "--seed", "5", "--out", table])
         assert result.exit_code == 0
-        data = json.loads(open(table).read())
+        data = json.loads(Path(table).read_text())
         assert data["max_residual"] < 1e-6
         assert len(data["rows"]) == 20
 
@@ -574,7 +609,7 @@ class TestVerify:
         assert "loop does not return to its base vertex" in proc.stderr
 
     def test_identical_loops_row_zero(self, runner, solved, tmp_path):
-        field = ah.field_from_json(json.loads(open(solved).read()))
+        field = ah.field_from_json(json.loads(Path(solved).read_text()))
         loop = ah.random_loop(field.mesh, np.random.default_rng(1), 10)
         pairs_path = str(tmp_path / "pairs.json")
         with open(pairs_path, "w") as handle:
@@ -582,10 +617,10 @@ class TestVerify:
         table = str(tmp_path / "verify.json")
         result = run(runner, ["verify", "--field", solved, "--pairs", pairs_path, "--out", table])
         assert result.exit_code == 0
-        assert json.loads(open(table).read())["rows"][0]["residual"] == 0.0
+        assert json.loads(Path(table).read_text())["rows"][0]["residual"] == 0.0
 
     def test_non_homotopic_pair_flagged(self, runner, solved, tmp_path):
-        field = ah.field_from_json(json.loads(open(solved).read()))
+        field = ah.field_from_json(json.loads(Path(solved).read_text()))
         l1 = ah.alpha_loop(field.mesh)
         l2 = ah.MeshLoop(field.mesh.basepoint, ())
         pairs_path = str(tmp_path / "pairs.json")
@@ -596,7 +631,7 @@ class TestVerify:
         assert "not null-homotopic" in result.output
 
     def test_nothing_measured_writes_null(self, runner, solved, tmp_path):
-        field = ah.field_from_json(json.loads(open(solved).read()))
+        field = ah.field_from_json(json.loads(Path(solved).read_text()))
         pairs_path, table = str(tmp_path / "pairs.json"), str(tmp_path / "verify.json")
         with open(pairs_path, "w") as handle:
             pair = [ah.alpha_loop(field.mesh), ah.MeshLoop(field.mesh.basepoint, ())]
@@ -607,7 +642,7 @@ class TestVerify:
 
         result = runner.invoke(cli, ["verify", "--field", solved, "--pairs", pairs_path, "--json", "--out", table])
         assert result.exit_code == 3
-        for text in (result.output.splitlines()[-1], open(table).read()):
+        for text in (result.output.splitlines()[-1], Path(table).read_text()):
             data = json.loads(text, parse_constant=refuse)
             assert data["max_residual"] is None and data["flagged"] == 1
         result = runner.invoke(cli, ["verify", "--field", solved, "--pairs", pairs_path])
@@ -758,11 +793,11 @@ class TestPlotData:
         csv_path = str(tmp_path / "flow.csv")
         result = run(runner, ["plot-data", "--input", rep, "--out", csv_path])
         assert result.exit_code == 0
-        lines = open(csv_path).read().splitlines()
+        lines = Path(csv_path).read_text().splitlines()
         assert lines[0] == "iteration,action,gradient_norm"
-        report = json.loads(open(rep).read())
+        report = json.loads(Path(rep).read_text())
         assert len(lines) == 1 + len(report["step_history"])
-        assert open(csv_path).read() == run(runner, ["plot-data", "--input", rep]).output
+        assert Path(csv_path).read_text() == run(runner, ["plot-data", "--input", rep]).output
 
     def test_header_only_without_trace(self, runner, tmp_path):
         out, rep = str(tmp_path / "f.json"), str(tmp_path / "r.json")

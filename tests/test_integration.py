@@ -6,6 +6,7 @@ import ast
 import functools
 import importlib
 import pkgutil
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -133,7 +134,9 @@ def test_readme_library_tour_runs():
 
 def test_function_caches_are_int_keyed():
     # tables derived from a mesh live on the mesh; the only process-wide
-    # caches are the u(n) basis, by n, and the Dehn table, by genus
+    # caches are the u(n) basis, by n, and the Dehn table, by genus, and
+    # the only weak one holds the builder torus's arrays, by N, only while
+    # a caller holds them
     names = [info.name for info in pkgutil.iter_modules(ah.__path__)]
     modules = [ah, *(importlib.import_module(f"areaholonomy.{name}") for name in names)]
     caches = {
@@ -143,6 +146,46 @@ def test_function_caches_are_int_keyed():
         if isinstance(value, functools._lru_cache_wrapper)
     }
     assert caches == {"areaholonomy.lattice._u_basis", "areaholonomy.words._dehn_table"}
+    weak = {
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name, value in vars(module).items()
+        if isinstance(value, weakref.WeakValueDictionary)
+    }
+    assert weak == {"areaholonomy.surfaces._LAID_OUT"}
+    ah.build_torus_mesh(5)
+    assert 5 not in ah.surfaces._LAID_OUT
+
+
+def test_records_keep_their_value_semantics():
+    # the policy, the rep diagnostics and the flow report are named tuples:
+    # the reprs, equality and hashes of the frozen dataclasses they were,
+    # and no field can be rebound
+    policy = ah.NumericPolicy()
+    assert repr(policy) == (
+        "NumericPolicy(skew_tol=1e-12, unitary_tol=1e-12, inner_imag_tol=1e-12, eps_branch=1e-08, "
+        "commutant_svd_tol=1e-09, rep_tol=1e-09, t_tol=1e-09, area_sum_tol=1e-12)"
+    )
+    assert policy == ah.DEFAULT_POLICY != ah.NumericPolicy(rep_tol=1e-8)
+    assert hash(policy) == hash((1e-12, 1e-12, 1e-12, 1e-8, 1e-9, 1e-9, 1e-9, 1e-12))
+    diag = ah.validate_rep(ah.sphere_rep([0, 0]))
+    assert repr(diag) == "RepDiagnostics(relator_residual=0.0, centrality_residual=0.0, ok=True)"
+    assert diag == ah.RepDiagnostics(0.0, 0.0, True) != ah.RepDiagnostics(0.0, 0.0, False)
+    assert hash(diag) == hash((0.0, 0.0, True))
+    report = ah.FlowReport(3, 1.5, 1e-10, [(1, 2.0, 0.5)], "converged")
+    assert repr(report) == (
+        "FlowReport(iterations=3, final_action=1.5, final_gradient_norm=1e-10, "
+        "step_history=[(1, 2.0, 0.5)], stop_reason='converged')"
+    )
+    assert report == ah.FlowReport(3, 1.5, 1e-10, [(1, 2.0, 0.5)], "converged") != report._replace(iterations=4)
+    assert report.to_json() == {
+        "iterations": 3, "final_action": 1.5, "final_gradient_norm": 1e-10,
+        "step_history": [[1, 2.0, 0.5]], "stop_reason": "converged",
+    }
+    assert report._replace(step_history=None).to_json()["step_history"] is None
+    for record, name in ((policy, "rep_tol"), (diag, "ok"), (report, "iterations")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
 
 
 def test_sources_parse_as_python_3_10():

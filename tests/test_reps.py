@@ -66,6 +66,18 @@ class TestValidate:
         with pytest.raises(InvalidRepError):
             YangMillsRep(1, 1, [], [], SkewHermitian([[0.0j]]))
 
+    @pytest.mark.parametrize("genus", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_relator_image_is_the_relator_word_image(self, genus, n):
+        # relator_image multiplies the commutators without spelling the
+        # relator word, in the same order, so it is bit for bit that image
+        rng = np.random.default_rng(100 * genus + n)
+        for _ in range(5):
+            a, b = ([ah.random_unitary(rng, n) for _ in range(genus)] for _ in range(2))
+            rep = YangMillsRep(genus, n, a, b, SkewHermitian(np.zeros((n, n))))
+            image = ah.reps.relator_image(rep)
+            assert image.tobytes() == ah.reps._word_image(rep, ah.relator_letters(genus)).tobytes()
+
 
 class TestEvaluate:
     def test_identity_element(self):

@@ -1122,6 +1122,39 @@ class TestGridDetection:
         assert mesh.grid == TorusGrid(4)
         assert enclosed_area(mesh, ah.face_boundary_loop(mesh, 5)) == 1 / 16
 
+    def test_builder_torus_lays_out_its_arrays_once(self, monkeypatch):
+        # build_torus_mesh and the grid check of its mesh share one layout,
+        # which a loaded torus lays out for itself; arrays that a caller
+        # holds are shared, read-only
+        made = []
+
+        class Counted(ah.surfaces._TorusLayout):
+            def __init__(self, arrays):
+                super().__init__(arrays)
+                made.append(len(self))
+
+        monkeypatch.setattr(ah.surfaces, "_TorusLayout", Counted)
+        mesh = ah.build_torus_mesh(7)
+        assert mesh.grid == TorusGrid(7) and len(made) == 1
+        assert ah.mesh_from_json(ah.mesh_to_json(mesh)).grid == TorusGrid(7) and len(made) == 2
+        held = ah.surfaces._torus_arrays(7)
+        assert ah.surfaces._torus_arrays(7) is held and len(made) == 3
+        assert not any(array.flags.writeable for array in held)
+
+    @pytest.mark.parametrize("name", ["grid", "faces", "face_areas", "basepoint", "face_schedule", "area_potential"])
+    def test_built_mesh_refuses_writes(self, name):
+        # TorusGrid(3) written over torus:4's grid misread every lift, and
+        # a cached table written before or after its first read would too
+        mesh = ah.build_torus_mesh(4)
+        if name == "area_potential":
+            mesh.area_potential
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(mesh, name, TorusGrid(3))
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(mesh, name)
+        assert mesh.grid == TorusGrid(4)
+        assert enclosed_area(mesh, ah.face_boundary_loop(mesh, 5)) == 1 / 16
+
 
 class TestBulkIntegerRule:
     """json_int's rule applied to whole sequences: exact ints pass in one
