@@ -1,37 +1,48 @@
 """Command-line interface: solve, verify, classify, word, plot-data.
 
 Exit codes: 0 success, 1 I/O error, 2 non-convergence, 3 verification
-failure, 64 usage error.  All outputs embed the seed; JSON files are
-written atomically with sorted keys and floats written with repr, which
-round-trips, so identical configurations produce byte-identical files.
+failure, 64 usage error, 130 interrupted.  All outputs embed the seed; JSON
+files are written atomically with sorted keys and floats written with repr,
+which round-trips, so identical configurations produce byte-identical files.
 solve's field file is formed straight from the edge arrays
 (lattice._field_text), byte for byte what json.dump with indent=1 wrote.
 Output files get the mode open() would give them, 0o666 less the umask.
 The verify table's max_residual is null when no pair was measured.
+Arguments are parsed with the standard library's argparse, so numpy is the
+package's only runtime dependency.
 """
 
 from __future__ import annotations
 
 # lattice and the modules it imports (numpy, liecore, surfaces, reps)
-# load first, before click: a solve child that loads them after click and
-# the modules below peaks about 0.5 MB higher in resident memory
-# (sphere:4, n = 2), from the heap's layout, not from more live data.
-# words and _verify load only in the commands that call them.
+# load first, before the modules below: a child that loads them after
+# peaks higher in resident memory, by a median 0.17 MB on a torus:32
+# n = 1 solve, 0.24 MB on a sphere:4 n = 2 solve and 0.05 MB on a
+# torus:32 verify.  words and _verify load only in the commands that call
+# them.
 from . import lattice  # noqa: F401, I001
 
+import argparse
 import contextlib
 import json
 import math
 import os
+import re
 import sys
 import tempfile
-
-import click
 
 EXIT_IO = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_VERIFY_FAILED = 3
 EXIT_USAGE = 64
+
+
+class UsageError(Exception):
+    """Bad arguments or input: exit 64 after the command's usage."""
+
+
+class CommandError(Exception):
+    """A file that cannot be read or written, or a failed check: exit 1."""
 
 
 def _write_atomic(path: str, write) -> None:
@@ -53,7 +64,7 @@ def _write_atomic(path: str, write) -> None:
                 os.unlink(tmp)
             raise
     except OSError as ex:
-        raise click.ClickException(f"cannot write {path}: {ex}")
+        raise CommandError(f"cannot write {path}: {ex}")
 
 
 def _write_json(path: str, obj) -> None:
@@ -74,15 +85,15 @@ def _read_json(path: str, decode):
         with open(path) as handle:
             obj = json.load(handle)
     except OSError as ex:
-        raise click.ClickException(f"cannot read {path}: {ex}")
+        raise CommandError(f"cannot read {path}: {ex}")
     except json.JSONDecodeError as ex:
-        raise click.ClickException(f"{path} is not valid JSON: {ex}")
+        raise CommandError(f"{path} is not valid JSON: {ex}")
     try:
         return decode(obj)
     except TypeError as ex:
         raise ValueError(f"{path} is malformed: {ex}") from None
     except OSError as ex:
-        raise click.ClickException(f"cannot read {ex.filename or path}: {ex}")
+        raise CommandError(f"cannot read {ex.filename or path}: {ex}")
 
 
 def _parse_mesh(spec: str):
@@ -92,12 +103,12 @@ def _parse_mesh(spec: str):
     try:
         size_int = int(size)
     except ValueError:
-        raise click.UsageError(f"mesh spec {spec!r} is not torus:N or sphere:S")
+        raise UsageError(f"mesh spec {spec!r} is not torus:N or sphere:S")
     if kind == "torus":
         return ah.build_torus_mesh(size_int)
     if kind == "sphere":
         return ah.build_sphere_mesh(size_int)
-    raise click.UsageError(f"unknown mesh kind {kind!r} (use torus:N or sphere:S)")
+    raise UsageError(f"unknown mesh kind {kind!r} (use torus:N or sphere:S)")
 
 
 def _flux_rep(mesh, n: int, flux: int):
@@ -113,22 +124,6 @@ def _flux_rep(mesh, n: int, flux: int):
     return ah.YangMillsRep(1, n, [eye], [eye], lam)
 
 
-@click.group()
-def cli():
-    """Yang-Mills critical points on surfaces via area-dependent holonomy."""
-
-
-@cli.command()
-@click.option("--mesh", "mesh_spec", required=True, help="torus:N or sphere:S")
-@click.option("--n", default=1, show_default=True, help="structure group dimension")
-@click.option("--flux", default=0, show_default=True, help="topological sector weight")
-@click.option("--seed", default=0, show_default=True, help="initialization seed")
-@click.option("--tol", default=1e-9, show_default=True, help="gradient-norm threshold")
-@click.option("--max-iter", default=20000, show_default=True)
-@click.option("--eps", default=0.3, show_default=True, help="random start perturbation scale")
-@click.option("--out", default="field.json", show_default=True, help="field snapshot path")
-@click.option("--report", "report_path", default="report.json", show_default=True)
-@click.option("--trace", is_flag=True, help="record the full step history")
 def solve(mesh_spec, n, flux, seed, tol, max_iter, eps, out, report_path, trace):
     """Flow a randomly perturbed sector representative to a critical point."""
     import numpy as np
@@ -138,7 +133,7 @@ def solve(mesh_spec, n, flux, seed, tol, max_iter, eps, out, report_path, trace)
 
     # chained bounds fail closed: NaN is in no range
     if n < 1 or not 0 < tol < math.inf or not 0 <= eps < math.inf:
-        raise click.UsageError("need n >= 1, finite tol > 0, finite eps >= 0")
+        raise UsageError("need n >= 1, finite tol > 0, finite eps >= 0")
     mesh = _parse_mesh(mesh_spec)
     rng = np.random.default_rng(seed)
     start = ah.build_ym_field_from_rep(mesh, _flux_rep(mesh, n, flux))
@@ -167,7 +162,7 @@ def solve(mesh_spec, n, flux, seed, tol, max_iter, eps, out, report_path, trace)
         {"config": config, "converged": converged, "seed": seed, **flow_report.to_json()},
     )
     status = "converged" if converged else f"NOT converged ({flow_report.stop_reason})"
-    click.echo(
+    print(
         f"{status}: action={flow_report.final_action:.12g} "
         f"gradient_norm={flow_report.final_gradient_norm:.3g} "
         f"iterations={flow_report.iterations}"
@@ -176,15 +171,6 @@ def solve(mesh_spec, n, flux, seed, tol, max_iter, eps, out, report_path, trace)
         sys.exit(EXIT_NOT_CONVERGED)
 
 
-@cli.command()
-@click.option("--field", "field_path", required=True, type=click.Path(), help="field snapshot")
-@click.option("--pairs", "pairs_path", default=None, type=click.Path(), help="loop-pair JSON file")
-@click.option("--random", "random_pairs", default=None, type=int, help="draw this many random homotopic pairs")
-@click.option("--perturb", default=0.0, show_default=True, help="perturb the field before verifying")
-@click.option("--seed", default=0, show_default=True)
-@click.option("--tol", default=1e-6, show_default=True)
-@click.option("--json", "as_json", is_flag=True, help="emit the residual table as JSON")
-@click.option("--out", default=None, type=click.Path(), help="also write the table to this path")
 def verify(field_path, pairs_path, random_pairs, perturb, seed, tol, as_json, out):
     """Check that holonomy depends only on homotopy class and enclosed area.
 
@@ -197,11 +183,11 @@ def verify(field_path, pairs_path, random_pairs, perturb, seed, tol, as_json, ou
     from areaholonomy.surfaces import required_keys
 
     if (pairs_path is None) == (random_pairs is None):
-        raise click.UsageError("choose exactly one of --pairs FILE or --random K")
+        raise UsageError("choose exactly one of --pairs FILE or --random K")
     if random_pairs is not None and random_pairs < 1:
-        raise click.UsageError("--random K needs K >= 1")
+        raise UsageError("--random K needs K >= 1")
     if not 0 < tol < math.inf or not 0 <= perturb < math.inf:
-        raise click.UsageError("need finite tol > 0, finite perturb >= 0")
+        raise UsageError("need finite tol > 0, finite perturb >= 0")
     base_dir = os.path.dirname(os.path.abspath(field_path))
     field = _read_json(field_path, lambda obj: ah.field_from_json(obj, base_dir=base_dir))
     rng = np.random.default_rng(seed)
@@ -246,29 +232,25 @@ def verify(field_path, pairs_path, random_pairs, perturb, seed, tol, as_json, ou
     if out:
         _write_json(out, table)
     if as_json:
-        click.echo(json.dumps(table, sort_keys=True))
+        print(json.dumps(table, sort_keys=True))
     else:
         for r in rows:
             if "residual" in r:
-                click.echo(f"pair {r['pair']:3d}: delta_area={r['delta_area']:+.6f} residual={r['residual']:.3e}")
+                print(f"pair {r['pair']:3d}: delta_area={r['delta_area']:+.6f} residual={r['residual']:.3e}")
             else:
-                click.echo(f"pair {r['pair']:3d}: {r['error']}")
-        click.echo(f"max residual: {max_residual:.3e} (tol {tol:g})")
+                print(f"pair {r['pair']:3d}: {r['error']}")
+        print(f"max residual: {max_residual:.3e} (tol {tol:g})")
     # fail closed: a NaN residual is not below tol
     if flagged or not max_residual < tol:
         sys.exit(EXIT_VERIFY_FAILED)
 
 
-@cli.command()
-@click.option("--n", required=True, type=int, help="structure group dimension")
-@click.option("--kmax", required=True, type=int, help="weight bound")
-@click.option("--json", "as_json", is_flag=True)
 def classify(n, kmax, as_json):
     """Enumerate the isolated genus-0 classes as weight vectors."""
     import areaholonomy as ah
 
     if n < 1 or kmax < 0:
-        raise click.UsageError("need n >= 1 and kmax >= 0")
+        raise UsageError("need n >= 1 and kmax >= 0")
     classes = ah.enumerate_sphere_classes(n, kmax)
     entries = []
     for wv in classes:
@@ -282,29 +264,24 @@ def classify(n, kmax, as_json):
             }
         )
     if as_json:
-        click.echo(json.dumps({"n": n, "kmax": kmax, "classes": entries}, sort_keys=True))
+        print(json.dumps({"n": n, "kmax": kmax, "classes": entries}, sort_keys=True))
         return
-    click.echo(f"{len(entries)} Yang-Mills classes on the sphere (n={n}, kmax={kmax}):")
+    print(f"{len(entries)} Yang-Mills classes on the sphere (n={n}, kmax={kmax}):")
     for e in entries:
         flat = "  [flat]" if e["flat"] else ""
-        click.echo(f"  k={tuple(e['weights'])!s:<16} action={e['action']:.6f}{flat}  {e['geodesic']}")
+        print(f"  k={tuple(e['weights'])!s:<16} action={e['action']:.6f}{flat}  {e['geodesic']}")
 
 
-@cli.command()
-@click.option("--genus", required=True, type=int)
-@click.option("--t", "t_values", multiple=True, type=float, help="area coordinate per word (default 0)")
-@click.option("--check-relator", is_flag=True, help="verify the relator reduces to (empty, 1)")
-@click.argument("words", nargs=-1)
 def word(genus, t_values, check_relator, words):
     """Normalize words in the extended surface group and multiply them."""
     import areaholonomy as ah
 
     if genus < 0:
-        raise click.UsageError("genus must be nonnegative")
+        raise UsageError("genus must be nonnegative")
     if len(t_values) > len(words):
-        raise click.UsageError(f"{len(t_values)} --t value(s) for {len(words)} word(s): at most one per word")
+        raise UsageError(f"{len(t_values)} --t value(s) for {len(words)} word(s): at most one per word")
     if not all(math.isfinite(t) for t in t_values):
-        raise click.UsageError("--t must be finite")
+        raise UsageError("--t must be finite")
 
     def render(el):
         if el.genus == 0:
@@ -316,28 +293,25 @@ def word(genus, t_values, check_relator, words):
         rel = ah.GammaRElement(genus, ah.relator_letters(genus), 0.0)
         # the central generator J = (empty, 1); at genus 0 t lives in R/Z
         ok = ah.word_problem(rel, ah.GammaRElement(genus, (), 1.0))
-        click.echo(f"relator normalizes to ({str(rel.word) or 'empty'}, t={rel.t:g}): {'ok' if ok else 'FAILED'}")
+        print(f"relator normalizes to ({str(rel.word) or 'empty'}, t={rel.t:g}): {'ok' if ok else 'FAILED'}")
         if not ok:
-            raise click.ClickException("relator did not normalize to (empty, 1)")
+            raise CommandError("relator did not normalize to (empty, 1)")
     elements = []
     for i, text in enumerate(words):
         t = t_values[i] if i < len(t_values) else 0.0
         try:
             el = ah.GammaRElement(genus, text, t)
         except ValueError as ex:
-            raise click.UsageError(str(ex))
+            raise UsageError(str(ex))
         elements.append(el)
-        click.echo(f"input {i}: {render(el)}")
+        print(f"input {i}: {render(el)}")
     if elements:
         product = elements[0]
         for el in elements[1:]:
             product = ah.gamma_mul(product, el)
-        click.echo(f"product: {render(product)}")
+        print(f"product: {render(product)}")
 
 
-@cli.command("plot-data")
-@click.option("--input", "input_path", required=True, type=click.Path())
-@click.option("--out", default=None, type=click.Path(), help="CSV path (default: stdout)")
 def plot_data(input_path, out):
     """Convert a flow report or shrinking-loop table to CSV."""
     from areaholonomy.surfaces import json_float, json_int, required_keys
@@ -374,27 +348,130 @@ def plot_data(input_path, out):
 
     text = "\n".join(_read_json(input_path, decode)) + "\n"
     if out is None:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
     else:
         _write_atomic(out, lambda handle: handle.write(text))
 
 
-def main():
-    try:
-        cli(standalone_mode=False)
-    except click.UsageError as ex:
-        ex.show()
+class _Formatter(argparse.HelpFormatter):
+    """click's help layout: 'Usage:', and each option's default or [required]."""
+
+    def add_usage(self, usage, actions, groups, prefix="Usage: "):
+        super().add_usage(usage, actions, groups, prefix)
+
+    def _get_help_string(self, action):
+        if action.required or action.nargs == 0 or action.default in (None, []):
+            return action.help + " [required]" * action.required
+        return action.help + " [default: %(default)s]"
+
+
+class _Parser(argparse.ArgumentParser):
+    """Takes no abbreviated option and any number after an option as its
+    value, as click did; a usage error exits 64."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, formatter_class=_Formatter, **kwargs)
+        # argparse reads -1 and -.5 as values but -inf and -1e-3 as options
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+    def error(self, message):
+        sys.stderr.write(f"{self.format_usage()}Try '{self.prog} --help' for help.\n\nError: {message}\n")
         sys.exit(EXIT_USAGE)
-    except click.ClickException as ex:
-        ex.show()
+
+
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take only non-negative seeds."""
+    with contextlib.suppress(ValueError):
+        if int(text) >= 0:
+            return int(text)
+    raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+
+
+def _parser() -> _Parser:
+    parser = _Parser(prog="areaholonomy", description="Yang-Mills critical points on surfaces via area-dependent holonomy.")
+    parser.set_defaults(run=None, parser=parser)
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND")
+
+    def command(run, name=None):
+        doc = run.__doc__ or ""
+        sub = commands.add_parser(name or run.__name__, help=doc.partition("\n")[0], description=doc)
+        sub.set_defaults(run=run, parser=sub)
+        return sub.add_argument
+
+    option = command(solve)
+    option("--mesh", dest="mesh_spec", required=True, help="torus:N or sphere:S")
+    option("--n", type=int, default=1, help="structure group dimension")
+    option("--flux", type=int, default=0, help="topological sector weight")
+    option("--seed", type=_seed, default=0, help="initialization seed")
+    option("--tol", type=float, default=1e-9, help="gradient-norm threshold")
+    option("--max-iter", type=int, default=20000, help="iteration budget")
+    option("--eps", type=float, default=0.3, help="random start perturbation scale")
+    option("--out", default="field.json", help="field snapshot path")
+    option("--report", dest="report_path", default="report.json", help="flow report path")
+    option("--trace", action="store_true", help="record the full step history")
+
+    option = command(verify)
+    option("--field", dest="field_path", required=True, help="field snapshot")
+    option("--pairs", dest="pairs_path", help="loop-pair JSON file")
+    option("--random", dest="random_pairs", type=int, help="draw this many random homotopic pairs")
+    option("--perturb", type=float, default=0.0, help="perturb the field before verifying")
+    option("--seed", type=_seed, default=0, help="seed of --random and --perturb")
+    option("--tol", type=float, default=1e-6, help="residual threshold")
+    option("--json", dest="as_json", action="store_true", help="emit the residual table as JSON")
+    option("--out", help="also write the table to this path")
+
+    option = command(classify)
+    option("--n", type=int, required=True, help="structure group dimension")
+    option("--kmax", type=int, required=True, help="weight bound")
+    option("--json", dest="as_json", action="store_true", help="emit the classes as JSON")
+
+    option = command(word)
+    option("--genus", type=int, required=True, help="surface genus")
+    option("--t", dest="t_values", action="append", type=float, default=[], help="area coordinate per word (default 0)")
+    option("--check-relator", action="store_true", help="verify the relator reduces to (empty, 1)")
+    option("words", nargs="*", default=[], metavar="WORDS", help="words to normalize and multiply, in order")
+
+    option = command(plot_data, "plot-data")
+    option("--input", dest="input_path", required=True, help="flow report or shrinking-loop table")
+    option("--out", help="CSV path (default: stdout)")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Run the command in argv (default sys.argv[1:]); exit with its code."""
+    try:
+        try:
+            args, rest = _parser().parse_known_args(argv)
+            kwargs = vars(args)
+            run, parser = kwargs.pop("run"), kwargs.pop("parser")
+            # click let WORDS and options interleave; argparse takes a
+            # positional's values once, so words after an option land in rest
+            if rest and run is word and not any(r.startswith("-") for r in rest):
+                kwargs["words"] += rest
+            elif rest:
+                parser.error(f"unrecognized arguments: {' '.join(rest)}")
+            if run is None:
+                parser.print_help(sys.stderr)
+                sys.exit(EXIT_USAGE)
+            run(**kwargs)
+        finally:
+            sys.stdout.flush()
+    except UsageError as ex:
+        parser.error(str(ex))
+    except CommandError as ex:
+        print(f"Error: {ex}", file=sys.stderr)
         sys.exit(EXIT_IO)
-    except click.exceptions.Abort:
+    except BrokenPipeError:
+        # nothing reads stdout any more: the flush at exit writes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(EXIT_IO)
+    except KeyboardInterrupt:
         sys.exit(130)
     except (ValueError, ArithmeticError) as ex:
         # ValueError: invalid input data (bad mesh/field/word files, domain
         # violations); ArithmeticError: BranchCut, a plaquette on the log
         # branch cut (flux too large for the mesh; refine it or lower the flux)
-        click.echo(f"error: {ex}", err=True)
+        print(f"error: {ex}", file=sys.stderr)
         sys.exit(EXIT_USAGE)
 
 

@@ -2,13 +2,37 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 import scipy.optimize
 
 import areaholonomy as ah
+from areaholonomy.cli import main
 from areaholonomy.lattice import _Engine, _u_basis
 from areaholonomy.liecore import expm_raw, matmul_raw
+
+
+class CliRun(NamedTuple):
+    exit_code: int
+    output: str
+    stderr: str
+
+
+def run_cli(args: list[str]) -> CliRun:
+    """The command line's exit code, stdout and stderr, run in this process;
+    anything it lets escape but SystemExit fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(args)
+        except SystemExit as ex:
+            code = ex.code or 0
+    return CliRun(code, out.getvalue(), err.getvalue())
 
 
 def flux_rep(n: int, k: int) -> ah.YangMillsRep:

@@ -11,13 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import areaholonomy as ah
-from areaholonomy.cli import cli
 from areaholonomy.lattice import _Engine
 from areaholonomy.liecore import expm_raw
-from conftest import dense_operator, finite_difference_hessian, flux_rep, random_field
+from conftest import dense_operator, finite_difference_hessian, flux_rep, random_field, run_cli
 
 FOUR_PI_SQ = 4 * np.pi**2
 
@@ -66,17 +64,12 @@ def test_criterion_1_area_holonomy_characterization(converged_u1_torus8):
 def test_criterion_2_sector_minimum_values(tmp_path):
     with criterion(2, "solve reaches the analytic sector minimum 4 pi^2 k^2"):
         started = time.monotonic()
-        runner = CliRunner()
         for n_grid in (4, 8, 16):
             for k in (0, 1, 2):
                 out = str(tmp_path / f"f{n_grid}_{k}.json")
                 rep = str(tmp_path / f"r{n_grid}_{k}.json")
-                result = runner.invoke(
-                    cli,
-                    ["solve", "--mesh", f"torus:{n_grid}", "--n", "1", "--flux", str(k),
-                     "--seed", "7", "--out", out, "--report", rep],
-                    catch_exceptions=False,
-                )
+                result = run_cli(["solve", "--mesh", f"torus:{n_grid}", "--n", "1", "--flux", str(k),
+                                  "--seed", "7", "--out", out, "--report", rep])
                 assert result.exit_code == 0
                 report = json.loads(Path(rep).read_text())
                 assert abs(report["final_action"] - FOUR_PI_SQ * k * k) < 1e-6

@@ -1,10 +1,8 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
-import contextlib
 import copy
 import functools
 import hashlib
-import io
 import json
 import math
 import os
@@ -14,39 +12,28 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
-import click
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import areaholonomy as ah
-from areaholonomy.cli import _write_json, cli, main
-from conftest import MALFORMED_MESHES, disjoint_union_json, flux_rep, malformed_mesh_json, rebased, slit_face
+from areaholonomy.cli import CommandError, _write_json
+from conftest import MALFORMED_MESHES, disjoint_union_json, flux_rep, malformed_mesh_json, rebased, run_cli, slit_face
 
 FOUR_PI_SQ = 4 * np.pi**2
 
 
-@pytest.fixture()
-def runner():
-    return CliRunner()
-
-
-def run(runner, args, **kwargs):
-    return runner.invoke(cli, args, catch_exceptions=False, **kwargs)
+def child_env() -> dict:
+    """The environment of a child python that imports the same package as
+    this test run."""
+    package_root = str(Path(ah.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
 
 
 def child_python(*args):
     """Run python in a child process that imports the same package as this
     test run."""
-    package_root = str(Path(ah.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=child_env())
 
 
 def entry_point(*args):
@@ -55,13 +42,16 @@ def entry_point(*args):
 
 
 def test_import_does_not_load_scipy():
+    # nor any module outside the standard library but numpy and the package
     proc = child_python(
         "-c",
-        "import sys, areaholonomy, areaholonomy.cli; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+        "import sys; before = set(sys.modules); import areaholonomy, areaholonomy.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))); "
+        "print(sorted({m.partition('.')[0] for m in set(sys.modules) - before} "
+        "- set(sys.stdlib_module_names) - {'numpy', 'areaholonomy'}))",
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]", "[]"]
 
 
 EAGER_EXPORTS = (
@@ -110,9 +100,9 @@ def test_library_calls_load_only_their_modules():
 @pytest.mark.parametrize("mesh, n", [("torus:8", 1), ("sphere:2", 2)])
 def test_solve_loads_neither_words_nor_the_verifier(tmp_path, mesh, n):
     loaded = loaded_modules(
-        "from areaholonomy.cli import cli\n"
-        f"cli.main(['solve', '--mesh', {mesh!r}, '--n', '{n}', '--flux', '1', '--out', {str(tmp_path / 'f.json')!r}, "
-        f"'--report', {str(tmp_path / 'r.json')!r}], standalone_mode=False)",
+        "from areaholonomy.cli import main\n"
+        f"main(['solve', '--mesh', {mesh!r}, '--n', '{n}', '--flux', '1', '--out', {str(tmp_path / 'f.json')!r}, "
+        f"'--report', {str(tmp_path / 'r.json')!r}])",
     )
     assert "areaholonomy.lattice" in loaded
     assert loaded.isdisjoint({"areaholonomy.words", "areaholonomy._verify"})
@@ -122,8 +112,8 @@ def test_verify_does_not_load_words(tmp_path):
     field = tmp_path / "field.json"
     field.write_text(json.dumps(ah.field_to_json(ah.GaugeField.identity(ah.build_torus_mesh(4), 1))))
     loaded = loaded_modules(
-        "from areaholonomy.cli import cli\n"
-        f"cli.main(['verify', '--field', {str(field)!r}, '--random', '5', '--json'], standalone_mode=False)",
+        "from areaholonomy.cli import main\n"
+        f"main(['verify', '--field', {str(field)!r}, '--random', '5', '--json'])",
     )
     assert "areaholonomy._verify" in loaded
     assert "areaholonomy.words" not in loaded
@@ -178,10 +168,83 @@ def test_perfbench_tracer_installs():
     assert proc.stdout.strip() == "True"
 
 
+COMMANDS = ("solve", "verify", "classify", "word", "plot-data")
+
+
+class TestContract:
+    """What the entry point owes every command: usage errors, help, a
+    closed stdout and an interrupt."""
+
+    def test_no_command_prints_the_help(self):
+        proc = entry_point()
+        assert proc.returncode == 64
+        assert all(name in proc.stderr for name in COMMANDS)
+
+    @pytest.mark.parametrize("args", [["bogus"], ["solve", "--mes", "torus:4"]], ids=["unknown-command", "abbreviated"])
+    def test_unknown_name_is_usage_error(self, args):
+        proc = entry_point(*args)
+        assert proc.returncode == 64
+        assert "Usage:" in proc.stderr and "Error: " in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_bad_value_names_its_option(self):
+        proc = entry_point("solve", "--n", "x")
+        assert proc.returncode == 64
+        assert "--n" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_help_lists_every_option_and_default(self):
+        proc = entry_point("--help")
+        assert proc.returncode == 0
+        assert all(name in proc.stdout for name in COMMANDS)
+        proc = entry_point("solve", "--help")
+        assert proc.returncode == 0
+        entries, name = {}, None
+        for line in proc.stdout.splitlines():
+            if line.startswith("  --"):
+                name = line.split()[0]
+                entries[name] = line
+            elif line.startswith("   ") and name:
+                entries[name] += line
+        defaults = {"--n": "1", "--flux": "0", "--seed": "0", "--tol": "1e-09", "--max-iter": "20000",
+                    "--eps": "0.3", "--out": "field.json", "--report": "report.json"}
+        assert set(entries) - {"--help"} == {"--mesh", "--trace", *defaults}
+        for name, default in defaults.items():
+            assert f"[default: {default}]" in " ".join(entries[name].split())
+
+    def test_closed_stdout_exits_1_quietly(self):
+        # as `| head -1` does; the 20475 classes are far more than a pipe holds
+        with subprocess.Popen([sys.executable, "-m", "areaholonomy.cli", "classify", "--n", "4", "--kmax", "12"],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env()) as child:
+            assert child.stdout.readline().startswith("20475 Yang-Mills classes")
+            child.stdout.close()
+            stderr = child.stderr.read()
+        assert child.returncode == 1
+        assert "Traceback" not in stderr
+
+    def test_interrupt_exits_130(self, monkeypatch, tmp_path):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ah, "gradient_flow", interrupt)
+        result = run_cli(["solve", "--mesh", "torus:3", "--out", str(tmp_path / "f.json"),
+                          "--report", str(tmp_path / "r.json")])
+        assert result.exit_code == 130
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_negative_seed_is_usage_error(self, command, tmp_path):
+        # refused as the arguments are parsed, so verify never reads its field
+        args = {"solve": ["--mesh", "torus:2", "--out", str(tmp_path / "f.json"), "--report", str(tmp_path / "r.json")],
+                "verify": ["--field", str(tmp_path / "absent.json"), "--random", "3"]}[command]
+        proc = entry_point(command, "--seed", "-1", *args)
+        assert proc.returncode == 64
+        assert "--seed" in proc.stderr and "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSolve:
-    def test_flux_sector_value(self, runner, tmp_path):
+    def test_flux_sector_value(self, tmp_path):
         out, rep = str(tmp_path / "f.json"), str(tmp_path / "r.json")
-        result = run(runner, ["solve", "--mesh", "torus:8", "--n", "1", "--flux", "1",
+        result = run_cli(["solve", "--mesh", "torus:8", "--n", "1", "--flux", "1",
                               "--seed", "7", "--out", out, "--report", rep])
         assert result.exit_code == 0
         report = json.loads(Path(rep).read_text())
@@ -192,9 +255,9 @@ class TestSolve:
         field = ah.field_from_json(json.loads(Path(out).read_text()))
         assert field.n == 1 and len(field.mesh.edges) == 128
 
-    def test_torus64_abelian_solve(self, runner, tmp_path):
+    def test_torus64_abelian_solve(self, tmp_path):
         out, rep = str(tmp_path / "f.json"), str(tmp_path / "r.json")
-        result = run(runner, ["solve", "--mesh", "torus:64", "--n", "1", "--flux", "1",
+        result = run_cli(["solve", "--mesh", "torus:64", "--n", "1", "--flux", "1",
                               "--seed", "7", "--tol", "1e-9", "--out", out, "--report", rep])
         assert result.exit_code == 0
         report = json.loads(Path(rep).read_text())
@@ -202,9 +265,9 @@ class TestSolve:
         assert report["final_gradient_norm"] <= 1e-9
         assert abs(report["final_action"] - FOUR_PI_SQ) < 1e-6
 
-    def test_flat_sector(self, runner, tmp_path):
+    def test_flat_sector(self, tmp_path):
         out, rep = str(tmp_path / "f.json"), str(tmp_path / "r.json")
-        result = run(runner, ["solve", "--mesh", "torus:4", "--n", "1", "--flux", "0",
+        result = run_cli(["solve", "--mesh", "torus:4", "--n", "1", "--flux", "0",
                               "--seed", "1", "--out", out, "--report", rep])
         assert result.exit_code == 0
         assert json.loads(Path(rep).read_text())["final_action"] < 1e-10
@@ -238,11 +301,11 @@ class TestSolve:
         assert proc.returncode == 0
         assert abs(json.loads(Path(rep).read_text())["final_action"] - FOUR_PI_SQ) < 1e-6
 
-    def test_non_convergence_exit(self, runner, tmp_path):
+    def test_non_convergence_exit(self, tmp_path):
         out, rep = str(tmp_path / "f.json"), str(tmp_path / "r.json")
         # n = 2 takes several Levenberg-Marquardt steps; an abelian flow
         # takes the exact Newton step and converges at once
-        result = runner.invoke(cli, ["solve", "--mesh", "torus:4", "--n", "2", "--flux", "1",
+        result = run_cli(["solve", "--mesh", "torus:4", "--n", "2", "--flux", "1",
                                      "--seed", "7", "--max-iter", "2",
                                      "--out", out, "--report", rep])
         assert result.exit_code == 2
@@ -254,11 +317,11 @@ class TestSolve:
     # sphere:2 n = 2 re-unitarises every trial step (Newton-Schulz)
     @pytest.mark.parametrize("config", [["--mesh", "torus:4"], ["--mesh", "sphere:2", "--n", "2"]],
                              ids=["torus:4", "sphere:2-n2"])
-    def test_deterministic_bytes(self, runner, tmp_path, config):
+    def test_deterministic_bytes(self, tmp_path, config):
         paths = []
         for tag in ("a", "b"):
             out, rep = str(tmp_path / f"f{tag}.json"), str(tmp_path / f"r{tag}.json")
-            assert run(runner, ["solve", *config, "--flux", "1", "--seed", "3",
+            assert run_cli(["solve", *config, "--flux", "1", "--seed", "3",
                                 "--out", out, "--report", rep]).exit_code == 0
             paths.append((out, rep))
         assert Path(paths[0][0]).read_bytes() == Path(paths[1][0]).read_bytes()
@@ -283,45 +346,45 @@ class TestSolve:
         ("sphere:1", "2", "fc232effd772d7ff95b89da9aa08f12a6fe9157643d94cf7139a7d7a059d31de",
          "37700dafca2fe03fb79b7cc72f45162b49e3c557eecb0dbf4c62affe5c40df88"),
     ], ids=["torus:4", "sphere:1-n2"])
-    def test_pinned_bytes(self, runner, tmp_path, mesh, n, field_sha, report_sha):
+    def test_pinned_bytes(self, tmp_path, mesh, n, field_sha, report_sha):
         out, rep = tmp_path / "f.json", tmp_path / "r.json"
-        assert run(runner, ["solve", "--mesh", mesh, "--n", n, "--flux", "1", "--seed", "3",
+        assert run_cli(["solve", "--mesh", mesh, "--n", n, "--flux", "1", "--seed", "3",
                             "--out", str(out), "--report", str(rep)]).exit_code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == field_sha
         assert hashlib.sha256(rep.read_bytes()).hexdigest() == report_sha
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
-    def test_output_mode_follows_umask(self, runner, tmp_path, umask, mode):
+    def test_output_mode_follows_umask(self, tmp_path, umask, mode):
         out, rep = tmp_path / "f.json", tmp_path / "r.json"
         previous = os.umask(umask)
         try:
-            assert run(runner, ["solve", "--mesh", "torus:3", "--flux", "1",
+            assert run_cli(["solve", "--mesh", "torus:3", "--flux", "1",
                                 "--out", str(out), "--report", str(rep)]).exit_code == 0
         finally:
             os.umask(previous)
         assert [p.stat().st_mode & 0o777 for p in (out, rep)] == [mode, mode]
 
-    def test_sphere_solve_and_verify(self, runner, tmp_path):
+    def test_sphere_solve_and_verify(self, tmp_path):
         out, rep = str(tmp_path / "f.json"), str(tmp_path / "r.json")
-        result = run(runner, ["solve", "--mesh", "sphere:2", "--flux", "1", "--seed", "2",
+        result = run_cli(["solve", "--mesh", "sphere:2", "--flux", "1", "--seed", "2",
                               "--eps", "0.1", "--out", out, "--report", rep])
         assert result.exit_code == 0
         assert abs(json.loads(Path(rep).read_text())["final_action"] - FOUR_PI_SQ) < 1e-6
-        result = run(runner, ["verify", "--field", out, "--random", "15", "--seed", "4"])
+        result = run_cli(["verify", "--field", out, "--random", "15", "--seed", "4"])
         assert result.exit_code == 0
 
 
 class TestVerify:
     @pytest.fixture()
-    def solved(self, runner, tmp_path):
+    def solved(self, tmp_path):
         out, rep = str(tmp_path / "f.json"), str(tmp_path / "r.json")
-        assert run(runner, ["solve", "--mesh", "torus:8", "--flux", "1", "--seed", "7",
+        assert run_cli(["solve", "--mesh", "torus:8", "--flux", "1", "--seed", "7",
                             "--out", out, "--report", rep]).exit_code == 0
         return out
 
-    def test_random_pairs_pass(self, runner, solved, tmp_path):
+    def test_random_pairs_pass(self, solved, tmp_path):
         table = str(tmp_path / "verify.json")
-        result = run(runner, ["verify", "--field", solved, "--random", "20",
+        result = run_cli(["verify", "--field", solved, "--random", "20",
                               "--seed", "5", "--out", table])
         assert result.exit_code == 0
         data = json.loads(Path(table).read_text())
@@ -336,16 +399,16 @@ class TestVerify:
         ("sphere:2", ["--seed", "2", "--eps", "0.1"],
          "94998917a540849bcf3cfc22c0d52a9751a7067117639b61080d5326e040432c"),
     ], ids=["torus:8", "sphere:2"])
-    def test_pinned_random_pairs(self, runner, tmp_path, mesh, solve_args, table_sha):
+    def test_pinned_random_pairs(self, tmp_path, mesh, solve_args, table_sha):
         out, rep = str(tmp_path / "f.json"), str(tmp_path / "r.json")
-        assert run(runner, ["solve", "--mesh", mesh, "--flux", "1", *solve_args,
+        assert run_cli(["solve", "--mesh", mesh, "--flux", "1", *solve_args,
                             "--out", out, "--report", rep]).exit_code == 0
-        result = run(runner, ["verify", "--field", out, "--random", "20", "--seed", "5", "--json"])
+        result = run_cli(["verify", "--field", out, "--random", "20", "--seed", "5", "--json"])
         assert result.exit_code == 0
-        assert hashlib.sha256(result.stdout.encode()).hexdigest() == table_sha
+        assert hashlib.sha256(result.output.encode()).hexdigest() == table_sha
 
-    def test_perturbed_fails(self, runner, solved):
-        result = runner.invoke(cli, ["verify", "--field", solved, "--random", "10",
+    def test_perturbed_fails(self, solved):
+        result = run_cli(["verify", "--field", solved, "--random", "10",
                                      "--seed", "5", "--perturb", "0.1"])
         assert result.exit_code == 3
 
@@ -536,7 +599,7 @@ class TestVerify:
         assert "Traceback" not in proc.stderr
         assert "the complex is not connected" in proc.stderr
 
-    def test_rebased_torus_field(self, runner, tmp_path):
+    def test_rebased_torus_field(self, tmp_path):
         # the grid survives the JSON round trip at any basepoint, so the
         # random pairs and their standard cycles start at vertex 5
         mesh = rebased(ah.build_torus_mesh(4), 5)
@@ -544,11 +607,11 @@ class TestVerify:
         field = ah.apply_gauge(field, ah.random_gauge_transform(mesh, 2, np.random.default_rng(3)))
         field_path = tmp_path / "f.json"
         field_path.write_text(json.dumps(ah.field_to_json(field)))
-        result = run(runner, ["verify", "--field", str(field_path), "--random", "20", "--seed", "3"])
+        result = run_cli(["verify", "--field", str(field_path), "--random", "20", "--seed", "3"])
         assert result.exit_code == 0, result.output
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_slit_face_field(self, runner, tmp_path, n):
+    def test_slit_face_field(self, tmp_path, n):
         # face 0 runs out along a dangling edge and straight back: the
         # flux-1 field is still a critical point, and the pairs pass
         mesh = slit_face(ah.build_sphere_mesh(2))
@@ -556,7 +619,7 @@ class TestVerify:
         assert ah.gradient_norm(field) < 1e-11
         field_path = tmp_path / "f.json"
         field_path.write_text(json.dumps(ah.field_to_json(field)))
-        result = run(runner, ["verify", "--field", str(field_path), "--random", "20", "--seed", "3"])
+        result = run_cli(["verify", "--field", str(field_path), "--random", "20", "--seed", "3"])
         assert result.exit_code == 0, result.output
 
     def test_missing_mesh_reference_is_io_error(self, tmp_path):
@@ -569,10 +632,10 @@ class TestVerify:
         assert "Traceback" not in proc.stderr
         assert f"cannot read {tmp_path / 'absent-mesh.json'}" in proc.stderr
 
-    def test_nan_residual_fails(self, runner, solved, monkeypatch):
+    def test_nan_residual_fails(self, solved, monkeypatch):
         # the gate passes only residuals below tol, and NaN is not below it
         monkeypatch.setattr(ah._verify, "area_residuals", lambda h1, *args: np.full(len(h1), np.nan))
-        result = runner.invoke(cli, ["verify", "--field", solved, "--random", "3"])
+        result = run_cli(["verify", "--field", solved, "--random", "3"])
         assert result.exit_code == 3
 
     @pytest.mark.parametrize("pairs", [5, [5], [[{"base": 0, "steps": []}]]], ids=["number", "entry", "single-loop"])
@@ -608,29 +671,29 @@ class TestVerify:
         assert "Traceback" not in proc.stderr
         assert "loop does not return to its base vertex" in proc.stderr
 
-    def test_identical_loops_row_zero(self, runner, solved, tmp_path):
+    def test_identical_loops_row_zero(self, solved, tmp_path):
         field = ah.field_from_json(json.loads(Path(solved).read_text()))
         loop = ah.random_loop(field.mesh, np.random.default_rng(1), 10)
         pairs_path = str(tmp_path / "pairs.json")
         with open(pairs_path, "w") as handle:
             json.dump({"pairs": [[ah.loop_to_json(loop), ah.loop_to_json(loop)]]}, handle)
         table = str(tmp_path / "verify.json")
-        result = run(runner, ["verify", "--field", solved, "--pairs", pairs_path, "--out", table])
+        result = run_cli(["verify", "--field", solved, "--pairs", pairs_path, "--out", table])
         assert result.exit_code == 0
         assert json.loads(Path(table).read_text())["rows"][0]["residual"] == 0.0
 
-    def test_non_homotopic_pair_flagged(self, runner, solved, tmp_path):
+    def test_non_homotopic_pair_flagged(self, solved, tmp_path):
         field = ah.field_from_json(json.loads(Path(solved).read_text()))
         l1 = ah.alpha_loop(field.mesh)
         l2 = ah.MeshLoop(field.mesh.basepoint, ())
         pairs_path = str(tmp_path / "pairs.json")
         with open(pairs_path, "w") as handle:
             json.dump({"pairs": [[ah.loop_to_json(l1), ah.loop_to_json(l2)]]}, handle)
-        result = runner.invoke(cli, ["verify", "--field", solved, "--pairs", pairs_path])
+        result = run_cli(["verify", "--field", solved, "--pairs", pairs_path])
         assert result.exit_code == 3
         assert "not null-homotopic" in result.output
 
-    def test_nothing_measured_writes_null(self, runner, solved, tmp_path):
+    def test_nothing_measured_writes_null(self, solved, tmp_path):
         field = ah.field_from_json(json.loads(Path(solved).read_text()))
         pairs_path, table = str(tmp_path / "pairs.json"), str(tmp_path / "verify.json")
         with open(pairs_path, "w") as handle:
@@ -640,12 +703,12 @@ class TestVerify:
         def refuse(name):
             raise ValueError(f"{name} is not JSON")
 
-        result = runner.invoke(cli, ["verify", "--field", solved, "--pairs", pairs_path, "--json", "--out", table])
+        result = run_cli(["verify", "--field", solved, "--pairs", pairs_path, "--json", "--out", table])
         assert result.exit_code == 3
         for text in (result.output.splitlines()[-1], Path(table).read_text()):
             data = json.loads(text, parse_constant=refuse)
             assert data["max_residual"] is None and data["flagged"] == 1
-        result = runner.invoke(cli, ["verify", "--field", solved, "--pairs", pairs_path])
+        result = run_cli(["verify", "--field", solved, "--pairs", pairs_path])
         assert result.exit_code == 3
         assert "max residual: inf" in result.output
 
@@ -707,24 +770,24 @@ class TestWriteAtomic:
     def test_failing_rename_leaves_no_temp_file(self, tmp_path):
         path = tmp_path / "out.json"
         with mock.patch("os.replace", side_effect=OSError("no rename")), \
-                pytest.raises(click.ClickException, match="cannot write"):
+                pytest.raises(CommandError, match="cannot write"):
             _write_json(str(path), {"x": 1})
         assert list(tmp_path.iterdir()) == []
 
 
 class TestClassify:
-    def test_row_count(self, runner):
-        result = run(runner, ["classify", "--n", "2", "--kmax", "1"])
+    def test_row_count(self):
+        result = run_cli(["classify", "--n", "2", "--kmax", "1"])
         assert result.exit_code == 0
         assert "6 Yang-Mills classes" in result.output
 
-    def test_flat_class_only(self, runner):
-        result = run(runner, ["classify", "--n", "1", "--kmax", "0"])
+    def test_flat_class_only(self):
+        result = run_cli(["classify", "--n", "1", "--kmax", "0"])
         assert "1 Yang-Mills classes" in result.output
         assert "[flat]" in result.output
 
-    def test_json_actions_positive_except_flat(self, runner):
-        result = run(runner, ["classify", "--n", "2", "--kmax", "2", "--json"])
+    def test_json_actions_positive_except_flat(self):
+        result = run_cli(["classify", "--n", "2", "--kmax", "2", "--json"])
         data = json.loads(result.output)
         assert len(data["classes"]) == 15
         for entry in data["classes"]:
@@ -735,36 +798,41 @@ class TestClassify:
 
 
 class TestWord:
-    def test_single_relation(self, runner):
-        result = run(runner, ["word", "--genus", "1", "b1 a1"])
+    def test_single_relation(self):
+        result = run_cli(["word", "--genus", "1", "b1 a1"])
         assert "a1 b1, t=-1" in result.output
 
-    def test_relator_check(self, runner):
+    def test_relator_check(self):
         # the relator is the central generator J = (empty, 1); at genus 0
         # it is empty and t = 1 is t = 0 in R/Z
         for genus in range(4):
-            result = run(runner, ["word", "--genus", str(genus), "--check-relator"])
+            result = run_cli(["word", "--genus", str(genus), "--check-relator"])
             assert result.exit_code == 0
             assert result.output == f"relator normalizes to (empty, t={min(genus, 1)}): ok\n"
 
-    def test_genus0_canonical(self, runner):
-        result = run(runner, ["word", "--genus", "0", "--t", "0.7", ""])
+    def test_genus0_canonical(self):
+        result = run_cli(["word", "--genus", "0", "--t", "0.7", ""])
         assert "t=-0.3 (mod 1)" in result.output
 
-    def test_parse_error(self, runner):
-        result = runner.invoke(cli, ["word", "--genus", "1", "c3"])
-        assert result.exit_code == 2  # UsageError under CliRunner
+    def test_parse_error(self):
+        result = run_cli(["word", "--genus", "1", "c3"])
+        assert result.exit_code == 64
 
-    def test_product(self, runner):
-        result = run(runner, ["word", "--genus", "2", "a1 b1", "a1^-1 b1^-1"])
+    def test_product(self):
+        result = run_cli(["word", "--genus", "2", "a1 b1", "a1^-1 b1^-1"])
         assert "product:" in result.output
 
-    def test_t_values_pair_positionally(self, runner):
-        result = run(runner, ["word", "--genus", "1", "--t", "0.25", "--t", "0.5",
+    def test_t_values_pair_positionally(self):
+        result = run_cli(["word", "--genus", "1", "--t", "0.25", "--t", "0.5",
                               "a1", "a1^-1"])
         assert "input 0: a1, t=0.25" in result.output
         assert "input 1: a1^-1, t=0.5" in result.output
         assert "product: (empty), t=0.75" in result.output
+
+    def test_words_and_options_interleave(self):
+        result = run_cli(["word", "a1", "--genus", "1", "--t", "0.25", "a1^-1", "--t", "0.5", "b1"])
+        assert result.exit_code == 0
+        assert result.output.splitlines()[:3] == ["input 0: a1, t=0.25", "input 1: a1^-1, t=0.5", "input 2: b1, t=0"]
 
     @pytest.mark.parametrize(
         "args, message",
@@ -786,24 +854,24 @@ class TestWord:
 
 
 class TestPlotData:
-    def test_flow_rows(self, runner, tmp_path):
+    def test_flow_rows(self, tmp_path):
         out, rep = str(tmp_path / "f.json"), str(tmp_path / "r.json")
-        assert run(runner, ["solve", "--mesh", "torus:4", "--flux", "1", "--seed", "3",
+        assert run_cli(["solve", "--mesh", "torus:4", "--flux", "1", "--seed", "3",
                             "--trace", "--out", out, "--report", rep]).exit_code == 0
         csv_path = str(tmp_path / "flow.csv")
-        result = run(runner, ["plot-data", "--input", rep, "--out", csv_path])
+        result = run_cli(["plot-data", "--input", rep, "--out", csv_path])
         assert result.exit_code == 0
         lines = Path(csv_path).read_text().splitlines()
         assert lines[0] == "iteration,action,gradient_norm"
         report = json.loads(Path(rep).read_text())
         assert len(lines) == 1 + len(report["step_history"])
-        assert Path(csv_path).read_text() == run(runner, ["plot-data", "--input", rep]).output
+        assert Path(csv_path).read_text() == run_cli(["plot-data", "--input", rep]).output
 
-    def test_header_only_without_trace(self, runner, tmp_path):
+    def test_header_only_without_trace(self, tmp_path):
         out, rep = str(tmp_path / "f.json"), str(tmp_path / "r.json")
-        assert run(runner, ["solve", "--mesh", "torus:4", "--flux", "0", "--seed", "3",
+        assert run_cli(["solve", "--mesh", "torus:4", "--flux", "0", "--seed", "3",
                             "--out", out, "--report", rep]).exit_code == 0
-        result = run(runner, ["plot-data", "--input", rep])
+        result = run_cli(["plot-data", "--input", rep])
         assert result.output == "iteration,action,gradient_norm\n"
 
     @pytest.mark.parametrize("report", ["final_action", ["final_action"]], ids=["string", "list"])
@@ -847,14 +915,14 @@ class TestPlotData:
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_numbers_of_either_type(self, runner, tmp_path):
+    def test_numbers_of_either_type(self, tmp_path):
         # an integral action reads as a float; NaN is a number, as json reads it
         path = tmp_path / "r.json"
         path.write_text('{"final_action": 1, "step_history": [[0, 2, 0.5], [1.0, NaN, 0.1]]}')
-        result = run(runner, ["plot-data", "--input", str(path)])
+        result = run_cli(["plot-data", "--input", str(path)])
         assert result.output == "iteration,action,gradient_norm\n0,2,0.5\n1,nan,0.10000000000000001\n"
 
-    def test_shrinking_table(self, runner, tmp_path):
+    def test_shrinking_table(self, tmp_path):
         mesh = ah.build_torus_mesh(8)
         field = ah.build_ym_field_from_rep(
             mesh,
@@ -865,7 +933,7 @@ class TestPlotData:
         table_path = str(tmp_path / "shrink.json")
         with open(table_path, "w") as handle:
             json.dump({"rows": [[a, r] for a, r in rows]}, handle)
-        result = run(runner, ["plot-data", "--input", table_path])
+        result = run_cli(["plot-data", "--input", table_path])
         lines = result.output.splitlines()
         assert lines[0] == "area,residual"
         values = [tuple(map(float, line.split(","))) for line in lines[1:]]
@@ -912,18 +980,6 @@ def replaced(doc, path, value):
     return doc
 
 
-def exit_code(args) -> int:
-    """The entry point's exit code, run in this process; anything it lets
-    escape but SystemExit fails the test."""
-    with mock.patch.object(sys, "argv", ["areaholonomy", *args]), \
-            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            main()
-        except SystemExit as ex:
-            return ex.code or 0
-    return 0
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_verify_survives_fuzzed_json(data):
@@ -939,7 +995,7 @@ def test_verify_survives_fuzzed_json(data):
         with open(pairs_path, "w") as handle:
             json.dump(replaced(docs["pairs"], path, value) if name == "pairs" else docs["pairs"], handle)
         source = ["--pairs", pairs_path] if name == "pairs" else ["--random", "3"]
-        code = exit_code(["verify", "--field", field_path, *source])
+        code = run_cli(["verify", "--field", field_path, *source]).exit_code
     # a string "mesh" is a path to a mesh file, and there is none
     missing_mesh = name != "pairs" and path == ("mesh",) and isinstance(value, str)
     assert code in ({1} if missing_mesh else {0, 3, 64})
