@@ -405,6 +405,41 @@ def total_flux(field: GaugeField) -> float:
 # ---------------------------------------------------------------------------
 # gradient flow
 
+def _line_search(
+    engine: _Engine, u: np.ndarray, logs: FaceLogs, action: float, gnorm: float, direction: np.ndarray, eta: float
+):
+    """Backtrack along U_e <- exp(-eta Z_e) U_e, Z the direction, from eta.
+
+    A trial passes one of two gates, which read one gradient of the trial:
+    its action decreases, or it lies within a slack of 64 ulps of the action
+    (below which action differences are evaluation noise) and the gradient
+    norm strictly decreases, which stays resolvable down to the flow's tol.
+    A trial that fails both, or hits the branch cut, halves eta, at most
+    _MAX_HALVINGS times.  Returns the accepted (eta, trial, logs, action,
+    gradient), or None when the halving budget runs out.  A step that
+    underflows to the identity returns u itself: nothing can move.
+    """
+    eye = np.eye(u.shape[-1])
+    slack = 64 * np.finfo(np.float64).eps * max(1.0, abs(action))
+    for _ in range(_MAX_HALVINGS + 1):
+        step = expm_raw(-eta * direction)
+        if np.all(step == eye):
+            return eta, u, logs, action, engine.gradient_from_logs(logs)
+        trial = _unitarize(matmul_raw(step, u))
+        try:
+            logs_trial = engine.logs(trial)
+        except BranchCutError:
+            eta *= 0.5
+            continue
+        action_trial = engine.action_from_logs(logs_trial)
+        if action_trial <= action + slack:
+            grad = engine.gradient_from_logs(logs_trial)
+            if action_trial < action - slack or _grad_norm(grad) < gnorm:
+                return eta, trial, logs_trial, action_trial, grad
+        eta *= 0.5
+    return None
+
+
 def gradient_flow(
     field: GaugeField,
     tol: float = 1e-9,
@@ -424,15 +459,11 @@ def gradient_flow(
     on the sector minimum.
     The direction falls back to G_e when it is not finite or does not
     descend; along G_e the first trial is eta = min(face_areas)/4,
-    matching the 1/area scale of the action Hessian.  Backtracking halves
-    eta, at most 40 times, until the action decreases; BranchCut during a
-    trial step is treated like an increase.
-    Once action differences fall below evaluation precision the gate
-    switches to requiring a strict gradient-norm decrease, which stays
-    resolvable down to the requested tolerance.  The returned action never
-    exceeds the input action beyond roundoff.  Raises NotConverged with the
-    partial report when the halving or iteration budget runs out, or when
-    the step underflows to the identity; report.stop_reason says which.
+    matching the 1/area scale of the action Hessian.  _line_search accepts
+    or halves each trial.  The returned action never exceeds the input
+    action beyond roundoff.  Raises NotConvergedError with the partial
+    report when the halving or iteration budget runs out, or when the step
+    underflows to the identity; report.stop_reason says which.
     Raises ValueError unless tol > 0 (so 0, negatives and NaN are rejected)
     and max_iter, read by the json_int rule (no boolean, no fractional
     float), is at least 1.
@@ -452,74 +483,42 @@ def gradient_flow(
     history: Optional[list[tuple[int, float, float]]] = (
         [(0, action, gnorm)] if record_history else None
     )
-    if gnorm <= tol:
-        return field, FlowReport(0, action, gnorm, history, "converged")
-
-    eye = np.eye(field.n, dtype=np.complex128)
     eta_gradient = 0.25 * float(np.min(field.mesh.face_areas))
-    eta_newton = 1.0
     mu = 10.0
-    for iteration in range(1, max_iter + 1):
+    iteration, stop = 0, "converged"
+    while not gnorm <= tol:  # a NaN norm has not converged
+        if iteration == max_iter:
+            stop = "iteration_budget"
+            break
         direction, eta = grad, eta_gradient
         newton = engine.levenberg_marquardt(logs, grad / 2, mu)
         # Re<G, newton> > 0: the Newton direction descends
         if np.all(np.isfinite(newton)) and float(np.sum((grad.conj() * newton).real)) > 0:
-            direction, eta = newton, eta_newton
-        accepted = False
-        moved = True
-        grad_trial = None
-        # Action differences below this are evaluation noise; in that
-        # regime a step must strictly decrease the gradient norm instead.
-        slack = 64 * np.finfo(np.float64).eps * max(1.0, abs(action))
-        for _ in range(_MAX_HALVINGS + 1):
-            step = expm_raw(-eta * direction)
-            if np.all(step == eye):
-                # step underflowed to the identity: nothing can move
-                trial, logs_trial, action_trial = u, logs, action
-                accepted, moved = True, False
-                break
-            trial = _unitarize(matmul_raw(step, u))
-            try:
-                logs_trial = engine.logs(trial)
-            except BranchCutError:
-                eta *= 0.5
-                continue
-            action_trial = engine.action_from_logs(logs_trial)
-            if action_trial < action - slack:
-                accepted = True
-                break
-            if action_trial <= action + slack:
-                grad_trial = engine.gradient_from_logs(logs_trial)
-                gnorm_trial = _grad_norm(grad_trial)
-                if gnorm_trial < gnorm:
-                    accepted = True
-                    break
-                grad_trial = None
-            eta *= 0.5
-        if not accepted:
-            raise NotConvergedError(
-                "line search exhausted its halving budget",
-                FlowReport(iteration - 1, action, gnorm, history, "halving_budget"),
-                GaugeField(field.mesh, u),
-            )
+            direction, eta = newton, 1.0
+        found = _line_search(engine, u, logs, action, gnorm, direction, eta)
+        if found is None:
+            stop = "halving_budget"
+            break
+        eta, trial, logs, action, grad = found
         # Levenberg-Marquardt damping: less after a full Newton step, more otherwise
-        mu = mu / 3 if direction is newton and eta == eta_newton else mu * 4
-        u, logs, action = trial, logs_trial, action_trial
-        grad = grad_trial if grad_trial is not None else engine.gradient_from_logs(logs)
+        mu = mu / 3 if direction is newton and eta == 1.0 else mu * 4
         gnorm = _grad_norm(grad)
+        iteration += 1
         if record_history:
             history.append((iteration, action, gnorm))
-        if gnorm <= tol:
-            return GaugeField(field.mesh, u), FlowReport(iteration, action, gnorm, history, "converged")
-        if not moved:
+        if trial is u:
             # machine-precision stall: no representable step makes progress
+            stop = "stall"
             break
-    prefix = "" if moved else "stalled at machine precision: "
-    raise NotConvergedError(
-        f"{prefix}gradient norm {gnorm:.3e} above tol {tol:.3e} after {iteration} iterations",
-        FlowReport(iteration, action, gnorm, history, "iteration_budget" if moved else "stall"),
-        GaugeField(field.mesh, u),
-    )
+        u = trial
+    report = FlowReport(iteration, action, gnorm, history, stop)
+    if stop == "converged":
+        return (field if iteration == 0 else GaugeField(field.mesh, u)), report
+    prefix = "stalled at machine precision: " if stop == "stall" else ""
+    message = f"{prefix}gradient norm {gnorm:.3e} above tol {tol:.3e} after {iteration} iterations"
+    if stop == "halving_budget":
+        message = "line search exhausted its halving budget"
+    raise NotConvergedError(message, report, GaugeField(field.mesh, u))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,13 @@ built from."""
 import ast
 import functools
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +191,53 @@ def test_records_keep_their_value_semantics():
     for record, name in ((policy, "rep_tol"), (diag, "ok"), (report, "iterations")):
         with pytest.raises(AttributeError):
             setattr(record, name, 0)
+
+
+TRACED_FLOW = """
+import json
+import numpy as np
+import tracer
+trace = tracer.Tracer("smoke")
+tracer.install(trace)
+import areaholonomy as ah
+from areaholonomy import lattice, words
+named = [getattr(lattice._Engine, m) for m in ("plaquettes", "logs", "action_from_logs", "gradient_from_logs")]
+named += [lattice.expm_raw, lattice.loop_holonomy, lattice.face_curvature, lattice._unitarize, words.GammaRElement.__init__]
+lam = ah.SkewHermitian(2j * np.pi * np.diag([1.0, 0.0]))
+eye = ah.Unitary(np.eye(2))
+rep = ah.YangMillsRep(1, 2, [eye], [eye], lam)
+start = ah.perturb_field(ah.build_ym_field_from_rep(ah.build_torus_mesh(4), rep), np.random.default_rng(7), 0.3)
+_, report = ah.gradient_flow(start, tol=1e-9)
+columns = {field: values.tolist() for field, values in trace.columns.items()}
+print(json.dumps({"unwrapped": [fn.__qualname__ for fn in named if not hasattr(fn, "__wrapped__")],
+                  "iterations": report.iterations, "names": trace.names, "columns": columns}))
+"""
+
+
+def test_benchmark_tracer_sees_the_flow_kernels():
+    # perfbench's per-layer flow metrics are read from the spans directly
+    # under the gradient_flow span; a renamed kernel, or a line search that
+    # moved out of lattice or stopped calling lattice's own expm_raw, would
+    # read 0 there without failing.  A child process, so that no wrapper
+    # outlives the test.
+    root = Path(__file__).resolve().parents[1]
+    package_root = str(Path(ah.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, str(root / "perfbench"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", TRACED_FLOW], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["unwrapped"] == []
+    cols = out["columns"]
+    spans = [(out["names"][i], *rest) for i, *rest in zip(cols["name"], cols["parent"], cols["start"], cols["end"])]
+    (flow,) = [i for i, span in enumerate(spans) if span[0] == "lattice.gradient_flow"]
+    _, _, begin, end = spans[flow]
+    inside = Counter(name for name, _, s, e in spans if begin < s and e < end)
+    direct = Counter(name for name, parent, _, _ in spans if parent == flow)
+    for name in ("liecore.expm_raw", "lattice.logs", "lattice.gradient_from_logs"):
+        assert direct[name] == inside[name] > 0, name
+    assert direct["liecore.expm_raw"] >= out["iterations"] >= 1
+    assert direct["lattice.gradient_from_logs"] >= out["iterations"] + 1
 
 
 def test_sources_parse_as_python_3_10():

@@ -54,6 +54,16 @@ from conftest import (
 FOUR_PI_SQ = 4 * np.pi**2
 
 
+def assert_report_reads_its_field(err):
+    """A stopped flow's report describes the field it carries, bit for bit,
+    and its recorded history ends on the report's own row."""
+    report = err.report
+    assert ym_action(err.field) == report.final_action
+    assert gradient_norm(err.field) == report.final_gradient_norm
+    assert len(report.step_history) == report.iterations + 1
+    assert report.step_history[-1] == (report.iterations, report.final_action, report.final_gradient_norm)
+
+
 def single_edge_field(mesh, edge, theta):
     values = np.ones((len(mesh.edges), 1, 1), dtype=np.complex128)
     values[edge, 0, 0] = np.exp(1j * theta)
@@ -353,8 +363,9 @@ class TestFlow:
 
     def test_stop_reason_iteration_budget(self, perturbed4_u2):
         with pytest.raises(NotConvergedError) as err:
-            gradient_flow(perturbed4_u2, tol=1e-9, max_iter=3)
+            gradient_flow(perturbed4_u2, tol=1e-9, max_iter=3, record_history=True)
         assert err.value.report.stop_reason == "iteration_budget"
+        assert_report_reads_its_field(err.value)
 
     def test_stop_reason_halving_budget(self, perturbed4, monkeypatch):
         # every trial step hits the branch cut: the line search cannot accept
@@ -367,18 +378,24 @@ class TestFlow:
 
         monkeypatch.setattr(_Engine, "logs", logs_of_start_only)
         with pytest.raises(NotConvergedError) as err:
-            gradient_flow(perturbed4, tol=1e-9)
+            gradient_flow(perturbed4, tol=1e-9, record_history=True)
         assert err.value.report.stop_reason == "halving_budget"
         assert "halving budget" in str(err.value)
+        # no step was taken: the flow carries its start
+        assert err.value.report.iterations == 0
+        assert np.array_equal(err.value.field.U, perturbed4.U)
+        monkeypatch.undo()
+        assert_report_reads_its_field(err.value)
 
     def test_stop_reason_stall(self, perturbed4, monkeypatch):
         # every step underflows to the identity
         monkeypatch.setattr(ah.lattice, "expm_raw", lambda x: np.broadcast_to(np.eye(x.shape[-1]), x.shape))
         with pytest.raises(NotConvergedError) as err:
-            gradient_flow(perturbed4, tol=1e-9)
+            gradient_flow(perturbed4, tol=1e-9, record_history=True)
         assert err.value.report.stop_reason == "stall"
         assert err.value.report.iterations == 1
         assert "stalled at machine precision" in str(err.value)
+        assert_report_reads_its_field(err.value)
 
     def test_n2_flow_calls_no_lapack(self, monkeypatch):
         # at n = 2 every eigendecomposition and Cayley inverse takes a closed
@@ -760,18 +777,27 @@ class TestNewtonOperator:
 
     def test_gauss_newton_rebuild_reuses_the_slot_blocks(self, torus8, monkeypatch):
         # the slot blocks depend on the logs only: an iteration builds them
-        # once, for its Newton operator and its Gauss-Newton rebuild alike
+        # once, for its Newton operator and its Gauss-Newton rebuild alike;
+        # and the flow evaluates one gradient up front and one per accepted
+        # step, the count perfbench's gradient-norm gate metric is read from
         calls, slot_blocks = [], _Engine.slot_blocks
+        gradients, gradient_from_logs = [], _Engine.gradient_from_logs
 
         def counted(self, logs):
             calls.append(logs)
             return slot_blocks(self, logs)
 
+        def counted_gradient(self, logs):
+            gradients.append(logs)
+            return gradient_from_logs(self, logs)
+
         monkeypatch.setattr(_Engine, "slot_blocks", counted)
+        monkeypatch.setattr(_Engine, "gradient_from_logs", counted_gradient)
         start = ah.perturb_field(build_ym_field_from_rep(torus8, flux_rep(2, 1)), np.random.default_rng(7), 0.3)
         _, report = gradient_flow(start, tol=1e-9)
         assert report.stop_reason == "converged"
         assert len(calls) == report.iterations
+        assert len(gradients) == report.iterations + 1
 
     def test_engine_keeps_no_per_call_state(self, monkeypatch):
         # an engine holds its mesh only, and nothing but the mesh's cached
