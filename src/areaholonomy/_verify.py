@@ -60,13 +60,15 @@ def basepoint_curvature(field) -> np.ndarray:
     traversed from the basepoint.  lattice.face_curvature(field, f) is
     expressed in the frame of face f's start vertex, which differs by a
     gauge-dependent conjugation unless that vertex is the basepoint."""
-    mesh = field.mesh
-    for f, face in enumerate(mesh.faces):
-        for k, (e, s) in enumerate(face):
-            if mesh.step_endpoints(e, s)[0] == mesh.basepoint:
-                rotated = flat_steps([mesh.basepoint], [face[k:] + face[:k]])
-                return logm_raw(holonomies(field.U, rotated)[0]) / mesh.face_areas[f]
-    raise ValueError("no face boundary passes through the basepoint")
+    mesh, layout = field.mesh, field.mesh.face_steps
+    # the first slot, face by face, whose step starts at the basepoint
+    through = np.flatnonzero(mesh.step_ends[layout.rows, 0] == mesh.basepoint)
+    if not len(through):
+        raise ValueError("no face boundary passes through the basepoint")
+    f, start = mesh.face_of_slot[through[0]], through[0]
+    rows = np.roll(layout.rows[layout.starts[f]:layout.starts[f] + layout.lengths[f]], layout.starts[f] - start)
+    rotated = flat_steps([mesh.basepoint], [tuple(map(mesh._step_tuples.__getitem__, rows.tolist()))])
+    return logm_raw(holonomies(field.U, rotated)[0]) / mesh.face_areas[f]
 
 
 def area_residuals(h1: np.ndarray, h2: np.ndarray, deltas: np.ndarray, lam: np.ndarray) -> np.ndarray:

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import suppress
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
@@ -26,7 +28,7 @@ from .liecore import (
     inner,
 )
 from .policy import DEFAULT_POLICY
-from .surfaces import json_int, required_keys
+from .surfaces import json_int, json_ints, required_keys
 
 if TYPE_CHECKING:
     from .words import GammaRElement
@@ -250,12 +252,18 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 
 def _matrices_from_json(objs, n: int) -> np.ndarray:
     """The stack (K, n, n) of K matrices in matrix_to_json's form, one array
-    conversion per part; ValueError unless each says n and is n x n."""
-    matrices = [required_keys(m, "matrix", "n", "re", "im") for m in objs]
-    sizes = {json_int(size, "matrix: n") for size, _, _ in matrices}
-    re = np.array([m[1] for m in matrices], dtype=np.float64)
-    im = np.array([m[2] for m in matrices], dtype=np.float64)
-    if sizes != {n} or re.shape != (len(matrices), n, n) or im.shape != re.shape:
+    conversion per part; ValueError unless each says n and is n x n.  Only
+    a list that fails a type pass is read by required_keys, to name a fault."""
+    parts = None
+    if type(objs) is list and set(map(type, objs)) <= {dict}:
+        with suppress(KeyError):
+            parts = [list(map(itemgetter(key), objs)) for key in ("n", "re", "im")]
+    if parts is None:
+        matrices = [required_keys(m, "matrix", "n", "re", "im") for m in objs]
+        parts = [[m[i] for m in matrices] for i in range(3)]
+    sizes = set(json_ints(parts[0], "matrix: n"))
+    re, im = (np.array(part, dtype=np.float64) for part in parts[1:])
+    if sizes != {n} or re.shape != (len(parts[0]), n, n) or im.shape != re.shape:
         raise ValueError(f"every matrix must be {n} x {n}, as its n says")
     # an infinite imaginary part makes 1j * im NaN, which callers reject
     with np.errstate(invalid="ignore"):

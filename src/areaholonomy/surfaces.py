@@ -34,11 +34,11 @@ import math
 import numbers
 import operator
 import weakref
-from bisect import bisect_right
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import accumulate, chain
-from typing import Optional, Sequence
+from itertools import chain
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -131,7 +131,7 @@ class MeshLoop:
 
     def __post_init__(self):
         object.__setattr__(self, "base", json_int(self.base, "loop: base"))
-        steps = json_int_pairs(self.steps, "loop: a step edge", "loop: a step sign")
+        steps = tuple((json_int(e, "loop: a step edge"), json_int(s, "loop: a step sign")) for e, s in self.steps)
         object.__setattr__(self, "steps", steps)
         if any(s not in (-1, 1) for _, s in self.steps):
             raise MalformedLoopError("step signs must be +1 or -1")
@@ -153,21 +153,23 @@ def _derived_loop(base: int, steps: tuple[tuple[int, int], ...]) -> MeshLoop:
 class SurfaceMesh:
     """Oriented closed 2-complex with face areas summing to 1.
 
-    Faces are stored as cyclic step lists (edge index, traversal sign),
-    rotated so each boundary starts at its lowest-index vertex.  Every
-    undirected edge occurs in exactly two face boundaries with opposite
-    signs; this is validated at construction together with connectedness,
-    the Euler characteristic and the area normalization.  The boundaries
-    are laid out once as the loops of a _loopsteps layout, face_steps,
-    each based at its face's start vertex: face f takes the flat steps
-    (slots) face_steps.starts[f] onwards, and face_of_slot names the face
-    of every slot.  Per edge, plus_slot and minus_slot are its slots of
-    sign +1 and -1, plus_face and minus_face the faces that hold them, and
-    tails and heads its endpoints.  step_ends is the (tail, head) of every
-    step row (_loopsteps): (tails[e], heads[e]) in row 2e and (heads[e],
-    tails[e]) in row 2e + 1.  All of these are read-only.  The rest of what
-    the mesh derives, its grid included, is a cached_property, and no
-    attribute of a built mesh can be set or deleted.
+    Faces are cyclic step lists (edge index, traversal sign), rotated so
+    each boundary starts at its lowest-index vertex.  Edges and faces are
+    read into flat intp arrays (_int_rows; the builders and mesh_from_json
+    hand over arrays), from which the edges tuple, and faces on first use,
+    are formed.  Every undirected edge occurs in exactly two face
+    boundaries with opposite signs; this is validated in array passes
+    together with connectedness, the Euler characteristic and the area
+    normalization.  The boundaries are laid out once as the loops of a
+    _loopsteps layout, face_steps, each based at its face's start vertex: face f takes the flat steps (slots) face_steps.starts[f]
+    onwards, and face_of_slot names the face of every slot.  Per edge,
+    plus_slot and minus_slot are its slots of sign +1 and -1, plus_face
+    and minus_face the faces that hold them, and tails and heads its
+    endpoints.  step_ends is the (tail, head) of every step row
+    (_loopsteps): (tails[e], heads[e]) in row 2e and (heads[e], tails[e])
+    in row 2e + 1.  All of these are read-only.  The rest of what the mesh
+    derives, its grid included, is a cached_property, and no attribute of
+    a built mesh can be set or deleted.
     Integer slots follow the rule of json_int (json_ints): a boolean or a
     number with a fractional part raises instead of being truncated.
     """
@@ -189,12 +191,15 @@ class SurfaceMesh:
             raise ValueError("only genus 0 and 1 meshes are supported")
         self.genus = genus
         self.vertex_count = json_int(vertex_count, "mesh: vertices")
-        self.edges = json_int_pairs(edges, "mesh: an edge tail", "mesh: an edge head")
-        self.faces = _json_int_faces(faces)
+        ends = _int_pairs(edges, "mesh: an edge tail", "mesh: an edge head")
+        if not isinstance(faces, _FaceSteps):
+            faces = tuple(map(tuple, faces))
+            steps = _int_pairs(chain.from_iterable(faces), "mesh: a face edge", "mesh: a face sign")
+            faces = _FaceSteps(np.fromiter(map(len, faces), np.intp, len(faces)), *steps.T)
         self.face_areas = np.array(face_areas, dtype=np.float64)
         self.face_areas.setflags(write=False)
         self.basepoint = json_int(basepoint, "mesh: basepoint")
-        self._validate()
+        self._validate(ends, *faces)
         self._built = True
 
     def __setattr__(self, name: str, value) -> None:
@@ -236,23 +241,33 @@ class SurfaceMesh:
         return adj
 
     @cached_property
+    def faces(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Each face's boundary steps (edge, sign), formed from face_steps
+        on first use out of the tuples of _step_tuples."""
+        layout = self.face_steps
+        steps = tuple(map(self._step_tuples.__getitem__, layout.rows.tolist()))
+        return tuple([steps[a:b] for a, b in zip(layout.starts.tolist(), (layout.starts + layout.lengths).tolist())])
+
+    @cached_property
     def dual_tree(self) -> list[tuple[int, int, int, int]]:
         """BFS spanning tree of the dual graph, rooted at face 0.
 
         One (face, parent face, edge shared with the parent, sign of that
         edge in the face's boundary) row per non-root face, in BFS order.
         """
-        plus, minus = self.plus_face.tolist(), self.minus_face.tolist()
+        layout = self.face_steps
+        # per face the face across each of its slots, padded with face 0
+        across = np.where(layout.signs > 0, self.minus_face[layout.edges], self.plus_face[layout.edges])
+        neighbours = np.append(across, 0)[self.face_slots].tolist()
+        edges, signs, starts = layout.edges.tolist(), layout.signs.tolist(), layout.starts.tolist()
         tree: list[tuple[int, int, int, int]] = []
-        seen = [False] * len(self.faces)
-        seen[0] = True
-        queue = [0]
-        for f_idx in queue:
-            for e, s in self.faces[f_idx]:
-                g = minus[e] if s > 0 else plus[e]
+        seen, queue = [True] + [False] * (len(neighbours) - 1), [0]
+        for f in queue:
+            for g in neighbours[f]:
                 if not seen[g]:
                     seen[g] = True
-                    tree.append((g, f_idx, e, -s))
+                    i = starts[f] + neighbours[f].index(g)
+                    tree.append((g, f, edges[i], -signs[i]))
                     queue.append(g)
         return tree
 
@@ -304,11 +319,10 @@ class SurfaceMesh:
 
     @cached_property
     def _step_tuples(self) -> tuple[tuple[int, int], ...]:
-        """The (edge, sign) step of every step row (_loopsteps): the tuples
-        faces holds, edge e's in its plus_slot in row 2e and in its
-        minus_slot in row 2e + 1, so a walk built from them makes no tuple."""
-        slots = np.stack((self.plus_slot, self.minus_slot), axis=1).ravel().tolist()
-        return tuple(map(tuple(chain.from_iterable(self.faces)).__getitem__, slots))
+        """The (edge, sign) step of every step row (_loopsteps): (e, 1) in
+        row 2e and (e, -1) in row 2e + 1, the tuples faces holds, so a walk
+        built from them makes no tuple."""
+        return tuple(zip(np.repeat(np.arange(len(self.edges)), 2).tolist(), (1, -1) * len(self.edges)))
 
     @cached_property
     def _period_fluxes(self) -> tuple[list[float], ...]:
@@ -363,8 +377,8 @@ class SurfaceMesh:
 
     # -- validation ---------------------------------------------------------
 
-    def _validate(self) -> None:
-        v, e, f = self.vertex_count, len(self.edges), len(self.faces)
+    def _validate(self, ends: np.ndarray, lengths: np.ndarray, edges: np.ndarray, signs: np.ndarray) -> None:
+        v, e, f = self.vertex_count, len(ends), len(lengths)
         if v - e + f != 2 - 2 * self.genus:
             raise ValueError(
                 f"Euler characteristic {v - e + f} does not match genus {self.genus}"
@@ -376,25 +390,19 @@ class SurfaceMesh:
             raise ValueError("face areas must sum to 1")
         if not (0 <= self.basepoint < v):
             raise ValueError("basepoint out of range")
-        endpoints = list(chain.from_iterable(self.edges))
-        if min(endpoints, default=0) < 0 or max(endpoints, default=0) >= v:
+        # a negative index reads as a huge unsigned one
+        if (ends.view(np.uintp) >= v).any():
             raise ValueError(f"edge endpoints must be vertices 0..{v - 1}")
-        self.tails, self.heads = np.array(endpoints[0::2], np.intp), np.array(endpoints[1::2], np.intp)
+        self.tails, self.heads = ends.T.copy()
+        self.edges = tuple(zip(self.tails.tolist(), self.heads.tolist()))
         self.step_ends = np.stack((self.tails, self.heads, self.heads, self.tails), axis=1).reshape(-1, 2)
-        # the faces, in one array pass per check; the range check reads the
-        # ints themselves, before any array holds them
-        lengths = list(map(len, self.faces))
-        edges = list(map(operator.itemgetter(0), chain.from_iterable(self.faces)))
-        if 0 in lengths or min(edges) < 0 or max(edges) >= e:
-            ends = list(accumulate(lengths))
-            bad = [lengths.index(0)] if 0 in lengths else []
-            bad += [bisect_right(ends, i) for i, k in enumerate(edges) if not 0 <= k < e][:1]
-            raise ValueError(f"face {min(bad)} must list edges among 0..{e - 1}")
-        signs = list(map(operator.itemgetter(1), chain.from_iterable(self.faces)))
-        if not set(signs) <= {-1, 1}:
-            # another sign steps as step_endpoints reads it and fills no slot
-            signs = [s if s in (-1, 1) else 2 if s > 0 else -2 for s in signs]
-        lengths, edges, signs = (np.array(a, np.intp) for a in (lengths, edges, signs))
+        # every face's range is checked before any boundary is walked; a sign
+        # other than +-1 steps as step_endpoints reads it and fills no slot
+        self.face_of_slot = np.repeat(np.arange(f), lengths)
+        beyond = edges.view(np.uintp) >= e
+        if (lengths == 0).any() or beyond.any():
+            bad = np.flatnonzero((lengths == 0) | (np.bincount(self.face_of_slot[beyond], minlength=f) > 0))
+            raise ValueError(f"face {bad[0]} must list edges among 0..{e - 1}")
         starts = np.zeros_like(lengths)
         np.cumsum(lengths[:-1], out=starts[1:])
         bases = np.where(signs[starts] > 0, self.tails[edges[starts]], self.heads[edges[starts]])
@@ -410,15 +418,22 @@ class SurfaceMesh:
         self.plus_slot, self.minus_slot = np.empty(e, np.intp), np.empty(e, np.intp)
         self.plus_slot[edges[plus]] = np.flatnonzero(plus)
         self.minus_slot[edges[minus]] = np.flatnonzero(minus)
-        self.face_of_slot = np.repeat(np.arange(f), lengths)
         self.plus_face, self.minus_face = self.face_of_slot[self.plus_slot], self.face_of_slot[self.minus_slot]
         for array in (self.tails, self.heads, self.step_ends, *self.face_steps, self.face_of_slot,
                       self.plus_slot, self.minus_slot, self.plus_face, self.minus_face):
             array.setflags(write=False)
         # every edge borders a face, so with no isolated vertex a connected
         # dual graph makes the whole complex connected
-        if len(set(endpoints)) < v or len(self.dual_tree) != f - 1:
+        if (np.bincount(ends.ravel(), minlength=v) == 0).any() or len(self.dual_tree) != f - 1:
             raise ValueError("the complex is not connected")
+
+
+class _FaceSteps(NamedTuple):
+    """Faces as arrays: each face's step count, all steps' edges and signs."""
+
+    lengths: np.ndarray
+    edges: np.ndarray
+    signs: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +455,8 @@ def build_torus_mesh(N: int, face_areas=None) -> SurfaceMesh:
     tails, heads, edges, signs = arrays
     if face_areas is None:
         face_areas = np.full(N * N, 1.0 / (N * N))
-    faces = tuple(zip(*[zip(edges.tolist(), signs.tolist())] * 4))
-    mesh = SurfaceMesh(1, N * N, tuple(zip(tails.tolist(), heads.tolist())), faces, face_areas, 0)
+    faces = _FaceSteps(np.full(N * N, 4, np.intp), edges, signs)
+    mesh = SurfaceMesh(1, N * N, np.stack((tails, heads), axis=1), faces, face_areas, 0)
     # found while arrays holds the layout, so the grid check compares the
     # mesh with it instead of laying it out again
     mesh.grid
@@ -508,21 +523,21 @@ def build_sphere_mesh(subdiv: int, face_areas=None) -> SurfaceMesh:
         raise ValueError("sphere mesh needs subdiv >= 1")
     edges, faces, vertex_count = _sphere_complex(subdiv)
     if face_areas is None:
-        face_areas = np.full(len(faces), 1.0 / len(faces))
+        face_areas = np.full(len(faces.lengths), 1.0 / len(faces.lengths))
     return SurfaceMesh(0, vertex_count, edges, faces, face_areas, 0)
 
 
-def _sphere_complex(s: int) -> tuple[tuple, tuple, int]:
-    """Edges, faces and vertex count of the builder sphere, in SurfaceMesh's
-    stored form, built in whole-array and dict passes.  The octants' triangles are
-    emitted in a fixed order: octant (s1, s2, s3) of corners A = s1 x,
-    B = s2 y, C = s3 z (B and C swapped where s1 s2 s3 < 0 keeps the
-    orientation outward), and in it, for i < s and j < s - i, the triangle
-    (i, j), (i + 1, j), (i, j + 1), then, where i + j <= s - 2, (i + 1, j),
-    (i + 1, j + 1), (i, j + 1).  Vertices and edges are numbered in the
-    order they first appear, each face's edges from corner to corner, an
-    edge pointing to its higher vertex, and every face starts at its lowest
-    vertex."""
+def _sphere_complex(s: int) -> tuple[np.ndarray, _FaceSteps, int]:
+    """Edge ends, faces and vertex count of the builder sphere, as
+    SurfaceMesh reads them, built in whole-array and dict passes.  The
+    octants' triangles are emitted in a fixed order: octant (s1, s2, s3)
+    of corners A = s1 x, B = s2 y, C = s3 z (B and C swapped where
+    s1 s2 s3 < 0 keeps the orientation outward), and in it, for i < s and
+    j < s - i, the triangle (i, j), (i + 1, j), (i, j + 1), then, where
+    i + j <= s - 2, (i + 1, j), (i + 1, j + 1), (i, j + 1).  Vertices and
+    edges are numbered in the order they first appear, each face's edges
+    from corner to corner, an edge pointing to its higher vertex, and every
+    face starts at its lowest vertex."""
     i, j = np.nonzero(np.add.outer(np.arange(s), np.arange(s)) < s)
     # per (i, j) its two triangles' corners (i', j'), the second only
     # where i + j <= s - 2
@@ -540,16 +555,17 @@ def _sphere_complex(s: int) -> tuple[tuple, tuple, int]:
     codes = ((x + s) * (2 * s + 1) + y + s) * (2 * s + 1) + z + s
     vertices, distinct = _first_appearance(codes.ravel().tolist())
     # each face's edges from corner to corner: (u, v), (v, w), (w, u)
-    tails = np.array(vertices).reshape(-1, 3)
+    tails = np.array(vertices, np.intp).reshape(-1, 3)
     heads = np.roll(tails, -1, axis=1)
     low, high = np.minimum(tails, heads).ravel().tolist(), np.maximum(tails, heads).ravel().tolist()
     edge_ids, edges = _first_appearance(list(zip(low, high)))
     turn = (tails.argmin(axis=1)[:, None] + np.arange(3)) % 3
-    steps = zip(
-        np.take_along_axis(np.array(edge_ids).reshape(-1, 3), turn, axis=1).ravel().tolist(),
-        np.take_along_axis(np.where(tails < heads, 1, -1), turn, axis=1).ravel().tolist(),
+    faces = _FaceSteps(
+        np.full(len(tails), 3, np.intp),
+        np.take_along_axis(np.array(edge_ids, np.intp).reshape(-1, 3), turn, axis=1).ravel(),
+        np.take_along_axis(np.where(tails < heads, 1, -1), turn, axis=1).ravel(),
     )
-    return tuple(edges), tuple(zip(*[steps] * 3)), len(distinct)
+    return np.array(edges, np.intp), faces, len(distinct)
 
 
 def _first_appearance(keys: list) -> tuple[list[int], list]:
@@ -632,7 +648,7 @@ def integrate_faces(mesh: SurfaceMesh, target) -> np.ndarray:
     its parent, which leaves the root with exactly the total, zero.
     """
     target = np.asarray(target, dtype=np.float64)
-    if target.shape != (len(mesh.faces),):
+    if target.shape != mesh.face_areas.shape:
         raise ValueError("integrate_faces needs one target per face")
     # roundoff on the scale of the unit total area at least: a target made
     # zero-sum by subtracting its mean keeps the rounding error of values
@@ -872,33 +888,31 @@ def json_ints(values, what: str) -> tuple[int, ...]:
     return tuple(json_int(value, what) for value in values)
 
 
-def json_int_pairs(pairs, first: str, second: str) -> tuple[tuple[int, int], ...]:
+def _int_pairs(pairs, first: str, second: str) -> np.ndarray:
     """The pairs (json_int(a, first), json_int(b, second)) of a sequence of
-    pairs.  Tuples of two exact ints, as the package builds them, pass in
-    type passes, as they are; any other sequence is read pair by pair,
-    with json_int's conversions and errors."""
-    pairs = tuple(pairs)
-    if _exact_int_pairs(pairs):
+    pairs as an (R, 2) intp array, by _int_rows; an (R, 2) intp array
+    passes as it is."""
+    if isinstance(pairs, np.ndarray) and pairs.dtype == np.intp and pairs.shape[1:] == (2,):
         return pairs
-    return tuple((json_int(a, first), json_int(b, second)) for a, b in pairs)
+    _, flat = _int_rows(pairs, lambda rows: [(json_int(a, first), json_int(b, second)) for a, b in rows], 2)
+    return flat.reshape(-1, 2)
 
 
-def _json_int_faces(faces) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """A mesh's faces, each a sequence of (edge, sign) pairs read by
-    json_int_pairs, with all faces' pairs passing one set of type passes."""
-    faces = tuple(map(tuple, faces))
-    if _exact_int_pairs(tuple(chain.from_iterable(faces))):
-        return faces
-    return tuple(json_int_pairs(face, "mesh: a face edge", "mesh: a face sign") for face in faces)
-
-
-def _exact_int_pairs(pairs: tuple) -> bool:
-    """Whether every element is a tuple of two exact ints."""
-    return (
-        set(map(type, pairs)) <= {tuple}
-        and set(map(len, pairs)) <= {2}
-        and set(map(type, chain.from_iterable(pairs))) <= {int}
-    )
+def _int_rows(rows, read, width: Optional[int] = None) -> tuple[tuple, np.ndarray]:
+    """Rows of integer slots as a tuple, and their values flat as intp.
+    Lists and tuples of exact ints within intp (width each, if given) pass
+    one type pass; anything else is read by read(rows), json_int by
+    element, which alone names a fault.  An int beyond intp is held as the
+    intp bound of its sign, outside every range a mesh checks."""
+    rows = tuple(rows)
+    if set(map(type, rows)) <= {list, tuple} and (width is None or set(map(len, rows)) <= {width}):
+        flat = list(chain.from_iterable(rows))
+        if set(map(type, flat)) <= {int}:
+            with suppress(OverflowError):
+                return rows, np.fromiter(flat, np.intp, len(flat))
+    rows = tuple(read(rows))
+    flat = [min(max(k, -_INTP.max), _INTP.max) for k in chain.from_iterable(rows)]
+    return rows, np.fromiter(flat, np.intp, len(flat))
 
 
 def json_float(value, what: str) -> float:
@@ -929,10 +943,10 @@ def mesh_from_json(obj: dict) -> SurfaceMesh:
     genus, vertices, edges, faces, face_areas, basepoint = required_keys(
         obj, "mesh", "genus", "vertices", "edges", "faces", "face_areas", "basepoint"
     )
-    faces = [[json_int(k, "mesh: a face entry") for k in face] for face in faces]
-    if any(k == 0 for face in faces for k in face):
+    faces, entries = _int_rows(faces, lambda rows: [[json_int(k, "mesh: a face entry") for k in row] for row in rows])
+    if not np.all(entries):
         raise ValueError("mesh: face entries are signed 1-based edge indices, so 0 names no edge")
-    faces = [tuple((abs(k) - 1, 1 if k > 0 else -1) for k in face) for face in faces]
+    faces = _FaceSteps(np.fromiter(map(len, faces), np.intp, len(faces)), np.abs(entries) - 1, np.sign(entries))
     return SurfaceMesh(genus, vertices, edges, faces, face_areas, basepoint)
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import contextlib
 import io
+from bisect import bisect_right
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 import numpy as np
@@ -14,6 +16,8 @@ import areaholonomy as ah
 from areaholonomy.cli import main
 from areaholonomy.lattice import _Engine, _u_basis
 from areaholonomy.liecore import expm_raw, matmul_raw
+from areaholonomy.policy import DEFAULT_POLICY
+from areaholonomy.surfaces import json_int, required_keys
 
 
 class CliRun(NamedTuple):
@@ -215,6 +219,99 @@ def malformed_mesh_json(case: str) -> tuple[dict, str]:
         obj["face_areas"] = [[a] for a in obj["face_areas"]]
         message = "face_areas must be positive, one per face"
     return obj, message
+
+
+# the element-by-element readers that the array passes replaced, kept as
+# oracles: they name every fault of a field file in the words and the
+# order the package names it
+
+
+def oracle_mesh_from_json(obj) -> tuple:
+    """mesh_from_json and SurfaceMesh's checks, one JSON element at a time:
+    the (genus, vertex_count, edges, faces, face_areas, basepoint) of the
+    mesh, or the exception of its first fault."""
+    genus, vertices, edges, faces, face_areas, basepoint = required_keys(
+        obj, "mesh", "genus", "vertices", "edges", "faces", "face_areas", "basepoint"
+    )
+    faces = [[json_int(k, "mesh: a face entry") for k in face] for face in faces]
+    if any(k == 0 for face in faces for k in face):
+        raise ValueError("mesh: face entries are signed 1-based edge indices, so 0 names no edge")
+    faces = tuple(tuple((abs(k) - 1, 1 if k > 0 else -1) for k in face) for face in faces)
+    genus = json_int(genus, "mesh: genus")
+    if genus not in (0, 1):
+        raise ValueError("only genus 0 and 1 meshes are supported")
+    v = json_int(vertices, "mesh: vertices")
+    edges = tuple((json_int(a, "mesh: an edge tail"), json_int(b, "mesh: an edge head")) for a, b in edges)
+    areas = np.array(face_areas, dtype=np.float64)
+    basepoint = json_int(basepoint, "mesh: basepoint")
+    e, f = len(edges), len(faces)
+    if v - e + f != 2 - 2 * genus:
+        raise ValueError(f"Euler characteristic {v - e + f} does not match genus {genus}")
+    if areas.shape != (f,) or not np.all(areas > 0):
+        raise ValueError("face_areas must be positive, one per face")
+    if not abs(float(np.sum(areas)) - 1.0) <= DEFAULT_POLICY.area_sum_tol:
+        raise ValueError("face areas must sum to 1")
+    if not 0 <= basepoint < v:
+        raise ValueError("basepoint out of range")
+    endpoints = list(chain.from_iterable(edges))
+    if min(endpoints, default=0) < 0 or max(endpoints, default=0) >= v:
+        raise ValueError(f"edge endpoints must be vertices 0..{v - 1}")
+    lengths = list(map(len, faces))
+    slot_edges = [k for k, _ in chain.from_iterable(faces)]
+    if 0 in lengths or min(slot_edges) < 0 or max(slot_edges) >= e:
+        ends = list(accumulate(lengths))
+        bad = [lengths.index(0)] if 0 in lengths else []
+        bad += [bisect_right(ends, i) for i, k in enumerate(slot_edges) if not 0 <= k < e][:1]
+        raise ValueError(f"face {min(bad)} must list edges among 0..{e - 1}")
+    for index, face in enumerate(faces):
+        here = start = edges[face[0][0]][0 if face[0][1] > 0 else 1]
+        composable = True
+        for k, s in face:
+            tail, head = edges[k] if s > 0 else edges[k][::-1]
+            composable &= tail == here
+            here = head
+        if not composable or here != start:
+            raise ValueError(f"face {index} must list its edges head to tail around a closed boundary")
+    slots = {}
+    for index, face in enumerate(faces):
+        for k, s in face:
+            slots.setdefault(k, []).append((s, index))
+    for k in range(e):
+        if sorted(s for s, _ in slots.get(k, [])) != [-1, 1]:
+            raise ValueError(f"edge {k} must appear in exactly two faces with opposite signs")
+    across = {(k, s): g for k, used in slots.items() for s, g in used}
+    seen, queue = {0}, [0]
+    for index in queue:
+        for k, s in faces[index]:
+            g = across[k, -s]
+            if g not in seen:
+                seen.add(g)
+                queue.append(g)
+    if len(set(endpoints)) < v or len(seen) != f:
+        raise ValueError("the complex is not connected")
+    return genus, v, edges, faces, areas, basepoint
+
+
+def oracle_matrices_from_json(objs, n: int) -> np.ndarray:
+    """reps._matrices_from_json with every key and n read one matrix at a time."""
+    matrices = [required_keys(m, "matrix", "n", "re", "im") for m in objs]
+    sizes = {json_int(size, "matrix: n") for size, _, _ in matrices}
+    re = np.array([m[1] for m in matrices], dtype=np.float64)
+    im = np.array([m[2] for m in matrices], dtype=np.float64)
+    if sizes != {n} or re.shape != (len(matrices), n, n) or im.shape != re.shape:
+        raise ValueError(f"every matrix must be {n} x {n}, as its n says")
+    with np.errstate(invalid="ignore"):
+        return re + 1j * im
+
+
+def oracle_field_from_json(obj) -> tuple:
+    """field_from_json by the oracles, for an inline mesh: the mesh's
+    values (oracle_mesh_from_json) and the field's matrices, or the
+    exception of the first fault."""
+    mesh_obj, n, edges = required_keys(obj, "field", "mesh", "n", "edges")
+    mesh = oracle_mesh_from_json(mesh_obj)
+    field = ah.GaugeField(ah.SurfaceMesh(*mesh), oracle_matrices_from_json(edges, json_int(n, "field: n")))
+    return mesh, field.U
 
 
 # the per-step walks that the loop kernels replaced, kept as oracles

@@ -18,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 import areaholonomy as ah
 from areaholonomy.cli import CommandError, _write_json
-from conftest import MALFORMED_MESHES, disjoint_union_json, flux_rep, malformed_mesh_json, rebased, run_cli, slit_face
+from conftest import (MALFORMED_MESHES, disjoint_union_json, flux_rep, malformed_mesh_json, oracle_field_from_json, rebased,
+                      run_cli, slit_face)
 
 FOUR_PI_SQ = 4 * np.pi**2
 
@@ -999,3 +1000,33 @@ def test_verify_survives_fuzzed_json(data):
     # a string "mesh" is a path to a mesh file, and there is none
     missing_mesh = name != "pairs" and path == ("mesh",) and isinstance(value, str)
     assert code in ({1} if missing_mesh else {0, 3, 64})
+
+
+# besides the corpus, values that a type pass must refuse or hand on
+# whole: ints beyond intp, integral floats, and lists where numbers belong
+READER_VALUES = FUZZ_VALUES + [10**30, -(10**30), 2.0, -1.0, [0, 1], [[1.0]]]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_field_reader_matches_the_per_element_oracle(data):
+    # the array passes of field_from_json raise what the element-by-element
+    # oracle raises, with its message, or read the field it reads
+    docs = fuzz_documents()
+    name = data.draw(st.sampled_from(["torus-field", "sphere-field"]))
+    path = data.draw(st.sampled_from(list(json_paths(docs[name]))))
+    value = data.draw(st.sampled_from(READER_VALUES))
+    if path == ("mesh",) and isinstance(value, str):
+        value = None  # a string "mesh" names a mesh file
+    doc = replaced(docs[name], path, value)
+    try:
+        mesh, U = oracle_field_from_json(doc)
+    except Exception as ex:
+        with pytest.raises(type(ex)) as raised:
+            ah.field_from_json(doc)
+        assert (type(raised.value), str(raised.value)) == (type(ex), str(ex))
+        return
+    field = ah.field_from_json(doc)
+    got = field.mesh
+    assert (got.genus, got.vertex_count, got.edges, got.faces, got.basepoint) == mesh[:4] + mesh[5:]
+    assert got.face_areas.tobytes() == mesh[4].tobytes() and field.U.tobytes() == U.tobytes()

@@ -1,5 +1,6 @@
 """Mesh construction, winding numbers, and enclosed area."""
 
+import json
 import math
 import struct
 from itertools import chain
@@ -18,13 +19,16 @@ from areaholonomy import (
     loop_reverse,
     wrap_mod1,
 )
+from areaholonomy import lattice, reps, surfaces
 from areaholonomy._loopsteps import first_fault, flat_steps, lifts
-from areaholonomy.surfaces import TorusGrid, integrate_faces
+from areaholonomy.surfaces import TorusGrid, integrate_faces, json_int
 from conftest import (
     MALFORMED_MESHES,
     disjoint_union_json,
+    flux_rep,
     lifted_walk,
     malformed_mesh_json,
+    random_field,
     rebased,
     walk_area,
     walk_validate,
@@ -1201,3 +1205,58 @@ class TestBulkIntegerRule:
         letters[at] = bad
         raises("word: a letter", lambda: ah.GammaRElement(2, letters))
         raises("word: a letter", lambda: ah.SurfaceWord(2, letters))
+
+
+@st.composite
+def meshes_to_round_trip(draw):
+    """A builder torus (N 2..12) or sphere (S 1..4) with random positive
+    face areas, and the same mesh re-based at a random vertex."""
+    torus = draw(st.booleans())
+    size = draw(st.integers(2, 12) if torus else st.integers(1, 4))
+    faces = size * size if torus else 8 * size * size
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=faces, max_size=faces)))
+    built = (ah.build_torus_mesh if torus else ah.build_sphere_mesh)(size, face_areas=weights / np.sum(weights))
+    return built, rebased(built, draw(st.integers(0, built.vertex_count - 1)))
+
+
+class TestArrayReaders:
+    """The readers of mesh and field files check their input in one type
+    pass per part and hold it in arrays; the builders hand the same arrays
+    to SurfaceMesh."""
+
+    TABLES = ("edges", "faces", "tails", "heads", "step_ends", "plus_slot", "minus_slot", "plus_face", "minus_face")
+
+    @settings(max_examples=60, deadline=None)
+    @given(meshes_to_round_trip(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_round_trip(self, meshes, n, seed):
+        built, mesh = meshes
+        args = (mesh.genus, mesh.vertex_count, mesh.edges, mesh.faces, mesh.face_areas, mesh.basepoint)
+        for read in (ah.mesh_from_json(json.loads(json.dumps(ah.mesh_to_json(mesh)))), ah.SurfaceMesh(*args)):
+            assert (read.genus, read.vertex_count, read.basepoint) == args[:2] + args[-1:]
+            assert read.face_areas.tobytes() == built.face_areas.tobytes()
+            for name in self.TABLES:
+                got, want = getattr(read, name), getattr(built, name)
+                assert type(got) is type(want) and np.array_equal(got, want), name
+            assert all(map(np.array_equal, read.face_steps, built.face_steps))
+            assert read.grid == built.grid
+        field = random_field(mesh, n, np.random.default_rng(seed))
+        back = ah.field_from_json(json.loads(json.dumps(ah.field_to_json(field))))
+        assert back.U.tobytes() == field.U.tobytes()
+
+    @pytest.mark.parametrize("N", [8, 16])
+    def test_well_formed_field_reads_each_scalar_slot_once(self, N, monkeypatch):
+        # JSON's [tail, head] lists once failed a tuple-only type pass, and
+        # every edge and face entry then went through json_int: about
+        # 8 200 calls on a torus:32 field
+        field = ah.build_ym_field_from_rep(ah.build_torus_mesh(N), flux_rep(1, 1))
+        obj = json.loads(json.dumps(ah.field_to_json(field)))
+        calls = []
+
+        def counted(value, what):
+            calls.append(what)
+            return json_int(value, what)
+
+        for module in (surfaces, lattice, reps):
+            monkeypatch.setattr(module, "json_int", counted)
+        assert ah.field_from_json(obj).U.tobytes() == field.U.tobytes()
+        assert sorted(calls) == ["field: n", "mesh: basepoint", "mesh: genus", "mesh: vertices"]
