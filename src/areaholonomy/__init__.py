@@ -41,7 +41,6 @@ _EXPORTS = {
         "expm",
         "inner",
         "logm_principal",
-        "random_skew_hermitian",
         "random_unitary",
     ),
     "surfaces": (
@@ -74,11 +73,8 @@ _EXPORTS = {
         "SurfaceWord",
         "clip",
         "format_letters",
-        "gamma_from_json",
-        "gamma_identity",
         "gamma_inv",
         "gamma_mul",
-        "gamma_to_json",
         "loop_class",
         "parse_letters",
         "relator_letters",
@@ -96,8 +92,6 @@ _EXPORTS = {
         "irreducible",
         "matrix_from_json",
         "matrix_to_json",
-        "rep_from_json",
-        "rep_to_json",
         "sphere_rep",
         "validate_rep",
         "ym_action_value",

@@ -324,11 +324,6 @@ def conjugacy_residual(u: Unitary, v: Unitary) -> float:
 # ---------------------------------------------------------------------------
 # helpers
 
-def random_skew_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> SkewHermitian:
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return SkewHermitian(scale * (a - a.conj().T) / 2.0)
-
-
 def random_unitary(rng: np.random.Generator, n: int) -> Unitary:
     """One Haar-distributed element of U(n)."""
     return Unitary(haar_unitary_raw(rng, (), n))

@@ -262,30 +262,16 @@ def _matrices_from_json(objs, n: int) -> np.ndarray:
         matrices = [required_keys(m, "matrix", "n", "re", "im") for m in objs]
         parts = [[m[i] for m in matrices] for i in range(3)]
     sizes = set(json_ints(parts[0], "matrix: n"))
-    re, im = (np.array(part, dtype=np.float64) for part in parts[1:])
-    if sizes != {n} or re.shape != (len(parts[0]), n, n) or im.shape != re.shape:
+    try:
+        re, im = (np.array(part, dtype=np.float64) for part in parts[1:])
+        shapes = {re.shape, im.shape}
+    except ValueError:
+        # numpy cannot stack matrices of different shapes; one at a time, an
+        # entry it cannot read still raises numpy's message
+        shapes = {np.array(m, dtype=np.float64).shape for part in parts[1:] for m in part}
+    if sizes != {n} or shapes != {(len(parts[0]), n, n)}:
         raise ValueError(f"every matrix must be {n} x {n}, as its n says")
-    # an infinite imaginary part makes 1j * im NaN, which callers reject
-    with np.errstate(invalid="ignore"):
-        return re + 1j * im
-
-
-def rep_to_json(rep: YangMillsRep) -> dict:
-    return {
-        "genus": rep.genus,
-        "n": rep.n,
-        "A": [matrix_to_json(m.mat) for m in rep.A],
-        "B": [matrix_to_json(m.mat) for m in rep.B],
-        "Lambda": matrix_to_json(rep.Lambda.mat),
-    }
-
-
-def rep_from_json(obj: dict) -> YangMillsRep:
-    genus, n, a, b, lam = required_keys(obj, "representation", "genus", "n", "A", "B", "Lambda")
-    return YangMillsRep(
-        json_int(genus, "representation: genus"),
-        json_int(n, "representation: n"),
-        [Unitary(matrix_from_json(m)) for m in a],
-        [Unitary(matrix_from_json(m)) for m in b],
-        SkewHermitian(matrix_from_json(lam)),
-    )
+    # assigned, as re + 1j * im would turn a -0.0 imaginary part into +0.0
+    stack = np.empty(re.shape, np.complex128)
+    stack.real, stack.imag = re, im
+    return stack

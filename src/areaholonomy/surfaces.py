@@ -87,10 +87,6 @@ class TorusGrid:
         n = self.N
         return n * n + (x % n) + n * (y % n)
 
-    def vertex(self, x: int, y: int) -> int:
-        n = self.N
-        return (x % n) + n * (y % n)
-
     def vertex_xy(self, v: int) -> tuple[int, int]:
         return (v % self.N, v // self.N)
 
@@ -213,10 +209,6 @@ class SurfaceMesh:
         raise AttributeError(f"a built SurfaceMesh is read-only: cannot delete {name!r}")
 
     # -- derived queries ---------------------------------------------------
-
-    def step_endpoints(self, edge: int, sign: int) -> tuple[int, int]:
-        tail, head = self.edges[edge]
-        return (tail, head) if sign > 0 else (head, tail)
 
     def face_start_vertex(self, face: int) -> int:
         return int(self.face_steps.bases[face])
@@ -397,7 +389,7 @@ class SurfaceMesh:
         self.edges = tuple(zip(self.tails.tolist(), self.heads.tolist()))
         self.step_ends = np.stack((self.tails, self.heads, self.heads, self.tails), axis=1).reshape(-1, 2)
         # every face's range is checked before any boundary is walked; a sign
-        # other than +-1 steps as step_endpoints reads it and fills no slot
+        # other than +-1 steps along its step_ends row and fills no slot
         self.face_of_slot = np.repeat(np.arange(f), lengths)
         beyond = edges.view(np.uintp) >= e
         if (lengths == 0).any() or beyond.any():

@@ -34,7 +34,6 @@ from .surfaces import (
     json_int,
     json_ints,
     loop_reverse,
-    required_keys,
     wrap_mod1,
 )
 
@@ -289,10 +288,6 @@ class GammaRElement:
         return f"GammaRElement(genus={self.genus}, word='{word}', t={self.t})"
 
 
-def gamma_identity(genus: int) -> GammaRElement:
-    return GammaRElement(genus, (), 0.0)
-
-
 def gamma_mul(x: GammaRElement, y: GammaRElement) -> GammaRElement:
     """Concatenate and renormalize; t picks up one unit per relator extracted.
 
@@ -366,15 +361,3 @@ def loop_class(mesh: SurfaceMesh, loop: MeshLoop) -> GammaRElement:
     terms = chain(beta_inverse * q, beta * -q, alpha_inverse * p, alpha * -p)
     flux = reduce(operator.add, terms, flux)
     return GammaRElement(1, _heisenberg_letters(p, q), mesh.area_potential[1] * (cells - dx * dy) + flux)
-
-
-# ---------------------------------------------------------------------------
-# JSON
-
-def gamma_to_json(x: GammaRElement) -> dict:
-    return {"genus": x.genus, "word": str(x.word), "t": x.t}
-
-
-def gamma_from_json(obj: dict) -> GammaRElement:
-    genus, word, t = required_keys(obj, "surface-group element", "genus", "word", "t")
-    return GammaRElement(json_int(genus, "surface-group element: genus"), str(word), float(t))

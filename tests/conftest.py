@@ -112,6 +112,11 @@ def solved_genus2_rep(seed: int = 0, n: int = 2) -> ah.YangMillsRep:
     return ah.YangMillsRep(2, n, [a1, a2], [b1, b2], ah.SkewHermitian(1j * np.pi * np.eye(n)))
 
 
+def random_skew_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> ah.SkewHermitian:
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return ah.SkewHermitian(scale * (a - a.conj().T) / 2.0)
+
+
 def random_field(mesh: ah.SurfaceMesh, n: int, rng: np.random.Generator, scale: float = 0.3) -> ah.GaugeField:
     shape = (len(mesh.edges), n, n)
     a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -296,12 +301,13 @@ def oracle_matrices_from_json(objs, n: int) -> np.ndarray:
     """reps._matrices_from_json with every key and n read one matrix at a time."""
     matrices = [required_keys(m, "matrix", "n", "re", "im") for m in objs]
     sizes = {json_int(size, "matrix: n") for size, _, _ in matrices}
-    re = np.array([m[1] for m in matrices], dtype=np.float64)
-    im = np.array([m[2] for m in matrices], dtype=np.float64)
-    if sizes != {n} or re.shape != (len(matrices), n, n) or im.shape != re.shape:
+    re = [np.array(m[1], dtype=np.float64) for m in matrices]
+    im = [np.array(m[2], dtype=np.float64) for m in matrices]
+    if sizes != {n} or {part.shape for part in re + im} != {(n, n)}:
         raise ValueError(f"every matrix must be {n} x {n}, as its n says")
-    with np.errstate(invalid="ignore"):
-        return re + 1j * im
+    stack = np.empty((len(matrices), n, n), np.complex128)
+    stack.real, stack.imag = re, im
+    return stack
 
 
 def oracle_field_from_json(obj) -> tuple:
@@ -326,7 +332,7 @@ def walk_validate(mesh, loop):
     for e, s in loop.steps:
         if not (0 <= e < len(mesh.edges)):
             raise ah.MalformedLoopError(f"edge index {e} out of range")
-        tail, head = mesh.step_endpoints(e, s)
+        tail, head = mesh.step_ends[2 * e + (s < 0)]
         if tail != here:
             raise ah.MalformedLoopError("loop steps are not head-to-tail composable")
         here = head

@@ -61,12 +61,12 @@ EAGER_EXPORTS = (
     "NumericPolicy RepDiagnostics SkewHermitian SurfaceMesh SurfaceWord Unitary UnsupportedMeshError WeightVector "
     "YangMillsRep alpha_loop apply_gauge beta_loop build_sphere_mesh build_torus_mesh build_ym_field_from_rep clip "
     "clip_steps commutant_dimension conjugacy_residual direct_sum enclosed_area enumerate_sphere_classes evaluate "
-    "expm face_boundary_loop face_curvature field_from_json field_to_json format_letters gamma_from_json "
-    "gamma_identity gamma_inv gamma_mul gamma_to_json gradient_flow gradient_norm inner irreducible lattice liecore "
+    "expm face_boundary_loop face_curvature field_from_json field_to_json format_letters gamma_inv "
+    "gamma_mul gradient_flow gradient_norm inner irreducible lattice liecore "
     "logm_principal loop_class loop_concat loop_from_json loop_holonomy loop_reverse loop_to_json matrix_from_json "
     "matrix_to_json mesh_from_json mesh_to_json parse_letters perturb_field plaquette_holonomy policy "
-    "random_gauge_transform random_homotopic_pair random_loop random_skew_hermitian random_unitary relator_letters "
-    "rep_from_json rep_to_json reps shrinking_loop_curvature sphere_rep std_loop surfaces torus_windings total_flux "
+    "random_gauge_transform random_homotopic_pair random_loop random_unitary relator_letters "
+    "reps shrinking_loop_curvature sphere_rep std_loop surfaces torus_windings total_flux "
     "validate_rep verify_area_property word_problem words wrap_mod1 ym_action ym_action_value ym_gradient"
 ).split()
 

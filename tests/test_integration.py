@@ -8,6 +8,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import weakref
@@ -69,7 +70,7 @@ class TestHolonomyFactorsThroughClass:
         grid = mesh.grid
         path = ((grid.h_edge(0, 0), 1), (grid.v_edge(1, 0), 1))
         inner_face = ah.face_boundary_loop(mesh, grid.face(1, 1))
-        assert inner_face.base == grid.vertex(1, 1)
+        assert inner_face.base == 1 + grid.N
         conjugated = ah.MeshLoop(
             mesh.basepoint,
             path + inner_face.steps + tuple((e, -s) for e, s in reversed(path)),
@@ -135,6 +136,25 @@ def test_readme_library_tour_runs():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(tour, "README.md (library tour)", "exec"), {})
+
+
+def test_every_public_name_has_a_caller_or_a_documented_use():
+    # a caller is a read of the name, an attribute of that name or an import
+    # of it in the package outside __init__.py; its own def is not a caller
+    root = Path(__file__).resolve().parents[1]
+    used = set()
+    for path in (root / "src" / "areaholonomy").glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    used.add(node.name)
+    documented = set(re.findall(r"\w+", (root / "README.md").read_text()))
+    exported = [name for names in ah._EXPORTS.values() for name in names]
+    assert [name for name in exported if name not in used | documented] == []
 
 
 def test_function_caches_are_int_keyed():

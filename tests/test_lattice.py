@@ -667,8 +667,9 @@ class TestLevenbergMarquardt:
         # torus:4 with face 5 split into two triangles by a diagonal edge
         obj = ah.mesh_to_json(torus4)
         steps = torus4.faces[5]
-        v0 = torus4.step_endpoints(*steps[0])[0]
-        v2 = torus4.step_endpoints(*steps[1])[1]
+        (e0, s0), (e1, s1) = steps[:2]
+        v0 = torus4.step_ends[2 * e0 + (s0 < 0)][0]
+        v2 = torus4.step_ends[2 * e1 + (s1 < 0)][1]
         diagonal = len(obj["edges"])
         obj["edges"].append([v0, v2])
         square = obj["faces"][5]

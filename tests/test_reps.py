@@ -279,20 +279,9 @@ class TestSphereRep:
         assert np.linalg.norm(out - expected) < 1e-12
 
 
-def test_rep_json_roundtrip():
-    rep = quaternion_rep(2)
-    back = ah.rep_from_json(ah.rep_to_json(rep))
-    assert back.genus == 2 and back.n == 2
-    for m1, m2 in zip(back.A + back.B, rep.A + rep.B):
-        assert np.array_equal(m1.mat, m2.mat)
-    assert np.array_equal(back.Lambda.mat, rep.Lambda.mat)
-
-
-@pytest.mark.parametrize("key, value", [("genus", 2.5), ("n", True)])
-def test_rep_json_rejects_non_integral_slots(key, value):
-    obj = dict(ah.rep_to_json(quaternion_rep(2)), **{key: value})
-    with pytest.raises(ValueError, match=f"representation: {key} must be an integer"):
-        ah.rep_from_json(obj)
+def identity_field_json() -> dict:
+    """field_to_json of the identity n = 2 field on torus:2 (8 edges)."""
+    return ah.field_to_json(ah.GaugeField(ah.build_torus_mesh(2), np.tile(np.eye(2, dtype=complex), (8, 1, 1))))
 
 
 @pytest.mark.parametrize("im", [[[0.5]], 0, [[0, 0]], [[0, 0], [0, 0], [0, 0]]])
@@ -300,21 +289,31 @@ def test_matrix_json_rejects_im_of_another_shape(im):
     # numpy would broadcast im against re; the reader does not
     with pytest.raises(ValueError, match="must be 2 x 2"):
         ah.matrix_from_json({"n": 2, "re": [[1, 0], [0, 1]], "im": im})
-    obj = ah.rep_to_json(sphere_rep([1, 0]))
-    obj["Lambda"]["im"] = im
-    with pytest.raises(ValueError, match="must be 2 x 2"):
-        ah.rep_from_json(obj)
+    # in a field, one such edge makes the stack ragged
+    obj = identity_field_json()
+    obj["edges"][3]["im"] = im
+    with pytest.raises(ValueError, match="^every matrix must be 2 x 2, as its n says$"):
+        ah.field_from_json(obj)
+
+
+def test_field_reader_keeps_numpys_message_in_a_ragged_stack():
+    # a string entry is named by numpy, even where the stack is also ragged
+    obj = identity_field_json()
+    obj["edges"][3]["re"] = [[1, 0]]
+    obj["edges"][5]["re"][1][0] = "x"
+    with pytest.raises(ValueError, match="^could not convert string to float: 'x'$"):
+        ah.field_from_json(obj)
 
 
 @pytest.mark.parametrize("part", ["re", "im"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_matrix_json_non_finite_entry(part, value):
     # read without a numpy warning (which the test settings make an error);
-    # the rep's Unitary check then rejects it
+    # the field's unitarity check then rejects it
     obj = ah.matrix_to_json(np.eye(2))
     obj[part][0][1] = value
     assert not np.all(np.isfinite(ah.matrix_from_json(obj)))
-    rep = ah.rep_to_json(quaternion_rep(1))
-    rep["A"][0][part][0][1] = value
+    field = identity_field_json()
+    field["edges"][3][part][0][1] = value
     with pytest.raises(ValueError, match="not unitary"):
-        ah.rep_from_json(rep)
+        ah.field_from_json(field)

@@ -161,7 +161,8 @@ class TestTorusMesh:
     def test_period_cycles_through_basepoint(self):
         mesh = rebased(ah.build_torus_mesh(6), 14)
         for loop, windings in ((ah.alpha_loop(mesh), (1, 0)), (ah.beta_loop(mesh), (0, 1))):
-            assert loop.base == 14 and mesh.step_endpoints(*loop.steps[0])[0] == 14
+            e, s = loop.steps[0]
+            assert loop.base == 14 and mesh.step_ends[2 * e + (s < 0)][0] == 14
             assert ah.torus_windings(mesh, loop) == windings
 
     def test_rejects_n1(self):
@@ -563,8 +564,8 @@ class TestMalformedMesh:
          (-(10**30), "face 0 must list its edges head to tail")],
     )
     def test_face_sign_other_than_one(self, sign, message):
-        # a positive sign steps forward and a zero or negative one backward,
-        # as step_endpoints reads them, and neither fills a slot
+        # a sign other than +-1 fills no slot: 2 and 10**30 leave edge 0
+        # without its +1 use, and 0 and -(10**30) break the face's walk
         mesh = ah.build_torus_mesh(4)
         faces = [list(face) for face in mesh.faces]
         assert faces[0][0] == (0, 1)
@@ -1240,6 +1241,14 @@ class TestArrayReaders:
             assert all(map(np.array_equal, read.face_steps, built.face_steps))
             assert read.grid == built.grid
         field = random_field(mesh, n, np.random.default_rng(seed))
+        back = ah.field_from_json(json.loads(json.dumps(ah.field_to_json(field))))
+        assert back.U.tobytes() == field.U.tobytes()
+
+    def test_round_trip_keeps_signed_zeros(self):
+        # forming re + 1j * im would read each -0.0 imaginary part as +0.0
+        mesh = ah.build_sphere_mesh(1)
+        field = ah.GaugeField(mesh, ah.build_ym_field_from_rep(mesh, ah.sphere_rep([1, 0])).U.conj())
+        assert np.signbit(field.U.imag).any()
         back = ah.field_from_json(json.loads(json.dumps(ah.field_to_json(field))))
         assert back.U.tobytes() == field.U.tobytes()
 
