@@ -13,9 +13,10 @@ names of every submodule loaded by then are bound together, so vars()
 of the package lists every function of every module in use.  The
 submodules keep the promise: each imports at load only what all of its
 callers need, and a function that alone needs another module imports it
-when called.  So solve loads neither words nor _verify, verify does not
-load words, and meshes, loops, loop_class and words load neither
-liecore nor lattice, reps or _verify.
+when called.  So solve loads neither words nor _verify; verify loads
+fields, liecore, surfaces, _loopsteps, policy and _verify, and neither
+lattice, reps nor words; and meshes, loops, loop_class and words load
+neither liecore nor fields, lattice, reps or _verify.
 """
 
 import importlib as _importlib
@@ -96,20 +97,17 @@ _EXPORTS = {
         "validate_rep",
         "ym_action_value",
     ),
+    "fields": ("GaugeField", "field_from_json", "field_to_json", "perturb_field"),
     "lattice": (
         "FlowReport",
-        "GaugeField",
         "GaugeTransform",
         "NotConvergedError",
         "apply_gauge",
         "build_ym_field_from_rep",
         "face_curvature",
-        "field_from_json",
-        "field_to_json",
         "gradient_flow",
         "gradient_norm",
         "loop_holonomy",
-        "perturb_field",
         "plaquette_holonomy",
         "random_gauge_transform",
         "shrinking_loop_curvature",

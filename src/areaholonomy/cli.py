@@ -5,7 +5,7 @@ failure, 64 usage error, 130 interrupted.  All outputs embed the seed; JSON
 files are written atomically with sorted keys and floats written with repr,
 which round-trips, so identical configurations produce byte-identical files.
 solve's field file is formed straight from the edge arrays
-(lattice._field_text), byte for byte what json.dump with indent=1 wrote.
+(fields._field_text), byte for byte what json.dump with indent=1 wrote.
 Output files get the mode open() would give them, 0o666 less the umask.
 The verify table's max_residual is null when no pair was measured.
 Arguments are parsed with the standard library's argparse, so numpy is the
@@ -14,13 +14,15 @@ package's only runtime dependency.
 
 from __future__ import annotations
 
-# lattice and the modules it imports (numpy, liecore, surfaces, reps)
-# load first, before the modules below: a child that loads them after
-# peaks higher in resident memory, by a median 0.17 MB on a torus:32
-# n = 1 solve, 0.24 MB on a sphere:4 n = 2 solve and 0.05 MB on a
-# torus:32 verify.  words and _verify load only in the commands that call
-# them.
-from . import lattice  # noqa: F401, I001
+# fields and the modules it imports (numpy, liecore, surfaces) load
+# first, before the modules below.  With this order the children of the
+# benchmark's CLI workloads peak at a median 40.86 MB of resident memory
+# on a torus:32 n = 1 solve, 40.17 MB on a sphere:4 n = 2 solve and
+# 40.73 MB on a torus:32 verify (BENCH_31.json, 2-vCPU host); importing
+# fields after the standard library raised the torus solve and lowered
+# the other two, by 0.1-0.2 MB.  lattice and reps load in solve only, and
+# words and _verify only in the commands that call them.
+from . import fields  # noqa: F401, I001
 
 import argparse
 import contextlib
@@ -129,7 +131,7 @@ def solve(mesh_spec, n, flux, seed, tol, max_iter, eps, out, report_path, trace)
     import numpy as np
 
     import areaholonomy as ah
-    from areaholonomy.lattice import _field_text
+    from areaholonomy.fields import _field_text
 
     # chained bounds fail closed: NaN is in no range
     if n < 1 or not 0 < tol < math.inf or not 0 <= eps < math.inf:

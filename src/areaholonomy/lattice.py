@@ -1,4 +1,6 @@
-"""Discrete connections: edge unitaries, curvature, action, gradient flow.
+"""Discrete connections: curvature, action, gradient flow, gauge action
+and holonomy of a fields.GaugeField, and the fields built from
+representations.
 
 The action is log-based, sum over faces of ||log plaquette||^2 / area: its
 critical points have exactly constant curvature density, which is what the
@@ -21,6 +23,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from ._loopsteps import flat_steps, holonomies, prefixes
+from .fields import GaugeField
 from .liecore import (
     BranchCutError,
     DimensionMismatchError,
@@ -33,7 +36,7 @@ from .liecore import (
     real_form,
     require_unitary,
 )
-from .reps import InvalidRepError, YangMillsRep, _matrices_from_json, validate_rep
+from .reps import InvalidRepError, YangMillsRep, validate_rep
 from .surfaces import (
     MeshLoop,
     NotNullHomotopicError,
@@ -45,9 +48,6 @@ from .surfaces import (
     face_boundary_loop,
     integrate_faces,
     json_int,
-    mesh_from_json,
-    mesh_to_json,
-    required_keys,
 )
 
 
@@ -91,31 +91,6 @@ class FlowReport(NamedTuple):
             ),
             "stop_reason": self.stop_reason,
         }
-
-
-class GaugeField:
-    """One unitary per undirected edge, in the edge's canonical orientation."""
-
-    __slots__ = ("mesh", "n", "U")
-
-    def __init__(self, mesh: SurfaceMesh, values: np.ndarray):
-        values = np.array(values, dtype=np.complex128)
-        n = values.shape[1] if values.ndim == 3 else 0
-        if n < 1 or values.shape != (len(mesh.edges), n, n):
-            raise ValueError("field values must have shape (E, n, n), n >= 1")
-        require_unitary(values, "an edge matrix")
-        values.setflags(write=False)
-        self.mesh = mesh
-        self.n = n
-        self.U = values
-
-    @staticmethod
-    def identity(mesh: SurfaceMesh, n: int) -> "GaugeField":
-        values = np.broadcast_to(np.eye(n, dtype=np.complex128), (len(mesh.edges), n, n)).copy()
-        return GaugeField(mesh, values)
-
-    def __repr__(self) -> str:
-        return f"GaugeField(edges={len(self.mesh.edges)}, n={self.n})"
 
 
 class GaugeTransform:
@@ -303,28 +278,44 @@ class _Engine:
         return (c @ basis).reshape(rhs.shape)
 
 
+# Elements per dot product in _dot.  The scipy-openblas bundled with
+# numpy 2.4.6 splits a ddot of more than 10 000 elements across its
+# threads, and so adds in an order that depends on the thread count.
+_DOT_CHUNK = 8192
+
+
+def _dot(a: np.ndarray, b: np.ndarray):
+    """np.vdot of two real arrays of one shape, summed over _DOT_CHUNK
+    chunks in order, so that no BLAS call is split across threads and the
+    sum is the same at every thread count.  Up to _DOT_CHUNK elements it
+    is np.vdot itself."""
+    a, b = a.ravel(), b.ravel()
+    return sum(np.vdot(a[i:i + _DOT_CHUNK], b[i:i + _DOT_CHUNK]) for i in range(0, a.size, _DOT_CHUNK))
+
+
 def _conjugate_gradients(apply, b: np.ndarray, rtol: float) -> tuple[np.ndarray, bool]:
     """Conjugate gradients for A s = b, with A = apply symmetric on real
     arrays.  Stops at relative residual rtol or after b.size iterations,
     and returns s with False; stops when p A p is not positive, and
     returns the iterate so far with True: A is then not positive definite
-    on the Krylov space."""
+    on the Krylov space.  Inner products are _dot's, so the iterates do
+    not depend on the BLAS thread count."""
     s = np.zeros_like(b)
     res = b.copy()
     p = res.copy()
-    rr = np.vdot(res, res)
+    rr = _dot(res, res)
     stop = rtol * rtol * rr
     for _ in range(b.size):
         if rr <= stop:
             break
         ap = apply(p)
-        pap = np.vdot(p, ap)
+        pap = _dot(p, ap)
         if not pap > 0:
             return s, True
         alpha = rr / pap
         s += alpha * p
         res -= alpha * ap
-        rr, rr_old = np.vdot(res, res), rr
+        rr, rr_old = _dot(res, res), rr
         p = res + (rr / rr_old) * p
     return s, False
 
@@ -697,92 +688,3 @@ def _sphere_field(mesh: SurfaceMesh, rep: YangMillsRep) -> GaugeField:
     diag_values = np.exp(1j * thetas)  # (E, n) diagonal phases
     values = np.einsum("ij,ej,kj->eik", w, diag_values, w.conj())
     return GaugeField(mesh, _unitarize(values))
-
-
-def perturb_field(field: GaugeField, rng: np.random.Generator, eps: float) -> GaugeField:
-    """Left-multiply every edge by exp(eps X) with X standard Gaussian skew.
-    Raises ValueError, before drawing, unless eps is finite."""
-    if not np.isfinite(eps):
-        raise ValueError(f"eps must be finite, got {eps!r}")
-    n = field.n
-    a = rng.normal(size=(len(field.mesh.edges), n, n)) + 1j * rng.normal(
-        size=(len(field.mesh.edges), n, n)
-    )
-    skew = (a - a.conj().swapaxes(-1, -2)) / 2.0
-    return GaugeField(field.mesh, expm_raw(eps * skew) @ field.U)
-
-
-# ---------------------------------------------------------------------------
-# JSON
-
-def field_to_json(field: GaugeField) -> dict:
-    """Each edge as matrix_to_json writes it, from one tolist() per part."""
-    n = field.n
-    return {
-        "mesh": mesh_to_json(field.mesh),
-        "n": n,
-        "edges": [
-            {"n": n, "re": re, "im": im}
-            for re, im in zip(field.U.real.tolist(), field.U.imag.tolist())
-        ],
-    }
-
-
-def _field_text(field: GaugeField, seed: int) -> str:
-    """json.dumps(field_to_json(field) | {"seed": seed}, sort_keys=True,
-    indent=1), formed from the arrays without the tree of edge dicts.
-
-    json lays out the file with one placeholder per list, and each list's
-    item once per shape with "%s" in every number slot; one % fills all
-    slots.  json writes finite floats and ints with their repr, as %s
-    does, and a GaugeField and its mesh hold only finite numbers, so the
-    bytes are json's.
-    """
-    import json
-    import re
-    from itertools import chain
-
-    def dumps(obj):
-        return json.dumps(obj, sort_keys=True, indent=1)
-
-    def row(k):
-        return ["%s"] * k
-
-    n = field.n
-    mesh = mesh_to_json(field.mesh)
-    # per list, in the file's key order: item shapes, item for a shape, numbers
-    lists = (
-        ([n] * len(field.U), lambda k: {"im": [row(k)] * k, "n": k, "re": [row(k)] * k},
-         np.stack((field.U.imag, field.U.real), 1).ravel().tolist()),
-        (list(map(len, mesh["edges"])), row, chain.from_iterable(mesh["edges"])),
-        ([0] * len(mesh["face_areas"]), lambda _: "%s", mesh["face_areas"]),
-        (list(map(len, mesh["faces"])), row, chain.from_iterable(mesh["faces"])),
-    )
-    mesh.update(edges=["@1"], face_areas=["@2"], faces=["@3"])
-    skeleton = dumps({"edges": ["@0"], "mesh": mesh, "n": n, "seed": seed})
-
-    def items(match):
-        indent, (shapes, item, _) = match[1], lists[int(match[2])]
-        layout = {
-            k: dumps(item(k)).replace('"%s"', "%s").replace("\n", "\n" + indent)
-            for k in set(shapes)
-        }
-        return indent + f",\n{indent}".join(map(layout.__getitem__, shapes))
-
-    text = re.sub(r'( *)"@(\d)"', items, skeleton)
-    return text % tuple(chain.from_iterable(numbers for *_, numbers in lists))
-
-
-def field_from_json(obj: dict, *, base_dir: Optional[str] = None) -> GaugeField:
-    """Load a field snapshot; "mesh" may be inline JSON or a file path
-    (resolved against base_dir when given)."""
-    mesh_obj, n, edges = required_keys(obj, "field", "mesh", "n", "edges")
-    if isinstance(mesh_obj, str):
-        import json
-        import os
-
-        path = mesh_obj if base_dir is None else os.path.join(base_dir, mesh_obj)
-        with open(path) as handle:
-            mesh_obj = json.load(handle)
-    mesh = mesh_from_json(mesh_obj)
-    return GaugeField(mesh, _matrices_from_json(edges, json_int(n, "field: n")))

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from contextlib import suppress
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
@@ -28,7 +26,7 @@ from .liecore import (
     inner,
 )
 from .policy import DEFAULT_POLICY
-from .surfaces import json_int, json_ints, required_keys
+from .surfaces import json_int, required_keys
 
 if TYPE_CHECKING:
     from .words import GammaRElement
@@ -246,32 +244,10 @@ def matrix_to_json(mat: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
+    """One matrix in matrix_to_json's form, read as fields reads the edges
+    of a field file."""
+    from .fields import _matrices_from_json
+
     (n,) = required_keys(obj, "matrix", "n")
     return _matrices_from_json([obj], json_int(n, "matrix: n"))[0]
 
-
-def _matrices_from_json(objs, n: int) -> np.ndarray:
-    """The stack (K, n, n) of K matrices in matrix_to_json's form, one array
-    conversion per part; ValueError unless each says n and is n x n.  Only
-    a list that fails a type pass is read by required_keys, to name a fault."""
-    parts = None
-    if type(objs) is list and set(map(type, objs)) <= {dict}:
-        with suppress(KeyError):
-            parts = [list(map(itemgetter(key), objs)) for key in ("n", "re", "im")]
-    if parts is None:
-        matrices = [required_keys(m, "matrix", "n", "re", "im") for m in objs]
-        parts = [[m[i] for m in matrices] for i in range(3)]
-    sizes = set(json_ints(parts[0], "matrix: n"))
-    try:
-        re, im = (np.array(part, dtype=np.float64) for part in parts[1:])
-        shapes = {re.shape, im.shape}
-    except ValueError:
-        # numpy cannot stack matrices of different shapes; one at a time, an
-        # entry it cannot read still raises numpy's message
-        shapes = {np.array(m, dtype=np.float64).shape for part in parts[1:] for m in part}
-    if sizes != {n} or shapes != {(len(parts[0]), n, n)}:
-        raise ValueError(f"every matrix must be {n} x {n}, as its n says")
-    # assigned, as re + 1j * im would turn a -0.0 imaginary part into +0.0
-    stack = np.empty(re.shape, np.complex128)
-    stack.real, stack.imag = re, im
-    return stack

@@ -167,7 +167,8 @@ class SurfaceMesh:
     derives, its grid included, is a cached_property, and no attribute of
     a built mesh can be set or deleted.
     Integer slots follow the rule of json_int (json_ints): a boolean or a
-    number with a fractional part raises instead of being truncated.
+    number with a fractional part raises instead of being truncated.  Face
+    areas follow json_float's (_float_array): a string or a boolean raises.
     """
 
     # True once __init__ has validated the mesh; __setattr__ then refuses
@@ -192,7 +193,7 @@ class SurfaceMesh:
             faces = tuple(map(tuple, faces))
             steps = _int_pairs(chain.from_iterable(faces), "mesh: a face edge", "mesh: a face sign")
             faces = _FaceSteps(np.fromiter(map(len, faces), np.intp, len(faces)), *steps.T)
-        self.face_areas = np.array(face_areas, dtype=np.float64)
+        self.face_areas = _float_array(face_areas, "mesh: a face area", "face_areas must be positive, one per face")
         self.face_areas.setflags(write=False)
         self.basepoint = json_int(basepoint, "mesh: basepoint")
         self._validate(ends, *faces)
@@ -917,6 +918,40 @@ def json_float(value, what: str) -> float:
     if not isinstance(value, numbers.Real):
         raise TypeError(f"{what} must be a number, got {value!r}")
     return float(value)
+
+
+def _float_array(values, what: str, ragged: str) -> np.ndarray:
+    """Nested lists of numbers as one float64 array, where np.array would
+    read "0.25" as 0.25 and true as 1.0.  Every value that is not a list
+    is a number slot, read by the json_float rule (what names it).  Lists
+    of equal lengths whose slots are all floats and ints pass one type
+    pass per level and convert flat, which is faster than numpy's walk of
+    the nesting; any other is walked depth first, only to name its first
+    fault, and lists of different lengths then raise ValueError(ragged).
+    An array passes as it is."""
+    if isinstance(values, np.ndarray):
+        return np.array(values, dtype=np.float64)
+    level, shape = [values], []
+    while level and set(map(type, level)) <= {list, tuple}:
+        lengths = set(map(len, level))
+        if len(lengths) > 1:
+            break
+        shape += lengths
+        level = list(chain.from_iterable(level))
+    else:
+        if set(map(type, level)) <= {float, int}:
+            return np.array(level, dtype=np.float64).reshape(shape)
+    stack = [values]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, (list, tuple)):
+            stack += reversed(value)
+        elif type(value) not in (float, int):
+            json_float(value, what)
+    try:
+        return np.array(values, dtype=np.float64)
+    except ValueError:
+        raise ValueError(ragged) from None
 
 
 def mesh_to_json(mesh: SurfaceMesh) -> dict:

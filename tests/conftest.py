@@ -17,7 +17,7 @@ from areaholonomy.cli import main
 from areaholonomy.lattice import _Engine, _u_basis
 from areaholonomy.liecore import expm_raw, matmul_raw
 from areaholonomy.policy import DEFAULT_POLICY
-from areaholonomy.surfaces import json_int, required_keys
+from areaholonomy.surfaces import json_float, json_int, required_keys
 
 
 class CliRun(NamedTuple):
@@ -247,7 +247,11 @@ def oracle_mesh_from_json(obj) -> tuple:
         raise ValueError("only genus 0 and 1 meshes are supported")
     v = json_int(vertices, "mesh: vertices")
     edges = tuple((json_int(a, "mesh: an edge tail"), json_int(b, "mesh: an edge head")) for a, b in edges)
-    areas = np.array(face_areas, dtype=np.float64)
+    read_numbers(face_areas, "mesh: a face area")
+    try:
+        areas = np.array(face_areas, dtype=np.float64)
+    except ValueError:
+        raise ValueError("face_areas must be positive, one per face") from None
     basepoint = json_int(basepoint, "mesh: basepoint")
     e, f = len(edges), len(faces)
     if v - e + f != 2 - 2 * genus:
@@ -297,14 +301,32 @@ def oracle_mesh_from_json(obj) -> tuple:
     return genus, v, edges, faces, areas, basepoint
 
 
+def read_numbers(value, what: str) -> None:
+    """json_float of every value in nested lists that is not a list, in
+    document order."""
+    if isinstance(value, list):
+        for item in value:
+            read_numbers(item, what)
+    else:
+        json_float(value, what)
+
+
 def oracle_matrices_from_json(objs, n: int) -> np.ndarray:
-    """reps._matrices_from_json with every key and n read one matrix at a time."""
+    """fields._matrices_from_json with every key, n and entry read one
+    matrix at a time: the entries of every re, then of every im."""
     matrices = [required_keys(m, "matrix", "n", "re", "im") for m in objs]
     sizes = {json_int(size, "matrix: n") for size, _, _ in matrices}
-    re = [np.array(m[1], dtype=np.float64) for m in matrices]
-    im = [np.array(m[2], dtype=np.float64) for m in matrices]
+    for key, i in (("re", 1), ("im", 2)):
+        for m in matrices:
+            read_numbers(m[i], f"matrix: an entry of {key}")
+    fault = f"every matrix must be {n} x {n}, as its n says"
+    try:
+        re = [np.array(m[1], dtype=np.float64) for m in matrices]
+        im = [np.array(m[2], dtype=np.float64) for m in matrices]
+    except ValueError:
+        raise ValueError(fault) from None
     if sizes != {n} or {part.shape for part in re + im} != {(n, n)}:
-        raise ValueError(f"every matrix must be {n} x {n}, as its n says")
+        raise ValueError(fault)
     stack = np.empty((len(matrices), n, n), np.complex128)
     stack.real, stack.imag = re, im
     return stack

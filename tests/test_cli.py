@@ -116,8 +116,10 @@ def test_verify_does_not_load_words(tmp_path):
         "from areaholonomy.cli import main\n"
         f"main(['verify', '--field', {str(field)!r}, '--random', '5', '--json'])",
     )
-    assert "areaholonomy._verify" in loaded
-    assert "areaholonomy.words" not in loaded
+    assert {"areaholonomy._verify", "areaholonomy.fields"} <= loaded
+    # the field layer holds what verify reads, so neither the flow engine
+    # nor the representations load
+    assert loaded.isdisjoint({"areaholonomy.words", "areaholonomy.lattice", "areaholonomy.reps"})
 
 
 def test_lazy_namespace_keeps_the_eager_names():
@@ -151,6 +153,24 @@ def test_thread_cap_is_set_before_numpy_loads():
         )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False ['3', '3']"
+
+
+def test_solve_bytes_do_not_depend_on_the_thread_count(tmp_path):
+    # sphere:16 at n = 2 has 12 288 CG coordinates, past the length at
+    # which OpenBLAS splits one dot product across threads
+    caps = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    written = []
+    for threads in ("1", "2"):
+        field, report = tmp_path / f"f{threads}.json", tmp_path / f"r{threads}.json"
+        env = {k: v for k, v in child_env().items() if k not in caps}
+        proc = subprocess.run(
+            [sys.executable, "-m", "areaholonomy.cli", "solve", "--mesh", "sphere:16", "--n", "2", "--flux", "1",
+             "--seed", "7", "--out", str(field), "--report", str(report)],
+            capture_output=True, text=True, env={**env, "AH_NUM_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        written.append((field.read_bytes(), report.read_bytes()))
+    assert written[0] == written[1]
 
 
 def test_perfbench_tracer_installs():
@@ -545,6 +565,31 @@ class TestVerify:
         assert proc.returncode == 64
         assert "Traceback" not in proc.stderr
         assert f"{case} must be an integer, got {value!r}" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "slot, value, message",
+        [
+            ("face_areas", "0.25", "mesh: a face area must be a number, got '0.25'"),
+            ("re", "1.0", "matrix: an entry of re must be a number, got '1.0'"),
+            ("re", True, "matrix: an entry of re must be a number, got True"),
+            ("im", False, "matrix: an entry of im must be a number, got False"),
+        ],
+        ids=["face-area-string", "re-string", "re-true", "im-false"],
+    )
+    def test_non_number_in_a_number_slot_is_usage_error(self, slot, value, message, tmp_path):
+        # np.array would read "0.25" as 0.25 and true as 1.0, so each of
+        # these files would verify with exit 0
+        mesh = ah.build_torus_mesh(2)
+        field_json = ah.field_to_json(ah.GaugeField.identity(mesh, 1))
+        if slot == "face_areas":
+            field_json["mesh"]["face_areas"][1] = value
+        else:
+            field_json["edges"][2][slot] = [[value]]
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(field_json))
+        result = run_cli(["verify", "--field", str(path), "--random", "3"])
+        assert result.exit_code == 64
+        assert message in result.stderr
 
     @pytest.mark.parametrize(
         "case, message",

@@ -35,7 +35,8 @@ from areaholonomy import (
 )
 from areaholonomy._loopsteps import flat_steps, holonomies, reduced
 from areaholonomy._verify import basepoint_curvature, verify_pairs
-from areaholonomy.lattice import _Engine, _conjugate_gradients, _field_text, _u_basis, _unitarize
+from areaholonomy.fields import _field_text
+from areaholonomy.lattice import _Engine, _conjugate_gradients, _u_basis, _unitarize
 from areaholonomy.liecore import expm_raw, haar_unitary_raw, matmul_raw
 from conftest import (
     ONE_EDGE_SPHERE,

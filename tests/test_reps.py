@@ -296,13 +296,44 @@ def test_matrix_json_rejects_im_of_another_shape(im):
         ah.field_from_json(obj)
 
 
-def test_field_reader_keeps_numpys_message_in_a_ragged_stack():
-    # a string entry is named by numpy, even where the stack is also ragged
+def test_field_reader_names_a_string_entry_in_a_ragged_stack():
+    # a string entry is named as json_float names it, even where the stack
+    # is also ragged
     obj = identity_field_json()
     obj["edges"][3]["re"] = [[1, 0]]
     obj["edges"][5]["re"][1][0] = "x"
-    with pytest.raises(ValueError, match="^could not convert string to float: 'x'$"):
+    with pytest.raises(TypeError, match="^matrix: an entry of re must be a number, got 'x'$"):
         ah.field_from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "part, value, error", [("re", "1.0", TypeError), ("re", True, ValueError), ("im", False, ValueError), ("im", None, TypeError)]
+)
+def test_matrix_json_reads_entries_as_numbers(part, value, error):
+    # np.array would read "1.0" and true as 1.0, false as 0.0 and null as NaN
+    message = f"^matrix: an entry of {part} must be a number, got {value!r}$"
+    obj = ah.matrix_to_json(np.eye(2))
+    obj[part][1][0] = value
+    with pytest.raises(error, match=message):
+        ah.matrix_from_json(obj)
+    field = identity_field_json()
+    field["edges"][3][part][1][0] = value
+    with pytest.raises(error, match=message):
+        ah.field_from_json(field)
+
+
+@pytest.mark.parametrize("part", ["re", "im"])
+@pytest.mark.parametrize("rows", [[[1.0, 0.0], [0.0]], [[1.0, [0.0]], [0.0, 1.0]]], ids=["short-row", "nested-entry"])
+def test_matrix_json_rows_of_different_lengths(part, rows):
+    # numpy would refuse them with its own "inhomogeneous shape" message
+    obj = ah.matrix_to_json(np.eye(2))
+    obj[part] = rows
+    with pytest.raises(ValueError, match="^every matrix must be 2 x 2, as its n says$"):
+        ah.matrix_from_json(obj)
+    field = identity_field_json()
+    field["edges"][3][part] = rows
+    with pytest.raises(ValueError, match="^every matrix must be 2 x 2, as its n says$"):
+        ah.field_from_json(field)
 
 
 @pytest.mark.parametrize("part", ["re", "im"])

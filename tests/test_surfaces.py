@@ -19,7 +19,7 @@ from areaholonomy import (
     loop_reverse,
     wrap_mod1,
 )
-from areaholonomy import lattice, reps, surfaces
+from areaholonomy import fields, lattice, reps, surfaces
 from areaholonomy._loopsteps import first_fault, flat_steps, lifts
 from areaholonomy.surfaces import TorusGrid, integrate_faces, json_int
 from conftest import (
@@ -591,6 +591,25 @@ class TestMalformedMesh:
             ah.build_torus_mesh(4, face_areas=areas)
         with pytest.raises(ValueError, match="face_areas must be positive, one per face"):
             ah.build_sphere_mesh(1, face_areas=np.full((2, 4), 1 / 8))
+
+    @pytest.mark.parametrize(
+        "value, error", [("0.25", TypeError), (True, ValueError), (None, TypeError)], ids=["string", "true", "null"]
+    )
+    def test_face_areas_are_numbers(self, value, error):
+        # np.array would read "0.25" as 0.25, so this torus:2 mesh loaded
+        obj = ah.mesh_to_json(ah.build_torus_mesh(2))
+        obj["face_areas"][1] = value
+        with pytest.raises(error, match=f"^mesh: a face area must be a number, got {value!r}$"):
+            ah.mesh_from_json(obj)
+        with pytest.raises(error, match="^mesh: a face area must be a number"):
+            ah.build_torus_mesh(2, face_areas=obj["face_areas"])
+
+    def test_ragged_face_areas_are_one_per_face(self):
+        # numpy would refuse them with its own "inhomogeneous shape" message
+        obj = ah.mesh_to_json(ah.build_torus_mesh(2))
+        obj["face_areas"][1] = [0.25]
+        with pytest.raises(ValueError, match="^face_areas must be positive, one per face$"):
+            ah.mesh_from_json(obj)
 
 
 class TestConnectedness:
@@ -1265,7 +1284,7 @@ class TestArrayReaders:
             calls.append(what)
             return json_int(value, what)
 
-        for module in (surfaces, lattice, reps):
+        for module in (surfaces, fields, lattice, reps):
             monkeypatch.setattr(module, "json_int", counted)
         assert ah.field_from_json(obj).U.tobytes() == field.U.tobytes()
         assert sorted(calls) == ["field: n", "mesh: basepoint", "mesh: genus", "mesh: vertices"]
