@@ -36,7 +36,7 @@ from .liecore import (
     real_form,
     require_unitary,
 )
-from .reps import InvalidRepError, YangMillsRep, validate_rep
+from .reps import YangMillsRep, _require_valid
 from .surfaces import (
     MeshLoop,
     NotNullHomotopicError,
@@ -45,6 +45,7 @@ from .surfaces import (
     _checked_steps,
     _derived_loop,
     _loop_areas,
+    _require_torus,
     face_boundary_loop,
     integrate_faces,
     json_int,
@@ -579,35 +580,27 @@ def shrinking_loop_curvature(
 
     For square blocks of k x k faces with a corner at the basepoint the
     holonomy H_s of the boundary satisfies (H_s - I)/s -> F as the enclosed
-    area s shrinks, with F the curvature density of the corner face in the
-    basepoint frame, log(H_1)/area for the k = 1 block; rows are
-    (s, ||(H_s - I)/s - F||) for descending k.  Needs a torus grid with
-    N >= 4.
+    area s shrinks, with F the curvature density in the basepoint frame
+    that verify compares with, _verify.basepoint_curvature: that of the
+    first face through the basepoint, the corner face on a builder torus.
+    Rows are (s, ||(H_s - I)/s - F||) for descending k.  Needs a torus
+    grid with N >= 4.
     """
     mesh = field.mesh
-    if mesh.grid is None:
-        raise UnsupportedMeshError("shrinking loops need a torus grid mesh")
-    n_grid = mesh.grid.N
+    n_grid = _require_torus(mesh).N
     if n_grid < 4:
         raise UnsupportedMeshError("mesh too coarse: needs N >= 4")
     if block_sizes is None:
-        block_sizes = []
-        k = n_grid // 2
-        while k >= 1:
-            block_sizes.append(k)
-            k //= 2
-    if any(not (1 <= k <= n_grid - 1) for k in block_sizes) or list(block_sizes) != sorted(
-        block_sizes, reverse=True
-    ):
+        block_sizes = [n_grid >> j for j in range(1, n_grid.bit_length())]
+    if any(not 1 <= k <= n_grid - 1 for k in block_sizes) or list(block_sizes) != sorted(block_sizes, reverse=True):
         raise ValueError("block sizes must be strictly within the grid and descending")
-    corner_face = mesh.grid.face(*mesh.grid.vertex_xy(mesh.basepoint))
-    blocks = [_block_loop(mesh, k) for k in (1, *block_sizes)]
+    from ._verify import basepoint_curvature
+
+    blocks = [_block_loop(mesh, k) for k in block_sizes]
     steps = flat_steps([loop.base for loop in blocks], [loop.steps for loop in blocks])
-    h = holonomies(field.U, steps)
-    lam = logm_raw(h[0]) / mesh.face_areas[corner_face]
-    eye = np.eye(field.n)
-    areas = _loop_areas(mesh, steps)[1:]
-    return [(float(area), float(np.linalg.norm((h_k - eye) / area - lam))) for area, h_k in zip(areas, h[1:])]
+    lam, eye = basepoint_curvature(field), np.eye(field.n)
+    areas, h = _loop_areas(mesh, steps), holonomies(field.U, steps)
+    return [(float(area), float(np.linalg.norm((h_k - eye) / area - lam))) for area, h_k in zip(areas, h)]
 
 
 def _block_loop(mesh: SurfaceMesh, k: int) -> MeshLoop:
@@ -642,16 +635,13 @@ def build_ym_field_from_rep(mesh: SurfaceMesh, rep: YangMillsRep) -> GaugeField:
     Lambda on the largest face reaches pi: the plaquette's principal log
     would then lie in another flux sector.
     """
-    diag = validate_rep(rep)
-    if not diag.ok:
-        raise InvalidRepError("representation does not satisfy the defining constraints")
+    _require_valid(rep)
     if rep.genus != mesh.genus:
         raise UnsupportedMeshError("mesh genus does not match representation genus")
     if np.max(np.abs(np.linalg.eigvalsh(-1j * rep.Lambda.mat))) * np.max(mesh.face_areas) >= np.pi:
         raise UnsupportedMeshError("flux per face exceeds the principal branch; refine the mesh")
     if mesh.genus == 1:
-        if mesh.grid is None:
-            raise UnsupportedMeshError("genus-1 construction needs a torus grid mesh")
+        _require_torus(mesh)
         return _torus_field(mesh, rep)
     return _sphere_field(mesh, rep)
 

@@ -26,7 +26,7 @@ from .liecore import (
     inner,
 )
 from .policy import DEFAULT_POLICY
-from .surfaces import json_int, required_keys
+from .surfaces import json_int, json_ints, required_keys
 
 if TYPE_CHECKING:
     from .words import GammaRElement
@@ -45,12 +45,12 @@ class RepDiagnostics(NamedTuple):
 @dataclass(frozen=True)
 class WeightVector:
     """Weakly decreasing integer tuple: winding weights of U(1) -> U(n).
-    Entries follow surfaces.json_int: a fraction or a boolean raises."""
+    Entries follow surfaces.json_ints: a fraction or a boolean raises."""
 
     k: tuple[int, ...]
 
     def __post_init__(self):
-        k = tuple(json_int(v, "weight vector: an entry") for v in self.k)
+        k = json_ints(self.k, "weight vector: an entry")
         if any(k[i] < k[i + 1] for i in range(len(k) - 1)):
             raise ValueError("weight vector entries must be weakly decreasing")
         object.__setattr__(self, "k", k)

@@ -37,7 +37,7 @@ import weakref
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain
+from itertools import chain, cycle
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -108,8 +108,8 @@ class TorusGrid:
 @dataclass(frozen=True)
 class MeshLoop:
     """A closed combinatorial path: (edge index, +-1) steps from a base
-    vertex.  Indices follow the integer rule of json_int: a boolean or a
-    number with a fractional part raises instead of being truncated.
+    vertex.  Indices follow json_int's rule and steps are pairs
+    (_int_rows): a boolean or a fraction raises instead of being truncated.
 
     That check runs on every loop a caller builds and on every loop
     loop_from_json reads.  Loops the package derives from integers it
@@ -127,7 +127,7 @@ class MeshLoop:
 
     def __post_init__(self):
         object.__setattr__(self, "base", json_int(self.base, "loop: base"))
-        steps = tuple((json_int(e, "loop: a step edge"), json_int(s, "loop: a step sign")) for e, s in self.steps)
+        steps = tuple(map(tuple, _int_rows(self.steps, "loop: steps", ("loop: a step edge", "loop: a step sign"), 2)[0]))
         object.__setattr__(self, "steps", steps)
         if any(s not in (-1, 1) for _, s in self.steps):
             raise MalformedLoopError("step signs must be +1 or -1")
@@ -150,14 +150,15 @@ class SurfaceMesh:
     """Oriented closed 2-complex with face areas summing to 1.
 
     Faces are cyclic step lists (edge index, traversal sign), rotated so
-    each boundary starts at its lowest-index vertex.  Edges and faces are
-    read into flat intp arrays (_int_rows; the builders and mesh_from_json
-    hand over arrays), from which the edges tuple, and faces on first use,
-    are formed.  Every undirected edge occurs in exactly two face
-    boundaries with opposite signs; this is validated in array passes
-    together with connectedness, the Euler characteristic and the area
-    normalization.  The boundaries are laid out once as the loops of a
-    _loopsteps layout, face_steps, each based at its face's start vertex: face f takes the flat steps (slots) face_steps.starts[f]
+    each boundary starts at its lowest-index vertex.  Edges and face steps
+    are read into flat intp arrays by _int_rows (the builders and
+    mesh_from_json hand over arrays); the edges tuple, and faces on first
+    use, are formed from them.  Every undirected edge occurs in exactly
+    two face boundaries with opposite signs; this is validated in array
+    passes together with connectedness, the Euler characteristic and the
+    area normalization.  The boundaries are laid out once as the loops of
+    a _loopsteps layout, face_steps, each based at its face's start
+    vertex: face f takes the flat steps (slots) face_steps.starts[f]
     onwards, and face_of_slot names the face of every slot.  Per edge,
     plus_slot and minus_slot are its slots of sign +1 and -1, plus_face
     and minus_face the faces that hold them, and tails and heads its
@@ -166,7 +167,7 @@ class SurfaceMesh:
     in row 2e + 1.  All of these are read-only.  The rest of what the mesh
     derives, its grid included, is a cached_property, and no attribute of
     a built mesh can be set or deleted.
-    Integer slots follow the rule of json_int (json_ints): a boolean or a
+    Integer slots follow the rule of json_int (_int_rows): a boolean or a
     number with a fractional part raises instead of being truncated.  Face
     areas follow json_float's (_float_array): a string or a boolean raises.
     """
@@ -188,11 +189,13 @@ class SurfaceMesh:
             raise ValueError("only genus 0 and 1 meshes are supported")
         self.genus = genus
         self.vertex_count = json_int(vertex_count, "mesh: vertices")
-        ends = _int_pairs(edges, "mesh: an edge tail", "mesh: an edge head")
+        ends = edges
+        if not (isinstance(edges, np.ndarray) and edges.dtype == np.intp and edges.shape[1:] == (2,)):
+            ends = _int_rows(edges, "mesh: edges", ("mesh: an edge tail", "mesh: an edge head"), 2)[1].reshape(-1, 2)
         if not isinstance(faces, _FaceSteps):
             faces = tuple(map(tuple, faces))
-            steps = _int_pairs(chain.from_iterable(faces), "mesh: a face edge", "mesh: a face sign")
-            faces = _FaceSteps(np.fromiter(map(len, faces), np.intp, len(faces)), *steps.T)
+            _, steps = _int_rows([*chain.from_iterable(faces)], "mesh: face steps", ("mesh: a face edge", "mesh: a face sign"), 2)
+            faces = _FaceSteps(np.fromiter(map(len, faces), np.intp, len(faces)), *steps.reshape(-1, 2).T)
         self.face_areas = _float_array(face_areas, "mesh: a face area", "face_areas must be positive, one per face")
         self.face_areas.setflags(write=False)
         self.basepoint = json_int(basepoint, "mesh: basepoint")
@@ -735,7 +738,7 @@ def random_loop(
         windings = tuple(windings)
         if len(windings) != 2:
             raise ValueError(f"random_loop: windings must be a pair, got {windings!r}")
-        windings = tuple(json_int(w, "random_loop: a winding") for w in windings)
+        windings = json_ints(windings, "random_loop: a winding")
     if mesh.genus == 1:
         return _random_torus_loop(mesh, rng, n_steps, windings or (0, 0))
     if windings not in (None, (0, 0)):
@@ -881,31 +884,33 @@ def json_ints(values, what: str) -> tuple[int, ...]:
     return tuple(json_int(value, what) for value in values)
 
 
-def _int_pairs(pairs, first: str, second: str) -> np.ndarray:
-    """The pairs (json_int(a, first), json_int(b, second)) of a sequence of
-    pairs as an (R, 2) intp array, by _int_rows; an (R, 2) intp array
-    passes as it is."""
-    if isinstance(pairs, np.ndarray) and pairs.dtype == np.intp and pairs.shape[1:] == (2,):
-        return pairs
-    _, flat = _int_rows(pairs, lambda rows: [(json_int(a, first), json_int(b, second)) for a, b in rows], 2)
-    return flat.reshape(-1, 2)
-
-
-def _int_rows(rows, read, width: Optional[int] = None) -> tuple[tuple, np.ndarray]:
-    """Rows of integer slots as a tuple, and their values flat as intp.
-    Lists and tuples of exact ints within intp (width each, if given) pass
-    one type pass; anything else is read by read(rows), json_int by
-    element, which alone names a fault.  An int beyond intp is held as the
-    intp bound of its sign, outside every range a mesh checks."""
-    rows = tuple(rows)
+def _int_rows(rows, what: str, names: tuple[str, ...], width: Optional[int] = None) -> tuple[tuple, np.ndarray]:
+    """The rows of a part (what) of integer slots, and their values flat
+    as intp: SurfaceMesh's edges and face steps, mesh_from_json's faces
+    and MeshLoop's steps.  Lists and tuples of exact ints within intp
+    (width each, if given) pass one type pass.  Any other part is read row
+    by row, slot j by json_int as names[j % len(names)]: a part or row
+    that is not a list or tuple (an array reads as its tolist) raises
+    TypeError naming it, and a row of another length ValueError.  An int
+    beyond intp is held as the intp bound of its sign, outside every range
+    a mesh checks."""
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    if not isinstance(rows, (list, tuple)):
+        raise TypeError(f"{what} must be a list of rows, got {rows!r}")
     if set(map(type, rows)) <= {list, tuple} and (width is None or set(map(len, rows)) <= {width}):
         flat = list(chain.from_iterable(rows))
         if set(map(type, flat)) <= {int}:
             with suppress(OverflowError):
-                return rows, np.fromiter(flat, np.intp, len(flat))
-    rows = tuple(read(rows))
-    flat = [min(max(k, -_INTP.max), _INTP.max) for k in chain.from_iterable(rows)]
-    return rows, np.fromiter(flat, np.intp, len(flat))
+                return tuple(rows), np.fromiter(flat, np.intp, len(flat))
+    read, shape = [], f"a list of {width} integers" if width else "a list of integers"
+    for i, row in enumerate(rows):
+        if not isinstance(row, (list, tuple)) or len(row) != (width or len(row)):
+            error = ValueError if isinstance(row, (list, tuple)) else TypeError
+            raise error(f"{what} row {i} must be {shape}, got {row!r}")
+        read.append(tuple(map(json_int, row, cycle(names))))
+    flat = [min(max(k, -_INTP.max), _INTP.max) for k in chain.from_iterable(read)]
+    return tuple(read), np.fromiter(flat, np.intp, len(flat))
 
 
 def json_float(value, what: str) -> float:
@@ -970,7 +975,7 @@ def mesh_from_json(obj: dict) -> SurfaceMesh:
     genus, vertices, edges, faces, face_areas, basepoint = required_keys(
         obj, "mesh", "genus", "vertices", "edges", "faces", "face_areas", "basepoint"
     )
-    faces, entries = _int_rows(faces, lambda rows: [[json_int(k, "mesh: a face entry") for k in row] for row in rows])
+    faces, entries = _int_rows(faces, "mesh: faces", ("mesh: a face entry",))
     if not np.all(entries):
         raise ValueError("mesh: face entries are signed 1-based edge indices, so 0 names no edge")
     faces = _FaceSteps(np.fromiter(map(len, faces), np.intp, len(faces)), np.abs(entries) - 1, np.sign(entries))

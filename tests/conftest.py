@@ -226,6 +226,37 @@ def malformed_mesh_json(case: str) -> tuple[dict, str]:
     return obj, message
 
 
+# one row or part of the wrong shape per case: its part (edges, faces or
+# steps), the row replaced (None for the whole part), the value, and the
+# exception type and message that name it
+MALFORMED_ROWS = {
+    "edge-too-long": ("edges", 1, [0, 1, 2], ValueError, "mesh: edges row 1 must be a list of 2 integers, got [0, 1, 2]"),
+    "edge-too-short": ("edges", 1, [0], ValueError, "mesh: edges row 1 must be a list of 2 integers, got [0]"),
+    "edge-number": ("edges", 1, 5, TypeError, "mesh: edges row 1 must be a list of 2 integers, got 5"),
+    "edge-string": ("edges", 1, "ab", TypeError, "mesh: edges row 1 must be a list of 2 integers, got 'ab'"),
+    "edges-number": ("edges", None, 5, TypeError, "mesh: edges must be a list of rows, got 5"),
+    "face-number": ("faces", 2, 5, TypeError, "mesh: faces row 2 must be a list of integers, got 5"),
+    "step-too-long": ("steps", 1, [1, 1, 1], ValueError, "loop: steps row 1 must be a list of 2 integers, got [1, 1, 1]"),
+    "step-string": ("steps", 1, "ab", TypeError, "loop: steps row 1 must be a list of 2 integers, got 'ab'"),
+    "steps-number": ("steps", None, 5, TypeError, "loop: steps must be a list of rows, got 5"),
+}
+
+
+def malformed_row_json(case: str) -> tuple[dict, dict, type, str]:
+    """The torus:3 mesh JSON and the JSON of its alpha loop, one of them
+    with the row or part of MALFORMED_ROWS[case] replaced, and the
+    exception type and message that name it."""
+    key, row, value, error, message = MALFORMED_ROWS[case]
+    mesh = ah.build_torus_mesh(3)
+    docs = ah.mesh_to_json(mesh), ah.loop_to_json(ah.alpha_loop(mesh))
+    doc = docs[1] if key == "steps" else docs[0]
+    if row is None:
+        doc[key] = value
+    else:
+        doc[key][row] = value
+    return (*docs, error, message)
+
+
 # the element-by-element readers that the array passes replaced, kept as
 # oracles: they name every fault of a field file in the words and the
 # order the package names it
@@ -238,7 +269,7 @@ def oracle_mesh_from_json(obj) -> tuple:
     genus, vertices, edges, faces, face_areas, basepoint = required_keys(
         obj, "mesh", "genus", "vertices", "edges", "faces", "face_areas", "basepoint"
     )
-    faces = [[json_int(k, "mesh: a face entry") for k in face] for face in faces]
+    faces = read_int_rows(faces, "mesh: faces", ("mesh: a face entry",))
     if any(k == 0 for face in faces for k in face):
         raise ValueError("mesh: face entries are signed 1-based edge indices, so 0 names no edge")
     faces = tuple(tuple((abs(k) - 1, 1 if k > 0 else -1) for k in face) for face in faces)
@@ -246,7 +277,7 @@ def oracle_mesh_from_json(obj) -> tuple:
     if genus not in (0, 1):
         raise ValueError("only genus 0 and 1 meshes are supported")
     v = json_int(vertices, "mesh: vertices")
-    edges = tuple((json_int(a, "mesh: an edge tail"), json_int(b, "mesh: an edge head")) for a, b in edges)
+    edges = tuple(read_int_rows(edges, "mesh: edges", ("mesh: an edge tail", "mesh: an edge head"), 2))
     read_numbers(face_areas, "mesh: a face area")
     try:
         areas = np.array(face_areas, dtype=np.float64)
@@ -299,6 +330,22 @@ def oracle_mesh_from_json(obj) -> tuple:
     if len(set(endpoints)) < v or len(seen) != f:
         raise ValueError("the complex is not connected")
     return genus, v, edges, faces, areas, basepoint
+
+
+def read_int_rows(rows, what: str, names: tuple[str, ...], width=None) -> list[tuple[int, ...]]:
+    """The rows of a JSON part of integer slots, one row and one slot at a
+    time: the part must be a list, every row a list (of width slots, if
+    given), and slot j of a row is read by json_int as names[j % len(names)]."""
+    if not isinstance(rows, list):
+        raise TypeError(f"{what} must be a list of rows, got {rows!r}")
+    out, shape = [], "a list of integers" if width is None else f"a list of {width} integers"
+    for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise TypeError(f"{what} row {i} must be {shape}, got {row!r}")
+        if width is not None and len(row) != width:
+            raise ValueError(f"{what} row {i} must be {shape}, got {row!r}")
+        out.append(tuple(json_int(k, names[j % len(names)]) for j, k in enumerate(row)))
+    return out
 
 
 def read_numbers(value, what: str) -> None:

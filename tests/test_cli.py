@@ -18,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 import areaholonomy as ah
 from areaholonomy.cli import CommandError, _write_json
-from conftest import (MALFORMED_MESHES, disjoint_union_json, flux_rep, malformed_mesh_json, oracle_field_from_json, rebased,
-                      run_cli, slit_face)
+from conftest import (MALFORMED_MESHES, MALFORMED_ROWS, disjoint_union_json, flux_rep, malformed_mesh_json,
+                      malformed_row_json, oracle_field_from_json, rebased, run_cli, slit_face)
 
 FOUR_PI_SQ = 4 * np.pi**2
 
@@ -590,6 +590,18 @@ class TestVerify:
         result = run_cli(["verify", "--field", str(path), "--random", "3"])
         assert result.exit_code == 64
         assert message in result.stderr
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_ROWS))
+    def test_row_of_the_wrong_shape_is_usage_error(self, case, tmp_path):
+        # exit 64 with the reader's words, not Python's unpacking errors
+        mesh, loop, _, message = malformed_row_json(case)
+        field_json = ah.field_to_json(ah.GaugeField.identity(ah.build_torus_mesh(3), 1))
+        field_path, pairs_path = tmp_path / "f.json", tmp_path / "pairs.json"
+        field_path.write_text(json.dumps({**field_json, "mesh": mesh}))
+        pairs_path.write_text(json.dumps({"pairs": [[loop, ah.loop_to_json(ah.MeshLoop(0, ()))]]}))
+        result = run_cli(["verify", "--field", str(field_path), "--pairs", str(pairs_path)])
+        assert result.exit_code == 64
+        assert message in result.stderr and "Traceback" not in result.stderr
 
     @pytest.mark.parametrize(
         "case, message",

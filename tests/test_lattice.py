@@ -112,6 +112,11 @@ class TestPlaquette:
             after = plaquette_holonomy(gauged, f).mat
             assert np.linalg.norm(after - g.g[v0] @ before @ g.g[v0].conj().T) < 1e-12
 
+    @pytest.mark.parametrize("face", [-1, 16])
+    def test_face_out_of_range(self, torus4, face):
+        with pytest.raises(ValueError, match=f"^face index {face} out of range$"):
+            plaquette_holonomy(GaugeField.identity(torus4, 1), face)
+
 
 class TestFaceCurvature:
     def test_identity_field(self, torus4):
@@ -352,6 +357,10 @@ class TestFlow:
         with pytest.raises(NotConvergedError) as err:
             gradient_flow(perturbed4_u2, tol=1e-9, max_iter=2.0)
         assert err.value.report.iterations == 2
+
+    def test_max_iter_zero_refused(self, perturbed4_u2):
+        with pytest.raises(ValueError, match="^max_iter must be at least 1$"):
+            gradient_flow(perturbed4_u2, tol=1e-9, max_iter=0)
 
     @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf])
     def test_perturb_refuses_non_finite_eps(self, torus4, eps):
@@ -905,6 +914,12 @@ class TestGauge:
             g0 = g.g[torus4.basepoint]
             assert np.linalg.norm(h2 - g0 @ h1 @ g0.conj().T) < 1e-12
 
+    @pytest.mark.parametrize("vertices, n", [(15, 2), (16, 3)])
+    def test_transform_of_another_size(self, torus4, vertices, n):
+        transform = ah.GaugeTransform(np.broadcast_to(np.eye(n, dtype=complex), (vertices, n, n)).copy())
+        with pytest.raises(ValueError, match="^gauge transform size does not match the field$"):
+            apply_gauge(GaugeField.identity(torus4, 2), transform)
+
 
 class TestLoopHolonomy:
     def test_constant_loop(self, torus4):
@@ -1070,6 +1085,21 @@ class TestShrinkingLoops:
         with pytest.raises(ah.UnsupportedMeshError):
             shrinking_loop_curvature(GaugeField.identity(mesh, 1))
 
+    @pytest.mark.parametrize(
+        "mesh, block_sizes, error, message",
+        [
+            ("torus:8", [2, 4], ValueError, "^block sizes must be strictly within the grid and descending$"),
+            ("torus:8", [8], ValueError, "^block sizes must be strictly within the grid and descending$"),
+            ("sphere:1", None, ah.UnsupportedMeshError, "^operation needs a torus grid mesh$"),
+        ],
+        ids=["ascending", "whole-grid", "sphere"],
+    )
+    def test_refusals(self, mesh, block_sizes, error, message):
+        kind, size = mesh.split(":")
+        mesh = (ah.build_torus_mesh if kind == "torus" else ah.build_sphere_mesh)(int(size))
+        with pytest.raises(error, match=message):
+            shrinking_loop_curvature(GaugeField.identity(mesh, 1), block_sizes)
+
 
 class TestBuildFromRep:
     def test_flat_commuting_rep(self, torus4):
@@ -1161,6 +1191,16 @@ class TestBuildFromRep:
         # flux 7 on torus:4 puts 7 pi / 8 on each face
         field = build_ym_field_from_rep(ah.build_torus_mesh(4), flux_rep(1, 7))
         assert total_flux(field) == pytest.approx(14 * np.pi, abs=1e-12)
+
+    def test_invalid_rep_message_names_the_residuals(self, torus4):
+        eye = Unitary(np.eye(2))
+        bad = ah.YangMillsRep(1, 2, [eye], [eye], SkewHermitian(1j * np.pi * np.eye(2)))
+        with pytest.raises(ah.InvalidRepError, match=r"^invalid representation: relator residual \S+, centrality"):
+            build_ym_field_from_rep(torus4, bad)
+
+    def test_torus_without_a_grid_refused(self):
+        with pytest.raises(ah.UnsupportedMeshError, match="^operation needs a torus grid mesh$"):
+            build_ym_field_from_rep(slit_face(ah.build_torus_mesh(4)), flux_rep(1, 1))
 
 
 class TestFieldJson:

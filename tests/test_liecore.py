@@ -405,6 +405,10 @@ class TestInner:
         with pytest.raises(DimensionMismatchError):
             inner(SkewHermitian(np.zeros((2, 2))), SkewHermitian(np.zeros((3, 3))))
 
+    def test_dimension_mismatch_names_both_sizes(self):
+        with pytest.raises(DimensionMismatchError, match="^dimension mismatch: 2 vs 3$"):
+            inner(SkewHermitian(np.zeros((2, 2))), SkewHermitian(np.zeros((3, 3))))
+
 
 def commutant_dimension_bruteforce(mats, tol=1e-9):
     """Independent oracle: real null space over an explicit u(n) basis."""
@@ -464,6 +468,10 @@ class TestCommutant:
         with pytest.raises(ValueError):
             commutant_dimension([])
 
+    def test_mixed_sizes_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="^matrices have mixed dimensions$"):
+            commutant_dimension([Unitary(np.eye(2)), Unitary(np.eye(3))])
+
 
 class TestConjugacyResidual:
     def test_equal(self):
@@ -490,6 +498,10 @@ class TestConjugacyResidual:
         w = ah.random_unitary(rng, 2).mat
         v = Unitary(w @ u.mat @ w.conj().T)
         assert conjugacy_residual(u, v) < 1e-10
+
+    def test_dimension_mismatch_names_both_sizes(self):
+        with pytest.raises(DimensionMismatchError, match="^dimension mismatch: 2 vs 3$"):
+            conjugacy_residual(Unitary(np.eye(2)), Unitary(np.eye(3)))
 
 
 class TestTypesAndJson:

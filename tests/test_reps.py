@@ -154,6 +154,18 @@ class TestEvaluate:
             assert np.linalg.norm(w.mat @ u1.mat @ w.mat.conj().T - u2.mat) < 1e-10
             assert ah.conjugacy_residual(u1, u2) < 1e-10
 
+    @pytest.mark.parametrize(
+        "refused, message",
+        [
+            (lambda: evaluate(quaternion_rep(1), GammaRElement(2, (), 0.0)), "^element genus 2 does not match rep genus 1$"),
+            (lambda: direct_sum(quaternion_rep(1), quaternion_rep(2)), "^direct sum needs matching genus$"),
+        ],
+        ids=["evaluate", "direct-sum"],
+    )
+    def test_genera_must_match(self, refused, message):
+        with pytest.raises(ah.GenusMismatchError, match=message):
+            refused()
+
 
 class TestIrreducible:
     def test_dimension_one_always(self):

@@ -1,9 +1,12 @@
 """Mesh construction, winding numbers, and enclosed area."""
 
+import ast
 import json
 import math
+import re
 import struct
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,10 +27,12 @@ from areaholonomy._loopsteps import first_fault, flat_steps, lifts
 from areaholonomy.surfaces import TorusGrid, integrate_faces, json_int
 from conftest import (
     MALFORMED_MESHES,
+    MALFORMED_ROWS,
     disjoint_union_json,
     flux_rep,
     lifted_walk,
     malformed_mesh_json,
+    malformed_row_json,
     random_field,
     rebased,
     walk_area,
@@ -211,6 +216,10 @@ class TestSphereMesh:
         mesh = ah.build_sphere_mesh(s)
         assert (mesh.vertex_count, mesh.edges, mesh.faces) == walk_sphere_complex(s)
 
+    def test_subdivision_zero_refused(self):
+        with pytest.raises(ValueError, match="^sphere mesh needs subdiv >= 1$"):
+            ah.build_sphere_mesh(0)
+
 
 def walk_sphere_complex(s):
     """The builder sphere's vertex count, edges and faces, built vertex by
@@ -296,6 +305,10 @@ class TestEnclosedArea:
             both = enclosed_area(sphere2, loop_concat(l1, l2))
             sum_parts = enclosed_area(sphere2, l1) + enclosed_area(sphere2, l2)
             assert abs(wrap_mod1(both - sum_parts)) < 1e-12
+
+    def test_concatenation_needs_one_base(self):
+        with pytest.raises(MalformedLoopError, match="^cannot concatenate loops at different base vertices$"):
+            loop_concat(MeshLoop(0, ()), MeshLoop(1, ()))
 
     def test_reversal_antisymmetry(self, torus4):
         rng = np.random.default_rng(24)
@@ -478,6 +491,10 @@ class TestRandomLoopArguments:
             )
             assert int(rng.integers(1000)) == 313
 
+    def test_windings_refused_on_a_sphere(self, sphere2):
+        with pytest.raises(ah.UnsupportedMeshError, match="^period windings only make sense on the torus$"):
+            ah.random_loop(sphere2, np.random.default_rng(0), 4, windings=(1, 0))
+
 
 class TestJson:
     def test_mesh_roundtrip_torus(self, torus4):
@@ -611,6 +628,30 @@ class TestMalformedMesh:
         with pytest.raises(ValueError, match="^face_areas must be positive, one per face$"):
             ah.mesh_from_json(obj)
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED_ROWS))
+    def test_names_a_row_of_the_wrong_shape(self, case):
+        # the reader names the row, so no unpacking error of Python's and
+        # no character of a string read as a slot reaches the user
+        mesh, loop, error, message = malformed_row_json(case)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            ah.mesh_from_json(mesh), ah.loop_from_json(loop)
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda m: ah.SurfaceMesh(1, 9, m.edges, [m.faces[0], (1,), *m.faces[2:]], m.face_areas, 0),
+             TypeError, "mesh: face steps row 4 must be a list of 2 integers, got 1"),
+            (lambda m: ah.SurfaceMesh(1, 9, [*m.edges[:3], (0, 1, 2), *m.edges[4:]], m.faces, m.face_areas, 0),
+             ValueError, "mesh: edges row 3 must be a list of 2 integers, got (0, 1, 2)"),
+            (lambda m: MeshLoop(0, ((0, 1), 5)), TypeError, "loop: steps row 1 must be a list of 2 integers, got 5"),
+            (lambda m: MeshLoop(0, 5), TypeError, "loop: steps must be a list of rows, got 5"),
+        ],
+        ids=["face-step-number", "edge-too-long", "step-number", "steps-number"],
+    )
+    def test_constructors_name_a_row_of_the_wrong_shape(self, build, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build(ah.build_torus_mesh(3))
+
 
 class TestConnectedness:
     def test_isolated_vertex_rejected(self, sphere1):
@@ -650,6 +691,11 @@ class TestIntegerSlots:
         loop = MeshLoop(0.0, ((2.0, -1.0),))
         assert loop == MeshLoop(0, ((2, -1),))
         assert all(type(k) is int for k in (loop.base, *loop.steps[0]))
+
+    def test_mesh_loop_reads_array_steps_as_ints(self):
+        loop = MeshLoop(0, np.array([[2, -1], [2, 1]], np.intp))
+        assert loop == MeshLoop(0, ((2, -1), (2, 1)))
+        assert all(type(k) is int for step in loop.steps for k in step)
 
     @pytest.mark.parametrize("slot", ["genus", "vertices", "edge", "face-edge", "face-sign", "basepoint"])
     def test_surface_mesh_rejects_non_integral_index(self, slot):
@@ -1225,6 +1271,29 @@ class TestBulkIntegerRule:
         letters[at] = bad
         raises("word: a letter", lambda: ah.GammaRElement(2, letters))
         raises("word: a letter", lambda: ah.SurfaceWord(2, letters))
+
+    def test_integer_rows_and_sequences_have_one_reader(self):
+        # json_int called once per element, in a comprehension, a lambda or
+        # a loop, writes the rule again; json_ints reads sequences and
+        # _int_rows reads rows, and only they may
+        readers, repeats = {"json_ints", "_int_rows"}, (
+            ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp, ast.Lambda, ast.For, ast.While)
+        found = []
+
+        def visit(node, function, repeated, where):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function, repeated = node.name, False
+            repeated = repeated or isinstance(node, repeats)
+            if isinstance(node, ast.Call) and repeated and function not in readers:
+                name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+                if name == "json_int":
+                    found.append(f"{where}:{node.lineno}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, function, repeated, where)
+
+        for path in sorted(Path(surfaces.__file__).parent.glob("*.py")):
+            visit(ast.parse(path.read_text()), None, False, path.name)
+        assert found == []
 
 
 @st.composite

@@ -361,6 +361,10 @@ class TestWordProblem:
         j = GammaRElement(2, (), 1.0)
         assert word_problem(gamma_mul(x, rel), gamma_mul(j, x))
 
+    def test_different_words_are_different_elements(self):
+        # the same t, so only the word tells them apart
+        assert not word_problem(GammaRElement(2, "a1 b2", 0.5), GammaRElement(2, "a2 b2", 0.5))
+
 
 class TestLoopClass:
     def test_single_face_at_basepoint(self):
@@ -534,6 +538,22 @@ class TestParsing:
         assert GammaRElement(0, (), -0.5).t == 0.5
         assert GammaRElement(0, (), 1.5).t == 0.5
         assert GammaRElement(0, (), 0.7).t == pytest.approx(-0.3)
+
+    def test_surface_word_of_the_same_genus(self):
+        assert GammaRElement(2, ah.SurfaceWord(2, (1, 3)), 0.5) == GammaRElement(2, (1, 3), 0.5)
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: ah.SurfaceWord(2, (1, 3, -3)), ValueError, "^word is not freely reduced$"),
+            (lambda: GammaRElement(1, ah.SurfaceWord(2, (1,))), GenusMismatchError,
+             "^word genus does not match element genus$"),
+        ],
+        ids=["not-reduced", "other-genus"],
+    )
+    def test_word_refusals(self, build, error, message):
+        with pytest.raises(error, match=message):
+            build()
 
 
 class TestIntegerLetters:
