@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 I/O error, 2 non-convergence, 3 verification
 failure, 64 usage error, 130 interrupted.  All outputs embed the seed; JSON
 files are written atomically with sorted keys and floats written with repr,
 which round-trips, so identical configurations produce byte-identical files.
-solve's field file is formed straight from the edge arrays
-(fields._field_text), byte for byte what json.dump with indent=1 wrote.
+solve's field file is streamed straight from the edge arrays in bounded
+pieces (fields._field_pieces), byte for byte what json.dump with indent=1
+wrote.
 Output files get the mode open() would give them, 0o666 less the umask.
 The verify table's max_residual is null when no pair was measured.
 Arguments are parsed with the standard library's argparse, so numpy is the
@@ -131,7 +132,7 @@ def solve(mesh_spec, n, flux, seed, tol, max_iter, eps, out, report_path, trace)
     import numpy as np
 
     import areaholonomy as ah
-    from areaholonomy.fields import _field_text
+    from areaholonomy.fields import _field_pieces
 
     # chained bounds fail closed: NaN is in no range
     if n < 1 or not 0 < tol < math.inf or not 0 <= eps < math.inf:
@@ -157,8 +158,7 @@ def solve(mesh_spec, n, flux, seed, tol, max_iter, eps, out, report_path, trace)
     except ah.NotConvergedError as ex:
         converged = False
         field, flow_report = ex.field, ex.report
-    text = _field_text(field, seed) + "\n"
-    _write_atomic(out, lambda handle: handle.write(text))
+    _write_atomic(out, lambda handle: handle.writelines(_field_pieces(field, seed)))
     _write_json(
         report_path,
         {"config": config, "converged": converged, "seed": seed, **flow_report.to_json()},

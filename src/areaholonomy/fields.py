@@ -5,14 +5,16 @@ edge's canonical orientation; it is a value-semantic snapshot, never
 mutated in place.  This module reads and writes fields and perturbs them,
 and imports only liecore and surfaces, so a run that checks a field
 (verify) loads neither the flow engine (lattice) nor the representations
-(reps).
+(reps).  solve's field file is formed by _field_pieces straight from the
+edge and face arrays, a bounded piece of text at a time, so the writer's
+memory does not grow with the file.
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
 from operator import itemgetter
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -74,19 +76,26 @@ def field_to_json(field: GaugeField) -> dict:
     }
 
 
-def _field_text(field: GaugeField, seed: int) -> str:
-    """json.dumps(field_to_json(field) | {"seed": seed}, sort_keys=True,
-    indent=1), formed from the arrays without the tree of edge dicts.
+# Items of one list per piece of the field file.  Writing a torus:128
+# n = 1 field (a 6.4 MB file) took 98 / 95 / 91 / 89 / 87 / 84 ms at
+# 64 / 128 / 256 / 512 / 1024 / 4096 items a piece (best of 9, 2-vCPU
+# Xeon) and peaked at 45 / 63 / 93 / 173 / 331 / 1285 KB traced.
+_PIECE_ITEMS = 512
+
+
+def _field_pieces(field: GaugeField, seed: int) -> Iterator[str]:
+    """The field file, json.dumps(field_to_json(field) | {"seed": seed},
+    sort_keys=True, indent=1) and a newline, in pieces of at most
+    _PIECE_ITEMS items of one list, each formed from one slice per array.
 
     json lays out the file with one placeholder per list, and each list's
-    item once per shape with "%s" in every number slot; one % fills all
-    slots.  json writes finite floats and ints with their repr, as %s
-    does, and a GaugeField and its mesh hold only finite numbers, so the
-    bytes are json's.
+    item once per shape with "%s" in every number slot; one % fills a
+    piece's slots.  json writes finite floats and ints with their repr, as
+    %s does, and a GaugeField and its mesh hold only finite numbers, so
+    the bytes are json's.
     """
     import json
     import re
-    from itertools import chain
 
     def dumps(obj):
         return json.dumps(obj, sort_keys=True, indent=1)
@@ -94,29 +103,41 @@ def _field_text(field: GaugeField, seed: int) -> str:
     def row(k):
         return ["%s"] * k
 
-    n = field.n
-    mesh = mesh_to_json(field.mesh)
-    # per list, in the file's key order: item shapes, item for a shape, numbers
+    n, U, mesh = field.n, field.U, field.mesh
+    steps = mesh.face_steps
+
+    def face_entries(a, b):
+        x, y = steps.starts[a], steps.starts[b - 1] + steps.lengths[b - 1]
+        return steps.signs[x:y] * (steps.edges[x:y] + 1)
+
+    # per list, in the file's key order: the item of a shape, each item's
+    # shape, and the numbers of items a to b
     lists = (
-        ([n] * len(field.U), lambda k: {"im": [row(k)] * k, "n": k, "re": [row(k)] * k},
-         np.stack((field.U.imag, field.U.real), 1).ravel().tolist()),
-        (list(map(len, mesh["edges"])), row, chain.from_iterable(mesh["edges"])),
-        ([0] * len(mesh["face_areas"]), lambda _: "%s", mesh["face_areas"]),
-        (list(map(len, mesh["faces"])), row, chain.from_iterable(mesh["faces"])),
+        (lambda k: {"im": [row(k)] * k, "n": k, "re": [row(k)] * k}, np.broadcast_to(n, len(U)),
+         lambda a, b: np.stack((U.imag[a:b], U.real[a:b]), 1)),
+        (row, np.broadcast_to(2, len(mesh.tails)), lambda a, b: np.stack((mesh.tails[a:b], mesh.heads[a:b]), 1)),
+        (lambda _: "%s", np.broadcast_to(0, len(mesh.face_areas)), lambda a, b: mesh.face_areas[a:b]),
+        (row, steps.lengths, face_entries),
     )
-    mesh.update(edges=["@1"], face_areas=["@2"], faces=["@3"])
-    skeleton = dumps({"edges": ["@0"], "mesh": mesh, "n": n, "seed": seed})
-
-    def items(match):
-        indent, (shapes, item, _) = match[1], lists[int(match[2])]
-        layout = {
-            k: dumps(item(k)).replace('"%s"', "%s").replace("\n", "\n" + indent)
-            for k in set(shapes)
-        }
-        return indent + f",\n{indent}".join(map(layout.__getitem__, shapes))
-
-    text = re.sub(r'( *)"@(\d)"', items, skeleton)
-    return text % tuple(chain.from_iterable(numbers for *_, numbers in lists))
+    skeleton = dumps({
+        "edges": ["@0"],
+        "mesh": {"basepoint": mesh.basepoint, "edges": ["@1"], "face_areas": ["@2"], "faces": ["@3"],
+                 "genus": mesh.genus, "vertices": mesh.vertex_count},
+        "n": n,
+        "seed": seed,
+    })
+    head, *parts = re.split(r'( *)"@(\d)"', skeleton + "\n")
+    yield head
+    for indent, which, tail in zip(*[iter(parts)] * 3):
+        item, shapes, numbers = lists[int(which)]
+        layout, sep = {}, ",\n" + indent
+        for a in range(0, len(shapes), _PIECE_ITEMS):
+            b = min(a + _PIECE_ITEMS, len(shapes))
+            keys = shapes[a:b].tolist()
+            for k in set(keys) - layout.keys():
+                layout[k] = dumps(item(k)).replace('"%s"', "%s").replace("\n", sep[1:])
+            yield (sep if a else indent) + sep.join(map(layout.__getitem__, keys)) % tuple(numbers(a, b).ravel().tolist())
+        yield tail
 
 
 def field_from_json(obj: dict, *, base_dir: Optional[str] = None) -> GaugeField:

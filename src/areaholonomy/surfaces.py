@@ -38,7 +38,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, cycle
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -193,7 +193,7 @@ class SurfaceMesh:
         if not (isinstance(edges, np.ndarray) and edges.dtype == np.intp and edges.shape[1:] == (2,)):
             ends = _int_rows(edges, "mesh: edges", ("mesh: an edge tail", "mesh: an edge head"), 2)[1].reshape(-1, 2)
         if not isinstance(faces, _FaceSteps):
-            faces = tuple(map(tuple, faces))
+            faces = tuple(map(tuple, _rows(faces, "mesh: faces", "a list of steps")))
             _, steps = _int_rows([*chain.from_iterable(faces)], "mesh: face steps", ("mesh: a face edge", "mesh: a face sign"), 2)
             faces = _FaceSteps(np.fromiter(map(len, faces), np.intp, len(faces)), *steps.reshape(-1, 2).T)
         self.face_areas = _float_array(face_areas, "mesh: a face area", "face_areas must be positive, one per face")
@@ -889,28 +889,34 @@ def _int_rows(rows, what: str, names: tuple[str, ...], width: Optional[int] = No
     as intp: SurfaceMesh's edges and face steps, mesh_from_json's faces
     and MeshLoop's steps.  Lists and tuples of exact ints within intp
     (width each, if given) pass one type pass.  Any other part is read row
-    by row, slot j by json_int as names[j % len(names)]: a part or row
-    that is not a list or tuple (an array reads as its tolist) raises
-    TypeError naming it, and a row of another length ValueError.  An int
+    by row (_rows), slot j by json_int as names[j % len(names)].  An int
     beyond intp is held as the intp bound of its sign, outside every range
     a mesh checks."""
     if isinstance(rows, np.ndarray):
         rows = rows.tolist()
-    if not isinstance(rows, (list, tuple)):
-        raise TypeError(f"{what} must be a list of rows, got {rows!r}")
-    if set(map(type, rows)) <= {list, tuple} and (width is None or set(map(len, rows)) <= {width}):
+    if isinstance(rows, (list, tuple)) and set(map(type, rows)) <= {list, tuple} and (width is None or set(map(len, rows)) <= {width}):
         flat = list(chain.from_iterable(rows))
         if set(map(type, flat)) <= {int}:
             with suppress(OverflowError):
                 return tuple(rows), np.fromiter(flat, np.intp, len(flat))
-    read, shape = [], f"a list of {width} integers" if width else "a list of integers"
+    shape = f"a list of {width} integers" if width else "a list of integers"
+    read = tuple(tuple(map(json_int, row, cycle(names))) for row in _rows(rows, what, shape, width))
+    flat = [min(max(k, -_INTP.max), _INTP.max) for k in chain.from_iterable(read)]
+    return read, np.fromiter(flat, np.intp, len(flat))
+
+
+def _rows(rows, what: str, shape: str, width: Optional[int] = None) -> Iterator:
+    """The rows of a part (what), each checked as it is reached.  A part
+    or a row that is not a list or tuple raises TypeError naming it, and a
+    row of another length than width ValueError; shape says what a row
+    must be."""
+    if not isinstance(rows, (list, tuple)):
+        raise TypeError(f"{what} must be a list of rows, got {rows!r}")
     for i, row in enumerate(rows):
         if not isinstance(row, (list, tuple)) or len(row) != (width or len(row)):
             error = ValueError if isinstance(row, (list, tuple)) else TypeError
             raise error(f"{what} row {i} must be {shape}, got {row!r}")
-        read.append(tuple(map(json_int, row, cycle(names))))
-    flat = [min(max(k, -_INTP.max), _INTP.max) for k in chain.from_iterable(read)]
-    return tuple(read), np.fromiter(flat, np.intp, len(flat))
+        yield row
 
 
 def json_float(value, what: str) -> float:

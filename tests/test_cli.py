@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import areaholonomy as ah
-from areaholonomy.cli import CommandError, _write_json
+from areaholonomy.cli import CommandError, _write_atomic, _write_json
+from areaholonomy.fields import _field_pieces
 from conftest import (MALFORMED_MESHES, MALFORMED_ROWS, disjoint_union_json, flux_rep, malformed_mesh_json,
                       malformed_row_json, oracle_field_from_json, rebased, run_cli, slit_face)
 
@@ -831,6 +832,30 @@ class TestWriteAtomic:
                 pytest.raises(CommandError, match="cannot write"):
             _write_json(str(path), {"x": 1})
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("error, raised", [(RuntimeError, RuntimeError), (OSError, CommandError)])
+    def test_failing_piece_source_leaves_no_file(self, tmp_path, error, raised):
+        # solve streams its field file: a source that fails after its first
+        # piece leaves neither the target nor a .tmp file behind
+        def pieces():
+            source = _field_pieces(ah.GaugeField.identity(ah.build_torus_mesh(3), 1), 3)
+            yield next(source)
+            raise error("piece source failed")
+
+        with pytest.raises(raised, match="piece source failed"):
+            _write_atomic(str(tmp_path / "f.json"), lambda handle: handle.writelines(pieces()))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_streamed_write_gets_the_mode_open_would(self, tmp_path):
+        field, path, umask = ah.GaugeField.identity(ah.build_torus_mesh(3), 1), tmp_path / "f.json", 0o027
+        previous = os.umask(umask)
+        try:
+            _write_atomic(str(path), lambda handle: handle.writelines(_field_pieces(field, 3)))
+        finally:
+            os.umask(previous)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+        assert path.read_text() == json.dumps(ah.field_to_json(field) | {"seed": 3}, sort_keys=True, indent=1) + "\n"
 
 
 class TestClassify:

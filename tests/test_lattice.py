@@ -4,8 +4,9 @@ gauge action, holonomy, and the constant-curvature constructions."""
 import gc
 import json
 import os
+import tracemalloc
 import weakref
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from areaholonomy import (
 )
 from areaholonomy._loopsteps import flat_steps, holonomies, reduced
 from areaholonomy._verify import basepoint_curvature, verify_pairs
-from areaholonomy.fields import _field_text
+from areaholonomy.fields import _PIECE_ITEMS, _field_pieces
 from areaholonomy.lattice import _Engine, _conjugate_gradients, _u_basis, _unitarize
 from areaholonomy.liecore import expm_raw, haar_unitary_raw, matmul_raw
 from conftest import (
@@ -1332,11 +1333,54 @@ def snapshot_cases(draw):
 def test_field_text_is_json_layout(case):
     # the field file's writer against json's own indented encoder
     field, seed = case
-    text = _field_text(field, seed)
-    expected = json.dumps(ah.field_to_json(field) | {"seed": seed}, sort_keys=True, indent=1)
+    text = "".join(_field_pieces(field, seed))
+    expected = json.dumps(ah.field_to_json(field) | {"seed": seed}, sort_keys=True, indent=1) + "\n"
     # compare from the first difference: a full diff of two files is slow
     at = max(len(os.path.commonprefix([text, expected])) - 40, 0)
     assert text[at:at + 120] == expected[at:at + 120]
+
+
+def wide_field(mesh, n: int) -> GaugeField:
+    """A perturbed U(n) field on mesh with every seventh edge -1, so that
+    its file holds -0.0 entries."""
+    values = np.array(ah.perturb_field(GaugeField.identity(mesh, n), np.random.default_rng(n), 0.3).U)
+    values[::7] = -np.eye(n)
+    return GaugeField(mesh, values)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**63])
+@pytest.mark.parametrize(
+    "build, n",
+    [
+        (lambda: ah.build_torus_mesh(32), 1),
+        (lambda: ah.build_sphere_mesh(10), 2),
+        (lambda: ah.build_torus_mesh(24), 3),
+        # faces of 4 and 6 steps
+        (lambda: ah.mesh_from_json(reduce(merged_faces, [1500, 1100, 1000, 40],
+                                          ah.mesh_to_json(ah.build_torus_mesh(32)))), 2),
+    ],
+    ids=["torus32-n1", "sphere10-n2", "torus24-n3", "merged-n2"],
+)
+def test_field_pieces_are_json_across_pieces(build, n, seed):
+    # the whole file, on fields with more items than one piece in each list
+    field = wide_field(build(), n)
+    assert min(len(field.mesh.edges), len(field.mesh.faces)) > _PIECE_ITEMS
+    expected = json.dumps(ah.field_to_json(field) | {"seed": seed}, sort_keys=True, indent=1) + "\n"
+    assert "".join(_field_pieces(field, seed)) == expected
+    assert "-0.0" in expected
+
+
+def test_field_writer_memory_does_not_grow_with_the_file(tmp_path):
+    # a writer that holds the whole text at once peaks above the file size
+    field, path = wide_field(ah.build_torus_mesh(64), 1), tmp_path / "f.json"
+    tracemalloc.start()
+    try:
+        with open(path, "w") as handle:
+            handle.writelines(_field_pieces(field, 7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
 
 
 class GatherEngine:

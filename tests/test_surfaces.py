@@ -645,8 +645,12 @@ class TestMalformedMesh:
              ValueError, "mesh: edges row 3 must be a list of 2 integers, got (0, 1, 2)"),
             (lambda m: MeshLoop(0, ((0, 1), 5)), TypeError, "loop: steps row 1 must be a list of 2 integers, got 5"),
             (lambda m: MeshLoop(0, 5), TypeError, "loop: steps must be a list of rows, got 5"),
+            (lambda m: ah.SurfaceMesh(1, 9, m.edges, 5, m.face_areas, 0),
+             TypeError, "mesh: faces must be a list of rows, got 5"),
+            (lambda m: ah.SurfaceMesh(1, 9, m.edges, [m.faces[0], 5, *m.faces[2:]], m.face_areas, 0),
+             TypeError, "mesh: faces row 1 must be a list of steps, got 5"),
         ],
-        ids=["face-step-number", "edge-too-long", "step-number", "steps-number"],
+        ids=["face-step-number", "edge-too-long", "step-number", "steps-number", "faces-number", "face-number"],
     )
     def test_constructors_name_a_row_of_the_wrong_shape(self, build, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
